@@ -59,15 +59,11 @@ from .relations import (
     same_block,
 )
 from .symbolic_sets import (
-    CofiniteSubset,
     Rational,
     RationalBall,
     ResidueClassSet,
     ball_disjoint,
     ball_member,
-    cof_disjoint,
-    cof_intersect,
-    cof_member,
     pair_decode,
     pair_encode,
     residues_disjoint,

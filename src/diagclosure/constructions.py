@@ -26,6 +26,7 @@ against the independent block-membership oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -84,7 +85,6 @@ __all__ = [
     "realise_t0",
     "realise_t1",
     "realise_tau_r",
-    "render_open",
 ]
 
 _S, _F, _I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
@@ -142,6 +142,10 @@ class FinPt2:
     block: int
     elem: int
     excluded_blocks: frozenset = frozenset()
+
+    @property
+    def excluded(self) -> frozenset:
+        return self.excluded_blocks
 
     def render(self) -> str:
         excl = ",".join(str(b) for b in sorted(self.excluded_blocks))
@@ -210,10 +214,6 @@ class CofInD:
 
     def render(self) -> str:
         return f"CofInD(d={self.index}, excl=[{','.join(str(x) for x in sorted(self.excluded))}])"
-
-
-def render_open(o) -> str:
-    return o.render()
 
 
 @dataclass(frozen=True)
@@ -360,70 +360,28 @@ def _same_block_addr(p: PointAddr, q: PointAddr) -> bool:
     return p.cls is q.cls and p.block == q.block
 
 
-def _sample_block_excl(p: PointAddr, rng, elem_bound: int, size: Optional[int] = None) -> frozenset:
+def _sample_block_excl(p: PointAddr, rng, elem_bound: int) -> frozenset:
     """A few random same-block points distinct from p, as an exclusion set."""
     out = set()
-    hi = elem_bound if size is None else min(elem_bound, size - 1)
     for _ in range(rng.randrange(3)):
-        e = rng.randint(0, hi)
+        e = rng.randint(0, elem_bound)
         if e != p.elem:
             out.add(PointAddr(p.cls, p.block, e))
     return frozenset(out)
 
 
 # --------------------------------------------------------------------------
-# all blocks infinite
-
-class InfBlocks(Construction):
-    """Every block infinite; basic opens are cofinite subsets of single blocks.
-
-    Two opens meet exactly when they sit in the same block, so points are
-    separable iff their blocks differ, and excluding one point from a
-    cofinite subset keeps it basic - which gives the T1 witnesses.
-    """
-
-    kind = "InfBlocks"
-    _variants = (CofInBlock,)
-    _domain = frozenset((_I,))
-
-    def __init__(self, spec, _as_child=False):
-        super().__init__(spec)
-        if not _as_child and (not spec.fin.is_empty or spec.singletons >= 1):
-            raise ValueError("InfBlocks requires a spec with only infinite blocks")
-
-    def _separable(self, p, q):
-        return p.block != q.block
-
-    def _witness_opens(self, p, q):
-        return CofInBlock(p.block_ref), CofInBlock(q.block_ref)
-
-    def _member(self, o, p):
-        return p.block_ref == o.block and p not in o.excluded
-
-    def _disjoint(self, o1, o2):
-        return o1.block != o2.block
-
-    def _basic_nbhd(self, p, avoid=None):
-        excl = frozenset()
-        if isinstance(avoid, PointAddr) and avoid != p and avoid.block_ref == p.block_ref:
-            excl = frozenset((avoid,))
-        return CofInBlock(p.block_ref, excl)
-
-    def _sample_open(self, p, rng, bounds):
-        return CofInBlock(p.block_ref, _sample_block_excl(p, rng, bounds[1]))
-
-    def _refine(self, o1, o2, p):
-        return CofInBlock(o1.block, o1.excluded | o2.excluded)
-
-    def _contains(self, outer, inner):
-        return inner.block == outer.block and outer.excluded <= inner.excluded
-
-
-# --------------------------------------------------------------------------
-# blocks infinite or singletons
+# the cofinite/singleton family: isolated singletons, cofinite opens in blocks
 
 class InfOrSingleton(Construction):
-    """Singleton points are isolated; infinite blocks carry the cofinite opens."""
+    """Singleton points are isolated; infinite blocks carry the cofinite opens.
+
+    Two cofinite opens meet exactly when they sit in the same block, so
+    points are separable iff their blocks differ, and excluding one point
+    from a cofinite subset keeps it basic - which gives the T1 witnesses.
+    This class holds the SingletonPt and CofInBlock rules for the whole
+    family; its subclasses narrow the variants or add reservoir opens.
+    """
 
     kind = "InfOrSingleton"
     _variants = (SingletonPt, CofInBlock)
@@ -438,7 +396,7 @@ class InfOrSingleton(Construction):
         return not _same_block_addr(p, q)
 
     def _witness_opens(self, p, q):
-        return self._basic_nbhd(p), self._basic_nbhd(q)
+        return self._basic_nbhd(p, q), self._basic_nbhd(q, p)
 
     def _member(self, o, p):
         if isinstance(o, SingletonPt):
@@ -456,7 +414,7 @@ class InfOrSingleton(Construction):
         if p.cls is _S:
             return SingletonPt(p)
         excl = frozenset()
-        if isinstance(avoid, PointAddr) and avoid != p and avoid.block_ref == p.block_ref:
+        if isinstance(avoid, PointAddr) and avoid != p and _same_block_addr(avoid, p):
             excl = frozenset((avoid,))
         return CofInBlock(p.block_ref, excl)
 
@@ -478,29 +436,43 @@ class InfOrSingleton(Construction):
         return inner.block == outer.block and outer.excluded <= inner.excluded
 
 
+class InfBlocks(InfOrSingleton):
+    """Every block infinite; basic opens are cofinite subsets of single blocks."""
+
+    kind = "InfBlocks"
+    _variants = (CofInBlock,)
+    _domain = frozenset((_I,))
+
+    def __init__(self, spec):
+        Construction.__init__(self, spec)
+        if not spec.fin.is_empty or spec.singletons >= 1:
+            raise ValueError("InfBlocks requires a spec with only infinite blocks")
+
+
 # --------------------------------------------------------------------------
-# finitely many finite blocks, infinitely many singletons
+# the reservoir family: finitely many finite blocks on disjoint reservoirs
 
-class FinTwoCase1(Construction):
-    """Finite blocks draw opens from disjoint singleton reservoirs.
+class _Reservoir(InfOrSingleton):
+    """Finite blocks draw opens from disjoint reservoirs.
 
-    Finite block j owns the reservoir S_j of all singleton points whose
+    Finite block j owns the reservoir of all ``_pool_cls`` blocks whose
     index is congruent to ``block_residues[j]`` modulo the number of finite
-    blocks; a basic open around a finite-block point is that point together
-    with a cofinite subset of its reservoir.  The default residue
-    assignment is injective, as the realisation requires; other assignments
-    are accepted so the verification harness can prove it would notice.
+    blocks; a basic open around a finite-block point is an ``_open``: that
+    point together with all but finitely many units of its reservoir.  The
+    default residue assignment is injective, as the realisation requires;
+    other assignments are accepted so the verification harness can prove
+    it would notice.  Points outside finite blocks keep the family rules.
     """
 
-    kind = "FinTwoCase1"
-    _variants = (SingletonPt, CofInBlock, FinPt1)
+    _domain = frozenset((_S, _F, _I))
+    _open: type  # FinPt1 or FinPt2
+    _pool_cls: BlockClass  # what the reservoirs are made of: singletons or infinite blocks
 
     def __init__(self, spec, block_residues: Optional[Sequence[int]] = None):
-        super().__init__(spec)
+        Construction.__init__(self, spec)
         if spec.fin.is_empty or spec.fin.cyclic:
-            raise ValueError("FinTwoCase1 needs an explicit nonempty finite-block list")
-        if not spec.singletons.is_omega:
-            raise ValueError("FinTwoCase1 needs infinitely many singleton blocks")
+            raise ValueError(f"{self.kind} needs an explicit nonempty finite-block list")
+        self._check_spec(spec)
         m = len(spec.fin.sizes)
         if block_residues is None:
             block_residues = tuple(range(m))
@@ -510,255 +482,132 @@ class FinTwoCase1(Construction):
         self.modulus = m
         self.block_residues = block_residues
 
-    def _in_reservoir(self, j: int, s: PointAddr) -> bool:
-        return s.cls is _S and s.block % self.modulus == self.block_residues[j]
+    def _check_spec(self, spec):
+        raise NotImplementedError
+
+    def _unit(self, p: PointAddr):
+        """What a reservoir open excludes to drop p: p itself, or its whole block."""
+        return p if self._pool_cls is _S else p.block
+
+    def _in_reservoir(self, j: int, p: PointAddr) -> bool:
+        return p.cls is self._pool_cls and p.block % self.modulus == self.block_residues[j]
+
+    def _holds_block(self, o, ref: BlockRef) -> bool:
+        """Whether the reservoir open o contains the whole infinite block ref."""
+        return (
+            self._pool_cls is _I
+            and ref.cls is _I
+            and ref.index % self.modulus == self.block_residues[o.block]
+            and ref.index not in o.excluded
+        )
 
     def _separable(self, p, q):
         if p.cls is _F and q.cls is _F:
-            if p.block == q.block:
-                return False
-            return self.block_residues[p.block] != self.block_residues[q.block]
-        if p.cls is _I and q.cls is _I:
-            return p.block != q.block
-        return True
-
-    def _witness_opens(self, p, q):
-        return self._sep_nbhd(p, q), self._sep_nbhd(q, p)
-
-    def _sep_nbhd(self, p, other):
-        if p.cls is _S:
-            return SingletonPt(p)
-        if p.cls is _I:
-            return CofInBlock(p.block_ref)
-        excl = frozenset((other,)) if self._in_reservoir(p.block, other) else frozenset()
-        return FinPt1(p.block, p.elem, excl)
+            return p.block != q.block and self.block_residues[p.block] != self.block_residues[q.block]
+        return not _same_block_addr(p, q)
 
     def _member(self, o, p):
-        if isinstance(o, SingletonPt):
-            return o.point == p
-        if isinstance(o, CofInBlock):
-            return p.block_ref == o.block and p not in o.excluded
+        if type(o) is not self._open:
+            return InfOrSingleton._member(self, o, p)
         if p.cls is _F:
             return p.block == o.block and p.elem == o.elem
-        return self._in_reservoir(o.block, p) and p not in o.excluded
+        return self._in_reservoir(o.block, p) and self._unit(p) not in o.excluded
 
     def _disjoint(self, o1, o2):
-        if isinstance(o1, SingletonPt):
-            return o1 != o2 if isinstance(o2, SingletonPt) else not self._member(o2, o1.point)
-        if isinstance(o2, SingletonPt):
-            return not self._member(o1, o2.point)
-        c1, c2 = isinstance(o1, CofInBlock), isinstance(o2, CofInBlock)
-        if c1 and c2:
-            return o1.block != o2.block
-        if c1 or c2:
-            return True  # reservoirs live on singleton points, never in infinite blocks
-        if o1.block == o2.block:
-            return False
-        return self.block_residues[o1.block] != self.block_residues[o2.block]
+        f1, f2 = type(o1) is self._open, type(o2) is self._open
+        if f1 and f2:
+            return o1.block != o2.block and self.block_residues[o1.block] != self.block_residues[o2.block]
+        if f1 and type(o2) is CofInBlock:
+            return not self._holds_block(o1, o2.block)
+        if f2 and type(o1) is CofInBlock:
+            return not self._holds_block(o2, o1.block)
+        return InfOrSingleton._disjoint(self, o1, o2)
 
     def _basic_nbhd(self, p, avoid=None):
-        if p.cls is _S:
-            return SingletonPt(p)
-        if p.cls is _I:
-            excl = frozenset()
-            if isinstance(avoid, PointAddr) and avoid != p and avoid.block_ref == p.block_ref:
-                excl = frozenset((avoid,))
-            return CofInBlock(p.block_ref, excl)
+        if p.cls is not _F:
+            return InfOrSingleton._basic_nbhd(self, p, avoid)
         excl = frozenset()
         if isinstance(avoid, PointAddr) and self._in_reservoir(p.block, avoid):
-            excl = frozenset((avoid,))
-        return FinPt1(p.block, p.elem, excl)
+            excl = frozenset((self._unit(avoid),))
+        return self._open(p.block, p.elem, excl)
 
-    def _sample_reservoir_excl(self, j, rng, block_bound, avoid=None):
+    def _sample_excl(self, j, rng, block_bound, avoid=None):
         res = self.block_residues[j]
         out = set()
         for _ in range(rng.randrange(3)):
             idx = res + self.modulus * rng.randint(0, max(1, block_bound))
-            cand = PointAddr(_S, idx, 0)
-            if cand != avoid:
-                out.add(cand)
+            unit = self._unit(PointAddr(self._pool_cls, idx, 0))
+            if unit != avoid:
+                out.add(unit)
         return frozenset(out)
 
     def _sample_open(self, p, rng, bounds):
-        if p.cls is _I:
-            return CofInBlock(p.block_ref, _sample_block_excl(p, rng, bounds[1]))
         if p.cls is _F:
-            return FinPt1(p.block, p.elem, self._sample_reservoir_excl(p.block, rng, bounds[0]))
-        owners = [j for j in range(self.modulus) if self._in_reservoir(j, p)]
-        if owners and rng.random() < 0.5:
-            j = owners[rng.randrange(len(owners))]
-            k = rng.randrange(self.spec.fin.size_of(j))
-            return FinPt1(j, k, self._sample_reservoir_excl(j, rng, bounds[0], avoid=p))
-        return SingletonPt(p)
+            return self._open(p.block, p.elem, self._sample_excl(p.block, rng, bounds[0]))
+        if p.cls is self._pool_cls:
+            owners = [j for j in range(self.modulus) if self._in_reservoir(j, p)]
+            if owners and rng.random() < 0.5:
+                j = owners[rng.randrange(len(owners))]
+                k = rng.randrange(self.spec.fin.size_of(j))
+                return self._open(j, k, self._sample_excl(j, rng, bounds[0], avoid=self._unit(p)))
+        return InfOrSingleton._sample_open(self, p, rng, bounds)
 
     def _refine(self, o1, o2, p):
-        if isinstance(o1, SingletonPt) or isinstance(o2, SingletonPt):
-            return SingletonPt(p)
-        if isinstance(o1, CofInBlock) and isinstance(o2, CofInBlock):
-            return CofInBlock(o1.block, o1.excluded | o2.excluded)
-        if isinstance(o1, FinPt1) and isinstance(o2, FinPt1):
+        f1, f2 = type(o1) is self._open, type(o2) is self._open
+        if f1 and f2:
             if (o1.block, o1.elem) == (o2.block, o2.elem):
-                return FinPt1(o1.block, o1.elem, o1.excluded | o2.excluded)
-            return SingletonPt(p)  # the overlap lies in the shared reservoir
-        raise ValueError("opens of these variants never meet")
+                return self._open(o1.block, o1.elem, o1.excluded | o2.excluded)
+            return self._basic_nbhd(p)  # the overlap lies in the shared reservoir
+        if f1 or f2:
+            return o2 if f1 else o1  # p's singleton, or its whole reservoir block, lies inside
+        return InfOrSingleton._refine(self, o1, o2, p)
 
     def _contains(self, outer, inner):
-        if isinstance(inner, SingletonPt):
-            return self._member(outer, inner.point)
-        if isinstance(outer, SingletonPt):
-            return False
-        ci, co = isinstance(inner, CofInBlock), isinstance(outer, CofInBlock)
-        if ci or co:
-            return ci and co and inner.block == outer.block and outer.excluded <= inner.excluded
-        return (inner.block, inner.elem) == (outer.block, outer.elem) and outer.excluded <= inner.excluded
+        if type(inner) is self._open:
+            return (
+                type(outer) is self._open
+                and (inner.block, inner.elem) == (outer.block, outer.elem)
+                and outer.excluded <= inner.excluded
+            )
+        if type(outer) is self._open and type(inner) is CofInBlock:
+            return self._holds_block(outer, inner.block)
+        return InfOrSingleton._contains(self, outer, inner)
 
 
-# --------------------------------------------------------------------------
-# finitely many finite blocks, infinitely many infinite blocks
+class FinTwoCase1(_Reservoir):
+    """Finitely many finite blocks, infinitely many singletons: each finite
+    block owns a residue class of singleton points as its reservoir."""
 
-class FinTwoCase2(Construction):
-    """Finite blocks draw opens from disjoint pools of whole infinite blocks.
+    kind = "FinTwoCase1"
+    _variants = (SingletonPt, CofInBlock, FinPt1)
+    _open = FinPt1
+    _pool_cls = _S
 
-    Finite block j owns the pool of infinite blocks with index congruent to
-    ``block_residues[j]`` modulo the number of finite blocks; a basic open
-    around a finite-block point is that point together with the union of
-    all but finitely many pool blocks.  Only whole blocks can be excluded
-    there - element-level exclusions happen inside CofInBlock opens.
-    """
+    def _check_spec(self, spec):
+        if not spec.singletons.is_omega:
+            raise ValueError("FinTwoCase1 needs infinitely many singleton blocks")
+
+
+class FinTwoCase2(_Reservoir):
+    """Finitely many finite blocks and singletons, infinitely many infinite
+    blocks: each finite block owns a residue class of whole infinite blocks.
+    Only whole blocks can be excluded there - element-level exclusions
+    happen inside CofInBlock opens."""
 
     kind = "FinTwoCase2"
     _variants = (SingletonPt, CofInBlock, FinPt2)
+    _open = FinPt2
+    _pool_cls = _I
 
-    def __init__(self, spec, block_residues: Optional[Sequence[int]] = None):
-        super().__init__(spec)
-        if spec.fin.is_empty or spec.fin.cyclic:
-            raise ValueError("FinTwoCase2 needs an explicit nonempty finite-block list")
+    def _check_spec(self, spec):
         if not spec.inf.is_omega:
             raise ValueError("FinTwoCase2 needs infinitely many infinite blocks")
         if spec.singletons.is_omega:
             raise ValueError("FinTwoCase2 applies when singletons are finitely many")
-        m = len(spec.fin.sizes)
-        if block_residues is None:
-            block_residues = tuple(range(m))
-        block_residues = tuple(block_residues)
-        if len(block_residues) != m or any(not 0 <= r < m for r in block_residues):
-            raise ValueError("block_residues must assign each finite block a residue mod m")
-        self.modulus = m
-        self.block_residues = block_residues
-
-    def _in_pool(self, j: int, inf_block: int) -> bool:
-        return inf_block % self.modulus == self.block_residues[j]
-
-    def _separable(self, p, q):
-        if p.cls is _F and q.cls is _F:
-            if p.block == q.block:
-                return False
-            return self.block_residues[p.block] != self.block_residues[q.block]
-        if p.cls is _I and q.cls is _I:
-            return p.block != q.block
-        return True
-
-    def _witness_opens(self, p, q):
-        return self._sep_nbhd(p, q), self._sep_nbhd(q, p)
-
-    def _sep_nbhd(self, p, other):
-        if p.cls is _S:
-            return SingletonPt(p)
-        if p.cls is _I:
-            return CofInBlock(p.block_ref)
-        excl = frozenset((other.block,)) if other.cls is _I and self._in_pool(p.block, other.block) else frozenset()
-        return FinPt2(p.block, p.elem, excl)
-
-    def _member(self, o, p):
-        if isinstance(o, SingletonPt):
-            return o.point == p
-        if isinstance(o, CofInBlock):
-            return p.block_ref == o.block and p not in o.excluded
-        if p.cls is _F:
-            return p.block == o.block and p.elem == o.elem
-        if p.cls is _I:
-            return self._in_pool(o.block, p.block) and p.block not in o.excluded_blocks
-        return False
-
-    def _disjoint(self, o1, o2):
-        if isinstance(o1, SingletonPt):
-            return o1 != o2 if isinstance(o2, SingletonPt) else not self._member(o2, o1.point)
-        if isinstance(o2, SingletonPt):
-            return not self._member(o1, o2.point)
-        c1, c2 = isinstance(o1, CofInBlock), isinstance(o2, CofInBlock)
-        if c1 and c2:
-            return o1.block != o2.block
-        if c1 or c2:
-            cof, fin = (o1, o2) if c1 else (o2, o1)
-            b = cof.block.index
-            return not (self._in_pool(fin.block, b) and b not in fin.excluded_blocks)
-        if o1.block == o2.block:
-            return False
-        return self.block_residues[o1.block] != self.block_residues[o2.block]
-
-    def _basic_nbhd(self, p, avoid=None):
-        if p.cls is _S:
-            return SingletonPt(p)
-        if p.cls is _I:
-            excl = frozenset()
-            if isinstance(avoid, PointAddr) and avoid != p and avoid.block_ref == p.block_ref:
-                excl = frozenset((avoid,))
-            return CofInBlock(p.block_ref, excl)
-        excl = frozenset()
-        if isinstance(avoid, PointAddr) and avoid.cls is _I and self._in_pool(p.block, avoid.block):
-            excl = frozenset((avoid.block,))
-        return FinPt2(p.block, p.elem, excl)
-
-    def _sample_pool_excl(self, j, rng, block_bound, avoid_block=None):
-        res = self.block_residues[j]
-        out = set()
-        for _ in range(rng.randrange(3)):
-            b = res + self.modulus * rng.randint(0, max(1, block_bound))
-            if b != avoid_block:
-                out.add(b)
-        return frozenset(out)
-
-    def _sample_open(self, p, rng, bounds):
-        if p.cls is _S:
-            return SingletonPt(p)
-        if p.cls is _F:
-            return FinPt2(p.block, p.elem, self._sample_pool_excl(p.block, rng, bounds[0]))
-        owners = [j for j in range(self.modulus) if self._in_pool(j, p.block)]
-        if owners and rng.random() < 0.5:
-            j = owners[rng.randrange(len(owners))]
-            k = rng.randrange(self.spec.fin.size_of(j))
-            return FinPt2(j, k, self._sample_pool_excl(j, rng, bounds[0], avoid_block=p.block))
-        return CofInBlock(p.block_ref, _sample_block_excl(p, rng, bounds[1]))
-
-    def _refine(self, o1, o2, p):
-        if isinstance(o1, SingletonPt) or isinstance(o2, SingletonPt):
-            return SingletonPt(p)
-        c1, c2 = isinstance(o1, CofInBlock), isinstance(o2, CofInBlock)
-        if c1 and c2:
-            return CofInBlock(o1.block, o1.excluded | o2.excluded)
-        if c1 or c2:
-            return o1 if c1 else o2  # the whole block sits inside the FinPt2 open
-        if (o1.block, o1.elem) == (o2.block, o2.elem):
-            return FinPt2(o1.block, o1.elem, o1.excluded_blocks | o2.excluded_blocks)
-        return CofInBlock(p.block_ref)  # the overlap is a union of whole pool blocks
-
-    def _contains(self, outer, inner):
-        if isinstance(inner, SingletonPt):
-            return self._member(outer, inner.point)
-        if isinstance(outer, SingletonPt):
-            return False
-        if isinstance(inner, CofInBlock):
-            if isinstance(outer, CofInBlock):
-                return inner.block == outer.block and outer.excluded <= inner.excluded
-            b = inner.block.index
-            return inner.block.cls is _I and self._in_pool(outer.block, b) and b not in outer.excluded_blocks
-        if isinstance(outer, CofInBlock):
-            return False
-        return (inner.block, inner.elem) == (outer.block, outer.elem) and outer.excluded_blocks <= inner.excluded_blocks
 
 
 # --------------------------------------------------------------------------
-# rational-ball helpers for the pair system
+# the pair system: infinitely many finite blocks on rational balls
 
 def _sample_ball(z, rng) -> RationalBall:
     x, qc, level = z
@@ -802,110 +651,43 @@ def _ball_contains(outer: RationalBall, inner: RationalBall) -> bool:
     return all(e in inner.excluded for e in outer.excluded if abs(e[0] - inner.center) < inner.radius)
 
 
-class _PairMapped(Construction):
-    """Shared plumbing: finite blocks mapped onto the natural/rational pairing."""
+_XQ_CACHE_SIZE = 4096
 
-    _domain = frozenset((_F,))
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self._xq_cache: dict[int, tuple[int, Fraction]] = {}
-
-    def _xq(self, j: int) -> tuple[int, Fraction]:
-        got = self._xq_cache.get(j)
-        if got is None:
-            got = pair_encode(j)
-            self._xq_cache[j] = got
-        return got
-
-    def _z(self, p: PointAddr):
-        x, q = self._xq(p.block)
-        return (x, q, p.elem)
-
-    def _witness_balls(self, p, q):
-        (x1, q1), (x2, q2) = self._xq(p.block), self._xq(q.block)
-        if x1 != x2:
-            return RationalBall(x1, q1, Fraction(1)), RationalBall(x2, q2, Fraction(1))
-        d = abs(q1 - q2) / 2
-        return RationalBall(x1, q1, d), RationalBall(x2, q2, d)
+# The (natural, rational) pair of a block index.  One bounded cache shared by
+# every construction, so answering queries on ever new blocks cannot grow it.
+_xq = functools.lru_cache(maxsize=_XQ_CACHE_SIZE)(pair_encode)
 
 
-class PairBlocks(_PairMapped):
-    """Infinitely many two-element blocks, realised as paired rational levels.
-
-    Block j sits at the (natural, rational) pair number j; its two elements
-    are the levels 0 and 1 over that pair.  Basic opens are cofinite
-    subsets of rational balls, so two opens are disjoint exactly when their
-    naturals differ or their intervals are separated - which happens iff
-    the underlying blocks differ.
-    """
-
-    kind = "PairBlocks"
-    _variants = (Ball,)
-
-    def __init__(self, spec, _as_child=False):
-        _PairMapped.__init__(self, spec)
-        if spec.fin.is_empty or not spec.fin.cyclic or any(s != 2 for s in spec.fin.sizes):
-            raise ValueError("PairBlocks needs cyclically repeating blocks of size 2")
-        if not _as_child and (spec.singletons >= 1 or spec.inf >= 1):
-            raise ValueError("PairBlocks covers only the finite-block part of a spec")
-
-    def _separable(self, p, q):
-        return p.block != q.block
-
-    def _witness_opens(self, p, q):
-        ba, bb = self._witness_balls(p, q)
-        return Ball(ba), Ball(bb)
-
-    def _member(self, o, p):
-        if p.cls is not _F or p.elem > 1:
-            return False
-        return ball_member(o.ball, self._z(p))
-
-    def _disjoint(self, o1, o2):
-        return ball_disjoint(o1.ball, o2.ball)
-
-    def _basic_nbhd(self, p, avoid=None):
-        x, qc = self._xq(p.block)
-        excl = set()
-        if isinstance(avoid, PointAddr) and avoid != p and avoid.cls is _F and avoid.elem <= 1:
-            za = self._z(avoid)
-            if za[0] == x and abs(za[1] - qc) < 1:
-                excl.add((za[1], za[2]))
-        return Ball(RationalBall(x, qc, Fraction(1), excl))
-
-    def _sample_open(self, p, rng, bounds):
-        return Ball(_sample_ball(self._z(p), rng))
-
-    def _refine(self, o1, o2, p):
-        return Ball(_refine_balls(o1.ball, o2.ball, self._z(p)))
-
-    def _contains(self, outer, inner):
-        return _ball_contains(outer.ball, inner.ball)
-
-
-class ExtendPairs(_PairMapped):
+class ExtendPairs(Construction):
     """Infinitely many finite blocks of any sizes >= 2.
 
-    Elements 0 and 1 of each block form a pair system exactly as in
-    PairBlocks.  Every further element x of block j gets the opens
-    {x} plus (N minus the level-0 representative image), where N is a
-    basic ball containing that image; such opens keep the basis property
-    and pin x to its block.
+    Block j sits at the (natural, rational) pair number j; its elements 0
+    and 1 are the levels 0 and 1 over that pair.  Basic opens around them
+    are cofinite subsets of rational balls, so two such opens are disjoint
+    exactly when their naturals differ or their intervals are separated -
+    which happens iff the underlying blocks differ.  Every further element
+    x of block j gets the opens {x} plus (N minus the level-0
+    representative image), where N is a basic ball containing that image;
+    such opens keep the basis property and pin x to its block.
     """
 
     kind = "ExtendPairs"
     _variants = (Ball, ExtPt)
+    _domain = frozenset((_F,))
 
     def __init__(self, spec, _as_child=False):
-        _PairMapped.__init__(self, spec)
+        super().__init__(spec)
         if spec.fin.is_empty or not spec.fin.cyclic:
             raise ValueError("ExtendPairs needs a cyclically repeating finite-block family")
         if not _as_child and (spec.singletons >= 1 or spec.inf >= 1):
-            raise ValueError("ExtendPairs covers only the finite-block part of a spec")
+            raise ValueError(f"{self.kind} covers only the finite-block part of a spec")
+
+    def _z(self, p: PointAddr):
+        x, q = _xq(p.block)
+        return (x, q, p.elem)
 
     def _r1_image(self, j: int):
-        x, q = self._xq(j)
+        x, q = _xq(j)
         return (x, q, 0)
 
     def _separable(self, p, q):
@@ -917,8 +699,9 @@ class ExtendPairs(_PairMapped):
         return ExtPt(p.block, p.elem, ball)
 
     def _witness_opens(self, p, q):
-        ba, bb = self._witness_balls(p, q)
-        return self._wrap(p, ba), self._wrap(q, bb)
+        (x1, q1), (x2, q2) = _xq(p.block), _xq(q.block)
+        d = Fraction(1) if x1 != x2 else abs(q1 - q2) / 2
+        return self._wrap(p, RationalBall(x1, q1, d)), self._wrap(q, RationalBall(x2, q2, d))
 
     def _member(self, o, p):
         if p.cls is not _F:
@@ -936,7 +719,7 @@ class ExtendPairs(_PairMapped):
         return ball_disjoint(o1.ball, o2.ball)
 
     def _basic_nbhd(self, p, avoid=None):
-        x, qc = self._xq(p.block)
+        x, qc = _xq(p.block)
         excl = set()
         if isinstance(avoid, PointAddr) and avoid != p and avoid.cls is _F and avoid.elem <= 1:
             za = self._z(avoid)
@@ -954,7 +737,7 @@ class ExtendPairs(_PairMapped):
             return ExtPt(p.block, p.elem, ball)
         if p.elem == 1 and size >= 3 and rng.random() < 0.3:
             # an extension open of the same block also contains this point
-            x, qc = self._xq(p.block)
+            x, qc = _xq(p.block)
             k = rng.randrange(2, size)
             rad = (Fraction(1, 2), Fraction(1))[rng.randrange(2)]
             return ExtPt(p.block, k, RationalBall(x, qc, rad))
@@ -967,10 +750,10 @@ class ExtendPairs(_PairMapped):
             return ExtPt(o1.block, o1.elem, nb)
         extra = set()
         if e1:
-            x, q = self._xq(o1.block)
+            x, q = _xq(o1.block)
             extra.add((q, 0))
         if e2:
-            x, q = self._xq(o2.block)
+            x, q = _xq(o2.block)
             extra.add((q, 0))
         nb = _refine_balls(o1.ball, o2.ball, self._z(p), extra_excluded=extra)
         return Ball(nb)
@@ -984,6 +767,18 @@ class ExtendPairs(_PairMapped):
             r1 = self._r1_image(outer.block)
             return _ball_contains(outer.ball, inner.ball) and not ball_member(inner.ball, r1)
         return _ball_contains(outer.ball, inner.ball)
+
+
+class PairBlocks(ExtendPairs):
+    """Infinitely many two-element blocks: the pair system without extension points."""
+
+    kind = "PairBlocks"
+    _variants = (Ball,)
+
+    def __init__(self, spec, _as_child=False):
+        if spec.fin.is_empty or not spec.fin.cyclic or any(s != 2 for s in spec.fin.sizes):
+            raise ValueError("PairBlocks needs cyclically repeating blocks of size 2")
+        super().__init__(spec, _as_child)
 
 
 # --------------------------------------------------------------------------
@@ -1240,14 +1035,10 @@ class SubbasisExample(Construction):
     def _contains(self, outer, inner):
         if isinstance(inner, CofOmega):
             return isinstance(outer, CofOmega) and outer.excluded <= inner.excluded
+        if isinstance(outer, CofInD) and outer.index != inner.index:
+            return False
         dset = self.designated[inner.index - 1]
-        if isinstance(outer, CofInD):
-            if outer.index != inner.index:
-                return False
-            extra = outer.excluded
-        else:
-            extra = outer.excluded
-        return all(e in inner.excluded or not dset.contains(e) for e in extra)
+        return all(e in inner.excluded or not dset.contains(e) for e in outer.excluded)
 
 
 # --------------------------------------------------------------------------

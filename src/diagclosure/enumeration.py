@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
 from .finite_topology import Preorder
 from .relations import FiniteRelation
 
@@ -50,6 +50,8 @@ _candidates_cache: dict[int, list[tuple[int, ...]]] = {}
 
 def _row_candidates(n: int) -> list[tuple[int, ...]]:
     """Per-row candidate up-set masks, sorted by column-order bit string."""
+    if n < 0:
+        raise InvalidSizeError(f"number of points must be >= 0, got {n}")
     cached = _candidates_cache.get(n)
     if cached is not None:
         return cached
@@ -447,19 +449,22 @@ def write_catalog(cat: Catalog, path) -> None:
 
 
 def read_catalog(text: str) -> Catalog:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _HEADER:
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != _HEADER:
         raise ValueError("bad catalog header")
     records = []
     totals = (0, 0)
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            parts = dict(item.split("=", 1) for item in ln[1:].split())
-            totals = (int(parts["total_topologies"]), int(parts["total_t0"]))
-            continue
-        n_s, rel, lab, t0c, trans, equiv, example = ln.split("\t")
-        records.append(
-            CatalogRecord(int(n_s), rel, int(lab), int(t0c), trans == "true", equiv == "true", example)
-        )
+    for lineno, ln in lines[1:]:
+        try:
+            if ln.startswith("#"):
+                parts = dict(item.split("=", 1) for item in ln[1:].split())
+                totals = (int(parts["total_topologies"]), int(parts["total_t0"]))
+                continue
+            n_s, rel, lab, t0c, trans, equiv, example = ln.split("\t")
+            records.append(
+                CatalogRecord(int(n_s), rel, int(lab), int(t0c), trans == "true", equiv == "true", example)
+            )
+        except (ValueError, KeyError) as exc:
+            raise SpecSyntaxError(f"bad catalog line {lineno}: {ln!r}") from exc
     n = records[0].n if records else 0
     return Catalog(n, tuple(records), totals[0], totals[1])

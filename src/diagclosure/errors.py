@@ -37,6 +37,10 @@ class BoundExceededError(DiagClosureError, ValueError):
     """Input size above the hard limit of a brute-force operation."""
 
 
+class InvalidSizeError(DiagClosureError, ValueError):
+    """A count, size or sampling bound below the least value an operation accepts."""
+
+
 class InvalidRepresentativeError(DiagClosureError, ValueError):
     """A block representative that is not a member of its block."""
 
@@ -59,7 +63,3 @@ class NotATopologyError(DiagClosureError, ValueError):
 
 class NotDisjointError(DiagClosureError, ValueError):
     """Designated sets that were required to be pairwise disjoint overlap."""
-
-
-class NotInImageError(DiagClosureError, ValueError):
-    """Value outside the image of the fixed enumeration (reserved)."""

@@ -1,11 +1,10 @@
 """Decidable representations of the infinite sets used by the constructions.
 
-Everything here is exact: finite/cofinite subsets of designated countable
-index families, residue-class subsets of the naturals, rational balls with
-finitely many excluded points, and a fixed bijection between the naturals
-and (natural, rational) pairs.  Rationals are ``fractions.Fraction`` values
-(unbounded integers, always reduced); the alias :data:`Rational` names that
-choice in signatures.
+Everything here is exact: residue-class subsets of the naturals, rational
+balls with finitely many excluded points, and a fixed bijection between the
+naturals and (natural, rational) pairs.  Rationals are ``fractions.Fraction``
+values (unbounded integers, always reduced); the alias :data:`Rational` names
+that choice in signatures.
 """
 
 from __future__ import annotations
@@ -14,10 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotInImageError
-
 __all__ = [
-    "CofiniteSubset",
     "Rational",
     "RationalBall",
     "ResidueClassSet",
@@ -25,9 +21,6 @@ __all__ = [
     "ball_member",
     "cantor_pair",
     "cantor_unpair",
-    "cof_disjoint",
-    "cof_intersect",
-    "cof_member",
     "format_rational",
     "pair_decode",
     "pair_encode",
@@ -47,84 +40,6 @@ def format_rational(q: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     return Fraction(text)
-
-
-class CofiniteSubset:
-    """A finite or cofinite subset of a designated countable index family.
-
-    ``domain`` is an opaque identifier naming the (infinite) family; indices
-    are naturals within it.  In cofinite mode the represented set is always
-    infinite.
-    """
-
-    __slots__ = ("domain", "members", "excluded")
-
-    def __init__(self, domain, members=None, excluded=None):
-        if (members is None) == (excluded is None):
-            raise ValueError("exactly one of members/excluded must be given")
-        self.domain = domain
-        self.members = None if members is None else frozenset(members)
-        self.excluded = None if excluded is None else frozenset(excluded)
-
-    @classmethod
-    def finite(cls, domain, members) -> "CofiniteSubset":
-        return cls(domain, members=members)
-
-    @classmethod
-    def cofinite(cls, domain, excluded=()) -> "CofiniteSubset":
-        return cls(domain, excluded=excluded)
-
-    @property
-    def is_cofinite(self) -> bool:
-        return self.excluded is not None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CofiniteSubset)
-            and self.domain == other.domain
-            and self.members == other.members
-            and self.excluded == other.excluded
-        )
-
-    def __hash__(self):
-        return hash((self.domain, self.members, self.excluded))
-
-    def __repr__(self):
-        if self.is_cofinite:
-            return f"CofiniteSubset.cofinite({self.domain!r}, {sorted(self.excluded)})"
-        return f"CofiniteSubset.finite({self.domain!r}, {sorted(self.members)})"
-
-
-def cof_member(s: CofiniteSubset, i) -> bool:
-    if s.is_cofinite:
-        return i not in s.excluded
-    return i in s.members
-
-
-def cof_intersect(s1: CofiniteSubset, s2: CofiniteSubset) -> CofiniteSubset:
-    """Exact intersection; both sets must live on the same domain."""
-    if s1.domain != s2.domain:
-        raise ValueError(f"domains differ: {s1.domain!r} vs {s2.domain!r}")
-    if s1.is_cofinite and s2.is_cofinite:
-        return CofiniteSubset.cofinite(s1.domain, s1.excluded | s2.excluded)
-    if s1.is_cofinite:
-        return CofiniteSubset.finite(s1.domain, s2.members - s1.excluded)
-    if s2.is_cofinite:
-        return CofiniteSubset.finite(s1.domain, s1.members - s2.excluded)
-    return CofiniteSubset.finite(s1.domain, s1.members & s2.members)
-
-
-def cof_disjoint(s1: CofiniteSubset, s2: CofiniteSubset) -> bool:
-    """Exact disjointness; sets on different domains are trivially disjoint.
-
-    Two cofinite-mode sets on one (infinite) domain always intersect.
-    """
-    if s1.domain != s2.domain:
-        return True
-    if s1.is_cofinite and s2.is_cofinite:
-        return False
-    inter = cof_intersect(s1, s2)
-    return not inter.members
 
 
 class ResidueClassSet(NamedTuple):
@@ -281,10 +196,7 @@ def rational_index(q: Fraction) -> int:
     q = Fraction(q)
     if q == 0:
         return 0
-    try:
-        t = _positive_rational_index(abs(q))
-    except ValueError as exc:  # unreachable for reduced rationals; reserved
-        raise NotInImageError(str(exc)) from exc
+    t = _positive_rational_index(abs(q))
     return 2 * t + 1 if q > 0 else 2 * t + 2
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .constructions import Construction, check_certificate
 from .enumeration import enumerate_preorders
-from .errors import BoundExceededError, SpecMismatchError
+from .errors import BoundExceededError, InvalidSizeError, SpecMismatchError
 from .finite_topology import (
     cl_delta,
     is_t0,
@@ -210,6 +210,11 @@ def verify_construction(
     """
     if c.spec != spec:
         raise SpecMismatchError("construction was not built from this spec")
+    if n_pairs < 0 or basis_samples < 0:
+        raise InvalidSizeError(f"sample counts must be >= 0, got n_pairs={n_pairs}, basis_samples={basis_samples}")
+    if min(bounds) < 1:
+        # with a bound of 0 the rejection sampling can never draw a second point
+        raise InvalidSizeError(f"sampling bounds must be >= 1, got {bounds[0]},{bounds[1]}")
     strata = _strata_for(spec)
     if not strata:
         raise ValueError("spec admits no point pairs to sample")

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes and golden outputs."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,6 +71,27 @@ def test_realise_golden_byte_equality(capsys):
     assert out1 == out2
 
 
+def test_realise_refuses_negative_pair_count(capsys):
+    code, out, err = run(capsys, "realise", "--spec", "singletons=0;fin=cycle[2];inf=0", "--pairs", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "-5" in err
+
+
+def test_realise_refuses_zero_bounds_without_hanging():
+    # run in a child process: a regression here spins forever in the sampler
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["realise", "--spec", "singletons=0;fin=cycle[2];inf=0", "--pairs", "10"]
+    for bounds in ("0,0", "0,5", "5,0"):
+        done = subprocess.run(
+            [sys.executable, "-m", "diagclosure.cli", *argv, "--bounds", bounds],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 2, (bounds, done.stderr)
+        assert done.stderr.startswith("error: ")
+
+
 # --- separable ---
 
 def test_separable_certificate(capsys):
@@ -129,6 +153,13 @@ def test_enumerate_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "8")
     assert code == 2
     assert "--force" in err
+
+
+def test_enumerate_refuses_negative_n(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_enumerate_workers_match_single(tmp_path, capsys):

@@ -407,3 +407,15 @@ def test_nontransitive_demo_transitive_closure_case():
     rep = nontransitive_demo([ResidueClassSet(0, 2), ResidueClassSet(1, 2)])
     assert not rep.ok
     assert "no non-transitivity witness" in rep.message
+
+
+def test_pair_cache_stays_bounded():
+    from diagclosure import constructions
+
+    c = realise_t1(parse_spec("singletons=0;fin=cycle[2,3];inf=0"))
+    base = 10**9
+    for j in range(20_000):
+        c.basic_nbhd(PointAddr(F, base + j, 0))
+    info = constructions._xq.cache_info()
+    assert info.maxsize == constructions._XQ_CACHE_SIZE
+    assert info.currsize <= constructions._XQ_CACHE_SIZE

@@ -19,7 +19,7 @@ from diagclosure.enumeration import (
     relation_code,
     render_catalog,
 )
-from diagclosure.errors import BoundExceededError
+from diagclosure.errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
 from diagclosure.finite_topology import Preorder, cl_delta, topology_of_preorder
 from diagclosure.relations import FiniteRelation, all_partitions, eq_of_partition
 
@@ -219,3 +219,24 @@ def test_catalog_tsv_round_trip(tmp_path):
     assert lines[0] == "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
     assert lines[-1].startswith("# total_topologies=29 total_t0=")
     assert read_catalog(text) == cat
+
+
+def test_read_catalog_names_the_malformed_line():
+    good = render_catalog(build_catalog(2)).splitlines()
+    bad_rows = (
+        (2, "2\t0\t1\t1\ttrue\ttrue"),  # a column missing
+        (3, "2\t1\tthree\t2\ttrue\ttrue\t2"),  # a count that is no integer
+        (4, "# total_topologies=4"),  # a total missing
+    )
+    for lineno, row in bad_rows:
+        lines = list(good)
+        lines[lineno - 1] = row
+        with pytest.raises(SpecSyntaxError, match=f"line {lineno}:"):
+            read_catalog("\n".join(lines))
+
+
+def test_negative_point_count_refused():
+    with pytest.raises(InvalidSizeError):
+        build_catalog(-1)
+    with pytest.raises(InvalidSizeError):
+        enumerate_preorders(-1)

@@ -1,4 +1,4 @@
-"""Exact symbolic set algebra: cofinite sets, residues, balls, the pairing."""
+"""Exact symbolic set algebra: residues, balls, the pairing."""
 
 import random
 from fractions import Fraction
@@ -6,16 +6,12 @@ from fractions import Fraction
 import pytest
 
 from diagclosure.symbolic_sets import (
-    CofiniteSubset,
     RationalBall,
     ResidueClassSet,
     ball_disjoint,
     ball_member,
     cantor_pair,
     cantor_unpair,
-    cof_disjoint,
-    cof_intersect,
-    cof_member,
     format_rational,
     pair_decode,
     pair_encode,
@@ -24,72 +20,6 @@ from diagclosure.symbolic_sets import (
     rational_index,
     residues_disjoint,
 )
-
-
-# --- cofinite subsets ---
-
-def test_cof_examples():
-    a = CofiniteSubset.cofinite("D", {1, 2})
-    b = CofiniteSubset.cofinite("D", {2, 3})
-    assert cof_intersect(a, b) == CofiniteSubset.cofinite("D", {1, 2, 3})
-
-    assert cof_disjoint(CofiniteSubset.cofinite("D"), CofiniteSubset.cofinite("D", {9, 17})) is False
-
-    fin = CofiniteSubset.finite("D", {1})
-    cof = CofiniteSubset.cofinite("D", {1})
-    assert cof_disjoint(fin, cof) is True
-
-
-def test_cof_cross_domain():
-    a = CofiniteSubset.cofinite("D1")
-    b = CofiniteSubset.cofinite("D2")
-    assert cof_disjoint(a, b) is True
-    with pytest.raises(ValueError):
-        cof_intersect(a, b)
-
-
-def _materialise(s, window):
-    return {i for i in window if cof_member(s, i)}
-
-
-def test_cof_window_agreement():
-    # decided membership/intersection/disjointness agree with explicit
-    # finite-set computation on every sampled window
-    rng = random.Random(11)
-    window = range(200)
-    for _ in range(200):
-        def rand_set():
-            pts = frozenset(rng.randrange(200) for _ in range(rng.randrange(6)))
-            if rng.random() < 0.5:
-                return CofiniteSubset.cofinite("D", pts)
-            return CofiniteSubset.finite("D", pts)
-
-        s1, s2 = rand_set(), rand_set()
-        m1, m2 = _materialise(s1, window), _materialise(s2, window)
-        inter = cof_intersect(s1, s2)
-        assert _materialise(inter, window) == m1 & m2
-        if cof_disjoint(s1, s2):
-            assert not (m1 & m2)
-        # claimed non-disjointness cannot be contradicted by a window: two
-        # cofinite sets intersect outside any finite window, so only check
-        # the finite/finite and finite/cofinite cases
-        elif not (s1.is_cofinite and s2.is_cofinite):
-            assert m1 & m2 or not s1.is_cofinite and not s2.is_cofinite
-
-
-def test_cof_intersect_assoc_comm():
-    rng = random.Random(3)
-    for _ in range(100):
-        sets = []
-        for _ in range(3):
-            pts = frozenset(rng.randrange(40) for _ in range(rng.randrange(5)))
-            if rng.random() < 0.5:
-                sets.append(CofiniteSubset.cofinite("D", pts))
-            else:
-                sets.append(CofiniteSubset.finite("D", pts))
-        a, b, c = sets
-        assert cof_intersect(a, b) == cof_intersect(b, a)
-        assert cof_intersect(cof_intersect(a, b), c) == cof_intersect(a, cof_intersect(b, c))
 
 
 # --- residue classes ---
