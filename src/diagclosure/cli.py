@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .constructions import nontransitive_demo, realise_t0, realise_t1
-from .enumeration import build_catalog, write_catalog
+from .enumeration import SOFT_LIMIT, build_catalog, write_catalog
 from .errors import (
     DiagClosureError,
     GroundSetFiniteError,
@@ -88,8 +88,8 @@ def _cmd_separable(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n > 7 and not args.force:
-        return _usage_error(f"n={args.n} is above the soft limit 7; pass --force to proceed")
+    if args.n > SOFT_LIMIT and not args.force:
+        return _usage_error(f"n={args.n} is above the soft limit {SOFT_LIMIT}; pass --force to proceed")
     catalog = build_catalog(args.n, t0_only=args.t0, up_to_iso=args.iso, workers=args.workers)
     if args.out:
         write_catalog(catalog, args.out)

@@ -1,11 +1,20 @@
 """Exhaustive enumeration of topologies on n labeled points, via preorders.
 
 Finite topologies correspond one-to-one to preorders, so the enumerator
-walks reflexive transitive bit matrices.  The main strategy is a
-depth-first assignment of rows with incremental transitivity pruning,
-delivering matrices in ascending row-major bit order.  Two independent
-checks back it: a brute-force scan over all set families (tiny n), and a
-point-by-point extension enumeration.
+walks reflexive transitive bit matrices.  There is one production
+enumerator: a depth-first assignment of rows with incremental transitivity
+pruning, delivering matrices in ascending row-major bit order.  Counting
+and catalogs both run on it; the closure of each leaf comes from
+``finite_topology.closure_rows``.  Two references back it in the tests: a
+brute-force scan over all set families (tiny n), and a point-by-point
+extension enumeration.
+
+A catalog counts the labelled topologies per closure relation, optionally
+split over worker processes at the first matrix row (at most one process
+per branch and per CPU).  The catalog up to isomorphism is a fold of the
+finished labelled counts: each orbit under point permutations is
+canonicalised once and its members are merged under the orbit minimum.
+Every record keeps as its example the preorder delivered first.
 
 Relation codes render the strict upper triangle as lowercase hex: pairs
 (i, j) with i < j in lexicographic order, first pair in the least
@@ -15,14 +24,15 @@ in row-major order.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Callable, Iterator
 
 from .errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
-from .finite_topology import Preorder
+from .finite_topology import Preorder, closure_rows
 from .relations import FiniteRelation
 
 __all__ = [
@@ -92,32 +102,6 @@ def _iter_rows(n: int, first_row: int | None = None) -> Iterator[tuple[int, ...]
     yield from rec(0)
 
 
-def _count_rows(n: int, first_row: int | None = None) -> int:
-    if n == 0:
-        return 1
-    candidates = _row_candidates(n)
-    rows = [0] * n
-
-    def rec(i: int) -> int:
-        if i == n:
-            return 1
-        total = 0
-        cands = (first_row,) if i == 0 and first_row is not None else candidates[i]
-        for m in cands:
-            ok = True
-            for j in range(i):
-                rj = rows[j]
-                if (m >> j & 1 and rj & ~m) or (rj >> i & 1 and m & ~rj):
-                    ok = False
-                    break
-            if ok:
-                rows[i] = m
-                total += rec(i + 1)
-        return total
-
-    return rec(0)
-
-
 def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = None) -> int:
     """Deliver every preorder on n points exactly once; returns the count.
 
@@ -126,11 +110,10 @@ def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = No
     """
     if n > SOFT_LIMIT:
         warnings.warn(f"enumerating preorders on {n} points may take extremely long", stacklevel=2)
-    if consumer is None:
-        return _count_rows(n)
     count = 0
     for rows in _iter_rows(n):
-        consumer(Preorder(n, rows, validate=False))
+        if consumer is not None:
+            consumer(Preorder(n, rows, validate=False))
         count += 1
     return count
 
@@ -218,30 +201,39 @@ def brute_force_topology_count(n: int) -> int:
 
 def closure_of_preorder(p: Preorder) -> FiniteRelation:
     """Diagonal closure: (x, y) related iff the up-sets of x and y meet."""
-    rows = p.rows
-    out = []
-    for i in range(p.n):
-        ri = rows[i]
-        row = 0
-        for j in range(p.n):
-            if ri & rows[j]:
-                row |= 1 << j
-        out.append(row)
-    return FiniteRelation(p.n, out)
+    return FiniteRelation(p.n, closure_rows(p.rows))
 
 
 # --- codes ---
 
-def _relation_bits(rows: tuple[int, ...], n: int) -> int:
+def _relation_bits(rows, n: int) -> int:
+    # Row i contributes its cells right of the diagonal, which are the
+    # contiguous bits above i.
     code = 0
     t = 0
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            if ri >> j & 1:
-                code |= 1 << t
-            t += 1
+    for i, ri in enumerate(rows):
+        code |= ri >> (i + 1) << t
+        t += n - 1 - i
     return code
+
+
+def _preorder_bits(rows, n: int) -> int:
+    # Row i contributes its n-1 off-diagonal cells: the bits below i, then
+    # the bits above i shifted down by one.
+    code = 0
+    for i, ri in enumerate(rows):
+        code |= ((ri & ((1 << i) - 1)) | (ri >> (i + 1) << i)) << (i * (n - 1))
+    return code
+
+
+def _orbit(rows, n: int) -> Iterator[int]:
+    """Relation bits of every relabelling of the relation ``rows``."""
+    points = [[k for k in range(n) if r >> k & 1] for r in rows]
+    for sigma in permutations(range(n)):
+        bit = [0] * n
+        for j, s in enumerate(sigma):
+            bit[s] = 1 << j  # old point s becomes point j
+        yield _relation_bits([sum([bit[k] for k in points[s]]) for s in sigma], n)
 
 
 def relation_code(r: FiniteRelation) -> str:
@@ -251,21 +243,7 @@ def relation_code(r: FiniteRelation) -> str:
 
 def canonical_code(r: FiniteRelation) -> str:
     """Minimum relation code over all point permutations."""
-    n = r.n
-    rows = r.rows
-    best = None
-    for sigma in permutations(range(n)):
-        code = 0
-        t = 0
-        for i in range(n):
-            rsi = rows[sigma[i]]
-            for j in range(i + 1, n):
-                if rsi >> sigma[j] & 1:
-                    code |= 1 << t
-                t += 1
-        if best is None or code < best:
-            best = code
-    return format(best or 0, "x")
+    return format(min(_orbit(r.rows, r.n)), "x")
 
 
 def decode_relation(code: str, n: int) -> FiniteRelation:
@@ -284,16 +262,7 @@ def decode_relation(code: str, n: int) -> FiniteRelation:
 
 def preorder_code(p: Preorder) -> str:
     """Hex code of the off-diagonal cells in row-major order, LSB first."""
-    code = 0
-    t = 0
-    for i in range(p.n):
-        ri = p.rows[i]
-        for j in range(p.n):
-            if i != j:
-                if ri >> j & 1:
-                    code |= 1 << t
-                t += 1
-    return format(code, "x")
+    return format(_preorder_bits(p.rows, p.n), "x")
 
 
 def decode_preorder(code: str, n: int) -> Preorder:
@@ -334,77 +303,84 @@ class Catalog:
     total_t0: int
 
 
-def _accumulate(n: int, t0_only: bool, up_to_iso: bool, first_row: int | None):
+def _accumulate(n: int, t0_only: bool, first_row: int | None):
+    """Counts ``{closure bits: [labelled, t0, first example's bits]}`` and totals."""
     counts: dict[int, list] = {}
     totals = [0, 0]
-    canon_memo: dict[int, int] = {}
     for rows in _iter_rows(n, first_row):
         t0 = len(set(rows)) == n
         if t0_only and not t0:
             continue
         totals[0] += 1
         totals[1] += t0
-        closure = []
-        for i in range(n):
-            ri = rows[i]
-            row = 0
-            for j in range(n):
-                if ri & rows[j]:
-                    row |= 1 << j
-            closure.append(row)
-        code = _relation_bits(tuple(closure), n)
-        if up_to_iso:
-            canon = canon_memo.get(code)
-            if canon is None:
-                canon = int(canonical_code(FiniteRelation(n, closure)), 16)
-                canon_memo[code] = canon
-            code = canon
+        code = _relation_bits(closure_rows(rows), n)
         entry = counts.get(code)
         if entry is None:
-            pre_bits = 0
-            t = 0
-            for i in range(n):
-                ri = rows[i]
-                for j in range(n):
-                    if i != j:
-                        if ri >> j & 1:
-                            pre_bits |= 1 << t
-                        t += 1
-            counts[code] = [1, 1 if t0 else 0, pre_bits]
+            counts[code] = [1, int(t0), _preorder_bits(rows, n)]
         else:
             entry[0] += 1
             entry[1] += t0
     return counts, totals
 
 
-def _catalog_branch(args):
-    return _accumulate(*args)
+def _merge(into: dict[int, list], code: int, entry: list, n: int) -> None:
+    """Add one entry's counts under ``code``; the example delivered first is kept.
+
+    Delivery order reads the off-diagonal cells row-major with the first cell
+    most significant, which is the preorder bits reversed.
+    """
+    have = into.get(code)
+    if have is None:
+        into[code] = list(entry)
+        return
+    have[0] += entry[0]
+    have[1] += entry[1]
+    width = f"0{n * (n - 1)}b"
+    if format(entry[2], width)[::-1] < format(have[2], width)[::-1]:
+        have[2] = entry[2]
+
+
+def _fold_orbits(counts: dict[int, list], n: int) -> dict[int, list]:
+    """Merge labelled counts by orbit under point permutations.
+
+    Each orbit is canonicalised once, and its members are its permutation
+    images (relabelling a topology gives a topology, so all are present).
+    """
+    canon_of: dict[int, int] = {}
+    folded: dict[int, list] = {}
+    for code, entry in counts.items():
+        canon = canon_of.get(code)
+        if canon is None:
+            rel = decode_relation(format(code, "x"), n)
+            canon = int(canonical_code(rel), 16)
+            canon_of.update(dict.fromkeys(_orbit(rel.rows, n), canon))
+        _merge(folded, canon, entry, n)
+    return folded
 
 
 def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, workers: int = 1) -> Catalog:
     """One record per distinct closure relation over all topologies on n points.
 
-    ``workers > 1`` splits the search at the first matrix row and merges the
-    partial counts; the result is identical for any worker count.
+    ``workers > 1`` splits the search at the first matrix row over at most
+    ``os.cpu_count()`` processes and merges the partial counts; the result
+    is identical for any worker count.  ``up_to_iso`` folds the finished
+    labelled counts by orbit.
     """
-    if workers <= 1 or n < 2:
-        counts, totals = _accumulate(n, t0_only, up_to_iso, None)
+    branches = _row_candidates(n)[0] if n else ()
+    workers = min(workers, len(branches), os.cpu_count() or 1)
+    if workers <= 1:
+        counts, totals = _accumulate(n, t0_only, None)
     else:
-        branches = _row_candidates(n)[0]
-        args = [(n, t0_only, up_to_iso, first) for first in branches]
         counts = {}
         totals = [0, 0]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_counts, part_totals in pool.map(_catalog_branch, args):
+            for part_counts, part_totals in pool.map(_accumulate, repeat(n), repeat(t0_only), branches):
                 totals[0] += part_totals[0]
                 totals[1] += part_totals[1]
-                for code, (lab, t0c, example) in part_counts.items():
-                    entry = counts.get(code)
-                    if entry is None:
-                        counts[code] = [lab, t0c, example]
-                    else:
-                        entry[0] += lab
-                        entry[1] += t0c
+                for code, entry in part_counts.items():
+                    _merge(counts, code, entry, n)
+    if up_to_iso:
+        counts = _fold_orbits(counts, n)
     records = []
     for code in sorted(counts):
         lab, t0c, example = counts[code]

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import InvalidRepresentativeError, NotATopologyError, SpecSyntaxError
+from .errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError, SpecSyntaxError
 from .relations import FinitePartition, FiniteRelation
 
 __all__ = [
     "FiniteTopology",
+    "MAX_POINTS",
+    "MAX_SCAN",
     "Preorder",
     "cl_delta",
     "cl_delta_open_family",
+    "closure_rows",
     "generate_from_subbasis",
     "is_t0",
     "is_t1",
@@ -30,6 +33,18 @@ __all__ = [
     "tau_r",
     "topology_of_preorder",
 ]
+
+
+# Builders that scan every subset of k points or blocks refuse k above
+# MAX_SCAN (2**16 subsets take a fraction of a second); parse_topology
+# refuses point labels from MAX_POINTS on, since the closure is quadratic.
+MAX_SCAN = 16
+MAX_POINTS = 1000
+
+
+def _check_scan(k: int, what: str) -> None:
+    if k > MAX_SCAN:
+        raise BoundExceededError(f"scanning every subset of {k} {what} is limited to {MAX_SCAN}")
 
 
 def _mask_points(mask: int) -> tuple[int, ...]:
@@ -153,6 +168,7 @@ def generate_from_subbasis(n: int, sets: Iterable[Iterable[int] | int]) -> Finit
 
 def topology_of_preorder(p: Preorder) -> FiniteTopology:
     """Opens are exactly the up-sets of the preorder."""
+    _check_scan(p.n, "points")
     rows = p.rows
     opens = []
     for mask in range(1 << p.n):
@@ -186,17 +202,23 @@ def preorder_of_topology(t: FiniteTopology) -> Preorder:
     return Preorder(t.n, minimal_neighborhoods(t), validate=False)
 
 
+def closure_rows(ups) -> tuple[int, ...]:
+    """Diagonal closure rows: (i, j) related iff the up-sets ``ups[i]``, ``ups[j]`` meet."""
+    out = []
+    for ui in ups:
+        row = 0
+        bit = 1
+        for uj in ups:
+            if ui & uj:
+                row |= bit
+            bit <<= 1
+        out.append(row)
+    return tuple(out)
+
+
 def cl_delta(t: FiniteTopology) -> FiniteRelation:
     """Diagonal closure: (x, y) related iff their minimal neighborhoods meet."""
-    mins = minimal_neighborhoods(t)
-    rows = []
-    for i in range(t.n):
-        row = 0
-        for j in range(t.n):
-            if mins[i] & mins[j]:
-                row |= 1 << j
-        rows.append(row)
-    return FiniteRelation(t.n, rows)
+    return FiniteRelation(t.n, closure_rows(minimal_neighborhoods(t)))
 
 
 def cl_delta_open_family(t: FiniteTopology) -> FiniteRelation:
@@ -235,6 +257,7 @@ def is_t0(t: FiniteTopology) -> bool:
 
 def tau_r(p: FinitePartition) -> FiniteTopology:
     """The block-saturated topology: opens are exactly unions of blocks."""
+    _check_scan(len(p.blocks), "blocks")
     masks = []
     for block in p.blocks:
         m = 0
@@ -259,6 +282,7 @@ def t0_saturation(p: FinitePartition, rep=None) -> FiniteTopology:
     the least point of each block.  The result is T0, and not T1 whenever
     some block has more than one element.
     """
+    _check_scan(p.n, "points")
     if rep is None:
         reps = [block[0] for block in p.blocks]
     else:
@@ -302,6 +326,8 @@ def parse_topology(text: str) -> FiniteTopology:
             if not item.isdigit():
                 raise SpecSyntaxError(f"line {lineno}: bad point {item!r}")
             x = int(item)
+            if x >= MAX_POINTS:
+                raise BoundExceededError(f"line {lineno}: point {x} is beyond the limit of {MAX_POINTS} points")
             m |= 1 << x
             max_point = max(max_point, x)
         masks.add(m)

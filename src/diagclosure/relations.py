@@ -452,6 +452,8 @@ class FinitePartition:
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         canon = sorted(tuple(sorted(b)) for b in blocks)
+        if sum(map(len, canon)) < n:  # before the n-slot table is allocated
+            raise ValueError("blocks must cover the ground set")
         block_of = [-1] * n
         for bi, block in enumerate(canon):
             if not block:

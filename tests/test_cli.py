@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from diagclosure.cli import main
+from diagclosure.enumeration import SOFT_LIMIT
 
 
 def run(capsys, *argv):
@@ -150,9 +151,9 @@ def test_enumerate_writes_catalog(tmp_path, capsys):
 
 
 def test_enumerate_guard(capsys):
-    code, _, err = run(capsys, "enumerate", "--n", "8")
+    code, _, err = run(capsys, "enumerate", "--n", str(SOFT_LIMIT + 1))
     assert code == 2
-    assert "--force" in err
+    assert "--force" in err and f"soft limit {SOFT_LIMIT}" in err
 
 
 def test_enumerate_refuses_negative_n(capsys):
@@ -234,6 +235,28 @@ def test_finite_rejects_non_topology(capsys):
         code, _, err = run(capsys, "finite", "--opens", str(f))
     assert code == 2
     assert "{0}" in err and "{1}" in err  # the offending pair is named
+
+
+def test_finite_refuses_a_partition_with_too_many_blocks(capsys):
+    code, out, err = run(capsys, "finite", "--partition", ";".join(str(x) for x in range(22)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "22 blocks" in err
+
+
+def test_finite_refuses_a_partition_literal_with_a_huge_point(capsys):
+    code, out, err = run(capsys, "finite", "--partition", "0;1000000000000")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_finite_refuses_an_opens_file_beyond_the_point_limit(tmp_path, capsys):
+    f = tmp_path / "wide.txt"
+    f.write_text("-\n" + ",".join(str(x) for x in range(2000)) + "\n")
+    code, out, err = run(capsys, "finite", "--opens", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_finite_missing_file(capsys):

@@ -3,8 +3,10 @@
 import pytest
 
 from diagclosure.enumeration import brute_force_topology_count, enumerate_preorders
-from diagclosure.errors import InvalidRepresentativeError, NotATopologyError
+from diagclosure.errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError
 from diagclosure.finite_topology import (
+    MAX_POINTS,
+    MAX_SCAN,
     FiniteTopology,
     Preorder,
     cl_delta,
@@ -252,3 +254,34 @@ def test_parse_topology_rejects_non_topology():
 
     with pytest.raises(NotATopologyError):
         parse_topology("-\n0\n1\n")  # missing full set {0,1}
+
+
+# --- size bounds ---
+
+def test_tau_r_refuses_too_many_blocks():
+    too_many = FinitePartition(MAX_SCAN + 1, [[x] for x in range(MAX_SCAN + 1)])
+    with pytest.raises(BoundExceededError, match="blocks"):
+        tau_r(too_many)
+    # the block count is what is bounded, not the point count
+    wide = FinitePartition(MAX_SCAN + 4, [range(0, 10), range(10, MAX_SCAN + 4)])
+    assert len(tau_r(wide).opens) == 4
+
+
+def test_t0_saturation_refuses_too_many_points():
+    with pytest.raises(BoundExceededError, match="points"):
+        t0_saturation(FinitePartition(MAX_SCAN + 1, [range(MAX_SCAN + 1)]))
+
+
+def test_topology_of_preorder_refuses_too_many_points():
+    n = MAX_SCAN + 1
+    with pytest.raises(BoundExceededError, match="points"):
+        topology_of_preorder(Preorder(n, [1 << i for i in range(n)]))
+
+
+def test_parse_topology_refuses_points_beyond_the_limit():
+    everything = ",".join(str(x) for x in range(MAX_POINTS))
+    assert parse_topology(f"-\n{everything}\n").n == MAX_POINTS
+    with pytest.raises(BoundExceededError, match=f"line 2: point {MAX_POINTS}"):
+        parse_topology(f"-\n0,{MAX_POINTS}\n")
+    with pytest.raises(BoundExceededError):
+        parse_topology("-\n0,10000000000000\n")  # refused before a mask that wide is built

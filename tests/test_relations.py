@@ -251,3 +251,5 @@ def test_partition_validation():
         FinitePartition(3, [[0, 1]])  # not covering
     with pytest.raises(ValueError):
         FinitePartition(2, [[0, 1], []])  # empty block
+    with pytest.raises(ValueError, match="cover"):
+        FinitePartition(10**12, [[0], [1]])  # refused before a table of n slots is built
