@@ -27,7 +27,8 @@ from diagclosure.verify import verify_construction
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "constructions.txt")
 
-# (axiom, spec): one spec per construction kind
+# (axiom, spec): one spec per construction kind, and SplitUnion over pairs only
+# and over infinite blocks only
 SPECS = (
     ("t1", "singletons=0;fin=[];inf=3"),
     ("t1", "singletons=omega;fin=[];inf=2"),
@@ -38,6 +39,8 @@ SPECS = (
     ("t0", "singletons=1;fin=[2];inf=1"),
     ("taur", "singletons=1;fin=[2];inf=1"),
     ("t1", "singletons=0;fin=cycle[2,3];inf=0"),
+    ("t1", "singletons=omega;fin=cycle[2];inf=0"),
+    ("t1", "singletons=0;fin=cycle[3];inf=omega"),
 )
 REALISERS = {"t1": realise_t1, "t0": realise_t0, "taur": realise_tau_r}
 # reservoirs that share a residue: not a realisation, but every rule still answers
