@@ -19,13 +19,22 @@ assigned by block index modulo the number of finite blocks, and the pair
 system uses the fixed natural/rational pairing of
 :mod:`diagclosure.symbolic_sets`.
 
-``separable`` is computed from the structure of the basic-open families,
-not from the block profile, so the verification harness can compare it
-against the independent block-membership oracle.
+The T1 constructions share one base: :class:`InfOrSingleton` isolates the
+singleton points and gives every infinite block its cofinite subsets, and
+each construction adds at most one system of opens for the finite blocks -
+reservoirs when there are finitely many of them, the pair system when
+there are infinitely many.
+
+Only for the reservoirs and :class:`SubbasisExample` is ``separable``
+computed from the structure of the basic-open families (residues,
+designated sets), so that comparing it with the block-membership oracle
+tests something.  Everywhere else it is the block test itself; there the
+independent routes are the certificate re-check and the T1 witness check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,13 +102,35 @@ _S, _F, _I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 # --------------------------------------------------------------------------
 # basic opens
 
-def _render_points(points) -> str:
-    return ",".join(p.render() for p in sorted(points))
-
-
 def _render_ball_args(b: RationalBall) -> str:
     excl = ",".join(f"({format_rational(q)},{lev})" for q, lev in sorted(b.excluded))
     return f"x={b.x_index},q={format_rational(b.center)},d={format_rational(b.radius)},excl=[{excl}]"
+
+
+def _render_item(x) -> str:
+    return str(x) if isinstance(x, int) else x.render()
+
+
+class _Cofinite:
+    """A base set minus the finite set ``excluded``; the other fields fix the base.
+
+    Shared by every cofinite open: two opens on one base meet in that base
+    minus both exclusion sets, and all of them render as their base
+    followed by the sorted exclusions.
+    """
+
+    _excl_label = "excl"
+
+    def meet(self, other):
+        """The intersection with an open on the same base."""
+        return dataclasses.replace(self, excluded=self.excluded | other.excluded)
+
+    def _head(self) -> str:
+        return ""
+
+    def render(self) -> str:
+        excl = ",".join(map(_render_item, sorted(self.excluded)))
+        return f"{type(self).__name__}({self._head()}{self._excl_label}=[{excl}])"
 
 
 @dataclass(frozen=True)
@@ -113,43 +144,38 @@ class SingletonPt:
 
 
 @dataclass(frozen=True)
-class CofInBlock:
+class CofInBlock(_Cofinite):
     """A cofinite subset of a single (infinite) block."""
 
     block: BlockRef
     excluded: frozenset = frozenset()
 
-    def render(self) -> str:
-        return f"CofInBlock(block={self.block.render()}, excl=[{_render_points(self.excluded)}])"
+    def _head(self) -> str:
+        return f"block={self.block.render()}, "
 
 
 @dataclass(frozen=True)
-class FinPt1:
-    """A finite-block point plus a cofinite subset of its singleton reservoir."""
+class _FinPt(_Cofinite):
+    """A finite-block point plus a cofinite subset of its reservoir."""
 
     block: int
     elem: int
     excluded: frozenset = frozenset()
 
-    def render(self) -> str:
-        return f"FinPt1(block={self.block}, elem={self.elem}, excl=[{_render_points(self.excluded)}])"
+    def _head(self) -> str:
+        return f"block={self.block}, elem={self.elem}, "
 
 
 @dataclass(frozen=True)
-class FinPt2:
+class FinPt1(_FinPt):
+    """A finite-block point plus a cofinite subset of its singleton reservoir."""
+
+
+@dataclass(frozen=True)
+class FinPt2(_FinPt):
     """A finite-block point plus all but finitely many blocks of its infinite-block pool."""
 
-    block: int
-    elem: int
-    excluded_blocks: frozenset = frozenset()
-
-    @property
-    def excluded(self) -> frozenset:
-        return self.excluded_blocks
-
-    def render(self) -> str:
-        excl = ",".join(str(b) for b in sorted(self.excluded_blocks))
-        return f"FinPt2(block={self.block}, elem={self.elem}, excl_blocks=[{excl}])"
+    _excl_label = "excl_blocks"  # the exclusions are block indices
 
 
 @dataclass(frozen=True)
@@ -196,24 +222,21 @@ class BlockOpen:
 
 
 @dataclass(frozen=True)
-class CofOmega:
+class CofOmega(_Cofinite):
     """A cofinite subset of the naturals."""
 
     excluded: frozenset = frozenset()
 
-    def render(self) -> str:
-        return f"CofOmega(excl=[{','.join(str(x) for x in sorted(self.excluded))}])"
-
 
 @dataclass(frozen=True)
-class CofInD:
+class CofInD(_Cofinite):
     """A cofinite subset of one designated residue-class set (1-based index)."""
 
     index: int
     excluded: frozenset = frozenset()
 
-    def render(self) -> str:
-        return f"CofInD(d={self.index}, excl=[{','.join(str(x) for x in sorted(self.excluded))}])"
+    def _head(self) -> str:
+        return f"d={self.index}, "
 
 
 @dataclass(frozen=True)
@@ -243,6 +266,10 @@ def check_certificate(c: "Construction", p, q, cert: Certificate) -> bool:
 # --------------------------------------------------------------------------
 # construction base
 
+def _same_block_addr(p: PointAddr, q: PointAddr) -> bool:
+    return p.cls is q.cls and p.block == q.block
+
+
 class Construction:
     """Base class: a separation oracle over a partition spec."""
 
@@ -253,14 +280,16 @@ class Construction:
 
     def __init__(self, spec: Optional[PartitionSpec]):
         self.spec = spec
+        if spec is not None:
+            present = ((_S, spec.singletons.value != 0), (_F, not spec.fin.is_empty), (_I, spec.inf.value != 0))
+            foreign = [cls.name.lower() for cls, here in present if here and cls not in self._domain]
+            if foreign:
+                raise ValueError(f"{self.kind} does not cover the {'/'.join(foreign)} blocks of {spec.render()}")
 
     # -- plumbing --
 
     def _check_point(self, p):
-        self.spec.check_addr(p)
-        if p.cls not in self._domain:
-            raise InvalidAddressError(f"{self.kind} does not cover {p.render()}")
-        return p
+        self.spec.check_addr(p)  # every block class of the spec lies in _domain
 
     def _check_pair(self, p, q):
         self._check_point(p)
@@ -271,7 +300,6 @@ class Construction:
     def _check_variant(self, o):
         if type(o) not in self._variants:
             raise ForeignVariantError(f"{type(o).__name__} does not belong to {self.kind}")
-        return o
 
     # -- oracle API --
 
@@ -329,10 +357,10 @@ class Construction:
     # -- per-kind hooks --
 
     def _separable(self, p, q) -> bool:
-        raise NotImplementedError
+        return not _same_block_addr(p, q)  # the relation itself: separable iff the blocks differ
 
     def _witness_opens(self, p, q):
-        raise NotImplementedError
+        return self._basic_nbhd(p, q), self._basic_nbhd(q, p)
 
     def _t1_witness(self, p, q):
         return self._basic_nbhd(p, q)
@@ -356,17 +384,13 @@ class Construction:
         raise NotImplementedError
 
 
-def _same_block_addr(p: PointAddr, q: PointAddr) -> bool:
-    return p.cls is q.cls and p.block == q.block
-
-
-def _sample_block_excl(p: PointAddr, rng, elem_bound: int) -> frozenset:
-    """A few random same-block points distinct from p, as an exclusion set."""
+def _draw_excl(rng, hi: int, unit, keep) -> frozenset:
+    """Up to two random exclusions ``unit(k)``, 0 <= k <= hi, never ``keep``."""
     out = set()
     for _ in range(rng.randrange(3)):
-        e = rng.randint(0, elem_bound)
-        if e != p.elem:
-            out.add(PointAddr(p.cls, p.block, e))
+        u = unit(rng.randint(0, hi))
+        if u != keep:
+            out.add(u)
     return frozenset(out)
 
 
@@ -379,24 +403,14 @@ class InfOrSingleton(Construction):
     Two cofinite opens meet exactly when they sit in the same block, so
     points are separable iff their blocks differ, and excluding one point
     from a cofinite subset keeps it basic - which gives the T1 witnesses.
-    This class holds the SingletonPt and CofInBlock rules for the whole
-    family; its subclasses narrow the variants or add reservoir opens.
+    This class holds the SingletonPt and CofInBlock rules for every T1
+    construction; its subclasses narrow the variants or add one system of
+    opens for the finite blocks (reservoirs or the pair system).
     """
 
     kind = "InfOrSingleton"
     _variants = (SingletonPt, CofInBlock)
     _domain = frozenset((_S, _I))
-
-    def __init__(self, spec, _as_child=False):
-        super().__init__(spec)
-        if not _as_child and not spec.fin.is_empty:
-            raise ValueError("InfOrSingleton requires a spec without finite blocks of size >= 2")
-
-    def _separable(self, p, q):
-        return not _same_block_addr(p, q)
-
-    def _witness_opens(self, p, q):
-        return self._basic_nbhd(p, q), self._basic_nbhd(q, p)
 
     def _member(self, o, p):
         if isinstance(o, SingletonPt):
@@ -405,7 +419,7 @@ class InfOrSingleton(Construction):
 
     def _disjoint(self, o1, o2):
         if isinstance(o1, SingletonPt):
-            return not self._member(o2, o1.point) if not isinstance(o2, SingletonPt) else o1 != o2
+            return not self._member(o2, o1.point)
         if isinstance(o2, SingletonPt):
             return not self._member(o1, o2.point)
         return o1.block != o2.block
@@ -421,12 +435,13 @@ class InfOrSingleton(Construction):
     def _sample_open(self, p, rng, bounds):
         if p.cls is _S:
             return SingletonPt(p)
-        return CofInBlock(p.block_ref, _sample_block_excl(p, rng, bounds[1]))
+        excl = _draw_excl(rng, bounds[1], lambda e: PointAddr(p.cls, p.block, e), p)
+        return CofInBlock(p.block_ref, excl)
 
     def _refine(self, o1, o2, p):
         if isinstance(o1, SingletonPt) or isinstance(o2, SingletonPt):
             return SingletonPt(p)
-        return CofInBlock(o1.block, o1.excluded | o2.excluded)
+        return o1.meet(o2)
 
     def _contains(self, outer, inner):
         if isinstance(inner, SingletonPt):
@@ -442,11 +457,6 @@ class InfBlocks(InfOrSingleton):
     kind = "InfBlocks"
     _variants = (CofInBlock,)
     _domain = frozenset((_I,))
-
-    def __init__(self, spec):
-        Construction.__init__(self, spec)
-        if not spec.fin.is_empty or spec.singletons >= 1:
-            raise ValueError("InfBlocks requires a spec with only infinite blocks")
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +479,7 @@ class _Reservoir(InfOrSingleton):
     _pool_cls: BlockClass  # what the reservoirs are made of: singletons or infinite blocks
 
     def __init__(self, spec, block_residues: Optional[Sequence[int]] = None):
-        Construction.__init__(self, spec)
+        super().__init__(spec)
         if spec.fin.is_empty or spec.fin.cyclic:
             raise ValueError(f"{self.kind} needs an explicit nonempty finite-block list")
         self._check_spec(spec)
@@ -532,14 +542,8 @@ class _Reservoir(InfOrSingleton):
         return self._open(p.block, p.elem, excl)
 
     def _sample_excl(self, j, rng, block_bound, avoid=None):
-        res = self.block_residues[j]
-        out = set()
-        for _ in range(rng.randrange(3)):
-            idx = res + self.modulus * rng.randint(0, max(1, block_bound))
-            unit = self._unit(PointAddr(self._pool_cls, idx, 0))
-            if unit != avoid:
-                out.add(unit)
-        return frozenset(out)
+        res, m, pool = self.block_residues[j], self.modulus, self._pool_cls
+        return _draw_excl(rng, max(1, block_bound), lambda k: self._unit(PointAddr(pool, res + m * k, 0)), avoid)
 
     def _sample_open(self, p, rng, bounds):
         if p.cls is _F:
@@ -556,7 +560,7 @@ class _Reservoir(InfOrSingleton):
         f1, f2 = type(o1) is self._open, type(o2) is self._open
         if f1 and f2:
             if (o1.block, o1.elem) == (o2.block, o2.elem):
-                return self._open(o1.block, o1.elem, o1.excluded | o2.excluded)
+                return o1.meet(o2)
             return self._basic_nbhd(p)  # the overlap lies in the shared reservoir
         if f1 or f2:
             return o2 if f1 else o1  # p's singleton, or its whole reservoir block, lies inside
@@ -657,8 +661,10 @@ _XQ_CACHE_SIZE = 4096
 # every construction, so answering queries on ever new blocks cannot grow it.
 _xq = functools.lru_cache(maxsize=_XQ_CACHE_SIZE)(pair_encode)
 
+_BALL_OPENS = (Ball, ExtPt)
 
-class ExtendPairs(Construction):
+
+class ExtendPairs(InfOrSingleton):
     """Infinitely many finite blocks of any sizes >= 2.
 
     Block j sits at the (natural, rational) pair number j; its elements 0
@@ -668,19 +674,19 @@ class ExtendPairs(Construction):
     which happens iff the underlying blocks differ.  Every further element
     x of block j gets the opens {x} plus (N minus the level-0
     representative image), where N is a basic ball containing that image;
-    such opens keep the basis property and pin x to its block.
+    such opens keep the basis property and pin x to its block.  Points
+    outside finite blocks, and their opens, keep the family rules; balls
+    never meet them.
     """
 
     kind = "ExtendPairs"
     _variants = (Ball, ExtPt)
     _domain = frozenset((_F,))
 
-    def __init__(self, spec, _as_child=False):
+    def __init__(self, spec):
         super().__init__(spec)
-        if spec.fin.is_empty or not spec.fin.cyclic:
-            raise ValueError("ExtendPairs needs a cyclically repeating finite-block family")
-        if not _as_child and (spec.singletons >= 1 or spec.inf >= 1):
-            raise ValueError(f"{self.kind} covers only the finite-block part of a spec")
+        if not spec.fin.cyclic:
+            raise ValueError(f"{self.kind} needs a cyclically repeating finite-block family")
 
     def _z(self, p: PointAddr):
         x, q = _xq(p.block)
@@ -690,20 +696,21 @@ class ExtendPairs(Construction):
         x, q = _xq(j)
         return (x, q, 0)
 
-    def _separable(self, p, q):
-        return p.block != q.block
-
     def _wrap(self, p, ball):
         if p.elem <= 1:
             return Ball(ball)
         return ExtPt(p.block, p.elem, ball)
 
     def _witness_opens(self, p, q):
+        if p.cls is not _F or q.cls is not _F:
+            return InfOrSingleton._witness_opens(self, p, q)
         (x1, q1), (x2, q2) = _xq(p.block), _xq(q.block)
         d = Fraction(1) if x1 != x2 else abs(q1 - q2) / 2
         return self._wrap(p, RationalBall(x1, q1, d)), self._wrap(q, RationalBall(x2, q2, d))
 
     def _member(self, o, p):
+        if not isinstance(o, _BALL_OPENS):
+            return InfOrSingleton._member(self, o, p)
         if p.cls is not _F:
             return False
         if isinstance(o, Ball):
@@ -714,11 +721,18 @@ class ExtendPairs(Construction):
         return z != self._r1_image(o.block) and ball_member(o.ball, z)
 
     def _disjoint(self, o1, o2):
+        b1, b2 = isinstance(o1, _BALL_OPENS), isinstance(o2, _BALL_OPENS)
+        if b1 != b2:
+            return True  # balls never meet the other part
+        if not b1:
+            return InfOrSingleton._disjoint(self, o1, o2)
         if isinstance(o1, ExtPt) and isinstance(o2, ExtPt) and (o1.block, o1.elem) == (o2.block, o2.elem):
             return False  # both contain their anchor point
         return ball_disjoint(o1.ball, o2.ball)
 
     def _basic_nbhd(self, p, avoid=None):
+        if p.cls is not _F:
+            return InfOrSingleton._basic_nbhd(self, p, avoid)
         x, qc = _xq(p.block)
         excl = set()
         if isinstance(avoid, PointAddr) and avoid != p and avoid.cls is _F and avoid.elem <= 1:
@@ -731,6 +745,8 @@ class ExtendPairs(Construction):
         return ExtPt(p.block, p.elem, RationalBall(x, qc, Fraction(1), excl))
 
     def _sample_open(self, p, rng, bounds):
+        if p.cls is not _F:
+            return InfOrSingleton._sample_open(self, p, rng, bounds)
         size = self.spec.fin.size_of(p.block)
         if p.elem >= 2:
             ball = _sample_ball(self._r1_image(p.block), rng)
@@ -744,21 +760,22 @@ class ExtendPairs(Construction):
         return Ball(_sample_ball(self._z(p), rng))
 
     def _refine(self, o1, o2, p):
+        if not isinstance(o1, _BALL_OPENS):
+            return InfOrSingleton._refine(self, o1, o2, p)
         e1, e2 = isinstance(o1, ExtPt), isinstance(o2, ExtPt)
         if e1 and e2 and (o1.block, o1.elem) == (o2.block, o2.elem) and p.elem >= 2:
             nb = _refine_balls(o1.ball, o2.ball, self._r1_image(o1.block))
             return ExtPt(o1.block, o1.elem, nb)
-        extra = set()
-        if e1:
-            x, q = _xq(o1.block)
-            extra.add((q, 0))
-        if e2:
-            x, q = _xq(o2.block)
-            extra.add((q, 0))
+        extra = {(_xq(o.block)[1], 0) for o in (o1, o2) if isinstance(o, ExtPt)}  # their level-0 images
         nb = _refine_balls(o1.ball, o2.ball, self._z(p), extra_excluded=extra)
         return Ball(nb)
 
     def _contains(self, outer, inner):
+        b_out, b_in = isinstance(outer, _BALL_OPENS), isinstance(inner, _BALL_OPENS)
+        if b_out != b_in:
+            return False
+        if not b_in:
+            return InfOrSingleton._contains(self, outer, inner)
         if isinstance(inner, ExtPt):
             if not isinstance(outer, ExtPt):
                 return False  # the anchor point never lies in a plain ball open
@@ -775,92 +792,30 @@ class PairBlocks(ExtendPairs):
     kind = "PairBlocks"
     _variants = (Ball,)
 
-    def __init__(self, spec, _as_child=False):
-        if spec.fin.is_empty or not spec.fin.cyclic or any(s != 2 for s in spec.fin.sizes):
+    def __init__(self, spec):
+        super().__init__(spec)
+        if any(s != 2 for s in spec.fin.sizes):
             raise ValueError("PairBlocks needs cyclically repeating blocks of size 2")
-        super().__init__(spec, _as_child)
 
 
-# --------------------------------------------------------------------------
-# disjoint union of a finite-blocks part and a singleton/infinite part
+class SplitUnion(ExtendPairs):
+    """The pair system on the finite blocks next to isolated singletons and
+    cofinite opens in the infinite blocks.
 
-class SplitUnion(Construction):
-    """Disjoint union: a pair/extension system on the finite blocks next to
-    an isolated-or-cofinite system on the singleton and infinite blocks.
-
-    Opens from different parts are always disjoint, so separability across
-    parts is automatic and everything else routes to the owning child.
+    Balls never meet the opens of the other part, so points from different
+    parts are always separable.  Extension opens are foreign when every
+    finite block has two elements, as in :class:`PairBlocks`.
     """
 
     kind = "SplitUnion"
+    _domain = frozenset((_S, _F, _I))
 
     def __init__(self, spec):
         super().__init__(spec)
-        if spec.fin.is_empty or not spec.fin.cyclic:
-            raise ValueError("SplitUnion needs a cyclically repeating finite-block family")
         if not (spec.singletons >= 1 or spec.inf >= 1):
             raise ValueError("SplitUnion needs a nonempty singleton/infinite part")
-        if all(s == 2 for s in spec.fin.sizes):
-            self.fin_child: Construction = PairBlocks(spec, _as_child=True)
-        else:
-            self.fin_child = ExtendPairs(spec, _as_child=True)
-        self.rest_child = InfOrSingleton(spec, _as_child=True)
-        self.children = (self.fin_child, self.rest_child)
-        self._variants = self.fin_child._variants + self.rest_child._variants
-
-    def _child_for(self, p: PointAddr) -> Construction:
-        return self.fin_child if p.cls is _F else self.rest_child
-
-    def _child_for_open(self, o) -> Construction:
-        return self.fin_child if type(o) in self.fin_child._variants else self.rest_child
-
-    def _separable(self, p, q):
-        cp, cq = self._child_for(p), self._child_for(q)
-        if cp is cq:
-            return cp._separable(p, q)
-        return True
-
-    def _witness_opens(self, p, q):
-        cp, cq = self._child_for(p), self._child_for(q)
-        if cp is cq:
-            return cp._witness_opens(p, q)
-        return cp._basic_nbhd(p), cq._basic_nbhd(q)
-
-    def _t1_witness(self, p, q):
-        cp, cq = self._child_for(p), self._child_for(q)
-        if cp is cq:
-            return cp._t1_witness(p, q)
-        return cp._basic_nbhd(p)
-
-    def _member(self, o, p):
-        return self._child_for_open(o)._member(o, p)
-
-    def _disjoint(self, o1, o2):
-        c1, c2 = self._child_for_open(o1), self._child_for_open(o2)
-        if c1 is c2:
-            return c1._disjoint(o1, o2)
-        return True
-
-    def _basic_nbhd(self, p, avoid=None):
-        cp = self._child_for(p)
-        if isinstance(avoid, PointAddr) and self._child_for(avoid) is not cp:
-            avoid = None
-        return cp._basic_nbhd(p, avoid)
-
-    def _sample_open(self, p, rng, bounds):
-        return self._child_for(p)._sample_open(p, rng, bounds)
-
-    def _refine(self, o1, o2, p):
-        c1, c2 = self._child_for_open(o1), self._child_for_open(o2)
-        if c1 is not c2:
-            raise ValueError("opens from different parts never meet")
-        return c1._refine(o1, o2, p)
-
-    def _contains(self, outer, inner):
-        c1, c2 = self._child_for_open(outer), self._child_for_open(inner)
-        if c1 is not c2:
-            return False
-        return c1._contains(outer, inner)
+        pairs = PairBlocks._variants if all(s == 2 for s in spec.fin.sizes) else ExtendPairs._variants
+        self._variants = pairs + InfOrSingleton._variants
 
 
 # --------------------------------------------------------------------------
@@ -880,12 +835,6 @@ class T0Sat(Construction):
 
     def _rep(self, ref: BlockRef) -> PointAddr:
         return PointAddr(ref.cls, ref.index, 0)
-
-    def _separable(self, p, q):
-        return not _same_block_addr(p, q)
-
-    def _witness_opens(self, p, q):
-        return SatPair(p), SatPair(q)
 
     def _member(self, o, p):
         return p == o.point or p == self._rep(o.point.block_ref)
@@ -922,12 +871,6 @@ class TauR(Construction):
     kind = "TauR"
     is_t1 = False
     _variants = (BlockOpen,)
-
-    def _separable(self, p, q):
-        return not _same_block_addr(p, q)
-
-    def _witness_opens(self, p, q):
-        return BlockOpen(p.block_ref), BlockOpen(q.block_ref)
 
     def _member(self, o, p):
         return p.block_ref == o.block
@@ -979,7 +922,6 @@ class SubbasisExample(Construction):
     def _check_point(self, p):
         if not isinstance(p, int) or isinstance(p, bool) or p < 0:
             raise InvalidAddressError(f"points of this construction are naturals: {p!r}")
-        return p
 
     def _designated_index(self, x: int) -> Optional[int]:
         for i, d in enumerate(self.designated, start=1):
@@ -993,10 +935,6 @@ class SubbasisExample(Construction):
 
     def _witness_opens(self, p, q):
         return CofInD(self._designated_index(p)), CofInD(self._designated_index(q))
-
-    def _t1_witness(self, p, q):
-        self._check_pair(p, q)
-        return CofOmega(frozenset((q,)))
 
     def _member(self, o, p):
         if isinstance(o, CofOmega):
@@ -1013,24 +951,15 @@ class SubbasisExample(Construction):
         return CofOmega(excl)
 
     def _sample_open(self, p, rng, bounds):
-        excl = set()
-        for _ in range(rng.randrange(3)):
-            x = rng.randint(0, 3 * (bounds[0] + 1))
-            if x != p:
-                excl.add(x)
+        excl = _draw_excl(rng, 3 * (bounds[0] + 1), int, p)
         i = self._designated_index(p)
         if i is not None and rng.random() < 0.5:
-            return CofInD(i, frozenset(excl))
-        return CofOmega(frozenset(excl))
+            return CofInD(i, excl)
+        return CofOmega(excl)
 
     def _refine(self, o1, o2, p):
-        d1, d2 = isinstance(o1, CofInD), isinstance(o2, CofInD)
-        if d1 and d2:
-            return CofInD(o1.index, o1.excluded | o2.excluded)
-        if d1 or d2:
-            d, other = (o1, o2) if d1 else (o2, o1)
-            return CofInD(d.index, d.excluded | other.excluded)
-        return CofOmega(o1.excluded | o2.excluded)
+        # the overlap lies in a designated set if either open does
+        return o2.meet(o1) if isinstance(o2, CofInD) and not isinstance(o1, CofInD) else o1.meet(o2)
 
     def _contains(self, outer, inner):
         if isinstance(inner, CofOmega):

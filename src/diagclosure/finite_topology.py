@@ -37,9 +37,11 @@ __all__ = [
 
 # Builders that scan every subset of k points or blocks refuse k above
 # MAX_SCAN (2**16 subsets take a fraction of a second); parse_topology
-# refuses point labels from MAX_POINTS on, since the closure is quadratic.
+# refuses point labels from MAX_POINTS on, since the closure is quadratic,
+# and more than _MAX_OPENS opens, since validating them is quadratic too.
 MAX_SCAN = 16
 MAX_POINTS = 1000
+_MAX_OPENS = 4096
 
 
 def _check_scan(k: int, what: str) -> None:
@@ -317,11 +319,8 @@ def parse_topology(text: str) -> FiniteTopology:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line == "-":
-            masks.add(0)
-            continue
         m = 0
-        for item in line.split(","):
+        for item in () if line == "-" else line.split(","):
             item = item.strip()
             if not item.isdigit():
                 raise SpecSyntaxError(f"line {lineno}: bad point {item!r}")
@@ -331,5 +330,7 @@ def parse_topology(text: str) -> FiniteTopology:
             m |= 1 << x
             max_point = max(max_point, x)
         masks.add(m)
+        if len(masks) > _MAX_OPENS:
+            raise BoundExceededError(f"line {lineno}: more than {_MAX_OPENS} opens")
     n = max_point + 1
     return FiniteTopology(n, masks, validate=True)

@@ -1,11 +1,14 @@
 """Property-verification harness for the symbolic and finite realisations.
 
-The harness ties each construction to the relation it claims to realise
-through routes independent of the construction's own answers: the block
-profile decides what separability must be, the certificate checker
-re-verifies every witness through the exact membership/disjointness rules,
-T1 witnesses are checked pointwise, and basis-axiom refinements are checked
-by exact containment plus membership probing.
+The harness ties each construction to the relation it claims to realise.
+The block profile decides what separability must be; that comparison is
+independent of the construction only where ``separable`` is computed from
+the open families (the reservoir constructions and ``SubbasisExample``),
+since elsewhere ``separable`` is the block test itself.  The other checks
+go through the opens: the certificate checker re-verifies every witness
+through the exact membership/disjointness rules, T1 witnesses are checked
+pointwise, and basis-axiom refinements are checked by exact containment
+plus membership probing.
 
 Sampling is deterministic: the PRNG is the standard library's
 ``random.Random`` seeded with an integer derived from the report seed, and

@@ -16,6 +16,7 @@ from diagclosure.constructions import (
     InfOrSingleton,
     PairBlocks,
     SatPair,
+    SplitUnion,
     T0Sat,
     TauR,
 )
@@ -33,13 +34,23 @@ class OffByOneInfBlocks(InfBlocks):
         return super()._basic_nbhd(p, avoid)
 
 
-class OffByOneInfOrSingleton(InfOrSingleton):
+class _OffByOneCofinite:
+    """Cofinite opens exclude the neighbors of the points they should exclude."""
+
     def _basic_nbhd(self, p, avoid=None):
         o = super()._basic_nbhd(p, avoid)
         if isinstance(o, CofInBlock) and o.excluded:
             wrong = {PointAddr(a.cls, a.block, a.elem + 1) for a in o.excluded}
             return CofInBlock(o.block, frozenset(wrong))
         return o
+
+
+class OffByOneInfOrSingleton(_OffByOneCofinite, InfOrSingleton):
+    pass
+
+
+class OffByOneSplitUnion(_OffByOneCofinite, SplitUnion):
+    """The same fault on the cofinite part of a sum; its pair system is intact."""
 
 
 def _flip_ball_levels(ball):

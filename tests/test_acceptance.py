@@ -9,6 +9,7 @@ import time
 from faults import (
     OffByOneInfBlocks,
     OffByOneInfOrSingleton,
+    OffByOneSplitUnion,
     OffByOneTauR,
     SwappedRepExtendPairs,
     SwappedRepPairBlocks,
@@ -232,10 +233,8 @@ def test_criterion_9_determinism_and_sensitivity():
     detections.append(("off-by-one exclusion / InfOrSingleton", rep.t1_failures > 0))
 
     spec = parse_spec("singletons=1;fin=cycle[2,3];inf=2")
-    broken = realise_t1(spec)
-    broken.rest_child = OffByOneInfOrSingleton(spec, _as_child=True)
-    rep = verify_construction(broken, spec, n_pairs=10_000, basis_samples=0)
-    detections.append(("off-by-one exclusion / SplitUnion child", rep.t1_failures > 0))
+    rep = verify_construction(OffByOneSplitUnion(spec), spec, n_pairs=10_000, basis_samples=0)
+    detections.append(("off-by-one exclusion / SplitUnion", rep.t1_failures > 0))
 
     spec = parse_spec("singletons=1;fin=[2];inf=1")
     rep = verify_construction(OffByOneTauR(spec), spec, n_pairs=10_000, basis_samples=0)

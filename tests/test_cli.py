@@ -259,6 +259,15 @@ def test_finite_refuses_an_opens_file_beyond_the_point_limit(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_finite_refuses_an_opens_file_with_too_many_opens(tmp_path, capsys):
+    f = tmp_path / "many.txt"
+    f.write_text("\n".join(",".join(str(x) for x in range(13) if m >> x & 1) or "-" for m in range(1 << 13)) + "\n")
+    code, out, err = run(capsys, "finite", "--opens", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "more than 4096 opens" in err
+
+
 def test_finite_missing_file(capsys):
     code, _, err = run(capsys, "finite", "--opens", "/no/such/file")
     assert code == 2

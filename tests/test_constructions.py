@@ -77,14 +77,70 @@ def test_realise_t1_refuses_unrealisable():
     assert "not T1-realisable" in str(err.value)
 
 
-def test_split_union_children():
-    c = realise_t1(parse_spec("singletons=1;fin=cycle[2,3];inf=2"))
-    assert isinstance(c, SplitUnion)
-    assert isinstance(c.fin_child, ExtendPairs)
-    assert isinstance(c.rest_child, InfOrSingleton)
+def test_split_union_variants():
+    """Extension opens are foreign to a sum exactly when every finite block has two elements."""
+    ext = ExtPt(0, 2, RationalBall(*pair_encode(0), Fraction(1)))
+    opens = (Ball(ext.ball), SingletonPt(pt("s:0")), CofInBlock(BlockRef(I, 0)))
+    for text, ext_ok in (
+        ("singletons=1;fin=cycle[2,3];inf=2", True),
+        ("singletons=0;fin=cycle[3];inf=omega", True),
+        ("singletons=omega;fin=cycle[2];inf=0", False),
+        ("singletons=omega;fin=cycle[2,2];inf=4", False),
+    ):
+        c = realise_t1(parse_spec(text))
+        assert isinstance(c, SplitUnion)
+        for o in opens:
+            assert c.contains(o, o)
+        if ext_ok:
+            assert c.contains(ext, ext)
+        else:
+            with pytest.raises(ForeignVariantError):
+                c.contains(ext, ext)
+        with pytest.raises(ForeignVariantError):
+            c.member(SatPair(pt("f:0:0")), pt("f:0:0"))
 
-    c = realise_t1(parse_spec("singletons=omega;fin=cycle[2];inf=0"))
-    assert isinstance(c.fin_child, PairBlocks)
+
+REFUSAL_SPECS = (
+    "singletons=0;fin=[];inf=3",
+    "singletons=omega;fin=[];inf=2",
+    "singletons=omega;fin=[];inf=0",
+    "singletons=5;fin=[];inf=omega",
+    "singletons=omega;fin=[3,2];inf=1",
+    "singletons=2;fin=[2,3];inf=omega",
+    "singletons=1;fin=[2];inf=1",
+    "singletons=0;fin=cycle[2];inf=0",
+    "singletons=0;fin=cycle[2,3];inf=0",
+    "singletons=1;fin=cycle[2,3];inf=2",
+    "singletons=omega;fin=cycle[2];inf=0",
+    "singletons=0;fin=cycle[3];inf=omega",
+    "singletons=omega;fin=[2];inf=omega",
+)
+# for each constructor, the indices into REFUSAL_SPECS it accepts; it refuses the rest
+ACCEPTED = {
+    InfOrSingleton: {0, 1, 2, 3},
+    InfBlocks: {0},
+    FinTwoCase1: {4, 12},
+    FinTwoCase2: {5},
+    ExtendPairs: {7, 8},
+    PairBlocks: {7},
+    SplitUnion: {9, 10, 11},
+    T0Sat: set(range(13)),
+    TauR: set(range(13)),
+}
+
+
+@pytest.mark.parametrize("cls", list(ACCEPTED), ids=lambda cls: cls.kind)
+def test_constructor_refusals(cls):
+    accepted = set()
+    for i, text in enumerate(REFUSAL_SPECS):
+        spec = parse_spec(text)
+        try:
+            c = cls(spec)
+        except ValueError:
+            continue
+        assert c.spec == spec
+        accepted.add(i)
+    assert accepted == ACCEPTED[cls]
 
 
 def test_realise_t0_examples():
@@ -334,7 +390,7 @@ def test_split_union_cross_part():
     assert c.disjoint(cert.open_a, SingletonPt(pt("s:0")))
     o = c.t1_witness(p, q)
     assert c.member(o, p) and not c.member(o, q)
-    # within one part the child rules apply
+    # within one part that part's rules apply
     assert not c.separable(pt("f:1:0"), pt("f:1:2"))
     assert not c.separable(pt("i:0:0"), pt("i:0:1"))
 

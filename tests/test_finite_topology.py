@@ -5,6 +5,7 @@ import pytest
 from diagclosure.enumeration import brute_force_topology_count, enumerate_preorders
 from diagclosure.errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError
 from diagclosure.finite_topology import (
+    _MAX_OPENS,
     MAX_POINTS,
     MAX_SCAN,
     FiniteTopology,
@@ -285,3 +286,17 @@ def test_parse_topology_refuses_points_beyond_the_limit():
         parse_topology(f"-\n0,{MAX_POINTS}\n")
     with pytest.raises(BoundExceededError):
         parse_topology("-\n0,10000000000000\n")  # refused before a mask that wide is built
+
+
+def _nonempty_subset_lines(count):
+    return "\n".join(",".join(str(x) for x in range(13) if m >> x & 1) for m in range(1, count + 1)) + "\n"
+
+
+def test_parse_topology_refuses_too_many_opens():
+    # at the limit the family is still read, and refused as no topology before the quadratic check
+    with pytest.raises(NotATopologyError, match="empty set"):
+        parse_topology(_nonempty_subset_lines(_MAX_OPENS))
+    with pytest.raises(BoundExceededError, match=f"line {_MAX_OPENS + 1}: more than {_MAX_OPENS} opens"):
+        parse_topology(_nonempty_subset_lines(_MAX_OPENS + 1))
+    # repeated lines are one open each
+    assert len(parse_topology("-\n0\n" * (_MAX_OPENS + 1)).opens) == 2

@@ -1,10 +1,10 @@
-"""Property tests: code and catalog round trips, and canonical-code invariance."""
+"""Property tests: code, catalog, spec, point and topology round trips, and canonical-code invariance."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diagclosure.enumeration import (
@@ -19,7 +19,18 @@ from diagclosure.enumeration import (
     relation_code,
     render_catalog,
 )
-from diagclosure.relations import FiniteRelation
+from diagclosure.errors import GroundSetFiniteError
+from diagclosure.finite_topology import generate_from_subbasis, parse_topology, render_topology
+from diagclosure.relations import (
+    BlockClass,
+    Count,
+    FiniteBlocks,
+    FiniteRelation,
+    PartitionSpec,
+    PointAddr,
+    parse_point,
+    parse_spec,
+)
 
 PREORDERS = {}
 for _n in range(5):
@@ -72,3 +83,45 @@ def test_canonical_code_is_invariant_and_minimal(case):
     assert canonical_code(relabelled) == canon
     assert int(canon, 16) <= int(relation_code(r), 16)
     assert int(canon, 16) <= int(relation_code(relabelled), 16)
+
+
+counts = st.one_of(st.none(), st.integers(0, 6)).map(Count)
+
+
+@st.composite
+def specs(draw):
+    sizes = draw(st.lists(st.integers(2, 6), max_size=6))
+    fin = FiniteBlocks(sizes, cyclic=bool(sizes) and draw(st.booleans()))
+    try:
+        return PartitionSpec(draw(counts), fin, draw(counts))
+    except GroundSetFiniteError:
+        assume(False)
+
+
+@st.composite
+def points(draw):
+    cls = draw(st.sampled_from(list(BlockClass)))
+    elem = 0 if cls is BlockClass.SINGLETON else draw(st.integers(0, 10**9))
+    return PointAddr(cls, draw(st.integers(0, 10**9)), elem)
+
+
+@st.composite
+def topologies(draw, max_n=6):
+    """The topology generated by a few random subsets of at most six points."""
+    n = draw(st.integers(0, max_n))
+    return generate_from_subbasis(n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6)))
+
+
+@given(specs())
+def test_spec_text_round_trip(spec):
+    assert parse_spec(spec.render()) == spec
+
+
+@given(points())
+def test_point_text_round_trip(p):
+    assert parse_point(p.render()) == p
+
+
+@given(topologies())
+def test_topology_text_round_trip(t):
+    assert parse_topology(render_topology(t)) == t

@@ -8,6 +8,7 @@ import pytest
 from faults import (
     OffByOneInfBlocks,
     OffByOneInfOrSingleton,
+    OffByOneSplitUnion,
     OffByOneTauR,
     SwappedRepExtendPairs,
     SwappedRepPairBlocks,
@@ -157,7 +158,7 @@ def test_off_by_one_exclusion_detected():
     assert report.t1_failures > 0
 
     spec2 = parse_spec("singletons=omega;fin=[];inf=2")
-    report2 = verify_construction(OffByOneInfOrSingleton(spec2, _as_child=True), spec2, n_pairs=10_000, basis_samples=0)
+    report2 = verify_construction(OffByOneInfOrSingleton(spec2), spec2, n_pairs=10_000, basis_samples=0)
     assert report2.t1_failures > 0
 
     spec3 = parse_spec("singletons=1;fin=[2];inf=1")
@@ -165,11 +166,9 @@ def test_off_by_one_exclusion_detected():
     assert report3.certificate_failures > 0
 
 
-def test_corrupted_split_union_child_detected():
+def test_off_by_one_split_union_detected():
     spec = parse_spec("singletons=1;fin=cycle[2,3];inf=2")
-    c = realise_t1(spec)
-    c.rest_child = OffByOneInfOrSingleton(spec, _as_child=True)
-    report = verify_construction(c, spec, n_pairs=10_000, basis_samples=0)
+    report = verify_construction(OffByOneSplitUnion(spec), spec, n_pairs=10_000, basis_samples=0)
     assert report.t1_failures > 0
 
 
