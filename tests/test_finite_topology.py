@@ -46,10 +46,14 @@ def _subbasis_closure_oracle(n, sets):
     return family
 
 
-def _all_topologies(n):
+def _all_preorders(n):
     out = []
-    enumerate_preorders(n, lambda p: out.append(topology_of_preorder(p)))
+    enumerate_preorders(n, out.append)
     return out
+
+
+def _all_topologies(n):
+    return [topology_of_preorder(p) for p in _all_preorders(n)]
 
 
 # --- subbasis generation ---
@@ -71,9 +75,9 @@ def test_generate_from_subbasis_matches_oracle_on_random_input():
     import random
 
     rng = random.Random(23)
-    for _ in range(50):
-        n = rng.randrange(1, 5)
-        sets = [frozenset(x for x in range(n) if rng.random() < 0.5) for _ in range(rng.randrange(4))]
+    for _ in range(400):
+        n = rng.randrange(0, 7)
+        sets = [frozenset(x for x in range(n) if rng.random() < 0.5) for _ in range(rng.randrange(7))]
         t = generate_from_subbasis(n, sets)
         assert _opens_as_sets(t) == _subbasis_closure_oracle(n, sets)
         t.validate()
@@ -110,6 +114,17 @@ def test_sierpinski_orientation_pin():
     p = preorder_of_topology(t)
     assert p.leq(1, 0) and not p.leq(0, 1)
     assert topology_of_preorder(p) == t
+
+
+def _up_set_scan(p):
+    # every subset that contains the up-set of each of its points
+    return {m for m in range(1 << p.n) if all(p.rows[i] & ~m == 0 for i in range(p.n) if m >> i & 1)}
+
+
+def test_topology_of_preorder_matches_the_up_set_scan_up_to_n4():
+    for n in range(5):
+        for p in _all_preorders(n):
+            assert topology_of_preorder(p).opens == _up_set_scan(p)
 
 
 # --- diagonal closure ---
@@ -233,6 +248,69 @@ def test_saturations_close_to_the_relation_all_partitions_n5():
             if any(len(b) >= 2 for b in part.blocks):
                 assert not is_t0(tb)
                 assert not is_t1(ts)
+
+
+def _block_masks(part):
+    return [sum(1 << x for x in block) for block in part.blocks]
+
+
+def _block_union_scan(part):
+    masks = _block_masks(part)
+    return {sum(m for bi, m in enumerate(masks) if pick >> bi & 1) for pick in range(1 << len(masks))}
+
+
+def _rep_saturated_scan(part, reps):
+    # every subset that contains the representative of each block it meets
+    masks = _block_masks(part)
+    return {
+        m for m in range(1 << part.n)
+        if all(not m & bm or m >> reps[bi] & 1 for bi, bm in enumerate(masks))
+    }
+
+
+def test_saturations_match_their_defining_scans_up_to_n6():
+    import itertools
+
+    for n in range(7):
+        for part in all_partitions(n):
+            assert tau_r(part).opens == _block_union_scan(part)
+            assert t0_saturation(part).opens == _rep_saturated_scan(part, [b[0] for b in part.blocks])
+            if n <= 4:
+                for reps in itertools.product(*part.blocks):
+                    rep = dict(enumerate(reps))
+                    assert t0_saturation(part, rep=rep).opens == _rep_saturated_scan(part, reps)
+
+
+def _closed_under_union_and_intersection(family):
+    return all(a | b in family and a & b in family for a in family for b in family)
+
+
+def test_validate_accepts_exactly_the_topologies_on_up_to_3_points():
+    checked = rejected = 0
+    for n in range(4):
+        full = (1 << n) - 1
+        subsets = range(1 << n)
+        for pick in range(1 << (1 << n)):
+            family = frozenset(m for m in subsets if pick >> m & 1)
+            is_topology = 0 in family and full in family and _closed_under_union_and_intersection(family)
+            checked += 1
+            try:
+                FiniteTopology(n, family)
+            except NotATopologyError as exc:
+                rejected += 1
+                assert not is_topology
+                if exc.witness is not None:
+                    a, b, op = exc.witness
+                    a, b = (sum(1 << x for x in s) for s in (a, b))
+                    assert a in family and b in family
+                    assert (a | b if op == "union" else a & b) not in family
+                    assert op in ("union", "intersection")
+                else:
+                    assert 0 not in family or full not in family
+            else:
+                assert is_topology
+    assert checked == 278
+    assert checked - rejected == 1 + 1 + 4 + 29
 
 
 # --- text format ---
