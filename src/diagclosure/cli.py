@@ -7,10 +7,11 @@ realisable under the requested axiom, 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .constructions import nontransitive_demo, realise_t0, realise_t1
-from .enumeration import SOFT_LIMIT, build_catalog, write_catalog
+from .enumeration import SOFT_LIMIT, build_catalog, render_catalog
 from .errors import (
     DiagClosureError,
     GroundSetFiniteError,
@@ -90,9 +91,15 @@ def _cmd_separable(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.n > SOFT_LIMIT and not args.force:
         return _usage_error(f"n={args.n} is above the soft limit {SOFT_LIMIT}; pass --force to proceed")
-    catalog = build_catalog(args.n, t0_only=args.t0, up_to_iso=args.iso, workers=args.workers)
-    if args.out:
-        write_catalog(catalog, args.out)
+    # opened before the build, so a bad path fails at once and not after it
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        return _usage_error(str(exc))
+    with out:
+        catalog = build_catalog(args.n, t0_only=args.t0, up_to_iso=args.iso, workers=args.workers)
+        if args.out:
+            out.write(render_catalog(catalog))
     print(f"topologies: {catalog.total_topologies}")
     print(f"distinct closures: {len(catalog.records)}")
     print(f"non-transitive closures: {sum(1 for r in catalog.records if not r.transitive)}")

@@ -1046,8 +1046,11 @@ def nontransitive_demo(designated=None, search_bound: int = 400) -> NonTransitiv
 
     Looks for the smallest consecutive triple (a, a+1, a+2) with the ends
     separable but both adjacent pairs inseparable, then falls back to a
-    bounded general search.  The found certificate is re-checked before it
-    is reported; failure there would be a library defect.
+    bounded general search.  When both fail, the triple is built from the
+    rule every such triple obeys: b is the least undesignated point below
+    ``search_bound``, and a and c are the offsets of the first two
+    designated sets.  The found certificate is re-checked before it is
+    reported; failure there would be a library defect.
     """
     if designated is None:
         designated = DEFAULT_DESIGNATED
@@ -1078,6 +1081,10 @@ def nontransitive_demo(designated=None, search_bound: int = 400) -> NonTransitiv
                     break
             if triple:
                 break
+    if triple is None and len(designated) >= 2:
+        b = next((x for x in range(search_bound) if c._designated_index(x) is None), None)
+        if b is not None:
+            triple = (designated[0].offset, b, designated[1].offset)
     if triple is None:
         return NonTransitiveReport(
             designated, c, None, None, "no non-transitivity witness found (closure may be transitive)"

@@ -50,7 +50,6 @@ __all__ = [
     "read_catalog",
     "relation_code",
     "render_catalog",
-    "write_catalog",
 ]
 
 SOFT_LIMIT = 7
@@ -417,11 +416,6 @@ def render_catalog(cat: Catalog) -> str:
         )
     lines.append(f"# total_topologies={cat.total_topologies} total_t0={cat.total_t0}")
     return "\n".join(lines) + "\n"
-
-
-def write_catalog(cat: Catalog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_catalog(cat))
 
 
 def read_catalog(text: str) -> Catalog:

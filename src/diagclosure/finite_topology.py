@@ -3,7 +3,10 @@
 Finite topologies correspond exactly to preorders: open sets are the
 up-sets of the specialization preorder (an orientation fixed here and
 pinned by tests), and the minimal open neighborhood of ``x`` is the up-set
-of ``x``.  Subsets of the ground set are bitmasks throughout.
+of ``x``.  Every open set is the union of the minimal neighborhoods of its
+points, so one builder makes every open family from those neighborhoods,
+and validation checks a family against them in time linear in
+opens x points.  Subsets of the ground set are bitmasks throughout.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ __all__ = [
 ]
 
 
-# Builders that scan every subset of k points or blocks refuse k above
-# MAX_SCAN (2**16 subsets take a fraction of a second); parse_topology
-# refuses point labels from MAX_POINTS on, since the closure is quadratic,
-# and more than _MAX_OPENS opens, since validating them is quadratic too.
+# Builders refuse more than MAX_SCAN points or blocks, since k of them can
+# give 2**k opens; parse_topology refuses point labels from MAX_POINTS on,
+# since the closure is quadratic, and more than _MAX_OPENS opens, so the
+# size of a family read from outside stays bounded.
 MAX_SCAN = 16
 MAX_POINTS = 1000
 _MAX_OPENS = 4096
@@ -47,6 +50,13 @@ _MAX_OPENS = 4096
 def _check_scan(k: int, what: str) -> None:
     if k > MAX_SCAN:
         raise BoundExceededError(f"scanning every subset of {k} {what} is limited to {MAX_SCAN}")
+
+
+def _mask(points: Iterable[int]) -> int:
+    m = 0
+    for x in points:
+        m |= 1 << x
+    return m
 
 
 def _mask_points(mask: int) -> tuple[int, ...]:
@@ -112,18 +122,32 @@ class FiniteTopology:
             raise NotATopologyError("the empty set is not in the family")
         if full not in self.opens:
             raise NotATopologyError("the full set is not in the family")
+        # Each running intersection is a member, so the last one is the
+        # minimal neighborhood N(x).  A family holding every N(x) and every
+        # U | N(x) holds every union of neighborhoods; each member is the
+        # union of the N(x) of its points, so the family is then exactly
+        # those unions, which are closed under union and intersection.
         opens = sorted(self.opens)
-        for a in opens:
-            for b in opens:
-                if a < b:
-                    for op, res in (("union", a | b), ("intersection", a & b)):
-                        if res not in self.opens:
-                            raise NotATopologyError(
-                                f"family not closed under {op}: "
-                                f"{{{_render_mask(a)}}} and {{{_render_mask(b)}}} "
-                                f"give {{{_render_mask(res)}}}",
-                                witness=(_mask_points(a), _mask_points(b), op),
-                            )
+        mins = []
+        for x in range(self.n):
+            running = full
+            for o in opens:
+                if o >> x & 1:
+                    self._require(running, o, "intersection", running & o)
+                    running &= o
+            mins.append(running)
+        for u in opens:
+            for m in mins:
+                self._require(u, m, "union", u | m)
+
+    def _require(self, a: int, b: int, op: str, res: int) -> None:
+        if res not in self.opens:
+            raise NotATopologyError(
+                f"family not closed under {op}: "
+                f"{{{_render_mask(a)}}} and {{{_render_mask(b)}}} "
+                f"give {{{_render_mask(res)}}}",
+                witness=(_mask_points(a), _mask_points(b), op),
+            )
 
     def __eq__(self, other):
         return isinstance(other, FiniteTopology) and self.n == other.n and self.opens == other.opens
@@ -136,55 +160,35 @@ class FiniteTopology:
         return f"FiniteTopology(n={self.n}, opens={[ _mask_points(m) for m in shown ]})"
 
 
+def _unions(n: int, neighborhoods: Iterable[int]) -> FiniteTopology:
+    """The topology whose opens are all unions of the given minimal neighborhoods.
+
+    Work grows with the number of opens produced, not with 2**n.
+    """
+    opens = {0}
+    for u in set(neighborhoods):
+        opens |= {o | u for o in opens}
+    return FiniteTopology(n, opens, validate=False)
+
+
 def generate_from_subbasis(n: int, sets: Iterable[Iterable[int] | int]) -> FiniteTopology:
     """Smallest topology containing the given sets."""
     full = (1 << n) - 1
-    masks = set()
+    # the minimal neighborhood of x is the intersection of the sets containing it
+    mins = [full] * n
     for s in sets:
-        if isinstance(s, int):
-            m = s
-        else:
-            m = 0
-            for x in s:
-                m |= 1 << x
+        m = s if isinstance(s, int) else _mask(s)
         if m & ~full:
             raise ValueError("subbasis set outside the ground set")
-        masks.add(m)
-    # Close under pairwise intersection, then pairwise union; both reach a
-    # fixpoint because there are at most 2^n candidate sets.
-    family = set(masks) | {full}
-    for op in ((lambda a, b: a & b), (lambda a, b: a | b)):
-        changed = True
-        while changed:
-            changed = False
-            items = sorted(family)
-            for a in items:
-                for b in items:
-                    c = op(a, b)
-                    if c not in family:
-                        family.add(c)
-                        changed = True
-    family.add(0)
-    return FiniteTopology(n, family, validate=False)
+        for x in _mask_points(m):
+            mins[x] &= m
+    return _unions(n, mins)
 
 
 def topology_of_preorder(p: Preorder) -> FiniteTopology:
     """Opens are exactly the up-sets of the preorder."""
     _check_scan(p.n, "points")
-    rows = p.rows
-    opens = []
-    for mask in range(1 << p.n):
-        m = mask
-        ok = True
-        while m:
-            low = m & -m
-            if rows[low.bit_length() - 1] & ~mask:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            opens.append(mask)
-    return FiniteTopology(p.n, opens, validate=False)
+    return _unions(p.n, p.rows)
 
 
 def minimal_neighborhoods(t: FiniteTopology) -> list[int]:
@@ -260,20 +264,7 @@ def is_t0(t: FiniteTopology) -> bool:
 def tau_r(p: FinitePartition) -> FiniteTopology:
     """The block-saturated topology: opens are exactly unions of blocks."""
     _check_scan(len(p.blocks), "blocks")
-    masks = []
-    for block in p.blocks:
-        m = 0
-        for x in block:
-            m |= 1 << x
-        masks.append(m)
-    opens = set()
-    for pick in range(1 << len(masks)):
-        u = 0
-        for bi, m in enumerate(masks):
-            if pick >> bi & 1:
-                u |= m
-        opens.add(u)
-    return FiniteTopology(p.n, opens, validate=False)
+    return _unions(p.n, map(_mask, p.blocks))
 
 
 def t0_saturation(p: FinitePartition, rep=None) -> FiniteTopology:
@@ -292,17 +283,7 @@ def t0_saturation(p: FinitePartition, rep=None) -> FiniteTopology:
         for bi, r in enumerate(reps):
             if r not in p.blocks[bi]:
                 raise InvalidRepresentativeError(f"point {r} is not in block {list(p.blocks[bi])}")
-    block_masks = []
-    for block in p.blocks:
-        m = 0
-        for x in block:
-            m |= 1 << x
-        block_masks.append(m)
-    opens = []
-    for mask in range(1 << p.n):
-        if all(not (mask & bm) or (mask >> reps[bi] & 1) for bi, bm in enumerate(block_masks)):
-            opens.append(mask)
-    return FiniteTopology(p.n, opens, validate=False)
+    return _unions(p.n, (1 << x | 1 << reps[p.block_of[x]] for x in range(p.n)))
 
 
 def render_topology(t: FiniteTopology) -> str:

@@ -150,6 +150,20 @@ def test_enumerate_writes_catalog(tmp_path, capsys):
     assert text.rstrip().splitlines()[-1].startswith("# total_topologies=")
 
 
+def test_enumerate_refuses_an_unwritable_out_path_before_building(tmp_path, capsys, monkeypatch):
+    import diagclosure.cli as cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the catalog was built before the output was opened")
+
+    monkeypatch.setattr(cli, "build_catalog", no_build)
+    for target in (tmp_path / "missing" / "cat.tsv", tmp_path):
+        code, out, err = run(capsys, "enumerate", "--n", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+
+
 def test_enumerate_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--n", str(SOFT_LIMIT + 1))
     assert code == 2
@@ -192,6 +206,29 @@ def test_example_explicit_designated_matches_default(capsys):
     assert code == 0
     _, out2, _ = run(capsys, "example", "nontransitive")
     assert out1 == out2
+
+
+def test_example_builds_the_triple_when_both_scans_miss(capsys):
+    # both scans stop below the second designated set; b is the least undesignated point
+    code, out, _ = run(capsys, "example", "nontransitive", "--d", "0,1000", "--d", "500,1000")
+    assert code == 0
+    assert out == (
+        "designated: {1000n}, {1000n+500}\n"
+        "inseparable: (0,1)\n"
+        "inseparable: (1,500)\n"
+        "separable: (0,500)\n"
+        "certificate:\n"
+        "CofInD(d=1, excl=[])\n"
+        "CofInD(d=2, excl=[])\n"
+        "triple: (0,1,500)\n"
+    )
+    code, out, _ = run(capsys, "example", "nontransitive", "--d", "99999999999999999999,3", "--d", "1,3")
+    assert code == 0
+    assert out.endswith("triple: (99999999999999999999,0,1)\n")
+    # every point designated: no triple exists
+    code, out, _ = run(capsys, "example", "nontransitive", "--d", "0,2", "--d", "1,2")
+    assert code == 1
+    assert "no non-transitivity witness found" in out
 
 
 def test_example_no_designated(capsys):

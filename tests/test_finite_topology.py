@@ -371,7 +371,7 @@ def _nonempty_subset_lines(count):
 
 
 def test_parse_topology_refuses_too_many_opens():
-    # at the limit the family is still read, and refused as no topology before the quadratic check
+    # at the limit the family is still read, and refused as no topology by the empty-set check
     with pytest.raises(NotATopologyError, match="empty set"):
         parse_topology(_nonempty_subset_lines(_MAX_OPENS))
     with pytest.raises(BoundExceededError, match=f"line {_MAX_OPENS + 1}: more than {_MAX_OPENS} opens"):

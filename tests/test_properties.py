@@ -1,4 +1,7 @@
-"""Property tests: code, catalog, spec, point and topology round trips, and canonical-code invariance."""
+"""Property tests: code, catalog, spec, point and topology round trips, canonical-code invariance, and CLI exit codes."""
+
+import contextlib
+import io
 
 import pytest
 
@@ -7,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diagclosure.cli import main
 from diagclosure.enumeration import (
     Catalog,
     CatalogRecord,
@@ -125,3 +129,62 @@ def test_point_text_round_trip(p):
 @given(topologies())
 def test_topology_text_round_trip(t):
     assert parse_topology(render_topology(t)) == t
+
+
+# --- the command line never ends in a traceback ---
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            return exc.code
+
+
+def _digits(max_value):
+    return st.integers(0, max_value).map(str)
+
+
+_junk = st.text(alphabet="0123456789,;:=[]-sfiomegacylnt ", max_size=12)
+_partition_literals = st.one_of(
+    _junk,
+    st.lists(st.lists(_digits(9), min_size=1, max_size=3).map(",".join), min_size=1, max_size=4).map(";".join),
+)
+_counts_text = st.one_of(_digits(3), st.just("omega"))
+_spec_texts = st.one_of(
+    _junk,
+    st.builds(
+        "singletons={};fin={}{};inf={}".format,
+        _counts_text,
+        st.sampled_from(["", "cycle"]),
+        st.lists(_digits(4), max_size=3).map(lambda sizes: "[" + ",".join(sizes) + "]"),
+        _counts_text,
+    ),
+)
+_point_texts = st.one_of(
+    _junk,
+    st.builds("s:{}".format, _digits(5)),
+    st.builds("{}:{}:{}".format, st.sampled_from("fi"), _digits(5), _digits(5)),
+)
+_designated = st.one_of(_junk, st.builds("{},{}".format, _digits(30), _digits(12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(lambda lit: ["finite", "--partition", lit], _partition_literals),
+    st.builds(lambda spec, p, q, axiom: ["separable", "--spec", spec, "-p", p, "-q", q, "--axiom", axiom],
+              _spec_texts, _point_texts, _point_texts, st.sampled_from(["t0", "t1"])),
+    st.builds(lambda ds: ["example", "nontransitive", *(f"--d={d}" for d in ds)],
+              st.lists(_designated, max_size=3)),
+))
+def test_cli_exits_0_1_or_2(argv):
+    assert _exit_code(argv) in (0, 1, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(-1, 3), target=st.sampled_from(["cat.tsv", "missing/cat.tsv", ".", "missing/deeper/"]),
+       flags=st.lists(st.sampled_from(["--t0", "--iso"]), unique=True))
+def test_cli_enumerate_exits_0_1_or_2(tmp_path_factory, n, target, flags):
+    out = tmp_path_factory.mktemp("enumerate") / target
+    assert _exit_code(["enumerate", "--n", str(n), "--out", str(out), *flags]) in (0, 1, 2)
