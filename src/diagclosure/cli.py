@@ -91,14 +91,16 @@ def _cmd_separable(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.n > SOFT_LIMIT and not args.force:
         return _usage_error(f"n={args.n} is above the soft limit {SOFT_LIMIT}; pass --force to proceed")
-    # opened before the build, so a bad path fails at once and not after it
+    # Opened before the build, so a bad path fails at once and not after it;
+    # in append mode, so a build that fails leaves an existing file as it was.
     try:
-        out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext()
+        out = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext()
     except OSError as exc:
         return _usage_error(str(exc))
     with out:
         catalog = build_catalog(args.n, t0_only=args.t0, up_to_iso=args.iso, workers=args.workers)
         if args.out:
+            out.truncate(0)
             out.write(render_catalog(catalog))
     print(f"topologies: {catalog.total_topologies}")
     print(f"distinct closures: {len(catalog.records)}")

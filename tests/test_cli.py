@@ -164,6 +164,17 @@ def test_enumerate_refuses_an_unwritable_out_path_before_building(tmp_path, caps
         assert err.startswith("error: ") and str(target) in err
 
 
+def test_enumerate_out_is_replaced_on_success_and_kept_on_failure(tmp_path, capsys):
+    target = tmp_path / "cat.tsv"
+    run(capsys, "enumerate", "--n", "2", "--out", str(target))
+    once = target.read_text()
+    run(capsys, "enumerate", "--n", "2", "--out", str(target))
+    assert target.read_text() == once
+    code, _, err = run(capsys, "enumerate", "--n", "-1", "--out", str(target))
+    assert code == 2 and err.startswith("error: ")
+    assert target.read_text() == once
+
+
 def test_enumerate_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--n", str(SOFT_LIMIT + 1))
     assert code == 2
