@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", action="store_true", help="canonicalise closures up to point permutation")
     p.add_argument("--out", help="write the catalog TSV here")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("example", help="worked demonstrations")

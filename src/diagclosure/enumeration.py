@@ -1,20 +1,29 @@
 """Exhaustive enumeration of topologies on n labeled points, via preorders.
 
-Finite topologies correspond one-to-one to preorders, so the enumerator
-walks reflexive transitive bit matrices.  There is one production
-enumerator: a depth-first assignment of rows with incremental transitivity
-pruning, delivering matrices in ascending row-major bit order.  Counting
-and catalogs both run on it; the closure of each leaf comes from
-``finite_topology.closure_rows``.  Two references back it in the tests: a
-brute-force scan over all set families (tiny n), and a point-by-point
-extension enumeration.
+Finite topologies correspond one-to-one to preorders.  There is one
+enumerator of preorders: a depth-first assignment of rows with incremental
+transitivity pruning, delivering matrices in ascending row-major bit order,
+optionally with an upper bound on each row.  A brute-force scan over all
+set families backs it for tiny n.
 
-A catalog counts the labelled topologies per closure relation, optionally
-split over worker processes at the first matrix row (at most one process
-per branch and per CPU).  The catalog up to isomorphism is a fold of the
-finished labelled counts: each orbit under point permutations is
-canonicalised once and its members are merged under the orbit minimum.
-Every record keeps as its example the preorder delivered first.
+A catalog counts the labelled topologies per closure relation without
+visiting them one by one.  Call the points of the maximal classes of a
+preorder its top set T, and for every other point x let M(x) be the set of
+top classes above x.  The diagonal closure relates two points iff their
+up-sets meet, so it depends only on the top classes and M: top points are
+related iff they share a class, a top point of class C and a point x iff C
+is in M(x), and two other points iff their M values meet.  The catalog
+therefore sums over configurations (T, a partition of T into classes, M).
+The preorders of one configuration are the preorders Q on the other points
+with x <=_Q y only if M(x) contains M(y); the DFS counts them, with the
+posets among them for the T0 column (T0 needs singleton top classes), and
+the counts are memoised on the sorted M values.  The configuration's flat
+preorder (Q the identity) is a subset of every other preorder in it, so it
+comes first in delivery order and is the configuration's example.  The
+catalog up to isomorphism is a fold of the finished labelled counts: each
+orbit under point permutations is canonicalised once and its members are
+merged under the orbit minimum.  Every record keeps as its example the
+preorder delivered first.
 
 Relation codes render the strict upper triangle as lowercase hex: pairs
 (i, j) with i < j in lexicographic order, first pair in the least
@@ -24,16 +33,14 @@ in row-major order.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import permutations, product
 from typing import Callable, Iterator
 
 from .errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
 from .finite_topology import Preorder, closure_rows
-from .relations import FiniteRelation
+from .relations import FiniteRelation, all_partitions
 
 __all__ = [
     "Catalog",
@@ -42,7 +49,6 @@ __all__ = [
     "build_catalog",
     "canonical_code",
     "closure_of_preorder",
-    "count_preorders_by_extension",
     "decode_preorder",
     "decode_relation",
     "enumerate_preorders",
@@ -57,10 +63,14 @@ SOFT_LIMIT = 7
 _candidates_cache: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _row_candidates(n: int) -> list[tuple[int, ...]]:
-    """Per-row candidate up-set masks, sorted by column-order bit string."""
+def _check_size(n: int) -> None:
     if n < 0:
         raise InvalidSizeError(f"number of points must be >= 0, got {n}")
+
+
+def _row_candidates(n: int) -> list[tuple[int, ...]]:
+    """Per-row candidate up-set masks, sorted by column-order bit string."""
+    _check_size(n)
     cached = _candidates_cache.get(n)
     if cached is not None:
         return cached
@@ -73,20 +83,24 @@ def _row_candidates(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _iter_rows(n: int, first_row: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All preorder row tuples on n points, ascending row-major bit order."""
+def _iter_rows(n: int, bounds=None) -> Iterator[tuple[int, ...]]:
+    """All preorder row tuples on n points, ascending row-major bit order.
+
+    With ``bounds``, only the preorders whose row i lies inside ``bounds[i]``.
+    """
     if n == 0:
         yield ()
         return
     candidates = _row_candidates(n)
+    if bounds is not None:
+        candidates = [[m for m in cands if not m & ~b] for cands, b in zip(candidates, bounds)]
     rows: list[int] = []
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
             yield tuple(rows)
             return
-        cands = (first_row,) if i == 0 and first_row is not None else candidates[i]
-        for m in cands:
+        for m in candidates[i]:
             ok = True
             for j in range(i):
                 rj = rows[j]
@@ -113,63 +127,6 @@ def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = No
     for rows in _iter_rows(n):
         if consumer is not None:
             consumer(Preorder(n, rows, validate=False))
-        count += 1
-    return count
-
-
-def _iter_by_extension(n: int) -> Iterator[tuple[int, ...]]:
-    # Independent strategy: grow preorders one point at a time.  The new
-    # point's relations are a down-set d (who lies below it) and an up-set u
-    # (who lies above it) of the old preorder with d x u inside it.
-    if n == 0:
-        yield ()
-        return
-    old = n - 1
-    for rows in _iter_by_extension(old):
-        cols = [0] * old
-        for i in range(old):
-            ri = rows[i]
-            for j in range(old):
-                if ri >> j & 1:
-                    cols[j] |= 1 << i
-        downs = []
-        ups = []
-        for m in range(1 << old):
-            down_ok = True
-            up_ok = True
-            t = m
-            while t:
-                low = t & -t
-                b = low.bit_length() - 1
-                if cols[b] & ~m:
-                    down_ok = False
-                if rows[b] & ~m:
-                    up_ok = False
-                if not down_ok and not up_ok:
-                    break
-                t ^= low
-            if down_ok:
-                downs.append(m)
-            if up_ok:
-                ups.append(m)
-        full = (1 << old) - 1
-        for d in downs:
-            allowed = full
-            t = d
-            while t:
-                low = t & -t
-                allowed &= rows[low.bit_length() - 1]
-                t ^= low
-            for u in ups:
-                if u & ~allowed:
-                    continue
-                yield tuple(rows[i] | ((d >> i & 1) << old) for i in range(old)) + (u | 1 << old,)
-
-
-def count_preorders_by_extension(n: int) -> int:
-    """Preorder count by the extension strategy; cross-check for the DFS."""
-    count = 0
-    for _ in _iter_by_extension(n):
         count += 1
     return count
 
@@ -302,23 +259,53 @@ class Catalog:
     total_t0: int
 
 
-def _accumulate(n: int, t0_only: bool, first_row: int | None):
-    """Counts ``{closure bits: [labelled, t0, first example's bits]}`` and totals."""
+def _count_below(ms: tuple[int, ...]) -> tuple[int, int]:
+    """How many preorders, and posets, have i <= j only where ``ms[i]`` contains ``ms[j]``."""
+    k = len(ms)
+    bounds = [sum(1 << j for j, mj in enumerate(ms) if not mj & ~mi) for mi in ms]
+    labelled = posets = 0
+    for rows in _iter_rows(k, bounds):
+        labelled += 1
+        posets += len(set(rows)) == k
+    return labelled, posets
+
+
+def _count_configurations(n: int, t0_only: bool):
+    """Counts ``{closure bits: [labelled, t0, first example's bits]}`` and totals.
+
+    One entry per configuration: a top set, its partition into classes, and
+    the non-empty set of classes above each other point, as a class bitmask.
+    """
     counts: dict[int, list] = {}
     totals = [0, 0]
-    for rows in _iter_rows(n, first_row):
-        t0 = len(set(rows)) == n
-        if t0_only and not t0:
-            continue
-        totals[0] += 1
-        totals[1] += t0
-        code = _relation_bits(closure_rows(rows), n)
-        entry = counts.get(code)
-        if entry is None:
-            counts[code] = [1, int(t0), _preorder_bits(rows, n)]
-        else:
-            entry[0] += 1
-            entry[1] += t0
+    memo: dict[tuple[int, ...], tuple[int, int]] = {}
+    for top in range(1 << n):
+        tops = [x for x in range(n) if top >> x & 1]
+        rest = [x for x in range(n) if not top >> x & 1]
+        for part in all_partitions(len(tops)):
+            singletons = len(part.blocks) == len(tops)
+            if t0_only and not singletons:
+                continue
+            rows = [0] * n
+            above = [0]  # above[m]: the points of the classes in the class bitmask m
+            for block in part.blocks:
+                c = sum(1 << tops[i] for i in block)
+                for i in block:
+                    rows[tops[i]] = c
+                above += [u | c for u in above]
+            for ms in product(range(1, len(above)), repeat=len(rest)):
+                key = tuple(sorted(ms))
+                found = memo.get(key)
+                if found is None:
+                    found = memo[key] = _count_below(key)
+                posets = found[1] if singletons else 0
+                labelled = posets if t0_only else found[0]
+                for x, m in zip(rest, ms):
+                    rows[x] = 1 << x | above[m]
+                totals[0] += labelled
+                totals[1] += posets
+                code = _relation_bits(closure_rows(rows), n)
+                _merge(counts, code, [labelled, posets, _preorder_bits(rows, n)], n)
     return counts, totals
 
 
@@ -357,27 +344,8 @@ def _fold_orbits(counts: dict[int, list], n: int) -> dict[int, list]:
     return folded
 
 
-def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, workers: int = 1) -> Catalog:
-    """One record per distinct closure relation over all topologies on n points.
-
-    ``workers > 1`` splits the search at the first matrix row over at most
-    ``os.cpu_count()`` processes and merges the partial counts; the result
-    is identical for any worker count.  ``up_to_iso`` folds the finished
-    labelled counts by orbit.
-    """
-    branches = _row_candidates(n)[0] if n else ()
-    workers = min(workers, len(branches), os.cpu_count() or 1)
-    if workers <= 1:
-        counts, totals = _accumulate(n, t0_only, None)
-    else:
-        counts = {}
-        totals = [0, 0]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_counts, part_totals in pool.map(_accumulate, repeat(n), repeat(t0_only), branches):
-                totals[0] += part_totals[0]
-                totals[1] += part_totals[1]
-                for code, entry in part_counts.items():
-                    _merge(counts, code, entry, n)
+def _catalog(n: int, counts: dict[int, list], totals, up_to_iso: bool) -> Catalog:
+    """The catalog of finished labelled counts, folded by orbit if ``up_to_iso``."""
     if up_to_iso:
         counts = _fold_orbits(counts, n)
     records = []
@@ -397,6 +365,17 @@ def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, worker
             )
         )
     return Catalog(n, tuple(records), totals[0], totals[1])
+
+
+def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, workers: int = 1) -> Catalog:
+    """One record per distinct closure relation over all topologies on n points.
+
+    The counts are summed over configurations (see the module docstring),
+    in one process; ``workers`` is accepted and has no effect.
+    ``up_to_iso`` folds the finished labelled counts by orbit.
+    """
+    _check_size(n)
+    return _catalog(n, *_count_configurations(n, t0_only), up_to_iso)
 
 
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"

@@ -103,14 +103,19 @@ class Preorder:
 
 
 class FiniteTopology:
-    """Family of open sets on ``{0..n-1}``, stored as a frozenset of bitmasks."""
+    """Family of open sets on ``{0..n-1}``, stored as a frozenset of bitmasks.
 
-    __slots__ = ("n", "opens")
+    The family never changes, so its minimal neighborhoods are computed once,
+    by ``validate`` or by the first :func:`minimal_neighborhoods` call.
+    """
+
+    __slots__ = ("n", "opens", "_mins")
 
     def __init__(self, n: int, opens: Iterable[int], validate: bool = True):
         opens = frozenset(opens)
         self.n = n
         self.opens = opens
+        self._mins = None
         if validate:
             self.validate()
 
@@ -136,9 +141,13 @@ class FiniteTopology:
                     self._require(running, o, "intersection", running & o)
                     running &= o
             mins.append(running)
+        # Equal neighborhoods give equal checks, so each is tried once, in
+        # first-seen order; the first failure found stays the same.
+        distinct = list(dict.fromkeys(mins))
         for u in opens:
-            for m in mins:
+            for m in distinct:
                 self._require(u, m, "union", u | m)
+        self._mins = tuple(mins)
 
     def _require(self, a: int, b: int, op: str, res: int) -> None:
         if res not in self.opens:
@@ -193,15 +202,16 @@ def topology_of_preorder(p: Preorder) -> FiniteTopology:
 
 def minimal_neighborhoods(t: FiniteTopology) -> list[int]:
     """Intersection of all opens containing each point (open on finite sets)."""
-    full = (1 << t.n) - 1
-    mins = [full] * t.n
-    for o in t.opens:
-        m = o
-        while m:
-            low = m & -m
-            mins[low.bit_length() - 1] &= o
-            m ^= low
-    return mins
+    if t._mins is None:
+        mins = [(1 << t.n) - 1] * t.n
+        for o in t.opens:
+            m = o
+            while m:
+                low = m & -m
+                mins[low.bit_length() - 1] &= o
+                m ^= low
+        t._mins = tuple(mins)
+    return list(t._mins)
 
 
 def preorder_of_topology(t: FiniteTopology) -> Preorder:

@@ -10,6 +10,8 @@ import pytest
 from diagclosure.cli import main
 from diagclosure.enumeration import SOFT_LIMIT
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -81,8 +83,7 @@ def test_realise_refuses_negative_pair_count(capsys):
 
 def test_realise_refuses_zero_bounds_without_hanging():
     # run in a child process: a regression here spins forever in the sampler
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     argv = ["realise", "--spec", "singletons=0;fin=cycle[2];inf=0", "--pairs", "10"]
     for bounds in ("0,0", "0,5", "5,0"):
         done = subprocess.run(
@@ -193,6 +194,17 @@ def test_enumerate_workers_match_single(tmp_path, capsys):
     run(capsys, "enumerate", "--n", "3", "--out", str(a))
     run(capsys, "enumerate", "--n", "3", "--workers", "2", "--out", str(b))
     assert a.read_text() == b.read_text()
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # a fresh interpreter, since this test process may have imported it already
+    probe = "import sys, diagclosure.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 # --- example ---

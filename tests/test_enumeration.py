@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from diagclosure import enumeration
+from reference import count_preorders_by_extension, reference_catalogs
+
 from diagclosure.enumeration import (
     Catalog,
     brute_force_topology_count,
     build_catalog,
     canonical_code,
     closure_of_preorder,
-    count_preorders_by_extension,
     decode_preorder,
     decode_relation,
     enumerate_preorders,
@@ -213,44 +213,12 @@ def test_parallel_workers_deterministic():
         assert render_catalog(seq) == render_catalog(par)
 
 
-class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: runs the branches here, records the pool size."""
-
-    sizes: list = []
-    reverse = False
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        results = list(map(fn, *iterables))
-        return reversed(results) if self.reverse else results
-
-
-def test_workers_clamped_to_branches_and_cpus(monkeypatch):
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    expected = render_catalog(build_catalog(3))
-    branches = 4  # first-row up-sets on 3 points: the masks that contain point 0
-    for cpus, workers, pool_size in ((64, 10**9, branches), (3, 10**9, 3), (64, 2, 2), (None, 10**9, None)):
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
-        _InProcessPool.sizes.clear()
-        assert render_catalog(build_catalog(3, workers=workers)) == expected
-        assert _InProcessPool.sizes == ([] if pool_size is None else [pool_size])
-
-
-def test_worker_merge_does_not_depend_on_branch_order(monkeypatch):
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "reverse", True)
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
-    for kwargs in ({}, {"t0_only": True}, {"up_to_iso": True}):
-        assert render_catalog(build_catalog(4, workers=8, **kwargs)) == render_catalog(build_catalog(4, **kwargs))
+def test_catalogs_match_the_full_preorder_walk_n6():
+    # the golden file pins n <= 5; here every preorder on 6 points is visited
+    for t0_only in (False, True):
+        plain, iso = reference_catalogs(6, t0_only)
+        assert render_catalog(build_catalog(6, t0_only=t0_only)) == render_catalog(plain)
+        assert render_catalog(build_catalog(6, t0_only=t0_only, up_to_iso=True)) == render_catalog(iso)
 
 
 def test_catalog_tsv_round_trip(tmp_path):

@@ -16,6 +16,7 @@ from diagclosure.finite_topology import (
     is_t0,
     is_t1,
     is_t2,
+    minimal_neighborhoods,
     parse_topology,
     preorder_of_topology,
     render_topology,
@@ -311,6 +312,19 @@ def test_validate_accepts_exactly_the_topologies_on_up_to_3_points():
                 assert is_topology
     assert checked == 278
     assert checked - rejected == 1 + 1 + 4 + 29
+
+
+def test_minimal_neighborhoods_are_computed_once():
+    for p in _all_preorders(3):
+        built = topology_of_preorder(p)
+        assert built._mins is None
+        assert minimal_neighborhoods(built) == list(p.rows)
+        assert built._mins == p.rows
+        checked = FiniteTopology(3, built.opens)
+        assert checked._mins == p.rows  # kept from validate
+        got = minimal_neighborhoods(checked)
+        got[0] = 0  # the caller's copy, not the kept one
+        assert minimal_neighborhoods(checked) == list(p.rows)
 
 
 # --- text format ---
