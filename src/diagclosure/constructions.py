@@ -60,6 +60,7 @@ from .symbolic_sets import (
     ball_disjoint,
     ball_member,
     format_rational,
+    in_interval,
     pair_encode,
     residues_disjoint,
 )
@@ -613,46 +614,63 @@ class FinTwoCase2(_Reservoir):
 # --------------------------------------------------------------------------
 # the pair system: infinitely many finite blocks on rational balls
 
+_ONE = Fraction(1)
+_NO_EXCL = frozenset()
+_OFFSETS = (Fraction(0), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2))
+_RADII = (Fraction(1, 2), _ONE, Fraction(3, 2))
+
+
 def _sample_ball(z, rng) -> RationalBall:
     x, qc, level = z
-    offsets = (Fraction(0), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2))
-    off = offsets[rng.randrange(len(offsets))]
-    radii = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
-    rad = radii[rng.randrange(len(radii))]
-    while rad <= abs(off):
-        rad += Fraction(1, 2)
+    off = _OFFSETS[rng.randrange(len(_OFFSETS))]
+    rad = _RADII[rng.randrange(len(_RADII))]
     center = qc + off
+    if not in_interval(qc, center, rad):  # the ball must hold z: 1/2 against an offset of 1/2
+        rad = _ONE
     excl = set()
     for _ in range(rng.randrange(3)):
         cand = center + Fraction(rng.randrange(-3, 4), 4) * rad
         lev = rng.randrange(2)
-        if abs(cand - center) < rad and (cand, lev) != (qc, level):
+        if in_interval(cand, center, rad) and (cand, lev) != (qc, level):
             excl.add((cand, lev))
-    return RationalBall(x, center, rad, excl)
+    return RationalBall._unchecked(x, center, rad, frozenset(excl))
+
+
+def _room(b: RationalBall, q) -> tuple[int, int]:
+    """``b.radius - |q - b.center|`` as an unreduced (numerator, denominator) pair."""
+    c, r = b.center, b.radius
+    qd, cd, rd = q.denominator, c.denominator, r.denominator
+    return r.numerator * qd * cd - abs(q.numerator * cd - c.numerator * qd) * rd, rd * qd * cd
 
 
 def _refine_balls(b1: RationalBall, b2: RationalBall, z, extra_excluded=()) -> RationalBall:
     """A ball around z inside both arguments, inheriting relevant exclusions."""
     x, q, level = z
-    rad = min(b1.radius - abs(q - b1.center), b2.radius - abs(q - b2.center))
-    excl = set()
-    for e in set(b1.excluded) | set(b2.excluded):
-        if abs(e[0] - q) < rad:
-            excl.add(e)
+    (n1, d1), (n2, d2) = _room(b1, q), _room(b2, q)
+    num, den = (n1, d1) if n1 * d2 <= n2 * d1 else (n2, d2)
+    if num <= 0:
+        raise ValueError("radius must be positive")
+    rad = Fraction(num, den)
+    excl = {e for e in b1.excluded | b2.excluded if in_interval(e[0], q, rad)}
     for e in extra_excluded:
         if e == (q, level):
             raise ValueError("refine point is excluded by the outer set")
-        if abs(e[0] - q) < rad:
+        if in_interval(e[0], q, rad):
             excl.add(e)
-    return RationalBall(x, q, rad, excl)
+    return RationalBall._unchecked(x, q, rad, frozenset(excl))
 
 
 def _ball_contains(outer: RationalBall, inner: RationalBall) -> bool:
+    """Exact containment: ``|ci - co| + ri <= ro`` and every outer exclusion
+    inside the inner ball is excluded there too."""
     if outer.x_index != inner.x_index:
         return False
-    if abs(inner.center - outer.center) + inner.radius > outer.radius:
+    co, ci, ro, ri = outer.center, inner.center, outer.radius, inner.radius
+    cod, cid, rod, rid = co.denominator, ci.denominator, ro.denominator, ri.denominator
+    gap = abs(ci.numerator * cod - co.numerator * cid) * rod * rid
+    if gap + ri.numerator * rod * cod * cid > ro.numerator * rid * cod * cid:
         return False
-    return all(e in inner.excluded for e in outer.excluded if abs(e[0] - inner.center) < inner.radius)
+    return all(e in inner.excluded for e in outer.excluded if in_interval(e[0], ci, ri))
 
 
 _XQ_CACHE_SIZE = 4096
@@ -705,8 +723,13 @@ class ExtendPairs(InfOrSingleton):
         if p.cls is not _F or q.cls is not _F:
             return InfOrSingleton._witness_opens(self, p, q)
         (x1, q1), (x2, q2) = _xq(p.block), _xq(q.block)
-        d = Fraction(1) if x1 != x2 else abs(q1 - q2) / 2
-        return self._wrap(p, RationalBall(x1, q1, d)), self._wrap(q, RationalBall(x2, q2, d))
+        if x1 != x2:
+            d = _ONE
+        else:  # |q1 - q2| / 2, positive because the blocks differ
+            d1, d2 = q1.denominator, q2.denominator
+            d = Fraction(abs(q1.numerator * d2 - q2.numerator * d1), 2 * d1 * d2)
+        b1, b2 = RationalBall._unchecked(x1, q1, d, _NO_EXCL), RationalBall._unchecked(x2, q2, d, _NO_EXCL)
+        return self._wrap(p, b1), self._wrap(q, b2)
 
     def _member(self, o, p):
         if not isinstance(o, _BALL_OPENS):
@@ -717,8 +740,8 @@ class ExtendPairs(InfOrSingleton):
             return p.elem <= 1 and ball_member(o.ball, self._z(p))
         if p.elem >= 2:
             return p.block == o.block and p.elem == o.elem
-        z = self._z(p)
-        return z != self._r1_image(o.block) and ball_member(o.ball, z)
+        # the anchor's level-0 image is (o.block, 0) itself: the pairing is a bijection
+        return (p.block, p.elem) != (o.block, 0) and ball_member(o.ball, self._z(p))
 
     def _disjoint(self, o1, o2):
         b1, b2 = isinstance(o1, _BALL_OPENS), isinstance(o2, _BALL_OPENS)
@@ -734,15 +757,14 @@ class ExtendPairs(InfOrSingleton):
         if p.cls is not _F:
             return InfOrSingleton._basic_nbhd(self, p, avoid)
         x, qc = _xq(p.block)
-        excl = set()
+        excl = _NO_EXCL
         if isinstance(avoid, PointAddr) and avoid != p and avoid.cls is _F and avoid.elem <= 1:
-            za = self._z(avoid)
-            if za[0] == x and abs(za[1] - qc) < 1:
-                excl.add((za[1], za[2]))
-        if p.elem <= 1:
-            return Ball(RationalBall(x, qc, Fraction(1), excl))
-        excl.discard((qc, 0))  # the extension open subtracts the level-0 image itself
-        return ExtPt(p.block, p.elem, RationalBall(x, qc, Fraction(1), excl))
+            xa, qa = _xq(avoid.block)
+            # an extension open subtracts its level-0 image (p.block, 0) itself
+            own_image = p.elem >= 2 and (avoid.block, avoid.elem) == (p.block, 0)
+            if xa == x and in_interval(qa, qc, _ONE) and not own_image:
+                excl = frozenset(((qa, avoid.elem),))
+        return self._wrap(p, RationalBall._unchecked(x, qc, _ONE, excl))
 
     def _sample_open(self, p, rng, bounds):
         if p.cls is not _F:
@@ -755,8 +777,8 @@ class ExtendPairs(InfOrSingleton):
             # an extension open of the same block also contains this point
             x, qc = _xq(p.block)
             k = rng.randrange(2, size)
-            rad = (Fraction(1, 2), Fraction(1))[rng.randrange(2)]
-            return ExtPt(p.block, k, RationalBall(x, qc, rad))
+            rad = _RADII[rng.randrange(2)]
+            return ExtPt(p.block, k, RationalBall._unchecked(x, qc, rad, _NO_EXCL))
         return Ball(_sample_ball(self._z(p), rng))
 
     def _refine(self, o1, o2, p):

@@ -344,6 +344,35 @@ def _fold_orbits(counts: dict[int, list], n: int) -> dict[int, list]:
     return folded
 
 
+def _transitive_bits(code: int, n: int) -> bool:
+    """Whether the reflexive symmetric relation with relation bits ``code``
+    is transitive, read off the code's rows (the cells above the diagonal).
+
+    Such a relation is transitive iff it is the relation of a partition.
+    Reading the rows in order, a point outside every class seen so far
+    opens a class with the points above it, none of which may lie in an
+    earlier class; a point inside a class must be related to exactly the
+    rest of that class above it.
+    """
+    covered = 0
+    classes = []
+    t = 0
+    for i in range(n):
+        w = n - 1 - i
+        above = (code >> t & ((1 << w) - 1)) << (i + 1)
+        t += w
+        if covered >> i & 1:
+            c = next(c for c in classes if c >> i & 1)
+            if above != c >> (i + 1) << (i + 1):
+                return False
+        elif above & covered:
+            return False
+        else:
+            covered |= above | 1 << i
+            classes.append(above | 1 << i)
+    return True
+
+
 def _catalog(n: int, counts: dict[int, list], totals, up_to_iso: bool) -> Catalog:
     """The catalog of finished labelled counts, folded by orbit if ``up_to_iso``."""
     if up_to_iso:
@@ -351,8 +380,7 @@ def _catalog(n: int, counts: dict[int, list], totals, up_to_iso: bool) -> Catalo
     records = []
     for code in sorted(counts):
         lab, t0c, example = counts[code]
-        rel = decode_relation(format(code, "x"), n)
-        transitive = rel.is_transitive()
+        transitive = _transitive_bits(code, n)
         records.append(
             CatalogRecord(
                 n=n,

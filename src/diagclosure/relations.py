@@ -150,6 +150,7 @@ class BlockClass(IntEnum):
     INFINITE = 2
 
 
+_SINGLETON, _FINITE = BlockClass.SINGLETON, BlockClass.FINITE  # enum attribute lookups are slow on hot paths
 _CLASS_PREFIX = {BlockClass.SINGLETON: "s", BlockClass.FINITE: "f", BlockClass.INFINITE: "i"}
 _PREFIX_CLASS = {v: k for k, v in _CLASS_PREFIX.items()}
 
@@ -271,17 +272,25 @@ class PartitionSpec:
         return not self.fin.is_empty
 
     def valid_addr(self, a: PointAddr) -> bool:
+        """Whether ``a`` names a point of this spec.
+
+        Block indices are compared with each ``Count.value`` as plain ints
+        (``None`` is omega, above every index), not through ``Count``'s
+        comparison operators: this runs on every oracle query.
+        """
         if not isinstance(a, PointAddr) or a.block < 0 or a.elem < 0:
             return False
-        if a.cls is BlockClass.SINGLETON:
-            return a.elem == 0 and a.block < self.singletons
-        if a.cls is BlockClass.FINITE:
-            if self.fin.is_empty:
-                return False
-            if not self.fin.cyclic and a.block >= len(self.fin.sizes):
-                return False
-            return a.elem < self.fin.size_of(a.block)
-        return a.block < self.inf
+        cls = a.cls
+        if cls is _SINGLETON:
+            n = self.singletons.value
+            return a.elem == 0 and (n is None or a.block < n)
+        if cls is _FINITE:
+            sizes = self.fin.sizes
+            if self.fin.cyclic:
+                return a.elem < sizes[a.block % len(sizes)]
+            return a.block < len(sizes) and a.elem < sizes[a.block]
+        n = self.inf.value
+        return n is None or a.block < n
 
     def check_addr(self, a: PointAddr) -> PointAddr:
         if not self.valid_addr(a):

@@ -2,9 +2,14 @@
 
 Everything here is exact: residue-class subsets of the naturals, rational
 balls with finitely many excluded points, and a fixed bijection between the
-naturals and (natural, rational) pairs.  Rationals are ``fractions.Fraction``
-values (unbounded integers, always reduced); the alias :data:`Rational` names
-that choice in signatures.
+naturals and (natural, rational) pairs.  Rationals are stored as
+``fractions.Fraction`` values (unbounded integers, always reduced); the alias
+:data:`Rational` names that choice in signatures.  Ball membership,
+disjointness and containment are decided on the fractions' own numerators
+and denominators by cross-multiplication, so no comparison builds a
+``Fraction``.  ``RationalBall._unchecked`` skips the constructor's checks for
+balls whose invariants the caller has just established; it is internal to
+the package, and the public ``RationalBall(...)`` validates every input.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ __all__ = [
     "cantor_pair",
     "cantor_unpair",
     "format_rational",
+    "in_interval",
     "pair_decode",
     "pair_encode",
     "parse_rational",
@@ -81,6 +87,21 @@ class RationalBall:
 
     __slots__ = ("x_index", "center", "radius", "excluded")
 
+    @classmethod
+    def _unchecked(cls, x_index: int, center: Fraction, radius: Fraction, excluded: frozenset) -> "RationalBall":
+        """A ball built without validation (internal).
+
+        The caller guarantees what ``__init__`` would check: a natural
+        ``x_index``, ``Fraction`` centre and radius with a positive radius,
+        and a frozenset of (``Fraction``, 0 or 1) pairs strictly inside.
+        """
+        b = object.__new__(cls)
+        b.x_index = x_index
+        b.center = center
+        b.radius = radius
+        b.excluded = excluded
+        return b
+
     def __init__(self, x_index: int, center: Fraction, radius: Fraction, excluded=()):
         center = Fraction(center)
         radius = Fraction(radius)
@@ -119,24 +140,34 @@ class RationalBall:
     __repr__ = render
 
 
+def in_interval(q: Fraction, center: Fraction, radius: Fraction) -> bool:
+    """``|q - center| < radius``, decided in integers."""
+    qd, cd = q.denominator, center.denominator
+    return abs(q.numerator * cd - center.numerator * qd) * radius.denominator < radius.numerator * qd * cd
+
+
 def ball_member(b: RationalBall, point: tuple[int, Fraction, int]) -> bool:
     x, q, level = point
-    return (
-        x == b.x_index
-        and abs(q - b.center) < b.radius
-        and (q, level) not in b.excluded
-    )
+    if x != b.x_index or not in_interval(q, b.center, b.radius):
+        return False
+    for e, lev in b.excluded:  # a scan of the few exclusions: hashing a Fraction costs more
+        if lev == level and e == q:
+            return False
+    return True
 
 
 def ball_disjoint(b1: RationalBall, b2: RationalBall) -> bool:
-    """Exact disjointness of two balls.
+    """Exact disjointness of two balls: ``|c1 - c2| >= r1 + r2``.
 
     Exclusions never matter: overlapping open rational intervals share
     infinitely many points while exclusion sets are finite.
     """
     if b1.x_index != b2.x_index:
         return True
-    return abs(b1.center - b2.center) >= b1.radius + b2.radius
+    c1, c2, r1, r2 = b1.center, b2.center, b1.radius, b2.radius
+    cd1, cd2, rd1, rd2 = c1.denominator, c2.denominator, r1.denominator, r2.denominator
+    gap = abs(c1.numerator * cd2 - c2.numerator * cd1) * rd1 * rd2
+    return gap >= (r1.numerator * rd2 + r2.numerator * rd1) * cd1 * cd2
 
 
 # --- fixed bijection between the naturals and (natural, rational) pairs ---

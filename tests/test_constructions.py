@@ -475,3 +475,42 @@ def test_pair_cache_stays_bounded():
     info = constructions._xq.cache_info()
     assert info.maxsize == constructions._XQ_CACHE_SIZE
     assert info.currsize <= constructions._XQ_CACHE_SIZE
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["singletons=0;fin=cycle[2,3];inf=0", "singletons=0;fin=cycle[2];inf=0", "singletons=1;fin=cycle[2,3];inf=2"],
+)
+def test_internally_built_balls_pass_the_public_checks(text):
+    # the pair system builds its balls without validation; the public
+    # constructor must accept every one of them and rebuild it equal
+    spec = parse_spec(text)
+    c = realise_t1(spec)
+    rng = random.Random(3)
+
+    def point(block=None):
+        j = rng.choice((rng.randrange(40), rng.randrange(10**9))) if block is None else block
+        return PointAddr(F, j, rng.randrange(spec.fin.size_of(j)))
+
+    nbhds, refined, other = [], [], []
+    for _ in range(600):
+        p = point()
+        q = point(p.block if rng.random() < 0.3 else None)
+        nbhds.append(c.basic_nbhd(p))
+        if p != q:
+            nbhds.append(c.basic_nbhd(p, q))
+            other.append(c.t1_witness(p, q))
+            cert = c.witness(p, q)
+            if cert is not None:
+                other += [cert.open_a, cert.open_b]
+        o1, o2 = c.sample_open(p, rng), c.sample_open(p, rng)
+        other += [o1, o2]
+        refined.append(c.refine(o1, o2, p))
+    for group in (nbhds, refined):
+        assert any(o.ball.excluded for o in group)  # the exclusion paths ran
+    for o in nbhds + refined + other:
+        assert isinstance(o, (Ball, ExtPt))
+        b = o.ball
+        assert type(b.center) is Fraction and type(b.radius) is Fraction
+        assert all(type(q) is Fraction for q, _ in b.excluded)
+        assert RationalBall(b.x_index, b.center, b.radius, b.excluded) == b

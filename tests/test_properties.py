@@ -1,7 +1,8 @@
-"""Property tests: code, catalog, spec, point and topology round trips, canonical-code invariance, and CLI exit codes."""
+"""Property tests: code, catalog, spec, point and topology round trips, canonical-code invariance, integer ball arithmetic, and CLI exit codes."""
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diagclosure.cli import main
+from diagclosure.constructions import _ball_contains, _refine_balls
 from diagclosure.enumeration import (
     Catalog,
     CatalogRecord,
@@ -35,6 +37,7 @@ from diagclosure.relations import (
     parse_point,
     parse_spec,
 )
+from diagclosure.symbolic_sets import RationalBall, ball_disjoint, ball_member, in_interval
 
 PREORDERS = {}
 for _n in range(5):
@@ -129,6 +132,81 @@ def test_point_text_round_trip(p):
 @given(topologies())
 def test_topology_text_round_trip(t):
     assert parse_topology(render_topology(t)) == t
+
+
+# --- ball tests in integers agree with Fraction arithmetic ---
+
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=24)
+radii = st.fractions(min_value=Fraction(1, 24), max_value=8, max_denominator=24)
+signs = st.sampled_from((1, -1))
+
+
+@given(c=rationals, r=radii, q=rationals, edge=st.sampled_from((None, 1, -1, 0)), level=st.integers(0, 1))
+def test_in_ball_test_matches_fractions(c, r, q, edge, level):
+    if edge is not None:
+        q = c + edge * r  # on the boundary |q - c| = r, or the centre itself
+    inside = abs(q - c) < r
+    assert in_interval(q, c, r) == inside
+    assert ball_member(RationalBall(0, c, r), (0, q, level)) == inside
+    assert not ball_member(RationalBall(1, c, r), (0, q, level))
+    if inside:  # an exclusion removes its own level only
+        assert not ball_member(RationalBall(0, c, r, {(q, level)}), (0, q, level))
+        assert ball_member(RationalBall(0, c, r, {(q, 1 - level)}), (0, q, level))
+
+
+@given(c1=rationals, r1=radii, c2=rationals, r2=radii, mode=st.sampled_from(("free", "same centre", "touch")),
+       sign=signs, x2=st.integers(0, 1))
+def test_ball_disjoint_matches_fractions(c1, r1, c2, r2, mode, sign, x2):
+    if mode == "same centre":
+        c2 = c1
+    elif mode == "touch":
+        c2 = c1 + sign * (r1 + r2)  # distance exactly r1 + r2
+    b1, b2 = RationalBall(0, c1, r1), RationalBall(x2, c2, r2)
+    expected = x2 != 0 or abs(c1 - c2) >= r1 + r2
+    assert ball_disjoint(b1, b2) == ball_disjoint(b2, b1) == expected
+
+
+@st.composite
+def nested_balls(draw):
+    """An outer and an inner ball, often tangent inside or concentric, with exclusions."""
+    co, ro = draw(rationals), draw(radii)
+    ri = draw(radii)
+    mode = draw(st.sampled_from(("free", "same centre", "tangent")))
+    if mode == "same centre":
+        ci = co
+    elif mode == "tangent" and ri < ro:
+        ci = co + draw(signs) * (ro - ri)  # |ci - co| + ri = ro
+    else:
+        ci = draw(rationals)
+    inside = st.fractions(min_value=-1, max_value=1, max_denominator=12).filter(lambda t: abs(t) < 1)
+    levels = st.integers(0, 1)
+    outer_excl = {(co + t * ro, lev) for t, lev in draw(st.lists(st.tuples(inside, levels), max_size=3))}
+    inner_excl = {(ci + t * ri, lev) for t, lev in draw(st.lists(st.tuples(inside, levels), max_size=3))}
+    inner_excl |= {e for e in outer_excl if abs(e[0] - ci) < ri and draw(st.booleans())}
+    x = draw(st.integers(0, 1))
+    return RationalBall(0, co, ro, outer_excl), RationalBall(x, ci, ri, inner_excl)
+
+
+@given(nested_balls())
+def test_ball_contains_matches_fractions(balls):
+    outer, inner = balls
+    expected = (
+        outer.x_index == inner.x_index
+        and abs(inner.center - outer.center) + inner.radius <= outer.radius
+        and all(e in inner.excluded for e in outer.excluded if abs(e[0] - inner.center) < inner.radius)
+    )
+    assert _ball_contains(outer, inner) == expected
+
+
+@given(c1=rationals, r1=radii, c2=rationals, r2=radii, t=st.fractions(min_value=0, max_value=1, max_denominator=12))
+def test_refined_radius_matches_fractions(c1, r1, c2, r2, t):
+    lo, hi = max(c1 - r1, c2 - r2), min(c1 + r1, c2 + r2)
+    assume(lo < hi)
+    q = lo + t * (hi - lo)
+    assume(lo < q < hi)  # a common point of both balls
+    b = _refine_balls(RationalBall(0, c1, r1), RationalBall(0, c2, r2), (0, q, 0))
+    assert b.radius == min(r1 - abs(q - c1), r2 - abs(q - c2))
+    assert b.center == q and b.excluded == frozenset()
 
 
 # --- the command line never ends in a traceback ---
