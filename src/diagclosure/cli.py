@@ -12,15 +12,7 @@ import sys
 
 from .constructions import nontransitive_demo, realise_t0, realise_t1
 from .enumeration import SOFT_LIMIT, build_catalog, render_catalog
-from .errors import (
-    DiagClosureError,
-    GroundSetFiniteError,
-    InvalidAddressError,
-    NotATopologyError,
-    NotDisjointError,
-    NotRealisableError,
-    SpecSyntaxError,
-)
+from .errors import DiagClosureError, NotRealisableError, SpecSyntaxError
 from .finite_topology import FiniteTopology, cl_delta, is_t0, is_t1, is_t2, parse_topology, tau_r
 from .relations import FinitePartition, parse_point, parse_spec
 from .symbolic_sets import ResidueClassSet
@@ -44,16 +36,9 @@ def _realise(spec, axiom):
 
 
 def _cmd_realise(args) -> int:
-    try:
-        spec = parse_spec(args.spec)
-        bounds = _parse_bounds(args.bounds)
-    except (SpecSyntaxError, GroundSetFiniteError) as exc:
-        return _usage_error(str(exc))
-    try:
-        c = _realise(spec, args.axiom)
-    except NotRealisableError as exc:
-        print(exc)
-        return 1
+    spec = parse_spec(args.spec)
+    bounds = _parse_bounds(args.bounds)
+    c = _realise(spec, args.axiom)
     report = verify_construction(c, spec, n_pairs=args.pairs, bounds=bounds, seed=args.seed)
     if args.json_lines:
         print(report.render_json_line())
@@ -65,22 +50,11 @@ def _cmd_realise(args) -> int:
 
 
 def _cmd_separable(args) -> int:
-    try:
-        spec = parse_spec(args.spec)
-        p = parse_point(args.p)
-        q = parse_point(args.q)
-    except (SpecSyntaxError, GroundSetFiniteError, InvalidAddressError) as exc:
-        return _usage_error(str(exc))
-    try:
-        c = _realise(spec, args.axiom)
-    except NotRealisableError as exc:
-        print(exc)
-        return 1
-    try:
-        sep = c.separable(p, q)
-    except InvalidAddressError as exc:
-        return _usage_error(str(exc))
-    if sep:
+    spec = parse_spec(args.spec)
+    p = parse_point(args.p)
+    q = parse_point(args.q)
+    c = _realise(spec, args.axiom)
+    if c.separable(p, q):
         print("separable")
         print(c.witness(p, q).render())
     else:
@@ -127,7 +101,7 @@ def _cmd_example(args) -> int:
     try:
         designated = _parse_designated(args.d)
         report = nontransitive_demo(designated)
-    except (SpecSyntaxError, NotDisjointError, ValueError) as exc:
+    except ValueError as exc:  # SubbasisExample raises plain ValueError for bad designated sets
         return _usage_error(str(exc))
     print(report.render())
     return 0 if report.ok else 1
@@ -162,7 +136,7 @@ def _cmd_finite(args) -> int:
                 topology = parse_topology(fh.read())
         else:
             topology = tau_r(_parse_partition_literal(args.partition))
-    except (OSError, SpecSyntaxError, NotATopologyError) as exc:
+    except OSError as exc:
         return _usage_error(str(exc))
     if args.show in ("closure", "all"):
         closure = cl_delta(topology)
@@ -230,6 +204,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NotRealisableError as exc:  # a well-formed relation the axiom cannot realise
+        print(exc)
+        return 1
     except DiagClosureError as exc:
         return _usage_error(str(exc))
 

@@ -57,12 +57,14 @@ from .relations import (
 from .symbolic_sets import (
     RationalBall,
     ResidueClassSet,
+    ball_contains,
     ball_disjoint,
     ball_member,
-    format_rational,
+    ball_refine,
     in_interval,
     pair_encode,
     residues_disjoint,
+    separating_radius,
 )
 
 __all__ = [
@@ -102,11 +104,6 @@ _S, _F, _I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 
 # --------------------------------------------------------------------------
 # basic opens
-
-def _render_ball_args(b: RationalBall) -> str:
-    excl = ",".join(f"({format_rational(q)},{lev})" for q, lev in sorted(b.excluded))
-    return f"x={b.x_index},q={format_rational(b.center)},d={format_rational(b.radius)},excl=[{excl}]"
-
 
 def _render_item(x) -> str:
     return str(x) if isinstance(x, int) else x.render()
@@ -186,7 +183,7 @@ class Ball:
     ball: RationalBall
 
     def render(self) -> str:
-        return f"Ball({_render_ball_args(self.ball)})"
+        return f"Ball({self.ball.render_args()})"
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,7 @@ class ExtPt:
     ball: RationalBall
 
     def render(self) -> str:
-        return f"ExtPt(block={self.block}, elem={self.elem}, ball=({_render_ball_args(self.ball)}))"
+        return f"ExtPt(block={self.block}, elem={self.elem}, ball=({self.ball.render_args()}))"
 
 
 @dataclass(frozen=True)
@@ -320,7 +317,7 @@ class Construction:
         if not self.is_t1:
             raise NotT1ConstructionError(f"{self.kind} is not a T1 construction")
         self._check_pair(p, q)
-        return self._t1_witness(p, q)
+        return self._basic_nbhd(p, q)
 
     def member(self, o, p) -> bool:
         self._check_variant(o)
@@ -362,9 +359,6 @@ class Construction:
 
     def _witness_opens(self, p, q):
         return self._basic_nbhd(p, q), self._basic_nbhd(q, p)
-
-    def _t1_witness(self, p, q):
-        return self._basic_nbhd(p, q)
 
     def _member(self, o, p) -> bool:
         raise NotImplementedError
@@ -636,48 +630,18 @@ def _sample_ball(z, rng) -> RationalBall:
     return RationalBall._unchecked(x, center, rad, frozenset(excl))
 
 
-def _room(b: RationalBall, q) -> tuple[int, int]:
-    """``b.radius - |q - b.center|`` as an unreduced (numerator, denominator) pair."""
-    c, r = b.center, b.radius
-    qd, cd, rd = q.denominator, c.denominator, r.denominator
-    return r.numerator * qd * cd - abs(q.numerator * cd - c.numerator * qd) * rd, rd * qd * cd
-
-
-def _refine_balls(b1: RationalBall, b2: RationalBall, z, extra_excluded=()) -> RationalBall:
-    """A ball around z inside both arguments, inheriting relevant exclusions."""
-    x, q, level = z
-    (n1, d1), (n2, d2) = _room(b1, q), _room(b2, q)
-    num, den = (n1, d1) if n1 * d2 <= n2 * d1 else (n2, d2)
-    if num <= 0:
-        raise ValueError("radius must be positive")
-    rad = Fraction(num, den)
-    excl = {e for e in b1.excluded | b2.excluded if in_interval(e[0], q, rad)}
-    for e in extra_excluded:
-        if e == (q, level):
-            raise ValueError("refine point is excluded by the outer set")
-        if in_interval(e[0], q, rad):
-            excl.add(e)
-    return RationalBall._unchecked(x, q, rad, frozenset(excl))
-
-
-def _ball_contains(outer: RationalBall, inner: RationalBall) -> bool:
-    """Exact containment: ``|ci - co| + ri <= ro`` and every outer exclusion
-    inside the inner ball is excluded there too."""
-    if outer.x_index != inner.x_index:
-        return False
-    co, ci, ro, ri = outer.center, inner.center, outer.radius, inner.radius
-    cod, cid, rod, rid = co.denominator, ci.denominator, ro.denominator, ri.denominator
-    gap = abs(ci.numerator * cod - co.numerator * cid) * rod * rid
-    if gap + ri.numerator * rod * cod * cid > ro.numerator * rid * cod * cid:
-        return False
-    return all(e in inner.excluded for e in outer.excluded if in_interval(e[0], ci, ri))
-
-
 _XQ_CACHE_SIZE = 4096
 
 # The (natural, rational) pair of a block index.  One bounded cache shared by
 # every construction, so answering queries on ever new blocks cannot grow it.
 _xq = functools.lru_cache(maxsize=_XQ_CACHE_SIZE)(pair_encode)
+
+
+def _z(block: int, elem: int = 0):
+    """The pair-system image (natural, rational, level) of an element of a finite block."""
+    x, q = _xq(block)
+    return (x, q, elem)
+
 
 _BALL_OPENS = (Ball, ExtPt)
 
@@ -706,14 +670,6 @@ class ExtendPairs(InfOrSingleton):
         if not spec.fin.cyclic:
             raise ValueError(f"{self.kind} needs a cyclically repeating finite-block family")
 
-    def _z(self, p: PointAddr):
-        x, q = _xq(p.block)
-        return (x, q, p.elem)
-
-    def _r1_image(self, j: int):
-        x, q = _xq(j)
-        return (x, q, 0)
-
     def _wrap(self, p, ball):
         if p.elem <= 1:
             return Ball(ball)
@@ -723,11 +679,7 @@ class ExtendPairs(InfOrSingleton):
         if p.cls is not _F or q.cls is not _F:
             return InfOrSingleton._witness_opens(self, p, q)
         (x1, q1), (x2, q2) = _xq(p.block), _xq(q.block)
-        if x1 != x2:
-            d = _ONE
-        else:  # |q1 - q2| / 2, positive because the blocks differ
-            d1, d2 = q1.denominator, q2.denominator
-            d = Fraction(abs(q1.numerator * d2 - q2.numerator * d1), 2 * d1 * d2)
+        d = _ONE if x1 != x2 else separating_radius(q1, q2)  # positive because the blocks differ
         b1, b2 = RationalBall._unchecked(x1, q1, d, _NO_EXCL), RationalBall._unchecked(x2, q2, d, _NO_EXCL)
         return self._wrap(p, b1), self._wrap(q, b2)
 
@@ -737,11 +689,11 @@ class ExtendPairs(InfOrSingleton):
         if p.cls is not _F:
             return False
         if isinstance(o, Ball):
-            return p.elem <= 1 and ball_member(o.ball, self._z(p))
+            return p.elem <= 1 and ball_member(o.ball, _z(p.block, p.elem))
         if p.elem >= 2:
             return p.block == o.block and p.elem == o.elem
         # the anchor's level-0 image is (o.block, 0) itself: the pairing is a bijection
-        return (p.block, p.elem) != (o.block, 0) and ball_member(o.ball, self._z(p))
+        return (p.block, p.elem) != (o.block, 0) and ball_member(o.ball, _z(p.block, p.elem))
 
     def _disjoint(self, o1, o2):
         b1, b2 = isinstance(o1, _BALL_OPENS), isinstance(o2, _BALL_OPENS)
@@ -771,7 +723,7 @@ class ExtendPairs(InfOrSingleton):
             return InfOrSingleton._sample_open(self, p, rng, bounds)
         size = self.spec.fin.size_of(p.block)
         if p.elem >= 2:
-            ball = _sample_ball(self._r1_image(p.block), rng)
+            ball = _sample_ball(_z(p.block), rng)
             return ExtPt(p.block, p.elem, ball)
         if p.elem == 1 and size >= 3 and rng.random() < 0.3:
             # an extension open of the same block also contains this point
@@ -779,17 +731,17 @@ class ExtendPairs(InfOrSingleton):
             k = rng.randrange(2, size)
             rad = _RADII[rng.randrange(2)]
             return ExtPt(p.block, k, RationalBall._unchecked(x, qc, rad, _NO_EXCL))
-        return Ball(_sample_ball(self._z(p), rng))
+        return Ball(_sample_ball(_z(p.block, p.elem), rng))
 
     def _refine(self, o1, o2, p):
         if not isinstance(o1, _BALL_OPENS):
             return InfOrSingleton._refine(self, o1, o2, p)
         e1, e2 = isinstance(o1, ExtPt), isinstance(o2, ExtPt)
         if e1 and e2 and (o1.block, o1.elem) == (o2.block, o2.elem) and p.elem >= 2:
-            nb = _refine_balls(o1.ball, o2.ball, self._r1_image(o1.block))
+            nb = ball_refine(o1.ball, o2.ball, _z(o1.block))
             return ExtPt(o1.block, o1.elem, nb)
         extra = {(_xq(o.block)[1], 0) for o in (o1, o2) if isinstance(o, ExtPt)}  # their level-0 images
-        nb = _refine_balls(o1.ball, o2.ball, self._z(p), extra_excluded=extra)
+        nb = ball_refine(o1.ball, o2.ball, _z(p.block, p.elem), extra_excluded=extra)
         return Ball(nb)
 
     def _contains(self, outer, inner):
@@ -801,11 +753,11 @@ class ExtendPairs(InfOrSingleton):
         if isinstance(inner, ExtPt):
             if not isinstance(outer, ExtPt):
                 return False  # the anchor point never lies in a plain ball open
-            return (inner.block, inner.elem) == (outer.block, outer.elem) and _ball_contains(outer.ball, inner.ball)
+            return (inner.block, inner.elem) == (outer.block, outer.elem) and ball_contains(outer.ball, inner.ball)
         if isinstance(outer, ExtPt):
-            r1 = self._r1_image(outer.block)
-            return _ball_contains(outer.ball, inner.ball) and not ball_member(inner.ball, r1)
-        return _ball_contains(outer.ball, inner.ball)
+            r1 = _z(outer.block)
+            return ball_contains(outer.ball, inner.ball) and not ball_member(inner.ball, r1)
+        return ball_contains(outer.ball, inner.ball)
 
 
 class PairBlocks(ExtendPairs):

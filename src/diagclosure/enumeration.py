@@ -33,6 +33,7 @@ in row-major order.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -407,6 +408,7 @@ def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, worker
 
 
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
+_CODE = re.compile(r"0|[1-9a-f][0-9a-f]*")  # a code as format(v, "x") writes it
 
 
 def _flag(v: bool) -> str:
@@ -428,7 +430,8 @@ def render_catalog(cat: Catalog) -> str:
 def read_catalog(text: str) -> Catalog:
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != _HEADER:
-        raise ValueError("bad catalog header")
+        lineno, ln = lines[0] if lines else (1, "")
+        raise SpecSyntaxError(f"bad catalog header at line {lineno}: {ln!r}")
     records = []
     totals = (0, 0)
     for lineno, ln in lines[1:]:
@@ -438,9 +441,10 @@ def read_catalog(text: str) -> Catalog:
                 totals = (int(parts["total_topologies"]), int(parts["total_t0"]))
                 continue
             n_s, rel, lab, t0c, trans, equiv, example = ln.split("\t")
-            records.append(
-                CatalogRecord(int(n_s), rel, int(lab), int(t0c), trans == "true", equiv == "true", example)
-            )
+            rec = CatalogRecord(int(n_s), rel, int(lab), int(t0c), trans == "true", equiv == "true", example)
+            if (records and rec.n != records[0].n) or not (_CODE.fullmatch(rel) and _CODE.fullmatch(example)):
+                raise ValueError("a point count unlike the first row's, or a code that is not lowercase hex")
+            records.append(rec)
         except (ValueError, KeyError) as exc:
             raise SpecSyntaxError(f"bad catalog line {lineno}: {ln!r}") from exc
     n = records[0].n if records else 0

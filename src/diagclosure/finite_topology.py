@@ -180,18 +180,25 @@ def _unions(n: int, neighborhoods: Iterable[int]) -> FiniteTopology:
     return FiniteTopology(n, opens, validate=False)
 
 
+def _neighborhoods(n: int, masks: Iterable[int]) -> list[int]:
+    """For each point, the intersection of the given sets that contain it."""
+    mins = [(1 << n) - 1] * n
+    for o in masks:
+        m = o
+        while m:
+            low = m & -m
+            mins[low.bit_length() - 1] &= o
+            m ^= low
+    return mins
+
+
 def generate_from_subbasis(n: int, sets: Iterable[Iterable[int] | int]) -> FiniteTopology:
     """Smallest topology containing the given sets."""
-    full = (1 << n) - 1
+    masks = [s if isinstance(s, int) else _mask(s) for s in sets]
+    if any(m >> n for m in masks):
+        raise ValueError("subbasis set outside the ground set")
     # the minimal neighborhood of x is the intersection of the sets containing it
-    mins = [full] * n
-    for s in sets:
-        m = s if isinstance(s, int) else _mask(s)
-        if m & ~full:
-            raise ValueError("subbasis set outside the ground set")
-        for x in _mask_points(m):
-            mins[x] &= m
-    return _unions(n, mins)
+    return _unions(n, _neighborhoods(n, masks))
 
 
 def topology_of_preorder(p: Preorder) -> FiniteTopology:
@@ -203,14 +210,7 @@ def topology_of_preorder(p: Preorder) -> FiniteTopology:
 def minimal_neighborhoods(t: FiniteTopology) -> list[int]:
     """Intersection of all opens containing each point (open on finite sets)."""
     if t._mins is None:
-        mins = [(1 << t.n) - 1] * t.n
-        for o in t.opens:
-            m = o
-            while m:
-                low = m & -m
-                mins[low.bit_length() - 1] &= o
-                m ^= low
-        t._mins = tuple(mins)
+        t._mins = tuple(_neighborhoods(t.n, t.opens))
     return list(t._mins)
 
 

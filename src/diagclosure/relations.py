@@ -11,6 +11,7 @@ and ``omega`` stands for countable infinity throughout.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import IntEnum
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 
+@functools.total_ordering
 class Count:
     """A natural number or omega (countably infinite).
 
@@ -113,21 +115,6 @@ class Count:
         if v is None:
             return True
         return self.value < v
-
-    def __le__(self, other):
-        eq = self.__eq__(other)
-        lt = self.__lt__(other)
-        if eq is NotImplemented or lt is NotImplemented:
-            return NotImplemented
-        return eq or lt
-
-    def __gt__(self, other):
-        le = self.__le__(other)
-        return NotImplemented if le is NotImplemented else not le
-
-    def __ge__(self, other):
-        lt = self.__lt__(other)
-        return NotImplemented if lt is NotImplemented else not lt
 
     def __hash__(self):
         return hash(self.value)

@@ -4,9 +4,10 @@ Everything here is exact: residue-class subsets of the naturals, rational
 balls with finitely many excluded points, and a fixed bijection between the
 naturals and (natural, rational) pairs.  Rationals are stored as
 ``fractions.Fraction`` values (unbounded integers, always reduced); the alias
-:data:`Rational` names that choice in signatures.  Ball membership,
-disjointness and containment are decided on the fractions' own numerators
-and denominators by cross-multiplication, so no comparison builds a
+:data:`Rational` names that choice in signatures.  This module owns all ball
+arithmetic (member, disjoint, contains, refine, separating radius): one
+integer primitive, ``_excess``, decides every comparison of a distance with a
+radius by cross-multiplying numerators and denominators, so none builds a
 ``Fraction``.  ``RationalBall._unchecked`` skips the constructor's checks for
 balls whose invariants the caller has just established; it is internal to
 the package, and the public ``RationalBall(...)`` validates every input.
@@ -22,8 +23,10 @@ __all__ = [
     "Rational",
     "RationalBall",
     "ResidueClassSet",
+    "ball_contains",
     "ball_disjoint",
     "ball_member",
+    "ball_refine",
     "cantor_pair",
     "cantor_unpair",
     "format_rational",
@@ -34,6 +37,7 @@ __all__ = [
     "rational_at",
     "rational_index",
     "residues_disjoint",
+    "separating_radius",
 ]
 
 Rational = Fraction
@@ -130,25 +134,38 @@ class RationalBall:
     def __hash__(self):
         return hash((self.x_index, self.center, self.radius, self.excluded))
 
-    def render(self) -> str:
+    def render_args(self) -> str:
+        """The fields as ``x=..,q=..,d=..,excl=[..]``, exclusions sorted."""
         excl = ",".join(f"({format_rational(q)},{level})" for q, level in sorted(self.excluded))
-        return (
-            f"ball(x={self.x_index},q={format_rational(self.center)},"
-            f"d={format_rational(self.radius)},excl=[{excl}])"
-        )
+        return f"x={self.x_index},q={format_rational(self.center)},d={format_rational(self.radius)},excl=[{excl}]"
+
+    def render(self) -> str:
+        return f"ball({self.render_args()})"
 
     __repr__ = render
 
 
+def _excess(a: Fraction, b: Fraction, rn: int, rd: int) -> int:
+    """``|a - b| - rn/rd`` scaled by the positive ``a.denominator * b.denominator * rd``;
+    its sign decides every comparison of a distance with a radius."""
+    ad, bd = a.denominator, b.denominator
+    return abs(a.numerator * bd - b.numerator * ad) * rd - rn * ad * bd
+
+
 def in_interval(q: Fraction, center: Fraction, radius: Fraction) -> bool:
     """``|q - center| < radius``, decided in integers."""
-    qd, cd = q.denominator, center.denominator
-    return abs(q.numerator * cd - center.numerator * qd) * radius.denominator < radius.numerator * qd * cd
+    return _excess(q, center, radius.numerator, radius.denominator) < 0
+
+
+def separating_radius(q1: Fraction, q2: Fraction) -> Fraction:
+    """``|q1 - q2| / 2``: balls of this radius around q1 and q2 are disjoint."""
+    return Fraction(_excess(q1, q2, 0, 1), 2 * q1.denominator * q2.denominator)
 
 
 def ball_member(b: RationalBall, point: tuple[int, Fraction, int]) -> bool:
     x, q, level = point
-    if x != b.x_index or not in_interval(q, b.center, b.radius):
+    r = b.radius
+    if x != b.x_index or _excess(q, b.center, r.numerator, r.denominator) >= 0:
         return False
     for e, lev in b.excluded:  # a scan of the few exclusions: hashing a Fraction costs more
         if lev == level and e == q:
@@ -164,10 +181,44 @@ def ball_disjoint(b1: RationalBall, b2: RationalBall) -> bool:
     """
     if b1.x_index != b2.x_index:
         return True
-    c1, c2, r1, r2 = b1.center, b2.center, b1.radius, b2.radius
-    cd1, cd2, rd1, rd2 = c1.denominator, c2.denominator, r1.denominator, r2.denominator
-    gap = abs(c1.numerator * cd2 - c2.numerator * cd1) * rd1 * rd2
-    return gap >= (r1.numerator * rd2 + r2.numerator * rd1) * cd1 * cd2
+    r1, r2 = b1.radius, b2.radius
+    rd1, rd2 = r1.denominator, r2.denominator
+    return _excess(b1.center, b2.center, r1.numerator * rd2 + r2.numerator * rd1, rd1 * rd2) >= 0
+
+
+def ball_contains(outer: RationalBall, inner: RationalBall) -> bool:
+    """Exact containment: ``|ci - co| + ri <= ro`` and every outer exclusion
+    inside the inner ball is excluded there too."""
+    if outer.x_index != inner.x_index:
+        return False
+    ro, ri = outer.radius, inner.radius
+    rod, rid = ro.denominator, ri.denominator
+    if _excess(inner.center, outer.center, ro.numerator * rid - ri.numerator * rod, rod * rid) > 0:
+        return False
+    return all(e in inner.excluded for e in outer.excluded if in_interval(e[0], inner.center, ri))
+
+
+def _room(b: RationalBall, q: Fraction) -> tuple[int, int]:
+    """``b.radius - |q - b.center|`` as an unreduced (numerator, denominator) pair."""
+    r = b.radius
+    return -_excess(q, b.center, r.numerator, r.denominator), q.denominator * b.center.denominator * r.denominator
+
+
+def ball_refine(b1: RationalBall, b2: RationalBall, z, extra_excluded=()) -> RationalBall:
+    """A ball around z inside both arguments, inheriting relevant exclusions."""
+    x, q, level = z
+    (n1, d1), (n2, d2) = _room(b1, q), _room(b2, q)
+    num, den = (n1, d1) if n1 * d2 <= n2 * d1 else (n2, d2)
+    if num <= 0:
+        raise ValueError("radius must be positive")
+    rad = Fraction(num, den)
+    excl = {e for e in b1.excluded | b2.excluded if in_interval(e[0], q, rad)}
+    for e in extra_excluded:
+        if e == (q, level):
+            raise ValueError("refine point is excluded by the outer set")
+        if in_interval(e[0], q, rad):
+            excl.add(e)
+    return RationalBall._unchecked(x, q, rad, frozenset(excl))
 
 
 # --- fixed bijection between the naturals and (natural, rational) pairs ---

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .constructions import Construction, check_certificate
 from .enumeration import enumerate_preorders
@@ -58,22 +58,6 @@ __all__ = [
 
 _S, _F, _I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 
-_REPORT_FIELDS = (
-    "spec",
-    "construction",
-    "pairs_checked",
-    "mismatches",
-    "certificates_checked",
-    "certificate_failures",
-    "t1_checks",
-    "t1_failures",
-    "basis_checks",
-    "basis_failures",
-    "seed",
-    "bounds",
-)
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     """Counters of one verification run; all failure counters must be zero.
@@ -104,15 +88,17 @@ class VerifyReport:
         )
 
     def _items(self):
-        for name in _REPORT_FIELDS:
-            value = getattr(self, name)
-            if name == "bounds":
+        """(name, value) in field order; the order is part of the text and JSON output."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "bounds":
                 value = f"{value[0]},{value[1]}"
-            yield name, value
+            yield f.name, value
 
     def render_text(self) -> str:
-        width = max(len(name) for name in _REPORT_FIELDS) + 2
-        return "\n".join(f"{name:<{width}}{value}" for name, value in self._items())
+        items = list(self._items())
+        width = max(len(name) for name, _ in items) + 2
+        return "\n".join(f"{name:<{width}}{value}" for name, value in items)
 
     def render_json_line(self) -> str:
         return json.dumps(dict(self._items()))

@@ -253,12 +253,19 @@ def test_read_catalog_names_the_malformed_line():
         (2, "2\t0\t1\t1\ttrue\ttrue"),  # a column missing
         (3, "2\t1\tthree\t2\ttrue\ttrue\t2"),  # a count that is no integer
         (4, "# total_topologies=4"),  # a total missing
+        (1, "n\trelation"),  # a bad header
+        (3, "3\t1\t1\t1\ttrue\ttrue\t3"),  # a point count unlike the first row's
+        (2, "2\tzz\t1\t1\ttrue\ttrue\t0"),  # a relation code that is not hex
+        (2, "2\t0\t1\t1\ttrue\ttrue\t0F"),  # an example code in upper case
+        (3, "2\t01\t2\t2\ttrue\ttrue\t2"),  # a code with a leading zero
     )
     for lineno, row in bad_rows:
         lines = list(good)
         lines[lineno - 1] = row
         with pytest.raises(SpecSyntaxError, match=f"line {lineno}:"):
             read_catalog("\n".join(lines))
+    with pytest.raises(SpecSyntaxError, match="line 1:"):
+        read_catalog("")
 
 
 def test_negative_point_count_refused():

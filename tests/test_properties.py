@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import signal
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diagclosure.cli import main
-from diagclosure.constructions import _ball_contains, _refine_balls
 from diagclosure.enumeration import (
     Catalog,
     CatalogRecord,
@@ -37,7 +37,15 @@ from diagclosure.relations import (
     parse_point,
     parse_spec,
 )
-from diagclosure.symbolic_sets import RationalBall, ball_disjoint, ball_member, in_interval
+from diagclosure.symbolic_sets import (
+    RationalBall,
+    ball_contains,
+    ball_disjoint,
+    ball_member,
+    ball_refine,
+    in_interval,
+    separating_radius,
+)
 
 PREORDERS = {}
 for _n in range(5):
@@ -164,6 +172,7 @@ def test_ball_disjoint_matches_fractions(c1, r1, c2, r2, mode, sign, x2):
     b1, b2 = RationalBall(0, c1, r1), RationalBall(x2, c2, r2)
     expected = x2 != 0 or abs(c1 - c2) >= r1 + r2
     assert ball_disjoint(b1, b2) == ball_disjoint(b2, b1) == expected
+    assert separating_radius(c1, c2) == separating_radius(c2, c1) == abs(c1 - c2) / 2
 
 
 @st.composite
@@ -195,7 +204,7 @@ def test_ball_contains_matches_fractions(balls):
         and abs(inner.center - outer.center) + inner.radius <= outer.radius
         and all(e in inner.excluded for e in outer.excluded if abs(e[0] - inner.center) < inner.radius)
     )
-    assert _ball_contains(outer, inner) == expected
+    assert ball_contains(outer, inner) == expected
 
 
 @given(c1=rationals, r1=radii, c2=rationals, r2=radii, t=st.fractions(min_value=0, max_value=1, max_denominator=12))
@@ -204,20 +213,35 @@ def test_refined_radius_matches_fractions(c1, r1, c2, r2, t):
     assume(lo < hi)
     q = lo + t * (hi - lo)
     assume(lo < q < hi)  # a common point of both balls
-    b = _refine_balls(RationalBall(0, c1, r1), RationalBall(0, c2, r2), (0, q, 0))
+    b = ball_refine(RationalBall(0, c1, r1), RationalBall(0, c2, r2), (0, q, 0))
     assert b.radius == min(r1 - abs(q - c1), r2 - abs(q - c2))
     assert b.center == q and b.excluded == frozenset()
 
 
 # --- the command line never ends in a traceback ---
 
+_CALL_SECONDS = 20
+
+
+def _overrun(signum, frame):
+    # pytest.fail raises an exception that no handler of the CLI catches
+    pytest.fail(f"a CLI call ran over {_CALL_SECONDS} s")
+
+
 def _exit_code(argv):
+    """The exit code of ``main(argv)``; a call that runs over the bound fails the test (SIGALRM, POSIX only)."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            return main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            return exc.code
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.alarm(_CALL_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                return main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                return exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _digits(max_value):
