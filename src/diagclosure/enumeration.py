@@ -1,10 +1,14 @@
 """Exhaustive enumeration of topologies on n labeled points, via preorders.
 
 Finite topologies correspond one-to-one to preorders.  There is one
-enumerator of preorders: a depth-first assignment of rows with incremental
-transitivity pruning, delivering matrices in ascending row-major bit order,
-optionally with an upper bound on each row.  A brute-force scan over all
-set families backs it for tiny n.
+enumerator of preorders: a depth-first assignment of rows (row i is the
+up-set of point i, as a bitmask), delivering matrices in ascending
+row-major bit order, optionally with an upper bound on each row.  Each
+candidate row m for point i passes two mask tests against the rows already
+placed: m lies inside their intersection over the earlier rows that
+contain i (computed once per node), and every earlier row j that m
+contains lies inside m.  Together they make the finished matrix
+transitive.  A brute-force scan over all set families backs it for tiny n.
 
 A catalog counts the labelled topologies per closure relation without
 visiting them one by one.  Call the points of the maximal classes of a
@@ -22,8 +26,11 @@ preorder (Q the identity) is a subset of every other preorder in it, so it
 comes first in delivery order and is the configuration's example.  The
 catalog up to isomorphism is a fold of the finished labelled counts: each
 orbit under point permutations is canonicalised once and its members are
-merged under the orbit minimum.  Every record keeps as its example the
-preorder delivered first.
+merged under the orbit minimum.  A relabelling moves relation bits, not
+rows: one table per permutation of n points, built once per n, maps each
+upper-triangle cell to the bit it moves to, and the image of a code is the
+sum of the table entries of its set cells.  Every record keeps as its
+example the preorder delivered first.
 
 Relation codes render the strict upper triangle as lowercase hex: pairs
 (i, j) with i < j in lexicographic order, first pair in the least
@@ -37,7 +44,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
 from .finite_topology import Preorder, closure_rows
@@ -61,7 +68,8 @@ __all__ = [
 
 SOFT_LIMIT = 7
 
-_candidates_cache: dict[int, list[tuple[int, ...]]] = {}
+_candidates_cache: dict[int, list[tuple[tuple[int, tuple[int, ...]], ...]]] = {}
+_tables_cache: dict[int, list[list[int]]] = {}
 
 
 def _check_size(n: int) -> None:
@@ -69,8 +77,9 @@ def _check_size(n: int) -> None:
         raise InvalidSizeError(f"number of points must be >= 0, got {n}")
 
 
-def _row_candidates(n: int) -> list[tuple[int, ...]]:
-    """Per-row candidate up-set masks, sorted by column-order bit string."""
+def _row_candidates(n: int) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
+    """Per-row candidate up-set masks, sorted by column-order bit string,
+    each with its set bits below the row."""
     _check_size(n)
     cached = _candidates_cache.get(n)
     if cached is not None:
@@ -79,7 +88,7 @@ def _row_candidates(n: int) -> list[tuple[int, ...]]:
     for i in range(n):
         masks = [m for m in range(1 << n) if m >> i & 1]
         masks.sort(key=lambda m: tuple(m >> j & 1 for j in range(n)))
-        out.append(tuple(masks))
+        out.append(tuple((m, tuple(j for j in range(i) if m >> j & 1)) for m in masks))
     _candidates_cache[n] = out
     return out
 
@@ -88,30 +97,44 @@ def _iter_rows(n: int, bounds=None) -> Iterator[tuple[int, ...]]:
     """All preorder row tuples on n points, ascending row-major bit order.
 
     With ``bounds``, only the preorders whose row i lies inside ``bounds[i]``.
+    Row i = m fits the earlier rows iff m lies inside every earlier row that
+    contains i, and every earlier row j in m lies inside m.
     """
     if n == 0:
         yield ()
         return
     candidates = _row_candidates(n)
     if bounds is not None:
-        candidates = [[m for m in cands if not m & ~b] for cands, b in zip(candidates, bounds)]
+        candidates = [[c for c in cands if not c[0] & ~b] for cands, b in zip(candidates, bounds)]
     rows: list[int] = []
+    last = n - 1
+
+    def fitting(i: int) -> list[int]:
+        upper = -1
+        for r in rows:
+            if r >> i & 1:
+                upper &= r
+        out = []
+        for m, below in candidates[i]:
+            if m & ~upper:
+                continue
+            for j in below:
+                if rows[j] & ~m:
+                    break
+            else:
+                out.append(m)
+        return out
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(rows)
+        if i == last:
+            prefix = tuple(rows)
+            for m in fitting(i):
+                yield prefix + (m,)
             return
-        for m in candidates[i]:
-            ok = True
-            for j in range(i):
-                rj = rows[j]
-                if (m >> j & 1 and rj & ~m) or (rj >> i & 1 and m & ~rj):
-                    ok = False
-                    break
-            if ok:
-                rows.append(m)
-                yield from rec(i + 1)
-                rows.pop()
+        for m in fitting(i):
+            rows.append(m)
+            yield from rec(i + 1)
+            rows.pop()
 
     yield from rec(0)
 
@@ -183,14 +206,39 @@ def _preorder_bits(rows, n: int) -> int:
     return code
 
 
-def _orbit(rows, n: int) -> Iterator[int]:
-    """Relation bits of every relabelling of the relation ``rows``."""
-    points = [[k for k in range(n) if r >> k & 1] for r in rows]
-    for sigma in permutations(range(n)):
-        bit = [0] * n
+def _relabel_tables(n: int) -> Iterable[list[int]]:
+    """One table per point permutation, in ``permutations`` order: the
+    relation bit each upper-triangle cell moves to.
+
+    Kept per n up to the soft limit; above it (over 40,000 tables) they are
+    built afresh on every call, so memory stays bounded.
+    """
+    cached = _tables_cache.get(n)
+    if cached is not None:
+        return cached
+    cells = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    bit = {}
+    for t, (a, b) in enumerate(cells):
+        bit[a, b] = bit[b, a] = 1 << t
+
+    def table(sigma: tuple[int, ...]) -> list[int]:
+        new = [0] * n
         for j, s in enumerate(sigma):
-            bit[s] = 1 << j  # old point s becomes point j
-        yield _relation_bits([sum([bit[k] for k in points[s]]) for s in sigma], n)
+            new[s] = j  # old point s becomes point j
+        return [bit[new[a], new[b]] for a, b in cells]
+
+    tables = map(table, permutations(range(n)))
+    if n > SOFT_LIMIT:
+        return tables
+    cached = _tables_cache[n] = list(tables)
+    return cached
+
+
+def _orbit(code: int, n: int) -> Iterator[int]:
+    """Relation bits of every relabelling of the relation with bits ``code``."""
+    cells = [t for t in range(n * (n - 1) // 2) if code >> t & 1]
+    for table in _relabel_tables(n):
+        yield sum([table[t] for t in cells])
 
 
 def relation_code(r: FiniteRelation) -> str:
@@ -200,7 +248,7 @@ def relation_code(r: FiniteRelation) -> str:
 
 def canonical_code(r: FiniteRelation) -> str:
     """Minimum relation code over all point permutations."""
-    return format(min(_orbit(r.rows, r.n)), "x")
+    return format(min(_orbit(_relation_bits(r.rows, r.n), r.n)), "x")
 
 
 def decode_relation(code: str, n: int) -> FiniteRelation:
@@ -338,9 +386,8 @@ def _fold_orbits(counts: dict[int, list], n: int) -> dict[int, list]:
     for code, entry in counts.items():
         canon = canon_of.get(code)
         if canon is None:
-            rel = decode_relation(format(code, "x"), n)
-            canon = int(canonical_code(rel), 16)
-            canon_of.update(dict.fromkeys(_orbit(rel.rows, n), canon))
+            canon = int(canonical_code(decode_relation(format(code, "x"), n)), 16)
+            canon_of.update(dict.fromkeys(_orbit(code, n), canon))
         _merge(folded, canon, entry, n)
     return folded
 
@@ -409,10 +456,18 @@ def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, worker
 
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
 _CODE = re.compile(r"0|[1-9a-f][0-9a-f]*")  # a code as format(v, "x") writes it
+_FLAGS = {"true": True, "false": False}
 
 
 def _flag(v: bool) -> str:
     return "true" if v else "false"
+
+
+def _count(s: str) -> int:
+    v = int(s)
+    if v < 0:
+        raise ValueError(f"negative count {s!r}")
+    return v
 
 
 def render_catalog(cat: Catalog) -> str:
@@ -437,11 +492,14 @@ def read_catalog(text: str) -> Catalog:
     for lineno, ln in lines[1:]:
         try:
             if ln.startswith("#"):
-                parts = dict(item.split("=", 1) for item in ln[1:].split())
-                totals = (int(parts["total_topologies"]), int(parts["total_t0"]))
+                items = [item.split("=", 1) for item in ln[1:].split()]
+                if sorted(key for key, _ in items) != ["total_t0", "total_topologies"]:
+                    raise ValueError("a totals line needs exactly total_topologies and total_t0")
+                parts = dict(items)
+                totals = (_count(parts["total_topologies"]), _count(parts["total_t0"]))
                 continue
             n_s, rel, lab, t0c, trans, equiv, example = ln.split("\t")
-            rec = CatalogRecord(int(n_s), rel, int(lab), int(t0c), trans == "true", equiv == "true", example)
+            rec = CatalogRecord(_count(n_s), rel, _count(lab), _count(t0c), _FLAGS[trans], _FLAGS[equiv], example)
             if (records and rec.n != records[0].n) or not (_CODE.fullmatch(rel) and _CODE.fullmatch(example)):
                 raise ValueError("a point count unlike the first row's, or a code that is not lowercase hex")
             records.append(rec)

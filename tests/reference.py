@@ -1,15 +1,20 @@
 """Reference enumerations the tests check the production code against.
 
 ``count_preorders_by_extension`` grows preorders one point at a time, a
-strategy independent of the row-by-row DFS.  ``build_catalog`` sums over
-configurations and never visits most preorders; ``reference_catalogs``
-visits every preorder the DFS delivers, takes its closure and keeps the
-first example met, so it checks the counting argument, the T0 rule and the
-example rule independently.
+strategy independent of the row-by-row DFS.  ``preorders_by_filter`` keeps
+the transitive tuples among all tuples of reflexive rows, with no pruning.
+``relabelled_codes`` permutes the points of a decoded relation one by one.
+``build_catalog`` sums over configurations and never visits most preorders;
+``reference_catalogs`` visits every preorder the DFS delivers, takes its
+closure and keeps the first example met, so it checks the counting
+argument, the T0 rule and the example rule independently.
 """
 
-from diagclosure.enumeration import _catalog, _iter_rows, _preorder_bits, _relation_bits
+from itertools import permutations, product
+
+from diagclosure.enumeration import _catalog, _iter_rows, _preorder_bits, _relation_bits, decode_relation, relation_code
 from diagclosure.finite_topology import closure_rows
+from diagclosure.relations import FiniteRelation
 
 
 def _iter_by_extension(n: int):
@@ -63,6 +68,39 @@ def _iter_by_extension(n: int):
 def count_preorders_by_extension(n: int) -> int:
     """Preorder count by the extension strategy; cross-check for the DFS."""
     return sum(1 for _ in _iter_by_extension(n))
+
+
+def preorders_by_filter(n: int, bounds=None) -> list[tuple[int, ...]]:
+    """Every transitive tuple of reflexive rows, row i inside ``bounds[i]``,
+    ascending by the row-major bit string."""
+    if bounds is None:
+        bounds = [(1 << n) - 1] * n
+    choices = [[m for m in range(1 << n) if m >> i & 1 and not m & ~b] for i, b in enumerate(bounds)]
+
+    def transitive(rows):
+        # i <= j and j <= k give i <= k
+        return all(
+            rows[i] >> k & 1
+            for i in range(n)
+            for j in range(n)
+            if rows[i] >> j & 1
+            for k in range(n)
+            if rows[j] >> k & 1
+        )
+
+    found = [rows for rows in product(*choices) if transitive(rows)]
+    return sorted(found, key=lambda rows: "".join(str(r >> j & 1) for r in rows for j in range(n)))
+
+
+def relabelled_codes(code: int, n: int) -> list[int]:
+    """Relation bits of every relabelling of the relation with bits ``code``,
+    new point j being old point sigma[j], in ``permutations`` order."""
+    pairs = list(decode_relation(format(code, "x"), n).pairs())
+    out = []
+    for sigma in permutations(range(n)):
+        new = {s: j for j, s in enumerate(sigma)}
+        out.append(int(relation_code(FiniteRelation.from_pairs(n, [(new[a], new[b]) for a, b in pairs])), 16))
+    return out
 
 
 def accumulate(n: int, t0_only: bool):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from reference import count_preorders_by_extension, reference_catalogs
+from reference import count_preorders_by_extension, preorders_by_filter, reference_catalogs, relabelled_codes
 
 from diagclosure.enumeration import (
     Catalog,
@@ -62,6 +62,14 @@ def test_delivery_is_each_exactly_once_and_ordered():
     assert len(set(seen3)) == 29
 
 
+def test_dfs_matches_a_brute_force_filter():
+    from diagclosure.enumeration import _iter_rows
+
+    for n in range(5):
+        assert list(_iter_rows(n)) == preorders_by_filter(n)
+    assert list(_iter_rows(3, [0b001, 0b101, 0b011])) == []  # row 2's bound misses point 2
+
+
 def test_soft_limit_warns():
     class _Stop(Exception):
         pass
@@ -106,6 +114,21 @@ def test_code_examples():
     r01 = FiniteRelation.from_pairs(3, [(0, 1), (1, 0)])
     assert relation_code(r02) != relation_code(r01)
     assert canonical_code(r02) == canonical_code(r01)
+
+
+def test_orbit_matches_direct_relabelling():
+    from diagclosure.enumeration import _orbit, _tables_cache
+
+    rng = random.Random(23)
+    cases = [(n, code) for n in range(5) for code in range(1 << (n * (n - 1) // 2))]
+    cases += [(n, rng.randrange(1 << (n * (n - 1) // 2))) for n in (5, 6) for _ in range(12)]
+    for n, code in cases:
+        direct = relabelled_codes(code, n)
+        assert list(_orbit(code, n)) == direct, (n, code)
+        assert canonical_code(decode_relation(format(code, "x"), n)) == format(min(direct), "x")
+    # above the soft limit the tables are built per call and not kept
+    assert canonical_code(FiniteRelation.from_pairs(8, [(3, 7), (7, 3)])) == "1"
+    assert 8 not in _tables_cache
 
 
 def test_relation_code_round_trip():
@@ -258,6 +281,15 @@ def test_read_catalog_names_the_malformed_line():
         (2, "2\tzz\t1\t1\ttrue\ttrue\t0"),  # a relation code that is not hex
         (2, "2\t0\t1\t1\ttrue\ttrue\t0F"),  # an example code in upper case
         (3, "2\t01\t2\t2\ttrue\ttrue\t2"),  # a code with a leading zero
+        (2, "2\t0\t1\t1\tyes\tbanana\t0"),  # flags other than true/false
+        (3, "2\t1\t3\t2\ttrue\tTrue\t2"),  # a flag in another case
+        (2, "-2\t0\t-1\t-1\ttrue\ttrue\t0"),  # a negative point count, blamed on its own line
+        (3, "2\t1\t-3\t2\ttrue\ttrue\t2"),  # a negative topology count
+        (3, "2\t1\t3\t-2\ttrue\ttrue\t2"),  # a negative T0 count
+        (4, "# total_topologies=-4 total_t0=3"),  # a negative total
+        (4, "# total_topologies=4 total_t0=3 extra=1"),  # a key besides the two totals
+        (4, "# total_topologies=4 total_t0=3 total_t0=3"),  # a total given twice
+        (4, "# total_topologies=4 total_t0"),  # an item without a value
     )
     for lineno, row in bad_rows:
         lines = list(good)
