@@ -279,19 +279,27 @@ class Construction:
     def __init__(self, spec: Optional[PartitionSpec]):
         self.spec = spec
         if spec is not None:
+            self._valid = spec.valid_addr  # bound once: every query checks its points
             present = ((_S, spec.singletons.value != 0), (_F, not spec.fin.is_empty), (_I, spec.inf.value != 0))
             foreign = [cls.name.lower() for cls, here in present if here and cls not in self._domain]
             if foreign:
                 raise ValueError(f"{self.kind} does not cover the {'/'.join(foreign)} blocks of {spec.render()}")
 
-    # -- plumbing --
+    # -- plumbing: one ``_valid`` call per point; ``_reject`` only raises --
 
-    def _check_point(self, p):
+    def _reject(self, p):
         self.spec.check_addr(p)  # every block class of the spec lies in _domain
 
+    def _check_point(self, p):
+        if not self._valid(p):
+            self._reject(p)
+
     def _check_pair(self, p, q):
-        self._check_point(p)
-        self._check_point(q)
+        valid = self._valid
+        if not valid(p):
+            self._reject(p)
+        if not valid(q):
+            self._reject(q)
         if p == q:
             raise InvalidAddressError("query points must be distinct")
 
@@ -320,13 +328,16 @@ class Construction:
         return self._basic_nbhd(p, q)
 
     def member(self, o, p) -> bool:
-        self._check_variant(o)
-        return self._member(o, p)
+        if type(o) in self._variants:
+            return self._member(o, p)
+        self._check_variant(o)  # raises
 
     def disjoint(self, o1, o2) -> bool:
-        self._check_variant(o1)
+        variants = self._variants
+        if type(o1) in variants and type(o2) in variants:
+            return self._disjoint(o1, o2)
+        self._check_variant(o1)  # one of the two raises
         self._check_variant(o2)
-        return self._disjoint(o1, o2)
 
     def basic_nbhd(self, p, avoid=None):
         """Canonical basic open around p, excluding ``avoid`` where the family permits."""
@@ -410,7 +421,8 @@ class InfOrSingleton(Construction):
     def _member(self, o, p):
         if isinstance(o, SingletonPt):
             return o.point == p
-        return p.block_ref == o.block and p not in o.excluded
+        cls, index = o.block
+        return p.cls == cls and p.block == index and p not in o.excluded
 
     def _disjoint(self, o1, o2):
         if isinstance(o1, SingletonPt):
@@ -610,24 +622,31 @@ class FinTwoCase2(_Reservoir):
 
 _ONE = Fraction(1)
 _NO_EXCL = frozenset()
-_OFFSETS = (Fraction(0), Fraction(1, 4), Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 2))
+_OFFSETS = (0, 1, -1, 2, -2)  # centre offsets from z, in quarters
 _RADII = (Fraction(1, 2), _ONE, Fraction(3, 2))
+_HALVES = (1, 2, 3)  # the same radii, in halves
 
 
 def _sample_ball(z, rng) -> RationalBall:
+    """A ball around z with up to two exclusions, in integers: with z's rational
+    ``a/b``, offset ``o/4`` and radius ``h/2``, exclusion ``centre + (k/4) * radius``
+    is ``(8a + (2o + k*h) * b) / 8b``, inside the ball as ``|k| < 4``, and z's
+    rational iff ``2o + k*h == 0``."""
     x, qc, level = z
-    off = _OFFSETS[rng.randrange(len(_OFFSETS))]
-    rad = _RADII[rng.randrange(len(_RADII))]
-    center = qc + off
-    if not in_interval(qc, center, rad):  # the ball must hold z: 1/2 against an offset of 1/2
-        rad = _ONE
+    randrange = rng.randrange
+    off = _OFFSETS[randrange(len(_OFFSETS))]
+    r = randrange(len(_RADII))
+    half = _HALVES[r]
+    if abs(off) >= 2 * half:  # the ball must hold z: 1/2 against an offset of 1/2
+        r, half = 1, 2
+    a, b = qc.numerator, qc.denominator
     excl = set()
-    for _ in range(rng.randrange(3)):
-        cand = center + Fraction(rng.randrange(-3, 4), 4) * rad
-        lev = rng.randrange(2)
-        if in_interval(cand, center, rad) and (cand, lev) != (qc, level):
-            excl.add((cand, lev))
-    return RationalBall._unchecked(x, center, rad, frozenset(excl))
+    for _ in range(randrange(3)):
+        step = 2 * off + randrange(-3, 4) * half
+        lev = randrange(2)
+        if step or lev != level:
+            excl.add((Fraction(8 * a + step * b, 8 * b), lev))
+    return RationalBall._unchecked(x, Fraction(4 * a + off * b, 4 * b), _RADII[r], frozenset(excl))
 
 
 _XQ_CACHE_SIZE = 4096
@@ -811,10 +830,12 @@ class T0Sat(Construction):
         return PointAddr(ref.cls, ref.index, 0)
 
     def _member(self, o, p):
-        return p == o.point or p == self._rep(o.point.block_ref)
+        x = o.point
+        return p == x or (p.cls == x.cls and p.block == x.block and p.elem == 0)  # x itself or its rep
 
     def _disjoint(self, o1, o2):
-        return o1.point.block_ref != o2.point.block_ref
+        x, y = o1.point, o2.point
+        return x.cls != y.cls or x.block != y.block
 
     def _basic_nbhd(self, p, avoid=None):
         return SatPair(p)
@@ -847,7 +868,8 @@ class TauR(Construction):
     _variants = (BlockOpen,)
 
     def _member(self, o, p):
-        return p.block_ref == o.block
+        cls, index = o.block
+        return p.cls == cls and p.block == index
 
     def _disjoint(self, o1, o2):
         return o1.block != o2.block
@@ -893,9 +915,12 @@ class SubbasisExample(Construction):
                     )
         self.designated = designated
 
-    def _check_point(self, p):
-        if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-            raise InvalidAddressError(f"points of this construction are naturals: {p!r}")
+    @staticmethod
+    def _valid(p) -> bool:
+        return isinstance(p, int) and not isinstance(p, bool) and p >= 0
+
+    def _reject(self, p):
+        raise InvalidAddressError(f"points of this construction are naturals: {p!r}")
 
     def _designated_index(self, x: int) -> Optional[int]:
         for i, d in enumerate(self.designated, start=1):

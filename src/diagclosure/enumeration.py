@@ -455,8 +455,14 @@ def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, worker
 
 
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
-_CODE = re.compile(r"0|[1-9a-f][0-9a-f]*")  # a code as format(v, "x") writes it
-_FLAGS = {"true": True, "false": False}
+# Fields exactly as render_catalog writes them: a count as str(int) writes it
+# (no sign, underscore, other digits or leading zero), a code as format(v, "x").
+_COUNT = "0|[1-9][0-9]*"
+_CODE = "0|[1-9a-f][0-9a-f]*"
+_COUNT_RE = re.compile(_COUNT)
+_ROW_RE = re.compile(
+    "\t".join(f"({field})" for field in (_COUNT, _CODE, _COUNT, _COUNT, "true|false", "true|false", _CODE))
+)
 
 
 def _flag(v: bool) -> str:
@@ -464,10 +470,9 @@ def _flag(v: bool) -> str:
 
 
 def _count(s: str) -> int:
-    v = int(s)
-    if v < 0:
-        raise ValueError(f"negative count {s!r}")
-    return v
+    if not _COUNT_RE.fullmatch(s):
+        raise ValueError(f"not a count as the catalog writes it: {s!r}")
+    return int(s)
 
 
 def render_catalog(cat: Catalog) -> str:
@@ -498,11 +503,19 @@ def read_catalog(text: str) -> Catalog:
                 parts = dict(items)
                 totals = (_count(parts["total_topologies"]), _count(parts["total_t0"]))
                 continue
-            n_s, rel, lab, t0c, trans, equiv, example = ln.split("\t")
-            rec = CatalogRecord(_count(n_s), rel, _count(lab), _count(t0c), _FLAGS[trans], _FLAGS[equiv], example)
-            if (records and rec.n != records[0].n) or not (_CODE.fullmatch(rel) and _CODE.fullmatch(example)):
-                raise ValueError("a point count unlike the first row's, or a code that is not lowercase hex")
-            records.append(rec)
+            m = _ROW_RE.fullmatch(ln)
+            if m is None:
+                raise ValueError("not seven fields as render_catalog writes them")
+            n_s, rel, lab, t0c, trans, equiv, example = m.groups()
+            n = int(n_s)
+            if records and n != records[0].n:
+                raise ValueError("a point count unlike the first row's")
+            if trans != equiv:
+                raise ValueError("a reflexive symmetric relation is an equivalence exactly when it is transitive")
+            # bit lengths, not 1 << n*(n-1): a row may claim any number of points
+            if int(rel, 16).bit_length() > n * (n - 1) // 2 or int(example, 16).bit_length() > n * (n - 1):
+                raise ValueError("a code with bits beyond the cells of n points")
+            records.append(CatalogRecord(n, rel, int(lab), int(t0c), trans == "true", trans == "true", example))
         except (ValueError, KeyError) as exc:
             raise SpecSyntaxError(f"bad catalog line {lineno}: {ln!r}") from exc
     n = records[0].n if records else 0

@@ -265,19 +265,21 @@ class PartitionSpec:
         (``None`` is omega, above every index), not through ``Count``'s
         comparison operators: this runs on every oracle query.
         """
-        if not isinstance(a, PointAddr) or a.block < 0 or a.elem < 0:
+        if type(a) is not PointAddr and not isinstance(a, PointAddr):
             return False
-        cls = a.cls
+        cls, block, elem = a
+        if block < 0 or elem < 0:
+            return False
         if cls is _SINGLETON:
             n = self.singletons.value
-            return a.elem == 0 and (n is None or a.block < n)
+            return elem == 0 and (n is None or block < n)
         if cls is _FINITE:
             sizes = self.fin.sizes
             if self.fin.cyclic:
-                return a.elem < sizes[a.block % len(sizes)]
-            return a.block < len(sizes) and a.elem < sizes[a.block]
+                return elem < sizes[block % len(sizes)]
+            return block < len(sizes) and elem < sizes[block]
         n = self.inf.value
-        return n is None or a.block < n
+        return n is None or block < n
 
     def check_addr(self, a: PointAddr) -> PointAddr:
         if not self.valid_addr(a):

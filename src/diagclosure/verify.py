@@ -13,7 +13,10 @@ plus membership probing.
 Sampling is deterministic: the PRNG is the standard library's
 ``random.Random`` seeded with an integer derived from the report seed, and
 pairs are drawn round-robin from the strata of address-class combinations
-the spec admits, so every stratum gets an equal share.
+the spec admits, so every stratum gets an equal share.  One sampler per
+address class and one per stratum are built at the start of each run, with
+the spec's limits fixed in them; ``tests/reference.py`` keeps the plain
+sampling functions they must match draw for draw.
 
 Documented fault-injection modes (exercised by the test suite, which this
 harness must catch): a wrong residue-class assignment (reservoirs or pools
@@ -126,47 +129,95 @@ def _strata_for(spec: PartitionSpec) -> list[tuple]:
     return out
 
 
-def _sample_point(tag, spec, rng, bounds, block=None, not_elem=None):
+def _point_sampler(tag, spec, randrange, bounds):
+    """The sampler ``point(block=None, not_elem=None)`` of one address class.
+
+    The block and element limits are fixed here, once per verification
+    run; each index is one ``randrange(limit)``, which takes the draws of
+    ``randint(0, limit - 1)``.  A given ``block`` is kept, and an element
+    equal to ``not_elem`` is drawn again.
+    """
     block_bound, elem_bound = bounds
+
+    def block_limit(count):  # the number of blocks to draw from; None is omega
+        return block_bound + 1 if count is None else min(block_bound, count - 1) + 1
+
     if tag == "s":
-        hi = block_bound if spec.singletons.is_omega else min(block_bound, spec.singletons.finite() - 1)
-        return PointAddr(_S, rng.randint(0, hi), 0)
+        blocks = block_limit(spec.singletons.value)
+
+        def point(block=None, not_elem=None):
+            return PointAddr(_S, randrange(blocks), 0)
+
+        return point
     if tag == "f":
+        sizes = spec.fin.sizes
+        period = len(sizes)
+        blocks = block_limit(None if spec.fin.cyclic else period)
+        limits = tuple(min(elem_bound, size - 1) + 1 for size in sizes)
+
+        def point(block=None, not_elem=None):
+            if block is None:
+                block = randrange(blocks)
+            limit = limits[block % period]
+            while True:
+                e = randrange(limit)
+                if e != not_elem:
+                    return PointAddr(_F, block, e)
+
+        return point
+    blocks = block_limit(spec.inf.value)
+    limit = elem_bound + 1
+
+    def point(block=None, not_elem=None):
         if block is None:
-            hi = block_bound if spec.fin.cyclic else min(block_bound, len(spec.fin.sizes) - 1)
-            block = rng.randint(0, hi)
-        size = spec.fin.size_of(block)
+            block = randrange(blocks)
         while True:
-            e = rng.randint(0, min(elem_bound, size - 1))
+            e = randrange(limit)
             if e != not_elem:
-                return PointAddr(_F, block, e)
-    if block is None:
-        hi = block_bound if spec.inf.is_omega else min(block_bound, spec.inf.finite() - 1)
-        block = rng.randint(0, hi)
-    while True:
-        e = rng.randint(0, elem_bound)
-        if e != not_elem:
-            return PointAddr(_I, block, e)
+                return PointAddr(_I, block, e)
+
+    return point
 
 
-def _sample_pair(stratum, spec, rng, bounds):
+def _pair_sampler(stratum, points):
+    """The sampler ``pair()`` of one stratum, over the class samplers ``points``."""
     if len(stratum) == 3:
         tag, _, mode = stratum
-        p = _sample_point(tag, spec, rng, bounds)
+        point = points[tag]
         if mode == "same":
-            q = _sample_point(tag, spec, rng, bounds, block=p.block, not_elem=p.elem)
+
+            def pair():
+                p = point()
+                return p, point(p.block, p.elem)
+
         else:
-            while True:
-                q = _sample_point(tag, spec, rng, bounds)
-                if q.block != p.block:
-                    break
-        return p, q
-    t1, t2 = stratum
-    p = _sample_point(t1, spec, rng, bounds)
-    while True:
-        q = _sample_point(t2, spec, rng, bounds)
-        if q != p:
-            return p, q
+
+            def pair():
+                p = point()
+                while True:
+                    q = point()
+                    if q.block != p.block:
+                        return p, q
+
+        return pair
+    first, second = points[stratum[0]], points[stratum[1]]
+
+    def pair():
+        p = first()
+        while True:
+            q = second()
+            if q != p:
+                return p, q
+
+    return pair
+
+
+def _samplers(spec, rng, bounds):
+    """The point samplers by class, keyed by tag, and the pair samplers in
+    stratum order, all drawing from ``rng``."""
+    randrange = rng.randrange
+    points = {tag: _point_sampler(tag, spec, randrange, bounds) for tag in _point_classes(spec)}
+    return points, [_pair_sampler(stratum, points) for stratum in _strata_for(spec)]
 
 
 def _point_classes(spec: PartitionSpec) -> list[str]:
@@ -204,20 +255,23 @@ def verify_construction(
     if min(bounds) < 1:
         # with a bound of 0 the rejection sampling can never draw a second point
         raise InvalidSizeError(f"sampling bounds must be >= 1, got {bounds[0]},{bounds[1]}")
-    strata = _strata_for(spec)
-    if not strata:
-        raise ValueError("spec admits no point pairs to sample")
-    classes = _point_classes(spec)
     rng = random.Random(seed * 1_000_003 + 17)
+    points, pairs = _samplers(spec, rng, bounds)
+    if not pairs:
+        raise ValueError("spec admits no point pairs to sample")
+    class_points = list(points.values())
+    n_strata, n_classes = len(pairs), len(class_points)
+    separable, witness, member = c.separable, c.witness, c.member
+    t1_witness = c.t1_witness if c.is_t1 else None
 
     mismatches = certs_checked = cert_fail = t1_checks = t1_fail = 0
     for t in range(n_pairs):
-        p, q = _sample_pair(strata[t % len(strata)], spec, rng, bounds)
+        p, q = pairs[t % n_strata]()
         expected = not same_block(spec, p, q)
-        got = c.separable(p, q)
+        got = separable(p, q)
         if got != expected:
             mismatches += 1
-        cert = c.witness(p, q)
+        cert = witness(p, q)
         if got:
             if cert is None:
                 cert_fail += 1
@@ -227,25 +281,29 @@ def verify_construction(
                     cert_fail += 1
         elif cert is not None:
             cert_fail += 1
-        if c.is_t1:
-            for a, b in ((p, q), (q, p)):
-                o = c.t1_witness(a, b)
-                t1_checks += 1
-                if not (c.member(o, a) and not c.member(o, b)):
-                    t1_fail += 1
+        if t1_witness is not None:
+            t1_checks += 2
+            o = t1_witness(p, q)
+            if not (member(o, p) and not member(o, q)):
+                t1_fail += 1
+            o = t1_witness(q, p)
+            if not (member(o, q) and not member(o, p)):
+                t1_fail += 1
 
+    randrange = rng.randrange
+    sample_open, refine, contains = c.sample_open, c.refine, c.contains
     basis_checks = basis_fail = 0
     for t in range(basis_samples):
-        p = _sample_point(classes[t % len(classes)], spec, rng, bounds)
-        o1 = c.sample_open(p, rng, bounds)
-        o2 = c.sample_open(p, rng, bounds)
-        o3 = c.refine(o1, o2, p)
+        p = class_points[t % n_classes]()
+        o1 = sample_open(p, rng, bounds)
+        o2 = sample_open(p, rng, bounds)
+        o3 = refine(o1, o2, p)
         basis_checks += 1
-        ok = c.member(o3, p) and c.contains(o1, o3) and c.contains(o2, o3)
+        ok = member(o3, p) and contains(o1, o3) and contains(o2, o3)
         if ok:
             for _ in range(4):
-                probe = _sample_point(classes[rng.randrange(len(classes))], spec, rng, bounds)
-                if c.member(o3, probe) and not (c.member(o1, probe) and c.member(o2, probe)):
+                probe = class_points[randrange(n_classes)]()
+                if member(o3, probe) and not (member(o1, probe) and member(o2, probe)):
                     ok = False
                     break
         if not ok:

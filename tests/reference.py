@@ -8,13 +8,16 @@ the transitive tuples among all tuples of reflexive rows, with no pruning.
 ``reference_catalogs`` visits every preorder the DFS delivers, takes its
 closure and keeps the first example met, so it checks the counting
 argument, the T0 rule and the example rule independently.
+``sample_point`` and ``sample_pair`` re-derive every limit from the spec on
+each draw and draw through ``randint``; the verify harness's samplers, built
+once per run, must take the same draws and return the same points.
 """
 
 from itertools import permutations, product
 
 from diagclosure.enumeration import _catalog, _iter_rows, _preorder_bits, _relation_bits, decode_relation, relation_code
 from diagclosure.finite_topology import closure_rows
-from diagclosure.relations import FiniteRelation
+from diagclosure.relations import BlockClass, FiniteRelation, PointAddr
 
 
 def _iter_by_extension(n: int):
@@ -127,3 +130,48 @@ def reference_catalogs(n: int, t0_only: bool):
     """The labelled catalog and the catalog up to isomorphism, from one walk."""
     counts, totals = accumulate(n, t0_only)
     return _catalog(n, counts, totals, False), _catalog(n, counts, totals, True)
+
+
+def sample_point(tag, spec, rng, bounds, block=None, not_elem=None):
+    """One point of address class ``tag`` ("s", "f" or "i") within ``bounds``."""
+    block_bound, elem_bound = bounds
+    if tag == "s":
+        hi = block_bound if spec.singletons.is_omega else min(block_bound, spec.singletons.finite() - 1)
+        return PointAddr(BlockClass.SINGLETON, rng.randint(0, hi), 0)
+    if tag == "f":
+        if block is None:
+            hi = block_bound if spec.fin.cyclic else min(block_bound, len(spec.fin.sizes) - 1)
+            block = rng.randint(0, hi)
+        size = spec.fin.size_of(block)
+        while True:
+            e = rng.randint(0, min(elem_bound, size - 1))
+            if e != not_elem:
+                return PointAddr(BlockClass.FINITE, block, e)
+    if block is None:
+        hi = block_bound if spec.inf.is_omega else min(block_bound, spec.inf.finite() - 1)
+        block = rng.randint(0, hi)
+    while True:
+        e = rng.randint(0, elem_bound)
+        if e != not_elem:
+            return PointAddr(BlockClass.INFINITE, block, e)
+
+
+def sample_pair(stratum, spec, rng, bounds):
+    """Two distinct points of one stratum, as the verify harness must draw them."""
+    if len(stratum) == 3:
+        tag, _, mode = stratum
+        p = sample_point(tag, spec, rng, bounds)
+        if mode == "same":
+            q = sample_point(tag, spec, rng, bounds, block=p.block, not_elem=p.elem)
+        else:
+            while True:
+                q = sample_point(tag, spec, rng, bounds)
+                if q.block != p.block:
+                    break
+        return p, q
+    t1, t2 = stratum
+    p = sample_point(t1, spec, rng, bounds)
+    while True:
+        q = sample_point(t2, spec, rng, bounds)
+        if q != p:
+            return p, q

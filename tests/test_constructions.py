@@ -12,6 +12,7 @@ from diagclosure.constructions import (
     CofInBlock,
     CofInD,
     CofOmega,
+    DEFAULT_DESIGNATED,
     ExtendPairs,
     ExtPt,
     FinPt1,
@@ -514,3 +515,107 @@ def test_internally_built_balls_pass_the_public_checks(text):
         assert type(b.center) is Fraction and type(b.radius) is Fraction
         assert all(type(q) is Fraction for q, _ in b.excluded)
         assert RationalBall(b.x_index, b.center, b.radius, b.excluded) == b
+
+
+# --- argument checks: every public call rejects what it must, with its message ---
+
+NINE_KINDS = (
+    ("InfBlocks", realise_t1, "singletons=0;fin=[];inf=3"),
+    ("InfOrSingleton", realise_t1, "singletons=omega;fin=[];inf=2"),
+    ("FinTwoCase1", realise_t1, "singletons=omega;fin=[3,2];inf=1"),
+    ("FinTwoCase2", realise_t1, "singletons=2;fin=[2,3];inf=omega"),
+    ("PairBlocks", realise_t1, "singletons=0;fin=cycle[2];inf=0"),
+    ("SplitUnion", realise_t1, "singletons=1;fin=cycle[2,3];inf=2"),
+    ("T0Sat", realise_t0, "singletons=1;fin=[2];inf=1"),
+    ("TauR", realise_tau_r, "singletons=1;fin=[2];inf=1"),
+    ("ExtendPairs", realise_t1, "singletons=0;fin=cycle[2,3];inf=0"),
+)
+
+
+def _guard_setup(realise, text):
+    """The construction, two valid points of one block, and labelled bad addresses."""
+    spec = parse_spec(text)
+    c = realise(spec)
+    cls = F if not spec.fin.is_empty else I
+    p0, p1 = PointAddr(cls, 0, 0), PointAddr(cls, 0, 1)
+    bad = {
+        "negative block": PointAddr(cls, -1, 0),
+        "negative element": PointAddr(cls, 0, -1),
+        "singleton with elem=1": PointAddr(S, 0, 1),
+        "plain tuple": tuple(p0),
+    }
+    if cls is F:
+        bad["element beyond the block"] = PointAddr(F, 0, spec.fin.size_of(0))
+    if not spec.fin.cyclic:
+        bad["finite block beyond the list"] = PointAddr(F, len(spec.fin.sizes), 0)
+    if spec.singletons.is_finite:
+        bad["block beyond the count"] = PointAddr(S, spec.singletons.finite(), 0)
+    elif spec.inf.is_finite:
+        bad["block beyond the count"] = PointAddr(I, spec.inf.finite(), 0)
+    for a in (p0, p1):
+        assert spec.valid_addr(a)
+    return spec, c, p0, p1, bad
+
+
+@pytest.mark.parametrize("kind, realise, text", NINE_KINDS, ids=[k for k, _, _ in NINE_KINDS])
+def test_public_calls_reject_bad_addresses(kind, realise, text):
+    spec, c, p0, p1, bad = _guard_setup(realise, text)
+    assert c.kind == kind
+    for label, a in bad.items():
+        message = f"no such point for {spec.render()}: {a!r}"
+        calls = [
+            lambda: c.basic_nbhd(a),
+            lambda: c.basic_nbhd(a, p0),
+            lambda: c.sample_open(a, random.Random(0), (50, 50)),
+        ]
+        pair_calls = [c.separable, c.witness] + ([c.t1_witness] if c.is_t1 else [])
+        for f in pair_calls:
+            calls += [lambda f=f: f(a, p0), lambda f=f: f(p0, a), lambda f=f: f(a, a)]
+        for call in calls:
+            with pytest.raises(InvalidAddressError) as info:
+                call()
+            assert str(info.value) == message, label
+    for f in [c.separable, c.witness] + ([c.t1_witness] if c.is_t1 else []):
+        with pytest.raises(InvalidAddressError, match="^query points must be distinct$"):
+            f(p1, PointAddr(*p1))
+    if not c.is_t1:
+        with pytest.raises(NotT1ConstructionError):
+            c.t1_witness(p0, p1)
+
+
+@pytest.mark.parametrize("kind, realise, text", NINE_KINDS, ids=[k for k, _, _ in NINE_KINDS])
+def test_public_calls_reject_foreign_opens(kind, realise, text):
+    spec, c, p0, p1, _ = _guard_setup(realise, text)
+    native = c.basic_nbhd(p0)
+    other = SatPair(p0) if kind == "TauR" else BlockOpen(BlockRef(p0.cls, 0))
+    for foreign in (CofOmega(), other):
+        message = f"{type(foreign).__name__} does not belong to {kind}"
+        calls = (
+            lambda: c.member(foreign, p0),
+            lambda: c.disjoint(foreign, native),
+            lambda: c.disjoint(native, foreign),
+            lambda: c.contains(foreign, native),
+            lambda: c.contains(native, foreign),
+            lambda: c.refine(foreign, native, p0),
+            lambda: c.refine(native, foreign, p0),
+            lambda: check_certificate(c, p0, p1, Certificate(foreign, native)),
+        )
+        for call in calls:
+            with pytest.raises(ForeignVariantError) as info:
+                call()
+            assert str(info.value) == message
+    assert c.member(native, p0) and not c.disjoint(native, native) and c.contains(native, native)
+
+
+def test_subbasis_example_rejects_non_naturals():
+    c = SubbasisExample(DEFAULT_DESIGNATED)
+    for a in (-1, True, 2.0, "3", PointAddr(I, 0, 0)):
+        message = f"points of this construction are naturals: {a!r}"
+        for call in (lambda: c.separable(a, 1), lambda: c.witness(1, a), lambda: c.t1_witness(a, 1),
+                     lambda: c.basic_nbhd(a), lambda: c.sample_open(a, random.Random(0), (50, 50))):
+            with pytest.raises(InvalidAddressError) as info:
+                call()
+            assert str(info.value) == message
+    with pytest.raises(InvalidAddressError, match="^query points must be distinct$"):
+        c.separable(4, 4)
+    assert c.separable(1, 2) and not c.separable(0, 1)

@@ -290,6 +290,17 @@ def test_read_catalog_names_the_malformed_line():
         (4, "# total_topologies=4 total_t0=3 extra=1"),  # a key besides the two totals
         (4, "# total_topologies=4 total_t0=3 total_t0=3"),  # a total given twice
         (4, "# total_topologies=4 total_t0"),  # an item without a value
+        (3, "2\t1\t1_0\t2\ttrue\ttrue\t2"),  # a count with an underscore
+        (3, "2\t1\t+3\t2\ttrue\ttrue\t2"),  # a count with a sign
+        (3, "2\t1\t3\t\u0662\ttrue\ttrue\t2"),  # a count in Arabic-Indic digits
+        (2, "02\t0\t1\t1\ttrue\ttrue\t0"),  # a count with a leading zero
+        (4, "# total_topologies=04 total_t0=3"),  # a total with a leading zero
+        (3, "2\t1\t3\t2\ttrue\tfalse\t2"),  # transitive but not an equivalence
+        (2, "2\t0\t1\t1\tfalse\ttrue\t0"),  # an equivalence but not transitive
+        (3, "2\t2\t3\t2\ttrue\ttrue\t2"),  # a relation code beyond the one cell of 2 points
+        (3, "2\tff\t3\t2\ttrue\ttrue\t2"),  # a relation code far beyond it
+        (3, "2\t1\t3\t2\ttrue\ttrue\t4"),  # an example code beyond the two cells
+        (3, "2\t1\t3\t2\ttrue\ttrue\tfff"),  # an example code far beyond them
     )
     for lineno, row in bad_rows:
         lines = list(good)

@@ -69,9 +69,15 @@ def relations(draw, max_n=6):
 @st.composite
 def catalogs(draw):
     n = draw(st.integers(0, 6))
-    hex_codes = st.integers(0, 2**15 - 1).map(lambda v: format(v, "x"))
+
+    def hex_codes(cells):  # codes that fit the cells of n points, as read_catalog requires
+        return st.integers(0, 2**cells - 1).map(lambda v: format(v, "x"))
+
     counts = st.integers(0, 10**6)
-    record = st.builds(CatalogRecord, st.just(n), hex_codes, counts, counts, st.booleans(), st.booleans(), hex_codes)
+    record = st.builds(
+        lambda rel, lab, t0c, transitive, example: CatalogRecord(n, rel, lab, t0c, transitive, transitive, example),
+        hex_codes(n * (n - 1) // 2), counts, counts, st.booleans(), hex_codes(n * (n - 1)),
+    )
     records = draw(st.lists(record, min_size=1, max_size=8))
     return Catalog(n, tuple(records), draw(counts), draw(counts))
 

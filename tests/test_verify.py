@@ -24,8 +24,10 @@ from diagclosure.constructions import (
 )
 from diagclosure.errors import BoundExceededError, SpecMismatchError
 from diagclosure.relations import parse_spec, same_block
+from reference import sample_pair, sample_point
+
 from diagclosure.verify import (
-    _sample_pair,
+    _samplers,
     _strata_for,
     finite_cross_check,
     monotonicity_check,
@@ -99,11 +101,12 @@ def test_stratification_covers_every_applicable_combination():
     strata = _strata_for(spec)
     assert len(strata) == 8
     rng = random.Random(0)
+    _, pairs = _samplers(spec, rng, (50, 50))
     seen = {s: 0 for s in strata}
     n_pairs = 10_000
     for t in range(n_pairs):
         stratum = strata[t % len(strata)]
-        p, q = _sample_pair(stratum, spec, rng, (50, 50))
+        p, q = pairs[t % len(strata)]()
         assert p != q
         # classify the drawn pair independently and check it fits its stratum
         tags = {"s": 0, "f": 1, "i": 2}
@@ -112,6 +115,43 @@ def test_stratification_covers_every_applicable_combination():
             assert (stratum[2] == "same") == same_block(spec, p, q)
         seen[stratum] += 1
     assert all(count >= 50 for count in seen.values())
+
+
+# the nine benchmark specs, the stratification spec, and more finite counts
+SAMPLER_SPECS = (
+    "singletons=0;fin=[];inf=3",
+    "singletons=omega;fin=[];inf=2",
+    "singletons=omega;fin=[3,2];inf=1",
+    "singletons=2;fin=[2,3];inf=omega",
+    "singletons=0;fin=cycle[2];inf=0",
+    "singletons=1;fin=cycle[2,3];inf=2",
+    "singletons=1;fin=[2];inf=1",
+    "singletons=0;fin=cycle[2,3];inf=0",
+    "singletons=omega;fin=cycle[2,3];inf=omega",
+    "singletons=3;fin=[4,2,60];inf=omega",
+    "singletons=omega;fin=[7];inf=2",
+)
+SAMPLER_BOUNDS = ((50, 50), (1, 1), (2, 70))
+
+
+@pytest.mark.parametrize("bounds", SAMPLER_BOUNDS)
+@pytest.mark.parametrize("text", SAMPLER_SPECS)
+def test_samplers_take_the_reference_draws(text, bounds):
+    # the samplers built once per run must draw exactly as the reference
+    # functions that re-derive every limit and go through randint
+    spec = parse_spec(text)
+    for seed, stratum in enumerate(_strata_for(spec)):
+        fast, slow = random.Random(seed), random.Random(seed)
+        pair = _samplers(spec, fast, bounds)[1][seed]
+        for _ in range(500):
+            assert pair() == sample_pair(stratum, spec, slow, bounds)
+        assert fast.getstate() == slow.getstate()
+    fast, slow = random.Random(99), random.Random(99)
+    points, _ = _samplers(spec, fast, bounds)
+    for tag, point in points.items():
+        for _ in range(200):
+            assert point() == sample_point(tag, spec, slow, bounds)
+    assert fast.getstate() == slow.getstate()
 
 
 def test_strata_shrink_with_the_spec():
