@@ -13,6 +13,12 @@ answers three kinds of questions, all decidable and exact:
 * ``t1_witness(p, q)`` - for the T1 constructions, a basic open containing
   the first point but not the second.
 
+``answer_pair(p, q)`` gives all of these for one pair at once - the
+separability, the certificate and the T1 witnesses both ways - checking
+the two points once; it is the verification harness's entry.  The single
+calls stay separate, each checking its own points, so a query that needs
+one answer pays for that one alone.
+
 Canonical choices are fixed once so that every answer is deterministic:
 elements 0 and 1 of a block are its two representatives, reservoirs are
 assigned by block index modulo the number of finite blocks, and the pair
@@ -326,6 +332,19 @@ class Construction:
             raise NotT1ConstructionError(f"{self.kind} is not a T1 construction")
         self._check_pair(p, q)
         return self._basic_nbhd(p, q)
+
+    def answer_pair(self, p, q):
+        """``(separable, certificate, open_p_without_q, open_q_without_p)`` in one call.
+
+        The answers of ``separable``, ``witness`` and ``t1_witness`` both ways,
+        with the points checked once; the T1 opens are None off T1.
+        """
+        self._check_pair(p, q)
+        sep = self._separable(p, q)
+        cert = Certificate(*self._witness_opens(p, q)) if sep else None
+        if not self.is_t1:
+            return sep, cert, None, None
+        return sep, cert, self._basic_nbhd(p, q), self._basic_nbhd(q, p)
 
     def member(self, o, p) -> bool:
         if type(o) in self._variants:

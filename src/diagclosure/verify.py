@@ -1,14 +1,20 @@
 """Property-verification harness for the symbolic and finite realisations.
 
 The harness ties each construction to the relation it claims to realise.
-The block profile decides what separability must be; that comparison is
+Each sampled pair goes through one call, ``Construction.answer_pair``,
+which checks both points once and returns the separability, the
+certificate and, on T1 constructions, both one-sided T1 opens.  The
+separability is compared with the relation itself - the points are related
+iff they lie in one block (same class, same block index) - worked out here
+from the addresses, not by asking the construction.  That comparison is
 independent of the construction only where ``separable`` is computed from
 the open families (the reservoir constructions and ``SubbasisExample``),
 since elsewhere ``separable`` is the block test itself.  The other checks
 go through the opens: the certificate checker re-verifies every witness
 through the exact membership/disjointness rules, T1 witnesses are checked
-pointwise, and basis-axiom refinements are checked by exact containment
-plus membership probing.
+pointwise through ``member``, and basis-axiom refinements are checked by
+exact containment plus membership probing, each basis point checked once
+for both opens drawn around it.
 
 Sampling is deterministic: the PRNG is the standard library's
 ``random.Random`` seeded with an integer derived from the report seed, and
@@ -21,8 +27,9 @@ sampling functions they must match draw for draw.
 Documented fault-injection modes (exercised by the test suite, which this
 harness must catch): a wrong residue-class assignment (reservoirs or pools
 that are not pairwise disjoint), swapped representatives (witnesses aimed
-at the wrong canonical element), and off-by-one exclusion sets (witnesses
-excluding a neighbor of the intended point).
+at the wrong canonical element), off-by-one exclusion sets (witnesses
+excluding a neighbor of the intended point), and a separability rule that
+calls every pair separable.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from .relations import (
     PointAddr,
     all_partitions,
     eq_of_partition,
-    same_block,
 )
 
 __all__ = [
@@ -241,12 +247,12 @@ def verify_construction(
 ) -> VerifyReport:
     """Sample point pairs and basic opens, checking every oracle contract.
 
-    For each pair: separability must match the block-profile oracle; a
-    separable pair must yield a certificate that the checker accepts, an
-    inseparable one must yield none; on T1 constructions both one-sided T1
-    witnesses are checked.  Basis samples draw two random opens around a
-    common point and check the refined open by exact containment and
-    membership probing.
+    For each pair, one ``answer_pair`` call: separability must match the
+    relation (separable iff the blocks differ); a separable pair must yield
+    a certificate that the checker accepts, an inseparable one must yield
+    none; on T1 constructions both one-sided T1 witnesses are checked.
+    Basis samples draw two random opens around a common point and check the
+    refined open by exact containment and membership probing.
     """
     if c.spec != spec:
         raise SpecMismatchError("construction was not built from this spec")
@@ -261,17 +267,14 @@ def verify_construction(
         raise ValueError("spec admits no point pairs to sample")
     class_points = list(points.values())
     n_strata, n_classes = len(pairs), len(class_points)
-    separable, witness, member = c.separable, c.witness, c.member
-    t1_witness = c.t1_witness if c.is_t1 else None
+    answer_pair, member, is_t1 = c.answer_pair, c.member, c.is_t1
 
     mismatches = certs_checked = cert_fail = t1_checks = t1_fail = 0
     for t in range(n_pairs):
         p, q = pairs[t % n_strata]()
-        expected = not same_block(spec, p, q)
-        got = separable(p, q)
-        if got != expected:
+        got, cert, o_p, o_q = answer_pair(p, q)  # the only call that checks p and q
+        if got == (p.cls is q.cls and p.block == q.block):  # the relation: one block
             mismatches += 1
-        cert = witness(p, q)
         if got:
             if cert is None:
                 cert_fail += 1
@@ -281,20 +284,20 @@ def verify_construction(
                     cert_fail += 1
         elif cert is not None:
             cert_fail += 1
-        if t1_witness is not None:
+        if is_t1:
             t1_checks += 2
-            o = t1_witness(p, q)
-            if not (member(o, p) and not member(o, q)):
+            if not (member(o_p, p) and not member(o_p, q)):
                 t1_fail += 1
-            o = t1_witness(q, p)
-            if not (member(o, q) and not member(o, p)):
+            if not (member(o_q, q) and not member(o_q, p)):
                 t1_fail += 1
 
     randrange = rng.randrange
-    sample_open, refine, contains = c.sample_open, c.refine, c.contains
+    check_point, sample_open = c._check_point, c._sample_open
+    refine, contains = c.refine, c.contains
     basis_checks = basis_fail = 0
     for t in range(basis_samples):
         p = class_points[t % n_classes]()
+        check_point(p)  # once for both opens drawn around it
         o1 = sample_open(p, rng, bounds)
         o2 = sample_open(p, rng, bounds)
         o3 = refine(o1, o2, p)

@@ -3,8 +3,8 @@
 Each class desynchronises one side of a construction (usually the witness
 generator) from the exact membership/disjointness rules, modelling the
 documented fault modes: wrong residue class, swapped representatives, and
-off-by-one exclusion sets.  The verification harness must flag every one
-of them.
+off-by-one exclusion sets, plus a separability rule that ignores the
+relation.  The verification harness must flag every one of them.
 """
 
 from diagclosure.constructions import (
@@ -22,6 +22,18 @@ from diagclosure.constructions import (
 )
 from diagclosure.relations import BlockRef, PointAddr
 from diagclosure.symbolic_sets import RationalBall
+
+
+class AlwaysSeparableInfBlocks(InfBlocks):
+    """Every pair is separable, same-block pairs too.
+
+    Only a harness that compares with the relation itself, not with the
+    construction's own answer, sees the mismatch; the certificates of
+    same-block pairs then fail the disjointness check.
+    """
+
+    def _separable(self, p, q):
+        return True
 
 
 class OffByOneInfBlocks(InfBlocks):

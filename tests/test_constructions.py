@@ -43,6 +43,7 @@ from diagclosure.errors import (
 )
 from diagclosure.relations import BlockClass, BlockRef, PointAddr, parse_point, parse_spec, same_block
 from diagclosure.symbolic_sets import RationalBall, ResidueClassSet, pair_encode
+from diagclosure.verify import _samplers, verify_construction
 
 S, F, I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 
@@ -568,19 +569,20 @@ def test_public_calls_reject_bad_addresses(kind, realise, text):
             lambda: c.basic_nbhd(a, p0),
             lambda: c.sample_open(a, random.Random(0), (50, 50)),
         ]
-        pair_calls = [c.separable, c.witness] + ([c.t1_witness] if c.is_t1 else [])
+        pair_calls = [c.separable, c.witness, c.answer_pair] + ([c.t1_witness] if c.is_t1 else [])
         for f in pair_calls:
             calls += [lambda f=f: f(a, p0), lambda f=f: f(p0, a), lambda f=f: f(a, a)]
         for call in calls:
             with pytest.raises(InvalidAddressError) as info:
                 call()
             assert str(info.value) == message, label
-    for f in [c.separable, c.witness] + ([c.t1_witness] if c.is_t1 else []):
+    for f in [c.separable, c.witness, c.answer_pair] + ([c.t1_witness] if c.is_t1 else []):
         with pytest.raises(InvalidAddressError, match="^query points must be distinct$"):
             f(p1, PointAddr(*p1))
     if not c.is_t1:
         with pytest.raises(NotT1ConstructionError):
             c.t1_witness(p0, p1)
+        assert c.answer_pair(p0, p1) == (False, None, None, None)
 
 
 @pytest.mark.parametrize("kind, realise, text", NINE_KINDS, ids=[k for k, _, _ in NINE_KINDS])
@@ -612,10 +614,86 @@ def test_subbasis_example_rejects_non_naturals():
     for a in (-1, True, 2.0, "3", PointAddr(I, 0, 0)):
         message = f"points of this construction are naturals: {a!r}"
         for call in (lambda: c.separable(a, 1), lambda: c.witness(1, a), lambda: c.t1_witness(a, 1),
+                     lambda: c.answer_pair(a, 1), lambda: c.answer_pair(1, a),
                      lambda: c.basic_nbhd(a), lambda: c.sample_open(a, random.Random(0), (50, 50))):
             with pytest.raises(InvalidAddressError) as info:
                 call()
             assert str(info.value) == message
-    with pytest.raises(InvalidAddressError, match="^query points must be distinct$"):
-        c.separable(4, 4)
+    for f in (c.separable, c.answer_pair):
+        with pytest.raises(InvalidAddressError, match="^query points must be distinct$"):
+            f(4, 4)
     assert c.separable(1, 2) and not c.separable(0, 1)
+
+
+# --- one entry per pair: answer_pair answers as the single calls do, checking each point once ---
+
+def _agreement_pairs(spec, rng, n, bounds=(1000, 20)):
+    """n distinct point pairs of spec, every other one inside one block."""
+    points, pairs = _samplers(spec, rng, bounds)
+    multi = [points[tag] for tag in ("f", "i") if tag in points]
+    out = []
+    while len(out) < n:
+        if len(out) % 2 == 0:
+            point = multi[rng.randrange(len(multi))]
+            p = point()
+            out.append((p, point(p.block, p.elem)))
+        else:
+            p, q = pairs[rng.randrange(len(pairs))]()
+            if not same_block(spec, p, q):
+                out.append((p, q))
+    return out
+
+
+def _assert_answers_agree(c, p, q):
+    sep, cert, o_p, o_q = c.answer_pair(p, q)
+    assert sep == c.separable(p, q)
+    w = c.witness(p, q)
+    assert (cert is None) == (w is None) == (not sep)
+    if cert is not None:
+        assert cert.render() == w.render()
+    if c.is_t1:
+        assert o_p == c.t1_witness(p, q) and o_q == c.t1_witness(q, p)
+    else:
+        assert o_p is None and o_q is None
+    return sep
+
+
+@pytest.mark.parametrize("kind, realise, text", NINE_KINDS, ids=[k for k, _, _ in NINE_KINDS])
+def test_answer_pair_agrees_with_the_single_calls(kind, realise, text):
+    spec = parse_spec(text)
+    c = realise(spec)
+    rng = random.Random(11)
+    answers = [_assert_answers_agree(c, p, q) for p, q in _agreement_pairs(spec, rng, 400)]
+    assert any(answers) and not all(answers)
+
+
+def test_answer_pair_agrees_on_the_subbasis_example():
+    c = SubbasisExample(DEFAULT_DESIGNATED)
+    rng = random.Random(11)
+    answers = []
+    for t in range(400):
+        p = rng.randrange(300)
+        q = p + 3 * rng.randint(1, 20) if t % 2 == 0 else rng.choice([x for x in range(300) if x != p])
+        answers.append(_assert_answers_agree(c, p, q))
+    assert any(answers) and not all(answers)
+
+
+@pytest.mark.parametrize("kind, realise, text", NINE_KINDS, ids=[k for k, _, _ in NINE_KINDS])
+def test_verify_checks_each_point_once(kind, realise, text):
+    """Two address checks per pair (one ``answer_pair``) and one per basis sample."""
+    spec = parse_spec(text)
+    c = realise(spec)
+    calls = 0
+    valid = c._valid
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return valid(p)
+
+    c._valid = counting
+    for n_pairs, basis_samples in ((400, 60), (150, 0), (0, 40)):
+        calls = 0
+        report = verify_construction(c, spec, n_pairs=n_pairs, basis_samples=basis_samples, seed=5)
+        assert report.passed()
+        assert calls == 2 * n_pairs + basis_samples, (n_pairs, basis_samples)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from faults import (
+    AlwaysSeparableInfBlocks,
     OffByOneInfBlocks,
     OffByOneInfOrSingleton,
     OffByOneSplitUnion,
@@ -210,6 +211,14 @@ def test_off_by_one_split_union_detected():
     spec = parse_spec("singletons=1;fin=cycle[2,3];inf=2")
     report = verify_construction(OffByOneSplitUnion(spec), spec, n_pairs=10_000, basis_samples=0)
     assert report.t1_failures > 0
+
+
+def test_always_separable_detected():
+    """The expected answer comes from the relation, not from the construction."""
+    spec = parse_spec("singletons=0;fin=[];inf=3")
+    report = verify_construction(AlwaysSeparableInfBlocks(spec), spec, n_pairs=2_000, basis_samples=0)
+    assert report.mismatches > 0
+    assert report.certificate_failures > 0
 
 
 # --- finite cross-checks ---
