@@ -10,13 +10,7 @@ import argparse
 import contextlib
 import sys
 
-from .constructions import nontransitive_demo, realise_t0, realise_t1
-from .enumeration import SOFT_LIMIT, build_catalog, render_catalog
 from .errors import DiagClosureError, NotRealisableError, SpecSyntaxError
-from .finite_topology import FiniteTopology, cl_delta, is_t0, is_t1, is_t2, parse_topology, tau_r
-from .relations import FinitePartition, parse_point, parse_spec
-from .symbolic_sets import ResidueClassSet
-from .verify import verify_construction
 
 
 def _usage_error(message: str) -> int:
@@ -31,14 +25,17 @@ def _parse_bounds(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _realise(spec, axiom):
-    return realise_t1(spec) if axiom == "t1" else realise_t0(spec)
-
-
 def _cmd_realise(args) -> int:
+    from .constructions import realise_t0, realise_t1
+    from .relations import parse_spec
+
     spec = parse_spec(args.spec)
     bounds = _parse_bounds(args.bounds)
-    c = _realise(spec, args.axiom)
+    c = realise_t1(spec) if args.axiom == "t1" else realise_t0(spec)
+    # imported once there is a construction to verify, so a relation the
+    # axiom cannot realise exits without loading the harness
+    from .verify import verify_construction
+
     report = verify_construction(c, spec, n_pairs=args.pairs, bounds=bounds, seed=args.seed)
     if args.json_lines:
         print(report.render_json_line())
@@ -50,10 +47,13 @@ def _cmd_realise(args) -> int:
 
 
 def _cmd_separable(args) -> int:
+    from .constructions import realise_t0, realise_t1
+    from .relations import parse_point, parse_spec
+
     spec = parse_spec(args.spec)
     p = parse_point(args.p)
     q = parse_point(args.q)
-    c = _realise(spec, args.axiom)
+    c = realise_t1(spec) if args.axiom == "t1" else realise_t0(spec)
     if c.separable(p, q):
         print("separable")
         print(c.witness(p, q).render())
@@ -63,6 +63,8 @@ def _cmd_separable(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import SOFT_LIMIT, build_catalog, render_catalog
+
     if args.n > SOFT_LIMIT and not args.force:
         return _usage_error(f"n={args.n} is above the soft limit {SOFT_LIMIT}; pass --force to proceed")
     # Opened before the build, so a bad path fails at once and not after it;
@@ -83,6 +85,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _parse_designated(items):
+    from .symbolic_sets import ResidueClassSet
+
     if items is None:
         return None
     out = []
@@ -98,6 +102,8 @@ def _parse_designated(items):
 
 
 def _cmd_example(args) -> int:
+    from .constructions import nontransitive_demo
+
     try:
         designated = _parse_designated(args.d)
         report = nontransitive_demo(designated)
@@ -108,6 +114,8 @@ def _cmd_example(args) -> int:
 
 
 def _parse_partition_literal(text: str) -> FinitePartition:
+    from .relations import FinitePartition
+
     blocks = []
     points = []
     for chunk in text.split(";"):
@@ -130,6 +138,8 @@ def _parse_partition_literal(text: str) -> FinitePartition:
 
 
 def _cmd_finite(args) -> int:
+    from .finite_topology import cl_delta, is_t0, is_t1, is_t2, parse_topology, tau_r
+
     try:
         if args.opens:
             with open(args.opens, "r", encoding="utf-8") as fh:

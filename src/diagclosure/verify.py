@@ -39,15 +39,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .constructions import Construction, check_certificate
-from .enumeration import enumerate_preorders
 from .errors import BoundExceededError, InvalidSizeError, SpecMismatchError
-from .finite_topology import (
-    cl_delta,
-    is_t0,
-    t0_saturation,
-    tau_r,
-    topology_of_preorder,
-)
 from .relations import (
     BlockClass,
     PartitionSpec,
@@ -345,6 +337,8 @@ def finite_cross_check(n: int) -> CrossCheckReport:
     diagonal to exactly the partition's relation, the representative-based
     one is T0, and the block-based one is not T0 once a block has >= 2
     elements."""
+    from .finite_topology import cl_delta, is_t0, t0_saturation, tau_r
+
     if n > 5:
         raise BoundExceededError(f"finite cross-check is exhaustive and limited to n <= 5, got {n}")
     checked = failures = 0
@@ -376,6 +370,9 @@ class MonotonicityReport:
 
 def monotonicity_check(n: int) -> MonotonicityReport:
     """Finer topologies have smaller diagonal closures, exhaustively."""
+    from .enumeration import enumerate_preorders
+    from .finite_topology import cl_delta, topology_of_preorder
+
     if n > 3:
         raise BoundExceededError(f"monotonicity check is exhaustive and limited to n <= 3, got {n}")
     topologies = []

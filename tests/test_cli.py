@@ -152,12 +152,12 @@ def test_enumerate_writes_catalog(tmp_path, capsys):
 
 
 def test_enumerate_refuses_an_unwritable_out_path_before_building(tmp_path, capsys, monkeypatch):
-    import diagclosure.cli as cli
+    import diagclosure.enumeration as enumeration
 
     def no_build(*args, **kwargs):
         raise AssertionError("the catalog was built before the output was opened")
 
-    monkeypatch.setattr(cli, "build_catalog", no_build)
+    monkeypatch.setattr(enumeration, "build_catalog", no_build)
     for target in (tmp_path / "missing" / "cat.tsv", tmp_path):
         code, out, err = run(capsys, "enumerate", "--n", "2", "--out", str(target))
         assert code == 2
@@ -205,6 +205,39 @@ def test_cli_import_leaves_multiprocessing_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+# Runs one command in a fresh interpreter and prints the loaded module names
+# as the last line of stderr, after the command's own output and exit.
+MODULE_PROBE = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+    "import diagclosure.cli\n"
+    "sys.exit(diagclosure.cli.main(sys.argv[1:]))\n"
+)
+SYMBOLIC = {"diagclosure.constructions", "diagclosure.symbolic_sets", "diagclosure.verify", "fractions"}
+FINITE = {"diagclosure.enumeration", "diagclosure.finite_topology", "diagclosure.verify"}
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (["--help"], 0, None),
+    (["finite", "--partition", "0,1;2"], 0, SYMBOLIC),
+    (["enumerate", "--n", "3"], 0, SYMBOLIC),
+    (["separable", "--spec", "singletons=omega;fin=[];inf=2", "-p", "i:0:1", "-q", "i:1:1"], 0, FINITE),
+    (["example", "nontransitive"], 0, FINITE),
+    (["realise", "--spec", "singletons=0;fin=[2];inf=3"], 1, {"diagclosure.verify"}),
+], ids=["help", "finite", "enumerate", "separable", "example", "realise-not-realisable"])
+def test_each_subcommand_loads_only_its_own_layers(argv, code, absent):
+    done = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, *argv],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.returncode == code, done.stderr
+    loaded = set(json.loads(done.stderr.splitlines()[-1]))
+    if absent is None:  # --help: the parser and the error types, nothing else of the package
+        assert {m for m in loaded if m.startswith("diagclosure")} == {"diagclosure", "diagclosure.cli", "diagclosure.errors"}
+    else:
+        assert not loaded & absent
 
 
 # --- example ---
