@@ -74,7 +74,7 @@ def _cmd_enumerate(args) -> int:
     except OSError as exc:
         return _usage_error(str(exc))
     with out:
-        catalog = build_catalog(args.n, t0_only=args.t0, up_to_iso=args.iso, workers=args.workers)
+        catalog = build_catalog(args.n, t0_only=args.t0, up_to_iso=args.iso)
         if args.out:
             out.truncate(0)
             out.write(render_catalog(catalog))
@@ -188,7 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", action="store_true", help="canonicalise closures up to point permutation")
     p.add_argument("--out", help="write the catalog TSV here")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("example", help="worked demonstrations")

@@ -31,6 +31,10 @@ each construction adds at most one system of opens for the finite blocks -
 reservoirs when there are finitely many of them, the pair system when
 there are infinitely many.
 
+Each kind states the specs it realises in one predicate, ``covers(spec)``.
+Its constructor refuses every other spec, and :func:`realise_t1` builds the
+first T1 kind that covers the spec, each narrowed subclass before its base.
+
 Only for the reservoirs and :class:`SubbasisExample` is ``separable``
 computed from the structure of the basic-open families (residues,
 designated sets), so that comparing it with the block-membership oracle
@@ -280,21 +284,23 @@ class Construction:
     kind: str = ""
     is_t1: bool = True
     _variants: tuple = ()
-    _domain: frozenset = frozenset((_S, _F, _I))
 
     def __init__(self, spec: Optional[PartitionSpec]):
         self.spec = spec
         if spec is not None:
             self._valid = spec.valid_addr  # bound once: every query checks its points
-            present = ((_S, spec.singletons.value != 0), (_F, not spec.fin.is_empty), (_I, spec.inf.value != 0))
-            foreign = [cls.name.lower() for cls, here in present if here and cls not in self._domain]
-            if foreign:
-                raise ValueError(f"{self.kind} does not cover the {'/'.join(foreign)} blocks of {spec.render()}")
+            if not self.covers(spec):
+                raise ValueError(f"{self.kind} does not cover {spec.render()}")
+
+    @classmethod
+    def covers(cls, spec: PartitionSpec) -> bool:
+        """Whether this kind realises ``spec``; the constructor refuses the rest."""
+        return True
 
     # -- plumbing: one ``_valid`` call per point; ``_reject`` only raises --
 
     def _reject(self, p):
-        self.spec.check_addr(p)  # every block class of the spec lies in _domain
+        self.spec.check_addr(p)  # the kind covers the spec, so it answers every valid point
 
     def _check_point(self, p):
         if not self._valid(p):
@@ -435,7 +441,10 @@ class InfOrSingleton(Construction):
 
     kind = "InfOrSingleton"
     _variants = (SingletonPt, CofInBlock)
-    _domain = frozenset((_S, _I))
+
+    @classmethod
+    def covers(cls, spec):
+        return spec.fin.is_empty
 
     def _member(self, o, p):
         if isinstance(o, SingletonPt):
@@ -482,7 +491,10 @@ class InfBlocks(InfOrSingleton):
 
     kind = "InfBlocks"
     _variants = (CofInBlock,)
-    _domain = frozenset((_I,))
+
+    @classmethod
+    def covers(cls, spec):
+        return spec.fin.is_empty and spec.singletons == 0
 
 
 # --------------------------------------------------------------------------
@@ -500,15 +512,11 @@ class _Reservoir(InfOrSingleton):
     it would notice.  Points outside finite blocks keep the family rules.
     """
 
-    _domain = frozenset((_S, _F, _I))
     _open: type  # FinPt1 or FinPt2
     _pool_cls: BlockClass  # what the reservoirs are made of: singletons or infinite blocks
 
     def __init__(self, spec, block_residues: Optional[Sequence[int]] = None):
         super().__init__(spec)
-        if spec.fin.is_empty or spec.fin.cyclic:
-            raise ValueError(f"{self.kind} needs an explicit nonempty finite-block list")
-        self._check_spec(spec)
         m = len(spec.fin.sizes)
         if block_residues is None:
             block_residues = tuple(range(m))
@@ -517,9 +525,6 @@ class _Reservoir(InfOrSingleton):
             raise ValueError("block_residues must assign each finite block a residue mod m")
         self.modulus = m
         self.block_residues = block_residues
-
-    def _check_spec(self, spec):
-        raise NotImplementedError
 
     def _unit(self, p: PointAddr):
         """What a reservoir open excludes to drop p: p itself, or its whole block."""
@@ -613,9 +618,9 @@ class FinTwoCase1(_Reservoir):
     _open = FinPt1
     _pool_cls = _S
 
-    def _check_spec(self, spec):
-        if not spec.singletons.is_omega:
-            raise ValueError("FinTwoCase1 needs infinitely many singleton blocks")
+    @classmethod
+    def covers(cls, spec):
+        return bool(spec.fin.sizes) and not spec.fin.cyclic and spec.singletons.is_omega
 
 
 class FinTwoCase2(_Reservoir):
@@ -629,11 +634,9 @@ class FinTwoCase2(_Reservoir):
     _open = FinPt2
     _pool_cls = _I
 
-    def _check_spec(self, spec):
-        if not spec.inf.is_omega:
-            raise ValueError("FinTwoCase2 needs infinitely many infinite blocks")
-        if spec.singletons.is_omega:
-            raise ValueError("FinTwoCase2 applies when singletons are finitely many")
+    @classmethod
+    def covers(cls, spec):
+        return bool(spec.fin.sizes) and not spec.fin.cyclic and spec.singletons.is_finite and spec.inf.is_omega
 
 
 # --------------------------------------------------------------------------
@@ -701,12 +704,10 @@ class ExtendPairs(InfOrSingleton):
 
     kind = "ExtendPairs"
     _variants = (Ball, ExtPt)
-    _domain = frozenset((_F,))
 
-    def __init__(self, spec):
-        super().__init__(spec)
-        if not spec.fin.cyclic:
-            raise ValueError(f"{self.kind} needs a cyclically repeating finite-block family")
+    @classmethod
+    def covers(cls, spec):
+        return spec.fin.cyclic and spec.singletons == 0 and spec.inf == 0
 
     def _wrap(self, p, ball):
         if p.elem <= 1:
@@ -804,10 +805,9 @@ class PairBlocks(ExtendPairs):
     kind = "PairBlocks"
     _variants = (Ball,)
 
-    def __init__(self, spec):
-        super().__init__(spec)
-        if any(s != 2 for s in spec.fin.sizes):
-            raise ValueError("PairBlocks needs cyclically repeating blocks of size 2")
+    @classmethod
+    def covers(cls, spec):
+        return super().covers(spec) and all(s == 2 for s in spec.fin.sizes)
 
 
 class SplitUnion(ExtendPairs):
@@ -820,12 +820,13 @@ class SplitUnion(ExtendPairs):
     """
 
     kind = "SplitUnion"
-    _domain = frozenset((_S, _F, _I))
+
+    @classmethod
+    def covers(cls, spec):
+        return spec.fin.cyclic and (spec.singletons >= 1 or spec.inf >= 1)
 
     def __init__(self, spec):
         super().__init__(spec)
-        if not (spec.singletons >= 1 or spec.inf >= 1):
-            raise ValueError("SplitUnion needs a nonempty singleton/infinite part")
         pairs = PairBlocks._variants if all(s == 2 for s in spec.fin.sizes) else ExtendPairs._variants
         self._variants = pairs + InfOrSingleton._variants
 
@@ -991,26 +992,17 @@ class SubbasisExample(Construction):
 # --------------------------------------------------------------------------
 # dispatch
 
+# every T1 kind, each narrowed subclass before its base: realise_t1 builds the first that covers
+_T1_KINDS = (InfBlocks, InfOrSingleton, FinTwoCase1, FinTwoCase2, PairBlocks, ExtendPairs, SplitUnion)
+
+
 def realise_t1(spec: PartitionSpec) -> Construction:
     """Build the T1 realisation of a spec, or refuse when none exists."""
     if not is_t1_realisable(spec):
         raise NotRealisableError(
             "not T1-realisable: Part(R) finite with a finite block of size ≥ 2"
         )
-    fin = spec.fin
-    if fin.is_empty:
-        if spec.singletons == 0:
-            return InfBlocks(spec)
-        return InfOrSingleton(spec)
-    if not fin.cyclic:
-        if spec.singletons.is_omega:
-            return FinTwoCase1(spec)
-        return FinTwoCase2(spec)
-    if spec.singletons == 0 and spec.inf == 0:
-        if all(s == 2 for s in fin.sizes):
-            return PairBlocks(spec)
-        return ExtendPairs(spec)
-    return SplitUnion(spec)
+    return next(kind for kind in _T1_KINDS if kind.covers(spec))(spec)
 
 
 def realise_t0(spec: PartitionSpec) -> Construction:
@@ -1027,6 +1019,7 @@ def realise_tau_r(spec: PartitionSpec) -> Construction:
 # the non-transitive closure demonstration
 
 DEFAULT_DESIGNATED = (ResidueClassSet(1, 3), ResidueClassSet(2, 3))
+_SEARCH_BOUND = 400
 
 
 @dataclass
@@ -1059,14 +1052,14 @@ class NonTransitiveReport:
         return "\n".join(lines)
 
 
-def nontransitive_demo(designated=None, search_bound: int = 400) -> NonTransitiveReport:
+def nontransitive_demo(designated=None) -> NonTransitiveReport:
     """Exhibit a non-transitive triple of the subbasis-example closure.
 
     Looks for the smallest consecutive triple (a, a+1, a+2) with the ends
     separable but both adjacent pairs inseparable, then falls back to a
     bounded general search.  When both fail, the triple is built from the
     rule every such triple obeys: b is the least undesignated point below
-    ``search_bound``, and a and c are the offsets of the first two
+    ``_SEARCH_BOUND``, and a and c are the offsets of the first two
     designated sets.  The found certificate is re-checked before it is
     reported; failure there would be a library defect.
     """
@@ -1081,12 +1074,12 @@ def nontransitive_demo(designated=None, search_bound: int = 400) -> NonTransitiv
         return (not c.separable(a, b)) and (not c.separable(b, cc)) and c.separable(a, cc)
 
     triple = None
-    for a in range(search_bound):
+    for a in range(_SEARCH_BOUND):
         if pattern(a, a + 1, a + 2):
             triple = (a, a + 1, a + 2)
             break
     if triple is None:
-        small = min(search_bound, 60)
+        small = 60
         for a in range(small):
             for b in range(a + 1, small):
                 if c.separable(a, b):
@@ -1100,7 +1093,7 @@ def nontransitive_demo(designated=None, search_bound: int = 400) -> NonTransitiv
             if triple:
                 break
     if triple is None and len(designated) >= 2:
-        b = next((x for x in range(search_bound) if c._designated_index(x) is None), None)
+        b = next((x for x in range(_SEARCH_BOUND) if c._designated_index(x) is None), None)
         if b is not None:
             triple = (designated[0].offset, b, designated[1].offset)
     if triple is None:

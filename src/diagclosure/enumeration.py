@@ -21,16 +21,19 @@ therefore sums over configurations (T, a partition of T into classes, M).
 The preorders of one configuration are the preorders Q on the other points
 with x <=_Q y only if M(x) contains M(y); the DFS counts them, with the
 posets among them for the T0 column (T0 needs singleton top classes), and
-the counts are memoised on the sorted M values.  The configuration's flat
-preorder (Q the identity) is a subset of every other preorder in it, so it
-comes first in delivery order and is the configuration's example.  The
-catalog up to isomorphism is a fold of the finished labelled counts: each
-orbit under point permutations is canonicalised once and its members are
-merged under the orbit minimum.  A relabelling moves relation bits, not
-rows: one table per permutation of n points, built once per n, maps each
-upper-triangle cell to the bit it moves to, and the image of a code is the
-sum of the table entries of its set cells.  Every record keeps as its
-example the preorder delivered first.
+the counts are memoised on the sorted M values, with transitivity: the
+closure is transitive iff every M(x) is one class (a top point's M is its
+own class).  If M(x) holds classes C != C', then c ~ x ~ c' for c in C and
+c' in C' but not c ~ c'; otherwise the closure is "same M", an equivalence.
+The configuration's flat preorder (Q the identity) is a subset of every
+other preorder in it, so it comes first in delivery order and is the
+configuration's example.  The catalog up to isomorphism is a fold of the
+finished labelled counts: each orbit under point permutations is
+canonicalised once and its members are merged under the orbit minimum.  A
+relabelling moves relation bits, not rows: one table per permutation of n
+points, built once per n, maps each upper-triangle cell to the bit it moves
+to, and the image of a code is the sum of the table entries of its set
+cells.  Every record keeps as its example the preorder delivered first.
 
 Relation codes render the strict upper triangle as lowercase hex: pairs
 (i, j) with i < j in lexicographic order, first pair in the least
@@ -320,14 +323,14 @@ def _count_below(ms: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _count_configurations(n: int, t0_only: bool):
-    """Counts ``{closure bits: [labelled, t0, first example's bits]}`` and totals.
+    """Counts ``{closure bits: [labelled, t0, first example's bits, transitive]}`` and totals.
 
     One entry per configuration: a top set, its partition into classes, and
     the non-empty set of classes above each other point, as a class bitmask.
     """
     counts: dict[int, list] = {}
     totals = [0, 0]
-    memo: dict[tuple[int, ...], tuple[int, int]] = {}
+    memo: dict[tuple[int, ...], tuple[int, int, bool]] = {}
     for top in range(1 << n):
         tops = [x for x in range(n) if top >> x & 1]
         rest = [x for x in range(n) if not top >> x & 1]
@@ -346,7 +349,7 @@ def _count_configurations(n: int, t0_only: bool):
                 key = tuple(sorted(ms))
                 found = memo.get(key)
                 if found is None:
-                    found = memo[key] = _count_below(key)
+                    found = memo[key] = (*_count_below(key), all(m & (m - 1) == 0 for m in key))
                 posets = found[1] if singletons else 0
                 labelled = posets if t0_only else found[0]
                 for x, m in zip(rest, ms):
@@ -354,13 +357,14 @@ def _count_configurations(n: int, t0_only: bool):
                 totals[0] += labelled
                 totals[1] += posets
                 code = _relation_bits(closure_rows(rows), n)
-                _merge(counts, code, [labelled, posets, _preorder_bits(rows, n)], n)
+                _merge(counts, code, [labelled, posets, _preorder_bits(rows, n), found[2]], n)
     return counts, totals
 
 
 def _merge(into: dict[int, list], code: int, entry: list, n: int) -> None:
     """Add one entry's counts under ``code``; the example delivered first is kept.
 
+    The entries under one code share their closure, hence its transitive flag.
     Delivery order reads the off-diagonal cells row-major with the first cell
     most significant, which is the preorder bits reversed.
     """
@@ -380,6 +384,7 @@ def _fold_orbits(counts: dict[int, list], n: int) -> dict[int, list]:
 
     Each orbit is canonicalised once, and its members are its permutation
     images (relabelling a topology gives a topology, so all are present).
+    Relabelling keeps transitivity, so the members share their flag.
     """
     canon_of: dict[int, int] = {}
     folded: dict[int, list] = {}
@@ -392,43 +397,13 @@ def _fold_orbits(counts: dict[int, list], n: int) -> dict[int, list]:
     return folded
 
 
-def _transitive_bits(code: int, n: int) -> bool:
-    """Whether the reflexive symmetric relation with relation bits ``code``
-    is transitive, read off the code's rows (the cells above the diagonal).
-
-    Such a relation is transitive iff it is the relation of a partition.
-    Reading the rows in order, a point outside every class seen so far
-    opens a class with the points above it, none of which may lie in an
-    earlier class; a point inside a class must be related to exactly the
-    rest of that class above it.
-    """
-    covered = 0
-    classes = []
-    t = 0
-    for i in range(n):
-        w = n - 1 - i
-        above = (code >> t & ((1 << w) - 1)) << (i + 1)
-        t += w
-        if covered >> i & 1:
-            c = next(c for c in classes if c >> i & 1)
-            if above != c >> (i + 1) << (i + 1):
-                return False
-        elif above & covered:
-            return False
-        else:
-            covered |= above | 1 << i
-            classes.append(above | 1 << i)
-    return True
-
-
 def _catalog(n: int, counts: dict[int, list], totals, up_to_iso: bool) -> Catalog:
     """The catalog of finished labelled counts, folded by orbit if ``up_to_iso``."""
     if up_to_iso:
         counts = _fold_orbits(counts, n)
     records = []
     for code in sorted(counts):
-        lab, t0c, example = counts[code]
-        transitive = _transitive_bits(code, n)
+        lab, t0c, example, transitive = counts[code]
         records.append(
             CatalogRecord(
                 n=n,

@@ -306,8 +306,6 @@ def _parse_finspec(text: str) -> FiniteBlocks:
         if not body.endswith("]"):
             raise SpecSyntaxError(f"bad finite-block clause: {text!r}")
         body = body[len("cycle[") : -1]
-        if not body:
-            raise SpecSyntaxError("cycle[...] needs at least one size")
     elif body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
     else:
@@ -319,10 +317,7 @@ def _parse_finspec(text: str) -> FiniteBlocks:
         item = item.strip()
         if not item.isdigit():
             raise SpecSyntaxError(f"bad finite block size: {item!r}")
-        n = int(item)
-        if n < 2:
-            raise SpecSyntaxError(f"finite block sizes must be >= 2: {n}")
-        sizes.append(n)
+        sizes.append(int(item))
     return FiniteBlocks(tuple(sizes), cyclic)
 
 
@@ -388,8 +383,9 @@ class FiniteRelation:
         return cls(n, (mask for _ in range(n)))
 
     @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]], include_diagonal: bool = True) -> "FiniteRelation":
-        rows = [(1 << i) if include_diagonal else 0 for i in range(n)]
+    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "FiniteRelation":
+        """The diagonal together with ``pairs``."""
+        rows = [1 << i for i in range(n)]
         for i, j in pairs:
             rows[i] |= 1 << j
         return cls(n, rows)

@@ -20,9 +20,10 @@ Sampling is deterministic: the PRNG is the standard library's
 ``random.Random`` seeded with an integer derived from the report seed, and
 pairs are drawn round-robin from the strata of address-class combinations
 the spec admits, so every stratum gets an equal share.  One sampler per
-address class and one per stratum are built at the start of each run, with
-the spec's limits fixed in them; ``tests/reference.py`` keeps the plain
-sampling functions they must match draw for draw.
+address class the strata name and one per stratum are built at the start
+of each run, with the spec's limits fixed in them; finite and infinite
+blocks share one sampler.  ``tests/reference.py`` keeps the plain sampling
+functions they must match draw for draw.
 
 Documented fault-injection modes (exercised by the test suite, which this
 harness must catch): a wrong residue-class assignment (reservoirs or pools
@@ -148,31 +149,21 @@ def _point_sampler(tag, spec, randrange, bounds):
 
         return point
     if tag == "f":
-        sizes = spec.fin.sizes
-        period = len(sizes)
-        blocks = block_limit(None if spec.fin.cyclic else period)
+        cls, sizes = _F, spec.fin.sizes
+        blocks = block_limit(None if spec.fin.cyclic else len(sizes))
         limits = tuple(min(elem_bound, size - 1) + 1 for size in sizes)
-
-        def point(block=None, not_elem=None):
-            if block is None:
-                block = randrange(blocks)
-            limit = limits[block % period]
-            while True:
-                e = randrange(limit)
-                if e != not_elem:
-                    return PointAddr(_F, block, e)
-
-        return point
-    blocks = block_limit(spec.inf.value)
-    limit = elem_bound + 1
+    else:  # an infinite block is a one-entry limit table with period 1
+        cls, blocks, limits = _I, block_limit(spec.inf.value), (elem_bound + 1,)
+    period = len(limits)
 
     def point(block=None, not_elem=None):
         if block is None:
             block = randrange(blocks)
+        limit = limits[block % period]
         while True:
             e = randrange(limit)
             if e != not_elem:
-                return PointAddr(_I, block, e)
+                return PointAddr(cls, block, e)
 
     return point
 
@@ -214,19 +205,10 @@ def _samplers(spec, rng, bounds):
     """The point samplers by class, keyed by tag, and the pair samplers in
     stratum order, all drawing from ``rng``."""
     randrange = rng.randrange
-    points = {tag: _point_sampler(tag, spec, randrange, bounds) for tag in _point_classes(spec)}
-    return points, [_pair_sampler(stratum, points) for stratum in _strata_for(spec)]
-
-
-def _point_classes(spec: PartitionSpec) -> list[str]:
-    out = []
-    if spec.singletons >= 1:
-        out.append("s")
-    if spec.fin.count >= 1:
-        out.append("f")
-    if spec.inf >= 1:
-        out.append("i")
-    return out
+    strata = _strata_for(spec)
+    tags = [tag for tag in "sfi" if any(tag in stratum[:2] for stratum in strata)]
+    points = {tag: _point_sampler(tag, spec, randrange, bounds) for tag in tags}
+    return points, [_pair_sampler(stratum, points) for stratum in strata]
 
 
 def verify_construction(

@@ -107,7 +107,11 @@ def relabelled_codes(code: int, n: int) -> list[int]:
 
 
 def accumulate(n: int, t0_only: bool):
-    """Counts ``{closure bits: [labelled, t0, first example's bits]}`` and totals."""
+    """Counts ``{closure bits: [labelled, t0, first example's bits, transitive]}`` and totals.
+
+    The transitive flag is read off each distinct closure by
+    ``FiniteRelation.is_transitive``, not from the configuration.
+    """
     counts: dict[int, list] = {}
     totals = [0, 0]
     for rows in _iter_rows(n):
@@ -116,10 +120,11 @@ def accumulate(n: int, t0_only: bool):
             continue
         totals[0] += 1
         totals[1] += t0
-        code = _relation_bits(closure_rows(rows), n)
+        closure = closure_rows(rows)
+        code = _relation_bits(closure, n)
         entry = counts.get(code)
         if entry is None:
-            counts[code] = [1, int(t0), _preorder_bits(rows, n)]
+            counts[code] = [1, int(t0), _preorder_bits(rows, n), FiniteRelation(n, closure).is_transitive()]
         else:
             entry[0] += 1
             entry[1] += t0

@@ -55,6 +55,17 @@ def test_realise_bad_spec(capsys):
     assert code == 2
 
 
+def test_finite_block_rules_have_one_wording(capsys):
+    # FiniteBlocks owns the size and non-empty-family rules; the parser only reads digits
+    for fin, message in (
+        ("[1]", "error: finite block sizes must be naturals >= 2: 1"),
+        ("cycle[]", "error: a cyclic finite-block family needs at least one size"),
+        ("cycle[ ]", "error: a cyclic finite-block family needs at least one size"),
+    ):
+        code, out, err = run(capsys, "realise", "--spec", f"singletons=omega;fin={fin};inf=0")
+        assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_realise_json_lines(capsys):
     code, out, _ = run(
         capsys, "realise", "--spec", "singletons=0;fin=[];inf=3",
@@ -189,11 +200,14 @@ def test_enumerate_refuses_negative_n(capsys):
     assert err.startswith("error: ")
 
 
-def test_enumerate_workers_match_single(tmp_path, capsys):
-    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-    run(capsys, "enumerate", "--n", "3", "--out", str(a))
-    run(capsys, "enumerate", "--n", "3", "--workers", "2", "--out", str(b))
-    assert a.read_text() == b.read_text()
+def test_enumerate_refuses_workers(capsys):
+    # catalogs are built in one process; the option is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "3", "--workers", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --workers 2" in captured.err
 
 
 def test_cli_import_leaves_multiprocessing_out():

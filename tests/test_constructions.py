@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -36,12 +37,21 @@ from diagclosure.constructions import (
 )
 from diagclosure.errors import (
     ForeignVariantError,
+    GroundSetFiniteError,
     InvalidAddressError,
     NotDisjointError,
     NotRealisableError,
     NotT1ConstructionError,
 )
-from diagclosure.relations import BlockClass, BlockRef, PointAddr, parse_point, parse_spec, same_block
+from diagclosure.relations import (
+    BlockClass,
+    BlockRef,
+    PointAddr,
+    is_t1_realisable,
+    parse_point,
+    parse_spec,
+    same_block,
+)
 from diagclosure.symbolic_sets import RationalBall, ResidueClassSet, pair_encode
 from diagclosure.verify import _samplers, verify_construction
 
@@ -143,6 +153,42 @@ def test_constructor_refusals(cls):
         assert c.spec == spec
         accepted.add(i)
     assert accepted == ACCEPTED[cls]
+
+
+# the T1 kinds in dispatch order, each narrowed subclass before its base
+T1_KINDS = (InfBlocks, InfOrSingleton, FinTwoCase1, FinTwoCase2, PairBlocks, ExtendPairs, SplitUnion)
+NARROWED = {frozenset((InfOrSingleton, InfBlocks)), frozenset((ExtendPairs, PairBlocks))}
+
+
+def grid_specs():
+    counts = ("0", "1", "2", "omega")
+    fins = ("[]", "[2]", "[3]", "[2,3]", "cycle[2]", "cycle[3]", "cycle[2,3]")
+    for s, fin, i in product(counts, fins, counts):
+        try:
+            yield parse_spec(f"singletons={s};fin={fin};inf={i}")
+        except GroundSetFiniteError:
+            continue
+
+
+def test_dispatch_agrees_with_the_theorem():
+    specs = list(grid_specs())
+    assert len(specs) == 100  # 112 profiles, less the 12 finite ground sets
+    for spec in specs:
+        covering = [kind for kind in T1_KINDS if kind.covers(spec)]
+        assert is_t1_realisable(spec) == bool(covering), spec.render()
+        for kind in T1_KINDS + (T0Sat, TauR):
+            if kind.covers(spec):
+                assert kind(spec).spec == spec
+            else:
+                with pytest.raises(ValueError):
+                    kind(spec)
+        for pair in combinations(covering, 2):
+            assert frozenset(pair) in NARROWED, spec.render()
+        if covering:
+            assert type(realise_t1(spec)) is covering[0]
+        else:
+            with pytest.raises(NotRealisableError):
+                realise_t1(spec)
 
 
 def test_realise_t0_examples():

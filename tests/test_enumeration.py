@@ -189,23 +189,6 @@ def test_catalog_records_are_sound():
             assert relation_code(closure_of_preorder(witness)) == rec.relation_code
 
 
-def test_transitivity_from_code_bits_matches_the_relation():
-    from diagclosure.enumeration import _transitive_bits
-
-    cases = [(n, code) for n in range(6) for code in range(1 << (n * (n - 1) // 2))]
-    for n in range(6, 9):  # equivalences, each also with one cell flipped, on more points
-        rng = random.Random(n)
-        for part in all_partitions(n):
-            code = int(relation_code(eq_of_partition(part)), 16)
-            cases += [(n, code), (n, code ^ 1 << rng.randrange(n * (n - 1) // 2))]
-    transitive = 0
-    for n, code in cases:
-        expected = decode_relation(format(code, "x"), n).is_transitive()
-        assert _transitive_bits(code, n) == expected, (n, code)
-        transitive += expected
-    assert 0 < transitive < len(cases)
-
-
 def test_t0_catalogs_cover_all_equivalences_up_to_n4():
     # n=5 runs in the acceptance suite
     for n in range(1, 5):

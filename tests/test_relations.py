@@ -79,6 +79,7 @@ def test_parse_spec_clause_order_and_cycle():
         "singletons=omega;fin=2;inf=0",
         "singletons=omega;fin=[1];inf=0",  # size < 2
         "singletons=omega;fin=cycle[];inf=0",
+        "singletons=omega;fin=cycle[ ];inf=0",
         "singletons=omega;fin=[2,];inf=0",
         "bogus=omega;fin=[];inf=1",
     ],
