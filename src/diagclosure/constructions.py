@@ -56,6 +56,7 @@ from .errors import (
     NotDisjointError,
     NotRealisableError,
     NotT1ConstructionError,
+    check_bounds,
 )
 from .relations import (
     BlockClass,
@@ -371,6 +372,7 @@ class Construction:
 
     def sample_open(self, p, rng, bounds=(50, 50)):
         """A randomly decorated basic open containing p (harness plumbing)."""
+        check_bounds(bounds, 0)
         self._check_point(p)
         return self._sample_open(p, rng, bounds)
 
@@ -415,11 +417,28 @@ class Construction:
         raise NotImplementedError
 
 
+def draw_below(getrandbits, n: int, k: Optional[int] = None) -> int:
+    """A uniform draw from ``range(n)``, n >= 1, from the bit source ``getrandbits``.
+
+    It draws k bits, k the bit width of n, again while they are >= n: the
+    rule of ``random.Random._randbelow_with_getrandbits``, so the draws and
+    the generator state after them are those of ``randrange(n)`` and
+    ``randint(0, n - 1)``, without their argument checks.  A caller that
+    draws often below one n passes its bit width ``k``, fixed once.
+    """
+    if k is None:
+        k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _draw_excl(rng, hi: int, unit, keep) -> frozenset:
     """Up to two random exclusions ``unit(k)``, 0 <= k <= hi, never ``keep``."""
-    out = set()
-    for _ in range(rng.randrange(3)):
-        u = unit(rng.randint(0, hi))
+    out, getrandbits = set(), rng.getrandbits
+    for _ in range(draw_below(getrandbits, 3)):
+        u = unit(draw_below(getrandbits, hi + 1))
         if u != keep:
             out.add(u)
     return frozenset(out)
@@ -582,8 +601,8 @@ class _Reservoir(InfOrSingleton):
         if p.cls is self._pool_cls:
             owners = [j for j in range(self.modulus) if self._in_reservoir(j, p)]
             if owners and rng.random() < 0.5:
-                j = owners[rng.randrange(len(owners))]
-                k = rng.randrange(self.spec.fin.size_of(j))
+                j = owners[draw_below(rng.getrandbits, len(owners))]
+                k = draw_below(rng.getrandbits, self.spec.fin.size_of(j))
                 return self._open(j, k, self._sample_excl(j, rng, bounds[0], avoid=self._unit(p)))
         return InfOrSingleton._sample_open(self, p, rng, bounds)
 
@@ -655,17 +674,17 @@ def _sample_ball(z, rng) -> RationalBall:
     is ``(8a + (2o + k*h) * b) / 8b``, inside the ball as ``|k| < 4``, and z's
     rational iff ``2o + k*h == 0``."""
     x, qc, level = z
-    randrange = rng.randrange
-    off = _OFFSETS[randrange(len(_OFFSETS))]
-    r = randrange(len(_RADII))
+    getrandbits = rng.getrandbits
+    off = _OFFSETS[draw_below(getrandbits, len(_OFFSETS))]
+    r = draw_below(getrandbits, len(_RADII))
     half = _HALVES[r]
     if abs(off) >= 2 * half:  # the ball must hold z: 1/2 against an offset of 1/2
         r, half = 1, 2
     a, b = qc.numerator, qc.denominator
     excl = set()
-    for _ in range(randrange(3)):
-        step = 2 * off + randrange(-3, 4) * half
-        lev = randrange(2)
+    for _ in range(draw_below(getrandbits, 3)):
+        step = 2 * off + (draw_below(getrandbits, 7) - 3) * half
+        lev = draw_below(getrandbits, 2)
         if step or lev != level:
             excl.add((Fraction(8 * a + step * b, 8 * b), lev))
     return RationalBall._unchecked(x, Fraction(4 * a + off * b, 4 * b), _RADII[r], frozenset(excl))
@@ -767,8 +786,8 @@ class ExtendPairs(InfOrSingleton):
         if p.elem == 1 and size >= 3 and rng.random() < 0.3:
             # an extension open of the same block also contains this point
             x, qc = _xq(p.block)
-            k = rng.randrange(2, size)
-            rad = _RADII[rng.randrange(2)]
+            k = 2 + draw_below(rng.getrandbits, size - 2)
+            rad = _RADII[draw_below(rng.getrandbits, 2)]
             return ExtPt(p.block, k, RationalBall._unchecked(x, qc, rad, _NO_EXCL))
         return Ball(_sample_ball(_z(p.block, p.elem), rng))
 
@@ -864,7 +883,7 @@ class T0Sat(Construction):
         size = self.spec.block_size(p.block_ref)
         if p.elem == 0 and size >= 2 and rng.random() < 0.5:
             hi = bounds[1] if size.is_omega else size.finite() - 1
-            e = rng.randint(1, max(1, hi))
+            e = 1 + draw_below(rng.getrandbits, max(1, hi))
             return SatPair(PointAddr(p.cls, p.block, e))
         return SatPair(p)
 

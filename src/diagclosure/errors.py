@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size checks that raise them."""
+
+from operator import index
 
 
 class DiagClosureError(Exception):
@@ -38,7 +40,8 @@ class BoundExceededError(DiagClosureError, ValueError):
 
 
 class InvalidSizeError(DiagClosureError, ValueError):
-    """A count, size or sampling bound below the least value an operation accepts."""
+    """A count, size or sampling bound that is not an integer, or is below
+    the least value an operation accepts."""
 
 
 class InvalidRepresentativeError(DiagClosureError, ValueError):
@@ -63,3 +66,24 @@ class NotATopologyError(DiagClosureError, ValueError):
 
 class NotDisjointError(DiagClosureError, ValueError):
     """Designated sets that were required to be pairwise disjoint overlap."""
+
+
+def require_integers(what: str, *values) -> None:
+    """Refuse, naming it, any of ``values`` that ``operator.index`` rejects.
+
+    Counts and bounds are compared and drawn from as integers; a float or a
+    string would otherwise fail later, in a way that depends on the Python
+    version, or not at all.
+    """
+    for value in values:
+        try:
+            index(value)
+        except TypeError:
+            raise InvalidSizeError(f"{what} must be integers, got {value!r}") from None
+
+
+def check_bounds(bounds, least: int) -> None:
+    """Refuse sampling bounds ``(block, element)`` that are not integers >= least."""
+    require_integers("sampling bounds", *bounds)
+    if min(bounds) < least:
+        raise InvalidSizeError(f"sampling bounds must be >= {least}, got {bounds[0]},{bounds[1]}")

@@ -21,9 +21,14 @@ Sampling is deterministic: the PRNG is the standard library's
 pairs are drawn round-robin from the strata of address-class combinations
 the spec admits, so every stratum gets an equal share.  One sampler per
 address class the strata name and one per stratum are built at the start
-of each run, with the spec's limits fixed in them; finite and infinite
-blocks share one sampler.  ``tests/reference.py`` keeps the plain sampling
-functions they must match draw for draw.
+of each run, with the spec's limits and their bit widths fixed in them;
+finite and infinite blocks share one sampler.  Every index is drawn by
+:func:`~diagclosure.constructions.draw_below` straight from the
+generator's ``getrandbits``, by the rejection rule of ``randrange``, so the
+draws are those of ``randrange`` and ``randint`` without their argument
+checks.  ``tests/reference.py`` keeps the plain sampling functions, drawing
+through ``randint``, that they must match draw for draw.  Bounds and
+sample counts must be integers; others are refused before any draw.
 
 Documented fault-injection modes (exercised by the test suite, which this
 harness must catch): a wrong residue-class assignment (reservoirs or pools
@@ -38,9 +43,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, fields
+from functools import partial
 
-from .constructions import Construction, check_certificate
-from .errors import BoundExceededError, InvalidSizeError, SpecMismatchError
+from .constructions import Construction, check_certificate, draw_below
+from .errors import BoundExceededError, InvalidSizeError, SpecMismatchError, check_bounds, require_integers
 from .relations import (
     BlockClass,
     PartitionSpec,
@@ -128,40 +134,47 @@ def _strata_for(spec: PartitionSpec) -> list[tuple]:
     return out
 
 
-def _point_sampler(tag, spec, randrange, bounds):
+def _below(getrandbits, n):
+    """The draw ``randrange(n)`` as a function of no arguments, with the bit
+    width of n fixed once."""
+    return partial(draw_below, getrandbits, n, n.bit_length())
+
+
+def _point_sampler(tag, spec, getrandbits, bounds):
     """The sampler ``point(block=None, not_elem=None)`` of one address class.
 
-    The block and element limits are fixed here, once per verification
-    run; each index is one ``randrange(limit)``, which takes the draws of
-    ``randint(0, limit - 1)``.  A given ``block`` is kept, and an element
-    equal to ``not_elem`` is drawn again.
+    The block and element limits, and their bit widths, are fixed here, once
+    per verification run; each index is one ``draw_below(getrandbits,
+    limit)``, which takes the draws of ``randint(0, limit - 1)``.  A given
+    ``block`` is kept, and an element equal to ``not_elem`` is drawn again.
     """
     block_bound, elem_bound = bounds
 
-    def block_limit(count):  # the number of blocks to draw from; None is omega
-        return block_bound + 1 if count is None else min(block_bound, count - 1) + 1
+    def block_draw(count):  # the draw of a block index; a count of None is omega
+        return _below(getrandbits, block_bound + 1 if count is None else min(block_bound, count - 1) + 1)
 
     if tag == "s":
-        blocks = block_limit(spec.singletons.value)
+        draw_block = block_draw(spec.singletons.value)
 
         def point(block=None, not_elem=None):
-            return PointAddr(_S, randrange(blocks), 0)
+            return PointAddr(_S, draw_block(), 0)
 
         return point
     if tag == "f":
         cls, sizes = _F, spec.fin.sizes
-        blocks = block_limit(None if spec.fin.cyclic else len(sizes))
-        limits = tuple(min(elem_bound, size - 1) + 1 for size in sizes)
-    else:  # an infinite block is a one-entry limit table with period 1
-        cls, blocks, limits = _I, block_limit(spec.inf.value), (elem_bound + 1,)
-    period = len(limits)
+        draw_block = block_draw(None if spec.fin.cyclic else len(sizes))
+        elem_draws = tuple(_below(getrandbits, min(elem_bound, size - 1) + 1) for size in sizes)
+    else:  # an infinite block is a one-entry draw table with period 1
+        cls, draw_block = _I, block_draw(spec.inf.value)
+        elem_draws = (_below(getrandbits, elem_bound + 1),)
+    period = len(elem_draws)
 
     def point(block=None, not_elem=None):
         if block is None:
-            block = randrange(blocks)
-        limit = limits[block % period]
+            block = draw_block()
+        draw_elem = elem_draws[block % period]
         while True:
-            e = randrange(limit)
+            e = draw_elem()
             if e != not_elem:
                 return PointAddr(cls, block, e)
 
@@ -204,10 +217,9 @@ def _pair_sampler(stratum, points):
 def _samplers(spec, rng, bounds):
     """The point samplers by class, keyed by tag, and the pair samplers in
     stratum order, all drawing from ``rng``."""
-    randrange = rng.randrange
     strata = _strata_for(spec)
     tags = [tag for tag in "sfi" if any(tag in stratum[:2] for stratum in strata)]
-    points = {tag: _point_sampler(tag, spec, randrange, bounds) for tag in tags}
+    points = {tag: _point_sampler(tag, spec, rng.getrandbits, bounds) for tag in tags}
     return points, [_pair_sampler(stratum, points) for stratum in strata]
 
 
@@ -230,11 +242,10 @@ def verify_construction(
     """
     if c.spec != spec:
         raise SpecMismatchError("construction was not built from this spec")
+    require_integers("sample counts", n_pairs, basis_samples)
     if n_pairs < 0 or basis_samples < 0:
         raise InvalidSizeError(f"sample counts must be >= 0, got n_pairs={n_pairs}, basis_samples={basis_samples}")
-    if min(bounds) < 1:
-        # with a bound of 0 the rejection sampling can never draw a second point
-        raise InvalidSizeError(f"sampling bounds must be >= 1, got {bounds[0]},{bounds[1]}")
+    check_bounds(bounds, 1)  # with a bound of 0 the rejection sampling can never draw a second point
     rng = random.Random(seed * 1_000_003 + 17)
     points, pairs = _samplers(spec, rng, bounds)
     if not pairs:
@@ -265,7 +276,7 @@ def verify_construction(
             if not (member(o_q, q) and not member(o_q, p)):
                 t1_fail += 1
 
-    randrange = rng.randrange
+    draw_class = _below(rng.getrandbits, n_classes)
     check_point, sample_open = c._check_point, c._sample_open
     refine, contains = c.refine, c.contains
     basis_checks = basis_fail = 0
@@ -279,7 +290,7 @@ def verify_construction(
         ok = member(o3, p) and contains(o1, o3) and contains(o2, o3)
         if ok:
             for _ in range(4):
-                probe = class_points[randrange(n_classes)]()
+                probe = class_points[draw_class()]()
                 if member(o3, probe) and not (member(o1, probe) and member(o2, probe)):
                     ok = False
                     break

@@ -1,5 +1,6 @@
 """Realisation constructions: dispatch, oracles, witnesses, certificates."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -54,6 +55,7 @@ from diagclosure.relations import (
 )
 from diagclosure.symbolic_sets import RationalBall, ResidueClassSet, pair_encode
 from diagclosure.verify import _samplers, verify_construction
+from reference import sample_point
 
 S, F, I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 
@@ -743,3 +745,87 @@ def test_verify_checks_each_point_once(kind, realise, text):
         report = verify_construction(c, spec, n_pairs=n_pairs, basis_samples=basis_samples, seed=5)
         assert report.passed()
         assert calls == 2 * n_pairs + basis_samples, (n_pairs, basis_samples)
+
+
+# --- the sample_open draws: pinned on every kind, with every branch reached ---
+
+SAMPLE_OPEN_CALLS = 2_000
+
+
+def _open_branch(p, o):
+    """Which branch of ``_sample_open`` drew o around p: the open's variant,
+    starred when it is anchored at a point other than p, and how many
+    exclusions (0, 1 or 2) it carries."""
+    anchor = getattr(o, "point", None)
+    if isinstance(o, (FinPt1, FinPt2, ExtPt)):
+        anchor = PointAddr(F, o.block, o.elem)
+    excluded = o.ball.excluded if isinstance(o, (Ball, ExtPt)) else getattr(o, "excluded", ())
+    return type(o).__name__ + ("*" if anchor is not None and anchor != p else ""), len(excluded)
+
+
+def _sample_open_draws(c, points):
+    """The renders of one ``sample_open`` call per point, all from one seeded
+    generator, hashed with its final state; and the branches taken, as
+    ``"variant counts, ..."``."""
+    rng = random.Random(7)
+    renders, branches = [], {}
+    for p in points:
+        o = c.sample_open(p, rng, (50, 50))
+        renders.append(o.render())
+        variant, n_excluded = _open_branch(p, o)
+        branches.setdefault(variant, set()).add(str(n_excluded))
+    text = "\n".join(renders) + "\n" + repr(rng.getstate())
+    summary = ", ".join(f"{variant} {''.join(sorted(counts))}" for variant, counts in sorted(branches.items()))
+    return hashlib.sha256(text.encode()).hexdigest(), summary
+
+
+def _kind_points(spec, n):
+    """n points of spec, the address classes in turn, drawn by the reference sampler."""
+    tags = [t for t, count in (("s", spec.singletons), ("f", spec.fin.count), ("i", spec.inf)) if count >= 1]
+    rng = random.Random(3)
+    return [sample_point(tags[t % len(tags)], spec, rng, (50, 50)) for t in range(n)]
+
+
+SAMPLE_OPEN_DIGESTS = {
+    "InfBlocks": "7ef89fbd9af815fe68c7223dbe84050bd4038ddf3f6525a07208a4e2b4b36bf7",
+    "InfOrSingleton": "48e3357ec10251013542201c1a353437c1f822dcfd44fcd65974cbd294973591",
+    "FinTwoCase1": "bc1ee1f7611a80282ad76bc570298df9f2c164ddb0bf2a5df987815e96d5a2cc",
+    "FinTwoCase2": "4dd49da3aaff559a0a1b7356e0b34145a87851385f63a0648e55d609bbc3414b",
+    "PairBlocks": "bc650dd9e31364ef7d0acb8f0caf567b6c0cc31ed94b4542c7349ab222d6b2ae",
+    "SplitUnion": "63af8182e5315fd2209e74c15f76128f21e8d44f67ebad8283053258dc859486",
+    "T0Sat": "a72c2f9dadc39e722e3161cbf48f184490e241491059b4818bfe9d0d00e9e4ca",
+    "TauR": "26151047f20eacb40c6ba271bce36970878e78a65a9e271e83462f91956c7176",
+    "ExtendPairs": "7807b7d4db2b1e7b929d2653dfa19948bfa7645efe117dd1145d206457a7146e",
+    "SubbasisExample": "394bdcdeee84c24e2183040207133afd0491eb90393a8df389b4a2bd5f790a73",
+}
+
+# the branches each kind's _sample_open must reach: each variant (starred when
+# anchored at another point) with the exclusion counts drawn
+SAMPLE_OPEN_BRANCHES = {
+    "InfBlocks": "CofInBlock 012",
+    "InfOrSingleton": "CofInBlock 012, SingletonPt 0",
+    "FinTwoCase1": "CofInBlock 012, FinPt1 012, FinPt1* 012, SingletonPt 0",
+    "FinTwoCase2": "CofInBlock 012, FinPt2 012, FinPt2* 012, SingletonPt 0",
+    "PairBlocks": "Ball 012",
+    "SplitUnion": "Ball 012, CofInBlock 012, ExtPt 012, ExtPt* 0, SingletonPt 0",
+    "T0Sat": "SatPair 0, SatPair* 0",
+    "TauR": "BlockOpen 0",
+    "ExtendPairs": "Ball 012, ExtPt 012, ExtPt* 0",
+    "SubbasisExample": "CofInD 012, CofOmega 012",
+}
+
+
+@pytest.mark.parametrize("kind, realise, text", NINE_KINDS, ids=[k for k, _, _ in NINE_KINDS])
+def test_sample_open_draws_are_pinned(kind, realise, text):
+    spec = parse_spec(text)
+    digest, branches = _sample_open_draws(realise(spec), _kind_points(spec, SAMPLE_OPEN_CALLS))
+    assert digest == SAMPLE_OPEN_DIGESTS[kind]
+    assert branches == SAMPLE_OPEN_BRANCHES[kind]
+
+
+def test_sample_open_draws_are_pinned_on_the_subbasis_example():
+    rng = random.Random(3)
+    points = [rng.randint(0, 200) for _ in range(SAMPLE_OPEN_CALLS)]
+    digest, branches = _sample_open_draws(SubbasisExample(DEFAULT_DESIGNATED), points)
+    assert digest == SAMPLE_OPEN_DIGESTS["SubbasisExample"]
+    assert branches == SAMPLE_OPEN_BRANCHES["SubbasisExample"]

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -17,14 +18,17 @@ from faults import (
 )
 
 from diagclosure.constructions import (
+    DEFAULT_DESIGNATED,
     FinTwoCase1,
     FinTwoCase2,
+    SubbasisExample,
+    draw_below,
     realise_t0,
     realise_t1,
     realise_tau_r,
 )
-from diagclosure.errors import BoundExceededError, SpecMismatchError
-from diagclosure.relations import parse_spec, same_block
+from diagclosure.errors import BoundExceededError, InvalidSizeError, SpecMismatchError
+from diagclosure.relations import BlockClass, PointAddr, parse_spec, same_block
 from reference import sample_pair, sample_point
 
 from diagclosure.verify import (
@@ -74,6 +78,46 @@ def test_verify_spec_mismatch():
     c = realise_t1(spec)
     with pytest.raises(SpecMismatchError):
         verify_construction(c, other, n_pairs=10)
+
+
+# a bound or count that is not an integer is refused by name before any draw,
+# the same on every Python version and spec
+@pytest.mark.parametrize("bounds", ((50, 50.0), (50, 50.5), ("5", 5)), ids=repr)
+def test_non_integer_bounds_are_refused_before_any_draw(bounds):
+    bad = next(b for b in bounds if type(b) is not int)
+    message = f"^sampling bounds must be integers, got {re.escape(repr(bad))}$"
+    spec = parse_spec("singletons=omega;fin=[3,2];inf=1")
+    c = realise_t1(spec)
+    with pytest.raises(InvalidSizeError, match=message):
+        verify_construction(c, spec, n_pairs=10, bounds=bounds)
+    rng = random.Random(0)
+    state = rng.getstate()
+    calls = [lambda p=PointAddr(cls, 0, 0): c.sample_open(p, rng, bounds) for cls in BlockClass]
+    calls.append(lambda: SubbasisExample(DEFAULT_DESIGNATED).sample_open(4, rng, bounds))
+    for call in calls:
+        with pytest.raises(InvalidSizeError, match=message):
+            call()
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("counts", ((10.0, 5), (10, "3"), (2.5, 0)), ids=repr)
+def test_non_integer_sample_counts_are_refused(counts):
+    bad = next(n for n in counts if type(n) is not int)
+    spec = parse_spec("singletons=0;fin=[];inf=3")
+    with pytest.raises(InvalidSizeError, match=f"^sample counts must be integers, got {re.escape(repr(bad))}$"):
+        verify_construction(realise_t1(spec), spec, n_pairs=counts[0], basis_samples=counts[1])
+
+
+def test_sample_open_refuses_negative_bounds():
+    # below zero an exclusion draw would have no index to take
+    spec = parse_spec("singletons=omega;fin=[];inf=2")
+    cases = (
+        (realise_t1(spec), PointAddr(BlockClass.INFINITE, 0, 0), (50, -1)),
+        (SubbasisExample(DEFAULT_DESIGNATED), 4, (-2, 50)),
+    )
+    for c, p, bounds in cases:
+        with pytest.raises(InvalidSizeError, match=f"^sampling bounds must be >= 0, got {bounds[0]},{bounds[1]}$"):
+            c.sample_open(p, random.Random(0), bounds)
 
 
 def test_report_rendering_and_determinism():
@@ -152,6 +196,30 @@ def test_samplers_take_the_reference_draws(text, bounds):
     for tag, point in points.items():
         for _ in range(200):
             assert point() == sample_point(tag, spec, slow, bounds)
+    assert fast.getstate() == slow.getstate()
+
+
+# the limits draw_below must draw below as randrange does: small ones, powers
+# of two and their neighbours, where the rejection rule shows, and a large prime
+DRAW_LIMITS = (1, 2, 3, 4, 5, 7, 8, 9, 51, *(2**k + d for k in (4, 6, 31, 32, 33, 53, 64, 100) for d in (-1, 1)), 10**9 + 7)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 99, 2**40 + 3))
+def test_draw_below_takes_the_randrange_draws(seed):
+    references = (
+        lambda rng, n: rng.randrange(n),
+        lambda rng, n: rng.randint(0, n - 1),
+    )
+    for n in DRAW_LIMITS:
+        for t, reference in enumerate(references):
+            fast, slow = random.Random(seed), random.Random(seed)
+            k = n.bit_length() if t else None  # the bit width fixed by the caller, or not
+            for _ in range(200):
+                assert draw_below(fast.getrandbits, n, k) == reference(slow, n)
+            assert fast.getstate() == slow.getstate(), n
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(2000):
+        assert draw_below(fast.getrandbits, 7) - 3 == slow.randrange(-3, 4)
     assert fast.getstate() == slow.getstate()
 
 
