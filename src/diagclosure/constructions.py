@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -280,7 +281,11 @@ def _same_block_addr(p: PointAddr, q: PointAddr) -> bool:
 
 
 class Construction:
-    """Base class: a separation oracle over a partition spec."""
+    """Base class: a separation oracle over a partition spec.
+
+    Each kind defines the hooks ``_member``, ``_disjoint``, ``_basic_nbhd``,
+    ``_refine`` and ``_contains``; the public calls check their arguments.
+    """
 
     kind: str = ""
     is_t1: bool = True
@@ -398,23 +403,8 @@ class Construction:
     def _witness_opens(self, p, q):
         return self._basic_nbhd(p, q), self._basic_nbhd(q, p)
 
-    def _member(self, o, p) -> bool:
-        raise NotImplementedError
-
-    def _disjoint(self, o1, o2) -> bool:
-        raise NotImplementedError
-
-    def _basic_nbhd(self, p, avoid=None):
-        raise NotImplementedError
-
     def _sample_open(self, p, rng, bounds):
         return self._basic_nbhd(p)
-
-    def _refine(self, o1, o2, p):
-        raise NotImplementedError
-
-    def _contains(self, outer, inner) -> bool:
-        raise NotImplementedError
 
 
 def draw_below(getrandbits, n: int, k: Optional[int] = None) -> int:
@@ -513,7 +503,7 @@ class InfBlocks(InfOrSingleton):
 
     @classmethod
     def covers(cls, spec):
-        return spec.fin.is_empty and spec.singletons == 0
+        return super().covers(spec) and spec.singletons == 0
 
 
 # --------------------------------------------------------------------------
@@ -526,24 +516,17 @@ class _Reservoir(InfOrSingleton):
     index is congruent to ``block_residues[j]`` modulo the number of finite
     blocks; a basic open around a finite-block point is an ``_open``: that
     point together with all but finitely many units of its reservoir.  The
-    default residue assignment is injective, as the realisation requires;
-    other assignments are accepted so the verification harness can prove
-    it would notice.  Points outside finite blocks keep the family rules.
+    residue assignment is injective, as the realisation requires.  Points
+    outside finite blocks keep the family rules.
     """
 
     _open: type  # FinPt1 or FinPt2
     _pool_cls: BlockClass  # what the reservoirs are made of: singletons or infinite blocks
 
-    def __init__(self, spec, block_residues: Optional[Sequence[int]] = None):
+    def __init__(self, spec):
         super().__init__(spec)
-        m = len(spec.fin.sizes)
-        if block_residues is None:
-            block_residues = tuple(range(m))
-        block_residues = tuple(block_residues)
-        if len(block_residues) != m or any(not 0 <= r < m for r in block_residues):
-            raise ValueError("block_residues must assign each finite block a residue mod m")
-        self.modulus = m
-        self.block_residues = block_residues
+        self.modulus = len(spec.fin.sizes)
+        self.block_residues = tuple(range(self.modulus))
 
     def _unit(self, p: PointAddr):
         """What a reservoir open excludes to drop p: p itself, or its whole block."""
@@ -722,7 +705,7 @@ class ExtendPairs(InfOrSingleton):
     """
 
     kind = "ExtendPairs"
-    _variants = (Ball, ExtPt)
+    _variants = _BALL_OPENS
 
     @classmethod
     def covers(cls, spec):
@@ -865,9 +848,6 @@ class T0Sat(Construction):
     is_t1 = False
     _variants = (SatPair,)
 
-    def _rep(self, ref: BlockRef) -> PointAddr:
-        return PointAddr(ref.cls, ref.index, 0)
-
     def _member(self, o, p):
         x = o.point
         return p == x or (p.cls == x.cls and p.block == x.block and p.elem == 0)  # x itself or its rep
@@ -893,7 +873,8 @@ class T0Sat(Construction):
         return SatPair(p)  # the overlap is exactly the representative
 
     def _contains(self, outer, inner):
-        return self._member(outer, inner.point) and self._member(outer, self._rep(inner.point.block_ref))
+        x = inner.point
+        return self._member(outer, x) and self._member(outer, PointAddr(x.cls, x.block, 0))
 
 
 # --------------------------------------------------------------------------
@@ -946,12 +927,9 @@ class SubbasisExample(Construction):
         for d in designated:
             if d.modulus < 2:
                 raise ValueError(f"designated set {d.render()} does not have an infinite complement")
-        for i in range(len(designated)):
-            for j in range(i + 1, len(designated)):
-                if not residues_disjoint(designated[i], designated[j]):
-                    raise NotDisjointError(
-                        f"designated sets overlap: {designated[i].render()} and {designated[j].render()}"
-                    )
+        for d1, d2 in itertools.combinations(designated, 2):
+            if not residues_disjoint(d1, d2):
+                raise NotDisjointError(f"designated sets overlap: {d1.render()} and {d2.render()}")
         self.designated = designated
 
     @staticmethod
@@ -1092,25 +1070,12 @@ def nontransitive_demo(designated=None) -> NonTransitiveReport:
     def pattern(a, b, cc):
         return (not c.separable(a, b)) and (not c.separable(b, cc)) and c.separable(a, cc)
 
-    triple = None
-    for a in range(_SEARCH_BOUND):
-        if pattern(a, a + 1, a + 2):
-            triple = (a, a + 1, a + 2)
-            break
+    triple = next(((a, a + 1, a + 2) for a in range(_SEARCH_BOUND) if pattern(a, a + 1, a + 2)), None)
     if triple is None:
         small = 60
-        for a in range(small):
-            for b in range(a + 1, small):
-                if c.separable(a, b):
-                    continue
-                for cc in range(b + 1, small):
-                    if not c.separable(b, cc) and c.separable(a, cc):
-                        triple = (a, b, cc)
-                        break
-                if triple:
-                    break
-            if triple:
-                break
+        inseparable = ((a, b) for a in range(small) for b in range(a + 1, small) if not c.separable(a, b))
+        triple = next(((a, b, cc) for a, b in inseparable for cc in range(b + 1, small)
+                       if not c.separable(b, cc) and c.separable(a, cc)), None)
     if triple is None and len(designated) >= 2:
         b = next((x for x in range(_SEARCH_BOUND) if c._designated_index(x) is None), None)
         if b is not None:

@@ -30,12 +30,14 @@ checks.  ``tests/reference.py`` keeps the plain sampling functions, drawing
 through ``randint``, that they must match draw for draw.  Bounds and
 sample counts must be integers; others are refused before any draw.
 
-Documented fault-injection modes (exercised by the test suite, which this
-harness must catch): a wrong residue-class assignment (reservoirs or pools
-that are not pairwise disjoint), swapped representatives (witnesses aimed
-at the wrong canonical element), off-by-one exclusion sets (witnesses
-excluding a neighbor of the intended point), and a separability rule that
-calls every pair separable.
+Documented fault-injection modes, which this harness must catch; each is a
+subclass in ``tests/faults.py`` that the test suite runs through it: a
+wrong residue-class assignment (reservoirs or pools that are not pairwise
+disjoint), swapped representatives (witnesses aimed at the wrong canonical
+element), off-by-one exclusion sets (witnesses excluding a neighbor of the
+intended point), a separability rule that calls every pair separable,
+certificates dropped or invented, and refinements that are not inside both
+opens.
 """
 
 from __future__ import annotations

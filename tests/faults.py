@@ -4,14 +4,18 @@ Each class desynchronises one side of a construction (usually the witness
 generator) from the exact membership/disjointness rules, modelling the
 documented fault modes: wrong residue class, swapped representatives, and
 off-by-one exclusion sets, plus a separability rule that ignores the
-relation.  The verification harness must flag every one of them.
+relation, certificates dropped or invented, and refinements that are not
+inside both opens.  The verification harness must flag every one of them.
 """
 
 from diagclosure.constructions import (
     Ball,
     BlockOpen,
+    Certificate,
     CofInBlock,
     ExtendPairs,
+    FinTwoCase1,
+    FinTwoCase2,
     InfBlocks,
     InfOrSingleton,
     PairBlocks,
@@ -99,3 +103,59 @@ class SwappedRepT0Sat(T0Sat):
 class OffByOneTauR(TauR):
     def _witness_opens(self, p, q):
         return BlockOpen(BlockRef(p.cls, p.block + 1)), BlockOpen(q.block_ref)
+
+
+class _SharedReservoirs:
+    """Finite blocks on the residues ``block_residues`` instead of distinct ones.
+
+    Two finite blocks that share a residue share a reservoir, so their points
+    are no longer separable; every rule still answers.
+    """
+
+    def __init__(self, spec, block_residues):
+        super().__init__(spec)
+        self.block_residues = tuple(block_residues)
+
+
+class SharedFinTwoCase1(_SharedReservoirs, FinTwoCase1):
+    pass
+
+
+class SharedFinTwoCase2(_SharedReservoirs, FinTwoCase2):
+    pass
+
+
+class NoCertificateInfBlocks(InfBlocks):
+    """Separable pairs come without a certificate."""
+
+    def answer_pair(self, p, q):
+        sep, _, o_p, o_q = super().answer_pair(p, q)
+        return sep, None, o_p, o_q
+
+
+class InseparableCertificateInfBlocks(InfBlocks):
+    """Inseparable pairs come with a certificate too."""
+
+    def answer_pair(self, p, q):
+        sep, cert, o_p, o_q = super().answer_pair(p, q)
+        if not sep:
+            cert = Certificate(*self._witness_opens(p, q))
+        return sep, cert, o_p, o_q
+
+
+class FirstOpenRefineInfBlocks(InfBlocks):
+    """The refinement is the first open, which need not lie inside the second."""
+
+    def _refine(self, o1, o2, p):
+        return o1
+
+
+class UnexcludedRefineInfBlocks(InfBlocks):
+    """The refinement drops every exclusion, and containment always holds:
+    only the membership probes can see that it is too large."""
+
+    def _refine(self, o1, o2, p):
+        return CofInBlock(o1.block)
+
+    def _contains(self, outer, inner):
+        return True

@@ -11,6 +11,8 @@ from faults import (
     OffByOneInfOrSingleton,
     OffByOneSplitUnion,
     OffByOneTauR,
+    SharedFinTwoCase1,
+    SharedFinTwoCase2,
     SwappedRepExtendPairs,
     SwappedRepPairBlocks,
     SwappedRepT0Sat,
@@ -19,8 +21,6 @@ from faults import (
 from diagclosure.constructions import (
     Certificate,
     CofInD,
-    FinTwoCase1,
-    FinTwoCase2,
     check_certificate,
     nontransitive_demo,
     realise_t0,
@@ -205,11 +205,11 @@ def test_criterion_9_determinism_and_sensitivity():
     detections = []
 
     spec = parse_spec("singletons=omega;fin=[3,2];inf=1")
-    rep = verify_construction(FinTwoCase1(spec, block_residues=(0, 0)), spec, n_pairs=10_000, basis_samples=0)
+    rep = verify_construction(SharedFinTwoCase1(spec, block_residues=(0, 0)), spec, n_pairs=10_000, basis_samples=0)
     detections.append(("wrong residue class / FinTwoCase1", rep.mismatches > 0))
 
     spec = parse_spec("singletons=2;fin=[2,3];inf=omega")
-    rep = verify_construction(FinTwoCase2(spec, block_residues=(1, 1)), spec, n_pairs=10_000, basis_samples=0)
+    rep = verify_construction(SharedFinTwoCase2(spec, block_residues=(1, 1)), spec, n_pairs=10_000, basis_samples=0)
     detections.append(("wrong residue class / FinTwoCase2", rep.mismatches > 0))
 
     spec = parse_spec("singletons=0;fin=cycle[2];inf=0")

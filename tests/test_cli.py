@@ -92,6 +92,13 @@ def test_realise_refuses_negative_pair_count(capsys):
     assert err.startswith("error: ") and "-5" in err
 
 
+def test_realise_refuses_malformed_bounds(capsys):
+    code, out, err = run(capsys, "realise", "--spec", "singletons=0;fin=[];inf=3", "--bounds", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad bounds (expected 'B,E'): '5'\n"
+
+
 def test_realise_refuses_zero_bounds_without_hanging():
     # run in a child process: a regression here spins forever in the sampler
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -299,6 +306,13 @@ def test_example_builds_the_triple_when_both_scans_miss(capsys):
     code, out, _ = run(capsys, "example", "nontransitive", "--d", "0,2", "--d", "1,2")
     assert code == 1
     assert "no non-transitivity witness found" in out
+
+
+def test_example_finds_the_triple_in_the_general_scan(capsys):
+    # no consecutive triple: 0 and 5 are the only designated points below 10
+    code, out, _ = run(capsys, "example", "nontransitive", "--d", "0,10", "--d", "5,10")
+    assert code == 0
+    assert out.endswith("separable: (0,5)\ncertificate:\nCofInD(d=1, excl=[])\nCofInD(d=2, excl=[])\ntriple: (0,1,5)\n")
 
 
 def test_example_no_designated(capsys):

@@ -425,6 +425,31 @@ def test_foreign_variant_and_bad_addresses():
         c.separable(pt("s:0"), pt("i:0:0"))  # no singletons in this spec
 
 
+def test_refine_needs_a_common_point():
+    c = realise_t1(parse_spec("singletons=0;fin=[];inf=3"))
+    x = pt("i:0:4")
+    with pytest.raises(ValueError, match="^refine needs a common point of both opens$"):
+        c.refine(CofInBlock(BlockRef(I, 0), frozenset({x})), CofInBlock(BlockRef(I, 0)), x)
+    with pytest.raises(ValueError, match="^refine needs a common point of both opens$"):
+        c.refine(CofInBlock(BlockRef(I, 0)), CofInBlock(BlockRef(I, 1)), x)
+
+
+def test_contains_refuses_across_families():
+    c = realise_t1(parse_spec("singletons=omega;fin=[];inf=2"))
+    assert c.kind == "InfOrSingleton"
+    assert not c.contains(SingletonPt(pt("s:0")), CofInBlock(BlockRef(I, 0)))
+
+    c2 = realise_t1(parse_spec("singletons=1;fin=cycle[2,3];inf=2"))
+    assert c2.kind == "SplitUnion"
+    x, qc = pair_encode(0)
+    ball = Ball(RationalBall(x, qc, Fraction(1)))
+    assert not c2.contains(ball, CofInBlock(BlockRef(I, 0)))
+    assert not c2.contains(CofInBlock(BlockRef(I, 0)), ball)
+
+    c3 = SubbasisExample(DEFAULT_DESIGNATED)
+    assert not c3.contains(CofInD(1), CofInD(2))
+
+
 # --- split union ---
 
 def test_split_union_cross_part():

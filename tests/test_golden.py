@@ -12,10 +12,10 @@ unchanged.  Regenerate (only for a deliberate change of outputs) with
 import os
 import random
 
+from faults import SharedFinTwoCase1, SharedFinTwoCase2
+
 from diagclosure.constructions import (
     DEFAULT_DESIGNATED,
-    FinTwoCase1,
-    FinTwoCase2,
     SubbasisExample,
     nontransitive_demo,
     realise_t0,
@@ -45,8 +45,8 @@ SPECS = (
 REALISERS = {"t1": realise_t1, "t0": realise_t0, "taur": realise_tau_r}
 # reservoirs that share a residue: not a realisation, but every rule still answers
 SHARED_RESERVOIRS = (
-    ("shared", FinTwoCase1, "singletons=omega;fin=[3,2];inf=1", (0, 0)),
-    ("shared", FinTwoCase2, "singletons=2;fin=[2,3];inf=omega", (1, 1)),
+    ("shared", SharedFinTwoCase1, "singletons=omega;fin=[3,2];inf=1", (0, 0)),
+    ("shared", SharedFinTwoCase2, "singletons=2;fin=[2,3];inf=omega", (1, 1)),
 )
 SEEDS = (0, 1, 2)
 WINDOW = 40

@@ -8,19 +8,24 @@ import pytest
 
 from faults import (
     AlwaysSeparableInfBlocks,
+    FirstOpenRefineInfBlocks,
+    InseparableCertificateInfBlocks,
+    NoCertificateInfBlocks,
     OffByOneInfBlocks,
     OffByOneInfOrSingleton,
     OffByOneSplitUnion,
     OffByOneTauR,
+    SharedFinTwoCase1,
+    SharedFinTwoCase2,
     SwappedRepExtendPairs,
     SwappedRepPairBlocks,
     SwappedRepT0Sat,
+    UnexcludedRefineInfBlocks,
 )
 
+from diagclosure import finite_topology
 from diagclosure.constructions import (
     DEFAULT_DESIGNATED,
-    FinTwoCase1,
-    FinTwoCase2,
     SubbasisExample,
     draw_below,
     realise_t0,
@@ -28,7 +33,7 @@ from diagclosure.constructions import (
     realise_tau_r,
 )
 from diagclosure.errors import BoundExceededError, InvalidSizeError, SpecMismatchError
-from diagclosure.relations import BlockClass, PointAddr, parse_spec, same_block
+from diagclosure.relations import BlockClass, FiniteRelation, PointAddr, parse_spec, same_block
 from reference import sample_pair, sample_point
 
 from diagclosure.verify import (
@@ -234,12 +239,12 @@ def test_strata_shrink_with_the_spec():
 
 def test_wrong_residue_class_detected():
     spec = parse_spec("singletons=omega;fin=[3,2];inf=1")
-    bad = FinTwoCase1(spec, block_residues=(0, 0))
+    bad = SharedFinTwoCase1(spec, block_residues=(0, 0))
     report = verify_construction(bad, spec, n_pairs=10_000, basis_samples=0)
     assert report.mismatches > 0
 
     spec2 = parse_spec("singletons=2;fin=[2,3];inf=omega")
-    bad2 = FinTwoCase2(spec2, block_residues=(1, 1))
+    bad2 = SharedFinTwoCase2(spec2, block_residues=(1, 1))
     report2 = verify_construction(bad2, spec2, n_pairs=10_000, basis_samples=0)
     assert report2.mismatches > 0
 
@@ -289,6 +294,26 @@ def test_always_separable_detected():
     assert report.certificate_failures > 0
 
 
+FAILURE_COUNTERS = ("mismatches", "certificate_failures", "t1_failures", "basis_failures")
+
+
+@pytest.mark.parametrize(
+    "fault,counter",
+    (
+        (NoCertificateInfBlocks, "certificate_failures"),
+        (InseparableCertificateInfBlocks, "certificate_failures"),
+        (FirstOpenRefineInfBlocks, "basis_failures"),
+        (UnexcludedRefineInfBlocks, "basis_failures"),  # only the membership probes see it
+    ),
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_certificate_and_basis_faults_detected(fault, counter):
+    spec = parse_spec("singletons=0;fin=[];inf=3")
+    report = verify_construction(fault(spec), spec, n_pairs=2_000, basis_samples=2_000)
+    assert getattr(report, counter) > 0
+    assert all(getattr(report, other) == 0 for other in FAILURE_COUNTERS if other != counter), report.render_text()
+
+
 # --- finite cross-checks ---
 
 def test_finite_cross_check():
@@ -301,6 +326,13 @@ def test_finite_cross_check():
         finite_cross_check(6)
 
 
+def test_finite_cross_check_fails_on_a_wrong_tau_r(monkeypatch):
+    # the representative-saturated topology is T0 where the block-saturated one must not be
+    monkeypatch.setattr(finite_topology, "tau_r", finite_topology.t0_saturation)
+    r3 = finite_cross_check(3)
+    assert r3.partitions_checked == 5 and r3.failures > 0
+
+
 def test_monotonicity_check():
     r2 = monotonicity_check(2)
     assert r2.topologies == 4 and r2.failures == 0
@@ -308,3 +340,17 @@ def test_monotonicity_check():
     assert r3.topologies == 29 and r3.failures == 0 and r3.comparable_pairs >= 29
     with pytest.raises(BoundExceededError):
         monotonicity_check(4)
+
+
+def test_monotonicity_check_fails_on_a_wrong_cl_delta(monkeypatch):
+    # the discrete topology's closure called total: finer topologies then close more
+    right = finite_topology.cl_delta
+
+    def wrong(t):
+        if len(t.opens) == 1 << t.n:
+            return FiniteRelation(t.n, [(1 << t.n) - 1] * t.n)
+        return right(t)
+
+    monkeypatch.setattr(finite_topology, "cl_delta", wrong)
+    r3 = monotonicity_check(3)
+    assert r3.comparable_pairs == 192 and r3.failures > 0
