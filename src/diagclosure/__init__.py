@@ -29,7 +29,6 @@ _EXPORTS = {
         ("enumeration", (
             "Catalog",
             "CatalogRecord",
-            "brute_force_topology_count",
             "build_catalog",
             "canonical_code",
             "closure_of_preorder",

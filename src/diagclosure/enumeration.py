@@ -8,7 +8,7 @@ candidate row m for point i passes two mask tests against the rows already
 placed: m lies inside their intersection over the earlier rows that
 contain i (computed once per node), and every earlier row j that m
 contains lies inside m.  Together they make the finished matrix
-transitive.  A brute-force scan over all set families backs it for tiny n.
+transitive.
 
 A catalog counts the labelled topologies per closure relation without
 visiting them one by one.  Call the points of the maximal classes of a
@@ -27,13 +27,18 @@ own class).  If M(x) holds classes C != C', then c ~ x ~ c' for c in C and
 c' in C' but not c ~ c'; otherwise the closure is "same M", an equivalence.
 The configuration's flat preorder (Q the identity) is a subset of every
 other preorder in it, so it comes first in delivery order and is the
-configuration's example.  The catalog up to isomorphism is a fold of the
-finished labelled counts: each orbit under point permutations is
-canonicalised once and its members are merged under the orbit minimum.  A
-relabelling moves relation bits, not rows: one table per permutation of n
-points, built once per n, maps each upper-triangle cell to the bit it moves
-to, and the image of a code is the sum of the table entries of its set
-cells.  Every record keeps as its example the preorder delivered first.
+configuration's example.  Codes are summed point by point, never built
+from rows: per top partition, one table per other point x and class set m
+holds x's closure bits against the top points and its flat row's preorder
+bits, M is assigned one point at a time, depth first, and each pair of
+other points adds its bit when their M values meet.  The catalog up to
+isomorphism is a fold of the finished labelled counts: each orbit under
+point permutations is canonicalised once and its members are merged under
+the orbit minimum.  A relabelling moves relation bits, not rows: one table
+per permutation of n points, built once per n, maps each upper-triangle
+cell to the bit it moves to, and the image of a code is the sum of the
+table entries of its set cells.  Every record keeps as its example the
+preorder delivered first.
 
 Relation codes render the strict upper triangle as lowercase hex: pairs
 (i, j) with i < j in lexicographic order, first pair in the least
@@ -46,17 +51,16 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
-from .errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
+from .errors import InvalidSizeError, SpecSyntaxError
 from .finite_topology import Preorder, closure_rows
 from .relations import FiniteRelation, all_partitions
 
 __all__ = [
     "Catalog",
     "CatalogRecord",
-    "brute_force_topology_count",
     "build_catalog",
     "canonical_code",
     "closure_of_preorder",
@@ -109,37 +113,41 @@ def _iter_rows(n: int, bounds=None) -> Iterator[tuple[int, ...]]:
     candidates = _row_candidates(n)
     if bounds is not None:
         candidates = [[c for c in cands if not c[0] & ~b] for cands, b in zip(candidates, bounds)]
-    rows: list[int] = []
-    last = n - 1
+    yield from _extend([], candidates, 0, n - 1)
 
-    def fitting(i: int) -> list[int]:
-        upper = -1
-        for r in rows:
-            if r >> i & 1:
-                upper &= r
-        out = []
-        for m, below in candidates[i]:
-            if m & ~upper:
-                continue
-            for j in below:
-                if rows[j] & ~m:
-                    break
-            else:
-                out.append(m)
-        return out
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == last:
-            prefix = tuple(rows)
-            for m in fitting(i):
-                yield prefix + (m,)
-            return
-        for m in fitting(i):
-            rows.append(m)
-            yield from rec(i + 1)
-            rows.pop()
+# Module-level, not nested in _iter_rows: a nested generator that calls
+# itself would hold itself through its closure cell, a cycle left to the
+# cyclic garbage collector once the walk ends.
+def _extend(rows: list[int], candidates, i: int, last: int) -> Iterator[tuple[int, ...]]:
+    """Every completion of the placed ``rows`` from row i to row ``last``."""
+    if i == last:
+        prefix = tuple(rows)
+        for m in _fitting(rows, candidates[i], i):
+            yield prefix + (m,)
+        return
+    for m in _fitting(rows, candidates[i], i):
+        rows.append(m)
+        yield from _extend(rows, candidates, i + 1, last)
+        rows.pop()
 
-    yield from rec(0)
+
+def _fitting(rows: list[int], cands, i: int) -> list[int]:
+    """The masks among row i's candidates ``cands`` that fit the placed ``rows``."""
+    upper = -1
+    for r in rows:
+        if r >> i & 1:
+            upper &= r
+    out = []
+    for m, below in cands:
+        if m & ~upper:
+            continue
+        for j in below:
+            if rows[j] & ~m:
+                break
+        else:
+            out.append(m)
+    return out
 
 
 def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = None) -> int:
@@ -155,30 +163,6 @@ def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = No
         if consumer is not None:
             consumer(Preorder(n, rows, validate=False))
         count += 1
-    return count
-
-
-def brute_force_topology_count(n: int) -> int:
-    """Count topologies by scanning every family of subsets (n <= 3)."""
-    if n > 3:
-        raise BoundExceededError(f"brute-force family scan is limited to n <= 3, got {n}")
-    subsets = 1 << n
-    full = subsets - 1
-    count = 0
-    for fam in range(1 << subsets):
-        if not (fam >> 0 & 1 and fam >> full & 1):
-            continue
-        members = [s for s in range(subsets) if fam >> s & 1]
-        ok = True
-        for a in members:
-            for b in members:
-                if not (fam >> (a | b) & 1 and fam >> (a & b) & 1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
     return count
 
 
@@ -200,13 +184,29 @@ def _relation_bits(rows, n: int) -> int:
     return code
 
 
-def _preorder_bits(rows, n: int) -> int:
+def _preorder_row(i: int, ri: int, n: int) -> int:
     # Row i contributes its n-1 off-diagonal cells: the bits below i, then
     # the bits above i shifted down by one.
+    return ((ri & ((1 << i) - 1)) | (ri >> (i + 1) << i)) << (i * (n - 1))
+
+
+def _preorder_bits(rows, n: int) -> int:
     code = 0
     for i, ri in enumerate(rows):
-        code |= ((ri & ((1 << i) - 1)) | (ri >> (i + 1) << i)) << (i * (n - 1))
+        code |= _preorder_row(i, ri, n)
     return code
+
+
+def _pair_bits(n: int) -> list[list[int]]:
+    """``pair[a][b]``: the relation bit of the pair {a, b}, as ``_relation_bits``
+    lays the pairs out."""
+    pair = [[0] * n for _ in range(n)]
+    t = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            pair[a][b] = pair[b][a] = 1 << t
+            t += 1
+    return pair
 
 
 def _relabel_tables(n: int) -> Iterable[list[int]]:
@@ -220,15 +220,13 @@ def _relabel_tables(n: int) -> Iterable[list[int]]:
     if cached is not None:
         return cached
     cells = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    bit = {}
-    for t, (a, b) in enumerate(cells):
-        bit[a, b] = bit[b, a] = 1 << t
+    bit = _pair_bits(n)
 
     def table(sigma: tuple[int, ...]) -> list[int]:
         new = [0] * n
         for j, s in enumerate(sigma):
             new[s] = j  # old point s becomes point j
-        return [bit[new[a], new[b]] for a, b in cells]
+        return [bit[new[a]][new[b]] for a, b in cells]
 
     tables = map(table, permutations(range(n)))
     if n > SOFT_LIMIT:
@@ -327,46 +325,125 @@ def _count_configurations(n: int, t0_only: bool):
 
     One entry per configuration: a top set, its partition into classes, and
     the non-empty set of classes above each other point, as a class bitmask.
+    A configuration's closure bits and example bits are sums of parts
+    tabulated once per partition (see ``_Walk``).
     """
-    counts: dict[int, list] = {}
-    totals = [0, 0]
-    memo: dict[tuple[int, ...], tuple[int, int, bool]] = {}
+    walk = _Walk(n, t0_only)
     for top in range(1 << n):
         tops = [x for x in range(n) if top >> x & 1]
         rest = [x for x in range(n) if not top >> x & 1]
         for part in all_partitions(len(tops)):
-            singletons = len(part.blocks) == len(tops)
-            if t0_only and not singletons:
+            if t0_only and len(part.blocks) < len(tops):
                 continue
-            rows = [0] * n
-            above = [0]  # above[m]: the points of the classes in the class bitmask m
-            for block in part.blocks:
-                c = sum(1 << tops[i] for i in block)
-                for i in block:
-                    rows[tops[i]] = c
-                above += [u | c for u in above]
-            for ms in product(range(1, len(above)), repeat=len(rest)):
-                key = tuple(sorted(ms))
-                found = memo.get(key)
-                if found is None:
-                    found = memo[key] = (*_count_below(key), all(m & (m - 1) == 0 for m in key))
-                posets = found[1] if singletons else 0
-                labelled = posets if t0_only else found[0]
-                for x, m in zip(rest, ms):
-                    rows[x] = 1 << x | above[m]
-                totals[0] += labelled
-                totals[1] += posets
-                code = _relation_bits(closure_rows(rows), n)
-                _merge(counts, code, [labelled, posets, _preorder_bits(rows, n), found[2]], n)
-    return counts, totals
+            walk.partition(rest, [[tops[i] for i in block] for block in part.blocks])
+    return walk.counts, walk.totals
 
 
-def _merge(into: dict[int, list], code: int, entry: list, n: int) -> None:
+class _Walk:
+    """The configurations of one ground set, summed one top partition at a time.
+
+    For a top partition the closure bits are a sum of parts: the top-top
+    pairs (the same class), one table per rest point x and class bitmask m
+    (x against the top points of the classes in m), and the rest-rest pair
+    bit, set when the two M values meet.  The example's bits are the top
+    rows plus one table per (x, m) for x's flat row: x and the points of the
+    classes in m.
+    M is assigned one rest point at a time, depth first in the order of
+    ``product(range(1, 2 ** classes), repeat=len(rest))``, so each prefix's
+    bits are summed once, and a leaf costs one table lookup and one merge.
+    """
+
+    def __init__(self, n: int, t0_only: bool):
+        self.n = n
+        self.t0_only = t0_only
+        self.counts: dict[int, list] = {}
+        self.totals = [0, 0]
+        self.memo: dict[tuple[int, ...], tuple[int, int, bool]] = {}
+        self.leaves: dict[tuple, tuple] = {}
+        self.pair = _pair_bits(n)
+
+    def partition(self, rest: list[int], classes: list[list[int]]) -> None:
+        """Merge every configuration of the top partition into ``classes``."""
+        n, pair = self.n, self.pair
+        code = example = 0
+        bits = [[0] for _ in rest]  # bits[k][m]: rest[k]'s relation bits against the classes in m
+        rows = [[0] for _ in rest]  # rows[k][m]: the preorder bits of rest[k]'s flat row
+        for cls in classes:
+            c = sum(1 << y for y in cls)
+            for y in cls:
+                code |= sum(pair[y][z] for z in cls if z > y)
+                example |= _preorder_row(y, c, n)
+            for k, x in enumerate(rest):
+                b = sum(pair[x][y] for y in cls)
+                r = _preorder_row(x, c, n)
+                bits[k] += [u | b for u in bits[k]]
+                rows[k] += [u | r for u in rows[k]]
+        self.rest, self.bits, self.rows = rest, bits, rows
+        self.singletons = len(classes) == n - len(rest)
+        if rest:
+            self._assign(0, code, example, [])
+        else:
+            labelled, posets, transitive = self._entry(())
+            self.totals[0] += labelled
+            self.totals[1] += posets
+            _merge(self.counts, code, [labelled, posets, example, transitive])
+
+    def _assign(self, k: int, code: int, example: int, ms: list[int]) -> None:
+        # M(rest[k]) = m for each class bitmask m in turn, then the points after it
+        bits, rows = self.bits[k], self.rows[k]
+        pair = self.pair[self.rest[k]]
+        meets = [(mj, pair[x]) for mj, x in zip(ms, self.rest)]
+        leaf = k == len(self.rest) - 1
+        if leaf:
+            entries = self._leaf_entries(ms, len(bits))
+            counts = self.counts
+        for m in range(1, len(bits)):
+            c = code | bits[m]
+            for mj, b in meets:
+                if mj & m:
+                    c |= b
+            if leaf:
+                labelled, posets, transitive = entries[m]
+                _merge(counts, c, [labelled, posets, example | rows[m], transitive])
+            else:
+                ms.append(m)
+                self._assign(k + 1, c, example | rows[m], ms)
+                ms.pop()
+
+    def _leaf_entries(self, ms: list[int], size: int) -> list:
+        """``entries[m]``: the ``_entry`` of ``ms`` with m last, for m in
+        ``range(1, size)``; their counts go into the totals.
+
+        The key fixes the number of top points (n less the rest points) and
+        of classes, hence whether the classes are singletons.
+        """
+        key = (tuple(sorted(ms)), size)
+        done = self.leaves.get(key)
+        if done is None:
+            entries = [None] + [self._entry(tuple(sorted([*ms, m]))) for m in range(1, size)]
+            done = self.leaves[key] = entries, sum(e[0] for e in entries[1:]), sum(e[1] for e in entries[1:])
+        entries, labelled, posets = done
+        self.totals[0] += labelled
+        self.totals[1] += posets
+        return entries
+
+    def _entry(self, key: tuple[int, ...]) -> tuple[int, int, bool]:
+        """The labelled and T0 counts (as this partition counts them) and the
+        transitive flag of a configuration whose sorted M values are ``key``."""
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = (*_count_below(key), all(m & (m - 1) == 0 for m in key))
+        posets = found[1] if self.singletons else 0
+        return (posets if self.t0_only else found[0]), posets, found[2]
+
+
+def _merge(into: dict[int, list], code: int, entry: list) -> None:
     """Add one entry's counts under ``code``; the example delivered first is kept.
 
     The entries under one code share their closure, hence its transitive flag.
     Delivery order reads the off-diagonal cells row-major with the first cell
-    most significant, which is the preorder bits reversed.
+    most significant, which is the preorder bits reversed: of two examples,
+    the first delivered has the 0 at the lowest bit where they differ.
     """
     have = into.get(code)
     if have is None:
@@ -374,8 +451,8 @@ def _merge(into: dict[int, list], code: int, entry: list, n: int) -> None:
         return
     have[0] += entry[0]
     have[1] += entry[1]
-    width = f"0{n * (n - 1)}b"
-    if format(entry[2], width)[::-1] < format(have[2], width)[::-1]:
+    diff = entry[2] ^ have[2]
+    if have[2] & diff & -diff:
         have[2] = entry[2]
 
 
@@ -393,7 +470,7 @@ def _fold_orbits(counts: dict[int, list], n: int) -> dict[int, list]:
         if canon is None:
             canon = int(canonical_code(decode_relation(format(code, "x"), n)), 16)
             canon_of.update(dict.fromkeys(_orbit(code, n), canon))
-        _merge(folded, canon, entry, n)
+        _merge(folded, canon, entry)
     return folded
 
 

@@ -495,20 +495,24 @@ def partition_of_eq(r: FiniteRelation) -> FinitePartition:
 
 def all_partitions(n: int) -> Iterator[FinitePartition]:
     """All set partitions of ``{0..n-1}``, in restricted-growth order."""
-
-    def rec(i: int, blocks: list[list[int]]) -> Iterator[FinitePartition]:
-        if i == n:
-            yield FinitePartition(n, [list(b) for b in blocks])
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
     if n == 0:
         yield FinitePartition(0, [])
         return
-    yield from rec(0, [])
+    yield from _place(0, n, [])
+
+
+# Module-level, not nested in all_partitions: a nested generator that calls
+# itself would hold itself through its closure cell, a cycle left to the
+# cyclic garbage collector.
+def _place(i: int, n: int, blocks: list[list[int]]) -> Iterator[FinitePartition]:
+    # point i joins each open block in turn, then a new block of its own
+    if i == n:
+        yield FinitePartition(n, [list(b) for b in blocks])
+        return
+    for b in blocks:
+        b.append(i)
+        yield from _place(i + 1, n, blocks)
+        b.pop()
+    blocks.append([i])
+    yield from _place(i + 1, n, blocks)
+    blocks.pop()

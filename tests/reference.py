@@ -1,8 +1,10 @@
 """Reference enumerations the tests check the production code against.
 
-``count_preorders_by_extension`` grows preorders one point at a time, a
-strategy independent of the row-by-row DFS.  ``preorders_by_filter`` keeps
-the transitive tuples among all tuples of reflexive rows, with no pruning.
+``brute_force_topology_count`` scans every family of subsets for the
+topologies among them (n <= 3).  ``count_preorders_by_extension`` grows
+preorders one point at a time, a strategy independent of the row-by-row
+DFS.  ``preorders_by_filter`` keeps the transitive tuples among all tuples
+of reflexive rows, with no pruning.
 ``relabelled_codes`` permutes the points of a decoded relation one by one.
 ``build_catalog`` sums over configurations and never visits most preorders;
 ``reference_catalogs`` visits every preorder the DFS delivers, takes its
@@ -16,8 +18,33 @@ once per run, must take the same draws and return the same points.
 from itertools import permutations, product
 
 from diagclosure.enumeration import _catalog, _iter_rows, _preorder_bits, _relation_bits, decode_relation, relation_code
+from diagclosure.errors import BoundExceededError
 from diagclosure.finite_topology import closure_rows
 from diagclosure.relations import BlockClass, FiniteRelation, PointAddr
+
+
+def brute_force_topology_count(n: int) -> int:
+    """Count topologies by scanning every family of subsets (n <= 3)."""
+    if n > 3:
+        raise BoundExceededError(f"brute-force family scan is limited to n <= 3, got {n}")
+    subsets = 1 << n
+    full = subsets - 1
+    count = 0
+    for fam in range(1 << subsets):
+        if not (fam >> 0 & 1 and fam >> full & 1):
+            continue
+        members = [s for s in range(subsets) if fam >> s & 1]
+        ok = True
+        for a in members:
+            for b in members:
+                if not (fam >> (a | b) & 1 and fam >> (a & b) & 1):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            count += 1
+    return count
 
 
 def _iter_by_extension(n: int):

@@ -17,6 +17,7 @@ from faults import (
     SwappedRepPairBlocks,
     SwappedRepT0Sat,
 )
+from reference import brute_force_topology_count
 
 from diagclosure.constructions import (
     Certificate,
@@ -28,7 +29,6 @@ from diagclosure.constructions import (
     realise_tau_r,
 )
 from diagclosure.enumeration import (
-    brute_force_topology_count,
     build_catalog,
     closure_of_preorder,
     decode_preorder,

@@ -1,14 +1,20 @@
 """Preorder enumeration, relation codes, and catalogs."""
 
+import gc
 import random
 
 import pytest
 
-from reference import count_preorders_by_extension, preorders_by_filter, reference_catalogs, relabelled_codes
+from reference import (
+    brute_force_topology_count,
+    count_preorders_by_extension,
+    preorders_by_filter,
+    reference_catalogs,
+    relabelled_codes,
+)
 
 from diagclosure.enumeration import (
     Catalog,
-    brute_force_topology_count,
     build_catalog,
     canonical_code,
     closure_of_preorder,
@@ -242,6 +248,27 @@ def test_catalogs_match_the_full_preorder_walk_n6():
         plain, iso = reference_catalogs(6, t0_only)
         assert render_catalog(build_catalog(6, t0_only=t0_only)) == render_catalog(plain)
         assert render_catalog(build_catalog(6, t0_only=t0_only, up_to_iso=True)) == render_catalog(iso)
+
+
+def test_catalogs_and_the_preorder_walk_leave_no_cyclic_garbage():
+    # the recursive walks are module-level functions, so every frame and
+    # partial row list they make is freed by reference counting alone
+    runs = {
+        "plain": lambda: build_catalog(5),
+        "t0": lambda: build_catalog(5, t0_only=True),
+        "iso": lambda: build_catalog(5, up_to_iso=True),
+        "preorders": lambda: enumerate_preorders(5),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for name, run in runs.items():
+            run()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_catalog_tsv_round_trip(tmp_path):

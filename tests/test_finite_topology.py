@@ -2,7 +2,9 @@
 
 import pytest
 
-from diagclosure.enumeration import brute_force_topology_count, enumerate_preorders
+from reference import brute_force_topology_count
+
+from diagclosure.enumeration import enumerate_preorders
 from diagclosure.errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError
 from diagclosure.finite_topology import (
     _MAX_OPENS,

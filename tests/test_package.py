@@ -17,7 +17,7 @@ EXPORTS = {
         "nontransitive_demo", "realise_t0", "realise_t1", "realise_tau_r",
     ],
     "enumeration": [
-        "Catalog", "CatalogRecord", "brute_force_topology_count", "build_catalog", "canonical_code",
+        "Catalog", "CatalogRecord", "build_catalog", "canonical_code",
         "closure_of_preorder", "decode_preorder", "decode_relation", "enumerate_preorders", "relation_code",
     ],
     "finite_topology": [
@@ -39,7 +39,7 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def test_the_export_list_is_pinned():
-    assert len(NAMES) == 55
+    assert len(NAMES) == 54
     assert sorted(diagclosure.__all__) == sorted(name for _, name in NAMES)
 
 
