@@ -1,7 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 property violation or a relation that is not
-realisable under the requested axiom, 2 usage or parse errors.
+Exit codes: 0 success; 1 only for ``result: FAIL`` from ``realise``, a
+relation that is not realisable under the requested axiom, or an
+``example`` with no non-transitive triple; 2 for usage and parse errors.
+Every natural number in the arguments is read by ``errors.read_natural``
+or ``errors.read_naturals``, and ``main`` alone turns a library error into
+exit 2.
 """
 
 from __future__ import annotations
@@ -10,19 +14,7 @@ import argparse
 import contextlib
 import sys
 
-from .errors import DiagClosureError, NotRealisableError, SpecSyntaxError
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _parse_bounds(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
-        raise SpecSyntaxError(f"bad bounds (expected 'B,E'): {text!r}")
-    return int(parts[0]), int(parts[1])
+from .errors import BoundExceededError, DiagClosureError, NotRealisableError, SpecSyntaxError, read_natural, read_naturals
 
 
 def _cmd_realise(args) -> int:
@@ -30,13 +22,14 @@ def _cmd_realise(args) -> int:
     from .relations import parse_spec
 
     spec = parse_spec(args.spec)
-    bounds = _parse_bounds(args.bounds)
+    bounds = tuple(read_naturals(args.bounds, "bounds (expected 'B,E')", count=2))
+    n_pairs = read_natural(args.pairs, "--pairs")
     c = realise_t1(spec) if args.axiom == "t1" else realise_t0(spec)
     # imported once there is a construction to verify, so a relation the
     # axiom cannot realise exits without loading the harness
     from .verify import verify_construction
 
-    report = verify_construction(c, spec, n_pairs=args.pairs, bounds=bounds, seed=args.seed)
+    report = verify_construction(c, spec, n_pairs=n_pairs, bounds=bounds, seed=args.seed)
     if args.json_lines:
         print(report.render_json_line())
     else:
@@ -65,16 +58,13 @@ def _cmd_separable(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .enumeration import SOFT_LIMIT, build_catalog, render_catalog
 
-    if args.n > SOFT_LIMIT and not args.force:
-        return _usage_error(f"n={args.n} is above the soft limit {SOFT_LIMIT}; pass --force to proceed")
+    n = read_natural(args.n, "--n")
+    if n > SOFT_LIMIT and not args.force:
+        raise BoundExceededError(f"n={n} is above the soft limit {SOFT_LIMIT}; pass --force to proceed")
     # Opened before the build, so a bad path fails at once and not after it;
     # in append mode, so a build that fails leaves an existing file as it was.
-    try:
-        out = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext()
-    except OSError as exc:
-        return _usage_error(str(exc))
-    with out:
-        catalog = build_catalog(args.n, t0_only=args.t0, up_to_iso=args.iso)
+    with open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext() as out:
+        catalog = build_catalog(n, t0_only=args.t0, up_to_iso=args.iso)
         if args.out:
             out.truncate(0)
             out.write(render_catalog(catalog))
@@ -94,21 +84,14 @@ def _parse_designated(items):
         item = item.strip()
         if not item:
             continue
-        parts = item.split(",")
-        if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
-            raise SpecSyntaxError(f"bad designated set (expected 'offset,modulus'): {item!r}")
-        out.append(ResidueClassSet(int(parts[0]), int(parts[1])))
+        out.append(ResidueClassSet(*read_naturals(item, "designated set (expected 'offset,modulus')", count=2)))
     return out
 
 
 def _cmd_example(args) -> int:
     from .constructions import nontransitive_demo
 
-    try:
-        designated = _parse_designated(args.d)
-        report = nontransitive_demo(designated)
-    except ValueError as exc:  # SubbasisExample raises plain ValueError for bad designated sets
-        return _usage_error(str(exc))
+    report = nontransitive_demo(_parse_designated(args.d))
     print(report.render())
     return 0 if report.ok else 1
 
@@ -122,12 +105,7 @@ def _parse_partition_literal(text: str) -> FinitePartition:
         chunk = chunk.strip()
         if not chunk:
             raise SpecSyntaxError(f"empty block in partition literal: {text!r}")
-        block = []
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item.isdigit():
-                raise SpecSyntaxError(f"bad point in partition literal: {item!r}")
-            block.append(int(item))
+        block = read_naturals(chunk, "point in partition literal")
         blocks.append(block)
         points.extend(block)
     n = max(points) + 1
@@ -140,14 +118,11 @@ def _parse_partition_literal(text: str) -> FinitePartition:
 def _cmd_finite(args) -> int:
     from .finite_topology import cl_delta, is_t0, is_t1, is_t2, parse_topology, tau_r
 
-    try:
-        if args.opens:
-            with open(args.opens, "r", encoding="utf-8") as fh:
-                topology = parse_topology(fh.read())
-        else:
-            topology = tau_r(_parse_partition_literal(args.partition))
-    except OSError as exc:
-        return _usage_error(str(exc))
+    if args.opens:
+        with open(args.opens, "r", encoding="utf-8") as fh:
+            topology = parse_topology(fh.read())
+    else:
+        topology = tau_r(_parse_partition_literal(args.partition))
     if args.show in ("closure", "all"):
         closure = cl_delta(topology)
         print("closure:")
@@ -169,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realise", help="build a realisation and verify it by sampling")
     p.add_argument("--spec", required=True, help="partition spec, e.g. 'singletons=omega;fin=[3];inf=0'")
     p.add_argument("--axiom", choices=("t0", "t1"), default="t1")
-    p.add_argument("--pairs", type=int, default=10_000)
+    p.add_argument("--pairs", default="10000")
     p.add_argument("--bounds", default="50,50", help="max block,element index sampled")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json-lines", action="store_true")
@@ -183,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_separable)
 
     p = sub.add_parser("enumerate", help="classify diagonal closures over all topologies on n points")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--t0", action="store_true", help="restrict to T0 topologies")
     p.add_argument("--iso", action="store_true", help="canonicalise closures up to point permutation")
     p.add_argument("--out", help="write the catalog TSV here")
@@ -216,8 +191,9 @@ def main(argv=None) -> int:
     except NotRealisableError as exc:  # a well-formed relation the axiom cannot realise
         print(exc)
         return 1
-    except DiagClosureError as exc:
-        return _usage_error(str(exc))
+    except (DiagClosureError, OSError, UnicodeDecodeError) as exc:  # refused input, or a file that cannot be read
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

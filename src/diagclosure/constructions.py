@@ -54,6 +54,7 @@ from typing import Optional, Sequence
 from .errors import (
     ForeignVariantError,
     InvalidAddressError,
+    InvalidSizeError,
     NotDisjointError,
     NotRealisableError,
     NotT1ConstructionError,
@@ -926,7 +927,7 @@ class SubbasisExample(Construction):
         designated = tuple(designated)
         for d in designated:
             if d.modulus < 2:
-                raise ValueError(f"designated set {d.render()} does not have an infinite complement")
+                raise InvalidSizeError(f"designated set {d.render()} does not have an infinite complement")
         for d1, d2 in itertools.combinations(designated, 2):
             if not residues_disjoint(d1, d2):
                 raise NotDisjointError(f"designated sets overlap: {d1.render()} and {d2.render()}")

@@ -1,4 +1,14 @@
-"""Exception types shared across the package, and the size checks that raise them."""
+"""Exception types shared across the package, the size checks that raise
+them, and the one reader of natural numbers written as text.
+
+Every natural number the command line reads (spec counts and block sizes,
+point indices, ``--bounds``, ``--pairs``, ``--n``, designated sets,
+partition literals and opens files; not ``--seed``, which may be negative)
+goes through :func:`read_natural` or :func:`read_naturals`: surrounding
+whitespace is ignored, the rest must be ASCII digits, and anything else
+raises :class:`SpecSyntaxError` naming the field.  ``int()``'s own digit
+limit (``sys.get_int_max_str_digits``) is the only cap on length.
+"""
 
 from operator import index
 
@@ -80,6 +90,42 @@ def require_integers(what: str, *values) -> None:
             index(value)
         except TypeError:
             raise InvalidSizeError(f"{what} must be integers, got {value!r}") from None
+
+
+def read_natural(text: str, what: str) -> int:
+    """The natural number ``text`` spells in ASCII digits, or SpecSyntaxError
+    ``bad <what>: ...``.
+
+    ``int()`` alone would also take ``+``, ``_`` and the digits of other
+    scripts; ``str.isdigit`` alone would also take ``²``, which ``int()``
+    refuses.
+    """
+    item = text.strip()
+    if item.isascii() and item.isdigit():
+        try:
+            return int(item)
+        except ValueError as exc:  # more digits than int() converts
+            raise SpecSyntaxError(f"bad {what}: {exc}") from None
+    raise SpecSyntaxError(f"bad {what}: {item!r}")
+
+
+def read_naturals(text: str, what: str, count=None) -> list[int]:
+    """The comma-separated naturals of ``text``, each read as by
+    :func:`read_natural`; with ``count``, exactly that many of them."""
+    items = text.split(",")
+    if count is not None and len(items) != count:
+        raise SpecSyntaxError(f"bad {what}: {text!r}")
+    # one digit test for the whole text, not one call per item (an opens
+    # file may hold 2M items); int() then refuses an empty item, an item
+    # with inner whitespace, or one with too many digits
+    digits = "".join(text.split()).replace(",", "")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return [int(item) for item in items]
+        except ValueError:
+            pass
+    # some item is bad: read_natural names it
+    return [read_natural(item, what) for item in items]
 
 
 def check_bounds(bounds, least: int) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError, SpecSyntaxError
+from .errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError, read_naturals
 from .relations import FinitePartition, FiniteRelation
 
 __all__ = [
@@ -311,15 +311,14 @@ def parse_topology(text: str) -> FiniteTopology:
         if not line or line.startswith("#"):
             continue
         m = 0
-        for item in () if line == "-" else line.split(","):
-            item = item.strip()
-            if not item.isdigit():
-                raise SpecSyntaxError(f"line {lineno}: bad point {item!r}")
-            x = int(item)
-            if x >= MAX_POINTS:
-                raise BoundExceededError(f"line {lineno}: point {x} is beyond the limit of {MAX_POINTS} points")
-            m |= 1 << x
-            max_point = max(max_point, x)
+        if line != "-":
+            points = read_naturals(line, f"point on line {lineno}")
+            top = max(points)
+            if top >= MAX_POINTS:
+                raise BoundExceededError(f"line {lineno}: point {top} is beyond the limit of {MAX_POINTS} points")
+            for x in points:
+                m |= 1 << x
+            max_point = max(max_point, top)
         masks.add(m)
         if len(masks) > _MAX_OPENS:
             raise BoundExceededError(f"line {lineno}: more than {_MAX_OPENS} opens")

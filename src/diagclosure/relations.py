@@ -22,6 +22,8 @@ from .errors import (
     InvalidAddressError,
     NotEquivalenceError,
     SpecSyntaxError,
+    read_natural,
+    read_naturals,
 )
 
 __all__ = [
@@ -78,9 +80,7 @@ class Count:
     def parse(text: str) -> "Count":
         if text == "omega":
             return OMEGA
-        if not text.isdigit():
-            raise SpecSyntaxError(f"bad count (expected a natural number or 'omega'): {text!r}")
-        return Count(int(text))
+        return Count(read_natural(text, "count (expected a natural number or 'omega')"))
 
     @staticmethod
     def _value_of(other) -> "int | None | type(NotImplemented)":
@@ -173,7 +173,7 @@ class PointAddr(NamedTuple):
         return f"{_CLASS_PREFIX[self.cls]}:{self.block}:{self.elem}"
 
 
-_POINT_RE = re.compile(r"^([sfi]):(\d+)(?::(\d+))?$")
+_POINT_RE = re.compile(r"^([sfi]):([0-9]+)(?::([0-9]+))?$")
 
 
 def parse_point(text: str) -> PointAddr:
@@ -181,15 +181,15 @@ def parse_point(text: str) -> PointAddr:
     m = _POINT_RE.match(text.strip())
     if m is None:
         raise InvalidAddressError(f"bad point address: {text!r}")
-    prefix, block, elem = m.group(1), m.group(2), m.group(3)
+    prefix, block, elem = m.groups()
     cls = _PREFIX_CLASS[prefix]
-    if cls is BlockClass.SINGLETON:
+    if cls is _SINGLETON:
         if elem is not None:
             raise InvalidAddressError(f"singleton addresses take one index: {text!r}")
-        return PointAddr(cls, int(block), 0)
+        return PointAddr(cls, read_natural(block, "point address"), 0)
     if elem is None:
         raise InvalidAddressError(f"{prefix}-addresses take two indices: {text!r}")
-    return PointAddr(cls, int(block), int(elem))
+    return PointAddr(cls, read_natural(block, "point address"), read_natural(elem, "point address"))
 
 
 @dataclass(frozen=True)
@@ -312,13 +312,7 @@ def _parse_finspec(text: str) -> FiniteBlocks:
         raise SpecSyntaxError(f"bad finite-block clause: {text!r}")
     if not body.strip():
         return FiniteBlocks((), cyclic)
-    sizes = []
-    for item in body.split(","):
-        item = item.strip()
-        if not item.isdigit():
-            raise SpecSyntaxError(f"bad finite block size: {item!r}")
-        sizes.append(int(item))
-    return FiniteBlocks(tuple(sizes), cyclic)
+    return FiniteBlocks(tuple(read_naturals(body, "finite block size")), cyclic)
 
 
 def parse_spec(text: str) -> PartitionSpec:

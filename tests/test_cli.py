@@ -398,3 +398,117 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["realise"])  # missing required --spec
     assert exc.value.code == 2
+
+
+# --- natural numbers: one reader, refusals exit 2 ---
+
+NINES = "9" * 5000
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_over_int_limit = pytest.mark.skipif(
+    not 0 < _INT_DIGITS < len(NINES), reason="int() converts 5,000 digits on this interpreter"
+)
+_SPEC = "singletons=0;fin=[];inf=3"
+
+
+def _long(argv, field):
+    return pytest.param(argv, field, marks=_over_int_limit)
+
+
+# argv and the field the one error line must name; an "--opens" value is
+# the file's content, written to a file first
+NUMBER_PROBES = {
+    "spec-count-superscript": (["realise", "--spec", "singletons=²;fin=[];inf=3"], "count"),
+    "spec-count-long": _long(["realise", "--spec", f"singletons={NINES};fin=[];inf=3"], "count"),
+    "spec-size-superscript": (["realise", "--spec", "singletons=0;fin=[²];inf=3"], "finite block size"),
+    "spec-size-arabic": (["realise", "--spec", "singletons=0;fin=cycle[٢,3];inf=0"], "finite block size"),
+    "point-long": _long(["separable", "--spec", _SPEC, "-p", f"i:{NINES}:0", "-q", "i:0:0"], "point address"),
+    "point-arabic": (["separable", "--spec", "singletons=0;fin=cycle[2];inf=0", "-p", "f:١:0", "-q", "f:0:0"],
+                     "point address"),
+    "bounds-superscript": (["realise", "--spec", _SPEC, "--bounds", "²,5"], "bounds"),
+    "bounds-long": _long(["realise", "--spec", _SPEC, "--bounds", f"{NINES},5"], "bounds"),
+    "pairs-arabic": (["realise", "--spec", _SPEC, "--pairs", "١٠"], "--pairs"),
+    "pairs-negative": (["realise", "--spec", _SPEC, "--pairs", "-5"], "--pairs"),
+    "partition-superscript": (["finite", "--partition", "²"], "point in partition literal"),
+    "partition-long": _long(["finite", "--partition", f"0,{NINES}"], "point in partition literal"),
+    "opens-superscript": (["finite", "--opens", "-\n²\n"], "point on line 2"),
+    "opens-long": _long(["finite", "--opens", f"-\n{NINES}\n"], "point on line 2"),
+    "designated-superscript": (["example", "nontransitive", "--d", "²,3"], "designated set"),
+    "designated-long": _long(["example", "nontransitive", "--d", f"{NINES},3"], "designated set"),
+    "designated-arabic": (["example", "nontransitive", "--d", "١,3"], "designated set"),
+    "n-arabic": (["enumerate", "--n", "١"], "--n"),
+    "n-underscore": (["enumerate", "--n", "1_0"], "--n"),
+    "n-plus": (["enumerate", "--n", "+3"], "--n"),
+    "n-negative": (["enumerate", "--n", "-1"], "--n"),
+}
+
+
+def _with_opens_file(tmp_path, argv):
+    if "--opens" not in argv:
+        return argv
+    at = argv.index("--opens") + 1
+    f = tmp_path / "opens.txt"
+    f.write_text(argv[at], encoding="utf-8")
+    return [*argv[:at], str(f), *argv[at + 1:]]
+
+
+@pytest.mark.parametrize("argv, field", NUMBER_PROBES.values(), ids=NUMBER_PROBES.keys())
+def test_cli_refuses_a_number_that_is_not_ascii_digits(tmp_path, capsys, argv, field):
+    code, out, err = run(capsys, *_with_opens_file(tmp_path, argv))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: bad {field}"), err[:200]
+
+
+@pytest.mark.parametrize("padded, plain", [
+    (["enumerate", "--n", " 3"], ["enumerate", "--n", "3"]),
+    (["realise", "--spec", _SPEC, "--bounds", " 5 , 5 ", "--pairs", "50"],
+     ["realise", "--spec", _SPEC, "--bounds", "5,5", "--pairs", "50"]),
+    (["finite", "--partition", " 0 , 1 "], ["finite", "--partition", "0,1"]),
+    (["example", "nontransitive", "--d", " 1 , 3 "], ["example", "nontransitive", "--d", "1,3"]),
+    (["finite", "--opens", "-\n0\n0, 1\n"], ["finite", "--opens", "-\n0\n0,1\n"]),
+], ids=["n", "bounds", "partition", "designated", "opens"])
+def test_cli_ignores_whitespace_around_a_number(tmp_path, capsys, padded, plain):
+    got = run(capsys, *_with_opens_file(tmp_path, padded))
+    assert got == run(capsys, *_with_opens_file(tmp_path, plain))
+    assert got[0] in (0, 1) and got[2] == ""
+
+
+def test_cli_reads_digits_up_to_the_interpreters_int_limit():
+    # the reader has no length constant of its own: PYTHONINTMAXSTRDIGITS moves its cap
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("int() has no digit limit on this interpreter")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONINTMAXSTRDIGITS="640")
+    spec = "singletons=0;fin=[];inf=omega"
+    for digits, code in ((640, 0), (641, 2)):
+        done = subprocess.run(
+            [sys.executable, "-m", "diagclosure.cli", "separable", "--spec", spec, "-p", f"i:{'9' * digits}:0", "-q", "i:0:0"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == code, done.stderr[-300:]
+        assert "Traceback" not in done.stderr
+    assert done.stdout == "" and done.stderr.startswith("error: bad point address: ")
+
+
+def test_seed_stays_a_signed_integer(capsys):
+    code, out, _ = run(capsys, "realise", "--spec", _SPEC, "--pairs", "20", "--seed", "-3")
+    assert code == 0 and out.rstrip().endswith("result: PASS")
+
+
+def test_example_refuses_a_designated_set_without_an_infinite_complement(capsys):
+    for d in ("1,1", "0,0"):
+        code, out, err = run(capsys, "example", "nontransitive", "--d", d)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: designated set ") and err.endswith("does not have an infinite complement\n")
+
+
+def test_finite_refuses_an_opens_file_that_is_not_utf8(tmp_path, capsys):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"-\n0\xff\n")
+    code, out, err = run(capsys, "finite", "--opens", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_pairs_is_read_before_the_relation_is_realised(capsys):
+    code, out, err = run(capsys, "realise", "--spec", "singletons=0;fin=[2];inf=1", "--pairs", "-5")
+    assert (code, out, err) == (2, "", "error: bad --pairs: '-5'\n")

@@ -40,6 +40,7 @@ from diagclosure.errors import (
     ForeignVariantError,
     GroundSetFiniteError,
     InvalidAddressError,
+    InvalidSizeError,
     NotDisjointError,
     NotRealisableError,
     NotT1ConstructionError,
@@ -246,6 +247,13 @@ def test_subbasis_example_validation():
         SubbasisExample([ResidueClassSet(5, 1)])  # finite complement
     with pytest.raises(InvalidAddressError):
         SubbasisExample([]).separable(-1, 2)
+
+
+def test_subbasis_example_refuses_a_small_modulus_as_a_library_error():
+    # a DiagClosureError, so the command line's one handler exits 2 on it
+    for modulus in (0, 1):
+        with pytest.raises(InvalidSizeError, match="does not have an infinite complement"):
+            SubbasisExample([ResidueClassSet(5, modulus)])
 
 
 def test_separable_matches_theorem_on_samples():

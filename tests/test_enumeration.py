@@ -235,19 +235,31 @@ def test_iso_catalog_merges_orbits():
     assert rec.labeled_topology_count == expected
 
 
+def assert_same_catalog(got: Catalog, want: Catalog, what: str) -> None:
+    """Equal rendered catalogs, compared line by line.
+
+    Naming the first differing line keeps a failure fast: pytest's diff of
+    two catalog strings of thousands of lines can take minutes.
+    """
+    got_lines, want_lines = render_catalog(got).splitlines(), render_catalog(want).splitlines()
+    for i, (a, b) in enumerate(zip(want_lines, got_lines), start=1):
+        assert b == a, f"{what}: line {i} differs"
+    assert len(got_lines) == len(want_lines), what
+
+
 def test_parallel_workers_deterministic():
     for kwargs in ({}, {"t0_only": True}, {"up_to_iso": True}):
         seq = build_catalog(4, **kwargs)
         par = build_catalog(4, workers=3, **kwargs)
-        assert render_catalog(seq) == render_catalog(par)
+        assert_same_catalog(par, seq, f"workers=3 {kwargs}")
 
 
 def test_catalogs_match_the_full_preorder_walk_n6():
     # the golden file pins n <= 5; here every preorder on 6 points is visited
     for t0_only in (False, True):
         plain, iso = reference_catalogs(6, t0_only)
-        assert render_catalog(build_catalog(6, t0_only=t0_only)) == render_catalog(plain)
-        assert render_catalog(build_catalog(6, t0_only=t0_only, up_to_iso=True)) == render_catalog(iso)
+        assert_same_catalog(build_catalog(6, t0_only=t0_only), plain, f"plain t0_only={t0_only}")
+        assert_same_catalog(build_catalog(6, t0_only=t0_only, up_to_iso=True), iso, f"iso t0_only={t0_only}")
 
 
 def test_catalogs_and_the_preorder_walk_leave_no_cyclic_garbage():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from diagclosure.enumeration import (
     relation_code,
     render_catalog,
 )
-from diagclosure.errors import GroundSetFiniteError
+from diagclosure.errors import GroundSetFiniteError, SpecSyntaxError, read_natural, read_naturals
 from diagclosure.finite_topology import generate_from_subbasis, parse_topology, render_topology
 from diagclosure.relations import (
     BlockClass,
@@ -254,60 +255,115 @@ def _overrun(signum, frame):
     pytest.fail(f"a CLI call ran over {_CALL_SECONDS} s")
 
 
-def _exit_code(argv):
-    """The exit code of ``main(argv)``; a call that runs over the bound fails the test (SIGALRM, POSIX only)."""
+def _run(argv):
+    """The exit code, stdout and stderr of ``main(argv)``; a call that runs over the bound fails the test (SIGALRM, POSIX only)."""
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _overrun)
     signal.alarm(_CALL_SECONDS)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                return main(argv)
+                code = main(argv)
             except SystemExit as exc:  # argparse usage errors
-                return exc.code
+                code = exc.code
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exit_code(argv):
+    return _run(argv)[0]
 
 
 def _digits(max_value):
     return st.integers(0, max_value).map(str)
 
 
+# number texts the reader must refuse or accept: other scripts' digits,
+# '_' and signs that int() takes, padding, and where int() has a digit
+# limit, one digit more than it converts
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_ODD_NUMBERS = ["²", "١", "٢", "1_0", "+3", "-1", "", " "] + (["9" * (_INT_DIGITS + 1)] if _INT_DIGITS else [])
+
+
+def _numbers(max_value):
+    return st.one_of(
+        _digits(max_value),
+        st.sampled_from(_ODD_NUMBERS),
+        st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t"]), _digits(max_value), st.sampled_from(["", " "])),
+    )
+
+
 _junk = st.text(alphabet="0123456789,;:=[]-sfiomegacylnt ", max_size=12)
-_partition_literals = st.one_of(
-    _junk,
-    st.lists(st.lists(_digits(9), min_size=1, max_size=3).map(",".join), min_size=1, max_size=4).map(";".join),
-)
-_counts_text = st.one_of(_digits(3), st.just("omega"))
+_point_lists = st.lists(_numbers(9), min_size=1, max_size=3).map(",".join)
+_partition_literals = st.one_of(_junk, st.lists(_point_lists, min_size=1, max_size=4).map(";".join))
+_opens_files = st.lists(st.one_of(st.just("-"), _point_lists, _junk), max_size=5).map("\n".join)
+_counts_text = st.one_of(_numbers(3), st.just("omega"))
 _spec_texts = st.one_of(
     _junk,
     st.builds(
         "singletons={};fin={}{};inf={}".format,
         _counts_text,
         st.sampled_from(["", "cycle"]),
-        st.lists(_digits(4), max_size=3).map(lambda sizes: "[" + ",".join(sizes) + "]"),
+        st.lists(_numbers(4), max_size=3).map(lambda sizes: "[" + ",".join(sizes) + "]"),
         _counts_text,
     ),
 )
 _point_texts = st.one_of(
     _junk,
-    st.builds("s:{}".format, _digits(5)),
-    st.builds("{}:{}:{}".format, st.sampled_from("fi"), _digits(5), _digits(5)),
+    st.builds("s:{}".format, _numbers(5)),
+    st.builds("{}:{}:{}".format, st.sampled_from("fi"), _numbers(5), _numbers(5)),
 )
-_designated = st.one_of(_junk, st.builds("{},{}".format, _digits(30), _digits(12)))
+_designated = st.one_of(_junk, st.builds("{},{}".format, _numbers(30), _numbers(12)))
+_bounds = st.one_of(_junk, st.builds("{},{}".format, _numbers(60), _numbers(60)))
+
+# the only stdout of an exit 1: a failed verify, a relation the axiom cannot
+# realise, or a designated family with no non-transitive triple
+_EXIT_1 = ("result: FAIL", "-realisable: ", "no non-transitivity witness found", "closure is total")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.one_of(
     st.builds(lambda lit: ["finite", "--partition", lit], _partition_literals),
+    st.builds(lambda text: ["finite", "--opens", text], _opens_files),
     st.builds(lambda spec, p, q, axiom: ["separable", "--spec", spec, "-p", p, "-q", q, "--axiom", axiom],
               _spec_texts, _point_texts, _point_texts, st.sampled_from(["t0", "t1"])),
+    st.builds(lambda spec, pairs, bounds, axiom: ["realise", "--spec", spec, f"--pairs={pairs}", f"--bounds={bounds}",
+                                                 "--axiom", axiom],
+              _spec_texts, _numbers(50), _bounds, st.sampled_from(["t0", "t1"])),
+    st.builds(lambda n: ["enumerate", f"--n={n}"], st.one_of(_numbers(5), st.just("9"))),
     st.builds(lambda ds: ["example", "nontransitive", *(f"--d={d}" for d in ds)],
               st.lists(_designated, max_size=3)),
 ))
-def test_cli_exits_0_1_or_2(argv):
-    assert _exit_code(argv) in (0, 1, 2)
+def test_cli_exits_0_1_or_2(tmp_path_factory, argv):
+    if argv[1] == "--opens":  # the drawn text is the file's content
+        f = tmp_path_factory.mktemp("opens") / "opens.txt"
+        f.write_text(argv[2], encoding="utf-8")
+        argv = [argv[0], argv[1], str(f)]
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert any(line in out for line in _EXIT_1), out
+    if code == 2:
+        assert out == ""
+        assert err.startswith("usage: ") or (err.startswith("error: ") and err.count("\n") == 1), err[:300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="0123456789, \t²١_+-", max_size=12), st.one_of(st.none(), st.integers(1, 3)))
+def test_read_naturals_reads_each_item_as_read_natural_does(text, count):
+    try:
+        got = read_naturals(text, "x", count)
+    except SpecSyntaxError:
+        got = None
+    try:
+        want = [read_natural(item, "x") for item in text.split(",")]
+    except SpecSyntaxError:
+        want = None
+    if want is not None and count is not None and len(want) != count:
+        want = None
+    assert got == want
 
 
 @settings(max_examples=30, deadline=None)
