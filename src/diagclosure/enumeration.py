@@ -3,42 +3,51 @@
 Finite topologies correspond one-to-one to preorders.  There is one
 enumerator of preorders: a depth-first assignment of rows (row i is the
 up-set of point i, as a bitmask), delivering matrices in ascending
-row-major bit order, optionally with an upper bound on each row.  Each
-candidate row m for point i passes two mask tests against the rows already
-placed: m lies inside their intersection over the earlier rows that
-contain i (computed once per node), and every earlier row j that m
-contains lies inside m.  Together they make the finished matrix
-transitive.
+row-major bit order.  Each candidate row m for point i passes two mask
+tests against the rows already placed: m lies inside their intersection
+over the earlier rows that contain i (computed once per node), and every
+earlier row j that m contains lies inside m.  Together they make the
+finished matrix transitive.
+
+Counting needs no walk.  Call the points of the maximal classes of a
+preorder its top set T, and for every other point x let M(x) be the set of
+top classes above x.  A preorder is its top partition, M, and a preorder Q
+on the other points with x <=_Q y only if M(x) contains M(y); every such
+triple is a preorder.  One counter applies this split again and again: it
+counts the preorders on points with labels L where x <= y only if L(x)
+contains L(y).  The points of a top class share a label, every class C in
+M(x) has L(x) containing L(C), and the other points recurse with the labels
+(L(x), M(x)), compared componentwise.  Posets come from splits whose classes
+are all singletons.  The count depends only on how the labels contain each
+other, so it is memoised on the sorted labels re-encoded by containment.
+A count-only ``enumerate_preorders(n)`` is the counter on n equal labels.
 
 A catalog counts the labelled topologies per closure relation without
-visiting them one by one.  Call the points of the maximal classes of a
-preorder its top set T, and for every other point x let M(x) be the set of
-top classes above x.  The diagonal closure relates two points iff their
-up-sets meet, so it depends only on the top classes and M: top points are
-related iff they share a class, a top point of class C and a point x iff C
-is in M(x), and two other points iff their M values meet.  The catalog
-therefore sums over configurations (T, a partition of T into classes, M).
-The preorders of one configuration are the preorders Q on the other points
-with x <=_Q y only if M(x) contains M(y); the DFS counts them, with the
-posets among them for the T0 column (T0 needs singleton top classes), and
-the counts are memoised on the sorted M values, with transitivity: the
-closure is transitive iff every M(x) is one class (a top point's M is its
-own class).  If M(x) holds classes C != C', then c ~ x ~ c' for c in C and
-c' in C' but not c ~ c'; otherwise the closure is "same M", an equivalence.
-The configuration's flat preorder (Q the identity) is a subset of every
-other preorder in it, so it comes first in delivery order and is the
-configuration's example.  Codes are summed point by point, never built
-from rows: per top partition, one table per other point x and class set m
-holds x's closure bits against the top points and its flat row's preorder
-bits, M is assigned one point at a time, depth first, and each pair of
-other points adds its bit when their M values meet.  The catalog up to
-isomorphism is a fold of the finished labelled counts: each orbit under
-point permutations is canonicalised once and its members are merged under
-the orbit minimum.  A relabelling moves relation bits, not rows: one table
-per permutation of n points, built once per n, maps each upper-triangle
-cell to the bit it moves to, and the image of a code is the sum of the
-table entries of its set cells.  Every record keeps as its example the
-preorder delivered first.
+visiting them one by one.  The diagonal closure relates two points iff
+their up-sets meet, so it depends only on the top classes and M: top
+points are related iff they share a class, a top point of class C and a
+point x iff C is in M(x), and two other points iff their M values meet.
+The catalog therefore sums over configurations (T, a partition of T into
+classes, M).  The preorders of one configuration are the Q above, so the
+counter on the labels M(x) counts them, with the posets among them for the
+T0 column (T0 needs singleton top classes), with one memo for the whole
+catalog.  The closure is transitive iff every M(x) is one class (a top
+point's M is its own class).  If M(x) holds classes C != C', then c ~ x ~
+c' for c in C and c' in C' but not c ~ c'; otherwise the closure is "same
+M", an equivalence.  The configuration's flat preorder (Q the identity) is
+a subset of every other preorder in it, so it comes first in delivery
+order and is the configuration's example.  Codes are summed point by
+point, never built from rows: per top partition, one table per other point
+x and class set m holds x's closure bits against the top points and its
+flat row's preorder bits, M is assigned one point at a time, depth first,
+and each pair of other points adds its bit when their M values meet.  The
+catalog up to isomorphism is a fold of the finished labelled counts: each
+orbit under point permutations is canonicalised once and its members are
+merged under the orbit minimum.  A relabelling moves relation bits, not
+rows: one table per permutation of n points, built once per n, maps each
+upper-triangle cell to the bit it moves to, and the image of a code is the
+sum of the table entries of its set cells.  Every record keeps as its
+example the preorder delivered first.
 
 Relation codes render the strict upper triangle as lowercase hex: pairs
 (i, j) with i < j in lexicographic order, first pair in the least
@@ -51,7 +60,9 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations_with_replacement, groupby, permutations, product
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .errors import InvalidSizeError, SpecSyntaxError
@@ -100,20 +111,16 @@ def _row_candidates(n: int) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
     return out
 
 
-def _iter_rows(n: int, bounds=None) -> Iterator[tuple[int, ...]]:
+def _iter_rows(n: int) -> Iterator[tuple[int, ...]]:
     """All preorder row tuples on n points, ascending row-major bit order.
 
-    With ``bounds``, only the preorders whose row i lies inside ``bounds[i]``.
     Row i = m fits the earlier rows iff m lies inside every earlier row that
     contains i, and every earlier row j in m lies inside m.
     """
     if n == 0:
         yield ()
         return
-    candidates = _row_candidates(n)
-    if bounds is not None:
-        candidates = [[c for c in cands if not c[0] & ~b] for cands, b in zip(candidates, bounds)]
-    yield from _extend([], candidates, 0, n - 1)
+    yield from _extend([], _row_candidates(n), 0, n - 1)
 
 
 # Module-level, not nested in _iter_rows: a nested generator that calls
@@ -154,16 +161,122 @@ def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = No
     """Deliver every preorder on n points exactly once; returns the count.
 
     Delivery order is deterministic: ascending lexicographic on the
-    row-major matrix bits.  n above the soft limit only warns.
+    row-major matrix bits.  Without a consumer nothing is delivered and no
+    preorder is visited: the count is ``_count_below`` on n equal labels.
+    n above the soft limit only warns, with or without a consumer.
     """
+    _check_size(n)
     if n > SOFT_LIMIT:
         warnings.warn(f"enumerating preorders on {n} points may take extremely long", stacklevel=2)
+    if consumer is None:
+        return _count_below((0,) * n, {})[0]
     count = 0
     for rows in _iter_rows(n):
-        if consumer is not None:
-            consumer(Preorder(n, rows, validate=False))
+        consumer(Preorder(n, rows, validate=False))
         count += 1
     return count
+
+
+# --- counting ---
+
+def _count_below(labels: tuple[int, ...], memo: dict) -> tuple[int, int]:
+    """How many preorders, and posets, have x <= y only where ``labels[x]``
+    contains ``labels[y]``; ``labels`` is sorted.
+
+    ``memo`` maps label tuples to their counts; one dict may serve any
+    number of calls, since a tuple's counts do not depend on the call.
+    """
+    found = memo.get(labels)
+    if found is None:
+        key = _by_containment(labels)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _split(key, memo)
+        memo[labels] = found
+    return found
+
+
+def _by_containment(labels: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted labels with each label u re-encoded as the set of the
+    distinct labels inside u, numbered in ascending order.
+
+    Containment between labels, hence the count, is unchanged; labels that
+    contain each other alike often meet under one key.
+    """
+    distinct = list(dict.fromkeys(labels))
+    code = {u: sum(1 << j for j, v in enumerate(distinct) if not v & ~u) for u in distinct}
+    return tuple(sorted([code[u] for u in labels]))
+
+
+def _split(labels: tuple[int, ...], memo: dict) -> tuple[int, int]:
+    """``_count_below`` summed over the top splits of the preorders.
+
+    Points of one label are interchangeable, so a split is chosen per group
+    of equal labels: t of its s points are top points (comb(s, t) ways) in c
+    classes (S(t, c) ways).  Each other point of the group takes a non-empty
+    set M of the classes whose label lies inside its own; the group's points
+    take a multiset of such sets, weighted by its multinomial, and recurse
+    with the labels L | M << width.
+    """
+    if not labels:
+        return 1, 1
+    groups = [(label, len(list(same))) for label, same in groupby(labels)]
+    width = labels[-1].bit_length()
+    inside = [[i for i, (li, _) in enumerate(groups) if not li & ~lj] for lj, _ in groups]
+    tops = [
+        [(t, c, w) for t in range(size + 1) for c in range(t + 1) if (w := comb(size, t) * _stirling(t, c))]
+        for _, size in groups
+    ]
+    labelled = posets = 0
+    for split in product(*tops):
+        classes = []  # classes[i]: the bits of group i's top classes in M
+        at = 0
+        for _, c, _ in split:
+            classes.append(((1 << c) - 1) << at)
+            at += c
+        if not at:
+            continue
+        rests = []  # per group with other points: (ways, their labels) per multiset of M values
+        for (label, size), (t, _, _), groups_inside in zip(groups, split, inside):
+            if size == t:
+                continue
+            allowed = sum(classes[i] for i in groups_inside)
+            if not allowed:
+                break
+            masks = [m for m in range(1, allowed + 1) if not m & ~allowed]
+            rests.append([(ways, [label | m << width for m in ms]) for ways, ms in _multisets(masks, size - t)])
+        else:
+            rest_labelled = rest_posets = 0
+            for choice in product(*rests):
+                lab, pos = _count_below(tuple(sorted([x for _, xs in choice for x in xs])), memo)
+                ways = prod([ways for ways, _ in choice])
+                rest_labelled += ways * lab
+                rest_posets += ways * pos
+            ways = prod([w for _, _, w in split])
+            labelled += ways * rest_labelled
+            if all(t == c for t, c, _ in split):
+                posets += ways * rest_posets
+    return labelled, posets
+
+
+def _multisets(masks: list[int], r: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Each multiset of r of ``masks``, with the number of ways to hand its
+    members to r labelled points."""
+    out = []
+    for ms in combinations_with_replacement(masks, r):
+        w = factorial(r)
+        for _, same in groupby(ms):
+            w //= factorial(len(list(same)))
+        out.append((w, ms))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _stirling(t: int, c: int) -> int:
+    """The partitions of t points into c classes."""
+    if t == 0 or c == 0:
+        return int(t == c)
+    return c * _stirling(t - 1, c) + _stirling(t - 1, c - 1)
 
 
 def closure_of_preorder(p: Preorder) -> FiniteRelation:
@@ -309,17 +422,6 @@ class Catalog:
     total_t0: int
 
 
-def _count_below(ms: tuple[int, ...]) -> tuple[int, int]:
-    """How many preorders, and posets, have i <= j only where ``ms[i]`` contains ``ms[j]``."""
-    k = len(ms)
-    bounds = [sum(1 << j for j, mj in enumerate(ms) if not mj & ~mi) for mi in ms]
-    labelled = posets = 0
-    for rows in _iter_rows(k, bounds):
-        labelled += 1
-        posets += len(set(rows)) == k
-    return labelled, posets
-
-
 def _count_configurations(n: int, t0_only: bool):
     """Counts ``{closure bits: [labelled, t0, first example's bits, transitive]}`` and totals.
 
@@ -358,7 +460,7 @@ class _Walk:
         self.t0_only = t0_only
         self.counts: dict[int, list] = {}
         self.totals = [0, 0]
-        self.memo: dict[tuple[int, ...], tuple[int, int, bool]] = {}
+        self.memo: dict[tuple[int, ...], tuple[int, int]] = {}  # _count_below's, for the whole build
         self.leaves: dict[tuple, tuple] = {}
         self.pair = _pair_bits(n)
 
@@ -430,11 +532,10 @@ class _Walk:
     def _entry(self, key: tuple[int, ...]) -> tuple[int, int, bool]:
         """The labelled and T0 counts (as this partition counts them) and the
         transitive flag of a configuration whose sorted M values are ``key``."""
-        found = self.memo.get(key)
-        if found is None:
-            found = self.memo[key] = (*_count_below(key), all(m & (m - 1) == 0 for m in key))
-        posets = found[1] if self.singletons else 0
-        return (posets if self.t0_only else found[0]), posets, found[2]
+        labelled, posets = _count_below(key, self.memo)
+        if not self.singletons:
+            posets = 0
+        return (posets if self.t0_only else labelled), posets, all(m & (m - 1) == 0 for m in key)
 
 
 def _merge(into: dict[int, list], code: int, entry: list) -> None:

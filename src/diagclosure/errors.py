@@ -7,9 +7,12 @@ partition literals and opens files; not ``--seed``, which may be negative)
 goes through :func:`read_natural` or :func:`read_naturals`: surrounding
 whitespace is ignored, the rest must be ASCII digits, and anything else
 raises :class:`SpecSyntaxError` naming the field.  ``int()``'s own digit
-limit (``sys.get_int_max_str_digits``) is the only cap on length.
+limit (``sys.get_int_max_str_digits``) is the only cap on length; a refusal
+at that limit names the environment variable that moves it,
+``PYTHONINTMAXSTRDIGITS``.
 """
 
+import sys
 from operator import index
 
 
@@ -104,8 +107,11 @@ def read_natural(text: str, what: str) -> int:
     if item.isascii() and item.isdigit():
         try:
             return int(item)
-        except ValueError as exc:  # more digits than int() converts
-            raise SpecSyntaxError(f"bad {what}: {exc}") from None
+        except ValueError:  # more digits than int() converts
+            raise SpecSyntaxError(
+                f"bad {what}: {len(item)} digits, more than the {sys.get_int_max_str_digits()} this interpreter"
+                " reads (the environment variable PYTHONINTMAXSTRDIGITS sets that limit)"
+            ) from None
     raise SpecSyntaxError(f"bad {what}: {item!r}")
 
 

@@ -4,7 +4,10 @@
 topologies among them (n <= 3).  ``count_preorders_by_extension`` grows
 preorders one point at a time, a strategy independent of the row-by-row
 DFS.  ``preorders_by_filter`` keeps the transitive tuples among all tuples
-of reflexive rows, with no pruning.
+of reflexive rows, with no pruning.  ``bounded_walk`` is the DFS with each
+row cut to an upper bound, the leaf walk that ``_count_below``'s recursion
+replaced; ``count_below_by_walk`` counts the preorders it delivers, and the
+posets among them, as the oracle for that recursion.
 ``relabelled_codes`` permutes the points of a decoded relation one by one.
 ``build_catalog`` sums over configurations and never visits most preorders;
 ``reference_catalogs`` visits every preorder the DFS delivers, takes its
@@ -17,7 +20,16 @@ once per run, must take the same draws and return the same points.
 
 from itertools import permutations, product
 
-from diagclosure.enumeration import _catalog, _iter_rows, _preorder_bits, _relation_bits, decode_relation, relation_code
+from diagclosure.enumeration import (
+    _catalog,
+    _extend,
+    _iter_rows,
+    _preorder_bits,
+    _relation_bits,
+    _row_candidates,
+    decode_relation,
+    relation_code,
+)
 from diagclosure.errors import BoundExceededError
 from diagclosure.finite_topology import closure_rows
 from diagclosure.relations import BlockClass, FiniteRelation, PointAddr
@@ -120,6 +132,27 @@ def preorders_by_filter(n: int, bounds=None) -> list[tuple[int, ...]]:
 
     found = [rows for rows in product(*choices) if transitive(rows)]
     return sorted(found, key=lambda rows: "".join(str(r >> j & 1) for r in rows for j in range(n)))
+
+
+def bounded_walk(n: int, bounds):
+    """The preorders whose row i lies inside ``bounds[i]``, in delivery
+    order: the DFS with each row's candidates cut to its bound."""
+    if n == 0:
+        yield ()
+        return
+    candidates = [[c for c in cands if not c[0] & ~b] for cands, b in zip(_row_candidates(n), bounds)]
+    yield from _extend([], candidates, 0, n - 1)
+
+
+def count_below_by_walk(labels) -> tuple[int, int]:
+    """How many preorders, and posets, have x <= y only where ``labels[x]``
+    contains ``labels[y]``, by walking them; a poset has distinct rows."""
+    bounds = [sum(1 << j for j, lj in enumerate(labels) if not lj & ~li) for li in labels]
+    labelled = posets = 0
+    for rows in bounded_walk(len(labels), bounds):
+        labelled += 1
+        posets += len(set(rows)) == len(rows)
+    return labelled, posets
 
 
 def relabelled_codes(code: int, n: int) -> list[int]:

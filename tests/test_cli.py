@@ -414,8 +414,14 @@ def _long(argv, field):
     return pytest.param(argv, field, marks=_over_int_limit)
 
 
-# argv and the field the one error line must name; an "--opens" value is
-# the file's content, written to a file first
+# how a refusal of NINES ends: it names the setting a shell user can change,
+# not a Python call
+AT_INT_LIMIT = (f": {len(NINES)} digits, more than the {_INT_DIGITS} this interpreter reads"
+                " (the environment variable PYTHONINTMAXSTRDIGITS sets that limit)")
+
+# argv and the field the one error line must name (an argv holding NINES
+# must end with AT_INT_LIMIT too); an "--opens" value is the file's
+# content, written to a file first
 NUMBER_PROBES = {
     "spec-count-superscript": (["realise", "--spec", "singletons=²;fin=[];inf=3"], "count"),
     "spec-count-long": _long(["realise", "--spec", f"singletons={NINES};fin=[];inf=3"], "count"),
@@ -457,6 +463,8 @@ def test_cli_refuses_a_number_that_is_not_ascii_digits(tmp_path, capsys, argv, f
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: bad {field}"), err[:200]
+    if any(NINES in arg for arg in argv):
+        assert err.endswith(f"{AT_INT_LIMIT}\n"), err
 
 
 @pytest.mark.parametrize("padded, plain", [
@@ -486,7 +494,8 @@ def test_cli_reads_digits_up_to_the_interpreters_int_limit():
         )
         assert done.returncode == code, done.stderr[-300:]
         assert "Traceback" not in done.stderr
-    assert done.stdout == "" and done.stderr.startswith("error: bad point address: ")
+    assert done.stdout == "" and done.stderr.startswith("error: bad point address: 641 digits, more than the 640 ")
+    assert "PYTHONINTMAXSTRDIGITS" in done.stderr
 
 
 def test_seed_stays_a_signed_integer(capsys):

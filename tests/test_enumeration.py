@@ -6,6 +6,7 @@ import random
 import pytest
 
 from reference import (
+    bounded_walk,
     brute_force_topology_count,
     count_preorders_by_extension,
     preorders_by_filter,
@@ -36,6 +37,15 @@ KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}
 def test_counts_up_to_5():
     for n in range(6):
         assert enumerate_preorders(n) == KNOWN_COUNTS[n]
+
+
+def test_count_only_equals_the_delivered_count():
+    # without a consumer the count comes from the label recursion, not the walk
+    for n in range(7):
+        delivered = []
+        assert enumerate_preorders(n, lambda p: delivered.append(None)) == len(delivered)
+        assert enumerate_preorders(n) == len(delivered) == KNOWN_COUNTS[n]
+    assert enumerate_preorders(7) == 9535241  # OEIS A000798
 
 
 def test_counts_confirmed_by_brute_force_scan():
@@ -73,7 +83,7 @@ def test_dfs_matches_a_brute_force_filter():
 
     for n in range(5):
         assert list(_iter_rows(n)) == preorders_by_filter(n)
-    assert list(_iter_rows(3, [0b001, 0b101, 0b011])) == []  # row 2's bound misses point 2
+    assert list(bounded_walk(3, [0b001, 0b101, 0b011])) == []  # row 2's bound misses point 2
 
 
 def test_soft_limit_warns():
@@ -270,6 +280,7 @@ def test_catalogs_and_the_preorder_walk_leave_no_cyclic_garbage():
         "t0": lambda: build_catalog(5, t0_only=True),
         "iso": lambda: build_catalog(5, up_to_iso=True),
         "preorders": lambda: enumerate_preorders(5),
+        "preorder walk": lambda: enumerate_preorders(5, lambda p: None),
     }
     enabled = gc.isenabled()
     gc.disable()

@@ -12,13 +12,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import preorders_by_filter
+from reference import bounded_walk, count_below_by_walk, preorders_by_filter
 
 from diagclosure.cli import main
 from diagclosure.enumeration import (
     Catalog,
     CatalogRecord,
-    _iter_rows,
+    _count_below,
     canonical_code,
     decode_preorder,
     decode_relation,
@@ -124,7 +124,17 @@ def row_bounds(draw):
 @settings(max_examples=100, deadline=None)
 @given(row_bounds())
 def test_bounded_dfs_matches_a_brute_force_filter(bounds):
-    assert list(_iter_rows(len(bounds), bounds)) == preorders_by_filter(len(bounds), bounds)
+    assert list(bounded_walk(len(bounds), bounds)) == preorders_by_filter(len(bounds), bounds)
+
+
+# up to 6 points, labels from a pool of 8 so that points often share one
+point_labels = st.lists(st.integers(0, 7), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_labels)
+def test_label_recursion_matches_the_bounded_walk(labels):
+    assert _count_below(tuple(sorted(labels)), {}) == count_below_by_walk(labels)
 
 
 counts = st.one_of(st.none(), st.integers(0, 6)).map(Count)
