@@ -201,8 +201,9 @@ class Ball:
 
 @dataclass(frozen=True)
 class ExtPt:
-    """A non-representative point plus a ball around its block, minus the
-    level-0 representative image (the ball must contain that image)."""
+    """A non-representative point (the anchor) plus a ball around its block,
+    minus the block's level-0 representative image; the ball must contain
+    that image.  ``_ball_part`` gives the ball with the image excluded."""
 
     block: int
     elem: int
@@ -690,6 +691,16 @@ def _z(block: int, elem: int = 0):
 _BALL_OPENS = (Ball, ExtPt)
 
 
+def _ball_part(o) -> RationalBall:
+    """The ball part of a pair-system open: a ``Ball``'s ball as it is, or an
+    ``ExtPt``'s ball minus its anchor's level-0 image ``(q, 0)``, where q is
+    the rational of the anchor's block."""
+    b = o.ball
+    if type(o) is Ball:
+        return b
+    return RationalBall._unchecked(b.x_index, b.center, b.radius, b.excluded | {(_xq(o.block)[1], 0)})
+
+
 class ExtendPairs(InfOrSingleton):
     """Infinitely many finite blocks of any sizes >= 2.
 
@@ -703,6 +714,11 @@ class ExtendPairs(InfOrSingleton):
     such opens keep the basis property and pin x to its block.  Points
     outside finite blocks, and their opens, keep the family rules; balls
     never meet them.
+
+    Membership, refinement and containment read opens through
+    ``_ball_part``, so the subtracted image is one more exclusion to the
+    ball rules of :mod:`diagclosure.symbolic_sets`; only the anchor has a
+    rule of its own.
     """
 
     kind = "ExtendPairs"
@@ -730,12 +746,9 @@ class ExtendPairs(InfOrSingleton):
             return InfOrSingleton._member(self, o, p)
         if p.cls is not _F:
             return False
-        if isinstance(o, Ball):
-            return p.elem <= 1 and ball_member(o.ball, _z(p.block, p.elem))
         if p.elem >= 2:
-            return p.block == o.block and p.elem == o.elem
-        # the anchor's level-0 image is (o.block, 0) itself: the pairing is a bijection
-        return (p.block, p.elem) != (o.block, 0) and ball_member(o.ball, _z(p.block, p.elem))
+            return type(o) is ExtPt and p.block == o.block and p.elem == o.elem
+        return ball_member(_ball_part(o), _z(p.block, p.elem))
 
     def _disjoint(self, o1, o2):
         b1, b2 = isinstance(o1, _BALL_OPENS), isinstance(o2, _BALL_OPENS)
@@ -778,13 +791,9 @@ class ExtendPairs(InfOrSingleton):
     def _refine(self, o1, o2, p):
         if not isinstance(o1, _BALL_OPENS):
             return InfOrSingleton._refine(self, o1, o2, p)
-        e1, e2 = isinstance(o1, ExtPt), isinstance(o2, ExtPt)
-        if e1 and e2 and (o1.block, o1.elem) == (o2.block, o2.elem) and p.elem >= 2:
-            nb = ball_refine(o1.ball, o2.ball, _z(o1.block))
-            return ExtPt(o1.block, o1.elem, nb)
-        extra = {(_xq(o.block)[1], 0) for o in (o1, o2) if isinstance(o, ExtPt)}  # their level-0 images
-        nb = ball_refine(o1.ball, o2.ball, _z(p.block, p.elem), extra_excluded=extra)
-        return Ball(nb)
+        if p.elem >= 2:  # both opens are extension opens anchored at p
+            return ExtPt(p.block, p.elem, ball_refine(o1.ball, o2.ball, _z(p.block)))
+        return Ball(ball_refine(_ball_part(o1), _ball_part(o2), _z(p.block, p.elem)))
 
     def _contains(self, outer, inner):
         b_out, b_in = isinstance(outer, _BALL_OPENS), isinstance(inner, _BALL_OPENS)
@@ -792,14 +801,9 @@ class ExtendPairs(InfOrSingleton):
             return False
         if not b_in:
             return InfOrSingleton._contains(self, outer, inner)
-        if isinstance(inner, ExtPt):
-            if not isinstance(outer, ExtPt):
-                return False  # the anchor point never lies in a plain ball open
-            return (inner.block, inner.elem) == (outer.block, outer.elem) and ball_contains(outer.ball, inner.ball)
-        if isinstance(outer, ExtPt):
-            r1 = _z(outer.block)
-            return ball_contains(outer.ball, inner.ball) and not ball_member(inner.ball, r1)
-        return ball_contains(outer.ball, inner.ball)
+        if type(inner) is ExtPt and (type(outer) is not ExtPt or (inner.block, inner.elem) != (outer.block, outer.elem)):
+            return False  # inner's anchor lies only in the extension opens anchored there
+        return ball_contains(_ball_part(outer), _ball_part(inner))
 
 
 class PairBlocks(ExtendPairs):

@@ -163,13 +163,14 @@ def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = No
     Delivery order is deterministic: ascending lexicographic on the
     row-major matrix bits.  Without a consumer nothing is delivered and no
     preorder is visited: the count is ``_count_below`` on n equal labels.
-    n above the soft limit only warns, with or without a consumer.
+    A consumer above the soft limit only warns: the walk visits every
+    preorder, while the count alone stays fast.
     """
     _check_size(n)
-    if n > SOFT_LIMIT:
-        warnings.warn(f"enumerating preorders on {n} points may take extremely long", stacklevel=2)
     if consumer is None:
         return _count_below((0,) * n, {})[0]
+    if n > SOFT_LIMIT:
+        warnings.warn(f"enumerating preorders on {n} points may take extremely long", stacklevel=2)
     count = 0
     for rows in _iter_rows(n):
         consumer(Preorder(n, rows, validate=False))

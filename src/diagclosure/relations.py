@@ -50,9 +50,7 @@ __all__ = [
 class Count:
     """A natural number or omega (countably infinite).
 
-    Arithmetic follows cardinal rules at this scale: finite + finite is
-    finite, anything + omega is omega.  Comparisons treat omega as larger
-    than every natural number.
+    Comparisons treat omega as larger than every natural number.
     """
 
     __slots__ = ("value",)
@@ -89,16 +87,6 @@ class Count:
         if isinstance(other, int) and not isinstance(other, bool):
             return other
         return NotImplemented
-
-    def __add__(self, other):
-        v = self._value_of(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if self.value is None or v is None:
-            return OMEGA
-        return Count(self.value + v)
-
-    __radd__ = __add__
 
     def __eq__(self, other):
         v = self._value_of(other)
@@ -245,19 +233,6 @@ class PartitionSpec:
         if not (self.singletons.is_omega or self.fin.cyclic or self.inf >= 1):
             raise GroundSetFiniteError(f"spec describes a finite ground set: {self.render()}")
 
-    @property
-    def part_count(self) -> Count:
-        """Number of blocks."""
-        return self.singletons + self.fin.count + self.inf
-
-    @property
-    def is_part_finite(self) -> bool:
-        return self.part_count.is_finite
-
-    @property
-    def has_finite_gt1_block(self) -> bool:
-        return not self.fin.is_empty
-
     def valid_addr(self, a: PointAddr) -> bool:
         """Whether ``a`` names a point of this spec.
 
@@ -347,9 +322,10 @@ def is_t1_realisable(spec: PartitionSpec) -> bool:
     """Decide realisability as a diagonal closure under a T1 topology.
 
     False exactly when the spec has finitely many blocks and at least one
-    finite block with more than one element; true otherwise.
+    finite block with more than one element: an explicit, non-empty
+    finite-block list next to finitely many singletons and infinite blocks.
     """
-    return not (spec.is_part_finite and spec.has_finite_gt1_block)
+    return not (spec.fin.sizes and not spec.fin.cyclic and spec.singletons.is_finite and spec.inf.is_finite)
 
 
 class FiniteRelation:

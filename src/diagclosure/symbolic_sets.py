@@ -8,7 +8,9 @@ naturals and (natural, rational) pairs.  Rationals are stored as
 arithmetic (member, disjoint, contains, refine, separating radius): one
 integer primitive, ``_excess``, decides every comparison of a distance with a
 radius by cross-multiplying numerators and denominators, so none builds a
-``Fraction``.  ``RationalBall._unchecked`` skips the constructor's checks for
+``Fraction``.  The ball rules know no construction: one that removes points
+from a ball passes a ball with those points among its exclusions.
+``RationalBall._unchecked`` skips the constructor's checks for
 balls whose invariants the caller has just established; it is internal to
 the package, and the public ``RationalBall(...)`` validates every input.
 """
@@ -33,7 +35,6 @@ __all__ = [
     "in_interval",
     "pair_decode",
     "pair_encode",
-    "parse_rational",
     "rational_at",
     "rational_index",
     "residues_disjoint",
@@ -46,10 +47,6 @@ Rational = Fraction
 def format_rational(q: Fraction) -> str:
     """Render as ``p/q`` with the denominator always shown."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 class ResidueClassSet(NamedTuple):
@@ -204,21 +201,16 @@ def _room(b: RationalBall, q: Fraction) -> tuple[int, int]:
     return -_excess(q, b.center, r.numerator, r.denominator), q.denominator * b.center.denominator * r.denominator
 
 
-def ball_refine(b1: RationalBall, b2: RationalBall, z, extra_excluded=()) -> RationalBall:
+def ball_refine(b1: RationalBall, b2: RationalBall, z) -> RationalBall:
     """A ball around z inside both arguments, inheriting relevant exclusions."""
-    x, q, level = z
+    x, q, _ = z
     (n1, d1), (n2, d2) = _room(b1, q), _room(b2, q)
     num, den = (n1, d1) if n1 * d2 <= n2 * d1 else (n2, d2)
     if num <= 0:
         raise ValueError("radius must be positive")
     rad = Fraction(num, den)
-    excl = {e for e in b1.excluded | b2.excluded if in_interval(e[0], q, rad)}
-    for e in extra_excluded:
-        if e == (q, level):
-            raise ValueError("refine point is excluded by the outer set")
-        if in_interval(e[0], q, rad):
-            excl.add(e)
-    return RationalBall._unchecked(x, q, rad, frozenset(excl))
+    excl = frozenset(e for e in b1.excluded | b2.excluded if in_interval(e[0], q, rad))
+    return RationalBall._unchecked(x, q, rad, excl)
 
 
 # --- fixed bijection between the naturals and (natural, rational) pairs ---

@@ -16,10 +16,14 @@ argument, the T0 rule and the example rule independently.
 ``sample_point`` and ``sample_pair`` re-derive every limit from the spec on
 each draw and draw through ``randint``; the verify harness's samplers, built
 once per run, must take the same draws and return the same points.
+``pair_open_member`` reads a pair-system open as a point set, with
+``Fraction`` arithmetic and ``pair_encode`` only.
 """
 
+from functools import lru_cache
 from itertools import permutations, product
 
+from diagclosure.constructions import ExtPt
 from diagclosure.enumeration import (
     _catalog,
     _extend,
@@ -33,6 +37,7 @@ from diagclosure.enumeration import (
 from diagclosure.errors import BoundExceededError
 from diagclosure.finite_topology import closure_rows
 from diagclosure.relations import BlockClass, FiniteRelation, PointAddr
+from diagclosure.symbolic_sets import pair_encode
 
 
 def brute_force_topology_count(n: int) -> int:
@@ -240,3 +245,22 @@ def sample_pair(stratum, spec, rng, bounds):
         q = sample_point(t2, spec, rng, bounds)
         if q != p:
             return p, q
+
+
+_pair_of = lru_cache(maxsize=1 << 16)(pair_encode)  # windows revisit the same blocks
+
+
+def pair_open_member(o, p) -> bool:
+    """Whether a pair-system open (``Ball`` or ``ExtPt``) holds the finite-block
+    point p.  An ``ExtPt`` holds its anchor.  Either open holds each point
+    with elem <= 1 whose pair image (x, q) lies in the open interval, is not
+    excluded at its level, and is not the ``ExtPt`` anchor's (block, 0)."""
+    assert p.cls is BlockClass.FINITE
+    anchor = (o.block, o.elem) if isinstance(o, ExtPt) else None
+    if (p.block, p.elem) == anchor:
+        return True
+    if p.elem > 1 or (anchor is not None and (p.block, p.elem) == (anchor[0], 0)):
+        return False
+    x, q = _pair_of(p.block)
+    b = o.ball
+    return x == b.x_index and abs(q - b.center) < b.radius and (q, p.elem) not in b.excluded

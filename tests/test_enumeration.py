@@ -2,6 +2,7 @@
 
 import gc
 import random
+import warnings
 
 import pytest
 
@@ -96,6 +97,12 @@ def test_soft_limit_warns():
     with pytest.warns(UserWarning):
         with pytest.raises(_Stop):
             enumerate_preorders(8, boom)
+
+
+def test_count_only_path_does_not_warn_above_the_soft_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert enumerate_preorders(8) == 642779354
 
 
 def test_closure_of_preorder_examples():

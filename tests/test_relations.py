@@ -1,13 +1,16 @@
 """Relations, partitions, and partition-spec parsing."""
 
+import itertools
 import random
 
 import pytest
 
+from diagclosure.constructions import realise_t1
 from diagclosure.errors import (
     GroundSetFiniteError,
     InvalidAddressError,
     NotEquivalenceError,
+    NotRealisableError,
     SpecSyntaxError,
 )
 from diagclosure.relations import (
@@ -34,9 +37,8 @@ S, F, I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 # --- counts ---
 
 def test_count_arithmetic():
-    assert Count(2) + Count(3) == 5
-    assert (Count(2) + OMEGA).is_omega
-    assert (OMEGA + OMEGA).is_omega
+    with pytest.raises(TypeError):  # counts compare; they do not add
+        Count(2) + Count(3)
     assert OMEGA > 10**9
     assert Count(3) < OMEGA
     assert Count(0) == 0 and not Count(0).is_omega
@@ -199,9 +201,23 @@ def test_is_t1_realisable_truth_table():
     for text, expected in rows:
         spec = parse_spec(text)
         assert is_t1_realisable(spec) is expected, text
-        # cross-check against the profile reading
-        oracle = not (spec.is_part_finite and spec.has_finite_gt1_block)
-        assert is_t1_realisable(spec) is oracle
+    # A grid, each answer read off the text: finitely many blocks is no "omega"
+    # and no "cycle", and a finite block with two or more points a non-empty fin.
+    for singletons, fin, inf in itertools.product(
+        ("0", "1", "5", "omega"), ("[]", "[2]", "[2,3]", "cycle[2]", "cycle[2,3]"), ("0", "2", "omega")
+    ):
+        text = f"singletons={singletons};fin={fin};inf={inf}"
+        try:
+            spec = parse_spec(text)
+        except GroundSetFiniteError:
+            continue
+        expected = "omega" in text or "cycle" in text or fin == "[]"
+        assert is_t1_realisable(spec) is expected, text
+        if expected:
+            assert realise_t1(spec).spec == spec, text
+        else:
+            with pytest.raises(NotRealisableError):
+                realise_t1(spec)
 
 
 # --- finite relations and partitions ---
