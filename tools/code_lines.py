@@ -18,16 +18,16 @@ import os
 import sys
 import tokenize
 
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def _docstring_lines(tree: ast.AST) -> set[int]:
     lines = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+        if isinstance(node, _SCOPES) and ast.get_docstring(node, clean=False) is not None:
             first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
-                lines.update(range(first.lineno, first.end_lineno + 1))
+            lines.update(range(first.lineno, first.end_lineno + 1))
     return lines
 
 
