@@ -5,7 +5,9 @@ relation that is not realisable under the requested axiom, or an
 ``example`` with no non-transitive triple; 2 for usage and parse errors.
 Every natural number in the arguments is read by ``errors.read_natural``
 or ``errors.read_naturals``, and ``main`` alone turns a library error into
-exit 2.
+exit 2.  Sizes that could run far past 20 s are refused with exit 2 unless
+``--force`` is given: ``enumerate --n`` above the soft limit, ``realise
+--pairs`` above ``MAX_PAIRS`` and ``--bounds`` above ``MAX_BOUND``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ import sys
 
 from .errors import BoundExceededError, DiagClosureError, NotRealisableError, SpecSyntaxError, read_natural, read_naturals
 
+# realise's ceilings, lifted by --force: at 200,000 pairs with both bounds at
+# 10**18 the slowest acceptance specs (the pair systems) verified in 7.9-9.9 s
+# on 2 vCPUs, half of the 20 s that one command may take.
+MAX_PAIRS = 200_000
+MAX_BOUND = 10**18
+
 
 def _cmd_realise(args) -> int:
     from .constructions import realise_t0, realise_t1
@@ -24,6 +32,9 @@ def _cmd_realise(args) -> int:
     spec = parse_spec(args.spec)
     bounds = tuple(read_naturals(args.bounds, "bounds (expected 'B,E')", count=2))
     n_pairs = read_natural(args.pairs, "--pairs")
+    for option, value, ceiling in (("--pairs", n_pairs, MAX_PAIRS), ("--bounds", max(bounds), MAX_BOUND)):
+        if value > ceiling and not args.force:
+            raise BoundExceededError(f"{option} above {ceiling} may take extremely long; pass --force to proceed")
     c = realise_t1(spec) if args.axiom == "t1" else realise_t0(spec)
     # imported once there is a construction to verify, so a relation the
     # axiom cannot realise exits without loading the harness
@@ -148,6 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", default="50,50", help="max block,element index sampled")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json-lines", action="store_true")
+    p.add_argument("--force", action="store_true", help=f"allow --pairs above {MAX_PAIRS} and --bounds above {MAX_BOUND}")
     p.set_defaults(func=_cmd_realise)
 
     p = sub.add_parser("separable", help="decide one point pair and print the certificate")

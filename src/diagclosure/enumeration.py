@@ -41,13 +41,19 @@ point, never built from rows: per top partition, one table per other point
 x and class set m holds x's closure bits against the top points and its
 flat row's preorder bits, M is assigned one point at a time, depth first,
 and each pair of other points adds its bit when their M values meet.  The
-catalog up to isomorphism is a fold of the finished labelled counts: each
-orbit under point permutations is canonicalised once and its members are
-merged under the orbit minimum.  A relabelling moves relation bits, not
-rows: one table per permutation of n points, built once per n, maps each
-upper-triangle cell to the bit it moves to, and the image of a code is the
-sum of the table entries of its set cells.  Every record keeps as its
-example the preorder delivered first.
+catalog up to isomorphism sums over configuration types instead: a type is
+a configuration up to relabelling the points, given by the sizes of the top
+classes and the multiset of M values up to permuting classes of equal size
+(131 types for 21,096 configurations at n=6).  Relabelling maps the
+configurations of a type onto each other, so they share their counts and
+have isomorphic closures; a type needs its number of configurations, the
+counter's counts, the canonical code of one representative's closure, and
+the relabelling of that representative's flat preorder delivered first,
+which is the first example among all the type's configurations.  Both
+relabellings come from one ordered search (``_least_order``) that fixes the
+positions one at a time, keeps every branch that ties the best prefix and
+branches once per class of twins, so no search walks the n! permutations.
+Every record keeps as its example the preorder delivered first.
 
 Relation codes render the strict upper triangle as lowercase hex: pairs
 (i, j) with i < j in lexicographic order, first pair in the least
@@ -63,7 +69,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, permutations, product
 from math import comb, factorial, prod
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import InvalidSizeError, SpecSyntaxError
 from .finite_topology import Preorder, closure_rows
@@ -87,7 +93,6 @@ __all__ = [
 SOFT_LIMIT = 7
 
 _candidates_cache: dict[int, list[tuple[tuple[int, tuple[int, ...]], ...]]] = {}
-_tables_cache: dict[int, list[list[int]]] = {}
 
 
 def _check_size(n: int) -> None:
@@ -323,47 +328,115 @@ def _pair_bits(n: int) -> list[list[int]]:
     return pair
 
 
-def _relabel_tables(n: int) -> Iterable[list[int]]:
-    """One table per point permutation, in ``permutations`` order: the
-    relation bit each upper-triangle cell moves to.
-
-    Kept per n up to the soft limit; above it (over 40,000 tables) they are
-    built afresh on every call, so memory stays bounded.
-    """
-    cached = _tables_cache.get(n)
-    if cached is not None:
-        return cached
-    cells = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    bit = _pair_bits(n)
-
-    def table(sigma: tuple[int, ...]) -> list[int]:
-        new = [0] * n
-        for j, s in enumerate(sigma):
-            new[s] = j  # old point s becomes point j
-        return [bit[new[a]][new[b]] for a, b in cells]
-
-    tables = map(table, permutations(range(n)))
-    if n > SOFT_LIMIT:
-        return tables
-    cached = _tables_cache[n] = list(tables)
-    return cached
-
-
-def _orbit(code: int, n: int) -> Iterator[int]:
-    """Relation bits of every relabelling of the relation with bits ``code``."""
-    cells = [t for t in range(n * (n - 1) // 2) if code >> t & 1]
-    for table in _relabel_tables(n):
-        yield sum([table[t] for t in cells])
-
-
 def relation_code(r: FiniteRelation) -> str:
     """Hex code of the upper triangle (no canonicalisation)."""
     return format(_relation_bits(r.rows, r.n), "x")
 
 
 def canonical_code(r: FiniteRelation) -> str:
-    """Minimum relation code over all point permutations."""
-    return format(min(_orbit(_relation_bits(r.rows, r.n), r.n)), "x")
+    """Minimum relation code over all point permutations.
+
+    The code's most significant bit is the pair (n-2, n-1), then (n-3, n-1),
+    (n-3, n-2), and so on: filling positions from n-1 downward, each new
+    point's bits against the points already placed, first placed first, are
+    the next most significant bits.  Those bits are the signature of the
+    point's group (see ``_least_order``), so the group comes first and the
+    key is the signature.  The search runs on the symmetric relation that
+    the upper triangle describes, which is all the code reads.
+    """
+    rows = decode_relation(relation_code(r), r.n).rows
+
+    def key(order, groups, p):
+        return sum([1 << j for j, x in enumerate(reversed(order)) if rows[p] >> x & 1])
+
+    return format(_relation_bits(_relabel(rows, _least_order(rows, key)[::-1]), r.n), "x")
+
+
+def _delivery_least(rows) -> int:
+    """The preorder bits of the relabelling of the preorder ``rows`` that
+    ``enumerate_preorders`` delivers first.
+
+    Delivery reads row 0 first, and row i is fixed once position i takes a
+    point p: its bits against the placed points, then, group by group, the
+    group's points outside p's up-set (0) before those inside it (1).  The
+    placed rows are equal across the orders that tie, so their groups have
+    the same signatures, and the row alone is the key.
+    """
+    n = len(rows)
+
+    def key(order, groups, p):
+        row = 0
+        for x in order:
+            row = row << 1 | rows[p] >> x & 1
+        for group in groups:
+            inside = sum([rows[p] >> x & 1 for x in group if x != p])
+            row = row << (len(group) - (p in group)) | (1 << inside) - 1
+        return row
+
+    return _preorder_bits(_relabel(rows, _least_order(rows, key)), n)
+
+
+def _least_order(rows, key) -> tuple[int, ...]:
+    """An order of the points of ``rows`` whose keys are least, step by step.
+
+    The unplaced points fall into groups of equal signature: their bits in
+    the rows of the placed points, first placed most significant, 0 first.
+    Each step extends every order that ties the best so far by each point p
+    of its first group and keeps the extensions with the least
+    ``key(order, groups, p)``; placing p splits every group into the points
+    outside p's row and those inside it.  Two points that a transposition
+    swaps without changing ``rows`` (twins) give the same keys from then on,
+    so one point per twin class is tried.
+    """
+    twin = _twin_classes(rows)
+    states = [((), [list(range(len(rows)))])]
+    for _ in rows:
+        best, ties = None, []
+        for order, groups in states:
+            tried = set()
+            for p in groups[0]:
+                if twin[p] in tried:
+                    continue
+                tried.add(twin[p])
+                k = key(order, groups, p)
+                if best is None or k < best:
+                    best, ties = k, []
+                if k == best:
+                    split = [[x for x in g if x != p and rows[p] >> x & 1 == bit] for g in groups for bit in (0, 1)]
+                    ties.append((order + (p,), [g for g in split if g]))
+        states = ties
+    return states[0][0]
+
+
+def _twin_classes(rows) -> list[int]:
+    """``twin[p]``: the least point q whose exchange with p keeps ``rows``.
+
+    Such transpositions generate a group, so being twins is an equivalence.
+    In a symmetric reflexive relation twins are the points with equal open
+    or equal closed neighbourhoods.
+    """
+    twin = list(range(len(rows)))
+    for q in range(len(rows)):
+        twin[q] = next((p for p in range(q) if twin[p] == p and _swaps(rows, p, q)), q)
+    return twin
+
+
+def _swaps(rows, p: int, q: int) -> bool:
+    """Whether exchanging the points p and q maps ``rows`` to itself."""
+    both = 1 << p | 1 << q
+    for x, r in enumerate(rows):
+        image = r ^ both if (r >> p ^ r >> q) & 1 else r
+        if image != rows[q if x == p else p if x == q else x]:
+            return False
+    return True
+
+
+def _relabel(rows, order) -> list[int]:
+    """``rows`` with old point ``order[i]`` moved to position i."""
+    pos = [0] * len(order)
+    for i, x in enumerate(order):
+        pos[x] = i
+    return [sum(1 << pos[y] for y in order if rows[x] >> y & 1) for x in order]
 
 
 def decode_relation(code: str, n: int) -> FiniteRelation:
@@ -558,28 +631,83 @@ def _merge(into: dict[int, list], code: int, entry: list) -> None:
         have[2] = entry[2]
 
 
-def _fold_orbits(counts: dict[int, list], n: int) -> dict[int, list]:
-    """Merge labelled counts by orbit under point permutations.
+def _count_types(n: int, t0_only: bool):
+    """Counts ``{canonical closure bits: [labelled, t0, first example's bits,
+    transitive]}`` and totals, one entry per configuration type.
 
-    Each orbit is canonicalised once, and its members are its permutation
-    images (relabelling a topology gives a topology, so all are present).
-    Relabelling keeps transitivity, so the members share their flag.
+    Relabelling is a bijection of configurations, so the configurations of
+    one type share their counts and have isomorphic closures.  The closure
+    of the type's representative (``_flat``) is canonicalised, and its flat
+    preorder relabelled to the one delivered first, which is the first
+    example among all the type's configurations.
     """
-    canon_of: dict[int, int] = {}
-    folded: dict[int, list] = {}
-    for code, entry in counts.items():
-        canon = canon_of.get(code)
-        if canon is None:
-            canon = int(canonical_code(decode_relation(format(code, "x"), n)), 16)
-            canon_of.update(dict.fromkeys(_orbit(code, n), canon))
-        _merge(folded, canon, entry)
-    return folded
+    counts: dict[int, list] = {}
+    totals = [0, 0]
+    memo: dict[tuple[int, ...], tuple[int, int]] = {}
+    for weight, sizes, ms in _types(n):
+        singletons = not sizes or sizes[0] == 1
+        if t0_only and not singletons:
+            continue
+        labelled, posets = _count_below(ms, memo)
+        if not singletons:
+            posets = 0
+        first = posets if t0_only else labelled
+        flat = _flat(sizes, ms)
+        code = int(canonical_code(FiniteRelation(n, closure_rows(flat))), 16)
+        transitive = all(m & (m - 1) == 0 for m in ms)
+        _merge(counts, code, [weight * first, weight * posets, _delivery_least(flat), transitive])
+        totals[0] += weight * first
+        totals[1] += weight * posets
+    return counts, totals
 
 
-def _catalog(n: int, counts: dict[int, list], totals, up_to_iso: bool) -> Catalog:
-    """The catalog of finished labelled counts, folded by orbit if ``up_to_iso``."""
-    if up_to_iso:
-        counts = _fold_orbits(counts, n)
+def _types(n: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """Each configuration type on n points: ``(configurations, class sizes, M values)``.
+
+    A type is a configuration up to relabelling the points: the sizes of the
+    top classes, descending, and the sorted M values over the classes
+    numbered in that order, up to permuting classes of equal size.  Its
+    configurations choose the top points, split them into classes of these
+    sizes, and hand the other points one multiset of M values of the orbit.
+    """
+    for k in range(n + 1):
+        for sizes in _partitions(k, k):
+            c = len(sizes)
+            runs = [tuple(same) for _, same in groupby(range(c), key=sizes.__getitem__)]
+            ways = comb(n, k) * factorial(k) // prod([factorial(s) for s in sizes] + [factorial(len(r)) for r in runs])
+            # the class permutations, needed only when some point is not a top point
+            perms = [sum(g, ()) for g in product(*map(permutations, runs))] if k < n else [()]
+            seen: set[tuple[int, ...]] = set()
+            for w, ms in _multisets(list(range(1, 1 << c)), n - k):
+                if ms not in seen:
+                    orbit = {tuple(sorted([sum(1 << g[i] for i in range(c) if m >> i & 1) for m in ms])) for g in perms}
+                    seen |= orbit
+                    yield ways * w * len(orbit), sizes, ms
+
+
+def _flat(sizes: tuple[int, ...], ms: tuple[int, ...]) -> list[int]:
+    """The up-sets of the flat preorder of a type's representative: the top
+    classes of ``sizes`` on the first points, in order, then one point per
+    M value in ``ms``, below the classes of its bits."""
+    classes, at = [], 0
+    for size in sizes:
+        classes.append(((1 << size) - 1) << at)
+        at += size
+    flat = [c for c, size in zip(classes, sizes) for _ in range(size)]
+    return flat + [1 << x | sum(c for i, c in enumerate(classes) if m >> i & 1) for x, m in enumerate(ms, at)]
+
+
+def _partitions(k: int, most: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of k into parts of at most ``most``, parts descending."""
+    if not k:
+        yield ()
+    for first in range(min(k, most), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first, *rest)
+
+
+def _catalog(n: int, counts: dict[int, list], totals) -> Catalog:
+    """The catalog of finished counts."""
     records = []
     for code in sorted(counts):
         lab, t0c, example, transitive = counts[code]
@@ -600,12 +728,12 @@ def _catalog(n: int, counts: dict[int, list], totals, up_to_iso: bool) -> Catalo
 def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, workers: int = 1) -> Catalog:
     """One record per distinct closure relation over all topologies on n points.
 
-    The counts are summed over configurations (see the module docstring),
-    in one process; ``workers`` is accepted and has no effect.
-    ``up_to_iso`` folds the finished labelled counts by orbit.
+    The counts are summed over configurations, or over configuration types
+    if ``up_to_iso`` (see the module docstring), in one process; ``workers``
+    is accepted and has no effect.
     """
     _check_size(n)
-    return _catalog(n, *_count_configurations(n, t0_only), up_to_iso)
+    return _catalog(n, *(_count_types if up_to_iso else _count_configurations)(n, t0_only))
 
 
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"

@@ -8,11 +8,15 @@ of reflexive rows, with no pruning.  ``bounded_walk`` is the DFS with each
 row cut to an upper bound, the leaf walk that ``_count_below``'s recursion
 replaced; ``count_below_by_walk`` counts the preorders it delivers, and the
 posets among them, as the oracle for that recursion.
-``relabelled_codes`` permutes the points of a decoded relation one by one.
-``build_catalog`` sums over configurations and never visits most preorders;
-``reference_catalogs`` visits every preorder the DFS delivers, takes its
-closure and keeps the first example met, so it checks the counting
-argument, the T0 rule and the example rule independently.
+``relabelled_codes`` permutes the points of a relation one permutation at
+a time, and ``first_delivered_relabelling`` tries every permutation of a
+preorder's points: the oracles for the ordered searches behind
+``canonical_code`` and the iso catalog's examples.
+``build_catalog`` sums over configurations, or over their types, and never
+visits most preorders; ``reference_catalogs`` visits every preorder the DFS
+delivers, takes its closure, keeps the first example met and folds the
+codes by ``relabelled_codes``, so it checks the counting argument, the T0
+rule, the example rule and the types independently.
 ``sample_point`` and ``sample_pair`` re-derive every limit from the spec on
 each draw and draw through ``randint``; the verify harness's samplers, built
 once per run, must take the same draws and return the same points.
@@ -21,7 +25,7 @@ once per run, must take the same draws and return the same points.
 """
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from diagclosure.constructions import ExtPt
 from diagclosure.enumeration import (
@@ -31,8 +35,6 @@ from diagclosure.enumeration import (
     _preorder_bits,
     _relation_bits,
     _row_candidates,
-    decode_relation,
-    relation_code,
 )
 from diagclosure.errors import BoundExceededError
 from diagclosure.finite_topology import closure_rows
@@ -162,13 +164,34 @@ def count_below_by_walk(labels) -> tuple[int, int]:
 
 def relabelled_codes(code: int, n: int) -> list[int]:
     """Relation bits of every relabelling of the relation with bits ``code``,
-    new point j being old point sigma[j], in ``permutations`` order."""
-    pairs = list(decode_relation(format(code, "x"), n).pairs())
+    new point j being old point sigma[j], in ``permutations`` order.
+
+    The pairs (a, b) with a < b hold the bits in lexicographic order, first
+    pair least significant.
+    """
+    bit = {pair: 1 << t for t, pair in enumerate(combinations(range(n), 2))}
+    pairs = [pair for pair, b in bit.items() if code & b]
     out = []
     for sigma in permutations(range(n)):
-        new = {s: j for j, s in enumerate(sigma)}
-        out.append(int(relation_code(FiniteRelation.from_pairs(n, [(new[a], new[b]) for a, b in pairs])), 16))
+        new = [0] * n
+        for j, s in enumerate(sigma):
+            new[s] = j
+        out.append(sum([bit[min(new[a], new[b]), max(new[a], new[b])] for a, b in pairs]))
     return out
+
+
+def first_delivered_relabelling(rows) -> int:
+    """The preorder bits of the relabelling of the preorder ``rows`` that the
+    DFS delivers first, by trying every permutation: delivery compares the
+    off-diagonal cells row by row, first cell first, 0 before 1."""
+    n = len(rows)
+    best = None
+    for sigma in permutations(range(n)):
+        relabelled = [sum(1 << j for j, y in enumerate(sigma) if rows[x] >> y & 1) for x in sigma]
+        cells = [r >> j & 1 for i, r in enumerate(relabelled) for j in range(n) if j != i]
+        if best is None or cells < best[0]:
+            best = cells, relabelled
+    return _preorder_bits(best[1], n)
 
 
 def accumulate(n: int, t0_only: bool):
@@ -197,9 +220,23 @@ def accumulate(n: int, t0_only: bool):
 
 
 def reference_catalogs(n: int, t0_only: bool):
-    """The labelled catalog and the catalog up to isomorphism, from one walk."""
+    """The labelled catalog and the catalog up to isomorphism, from one walk.
+
+    Codes enter ``accumulate``'s counts in the order the walk first meets
+    them, so the first member of an orbit met here keeps the orbit's first
+    example.
+    """
     counts, totals = accumulate(n, t0_only)
-    return _catalog(n, counts, totals, False), _catalog(n, counts, totals, True)
+    canon: dict[int, int] = {}
+    folded: dict[int, list] = {}
+    for code, (labelled, t0, example, transitive) in counts.items():
+        if code not in canon:
+            orbit = relabelled_codes(code, n)
+            canon.update(dict.fromkeys(orbit, min(orbit)))
+        entry = folded.setdefault(canon[code], [0, 0, example, transitive])
+        entry[0] += labelled
+        entry[1] += t0
+    return _catalog(n, counts, totals), _catalog(n, folded, totals)
 
 
 def sample_point(tag, spec, rng, bounds, block=None, not_elem=None):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from diagclosure.cli import main
+from diagclosure.cli import MAX_BOUND, MAX_PAIRS, main
 from diagclosure.enumeration import SOFT_LIMIT
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -110,6 +110,28 @@ def test_realise_refuses_zero_bounds_without_hanging():
         )
         assert done.returncode == 2, (bounds, done.stderr)
         assert done.stderr.startswith("error: ")
+
+
+def test_realise_ceilings_and_force(capsys):
+    spec = "singletons=0;fin=cycle[2];inf=0"
+    over = str(MAX_BOUND + 1)
+    for option, argv in (
+        ("--pairs", ["--pairs", str(MAX_PAIRS + 1)]),
+        ("--pairs", ["--pairs", "100000000000"]),
+        ("--bounds", ["--bounds", f"{over},5"]),
+        ("--bounds", ["--bounds", f"5,{'9' * 4300}"]),
+    ):
+        code, out, err = run(capsys, "realise", "--spec", spec, *argv)
+        assert (code, out) == (2, "")
+        ceiling = MAX_PAIRS if option == "--pairs" else MAX_BOUND
+        assert err == f"error: {option} above {ceiling} may take extremely long; pass --force to proceed\n"
+    # --force lifts the ceilings; a pair count at the ceiling passes the check
+    # and only then meets a relation that is not realisable
+    code, out, err = run(capsys, "realise", "--spec", spec, "--pairs", "20", "--bounds", f"{over},{over}", "--force")
+    assert (code, err) == (0, "") and out.rstrip().endswith("result: PASS")
+    code, out, _ = run(capsys, "realise", "--spec", "singletons=0;fin=[2];inf=3", "--pairs", str(MAX_PAIRS),
+                       "--bounds", f"{MAX_BOUND},{MAX_BOUND}")
+    assert code == 1 and out.startswith("not T1-realisable")
 
 
 # --- separable ---

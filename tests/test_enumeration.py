@@ -3,6 +3,7 @@
 import gc
 import random
 import warnings
+from math import comb
 
 import pytest
 
@@ -11,12 +12,18 @@ from reference import (
     brute_force_topology_count,
     count_preorders_by_extension,
     preorders_by_filter,
+    first_delivered_relabelling,
     reference_catalogs,
     relabelled_codes,
 )
 
+from diagclosure import enumeration
 from diagclosure.enumeration import (
     Catalog,
+    _count_configurations,
+    _delivery_least,
+    _flat,
+    _types,
     build_catalog,
     canonical_code,
     closure_of_preorder,
@@ -139,19 +146,51 @@ def test_code_examples():
     assert canonical_code(r02) == canonical_code(r01)
 
 
-def test_orbit_matches_direct_relabelling():
-    from diagclosure.enumeration import _orbit, _tables_cache
-
+def test_canonical_code_is_the_least_relabelling():
     rng = random.Random(23)
-    cases = [(n, code) for n in range(5) for code in range(1 << (n * (n - 1) // 2))]
-    cases += [(n, rng.randrange(1 << (n * (n - 1) // 2))) for n in (5, 6) for _ in range(12)]
+    cases = [(n, code) for n in range(6) for code in range(1 << (n * (n - 1) // 2))]
+    cases += [(n, rng.randrange(1 << (n * (n - 1) // 2))) for n, draws in ((6, 12), (7, 4), (8, 2)) for _ in range(draws)]
     for n, code in cases:
-        direct = relabelled_codes(code, n)
-        assert list(_orbit(code, n)) == direct, (n, code)
-        assert canonical_code(decode_relation(format(code, "x"), n)) == format(min(direct), "x")
-    # above the soft limit the tables are built per call and not kept
+        assert canonical_code(decode_relation(format(code, "x"), n)) == format(min(relabelled_codes(code, n)), "x"), (n, code)
+    # the code reads the upper triangle only, also of a relation that is not symmetric
+    for _ in range(12):
+        n = rng.randrange(2, 7)
+        r = FiniteRelation(n, [rng.randrange(1 << n) | 1 << i for i in range(n)])
+        assert canonical_code(r) == format(min(relabelled_codes(int(relation_code(r), 16), n)), "x"), r.rows
     assert canonical_code(FiniteRelation.from_pairs(8, [(3, 7), (7, 3)])) == "1"
-    assert 8 not in _tables_cache
+
+
+def random_preorder(n: int, rng: random.Random) -> list[int]:
+    """The reflexive transitive closure of a random relation on n points."""
+    rows = [rng.randrange(1 << n) & rng.randrange(1 << n) | 1 << i for i in range(n)]
+    for k in range(n):
+        rows = [r | rows[k] if r >> k & 1 else r for r in rows]
+    return rows
+
+
+def test_delivery_least_is_the_first_delivered_relabelling():
+    rng = random.Random(29)
+    cases = [random_preorder(n, rng) for n in range(7) for _ in range(12)]
+    cases += [_flat(sizes, ms) for n in range(6) for _, sizes, ms in _types(n)]
+    for rows in cases:
+        assert Preorder(len(rows), rows).rows == tuple(rows)
+        assert _delivery_least(rows) == first_delivered_relabelling(rows), rows
+
+
+def test_types_and_their_configurations(monkeypatch):
+    assert [len(list(_types(n))) for n in range(8)] == [1, 1, 3, 7, 18, 46, 131, 397]
+    # configurations: top points, their classes, and a non-empty class set per other point
+    configurations = [
+        sum(comb(n, k) * (2 ** len(p.blocks) - 1) ** (n - k) for k in range(n + 1) for p in all_partitions(k))
+        for n in range(8)
+    ]
+    assert configurations[6:] == [21096, 406989]
+    assert [sum(w for w, _, _ in _types(n)) for n in range(8)] == configurations
+    # the labelled catalog merges one entry per configuration
+    merged = []
+    monkeypatch.setattr(enumeration, "_merge", lambda into, code, entry: merged.append(code))
+    _count_configurations(6, False)
+    assert len(merged) == 21096
 
 
 def test_relation_code_round_trip():
