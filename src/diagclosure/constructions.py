@@ -74,7 +74,6 @@ from .symbolic_sets import (
     ball_disjoint,
     ball_member,
     ball_refine,
-    in_interval,
     pair_encode,
     residues_disjoint,
     separating_radius,
@@ -122,36 +121,43 @@ def _render_item(x) -> str:
     return str(x) if isinstance(x, int) else x.render()
 
 
+class _Named:
+    """Shared render of the opens named by one point or block (``SingletonPt``,
+    ``SatPair``, ``BlockOpen``): the class name around the render of that field."""
+
+    def render(self) -> str:
+        return f"{type(self).__name__}({getattr(self, self.__match_args__[0]).render()})"
+
+
 class _Cofinite:
     """A base set minus the finite set ``excluded``; the other fields fix the base.
 
     Shared by every cofinite open: two opens on one base meet in that base
-    minus both exclusion sets, and all of them render as their base
-    followed by the sorted exclusions.
+    minus both exclusion sets, and all of them render as their base - the
+    fields ``_head`` lists as (label, attribute) pairs - followed by the
+    sorted exclusions.
     """
 
+    _head = ()
     _excl_label = "excl"
 
     def meet(self, other):
         """The intersection with an open on the same base."""
         return dataclasses.replace(self, excluded=self.excluded | other.excluded)
 
-    def _head(self) -> str:
-        return ""
-
     def render(self) -> str:
+        head = ""
+        for label, name in self._head:
+            head += f"{label}={_render_item(getattr(self, name))}, "
         excl = ",".join(map(_render_item, sorted(self.excluded)))
-        return f"{type(self).__name__}({self._head()}{self._excl_label}=[{excl}])"
+        return f"{type(self).__name__}({head}{self._excl_label}=[{excl}])"
 
 
 @dataclass(frozen=True)
-class SingletonPt:
+class SingletonPt(_Named):
     """The one-point open {x} of an isolated (singleton-block) point."""
 
     point: PointAddr
-
-    def render(self) -> str:
-        return f"SingletonPt({self.point.render()})"
 
 
 @dataclass(frozen=True)
@@ -160,9 +166,7 @@ class CofInBlock(_Cofinite):
 
     block: BlockRef
     excluded: frozenset = frozenset()
-
-    def _head(self) -> str:
-        return f"block={self.block.render()}, "
+    _head = (("block", "block"),)
 
 
 @dataclass(frozen=True)
@@ -172,9 +176,7 @@ class _FinPt(_Cofinite):
     block: int
     elem: int
     excluded: frozenset = frozenset()
-
-    def _head(self) -> str:
-        return f"block={self.block}, elem={self.elem}, "
+    _head = (("block", "block"), ("elem", "elem"))
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,7 @@ class Ball:
 class ExtPt:
     """A non-representative point (the anchor) plus a ball around its block,
     minus the block's level-0 representative image; the ball must contain
-    that image.  ``_ball_part`` gives the ball with the image excluded."""
+    that image.  ``_dropped`` names the point of that image."""
 
     block: int
     elem: int
@@ -214,23 +216,17 @@ class ExtPt:
 
 
 @dataclass(frozen=True)
-class SatPair:
+class SatPair(_Named):
     """The open {x, rep(block(x))} of the representative-saturated topology."""
 
     point: PointAddr
 
-    def render(self) -> str:
-        return f"SatPair({self.point.render()})"
-
 
 @dataclass(frozen=True)
-class BlockOpen:
+class BlockOpen(_Named):
     """An entire block, as a basic open of the block-saturated topology."""
 
     block: BlockRef
-
-    def render(self) -> str:
-        return f"BlockOpen({self.block.render()})"
 
 
 @dataclass(frozen=True)
@@ -246,9 +242,7 @@ class CofInD(_Cofinite):
 
     index: int
     excluded: frozenset = frozenset()
-
-    def _head(self) -> str:
-        return f"d={self.index}, "
+    _head = (("d", "index"),)
 
 
 @dataclass(frozen=True)
@@ -691,14 +685,19 @@ def _z(block: int, elem: int = 0):
 _BALL_OPENS = (Ball, ExtPt)
 
 
+def _dropped(o):
+    """The point (block, elem) whose image a pair-system open drops from its
+    ball: an ``ExtPt``'s level-0 representative, element 0 of its block; a
+    ``Ball`` drops none.  Every rule on the ball part of an open reads it here."""
+    return (o.block, 0) if type(o) is ExtPt else None
+
+
 def _ball_part(o) -> RationalBall:
-    """The ball part of a pair-system open: a ``Ball``'s ball as it is, or an
-    ``ExtPt``'s ball minus its anchor's level-0 image ``(q, 0)``, where q is
-    the rational of the anchor's block."""
-    b = o.ball
-    if type(o) is Ball:
+    """The ball part of a pair-system open: its ball minus the image of its ``_dropped`` point."""
+    b, d = o.ball, _dropped(o)
+    if d is None:
         return b
-    return RationalBall._unchecked(b.x_index, b.center, b.radius, b.excluded | {(_xq(o.block)[1], 0)})
+    return RationalBall._unchecked(b.x_index, b.center, b.radius, b.excluded | {_z(*d)[1:]})
 
 
 class ExtendPairs(InfOrSingleton):
@@ -715,10 +714,12 @@ class ExtendPairs(InfOrSingleton):
     outside finite blocks, and their opens, keep the family rules; balls
     never meet them.
 
-    Membership, refinement and containment read opens through
-    ``_ball_part``, so the subtracted image is one more exclusion to the
-    ball rules of :mod:`diagclosure.symbolic_sets`; only the anchor has a
-    rule of its own.
+    Every rule reads the subtracted image from ``_dropped``: membership
+    tests the dropped point and the stored ball apart, the T1 witness
+    excludes an avoided point exactly when membership says the open holds
+    it, and refinement and containment pass the image to the ball rules of
+    :mod:`diagclosure.symbolic_sets` as one more exclusion (``_ball_part``).
+    Only the anchor has a rule of its own.
     """
 
     kind = "ExtendPairs"
@@ -748,7 +749,7 @@ class ExtendPairs(InfOrSingleton):
             return False
         if p.elem >= 2:
             return type(o) is ExtPt and p.block == o.block and p.elem == o.elem
-        return ball_member(_ball_part(o), _z(p.block, p.elem))
+        return (p.block, p.elem) != _dropped(o) and ball_member(o.ball, _z(p.block, p.elem))
 
     def _disjoint(self, o1, o2):
         b1, b2 = isinstance(o1, _BALL_OPENS), isinstance(o2, _BALL_OPENS)
@@ -764,14 +765,10 @@ class ExtendPairs(InfOrSingleton):
         if p.cls is not _F:
             return InfOrSingleton._basic_nbhd(self, p, avoid)
         x, qc = _xq(p.block)
-        excl = _NO_EXCL
-        if isinstance(avoid, PointAddr) and avoid != p and avoid.cls is _F and avoid.elem <= 1:
-            xa, qa = _xq(avoid.block)
-            # an extension open subtracts its level-0 image (p.block, 0) itself
-            own_image = p.elem >= 2 and (avoid.block, avoid.elem) == (p.block, 0)
-            if xa == x and in_interval(qa, qc, _ONE) and not own_image:
-                excl = frozenset(((qa, avoid.elem),))
-        return self._wrap(p, RationalBall._unchecked(x, qc, _ONE, excl))
+        o = self._wrap(p, RationalBall._unchecked(x, qc, _ONE, _NO_EXCL))
+        if isinstance(avoid, PointAddr) and avoid != p and self._member(o, avoid):
+            o = self._wrap(p, RationalBall._unchecked(x, qc, _ONE, frozenset((_z(avoid.block, avoid.elem)[1:],))))
+        return o
 
     def _sample_open(self, p, rng, bounds):
         if p.cls is not _F:
@@ -858,8 +855,7 @@ class T0Sat(Construction):
         return p == x or (p.cls == x.cls and p.block == x.block and p.elem == 0)  # x itself or its rep
 
     def _disjoint(self, o1, o2):
-        x, y = o1.point, o2.point
-        return x.cls != y.cls or x.block != y.block
+        return not _same_block_addr(o1.point, o2.point)
 
     def _basic_nbhd(self, p, avoid=None):
         return SatPair(p)

@@ -22,10 +22,16 @@ each draw and draw through ``randint``; the verify harness's samplers, built
 once per run, must take the same draws and return the same points.
 ``pair_open_member`` reads a pair-system open as a point set, with
 ``Fraction`` arithmetic and ``pair_encode`` only.
+``labelled_closure_count`` and ``iso_closure_count`` count the closures on
+n points from their structure alone - blocks of top points, and for every
+other point the set of at least two blocks it lies under - by a closed form
+and by Burnside's lemma, with no preorder and no configuration in sight.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import comb, factorial, prod
 
 from diagclosure.constructions import ExtPt
 from diagclosure.enumeration import (
@@ -301,3 +307,80 @@ def pair_open_member(o, p) -> bool:
     x, q = _pair_of(p.block)
     b = o.ball
     return x == b.x_index and abs(q - b.center) < b.radius and (q, p.elem) not in b.excluded
+
+
+@lru_cache(maxsize=None)
+def stirling2(n: int, k: int) -> int:
+    """The number of partitions of n points into k non-empty blocks."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def bell(n: int) -> int:
+    """The number of partitions of n points: the equivalences, the transitive closures."""
+    return sum(stirling2(n, k) for k in range(n + 1))
+
+
+def labelled_closure_count(n: int) -> int:
+    """L(n) = sum over s, c of C(n,s) S(s,c) (2^c - c - 1)^(n-s): the closures on n
+    labelled points.  s top points split into c blocks; each of the other n - s
+    points lies under a set M of at least two blocks, one of 2^c - c - 1."""
+    return sum(comb(n, s) * stirling2(s, c) * (2**c - c - 1) ** (n - s) for s in range(n + 1) for c in range(s + 1))
+
+
+def _integer_partitions(k: int, most: int):
+    if not k:
+        yield ()
+    for first in range(min(k, most), 0, -1):
+        for rest in _integer_partitions(k - first, first):
+            yield (first,) + rest
+
+
+def _cycle_types(k: int):
+    """Each cycle type of the permutations of k items, with how many have it."""
+    for parts in _integer_partitions(k, k):
+        yield parts, factorial(k) // prod(j**a * factorial(a) for j, a in Counter(parts).items())
+
+
+def iso_closure_count(n: int) -> tuple[int, int]:
+    """(closures on n points up to relabelling, those that are not transitive).
+
+    Up to relabelling, a closure is its block sizes and a multiset of n - s
+    M values, up to permuting blocks of equal size.  By Burnside's lemma the
+    orbits of each size list are the mean, over those permutations g, of the
+    multisets that g fixes: constant on each cycle of g on the M values, so
+    counted by the coefficient of t^(n-s) in the product of 1/(1 - t^len)
+    over those cycles.  One permutation stands for each cycle type.  The
+    transitive closures are those with no M value (s = n).
+    """
+    total = transitive = 0
+    for s in range(n + 1):
+        m = n - s
+        for sizes in _integer_partitions(s, s):
+            c = len(sizes)
+            values = [v for v in range(1 << c) if bin(v).count("1") >= 2]
+            runs = list(Counter(sizes).values())  # sizes descend, so equal sizes are adjacent
+            fixed = 0
+            for types in product(*map(_cycle_types, runs)):
+                g, start = [], 0
+                for parts, _ in types:
+                    for j in parts:
+                        g += [start + (i + 1) % j for i in range(j)]
+                        start += j
+                ways = [1] + [0] * m  # multisets of each size, constant on the cycles seen so far
+                left = set(values)
+                while left:
+                    v, length = left.pop(), 1
+                    w = sum(1 << g[i] for i in range(c) if v >> i & 1)
+                    while w != v:
+                        left.remove(w)
+                        length += 1
+                        w = sum(1 << g[i] for i in range(c) if w >> i & 1)
+                    for t in range(length, m + 1):
+                        ways[t] += ways[t - length]
+                fixed += prod(count for _, count in types) * ways[m]
+            orbits = fixed // prod(map(factorial, runs))
+            total += orbits
+            transitive += orbits if m == 0 else 0
+    return total, total - transitive

@@ -55,6 +55,11 @@ def test_realise_bad_spec(capsys):
     assert code == 2
 
 
+def test_realise_refuses_an_unclosed_cyclic_clause(capsys):
+    code, out, err = run(capsys, "realise", "--spec", "singletons=0;fin=cycle[2;inf=0")
+    assert (code, out, err) == (2, "", "error: bad finite-block clause: 'cycle[2'\n")
+
+
 def test_finite_block_rules_have_one_wording(capsys):
     # FiniteBlocks owns the size and non-empty-family rules; the parser only reads digits
     for fin, message in (
@@ -354,6 +359,14 @@ def test_example_rejects_overlapping(capsys):
 def test_finite_opens_file(tmp_path, capsys):
     f = tmp_path / "sier.txt"
     f.write_text("-\n0\n0,1\n")
+    code, out, _ = run(capsys, "finite", "--opens", str(f))
+    assert code == 0
+    assert out == "closure:\n11\n11\naxioms: T0=true T1=false T2=false\n"
+
+
+def test_finite_opens_file_skips_comments_and_blank_lines(tmp_path, capsys):
+    f = tmp_path / "sier.txt"
+    f.write_text("# the Sierpinski space\n-\n\n   \n0\n  # a comment after blanks\n0,1\n")
     code, out, _ = run(capsys, "finite", "--opens", str(f))
     assert code == 0
     assert out == "closure:\n11\n11\naxioms: T0=true T1=false T2=false\n"

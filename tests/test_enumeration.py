@@ -1,5 +1,6 @@
 """Preorder enumeration, relation codes, and catalogs."""
 
+import dataclasses
 import gc
 import random
 import warnings
@@ -8,11 +9,14 @@ from math import comb
 import pytest
 
 from reference import (
+    bell,
     bounded_walk,
     brute_force_topology_count,
     count_preorders_by_extension,
     preorders_by_filter,
     first_delivered_relabelling,
+    iso_closure_count,
+    labelled_closure_count,
     reference_catalogs,
     relabelled_codes,
 )
@@ -213,6 +217,12 @@ def test_preorder_code_round_trip_n3():
     enumerate_preorders(3, check)
 
 
+def test_decode_preorder_refuses_a_code_that_is_not_transitive():
+    # "9" sets the cells 0 <= 1 and 1 <= 2 but not 0 <= 2
+    with pytest.raises(ValueError, match="^not transitive through 0 <= 1$"):
+        decode_preorder("9", 3)
+
+
 # --- catalogs ---
 
 def test_catalog_n1():
@@ -267,12 +277,33 @@ def test_full_catalog_has_nontransitive_for_n3_and_n4():
 
 
 def test_t0_only_counts_are_consistent():
-    full = build_catalog(3)
-    t0 = build_catalog(3, t0_only=True)
-    assert t0.total_topologies == t0.total_t0 == full.total_t0
-    by_code = {r.relation_code: r for r in full.records}
-    for rec in t0.records:
-        assert by_code[rec.relation_code].t0_topology_count == rec.labeled_topology_count
+    # the T0 catalog is the plain catalog's T0 view: the records with a T0
+    # realisation, in order, counting those alone, with the same example
+    for n in range(7):
+        for iso in (False, True):
+            full = build_catalog(n, up_to_iso=iso)
+            t0 = build_catalog(n, t0_only=True, up_to_iso=iso)
+            assert (t0.total_topologies, t0.total_t0) == (full.total_t0, full.total_t0)
+            view = [
+                dataclasses.replace(r, labeled_topology_count=r.t0_topology_count)
+                for r in full.records
+                if r.t0_topology_count
+            ]
+            assert list(t0.records) == view, (n, iso)
+
+
+def test_closure_counts_match_their_structure():
+    # a closure is blocks of top points plus, for each other point, a set of at
+    # least two blocks; the reference counts those structures, not preorders
+    for n in range(7):
+        plain = build_catalog(n)
+        assert len(plain.records) == labelled_closure_count(n)
+        assert sum(not r.transitive for r in plain.records) == labelled_closure_count(n) - bell(n)
+        iso = build_catalog(n, up_to_iso=True)
+        assert (len(iso.records), sum(not r.transitive for r in iso.records)) == iso_closure_count(n)
+    # the counts that CI pins on the seven- and eight-point catalogs
+    assert labelled_closure_count(7) - bell(7) == 128548 and labelled_closure_count(7) == 129425
+    assert iso_closure_count(7) == (164, 149) and iso_closure_count(8) == (557, 535)
 
 
 def test_iso_catalog_merges_orbits():
