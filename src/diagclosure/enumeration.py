@@ -27,33 +27,35 @@ visiting them one by one.  The diagonal closure relates two points iff
 their up-sets meet, so it depends only on the top classes and M: top
 points are related iff they share a class, a top point of class C and a
 point x iff C is in M(x), and two other points iff their M values meet.
-The catalog therefore sums over configurations (T, a partition of T into
-classes, M).  The preorders of one configuration are the Q above, so the
-counter on the labels M(x) counts them, with the posets among them for the
-T0 column (T0 needs singleton top classes), with one memo for the whole
-catalog.  The closure is transitive iff every M(x) is one class (a top
-point's M is its own class).  If M(x) holds classes C != C', then c ~ x ~
-c' for c in C and c' in C' but not c ~ c'; otherwise the closure is "same
-M", an equivalence.  The configuration's flat preorder (Q the identity) is
-a subset of every other preorder in it, so it comes first in delivery
-order and is the configuration's example.  Codes are summed point by
-point, never built from rows: per top partition, one table per other point
-x and class set m holds x's closure bits against the top points and its
-flat row's preorder bits, M is assigned one point at a time, depth first,
-and each pair of other points adds its bit when their M values meet.  The
-catalog up to isomorphism sums over configuration types instead: a type is
-a configuration up to relabelling the points, given by the sizes of the top
-classes and the multiset of M values up to permuting classes of equal size
-(131 types for 21,096 configurations at n=6).  Relabelling maps the
-configurations of a type onto each other, so they share their counts and
-have isomorphic closures; a type needs its number of configurations, the
-counter's counts, the canonical code of one representative's closure, and
-the relabelling of that representative's flat preorder delivered first,
-which is the first example among all the type's configurations.  Both
-relabellings come from one ordered search (``_least_order``) that fixes the
-positions one at a time, keeps every branch that ties the best prefix and
-branches once per class of twins, so no search walks the n! permutations.
-Every record keeps as its example the preorder delivered first.
+A relation is a closure iff each of its edges lies in the closed
+neighbourhood of a simplicial point (one whose closed neighbourhood is a
+clique), and each closure is exactly one closure structure: its simplicial
+points S, their partition into blocks (points of S with one closed
+neighbourhood), and the set M(x) of at least two blocks for every point x
+outside S.  The catalog walks the structures, so each closure is built
+once and nothing is merged.  The topologies of a structure choose a
+non-empty top class inside each block; the block's other points get the
+block as their label, and the counter on those labels and the M values
+counts the preorders below the tops.  A T0 topology has one top point per
+block, so every closure has one, and the T0 catalog is a column of the
+plain one.  The closure is transitive iff there are no points outside S.
+The example, the preorder with this closure delivered first, hangs each
+block under one top point: its least point, or its greatest if a point
+outside S below the least one has the block in M.  Codes are summed point
+by point, never built from rows (see ``_Walk``): M is assigned one point
+at a time, depth first, with the blocks whose top is the greatest carried
+down as one mask, and each pair of other points adds its bit when their M
+values meet.  The catalog up to isomorphism walks structure types
+instead: a type is a structure up to relabelling the points, given by the
+block sizes and the multiset of M values up to permuting blocks of equal
+size, so types and closures up to isomorphism are one to one (56 at n=6).
+A type needs its number of structures, their counts, the canonical code of
+one representative's closure, and the relabelling of its flat preorder (one
+top per block, the block's other points under it) delivered first, which is
+the first example among all the type's closures.  Both relabellings come
+from one ordered search (``_least_order``) that fixes the positions one at
+a time, keeps every branch that ties the best prefix and branches once per
+class of twins, so no search walks the n! permutations.
 
 Relation codes render the strict upper triangle as lowercase hex: pairs
 (i, j) with i < j in lexicographic order, first pair in the least
@@ -496,189 +498,183 @@ class Catalog:
     total_t0: int
 
 
-def _count_configurations(n: int, t0_only: bool):
-    """Counts ``{closure bits: [labelled, t0, first example's bits, transitive]}`` and totals.
-
-    One entry per configuration: a top set, its partition into classes, and
-    the non-empty set of classes above each other point, as a class bitmask.
-    A configuration's closure bits and example bits are sums of parts
-    tabulated once per partition (see ``_Walk``).
+def _count_structures(n: int) -> dict[int, list]:
+    """``{closure bits: [labelled, t0, example bits, transitive]}``, one entry
+    per closure structure: a set S of simplicial points, its partition into
+    blocks, and a set of at least two blocks for every other point (see
+    ``_Walk``).  A partition with fewer than two blocks serves only S = all
+    points.
     """
-    walk = _Walk(n, t0_only)
-    for top in range(1 << n):
-        tops = [x for x in range(n) if top >> x & 1]
-        rest = [x for x in range(n) if not top >> x & 1]
-        for part in all_partitions(len(tops)):
-            if t0_only and len(part.blocks) < len(tops):
-                continue
-            walk.partition(rest, [[tops[i] for i in block] for block in part.blocks])
-    return walk.counts, walk.totals
+    walk = _Walk(n)
+    for s in range(1 << n):
+        simplicial = [x for x in range(n) if s >> x & 1]
+        rest = [x for x in range(n) if not s >> x & 1]
+        for part in all_partitions(len(simplicial)):
+            if len(part.blocks) >= 2 or not rest:
+                walk.partition(rest, [[simplicial[i] for i in block] for block in part.blocks])
+    return walk.counts
 
 
 class _Walk:
-    """The configurations of one ground set, summed one top partition at a time.
+    """The closure structures of one ground set, one block partition at a time.
 
-    For a top partition the closure bits are a sum of parts: the top-top
-    pairs (the same class), one table per rest point x and class bitmask m
-    (x against the top points of the classes in m), and the rest-rest pair
-    bit, set when the two M values meet.  The example's bits are the top
-    rows plus one table per (x, m) for x's flat row: x and the points of the
-    classes in m.
+    The closure bits are a sum of parts: the pairs inside each block, each
+    rest point x against the points of the blocks in M(x), and the rest-rest
+    pair bit, set when the two M values meet.  The example hangs each block
+    under its least point, or under its greatest if a rest point below the
+    least one has the block in M.  The rest points are taken in ascending
+    order, so when x is assigned the top of every block in M(x) is settled:
+    the greatest-top mask h carries the blocks settled so far down the walk,
+    x's example row hangs under the least points of the blocks in M(x)
+    outside h and the greatest of those in h, and the block points' rows are
+    one lookup by h at the leaf.  Per block partition, tables indexed by
+    block bitmask hold the blocks' points, least points, greatest points and
+    those rows; x's relation bits against a point set are a table per x for
+    the whole build.
     M is assigned one rest point at a time, depth first in the order of
-    ``product(range(1, 2 ** classes), repeat=len(rest))``, so each prefix's
-    bits are summed once, and a leaf costs one table lookup and one merge.
+    ``product(masks, repeat=len(rest))``, so each prefix's bits are summed
+    once, and a leaf costs a few table lookups.
     """
 
-    def __init__(self, n: int, t0_only: bool):
+    def __init__(self, n: int):
         self.n = n
-        self.t0_only = t0_only
         self.counts: dict[int, list] = {}
-        self.totals = [0, 0]
-        self.memo: dict[tuple[int, ...], tuple[int, int]] = {}  # _count_below's, for the whole build
-        self.leaves: dict[tuple, tuple] = {}
+        self.memo: dict = {}  # _structure_counts', for the whole build
+        self.leaves: dict[tuple, dict] = {}
         self.pair = _pair_bits(n)
+        # against[x][s]: x's relation bits against the points of s; below[t][s]:
+        # the preorder bits of the points of s under the point t
+        self.against = [_table([(0, b) for b in self.pair[x]]) for x in range(n)]
+        self.below = [_table([(0, _preorder_row(y, 1 << t, n)) for y in range(n)]) for t in range(n)]
 
-    def partition(self, rest: list[int], classes: list[list[int]]) -> None:
-        """Merge every configuration of the top partition into ``classes``."""
-        n, pair = self.n, self.pair
-        code = example = 0
-        bits = [[0] for _ in rest]  # bits[k][m]: rest[k]'s relation bits against the classes in m
-        rows = [[0] for _ in rest]  # rows[k][m]: the preorder bits of rest[k]'s flat row
-        for cls in classes:
-            c = sum(1 << y for y in cls)
-            for y in cls:
-                code |= sum(pair[y][z] for z in cls if z > y)
-                example |= _preorder_row(y, c, n)
-            for k, x in enumerate(rest):
-                b = sum(pair[x][y] for y in cls)
-                r = _preorder_row(x, c, n)
-                bits[k] += [u | b for u in bits[k]]
-                rows[k] += [u | r for u in rows[k]]
-        self.rest, self.bits, self.rows = rest, bits, rows
-        self.singletons = len(classes) == n - len(rest)
+    def partition(self, rest: list[int], blocks: list[list[int]]) -> None:
+        """Add every structure with the block partition ``blocks``."""
+        points = [sum(1 << y for y in block) for block in blocks]
+        lo, hi = [min(block) for block in blocks], [max(block) for block in blocks]
+        code = 0
+        for block, s in zip(blocks, points):
+            for y in block:
+                code |= self.against[y][s]
+        # indexed by a block bitmask m: the points, least points and greatest
+        # points of the blocks in m; hung[h]: the block points' preorder bits
+        # when the blocks in h hang under their greatest points
+        self.points = _table([(0, s) for s in points])
+        self.least = _table([(0, 1 << t) for t in lo])
+        self.greatest = _table([(0, 1 << t) for t in hi])
+        self.hung = _table([(self.below[a][s], self.below[b][s]) for a, b, s in zip(lo, hi, points)])
+        self.under = [sum(1 << q for q, t in enumerate(lo) if t > x) for x in rest]  # blocks above each rest point
+        self.rest = rest
+        self.sizes = tuple(map(len, blocks))
+        self.masks = [m for m in range(1 << len(blocks)) if m & (m - 1)]
         if rest:
-            self._assign(0, code, example, [])
+            self._assign(0, code, 0, 0, [])
         else:
-            labelled, posets, transitive = self._entry(())
-            self.totals[0] += labelled
-            self.totals[1] += posets
-            _merge(self.counts, code, [labelled, posets, example, transitive])
+            self.counts[code] = [*_structure_counts(self.sizes, (), self.memo), self.hung[0], True]
 
-    def _assign(self, k: int, code: int, example: int, ms: list[int]) -> None:
-        # M(rest[k]) = m for each class bitmask m in turn, then the points after it
-        bits, rows = self.bits[k], self.rows[k]
-        pair = self.pair[self.rest[k]]
-        meets = [(mj, pair[x]) for mj, x in zip(ms, self.rest)]
+    def _assign(self, k: int, code: int, example: int, h: int, ms: list[int]) -> None:
+        # M(rest[k]) = m for each mask m of at least two blocks in turn, then the points after it
+        n, x, under = self.n, self.rest[k], self.under[k]
+        against, points, least, greatest = self.against[x], self.points, self.least, self.greatest
+        meets = [(mj, self.pair[x][y]) for mj, y in zip(ms, self.rest)]
         leaf = k == len(self.rest) - 1
         if leaf:
-            entries = self._leaf_entries(ms, len(bits))
-            counts = self.counts
-        for m in range(1, len(bits)):
-            c = code | bits[m]
+            entries = self._leaf_entries(ms)
+            counts, hung = self.counts, self.hung
+        for m in self.masks:
+            c = code | against[points[m]]
             for mj, b in meets:
                 if mj & m:
                     c |= b
+            g = h | m & under
+            e = example | _preorder_row(x, least[m & ~g] | greatest[m & g], n)
             if leaf:
-                labelled, posets, transitive = entries[m]
-                _merge(counts, c, [labelled, posets, example | rows[m], transitive])
+                counts[c] = [*entries[m], e | hung[g], False]
             else:
                 ms.append(m)
-                self._assign(k + 1, c, example | rows[m], ms)
+                self._assign(k + 1, c, e, g, ms)
                 ms.pop()
 
-    def _leaf_entries(self, ms: list[int], size: int) -> list:
-        """``entries[m]``: the ``_entry`` of ``ms`` with m last, for m in
-        ``range(1, size)``; their counts go into the totals.
-
-        The key fixes the number of top points (n less the rest points) and
-        of classes, hence whether the classes are singletons.
-        """
-        key = (tuple(sorted(ms)), size)
-        done = self.leaves.get(key)
-        if done is None:
-            entries = [None] + [self._entry(tuple(sorted([*ms, m]))) for m in range(1, size)]
-            done = self.leaves[key] = entries, sum(e[0] for e in entries[1:]), sum(e[1] for e in entries[1:])
-        entries, labelled, posets = done
-        self.totals[0] += labelled
-        self.totals[1] += posets
+    def _leaf_entries(self, ms: list[int]) -> dict[int, tuple[int, int]]:
+        """``entries[m]``: the counts of the structure with M values ``ms`` and m last."""
+        key = (self.sizes, tuple(sorted(ms)))
+        entries = self.leaves.get(key)
+        if entries is None:
+            entries = self.leaves[key] = {m: _structure_counts(self.sizes, tuple(sorted([*ms, m])), self.memo) for m in self.masks}
         return entries
 
-    def _entry(self, key: tuple[int, ...]) -> tuple[int, int, bool]:
-        """The labelled and T0 counts (as this partition counts them) and the
-        transitive flag of a configuration whose sorted M values are ``key``."""
-        labelled, posets = _count_below(key, self.memo)
-        if not self.singletons:
-            posets = 0
-        return (posets if self.t0_only else labelled), posets, all(m & (m - 1) == 0 for m in key)
+
+def _table(parts: list[tuple[int, int]]) -> list[int]:
+    """``table[m]``: the union over i of ``parts[i][1]`` where m has bit i,
+    and of ``parts[i][0]`` where it has not."""
+    table = [0]
+    for off, on in parts:
+        table = [u | off for u in table] + [u | on for u in table]
+    return table
 
 
-def _merge(into: dict[int, list], code: int, entry: list) -> None:
-    """Add one entry's counts under ``code``; the example delivered first is kept.
+def _structure_counts(sizes: tuple[int, ...], ms: tuple[int, ...], memo: dict) -> tuple[int, int]:
+    """The labelled and T0 topologies with one closure: blocks of ``sizes``
+    and the sorted M values ``ms`` of the other points.
 
-    The entries under one code share their closure, hence its transitive flag.
-    Delivery order reads the off-diagonal cells row-major with the first cell
-    most significant, which is the preorder bits reversed: of two examples,
-    the first delivered has the 0 at the lowest bit where they differ.
+    Each topology picks a top class of t points in each block of s (comb(s, t)
+    ways); the block's other points lie under that class alone, so their label
+    is the block's bit, and ``_count_below`` counts the preorders on the
+    points under the tops.  A T0 topology has one top point per block.
+    ``memo`` holds these counts by ``(sizes, ms)`` and ``_count_below``'s by
+    their label tuples.
     """
-    have = into.get(code)
-    if have is None:
-        into[code] = list(entry)
-        return
-    have[0] += entry[0]
-    have[1] += entry[1]
-    diff = entry[2] ^ have[2]
-    if have[2] & diff & -diff:
-        have[2] = entry[2]
+    found = memo.get((sizes, ms))
+    if found is None:
+        labelled = t0 = 0
+        for tops in product(*[range(1, s + 1) for s in sizes]):
+            labels = [1 << q for q, (s, t) in enumerate(zip(sizes, tops)) for _ in range(s - t)]
+            lab, posets = _count_below(tuple(sorted([*labels, *ms])), memo)
+            labelled += prod(map(comb, sizes, tops)) * lab
+            if all(t == 1 for t in tops):
+                t0 = prod(sizes) * posets
+        found = memo[sizes, ms] = labelled, t0
+    return found
 
 
-def _count_types(n: int, t0_only: bool):
-    """Counts ``{canonical closure bits: [labelled, t0, first example's bits,
-    transitive]}`` and totals, one entry per configuration type.
+def _count_types(n: int) -> dict[int, list]:
+    """``{canonical closure bits: [labelled, t0, first example's bits,
+    transitive]}``, one entry per structure type.
 
-    Relabelling is a bijection of configurations, so the configurations of
-    one type share their counts and have isomorphic closures.  The closure
-    of the type's representative (``_flat``) is canonicalised, and its flat
-    preorder relabelled to the one delivered first, which is the first
-    example among all the type's configurations.
+    Relabelling is a bijection of structures, so the structures of one type
+    share their counts and have isomorphic closures, and different types have
+    closures that are not.  The closure of the type's flat preorder is
+    canonicalised, and the flat preorder relabelled to the one delivered
+    first, which is the first example of every closure of the type.
     """
     counts: dict[int, list] = {}
-    totals = [0, 0]
-    memo: dict[tuple[int, ...], tuple[int, int]] = {}
+    memo: dict = {}
     for weight, sizes, ms in _types(n):
-        singletons = not sizes or sizes[0] == 1
-        if t0_only and not singletons:
-            continue
-        labelled, posets = _count_below(ms, memo)
-        if not singletons:
-            posets = 0
-        first = posets if t0_only else labelled
+        labelled, t0 = _structure_counts(sizes, ms, memo)
         flat = _flat(sizes, ms)
         code = int(canonical_code(FiniteRelation(n, closure_rows(flat))), 16)
-        transitive = all(m & (m - 1) == 0 for m in ms)
-        _merge(counts, code, [weight * first, weight * posets, _delivery_least(flat), transitive])
-        totals[0] += weight * first
-        totals[1] += weight * posets
-    return counts, totals
+        counts[code] = [weight * labelled, weight * t0, _delivery_least(flat), not ms]
+    return counts
 
 
 def _types(n: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """Each configuration type on n points: ``(configurations, class sizes, M values)``.
+    """Each closure structure type on n points: ``(structures, block sizes, M values)``.
 
-    A type is a configuration up to relabelling the points: the sizes of the
-    top classes, descending, and the sorted M values over the classes
-    numbered in that order, up to permuting classes of equal size.  Its
-    configurations choose the top points, split them into classes of these
-    sizes, and hand the other points one multiset of M values of the orbit.
+    A type is a structure up to relabelling the points: the block sizes,
+    descending, and the sorted M values (masks of at least two blocks) over
+    the blocks numbered in that order, up to permuting blocks of equal size.
+    Its structures choose the simplicial points, split them into blocks of
+    these sizes, and hand the other points one multiset of M values of the
+    orbit.
     """
     for k in range(n + 1):
         for sizes in _partitions(k, k):
             c = len(sizes)
             runs = [tuple(same) for _, same in groupby(range(c), key=sizes.__getitem__)]
             ways = comb(n, k) * factorial(k) // prod([factorial(s) for s in sizes] + [factorial(len(r)) for r in runs])
-            # the class permutations, needed only when some point is not a top point
+            # the block permutations, needed only when some point is not simplicial
             perms = [sum(g, ()) for g in product(*map(permutations, runs))] if k < n else [()]
             seen: set[tuple[int, ...]] = set()
-            for w, ms in _multisets(list(range(1, 1 << c)), n - k):
+            for w, ms in _multisets([m for m in range(1 << c) if m & (m - 1)], n - k):
                 if ms not in seen:
                     orbit = {tuple(sorted([sum(1 << g[i] for i in range(c) if m >> i & 1) for m in ms])) for g in perms}
                     seen |= orbit
@@ -686,15 +682,16 @@ def _types(n: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
 
 
 def _flat(sizes: tuple[int, ...], ms: tuple[int, ...]) -> list[int]:
-    """The up-sets of the flat preorder of a type's representative: the top
-    classes of ``sizes`` on the first points, in order, then one point per
-    M value in ``ms``, below the classes of its bits."""
-    classes, at = [], 0
+    """The up-sets of a structure type's flat preorder: the blocks of
+    ``sizes`` on the first points, in order, each under its first point,
+    then one point per M value in ``ms``, under the first points of its
+    blocks."""
+    firsts, at = [], 0
     for size in sizes:
-        classes.append(((1 << size) - 1) << at)
+        firsts.append(at)
         at += size
-    flat = [c for c, size in zip(classes, sizes) for _ in range(size)]
-    return flat + [1 << x | sum(c for i, c in enumerate(classes) if m >> i & 1) for x, m in enumerate(ms, at)]
+    flat = [1 << x | 1 << first for first, size in zip(firsts, sizes) for x in range(first, first + size)]
+    return flat + [1 << x | sum(1 << f for q, f in enumerate(firsts) if m >> q & 1) for x, m in enumerate(ms, at)]
 
 
 def _partitions(k: int, most: int) -> Iterator[tuple[int, ...]]:
@@ -706,8 +703,9 @@ def _partitions(k: int, most: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _catalog(n: int, counts: dict[int, list], totals) -> Catalog:
-    """The catalog of finished counts."""
+def _catalog(n: int, counts: dict[int, list], t0_only: bool) -> Catalog:
+    """The catalog of finished counts; with ``t0_only`` the labelled column
+    counts the T0 topologies, which every closure has."""
     records = []
     for code in sorted(counts):
         lab, t0c, example, transitive = counts[code]
@@ -715,25 +713,26 @@ def _catalog(n: int, counts: dict[int, list], totals) -> Catalog:
             CatalogRecord(
                 n=n,
                 relation_code=format(code, "x"),
-                labeled_topology_count=lab,
+                labeled_topology_count=t0c if t0_only else lab,
                 t0_topology_count=t0c,
                 transitive=transitive,
                 equivalence=transitive,  # reflexive and symmetric by encoding
                 example_preorder_code=format(example, "x"),
             )
         )
-    return Catalog(n, tuple(records), totals[0], totals[1])
+    total_t0 = sum(r.t0_topology_count for r in records)
+    return Catalog(n, tuple(records), sum(r.labeled_topology_count for r in records), total_t0)
 
 
 def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, workers: int = 1) -> Catalog:
     """One record per distinct closure relation over all topologies on n points.
 
-    The counts are summed over configurations, or over configuration types
-    if ``up_to_iso`` (see the module docstring), in one process; ``workers``
-    is accepted and has no effect.
+    The counts are summed over closure structures, or over their types if
+    ``up_to_iso`` (see the module docstring), in one process; ``workers`` is
+    accepted and has no effect.
     """
     _check_size(n)
-    return _catalog(n, *(_count_types if up_to_iso else _count_configurations)(n, t0_only))
+    return _catalog(n, (_count_types if up_to_iso else _count_structures)(n), t0_only)
 
 
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"

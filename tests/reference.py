@@ -12,7 +12,7 @@ posets among them, as the oracle for that recursion.
 a time, and ``first_delivered_relabelling`` tries every permutation of a
 preorder's points: the oracles for the ordered searches behind
 ``canonical_code`` and the iso catalog's examples.
-``build_catalog`` sums over configurations, or over their types, and never
+``build_catalog`` walks closure structures, or their types, and never
 visits most preorders; ``reference_catalogs`` visits every preorder the DFS
 delivers, takes its closure, keeps the first example met and folds the
 codes by ``relabelled_codes``, so it checks the counting argument, the T0
@@ -25,7 +25,12 @@ once per run, must take the same draws and return the same points.
 ``labelled_closure_count`` and ``iso_closure_count`` count the closures on
 n points from their structure alone - blocks of top points, and for every
 other point the set of at least two blocks it lies under - by a closed form
-and by Burnside's lemma, with no preorder and no configuration in sight.
+and by Burnside's lemma, with no preorder in sight.
+``is_diagonal_closure`` decides from a relation alone whether it is cl(Δ) of
+a topology: every edge lies in the closed neighbourhood of a simplicial
+point.  ``closure_structures`` builds each closure from its structure and
+gives its counts and greedy example; ``check_catalog`` checks a catalog's
+rows against these facts, whatever built or read it.
 """
 
 from collections import Counter
@@ -35,12 +40,16 @@ from math import comb, factorial, prod
 
 from diagclosure.constructions import ExtPt
 from diagclosure.enumeration import (
-    _catalog,
+    Catalog,
+    CatalogRecord,
+    _count_below,
     _extend,
     _iter_rows,
     _preorder_bits,
     _relation_bits,
     _row_candidates,
+    decode_preorder,
+    decode_relation,
 )
 from diagclosure.errors import BoundExceededError
 from diagclosure.finite_topology import closure_rows
@@ -201,19 +210,16 @@ def first_delivered_relabelling(rows) -> int:
 
 
 def accumulate(n: int, t0_only: bool):
-    """Counts ``{closure bits: [labelled, t0, first example's bits, transitive]}`` and totals.
+    """Counts ``{closure bits: [labelled, t0, first example's bits, transitive]}``.
 
     The transitive flag is read off each distinct closure by
-    ``FiniteRelation.is_transitive``, not from the configuration.
+    ``FiniteRelation.is_transitive``, not from the structure.
     """
     counts: dict[int, list] = {}
-    totals = [0, 0]
     for rows in _iter_rows(n):
         t0 = len(set(rows)) == n
         if t0_only and not t0:
             continue
-        totals[0] += 1
-        totals[1] += t0
         closure = closure_rows(rows)
         code = _relation_bits(closure, n)
         entry = counts.get(code)
@@ -222,7 +228,17 @@ def accumulate(n: int, t0_only: bool):
         else:
             entry[0] += 1
             entry[1] += t0
-    return counts, totals
+    return counts
+
+
+def catalog_of(n: int, counts) -> Catalog:
+    """The catalog of ``{closure bits: (labelled, t0, example bits, transitive)}``,
+    with the column sums for totals."""
+    records = tuple(
+        CatalogRecord(n, format(code, "x"), lab, t0, tr, tr, format(example, "x"))
+        for code, (lab, t0, example, tr) in sorted(counts.items())
+    )
+    return Catalog(n, records, sum(r.labeled_topology_count for r in records), sum(r.t0_topology_count for r in records))
 
 
 def reference_catalogs(n: int, t0_only: bool):
@@ -232,7 +248,7 @@ def reference_catalogs(n: int, t0_only: bool):
     them, so the first member of an orbit met here keeps the orbit's first
     example.
     """
-    counts, totals = accumulate(n, t0_only)
+    counts = accumulate(n, t0_only)
     canon: dict[int, int] = {}
     folded: dict[int, list] = {}
     for code, (labelled, t0, example, transitive) in counts.items():
@@ -242,7 +258,7 @@ def reference_catalogs(n: int, t0_only: bool):
         entry = folded.setdefault(canon[code], [0, 0, example, transitive])
         entry[0] += labelled
         entry[1] += t0
-    return _catalog(n, counts, totals), _catalog(n, folded, totals)
+    return catalog_of(n, counts), catalog_of(n, folded)
 
 
 def sample_point(tag, spec, rng, bounds, block=None, not_elem=None):
@@ -384,3 +400,118 @@ def iso_closure_count(n: int) -> tuple[int, int]:
             total += orbits
             transitive += orbits if m == 0 else 0
     return total, total - transitive
+
+
+def is_diagonal_closure(rows) -> bool:
+    """Whether the reflexive symmetric relation ``rows`` is cl(Δ) of some
+    topology: every edge lies in the closed neighbourhood of a simplicial
+    point, a point whose closed neighbourhood is a clique."""
+    n = len(rows)
+    covered = [0] * n  # covered[x]: the points in a simplicial closed neighbourhood with x
+    for r in rows:
+        if all(rows[y] & r == r for y in range(n) if r >> y & 1):
+            for x in range(n):
+                if r >> x & 1:
+                    covered[x] |= r
+    return all(not r & ~c for r, c in zip(rows, covered))
+
+
+def _set_partitions(points: list[int]):
+    """Every partition of ``points`` into blocks, each a list."""
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for part in _set_partitions(points[1:]):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [first, *part[i]], *part[i + 1:]]
+
+
+def _subsets(block: list[int]):
+    """The non-empty subsets of ``block``."""
+    return [[x for i, x in enumerate(block) if k >> i & 1] for k in range(1, 1 << len(block))]
+
+
+def closure_structures(n: int) -> dict[int, tuple[int, int, int, bool]]:
+    """``{closure bits: (labelled, t0, example bits, transitive)}`` over the
+    closure structures on n points.
+
+    A structure is a set S of simplicial points split into blocks, and a set
+    M(x) of at least two blocks for every other point x: two points of S are
+    related iff they share a block, a point of block q and x iff q is in
+    M(x), and two other points iff their M values meet.  Its topologies pick
+    a non-empty top class inside each block; the block's other points lie
+    under that class alone, so with the M values they are the labels of the
+    points below the tops, and the preorders on those are counted by
+    ``_count_below``.  A topology is T0 when every top class is one point.
+    The example takes one top per block, its least point, or its greatest
+    when some point outside S below the least point lies under the block.
+    """
+    memo: dict = {}
+    out = {}
+    for s in range(1 << n):
+        simplicial = [x for x in range(n) if s >> x & 1]
+        rest = [x for x in range(n) if not s >> x & 1]
+        for blocks in _set_partitions(simplicial):
+            values = [m for m in range(1 << len(blocks)) if bin(m).count("1") >= 2]
+            for ms in product(values, repeat=len(rest)):
+                label = {x: 1 << q for q, block in enumerate(blocks) for x in block}
+                label.update(zip(rest, ms))
+                # the labels of different blocks are different bits, so they never meet
+                rows = [sum(1 << y for y in range(n) if label[x] & label[y]) for x in range(n)]
+                labelled = t0 = 0
+                for tops in product(*map(_subsets, blocks)):
+                    below = [label[x] for x in range(n) if not any(x in top for top in tops)]
+                    lab, posets = _count_below(tuple(sorted(below)), memo)
+                    labelled += lab
+                    t0 += posets if all(len(top) == 1 for top in tops) else 0
+                top = {}
+                for q, block in enumerate(blocks):
+                    pulled = any(x < min(block) and m >> q & 1 for x, m in zip(rest, ms))
+                    top[q] = max(block) if pulled else min(block)
+                example = [1 << x for x in range(n)]
+                for q, block in enumerate(blocks):
+                    for x in block:
+                        example[x] |= 1 << top[q]
+                for x, m in zip(rest, ms):
+                    example[x] |= sum(1 << top[q] for q in range(len(blocks)) if m >> q & 1)
+                code = _relation_bits(rows, n)
+                assert code not in out, "two structures with one closure"
+                out[code] = (labelled, t0, _preorder_bits(example, n), not rest)
+    return out
+
+
+def check_catalog(cat, up_to_iso: bool = False) -> None:
+    """Raise ``AssertionError``, naming the row, unless every row of ``cat``
+    could have come from ``build_catalog``.
+
+    Each relation passes ``is_diagonal_closure``; its flags are those of the
+    relation; its example decodes to a preorder whose closure is the relation
+    (a relabelling of it, if ``up_to_iso``, where each code is the least of
+    its relabellings); the rows are sorted and unique; 1 <= t0 <= labelled,
+    since every closure has a T0 topology; the totals are the column sums.
+    """
+    n = cat.n
+    codes = [int(r.relation_code, 16) for r in cat.records]
+    _require(codes == sorted(set(codes)), "rows not sorted by relation code and unique")
+    for rec, code in zip(cat.records, codes):
+        where = f"row {rec.relation_code}"
+        rel = decode_relation(rec.relation_code, n)
+        _require(is_diagonal_closure(rel.rows), f"{where}: not the closure of any topology")
+        _require(rec.transitive == rel.is_transitive() == rec.equivalence, f"{where}: flags unlike the relation")
+        _require(1 <= rec.t0_topology_count <= rec.labeled_topology_count, f"{where}: counts out of order")
+        try:
+            example = decode_preorder(rec.example_preorder_code, n)
+        except ValueError as exc:
+            raise AssertionError(f"{where}: example is no preorder") from exc
+        relabellings = relabelled_codes(code, n) if up_to_iso else [code]
+        _require(code == min(relabellings), f"{where}: not the least relabelling")
+        _require(_relation_bits(closure_rows(example.rows), n) in relabellings, f"{where}: example's closure is another relation")
+    _require(cat.total_topologies == sum(r.labeled_topology_count for r in cat.records), "total_topologies")
+    _require(cat.total_t0 == sum(r.t0_topology_count for r in cat.records), "total_t0")
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise AssertionError(what)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import gc
+import os
 import random
+import re
 import warnings
 from math import comb
 
@@ -12,19 +14,22 @@ from reference import (
     bell,
     bounded_walk,
     brute_force_topology_count,
+    catalog_of,
+    check_catalog,
+    closure_structures,
     count_preorders_by_extension,
     preorders_by_filter,
     first_delivered_relabelling,
+    is_diagonal_closure,
     iso_closure_count,
     labelled_closure_count,
     reference_catalogs,
     relabelled_codes,
 )
 
-from diagclosure import enumeration
 from diagclosure.enumeration import (
     Catalog,
-    _count_configurations,
+    CatalogRecord,
     _delivery_least,
     _flat,
     _types,
@@ -181,20 +186,11 @@ def test_delivery_least_is_the_first_delivered_relabelling():
         assert _delivery_least(rows) == first_delivered_relabelling(rows), rows
 
 
-def test_types_and_their_configurations(monkeypatch):
-    assert [len(list(_types(n))) for n in range(8)] == [1, 1, 3, 7, 18, 46, 131, 397]
-    # configurations: top points, their classes, and a non-empty class set per other point
-    configurations = [
-        sum(comb(n, k) * (2 ** len(p.blocks) - 1) ** (n - k) for k in range(n + 1) for p in all_partitions(k))
-        for n in range(8)
-    ]
-    assert configurations[6:] == [21096, 406989]
-    assert [sum(w for w, _, _ in _types(n)) for n in range(8)] == configurations
-    # the labelled catalog merges one entry per configuration
-    merged = []
-    monkeypatch.setattr(enumeration, "_merge", lambda into, code, entry: merged.append(code))
-    _count_configurations(6, False)
-    assert len(merged) == 21096
+def test_structure_types_and_their_weights():
+    # a type is a closure up to relabelling, so the types are the iso catalog's rows,
+    # and their weights count the closures on labelled points
+    assert [len(list(_types(n))) for n in range(9)] == [iso_closure_count(n)[0] for n in range(9)]
+    assert [sum(w for w, _, _ in _types(n)) for n in range(8)] == [labelled_closure_count(n) for n in range(8)]
 
 
 def test_relation_code_round_trip():
@@ -304,6 +300,66 @@ def test_closure_counts_match_their_structure():
     # the counts that CI pins on the seven- and eight-point catalogs
     assert labelled_closure_count(7) - bell(7) == 128548 and labelled_closure_count(7) == 129425
     assert iso_closure_count(7) == (164, 149) and iso_closure_count(8) == (557, 535)
+
+
+def test_catalog_codes_are_the_edge_covered_relations():
+    # a relation is a closure iff each edge lies in the closed neighbourhood
+    # of a simplicial point; filter every reflexive symmetric relation by that
+    for n in range(7):
+        covered = [c for c in range(1 << comb(n, 2)) if is_diagonal_closure(decode_relation(format(c, "x"), n).rows)]
+        assert [int(r.relation_code, 16) for r in build_catalog(n).records] == covered, n
+
+
+def test_catalog_equals_the_per_closure_reference():
+    # the reference builds each closure once from its structure, with the
+    # greedy example; its counts still go through _count_below, which
+    # test_label_recursion_matches_the_bounded_walk checks against a walk
+    for n in range(7):
+        structures = closure_structures(n)
+        assert_same_catalog(build_catalog(n), catalog_of(n, structures), f"plain n={n}")
+        t0 = {code: (t0, t0, example, tr) for code, (_, t0, example, tr) in structures.items()}
+        assert_same_catalog(build_catalog(n, t0_only=True), catalog_of(n, t0), f"t0 n={n}")
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "catalogs.txt")
+
+
+def test_check_catalog_accepts_the_golden_and_built_catalogs():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        sections = re.split(r"^== (\S+) n=\d+\n", fh.read(), flags=re.M)[1:]
+    assert len(sections) == 2 * 24
+    for variant, text in zip(sections[::2], sections[1::2]):
+        check_catalog(read_catalog(text), up_to_iso=variant.endswith("iso"))
+    for n in range(7):
+        for t0_only in (False, True):
+            for iso in (False, True):
+                check_catalog(build_catalog(n, t0_only=t0_only, up_to_iso=iso), up_to_iso=iso)
+
+
+def test_check_catalog_rejects_each_broken_row():
+    # read_catalog checks the syntax only, so it loads the 4-cycle, which no topology has
+    four_cycle = read_catalog(render_catalog(Catalog(4, (CatalogRecord(4, "2d", 1, 1, False, False, "0"),), 1, 1)))
+    with pytest.raises(AssertionError, match="row 2d: not the closure"):
+        check_catalog(four_cycle)
+    cat = build_catalog(4)
+    check_catalog(cat)
+    rec = cat.records[-2]
+    broken = {
+        "flags": dataclasses.replace(rec, transitive=not rec.transitive, equivalence=not rec.equivalence),
+        "counts": dataclasses.replace(rec, t0_topology_count=rec.labeled_topology_count + 1),
+        "another relation": dataclasses.replace(rec, example_preorder_code="0"),
+        "no preorder": dataclasses.replace(rec, example_preorder_code="11"),  # 0 <= 1 <= 2, not 0 <= 2
+    }
+    for what, bad in broken.items():
+        records = cat.records[:-2] + (bad, cat.records[-1])
+        with pytest.raises(AssertionError, match=what):
+            check_catalog(dataclasses.replace(cat, records=records))
+    with pytest.raises(AssertionError, match="sorted"):
+        check_catalog(dataclasses.replace(cat, records=cat.records[::-1]))
+    with pytest.raises(AssertionError, match="total_t0"):
+        check_catalog(dataclasses.replace(cat, total_t0=cat.total_t0 + 1))
+    with pytest.raises(AssertionError, match="least relabelling"):
+        check_catalog(cat, up_to_iso=True)
 
 
 def test_iso_catalog_merges_orbits():
