@@ -32,11 +32,14 @@ neighbourhood of a simplicial point (one whose closed neighbourhood is a
 clique), and each closure is exactly one closure structure: its simplicial
 points S, their partition into blocks (points of S with one closed
 neighbourhood), and the set M(x) of at least two blocks for every point x
-outside S.  The catalog walks the structures, so each closure is built
-once and nothing is merged.  The topologies of a structure choose a
-non-empty top class inside each block; the block's other points get the
-block as their label, and the counter on those labels and the M values
-counts the preorders below the tops.  A T0 topology has one top point per
+outside S.  The blocks and the points outside S make a set partition of
+the points with at most one block marked as the rest, so the catalog walks
+the set partitions, each once with no rest and, with three or more blocks,
+once per block as the rest; each closure is built once and nothing is
+merged.  The topologies of a structure choose a non-empty top class inside
+each block; the block's other points get the block as their label, and the
+counter on those labels and the M values counts the preorders below the
+tops.  A T0 topology has one top point per
 block, so every closure has one, and the T0 catalog is a column of the
 plain one.  The closure is transitive iff there are no points outside S.
 The example, the preorder with this closure delivered first, hangs each
@@ -60,7 +63,9 @@ class of twins, so no search walks the n! permutations.
 Relation codes render the strict upper triangle as lowercase hex: pairs
 (i, j) with i < j in lexicographic order, first pair in the least
 significant bit.  Preorder codes do the same with the off-diagonal cells
-in row-major order.
+in row-major order.  The decoders invert the encoders' layouts and read a
+code only as ``render_catalog`` writes it, with no bit beyond the cells of
+n points.
 """
 
 from __future__ import annotations
@@ -94,8 +99,6 @@ __all__ = [
 
 SOFT_LIMIT = 7
 
-_candidates_cache: dict[int, list[tuple[tuple[int, tuple[int, ...]], ...]]] = {}
-
 
 def _check_size(n: int) -> None:
     if n < 0:
@@ -106,15 +109,11 @@ def _row_candidates(n: int) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
     """Per-row candidate up-set masks, sorted by column-order bit string,
     each with its set bits below the row."""
     _check_size(n)
-    cached = _candidates_cache.get(n)
-    if cached is not None:
-        return cached
     out = []
     for i in range(n):
         masks = [m for m in range(1 << n) if m >> i & 1]
         masks.sort(key=lambda m: tuple(m >> j & 1 for j in range(n)))
         out.append(tuple((m, tuple(j for j in range(i) if m >> j & 1)) for m in masks))
-    _candidates_cache[n] = out
     return out
 
 
@@ -442,16 +441,13 @@ def _relabel(rows, order) -> list[int]:
 
 
 def decode_relation(code: str, n: int) -> FiniteRelation:
-    """Invert the relation encoding (no permutation); diagonal included."""
-    bits = int(code, 16)
-    rows = [1 << i for i in range(n)]
-    t = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if bits >> t & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            t += 1
+    """Invert the relation encoding (no permutation); diagonal included.
+
+    Raises ``ValueError`` unless ``code`` is a code as the catalog writes it,
+    with no bit beyond the pairs of n points.
+    """
+    bits = _code_bits(code, n * (n - 1) // 2)
+    rows = [1 << i | sum([1 << j for j, b in enumerate(row) if bits & b]) for i, row in enumerate(_pair_bits(n))]
     return FiniteRelation(n, rows)
 
 
@@ -461,15 +457,13 @@ def preorder_code(p: Preorder) -> str:
 
 
 def decode_preorder(code: str, n: int) -> Preorder:
-    bits = int(code, 16)
-    rows = [1 << i for i in range(n)]
-    t = 0
+    """Invert ``_preorder_row`` row by row; raises ``ValueError`` as
+    ``decode_relation`` does, or if the cells are not transitive."""
+    bits = _code_bits(code, n * (n - 1))
+    rows = []
     for i in range(n):
-        for j in range(n):
-            if i != j:
-                if bits >> t & 1:
-                    rows[i] |= 1 << j
-                t += 1
+        cells = bits >> i * (n - 1) & (1 << (n - 1)) - 1
+        rows.append(cells & (1 << i) - 1 | 1 << i | cells >> i << i + 1)
     return Preorder(n, rows)
 
 
@@ -500,18 +494,19 @@ class Catalog:
 
 def _count_structures(n: int) -> dict[int, list]:
     """``{closure bits: [labelled, t0, example bits, transitive]}``, one entry
-    per closure structure: a set S of simplicial points, its partition into
-    blocks, and a set of at least two blocks for every other point (see
-    ``_Walk``).  A partition with fewer than two blocks serves only S = all
-    points.
+    per closure structure: a set partition of the n points with at most one
+    block marked as the rest, whose points take a set of at least two of the
+    other blocks each (see ``_Walk``).  Every partition serves once with no
+    rest block, which is its transitive closure, and a partition of three or
+    more blocks once more per block as the rest.
     """
     walk = _Walk(n)
-    for s in range(1 << n):
-        simplicial = [x for x in range(n) if s >> x & 1]
-        rest = [x for x in range(n) if not s >> x & 1]
-        for part in all_partitions(len(simplicial)):
-            if len(part.blocks) >= 2 or not rest:
-                walk.partition(rest, [[simplicial[i] for i in block] for block in part.blocks])
+    for part in all_partitions(n):
+        blocks = part.blocks
+        walk.partition((), blocks)
+        if len(blocks) >= 3:
+            for q, rest in enumerate(blocks):
+                walk.partition(rest, blocks[:q] + blocks[q + 1:])
     return walk.counts
 
 
@@ -547,7 +542,7 @@ class _Walk:
         self.against = [_table([(0, b) for b in self.pair[x]]) for x in range(n)]
         self.below = [_table([(0, _preorder_row(y, 1 << t, n)) for y in range(n)]) for t in range(n)]
 
-    def partition(self, rest: list[int], blocks: list[list[int]]) -> None:
+    def partition(self, rest: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> None:
         """Add every structure with the block partition ``blocks``."""
         points = [sum(1 << y for y in block) for block in blocks]
         lo, hi = [min(block) for block in blocks], [max(block) for block in blocks]
@@ -741,6 +736,7 @@ _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
 _COUNT = "0|[1-9][0-9]*"
 _CODE = "0|[1-9a-f][0-9a-f]*"
 _COUNT_RE = re.compile(_COUNT)
+_CODE_RE = re.compile(_CODE)
 _ROW_RE = re.compile(
     "\t".join(f"({field})" for field in (_COUNT, _CODE, _COUNT, _COUNT, "true|false", "true|false", _CODE))
 )
@@ -754,6 +750,18 @@ def _count(s: str) -> int:
     if not _COUNT_RE.fullmatch(s):
         raise ValueError(f"not a count as the catalog writes it: {s!r}")
     return int(s)
+
+
+def _code_bits(code: str, width: int) -> int:
+    """The bits of ``code``; ``ValueError`` unless it is a code as
+    ``render_catalog`` writes it, with no bit beyond the first ``width``."""
+    if not _CODE_RE.fullmatch(code):
+        raise ValueError(f"not a code as the catalog writes it: {code!r}")
+    bits = int(code, 16)
+    # a bit length, not 1 << width: a catalog row may claim any number of points
+    if bits.bit_length() > width:
+        raise ValueError(f"code {code!r} has bits beyond the cells of its points")
+    return bits
 
 
 def render_catalog(cat: Catalog) -> str:
@@ -793,9 +801,8 @@ def read_catalog(text: str) -> Catalog:
                 raise ValueError("a point count unlike the first row's")
             if trans != equiv:
                 raise ValueError("a reflexive symmetric relation is an equivalence exactly when it is transitive")
-            # bit lengths, not 1 << n*(n-1): a row may claim any number of points
-            if int(rel, 16).bit_length() > n * (n - 1) // 2 or int(example, 16).bit_length() > n * (n - 1):
-                raise ValueError("a code with bits beyond the cells of n points")
+            _code_bits(rel, n * (n - 1) // 2)
+            _code_bits(example, n * (n - 1))
             records.append(CatalogRecord(n, rel, int(lab), int(t0c), trans == "true", trans == "true", example))
         except (ValueError, KeyError) as exc:
             raise SpecSyntaxError(f"bad catalog line {lineno}: {ln!r}") from exc

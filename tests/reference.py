@@ -8,6 +8,9 @@ of reflexive rows, with no pruning.  ``bounded_walk`` is the DFS with each
 row cut to an upper bound, the leaf walk that ``_count_below``'s recursion
 replaced; ``count_below_by_walk`` counts the preorders it delivers, and the
 posets among them, as the oracle for that recursion.
+``decode_relation_by_cells`` and ``decode_preorder_by_cells`` read a code
+one cell at a time, apart from the encoders' layouts that the decoders
+invert.
 ``relabelled_codes`` permutes the points of a relation one permutation at
 a time, and ``first_delivered_relabelling`` tries every permutation of a
 preorder's points: the oracles for the ordered searches behind
@@ -52,7 +55,7 @@ from diagclosure.enumeration import (
     decode_relation,
 )
 from diagclosure.errors import BoundExceededError
-from diagclosure.finite_topology import closure_rows
+from diagclosure.finite_topology import Preorder, closure_rows
 from diagclosure.relations import BlockClass, FiniteRelation, PointAddr
 from diagclosure.symbolic_sets import pair_encode
 
@@ -193,6 +196,36 @@ def relabelled_codes(code: int, n: int) -> list[int]:
             new[s] = j
         out.append(sum([bit[min(new[a], new[b]), max(new[a], new[b])] for a, b in pairs]))
     return out
+
+
+def decode_relation_by_cells(code: str, n: int) -> FiniteRelation:
+    """The relation of a code, read cell by cell: the pairs (i, j) with
+    i < j in lexicographic order, first pair least significant."""
+    bits = int(code, 16)
+    rows = [1 << i for i in range(n)]
+    t = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if bits >> t & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            t += 1
+    return FiniteRelation(n, rows)
+
+
+def decode_preorder_by_cells(code: str, n: int) -> Preorder:
+    """The preorder of a code, read cell by cell: the off-diagonal cells
+    in row-major order, first cell least significant."""
+    bits = int(code, 16)
+    rows = [1 << i for i in range(n)]
+    t = 0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                if bits >> t & 1:
+                    rows[i] |= 1 << j
+                t += 1
+    return Preorder(n, rows)
 
 
 def first_delivered_relabelling(rows) -> int:

@@ -18,6 +18,8 @@ from reference import (
     check_catalog,
     closure_structures,
     count_preorders_by_extension,
+    decode_preorder_by_cells,
+    decode_relation_by_cells,
     preorders_by_filter,
     first_delivered_relabelling,
     is_diagonal_closure,
@@ -219,6 +221,55 @@ def test_decode_preorder_refuses_a_code_that_is_not_transitive():
         decode_preorder("9", 3)
 
 
+def test_decode_relation_equals_the_cell_by_cell_reference():
+    for n in range(7):
+        for c in range(1 << comb(n, 2)):
+            code = format(c, "x")
+            assert decode_relation(code, n) == decode_relation_by_cells(code, n), (n, code)
+
+
+def test_decode_preorder_equals_the_cell_by_cell_reference():
+    for n in range(6):
+        codes = []
+        enumerate_preorders(n, lambda p: codes.append(preorder_code(p)))
+        for code in codes:
+            assert decode_preorder(code, n) == decode_preorder_by_cells(code, n), (n, code)
+    # every code on up to 3 points, where most are not transitive: the same
+    # preorder or the same refusal
+    for n in range(4):
+        for c in range(1 << n * (n - 1)):
+            code = format(c, "x")
+            try:
+                expected = decode_preorder_by_cells(code, n)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    decode_preorder(code, n)
+            else:
+                assert decode_preorder(code, n) == expected, (n, code)
+
+
+# texts that int(code, 16) reads but render_catalog never writes
+_NOT_CODES = ["-1", "+1", "0x1", " 1", "1 ", "1_0", "F", "01", "00"]
+
+
+@pytest.mark.parametrize("code", _NOT_CODES)
+def test_decoders_refuse_what_the_catalog_never_writes(code):
+    with pytest.raises(ValueError, match="^not a code as the catalog writes it"):
+        decode_relation(code, 2)
+    with pytest.raises(ValueError, match="^not a code as the catalog writes it"):
+        decode_preorder(code, 2)
+
+
+def test_decoders_refuse_bits_beyond_the_cells():
+    # on 2 points a relation code has one cell and a preorder code two
+    for code in ("2", "ff"):
+        with pytest.raises(ValueError, match="bits beyond the cells"):
+            decode_relation(code, 2)
+    for code in ("4", "fff"):
+        with pytest.raises(ValueError, match="bits beyond the cells"):
+            decode_preorder(code, 2)
+
+
 # --- catalogs ---
 
 def test_catalog_n1():
@@ -300,6 +351,8 @@ def test_closure_counts_match_their_structure():
     # the counts that CI pins on the seven- and eight-point catalogs
     assert labelled_closure_count(7) - bell(7) == 128548 and labelled_closure_count(7) == 129425
     assert iso_closure_count(7) == (164, 149) and iso_closure_count(8) == (557, 535)
+    # the counts that CI pins on the eight-point structure walk
+    assert labelled_closure_count(8) == 3731508 and labelled_closure_count(8) - bell(8) == 3727368
 
 
 def test_catalog_codes_are_the_edge_covered_relations():
