@@ -67,21 +67,23 @@ def _cmd_separable(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import SOFT_LIMIT, build_catalog, render_catalog
+    from .enumeration import SOFT_LIMIT, _catalog, _closures, _totals, render_catalog
 
     n = read_natural(args.n, "--n")
     if n > SOFT_LIMIT and not args.force:
         raise BoundExceededError(f"n={n} is above the soft limit {SOFT_LIMIT}; pass --force to proceed")
     # Opened before the build, so a bad path fails at once and not after it;
     # in append mode, so a build that fails leaves an existing file as it was.
+    # The records are built only to be written: the summary reads the counts.
     with open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext() as out:
-        catalog = build_catalog(n, t0_only=args.t0, up_to_iso=args.iso)
+        counts = _closures(n, args.iso)
         if args.out:
             out.truncate(0)
-            out.write(render_catalog(catalog))
-    print(f"topologies: {catalog.total_topologies}")
-    print(f"distinct closures: {len(catalog.records)}")
-    print(f"non-transitive closures: {sum(1 for r in catalog.records if not r.transitive)}")
+            out.write(render_catalog(_catalog(n, counts, args.t0)))
+    topologies, _, nontransitive = _totals(counts, args.t0)
+    print(f"topologies: {topologies}")
+    print(f"distinct closures: {len(counts)}")
+    print(f"non-transitive closures: {nontransitive}")
     return 0
 
 

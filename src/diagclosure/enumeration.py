@@ -34,12 +34,13 @@ points S, their partition into blocks (points of S with one closed
 neighbourhood), and the set M(x) of at least two blocks for every point x
 outside S.  The blocks and the points outside S make a set partition of
 the points with at most one block marked as the rest, so the catalog walks
-the set partitions, each once with no rest and, with three or more blocks,
-once per block as the rest; each closure is built once and nothing is
-merged.  The topologies of a structure choose a non-empty top class inside
-each block; the block's other points get the block as their label, and the
-counter on those labels and the M values counts the preorders below the
-tops.  A T0 topology has one top point per
+the set partitions once each: it builds a partition's block tables once
+and reads off them its structure with no rest and, with three or more
+blocks, those with each block in turn as the rest.  Each closure is built
+once and nothing is merged.  The topologies of a structure choose a
+non-empty top class inside each block; the block's other points get the
+block as their label, and the counter on those labels and the M values
+counts the preorders below the tops.  A T0 topology has one top point per
 block, so every closure has one, and the T0 catalog is a column of the
 plain one.  The closure is transitive iff there are no points outside S.
 The example, the preorder with this closure delivered first, hangs each
@@ -345,7 +346,10 @@ def canonical_code(r: FiniteRelation) -> str:
     key is the signature.  The search runs on the symmetric relation that
     the upper triangle describes, which is all the code reads.
     """
-    rows = decode_relation(relation_code(r), r.n).rows
+    rows = [1 << i | ri >> i + 1 << i + 1 for i, ri in enumerate(r.rows)]
+    for i, ri in enumerate(rows):
+        for j in range(i + 1, r.n):
+            rows[j] |= (ri >> j & 1) << i
 
     def key(order, groups, p):
         return sum([1 << j for j, x in enumerate(reversed(order)) if rows[p] >> x & 1])
@@ -496,22 +500,16 @@ def _count_structures(n: int) -> dict[int, list]:
     """``{closure bits: [labelled, t0, example bits, transitive]}``, one entry
     per closure structure: a set partition of the n points with at most one
     block marked as the rest, whose points take a set of at least two of the
-    other blocks each (see ``_Walk``).  Every partition serves once with no
-    rest block, which is its transitive closure, and a partition of three or
-    more blocks once more per block as the rest.
+    other blocks each (see ``_Walk``).
     """
     walk = _Walk(n)
     for part in all_partitions(n):
-        blocks = part.blocks
-        walk.partition((), blocks)
-        if len(blocks) >= 3:
-            for q, rest in enumerate(blocks):
-                walk.partition(rest, blocks[:q] + blocks[q + 1:])
+        walk.partition(part.blocks)
     return walk.counts
 
 
 class _Walk:
-    """The closure structures of one ground set, one block partition at a time.
+    """The closure structures of one ground set, one set partition at a time.
 
     The closure bits are a sum of parts: the pairs inside each block, each
     rest point x against the points of the blocks in M(x), and the rest-rest
@@ -522,34 +520,43 @@ class _Walk:
     the greatest-top mask h carries the blocks settled so far down the walk,
     x's example row hangs under the least points of the blocks in M(x)
     outside h and the greatest of those in h, and the block points' rows are
-    one lookup by h at the leaf.  Per block partition, tables indexed by
-    block bitmask hold the blocks' points, least points, greatest points and
-    those rows; x's relation bits against a point set are a table per x for
-    the whole build.
+    one lookup by h at the leaf.
+    Per set partition, tables indexed by block bitmask hold the blocks'
+    points, least points, greatest points and those rows, built once over
+    all its blocks.  The partition's transitive closure (no rest) is read
+    off them.  With three or more blocks, each block q then serves in turn
+    as the rest: M ranges over the masks without bit q, q's pair bits leave
+    the code and its rows leave the example by XOR, and bit q is squeezed
+    out of the M values that ``_structure_counts`` sees.  x's relation bits
+    against a point set, and its preorder row under one, are a table per x
+    for the whole build.
     M is assigned one rest point at a time, depth first in the order of
     ``product(masks, repeat=len(rest))``, so each prefix's bits are summed
     once, and a leaf costs a few table lookups.
     """
 
     def __init__(self, n: int):
-        self.n = n
         self.counts: dict[int, list] = {}
         self.memo: dict = {}  # _structure_counts', for the whole build
         self.leaves: dict[tuple, dict] = {}
         self.pair = _pair_bits(n)
-        # against[x][s]: x's relation bits against the points of s; below[t][s]:
-        # the preorder bits of the points of s under the point t
+        # against[x][s]: x's relation bits against the points of s; row[x][s]:
+        # x's preorder bits under the points of s; below[t][s]: the preorder
+        # bits of the points of s under the point t
         self.against = [_table([(0, b) for b in self.pair[x]]) for x in range(n)]
+        self.row = [_table([(0, _preorder_row(x, 1 << y, n)) for y in range(n)]) for x in range(n)]
         self.below = [_table([(0, _preorder_row(y, 1 << t, n)) for y in range(n)]) for t in range(n)]
 
-    def partition(self, rest: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> None:
-        """Add every structure with the block partition ``blocks``."""
+    def partition(self, blocks: tuple[tuple[int, ...], ...]) -> None:
+        """Add every structure whose blocks, with at most one as the rest, are ``blocks``."""
         points = [sum(1 << y for y in block) for block in blocks]
         lo, hi = [min(block) for block in blocks], [max(block) for block in blocks]
-        code = 0
+        cliques = []  # the pair bits inside each block, disjoint across blocks
         for block, s in zip(blocks, points):
+            clique = 0
             for y in block:
-                code |= self.against[y][s]
+                clique |= self.against[y][s]
+            cliques.append(clique)
         # indexed by a block bitmask m: the points, least points and greatest
         # points of the blocks in m; hung[h]: the block points' preorder bits
         # when the blocks in h hang under their greatest points
@@ -557,44 +564,53 @@ class _Walk:
         self.least = _table([(0, 1 << t) for t in lo])
         self.greatest = _table([(0, 1 << t) for t in hi])
         self.hung = _table([(self.below[a][s], self.below[b][s]) for a, b, s in zip(lo, hi, points)])
-        self.under = [sum(1 << q for q, t in enumerate(lo) if t > x) for x in rest]  # blocks above each rest point
-        self.rest = rest
         self.sizes = tuple(map(len, blocks))
-        self.masks = [m for m in range(1 << len(blocks)) if m & (m - 1)]
-        if rest:
-            self._assign(0, code, 0, 0, [])
-        else:
-            self.counts[code] = [*_structure_counts(self.sizes, (), self.memo), self.hung[0], True]
+        code = sum(cliques)
+        self.counts[code] = [*_structure_counts(self.sizes, (), self.memo), self.hung[0], True]
+        if len(blocks) < 3:
+            return
+        masks = [m for m in range(1 << len(blocks)) if m & (m - 1)]
+        for q, rest in enumerate(blocks):
+            low = (1 << q) - 1
+            self.rest, self.others = rest, self.sizes[:q] + self.sizes[q + 1:]
+            # each mask without bit q, and the same mask over the other blocks
+            self.masks = [(m, m & low | m >> 1 & ~low) for m in masks if not m >> q & 1]
+            self.under = [sum(1 << i for i, t in enumerate(lo) if t > x) for x in rest]  # blocks above each rest point
+            # the rows of q's points under its least point, in every hung[g]: g never has bit q
+            self.off = self.below[lo[q]][points[q]]
+            self._assign(0, code ^ cliques[q], 0, 0, [])
 
     def _assign(self, k: int, code: int, example: int, h: int, ms: list[int]) -> None:
-        # M(rest[k]) = m for each mask m of at least two blocks in turn, then the points after it
-        n, x, under = self.n, self.rest[k], self.under[k]
-        against, points, least, greatest = self.against[x], self.points, self.least, self.greatest
+        # M(rest[k]) = m for each mask m of at least two other blocks in turn, then the points
+        # after it; ms holds the M values so far as r, over the other blocks alone
+        x, under = self.rest[k], self.under[k]
+        against, row, points, least, greatest = self.against[x], self.row[x], self.points, self.least, self.greatest
         meets = [(mj, self.pair[x][y]) for mj, y in zip(ms, self.rest)]
         leaf = k == len(self.rest) - 1
         if leaf:
             entries = self._leaf_entries(ms)
-            counts, hung = self.counts, self.hung
-        for m in self.masks:
+            counts, hung, off = self.counts, self.hung, self.off
+        for m, r in self.masks:
             c = code | against[points[m]]
             for mj, b in meets:
-                if mj & m:
+                if mj & r:
                     c |= b
             g = h | m & under
-            e = example | _preorder_row(x, least[m & ~g] | greatest[m & g], n)
+            e = example | row[least[m & ~g] | greatest[m & g]]
             if leaf:
-                counts[c] = [*entries[m], e | hung[g], False]
+                counts[c] = [*entries[r], e | (hung[g] ^ off), False]
             else:
-                ms.append(m)
+                ms.append(r)
                 self._assign(k + 1, c, e, g, ms)
                 ms.pop()
 
     def _leaf_entries(self, ms: list[int]) -> dict[int, tuple[int, int]]:
-        """``entries[m]``: the counts of the structure with M values ``ms`` and m last."""
-        key = (self.sizes, tuple(sorted(ms)))
+        """``entries[r]``: the counts of the structure with M values ``ms`` and r
+        last, all over the blocks other than the rest."""
+        key = (self.others, tuple(sorted(ms)))
         entries = self.leaves.get(key)
         if entries is None:
-            entries = self.leaves[key] = {m: _structure_counts(self.sizes, tuple(sorted([*ms, m])), self.memo) for m in self.masks}
+            entries = self.leaves[key] = {r: _structure_counts(self.others, tuple(sorted([*ms, r])), self.memo) for _, r in self.masks}
         return entries
 
 
@@ -700,23 +716,30 @@ def _partitions(k: int, most: int) -> Iterator[tuple[int, ...]]:
 
 def _catalog(n: int, counts: dict[int, list], t0_only: bool) -> Catalog:
     """The catalog of finished counts; with ``t0_only`` the labelled column
-    counts the T0 topologies, which every closure has."""
+    counts the T0 topologies, which every closure has.  A closure relation is
+    reflexive and symmetric by encoding, so it is an equivalence exactly when
+    it is transitive."""
     records = []
     for code in sorted(counts):
         lab, t0c, example, transitive = counts[code]
-        records.append(
-            CatalogRecord(
-                n=n,
-                relation_code=format(code, "x"),
-                labeled_topology_count=t0c if t0_only else lab,
-                t0_topology_count=t0c,
-                transitive=transitive,
-                equivalence=transitive,  # reflexive and symmetric by encoding
-                example_preorder_code=format(example, "x"),
-            )
-        )
-    total_t0 = sum(r.t0_topology_count for r in records)
-    return Catalog(n, tuple(records), sum(r.labeled_topology_count for r in records), total_t0)
+        records.append(CatalogRecord(n, f"{code:x}", t0c if t0_only else lab, t0c, transitive, transitive, f"{example:x}"))
+    total, total_t0, _ = _totals(counts, t0_only)
+    return Catalog(n, tuple(records), total, total_t0)
+
+
+def _totals(counts: dict[int, list], t0_only: bool) -> tuple[int, int, int]:
+    """The catalog's total topologies, its total T0 topologies and its number
+    of non-transitive closures, from its finished counts."""
+    values = counts.values()
+    total_t0 = sum([v[1] for v in values])
+    return total_t0 if t0_only else sum([v[0] for v in values]), total_t0, sum([not v[3] for v in values])
+
+
+def _closures(n: int, up_to_iso: bool) -> dict[int, list]:
+    """The finished counts of the catalog on n points, one entry per closure
+    (see ``_count_structures`` and ``_count_types``)."""
+    _check_size(n)
+    return (_count_types if up_to_iso else _count_structures)(n)
 
 
 def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, workers: int = 1) -> Catalog:
@@ -726,20 +749,17 @@ def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, worker
     ``up_to_iso`` (see the module docstring), in one process; ``workers`` is
     accepted and has no effect.
     """
-    _check_size(n)
-    return _catalog(n, (_count_types if up_to_iso else _count_structures)(n), t0_only)
+    return _catalog(n, _closures(n, up_to_iso), t0_only)
 
 
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
 # Fields exactly as render_catalog writes them: a count as str(int) writes it
 # (no sign, underscore, other digits or leading zero), a code as format(v, "x").
+# A row's codes are matched by _code_bits alone, which also bounds their width.
 _COUNT = "0|[1-9][0-9]*"
-_CODE = "0|[1-9a-f][0-9a-f]*"
 _COUNT_RE = re.compile(_COUNT)
-_CODE_RE = re.compile(_CODE)
-_ROW_RE = re.compile(
-    "\t".join(f"({field})" for field in (_COUNT, _CODE, _COUNT, _COUNT, "true|false", "true|false", _CODE))
-)
+_CODE_RE = re.compile("0|[1-9a-f][0-9a-f]*")
+_ROW_RE = re.compile("\t".join(f"({field})" for field in (_COUNT, "[^\t]*", _COUNT, _COUNT, "true|false", "true|false", "[^\t]*")))
 
 
 def _flag(v: bool) -> str:

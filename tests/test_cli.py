@@ -187,6 +187,24 @@ def test_enumerate_n5_count(capsys):
     assert "topologies: 6942" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--t0",), ("--iso",), ("--t0", "--iso")])
+def test_enumerate_summary_is_read_off_the_catalog_records(tmp_path, capsys, flags):
+    # without --out the summary comes from the closure counts, not from records
+    from diagclosure.enumeration import build_catalog
+
+    for k in range(6):
+        cat = build_catalog(k, t0_only="--t0" in flags, up_to_iso="--iso" in flags)
+        want = [
+            f"topologies: {sum(r.labeled_topology_count for r in cat.records)}",
+            f"distinct closures: {len(cat.records)}",
+            f"non-transitive closures: {sum(not r.transitive for r in cat.records)}",
+        ]
+        for out in ((), ("--out", str(tmp_path / "cat.tsv"))):
+            code, stdout, err = run(capsys, "enumerate", "--n", str(k), *flags, *out)
+            assert (code, err) == (0, "")
+            assert stdout.splitlines() == want, (k, flags, out)
+
+
 def test_enumerate_writes_catalog(tmp_path, capsys):
     target = tmp_path / "cat.tsv"
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--t0", "--out", str(target))
@@ -202,7 +220,7 @@ def test_enumerate_refuses_an_unwritable_out_path_before_building(tmp_path, caps
     def no_build(*args, **kwargs):
         raise AssertionError("the catalog was built before the output was opened")
 
-    monkeypatch.setattr(enumeration, "build_catalog", no_build)
+    monkeypatch.setattr(enumeration, "_closures", no_build)
     for target in (tmp_path / "missing" / "cat.tsv", tmp_path):
         code, out, err = run(capsys, "enumerate", "--n", "2", "--out", str(target))
         assert code == 2
