@@ -44,10 +44,8 @@ independent routes are the certificate re-check and the T1 witness check.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -65,6 +63,8 @@ from .relations import (
     BlockRef,
     PartitionSpec,
     PointAddr,
+    _Frozen,
+    _set,
     is_t1_realisable,
 )
 from .symbolic_sets import (
@@ -121,15 +121,17 @@ def _render_item(x) -> str:
     return str(x) if isinstance(x, int) else x.render()
 
 
-class _Named:
+class _Named(_Frozen):
     """Shared render of the opens named by one point or block (``SingletonPt``,
     ``SatPair``, ``BlockOpen``): the class name around the render of that field."""
 
+    __slots__ = ()
+
     def render(self) -> str:
-        return f"{type(self).__name__}({getattr(self, self.__match_args__[0]).render()})"
+        return f"{type(self).__name__}({getattr(self, self._fields[0]).render()})"
 
 
-class _Cofinite:
+class _Cofinite(_Frozen):
     """A base set minus the finite set ``excluded``; the other fields fix the base.
 
     Shared by every cofinite open: two opens on one base meet in that base
@@ -138,12 +140,13 @@ class _Cofinite:
     sorted exclusions.
     """
 
+    __slots__ = ()
     _head = ()
     _excl_label = "excl"
 
     def meet(self, other):
         """The intersection with an open on the same base."""
-        return dataclasses.replace(self, excluded=self.excluded | other.excluded)
+        return self._replace(excluded=self.excluded | other.excluded)
 
     def render(self) -> str:
         head = ""
@@ -153,104 +156,125 @@ class _Cofinite:
         return f"{type(self).__name__}({head}{self._excl_label}=[{excl}])"
 
 
-@dataclass(frozen=True)
 class SingletonPt(_Named):
     """The one-point open {x} of an isolated (singleton-block) point."""
 
-    point: PointAddr
+    _fields = __slots__ = ("point",)
+
+    def __init__(self, point: PointAddr):
+        _set(self, "point", point)
 
 
-@dataclass(frozen=True)
 class CofInBlock(_Cofinite):
     """A cofinite subset of a single (infinite) block."""
 
-    block: BlockRef
-    excluded: frozenset = frozenset()
+    _fields = __slots__ = ("block", "excluded")
     _head = (("block", "block"),)
 
+    def __init__(self, block: BlockRef, excluded: frozenset = frozenset()):
+        _set(self, "block", block)
+        _set(self, "excluded", excluded)
 
-@dataclass(frozen=True)
+
 class _FinPt(_Cofinite):
     """A finite-block point plus a cofinite subset of its reservoir."""
 
-    block: int
-    elem: int
-    excluded: frozenset = frozenset()
+    _fields = __slots__ = ("block", "elem", "excluded")
     _head = (("block", "block"), ("elem", "elem"))
 
+    def __init__(self, block: int, elem: int, excluded: frozenset = frozenset()):
+        _set(self, "block", block)
+        _set(self, "elem", elem)
+        _set(self, "excluded", excluded)
 
-@dataclass(frozen=True)
+
 class FinPt1(_FinPt):
     """A finite-block point plus a cofinite subset of its singleton reservoir."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class FinPt2(_FinPt):
     """A finite-block point plus all but finitely many blocks of its infinite-block pool."""
 
+    __slots__ = ()
     _excl_label = "excl_blocks"  # the exclusions are block indices
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(_Frozen):
     """A cofinite subset of a rational ball in the pair system."""
 
-    ball: RationalBall
+    _fields = __slots__ = ("ball",)
+
+    def __init__(self, ball: RationalBall):
+        _set(self, "ball", ball)
 
     def render(self) -> str:
         return f"Ball({self.ball.render_args()})"
 
 
-@dataclass(frozen=True)
-class ExtPt:
+class ExtPt(_Frozen):
     """A non-representative point (the anchor) plus a ball around its block,
     minus the block's level-0 representative image; the ball must contain
     that image.  ``_dropped`` names the point of that image."""
 
-    block: int
-    elem: int
-    ball: RationalBall
+    _fields = __slots__ = ("block", "elem", "ball")
+
+    def __init__(self, block: int, elem: int, ball: RationalBall):
+        _set(self, "block", block)
+        _set(self, "elem", elem)
+        _set(self, "ball", ball)
 
     def render(self) -> str:
         return f"ExtPt(block={self.block}, elem={self.elem}, ball=({self.ball.render_args()}))"
 
 
-@dataclass(frozen=True)
 class SatPair(_Named):
     """The open {x, rep(block(x))} of the representative-saturated topology."""
 
-    point: PointAddr
+    _fields = __slots__ = ("point",)
+
+    def __init__(self, point: PointAddr):
+        _set(self, "point", point)
 
 
-@dataclass(frozen=True)
 class BlockOpen(_Named):
     """An entire block, as a basic open of the block-saturated topology."""
 
-    block: BlockRef
+    _fields = __slots__ = ("block",)
+
+    def __init__(self, block: BlockRef):
+        _set(self, "block", block)
 
 
-@dataclass(frozen=True)
 class CofOmega(_Cofinite):
     """A cofinite subset of the naturals."""
 
-    excluded: frozenset = frozenset()
+    _fields = __slots__ = ("excluded",)
+
+    def __init__(self, excluded: frozenset = frozenset()):
+        _set(self, "excluded", excluded)
 
 
-@dataclass(frozen=True)
 class CofInD(_Cofinite):
     """A cofinite subset of one designated residue-class set (1-based index)."""
 
-    index: int
-    excluded: frozenset = frozenset()
+    _fields = __slots__ = ("index", "excluded")
     _head = (("d", "index"),)
 
+    def __init__(self, index: int, excluded: frozenset = frozenset()):
+        _set(self, "index", index)
+        _set(self, "excluded", excluded)
 
-@dataclass(frozen=True)
-class Certificate:
+
+class Certificate(_Frozen):
     """A disjoint pair of basic opens, the first around the first query point."""
 
-    open_a: object
-    open_b: object
+    _fields = __slots__ = ("open_a", "open_b")
+
+    def __init__(self, open_a, open_b):
+        _set(self, "open_a", open_a)
+        _set(self, "open_b", open_b)
 
     def render(self) -> str:
         return f"{self.open_a.render()}\n{self.open_b.render()}"
@@ -765,9 +789,11 @@ class ExtendPairs(InfOrSingleton):
         if p.cls is not _F:
             return InfOrSingleton._basic_nbhd(self, p, avoid)
         x, qc = _xq(p.block)
-        o = self._wrap(p, RationalBall._unchecked(x, qc, _ONE, _NO_EXCL))
+        ball = RationalBall._unchecked(x, qc, _ONE, _NO_EXCL)
+        o = self._wrap(p, ball)
         if isinstance(avoid, PointAddr) and avoid != p and self._member(o, avoid):
-            o = self._wrap(p, RationalBall._unchecked(x, qc, _ONE, frozenset((_z(avoid.block, avoid.elem)[1:],))))
+            # the ball is still this call's own: the exclusion goes into it, not into a second open
+            ball.excluded = frozenset((_z(avoid.block, avoid.elem)[1:],))
         return o
 
     def _sample_open(self, p, rng, bounds):
@@ -1020,15 +1046,18 @@ DEFAULT_DESIGNATED = (ResidueClassSet(1, 3), ResidueClassSet(2, 3))
 _SEARCH_BOUND = 400
 
 
-@dataclass
-class NonTransitiveReport:
+class NonTransitiveReport(_Frozen):
     """Outcome of the non-transitivity demonstration."""
 
-    designated: tuple
-    construction: Optional[SubbasisExample]
-    triple: Optional[tuple[int, int, int]]
-    certificate: Optional[Certificate]
-    message: str
+    _fields = __slots__ = ("designated", "construction", "triple", "certificate", "message")
+
+    def __init__(self, designated: tuple, construction: Optional[SubbasisExample],
+                 triple: Optional[tuple[int, int, int]], certificate: Optional[Certificate], message: str):
+        _set(self, "designated", designated)
+        _set(self, "construction", construction)
+        _set(self, "triple", triple)
+        _set(self, "certificate", certificate)
+        _set(self, "message", message)
 
     @property
     def ok(self) -> bool:

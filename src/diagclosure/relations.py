@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -180,24 +179,71 @@ def parse_point(text: str) -> PointAddr:
     return PointAddr(cls, read_natural(block, "point address"), read_natural(elem, "point address"))
 
 
-@dataclass(frozen=True)
-class FiniteBlocks:
+# Sets a field of a _Frozen value in its __init__: bound once, as a global,
+# because opens are built hundreds of thousands of times per verify round.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Value semantics of a frozen dataclass, without importing ``dataclasses``.
+
+    A subclass names its fields in ``_fields``, which is also its
+    ``__slots__``, and sets them in its own ``__init__`` through ``_set``.
+    Values are equal only to values of the same class with equal fields,
+    hash as their field tuple, show as ``Class(field=value, ...)`` and
+    refuse assignment and deletion.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(*[changes.get(f, getattr(self, f)) for f in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not by setting slots
+        return type(self), self._values()
+
+
+class FiniteBlocks(_Frozen):
     """The finite-block part of a spec: explicit sizes, or a cyclic family.
 
     ``cyclic=True`` means countably many finite blocks whose sizes repeat
     the given list cyclically; block ``j`` then has size ``sizes[j % len]``.
     """
 
-    sizes: tuple[int, ...] = ()
-    cyclic: bool = False
+    _fields = __slots__ = ("sizes", "cyclic")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        for s in self.sizes:
+    def __init__(self, sizes: Iterable[int] = (), cyclic: bool = False):
+        sizes = tuple(sizes)
+        for s in sizes:
             if not isinstance(s, int) or s < 2:
                 raise SpecSyntaxError(f"finite block sizes must be naturals >= 2: {s!r}")
-        if self.cyclic and not self.sizes:
+        if cyclic and not sizes:
             raise SpecSyntaxError("a cyclic finite-block family needs at least one size")
+        _set(self, "sizes", sizes)
+        _set(self, "cyclic", cyclic)
 
     @property
     def is_empty(self) -> bool:
@@ -217,20 +263,20 @@ class FiniteBlocks:
         return f"cycle[{body}]" if self.cyclic else f"[{body}]"
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(_Frozen):
     """Symbolic block profile of an equivalence relation on a countable set.
 
     Rejected at construction when the described ground set is finite (in
     particular when there are no blocks at all).
     """
 
-    singletons: Count
-    fin: FiniteBlocks
-    inf: Count
+    _fields = __slots__ = ("singletons", "fin", "inf")
 
-    def __post_init__(self):
-        if not (self.singletons.is_omega or self.fin.cyclic or self.inf >= 1):
+    def __init__(self, singletons: Count, fin: FiniteBlocks, inf: Count):
+        _set(self, "singletons", singletons)
+        _set(self, "fin", fin)
+        _set(self, "inf", inf)
+        if not (singletons.is_omega or fin.cyclic or inf >= 1):
             raise GroundSetFiniteError(f"spec describes a finite ground set: {self.render()}")
 
     def valid_addr(self, a: PointAddr) -> bool:

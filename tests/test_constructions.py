@@ -1,6 +1,7 @@
 """Realisation constructions: dispatch, oracles, witnesses, certificates."""
 
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -23,6 +24,7 @@ from diagclosure.constructions import (
     FinTwoCase2,
     InfBlocks,
     InfOrSingleton,
+    NonTransitiveReport,
     PairBlocks,
     SatPair,
     SingletonPt,
@@ -35,6 +37,7 @@ from diagclosure.constructions import (
     realise_t0,
     realise_t1,
     realise_tau_r,
+    _FinPt,
 )
 from diagclosure.errors import (
     ForeignVariantError,
@@ -48,6 +51,7 @@ from diagclosure.errors import (
 from diagclosure.relations import (
     BlockClass,
     BlockRef,
+    FiniteBlocks,
     PointAddr,
     is_t1_realisable,
     parse_point,
@@ -518,6 +522,87 @@ def test_certificate_serialization_stable():
 def test_open_render_sorted_exclusions():
     o = CofInBlock(BlockRef(I, 0), frozenset({pt("i:0:5"), pt("i:0:2")}))
     assert o.render() == "CofInBlock(block=i:0, excl=[i:0:2,i:0:5])"
+
+
+# --- value types: specs, opens, certificates and the demo report ---
+
+_BALL = RationalBall(1, Fraction(1, 2), Fraction(1, 4))
+# (build, repr): build() makes a new equal value on each call
+VALUES = [
+    (lambda: FiniteBlocks((2, 3)), "FiniteBlocks(sizes=(2, 3), cyclic=False)"),
+    (lambda: parse_spec("singletons=omega;fin=cycle[2];inf=0"),
+     "PartitionSpec(singletons=Count(omega), fin=FiniteBlocks(sizes=(2,), cyclic=True), inf=Count(0))"),
+    (lambda: SingletonPt(pt("s:3")), "SingletonPt(point=PointAddr(cls=<BlockClass.SINGLETON: 0>, block=3, elem=0))"),
+    (lambda: CofInBlock(BlockRef(I, 1), frozenset({pt("i:1:2")})),
+     "CofInBlock(block=BlockRef(cls=<BlockClass.INFINITE: 2>, index=1), "
+     "excluded=frozenset({PointAddr(cls=<BlockClass.INFINITE: 2>, block=1, elem=2)}))"),
+    (lambda: _FinPt(0, 1), "_FinPt(block=0, elem=1, excluded=frozenset())"),
+    (lambda: FinPt1(0, 1, frozenset({pt("s:3")})),
+     "FinPt1(block=0, elem=1, excluded=frozenset({PointAddr(cls=<BlockClass.SINGLETON: 0>, block=3, elem=0)}))"),
+    (lambda: FinPt2(1, 0, frozenset({4})), "FinPt2(block=1, elem=0, excluded=frozenset({4}))"),
+    (lambda: Ball(_BALL), "Ball(ball=ball(x=1,q=1/2,d=1/4,excl=[]))"),
+    (lambda: ExtPt(2, 3, _BALL), "ExtPt(block=2, elem=3, ball=ball(x=1,q=1/2,d=1/4,excl=[]))"),
+    (lambda: SatPair(pt("i:0:2")), "SatPair(point=PointAddr(cls=<BlockClass.INFINITE: 2>, block=0, elem=2))"),
+    (lambda: BlockOpen(BlockRef(F, 2)), "BlockOpen(block=BlockRef(cls=<BlockClass.FINITE: 1>, index=2))"),
+    (lambda: CofOmega(frozenset({5})), "CofOmega(excluded=frozenset({5}))"),
+    (lambda: CofInD(2, frozenset({7})), "CofInD(index=2, excluded=frozenset({7}))"),
+    (lambda: Certificate(CofInD(2), CofInD(1)),
+     "Certificate(open_a=CofInD(index=2, excluded=frozenset()), open_b=CofInD(index=1, excluded=frozenset()))"),
+    (lambda: NonTransitiveReport((), None, None, None, "none"),
+     "NonTransitiveReport(designated=(), construction=None, triple=None, certificate=None, message='none')"),
+]
+
+
+@pytest.mark.parametrize("build, text", VALUES, ids=[text.partition("(")[0] for _, text in VALUES])
+def test_value_types_compare_hash_and_show_by_their_fields(build, text):
+    v, w = build(), build()
+    assert v is not w and v == w and not v != w
+    assert repr(v) == text
+    assert v != object() and v.__eq__(text) is NotImplemented
+    assert pickle.loads(pickle.dumps(v)) == v
+    if type(v) is NonTransitiveReport:  # mutable and unhashable while it was a plain dataclass
+        return
+    assert hash(v) == hash(w)
+    field = text[text.index("(") + 1:].partition("=")[0]
+    with pytest.raises(AttributeError):
+        setattr(v, field, None)
+    with pytest.raises(AttributeError):
+        delattr(v, field)
+    assert v == w
+
+
+def test_value_types_are_equal_only_within_one_class():
+    p, ref = pt("f:0:0"), BlockRef(F, 0)
+    assert FinPt1(0, 0) != FinPt2(0, 0) and FinPt1(0, 0) != _FinPt(0, 0)
+    assert SingletonPt(p) != SatPair(p) and SatPair(p) != SingletonPt(p)
+    assert SingletonPt(p).__eq__(SatPair(p)) is NotImplemented
+    assert BlockOpen(ref) != CofInBlock(ref) and CofOmega() != CofInD(0)
+    assert Ball(_BALL) != ExtPt(0, 0, _BALL)
+    assert len({FinPt1(0, 0), FinPt2(0, 0), FinPt1(0, 0)}) == 2
+
+
+def test_value_types_take_keywords_and_defaults():
+    ref = BlockRef(I, 0)
+    assert CofInBlock(block=ref) == CofInBlock(ref, frozenset()) and CofInBlock(ref).excluded == frozenset()
+    assert FinPt1(block=0, elem=1).excluded == frozenset() and FinPt2(elem=1, block=0) == FinPt2(0, 1)
+    assert CofOmega().excluded == frozenset() and CofInD(index=2) == CofInD(2, frozenset())
+    assert ExtPt(block=2, elem=3, ball=_BALL) == ExtPt(2, 3, _BALL) and Ball(ball=_BALL).ball is _BALL
+    assert Certificate(open_b=CofOmega(), open_a=CofInD(1)) == Certificate(CofInD(1), CofOmega())
+    assert SingletonPt(point=pt("s:0")) == SingletonPt(pt("s:0")) and BlockOpen(block=ref).block is ref
+    rep = NonTransitiveReport(designated=(), construction=None, triple=(1, 2, 3), certificate=None, message="")
+    assert rep.triple == (1, 2, 3) and rep.ok
+
+
+def test_meet_unions_the_exclusions_and_keeps_the_class():
+    a, b, c = pt("i:0:1"), pt("i:0:2"), pt("s:4")
+    ref = BlockRef(I, 0)
+    assert CofInBlock(ref, frozenset({a})).meet(CofInBlock(ref, frozenset({b}))) == CofInBlock(ref, frozenset({a, b}))
+    met = FinPt1(0, 1, frozenset({c})).meet(FinPt1(0, 1, frozenset({a})))
+    assert type(met) is FinPt1 and met == FinPt1(0, 1, frozenset({a, c}))
+    met = FinPt2(3, 0, frozenset({1})).meet(FinPt2(3, 0))
+    assert type(met) is FinPt2 and met == FinPt2(3, 0, frozenset({1}))
+    assert CofInD(2, frozenset({5})).meet(CofOmega(frozenset({8}))) == CofInD(2, frozenset({5, 8}))
+    assert CofOmega().meet(CofOmega(frozenset({8}))) == CofOmega(frozenset({8}))
 
 
 # --- the demo ---

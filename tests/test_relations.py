@@ -102,6 +102,17 @@ def test_ground_set_must_be_infinite():
     parse_spec("singletons=0;fin=[];inf=1")
 
 
+def test_finite_blocks_normalise_and_refuse_sizes():
+    assert FiniteBlocks([2, 3]).sizes == (2, 3) and FiniteBlocks([2, 3]) == FiniteBlocks((2, 3))
+    assert FiniteBlocks() == FiniteBlocks((), False) and FiniteBlocks().is_empty
+    assert FiniteBlocks(sizes=[2], cyclic=True) == FiniteBlocks((2,), True)
+    for sizes, cyclic in (([1], False), ([2, 0], True), (["2"], False), ((), True)):
+        with pytest.raises(SpecSyntaxError):
+            FiniteBlocks(sizes, cyclic)
+    spec = PartitionSpec(singletons=OMEGA, fin=FiniteBlocks(), inf=Count(0))
+    assert spec == parse_spec("singletons=omega;fin=[];inf=0") and hash(spec) == hash(parse_spec(spec.render()))
+
+
 # --- point addresses ---
 
 def test_parse_point_grammar():
