@@ -26,8 +26,7 @@ MAX_BOUND = 10**18
 
 
 def _cmd_realise(args) -> int:
-    from .constructions import realise_t0, realise_t1
-    from .relations import parse_spec
+    from .relations import check_t1_realisable, parse_spec
 
     spec = parse_spec(args.spec)
     bounds = tuple(read_naturals(args.bounds, "bounds (expected 'B,E')", count=2))
@@ -35,10 +34,14 @@ def _cmd_realise(args) -> int:
     for option, value, ceiling in (("--pairs", n_pairs, MAX_PAIRS), ("--bounds", max(bounds), MAX_BOUND)):
         if value > ceiling and not args.force:
             raise BoundExceededError(f"{option} above {ceiling} may take extremely long; pass --force to proceed")
-    c = realise_t1(spec) if args.axiom == "t1" else realise_t0(spec)
-    # imported once there is a construction to verify, so a relation the
-    # axiom cannot realise exits without loading the harness
+    if args.axiom == "t1":
+        check_t1_realisable(spec)
+    # imported once the relation is known to be realisable, so a refusal
+    # exits without loading the constructions or the harness
+    from .constructions import realise_t0, realise_t1
     from .verify import verify_construction
+
+    c = realise_t1(spec) if args.axiom == "t1" else realise_t0(spec)
 
     report = verify_construction(c, spec, n_pairs=n_pairs, bounds=bounds, seed=args.seed)
     if args.json_lines:

@@ -54,7 +54,6 @@ from .errors import (
     InvalidAddressError,
     InvalidSizeError,
     NotDisjointError,
-    NotRealisableError,
     NotT1ConstructionError,
     check_bounds,
 )
@@ -64,8 +63,9 @@ from .relations import (
     PartitionSpec,
     PointAddr,
     _Frozen,
+    _new,
     _set,
-    is_t1_realisable,
+    check_t1_realisable,
 )
 from .symbolic_sets import (
     RationalBall,
@@ -313,6 +313,9 @@ class Construction:
 
     def __init__(self, spec: Optional[PartitionSpec]):
         self.spec = spec
+        # whether the certificate of a separable pair is its two T1 opens:
+        # on a T1 kind that keeps the base witness, which builds exactly those
+        self._t1_certificate = self.is_t1 and type(self)._witness_opens is Construction._witness_opens
         if spec is not None:
             self._valid = spec.valid_addr  # bound once: every query checks its points
             if not self.covers(spec):
@@ -369,10 +372,17 @@ class Construction:
         """``(separable, certificate, open_p_without_q, open_q_without_p)`` in one call.
 
         The answers of ``separable``, ``witness`` and ``t1_witness`` both ways,
-        with the points checked once; the T1 opens are None off T1.
+        with the points checked once; the T1 opens are None off T1.  On a T1
+        kind whose class keeps the base ``_witness_opens`` (the cofinite and
+        reservoir kinds), the certificate is those two T1 opens, built once;
+        a kind with a witness of its own (the pair system, ``SubbasisExample``)
+        builds it apart.
         """
         self._check_pair(p, q)
         sep = self._separable(p, q)
+        if self._t1_certificate:
+            o_p, o_q = self._basic_nbhd(p, q), self._basic_nbhd(q, p)
+            return sep, Certificate(o_p, o_q) if sep else None, o_p, o_q
         cert = Certificate(*self._witness_opens(p, q)) if sep else None
         if not self.is_t1:
             return sep, cert, None, None
@@ -499,7 +509,8 @@ class InfOrSingleton(Construction):
     def _sample_open(self, p, rng, bounds):
         if p.cls is _S:
             return SingletonPt(p)
-        excl = _draw_excl(rng, bounds[1], lambda e: PointAddr(p.cls, p.block, e), p)
+        cls, block, _ = p
+        excl = _draw_excl(rng, bounds[1], lambda e: _new(PointAddr, (cls, block, e)), p)
         return CofInBlock(p.block_ref, excl)
 
     def _refine(self, o1, o2, p):
@@ -596,7 +607,7 @@ class _Reservoir(InfOrSingleton):
 
     def _sample_excl(self, j, rng, block_bound, avoid=None):
         res, m, pool = self.block_residues[j], self.modulus, self._pool_cls
-        return _draw_excl(rng, max(1, block_bound), lambda k: self._unit(PointAddr(pool, res + m * k, 0)), avoid)
+        return _draw_excl(rng, max(1, block_bound), lambda k: self._unit(_new(PointAddr, (pool, res + m * k, 0))), avoid)
 
     def _sample_open(self, p, rng, bounds):
         if p.cls is _F:
@@ -891,7 +902,7 @@ class T0Sat(Construction):
         if p.elem == 0 and size >= 2 and rng.random() < 0.5:
             hi = bounds[1] if size.is_omega else size.finite() - 1
             e = 1 + draw_below(rng.getrandbits, max(1, hi))
-            return SatPair(PointAddr(p.cls, p.block, e))
+            return SatPair(_new(PointAddr, (p.cls, p.block, e)))
         return SatPair(p)
 
     def _refine(self, o1, o2, p):
@@ -901,7 +912,7 @@ class T0Sat(Construction):
 
     def _contains(self, outer, inner):
         x = inner.point
-        return self._member(outer, x) and self._member(outer, PointAddr(x.cls, x.block, 0))
+        return self._member(outer, x) and self._member(outer, _new(PointAddr, (x.cls, x.block, 0)))
 
 
 # --------------------------------------------------------------------------
@@ -1022,10 +1033,7 @@ _T1_KINDS = (InfBlocks, InfOrSingleton, FinTwoCase1, FinTwoCase2, PairBlocks, Ex
 
 def realise_t1(spec: PartitionSpec) -> Construction:
     """Build the T1 realisation of a spec, or refuse when none exists."""
-    if not is_t1_realisable(spec):
-        raise NotRealisableError(
-            "not T1-realisable: Part(R) finite with a finite block of size ≥ 2"
-        )
+    check_t1_realisable(spec)
     return next(kind for kind in _T1_KINDS if kind.covers(spec))(spec)
 
 

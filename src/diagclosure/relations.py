@@ -12,7 +12,6 @@ and ``omega`` stands for countable infinity throughout.
 from __future__ import annotations
 
 import functools
-import re
 from enum import IntEnum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -20,6 +19,7 @@ from .errors import (
     GroundSetFiniteError,
     InvalidAddressError,
     NotEquivalenceError,
+    NotRealisableError,
     SpecSyntaxError,
     read_natural,
     read_naturals,
@@ -129,6 +129,12 @@ _CLASS_PREFIX = {BlockClass.SINGLETON: "s", BlockClass.FINITE: "f", BlockClass.I
 _PREFIX_CLASS = {v: k for k, v in _CLASS_PREFIX.items()}
 
 
+# Builds a BlockRef or PointAddr from the tuple of its fields, as in
+# ``_new(PointAddr, (cls, block, elem))``, with no call of NamedTuple's
+# ``__new__``, a Python function: a verify round builds some 700,000 addresses.
+_new = tuple.__new__
+
+
 class BlockRef(NamedTuple):
     """Reference to one block of a partition spec."""
 
@@ -152,7 +158,7 @@ class PointAddr(NamedTuple):
 
     @property
     def block_ref(self) -> BlockRef:
-        return BlockRef(self.cls, self.block)
+        return _new(BlockRef, self[:2])
 
     def render(self) -> str:
         if self.cls is BlockClass.SINGLETON:
@@ -160,23 +166,28 @@ class PointAddr(NamedTuple):
         return f"{_CLASS_PREFIX[self.cls]}:{self.block}:{self.elem}"
 
 
-_POINT_RE = re.compile(r"^([sfi]):([0-9]+)(?::([0-9]+))?$")
-
-
 def parse_point(text: str) -> PointAddr:
-    """Parse ``s:<i>``, ``f:<j>:<k>``, or ``i:<j>:<k>`` into a PointAddr."""
-    m = _POINT_RE.match(text.strip())
-    if m is None:
+    """Parse ``s:<i>``, ``f:<j>:<k>``, or ``i:<j>:<k>`` into a PointAddr.
+
+    Surrounding whitespace is ignored, and every index is ASCII digits, as
+    :func:`~diagclosure.errors.read_natural` reads them.
+    """
+    item = text.strip()
+    prefix, *indices = item.split(":")
+    cls = _PREFIX_CLASS.get(prefix)
+    if cls is None or not 0 < len(indices) < 3 or not item.isascii() or not all(map(str.isdigit, indices)):
         raise InvalidAddressError(f"bad point address: {text!r}")
-    prefix, block, elem = m.groups()
-    cls = _PREFIX_CLASS[prefix]
     if cls is _SINGLETON:
-        if elem is not None:
+        if len(indices) == 2:
             raise InvalidAddressError(f"singleton addresses take one index: {text!r}")
-        return PointAddr(cls, read_natural(block, "point address"), 0)
-    if elem is None:
+        indices.append("0")
+    elif len(indices) == 1:
         raise InvalidAddressError(f"{prefix}-addresses take two indices: {text!r}")
-    return PointAddr(cls, read_natural(block, "point address"), read_natural(elem, "point address"))
+    try:
+        block, elem = map(int, indices)
+    except ValueError:  # more digits than int() converts: read_natural names the limit
+        block, elem = (read_natural(index, "point address") for index in indices)
+    return _new(PointAddr, (cls, block, elem))
 
 
 # Sets a field of a _Frozen value in its __init__: bound once, as a global,
@@ -372,6 +383,16 @@ def is_t1_realisable(spec: PartitionSpec) -> bool:
     finite-block list next to finitely many singletons and infinite blocks.
     """
     return not (spec.fin.sizes and not spec.fin.cyclic and spec.singletons.is_finite and spec.inf.is_finite)
+
+
+def check_t1_realisable(spec: PartitionSpec) -> None:
+    """Refuse, with NotRealisableError, a spec that no T1 topology realises.
+
+    The one source of the refusal: ``realise_t1`` raises it, and the
+    ``realise`` command raises it before importing the constructions.
+    """
+    if not is_t1_realisable(spec):
+        raise NotRealisableError("not T1-realisable: Part(R) finite with a finite block of size ≥ 2")
 
 
 class FiniteRelation:

@@ -3,18 +3,23 @@
 The harness ties each construction to the relation it claims to realise.
 Each sampled pair goes through one call, ``Construction.answer_pair``,
 which checks both points once and returns the separability, the
-certificate and, on T1 constructions, both one-sided T1 opens.  The
-separability is compared with the relation itself - the points are related
-iff they lie in one block (same class, same block index) - worked out here
-from the addresses, not by asking the construction.  That comparison is
-independent of the construction only where ``separable`` is computed from
-the open families (the reservoir constructions and ``SubbasisExample``),
-since elsewhere ``separable`` is the block test itself.  The other checks
-go through the opens: the certificate checker re-verifies every witness
-through the exact membership/disjointness rules, T1 witnesses are checked
-pointwise through ``member``, and basis-axiom refinements are checked by
-exact containment plus membership probing, each basis point checked once
-for both opens drawn around it.
+certificate and, on T1 constructions, both one-sided T1 opens.  On the
+cofinite and reservoir kinds, whose classes keep the base witness, the
+certificate of a separable pair is those two T1 opens, built once and
+checked both as a certificate and as T1 witnesses; the pair-system kinds,
+``SubbasisExample`` and any class with a ``_witness_opens`` of its own
+build the certificate apart.  The separability is compared with the
+relation itself - the points are related iff they lie in one block (same
+class, same block index) - worked out here from the addresses, not by
+asking the construction.  That comparison is independent of the
+construction only where ``separable`` is computed from the open families
+(the reservoir constructions and ``SubbasisExample``), since elsewhere
+``separable`` is the block test itself.  The other checks go through the
+opens: the certificate checker re-verifies every witness through the exact
+membership/disjointness rules, T1 witnesses are checked pointwise through
+``member``, and basis-axiom refinements are checked by exact containment
+plus membership probing, each basis point checked once for both opens
+drawn around it.
 
 Sampling is deterministic: the PRNG is the standard library's
 ``random.Random`` seeded with an integer derived from the report seed, and
@@ -36,8 +41,8 @@ wrong residue-class assignment (reservoirs or pools that are not pairwise
 disjoint), swapped representatives (witnesses aimed at the wrong canonical
 element), off-by-one exclusion sets (witnesses excluding a neighbor of the
 intended point), a separability rule that calls every pair separable,
-certificates dropped or invented, and refinements that are not inside both
-opens.
+certificates dropped, invented or aimed at the wrong block, and
+refinements that are not inside both opens.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .relations import (
     BlockClass,
     PartitionSpec,
     PointAddr,
+    _new,
     all_partitions,
     eq_of_partition,
 )
@@ -159,7 +165,7 @@ def _point_sampler(tag, spec, getrandbits, bounds):
         draw_block = block_draw(spec.singletons.value)
 
         def point(block=None, not_elem=None):
-            return PointAddr(_S, draw_block(), 0)
+            return _new(PointAddr, (_S, draw_block(), 0))
 
         return point
     if tag == "f":
@@ -178,7 +184,7 @@ def _point_sampler(tag, spec, getrandbits, bounds):
         while True:
             e = draw_elem()
             if e != not_elem:
-                return PointAddr(cls, block, e)
+                return _new(PointAddr, (cls, block, e))
 
     return point
 

@@ -4,8 +4,9 @@ Each class desynchronises one side of a construction (usually the witness
 generator) from the exact membership/disjointness rules, modelling the
 documented fault modes: wrong residue class, swapped representatives, and
 off-by-one exclusion sets, plus a separability rule that ignores the
-relation, certificates dropped or invented, and refinements that are not
-inside both opens.  The verification harness must flag every one of them.
+relation, certificates dropped, invented or aimed at the wrong block, and
+refinements that are not inside both opens.  The verification harness must
+flag every one of them.
 """
 
 from diagclosure.constructions import (
@@ -98,6 +99,16 @@ class SwappedRepT0Sat(T0Sat):
     def _witness_opens(self, p, q):
         shifted = PointAddr(p.cls, p.block, p.elem + 1)
         return SatPair(shifted), SatPair(q)
+
+
+class NextBlockWitnessInfBlocks(InfBlocks):
+    """Only the certificate is wrong: its first open sits in the block after
+    the query point's, while the T1 witnesses stay right.  A harness that took
+    the T1 opens for the certificate of every T1 kind would miss it."""
+
+    def _witness_opens(self, p, q):
+        _, b = super()._witness_opens(p, q)
+        return CofInBlock(BlockRef(p.cls, p.block + 1)), b
 
 
 class OffByOneTauR(TauR):

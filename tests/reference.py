@@ -20,6 +20,8 @@ visits most preorders; ``reference_catalogs`` visits every preorder the DFS
 delivers, takes its closure, keeps the first example met and folds the
 codes by ``relabelled_codes``, so it checks the counting argument, the T0
 rule, the example rule and the types independently.
+``parse_point_by_regex`` reads a point address by the grammar's regular
+expression and ``read_natural``, the rule ``parse_point`` replaced.
 ``sample_point`` and ``sample_pair`` re-derive every limit from the spec on
 each draw and draw through ``randint``; the verify harness's samplers, built
 once per run, must take the same draws and return the same points.
@@ -36,6 +38,7 @@ gives its counts and greedy example; ``check_catalog`` checks a catalog's
 rows against these facts, whatever built or read it.
 """
 
+import re
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -54,7 +57,7 @@ from diagclosure.enumeration import (
     decode_preorder,
     decode_relation,
 )
-from diagclosure.errors import BoundExceededError
+from diagclosure.errors import BoundExceededError, InvalidAddressError, read_natural
 from diagclosure.finite_topology import Preorder, closure_rows
 from diagclosure.relations import BlockClass, FiniteRelation, PointAddr
 from diagclosure.symbolic_sets import pair_encode
@@ -292,6 +295,27 @@ def reference_catalogs(n: int, t0_only: bool):
         entry[0] += labelled
         entry[1] += t0
     return catalog_of(n, counts), catalog_of(n, folded)
+
+
+_POINT_RE = re.compile(r"^([sfi]):([0-9]+)(?::([0-9]+))?$")
+_PREFIX_CLASS = {"s": BlockClass.SINGLETON, "f": BlockClass.FINITE, "i": BlockClass.INFINITE}
+
+
+def parse_point_by_regex(text: str) -> PointAddr:
+    """``s:<i>``, ``f:<j>:<k>`` or ``i:<j>:<k>`` after ``strip``, matched whole by
+    a regular expression, each index then read by ``read_natural``."""
+    m = _POINT_RE.match(text.strip())
+    if m is None:
+        raise InvalidAddressError(f"bad point address: {text!r}")
+    prefix, block, elem = m.groups()
+    cls = _PREFIX_CLASS[prefix]
+    if cls is BlockClass.SINGLETON:
+        if elem is not None:
+            raise InvalidAddressError(f"singleton addresses take one index: {text!r}")
+        return PointAddr(cls, read_natural(block, "point address"), 0)
+    if elem is None:
+        raise InvalidAddressError(f"{prefix}-addresses take two indices: {text!r}")
+    return PointAddr(cls, read_natural(block, "point address"), read_natural(elem, "point address"))
 
 
 def sample_point(tag, spec, rng, bounds, block=None, not_elem=None):

@@ -7,6 +7,7 @@ lines; every criterion pins its stated tolerance and time budget.
 import time
 
 from faults import (
+    NextBlockWitnessInfBlocks,
     OffByOneInfBlocks,
     OffByOneInfOrSingleton,
     OffByOneSplitUnion,
@@ -239,6 +240,10 @@ def test_criterion_9_determinism_and_sensitivity():
     spec = parse_spec("singletons=1;fin=[2];inf=1")
     rep = verify_construction(OffByOneTauR(spec), spec, n_pairs=10_000, basis_samples=0)
     detections.append(("off-by-one block / TauR", rep.certificate_failures > 0))
+
+    spec = parse_spec("singletons=0;fin=[];inf=3")
+    rep = verify_construction(NextBlockWitnessInfBlocks(spec), spec, n_pairs=10_000, basis_samples=0)
+    detections.append(("certificate in the next block / InfBlocks", rep.certificate_failures > 0))
 
     for label, caught in detections:
         assert caught, f"fault not detected: {label}"

@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import faults
 import pytest
 
+from diagclosure import constructions
 from diagclosure.constructions import (
     Ball,
     BlockOpen,
@@ -15,6 +17,7 @@ from diagclosure.constructions import (
     CofInBlock,
     CofInD,
     CofOmega,
+    Construction,
     DEFAULT_DESIGNATED,
     ExtendPairs,
     ExtPt,
@@ -831,6 +834,49 @@ def test_answer_pair_agrees_with_the_single_calls(kind, realise, text):
     rng = random.Random(11)
     answers = [_assert_answers_agree(c, p, q) for p, q in _agreement_pairs(spec, rng, 400)]
     assert any(answers) and not all(answers)
+
+
+# The faults that change a witness or a T1 open and answer through the base
+# answer_pair: sharing opens between the certificate and the T1 answers must
+# not show a different witness than ``witness`` does.
+WITNESS_FAULTS = [
+    fault for fault in vars(faults).values()
+    if isinstance(fault, type) and fault.__module__ == faults.__name__ and issubclass(fault, Construction)
+    and fault.answer_pair is Construction.answer_pair
+    and any(getattr(fault, hook) is not getattr(getattr(constructions, fault.kind), hook)
+            for hook in ("_witness_opens", "_basic_nbhd"))
+]
+KIND_SPECS = {kind: text for kind, _, text in NINE_KINDS}
+
+
+@pytest.mark.parametrize("fault", WITNESS_FAULTS, ids=[f.__name__ for f in WITNESS_FAULTS])
+def test_answer_pair_agrees_with_the_single_calls_on_witness_faults(fault):
+    spec = parse_spec(KIND_SPECS[fault.kind])
+    c = fault(spec)
+    rng = random.Random(11)
+    answers = [_assert_answers_agree(c, p, q) for p, q in _agreement_pairs(spec, rng, 400)]
+    assert any(answers) and not all(answers)
+
+
+def test_the_witness_faults_cover_both_hooks():
+    assert {fault.__name__ for fault in WITNESS_FAULTS} == {
+        "NextBlockWitnessInfBlocks", "OffByOneInfBlocks", "OffByOneInfOrSingleton", "OffByOneSplitUnion",
+        "OffByOneTauR", "SwappedRepExtendPairs", "SwappedRepPairBlocks", "SwappedRepT0Sat",
+    }
+
+
+def test_the_certificate_is_the_t1_pair_on_the_cofinite_and_reservoir_kinds():
+    """On a T1 kind that keeps the base witness the certificate is the two T1
+    opens themselves; the pair-system kinds build their own."""
+    shared = set()
+    for kind, realise, text in NINE_KINDS:
+        spec = parse_spec(text)
+        c = realise(spec)
+        for p, q in _agreement_pairs(spec, random.Random(3), 40):
+            _, cert, o_p, o_q = c.answer_pair(p, q)
+            if cert is not None and cert.open_a is o_p and cert.open_b is o_q:
+                shared.add(kind)
+    assert shared == {"InfBlocks", "InfOrSingleton", "FinTwoCase1", "FinTwoCase2"}
 
 
 def test_answer_pair_agrees_on_the_subbasis_example():

@@ -1,4 +1,4 @@
-"""Property tests: code, catalog, spec, point and topology round trips, canonical-code invariance, integer ball arithmetic, and CLI exit codes."""
+"""Property tests: code, catalog, spec, point and topology round trips, the point reader against its regex reference, canonical-code invariance, integer ball arithmetic, and CLI exit codes."""
 
 import contextlib
 import io
@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import bounded_walk, count_below_by_walk, preorders_by_filter
+from reference import bounded_walk, count_below_by_walk, parse_point_by_regex, preorders_by_filter
 
 from diagclosure.cli import main
 from diagclosure.enumeration import (
@@ -28,7 +28,7 @@ from diagclosure.enumeration import (
     relation_code,
     render_catalog,
 )
-from diagclosure.errors import GroundSetFiniteError, SpecSyntaxError, read_natural, read_naturals
+from diagclosure.errors import DiagClosureError, GroundSetFiniteError, SpecSyntaxError, read_natural, read_naturals
 from diagclosure.finite_topology import generate_from_subbasis, parse_topology, render_topology
 from diagclosure.relations import (
     BlockClass,
@@ -174,6 +174,37 @@ def test_point_text_round_trip(p):
     assert parse_point(p.render()) == p
 
 
+def point_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the address and its type, or the
+    type and message of the error it raises."""
+    try:
+        point = parse(text)
+    except DiagClosureError as exc:
+        return type(exc), str(exc)
+    return type(point), point, tuple(map(type, point))
+
+
+POINT_EDGE_TEXTS = (
+    "s:3", " f:0:1 ", "\ti:2:7\n", "s:1\n", "\u3000i:007:08", "i:0:0\n\n",
+    "f: 1:0", "f:1 :0", "s :1", "s 1",
+    "s:+1", "i:1_0:0", "f:\u0661:0", "s:\u00b2", "S:1", "x:1", "s:-1", "f:a:b", "s:1.0",
+    "", ":", "s", "s:", "f::0", "f:0:", "s::", "f:1:2:3", "s:1:0", "f:1", "i:0",
+    "i:" + "9" * 4301 + ":0", "i:0:" + "9" * 4301, "s:" + "9" * 4301, "s:" + "9" * 4301 + ":0",
+    "i:" + "9" * 4300 + ":1", "f:" + "9" * 4301 + ":" + "9" * 4302,
+)
+
+
+@pytest.mark.parametrize("text", POINT_EDGE_TEXTS, ids=range(len(POINT_EDGE_TEXTS)))
+def test_parse_point_matches_the_regex_reader(text):
+    assert point_outcome(parse_point, text) == point_outcome(parse_point_by_regex, text)
+
+
+@settings(deadline=None)
+@given(st.text(alphabet="sfi:0123456789 +_", max_size=12))
+def test_parse_point_matches_the_regex_reader_on_drawn_texts(text):
+    assert point_outcome(parse_point, text) == point_outcome(parse_point_by_regex, text)
+
+
 @given(topologies())
 def test_topology_text_round_trip(t):
     assert parse_topology(render_topology(t)) == t
@@ -244,6 +275,7 @@ def test_ball_contains_matches_fractions(balls):
     assert ball_contains(outer, inner) == expected
 
 
+@settings(deadline=None)
 @given(c1=rationals, r1=radii, c2=rationals, r2=radii, t=st.fractions(min_value=0, max_value=1, max_denominator=12))
 def test_refined_radius_matches_fractions(c1, r1, c2, r2, t):
     lo, hi = max(c1 - r1, c2 - r2), min(c1 + r1, c2 + r2)
