@@ -42,7 +42,6 @@ def _cmd_realise(args) -> int:
     from .verify import verify_construction
 
     c = realise_t1(spec) if args.axiom == "t1" else realise_t0(spec)
-
     report = verify_construction(c, spec, n_pairs=n_pairs, bounds=bounds, seed=args.seed)
     if args.json_lines:
         print(report.render_json_line())

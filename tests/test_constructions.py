@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-import faults
 import pytest
 
 from diagclosure import constructions
@@ -63,6 +62,7 @@ from diagclosure.relations import (
 )
 from diagclosure.symbolic_sets import RationalBall, ResidueClassSet, pair_encode
 from diagclosure.verify import _samplers, verify_construction
+import faults
 from reference import sample_point
 
 S, F, I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
