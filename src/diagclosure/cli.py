@@ -25,8 +25,23 @@ MAX_PAIRS = 200_000
 MAX_BOUND = 10**18
 
 
+def _construction(spec, axiom: str):
+    """The construction realising ``spec`` under ``axiom`` (``t0`` or ``t1``).
+
+    A relation that is not T1-realisable is refused before the import, so
+    the refusal exits without loading the constructions.
+    """
+    from .relations import check_t1_realisable
+
+    if axiom == "t1":
+        check_t1_realisable(spec)
+    from .constructions import realise_t0, realise_t1
+
+    return realise_t1(spec) if axiom == "t1" else realise_t0(spec)
+
+
 def _cmd_realise(args) -> int:
-    from .relations import check_t1_realisable, parse_spec
+    from .relations import parse_spec
 
     spec = parse_spec(args.spec)
     bounds = tuple(read_naturals(args.bounds, "bounds (expected 'B,E')", count=2))
@@ -34,14 +49,9 @@ def _cmd_realise(args) -> int:
     for option, value, ceiling in (("--pairs", n_pairs, MAX_PAIRS), ("--bounds", max(bounds), MAX_BOUND)):
         if value > ceiling and not args.force:
             raise BoundExceededError(f"{option} above {ceiling} may take extremely long; pass --force to proceed")
-    if args.axiom == "t1":
-        check_t1_realisable(spec)
-    # imported once the relation is known to be realisable, so a refusal
-    # exits without loading the constructions or the harness
-    from .constructions import realise_t0, realise_t1
+    c = _construction(spec, args.axiom)
     from .verify import verify_construction
 
-    c = realise_t1(spec) if args.axiom == "t1" else realise_t0(spec)
     report = verify_construction(c, spec, n_pairs=n_pairs, bounds=bounds, seed=args.seed)
     if args.json_lines:
         print(report.render_json_line())
@@ -53,13 +63,12 @@ def _cmd_realise(args) -> int:
 
 
 def _cmd_separable(args) -> int:
-    from .constructions import realise_t0, realise_t1
     from .relations import parse_point, parse_spec
 
     spec = parse_spec(args.spec)
     p = parse_point(args.p)
     q = parse_point(args.q)
-    c = realise_t1(spec) if args.axiom == "t1" else realise_t0(spec)
+    c = _construction(spec, args.axiom)
     if c.separable(p, q):
         print("separable")
         print(c.witness(p, q).render())

@@ -11,10 +11,10 @@ opens x points.  Subsets of the ground set are bitmasks throughout.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError, read_naturals
-from .relations import FinitePartition, FiniteRelation
+from .relations import FinitePartition, FiniteRelation, _Frozen, _mask, _set
 
 __all__ = [
     "FiniteTopology",
@@ -52,13 +52,6 @@ def _check_scan(k: int, what: str) -> None:
         raise BoundExceededError(f"scanning every subset of {k} {what} is limited to {MAX_SCAN}")
 
 
-def _mask(points: Iterable[int]) -> int:
-    m = 0
-    for x in points:
-        m |= 1 << x
-    return m
-
-
 def _mask_points(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -69,53 +62,53 @@ def _render_mask(mask: int) -> str:
     return ",".join(str(i) for i in _mask_points(mask))
 
 
-class Preorder:
-    """Reflexive transitive relation; ``rows[i]`` is the up-set of point i."""
+def _display_order(t: "FiniteTopology") -> list[int]:
+    """The opens by size, then by mask: the order of the repr and of :func:`render_topology`."""
+    return sorted(t.opens, key=lambda m: (bin(m).count("1"), m))
 
-    __slots__ = ("n", "rows")
+
+class Preorder(FiniteRelation):
+    """Reflexive transitive relation; ``rows[i]`` is the up-set of point i.
+
+    ``validate=False`` skips every check, for rows known to be a preorder.
+    """
+
+    __slots__ = ()
 
     def __init__(self, n: int, rows: Iterable[int], validate: bool = True):
-        rows = tuple(rows)
-        self.n = n
-        self.rows = rows
-        if validate:
-            full = (1 << n) - 1
-            if len(rows) != n or any(r & ~full for r in rows):
-                raise ValueError("bad row masks")
-            for i in range(n):
-                if not rows[i] >> i & 1:
-                    raise ValueError(f"not reflexive at {i}")
-                for j in range(n):
-                    if rows[i] >> j & 1 and rows[j] & ~rows[i]:
-                        raise ValueError(f"not transitive through {i} <= {j}")
+        if not validate:
+            self.n = n
+            self.rows = tuple(rows)
+            return
+        super().__init__(n, rows)
+        rows = self.rows
+        for i in range(n):
+            if not rows[i] >> i & 1:
+                raise ValueError(f"not reflexive at {i}")
+            for j in range(n):
+                if rows[i] >> j & 1 and rows[j] & ~rows[i]:
+                    raise ValueError(f"not transitive through {i} <= {j}")
 
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
-    def __eq__(self, other):
-        return isinstance(other, Preorder) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
+    leq = FiniteRelation.has
 
     def __repr__(self):
         return f"Preorder(n={self.n}, up={[ _mask_points(r) for r in self.rows ]})"
 
 
-class FiniteTopology:
+class FiniteTopology(_Frozen):
     """Family of open sets on ``{0..n-1}``, stored as a frozenset of bitmasks.
 
     The family never changes, so its minimal neighborhoods are computed once,
     by ``validate`` or by the first :func:`minimal_neighborhoods` call.
     """
 
+    _fields = ("n", "opens")
     __slots__ = ("n", "opens", "_mins")
 
     def __init__(self, n: int, opens: Iterable[int], validate: bool = True):
-        opens = frozenset(opens)
-        self.n = n
-        self.opens = opens
-        self._mins = None
+        _set(self, "n", n)
+        _set(self, "opens", frozenset(opens))
+        _set(self, "_mins", None)
         if validate:
             self.validate()
 
@@ -147,7 +140,7 @@ class FiniteTopology:
         for u in opens:
             for m in distinct:
                 self._require(u, m, "union", u | m)
-        self._mins = tuple(mins)
+        _set(self, "_mins", tuple(mins))
 
     def _require(self, a: int, b: int, op: str, res: int) -> None:
         if res not in self.opens:
@@ -158,15 +151,8 @@ class FiniteTopology:
                 witness=(_mask_points(a), _mask_points(b), op),
             )
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteTopology) and self.n == other.n and self.opens == other.opens
-
-    def __hash__(self):
-        return hash((self.n, self.opens))
-
     def __repr__(self):
-        shown = sorted(self.opens, key=lambda m: (bin(m).count("1"), m))
-        return f"FiniteTopology(n={self.n}, opens={[ _mask_points(m) for m in shown ]})"
+        return f"FiniteTopology(n={self.n}, opens={[_mask_points(m) for m in _display_order(self)]})"
 
 
 def _unions(n: int, neighborhoods: Iterable[int]) -> FiniteTopology:
@@ -210,7 +196,7 @@ def topology_of_preorder(p: Preorder) -> FiniteTopology:
 def minimal_neighborhoods(t: FiniteTopology) -> list[int]:
     """Intersection of all opens containing each point (open on finite sets)."""
     if t._mins is None:
-        t._mins = tuple(_neighborhoods(t.n, t.opens))
+        _set(t, "_mins", tuple(_neighborhoods(t.n, t.opens)))
     return list(t._mins)
 
 
@@ -298,8 +284,7 @@ def t0_saturation(p: FinitePartition, rep=None) -> FiniteTopology:
 
 def render_topology(t: FiniteTopology) -> str:
     """One open per line: sorted comma-separated points, '-' for the empty set."""
-    shown = sorted(t.opens, key=lambda m: (bin(m).count("1"), m))
-    return "\n".join(_render_mask(m) for m in shown) + "\n"
+    return "\n".join(map(_render_mask, _display_order(t))) + "\n"
 
 
 def parse_topology(text: str) -> FiniteTopology:

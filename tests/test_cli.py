@@ -303,7 +303,8 @@ def _loaded_modules(code, argv=(), returncode=0):
     (["separable", "--spec", "singletons=omega;fin=[];inf=2", "-p", "i:0:1", "-q", "i:1:1"], 0, FINITE | COLD),
     (["example", "nontransitive"], 0, FINITE | COLD),
     (["realise", "--spec", "singletons=0;fin=[2];inf=3"], 1, SYMBOLIC | COLD),
-], ids=["help", "finite", "enumerate", "separable", "example", "realise-not-realisable"])
+    (["separable", "--spec", "singletons=0;fin=[2];inf=3", "-p", "f:0:0", "-q", "f:0:1"], 1, SYMBOLIC | COLD),
+], ids=["help", "finite", "enumerate", "separable", "example", "realise-not-realisable", "separable-not-realisable"])
 def test_each_subcommand_loads_only_its_own_layers(argv, code, absent):
     loaded = _loaded_modules(MODULE_PROBE, argv, code)
     if absent is None:  # --help: the parser and the error types, nothing else of the package

@@ -54,12 +54,14 @@ from diagclosure.relations import (
     BlockClass,
     BlockRef,
     FiniteBlocks,
+    FinitePartition,
     PointAddr,
     is_t1_realisable,
     parse_point,
     parse_spec,
     same_block,
 )
+from diagclosure.finite_topology import tau_r
 from diagclosure.symbolic_sets import RationalBall, ResidueClassSet, pair_encode
 from diagclosure.verify import _samplers, verify_construction
 import faults
@@ -527,7 +529,7 @@ def test_open_render_sorted_exclusions():
     assert o.render() == "CofInBlock(block=i:0, excl=[i:0:2,i:0:5])"
 
 
-# --- value types: specs, opens, certificates and the demo report ---
+# --- value types: specs, opens, certificates, the demo report, finite partitions and topologies ---
 
 _BALL = RationalBall(1, Fraction(1, 2), Fraction(1, 4))
 # (build, repr): build() makes a new equal value on each call
@@ -553,6 +555,8 @@ VALUES = [
      "Certificate(open_a=CofInD(index=2, excluded=frozenset()), open_b=CofInD(index=1, excluded=frozenset()))"),
     (lambda: NonTransitiveReport((), None, None, None, "none"),
      "NonTransitiveReport(designated=(), construction=None, triple=None, certificate=None, message='none')"),
+    (lambda: FinitePartition(3, [[2], [1, 0]]), "FinitePartition(n=3, blocks=((0, 1), (2,)))"),
+    (lambda: tau_r(FinitePartition(3, [[2], [1, 0]])), "FiniteTopology(n=3, opens=[(), (2,), (0, 1), (0, 1, 2)])"),
 ]
 
 
@@ -634,6 +638,12 @@ def test_nontransitive_demo_transitive_closure_case():
     rep = nontransitive_demo([ResidueClassSet(0, 2), ResidueClassSet(1, 2)])
     assert not rep.ok
     assert "no non-transitivity witness" in rep.message
+
+
+def test_nontransitive_demo_rechecks_its_certificate(monkeypatch):
+    monkeypatch.setattr(constructions, "check_certificate", lambda c, a, b, cert: False)
+    with pytest.raises(AssertionError, match="^separation certificate failed re-checking$"):
+        nontransitive_demo()
 
 
 def test_pair_cache_stays_bounded():

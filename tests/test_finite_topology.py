@@ -1,5 +1,7 @@
 """Finite topologies, the preorder correspondence, and diagonal closures."""
 
+import pickle
+
 import pytest
 
 from reference import brute_force_topology_count
@@ -73,6 +75,9 @@ def test_generate_from_subbasis_examples():
     assert _opens_as_sets(t) == expected
     assert _opens_as_sets(t) == _subbasis_closure_oracle(3, [{0}, {1}])
 
+    with pytest.raises(ValueError, match="^subbasis set outside the ground set$"):
+        generate_from_subbasis(2, [{0}, {2}])
+
 
 def test_generate_from_subbasis_matches_oracle_on_random_input():
     import random
@@ -87,6 +92,42 @@ def test_generate_from_subbasis_matches_oracle_on_random_input():
 
 
 # --- Alexandrov correspondence ---
+
+@pytest.mark.parametrize("cls", [FiniteRelation, Preorder])
+@pytest.mark.parametrize("rows, message", [
+    ((1,), "^expected 2 rows, got 1$"),
+    ((1, 2, 4), "^expected 2 rows, got 3$"),
+    ((1, 0b110), "^row bits outside the ground set$"),
+])
+def test_relations_refuse_rows_of_the_wrong_shape(cls, rows, message):
+    with pytest.raises(ValueError, match=message):
+        cls(2, rows)
+
+
+def test_preorder_refuses_a_relation_that_is_not_reflexive():
+    with pytest.raises(ValueError, match="^not reflexive at 1$"):
+        Preorder(2, (0b11, 0b00))
+    # validate=False runs no check at all
+    assert Preorder(2, (0b100,), validate=False).rows == (0b100,)
+
+
+def test_a_preorder_is_a_finite_relation_of_its_own_type():
+    rows = (0b011, 0b010, 0b111)  # 0 <= 1, and 2 below both
+    p, r = Preorder(3, rows), FiniteRelation(3, rows)
+    assert isinstance(p, FiniteRelation) and p.is_reflexive() and p.is_transitive()
+    assert [p.leq(i, j) for i in range(3) for j in range(3)] == [r.has(i, j) for i in range(3) for j in range(3)]
+    assert p.leq(0, 1) and not p.leq(1, 0)
+    # the same rows, but not the same value; their hashes may be equal
+    assert p != r and r != p and not p == r and len({p, r}) == 2
+    assert p == Preorder(3, list(rows), validate=False) and hash(p) == hash(Preorder(3, rows))
+    assert repr(p) == "Preorder(n=3, up=[(0, 1), (1,), (0, 1, 2)])"
+    assert repr(r) == "FiniteRelation(n=3, off_diagonal=[(0, 1), (2, 0), (2, 1)])"
+    # a topology is pickled by its opens, and its minimal neighborhoods are found again
+    t = topology_of_preorder(p)
+    assert t._mins is None
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and copy.opens == t.opens and copy._mins == rows
+
 
 def test_topology_of_preorder_examples():
     eq = Preorder(3, (0b001, 0b010, 0b100))
@@ -349,6 +390,9 @@ def test_parse_topology_rejects_non_topology():
 
     with pytest.raises(NotATopologyError):
         parse_topology("-\n0\n1\n")  # missing full set {0,1}
+
+    with pytest.raises(NotATopologyError, match="^open set outside the ground set$"):
+        FiniteTopology(1, {0, 1, 2})
 
 
 # --- size bounds ---

@@ -49,6 +49,16 @@ def test_count_arithmetic():
         OMEGA.finite()
 
 
+def test_counts_do_not_compare_with_non_numbers():
+    for other in ("3", 3.0, True, None):
+        assert Count(3).__eq__(other) is NotImplemented
+        assert not Count(3) == other and Count(3) != other
+    with pytest.raises(TypeError, match="^'<' not supported between instances of 'Count' and 'str'$"):
+        Count(3) < "3"
+    with pytest.raises(TypeError, match="^'<' not supported between instances of 'Count' and 'bool'$"):
+        OMEGA < True
+
+
 # --- spec parsing ---
 
 def test_parse_spec_examples():

@@ -10,6 +10,7 @@ from diagclosure.symbolic_sets import (
     ResidueClassSet,
     ball_disjoint,
     ball_member,
+    ball_refine,
     cantor_pair,
     cantor_unpair,
     format_rational,
@@ -29,6 +30,8 @@ def test_residues_examples():
     assert residues_disjoint(d1, d2) is True
     assert residues_disjoint(ResidueClassSet(0, 2), ResidueClassSet(2, 4)) is False  # 2 in both
     assert residues_disjoint(d1, d1) is False
+    with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+        residues_disjoint(ResidueClassSet(0, 0), d1)
 
 
 def test_residues_against_enumeration():
@@ -82,6 +85,16 @@ def test_ball_symmetry_and_validation():
         RationalBall(0, Fraction(0), Fraction(1), excluded={(Fraction(2), 0)})
     with pytest.raises(ValueError):
         RationalBall(0, Fraction(0), Fraction(1), excluded={(Fraction(1, 2), 7)})
+    with pytest.raises(ValueError, match="^x_index must be a natural$"):
+        RationalBall(-1, Fraction(0), Fraction(1))
+
+
+def test_ball_refine_refuses_a_point_outside_either_ball():
+    b1, b2 = RationalBall(0, Fraction(0), Fraction(1)), RationalBall(0, Fraction(1), Fraction(1))
+    assert ball_refine(b1, b2, (0, Fraction(1, 2), 0)).radius == Fraction(1, 2)
+    for q in (Fraction(-1, 2), Fraction(3, 2), Fraction(1)):  # outside b2, outside b1, on b1's boundary
+        with pytest.raises(ValueError, match="^radius must be positive$"):
+            ball_refine(b1, b2, (0, q, 0))
 
 
 def test_ball_render():

@@ -113,6 +113,14 @@ def test_non_integer_sample_counts_are_refused(counts):
         verify_construction(realise_t1(spec), spec, n_pairs=counts[0], basis_samples=counts[1])
 
 
+@pytest.mark.parametrize("counts", ((-1, 0), (0, -5)), ids=repr)
+def test_negative_sample_counts_are_refused(counts):
+    spec = parse_spec("singletons=0;fin=[];inf=3")
+    message = f"^sample counts must be >= 0, got n_pairs={counts[0]}, basis_samples={counts[1]}$"
+    with pytest.raises(InvalidSizeError, match=message):
+        verify_construction(realise_t1(spec), spec, n_pairs=counts[0], basis_samples=counts[1])
+
+
 def test_sample_open_refuses_negative_bounds():
     # below zero an exclusion draw would have no index to take
     spec = parse_spec("singletons=omega;fin=[];inf=2")
@@ -319,7 +327,7 @@ def test_certificate_and_basis_faults_detected(fault, counter):
 def test_finite_cross_check():
     assert finite_cross_check(1).failures == 0
     r3 = finite_cross_check(3)
-    assert r3.partitions_checked == 5 and r3.failures == 0
+    assert r3.partitions_checked == 5 and r3.failures == 0 and r3.passed()
     r5 = finite_cross_check(5)
     assert r5.partitions_checked == 52 and r5.failures == 0
     with pytest.raises(BoundExceededError):
@@ -330,12 +338,12 @@ def test_finite_cross_check_fails_on_a_wrong_tau_r(monkeypatch):
     # the representative-saturated topology is T0 where the block-saturated one must not be
     monkeypatch.setattr(finite_topology, "tau_r", finite_topology.t0_saturation)
     r3 = finite_cross_check(3)
-    assert r3.partitions_checked == 5 and r3.failures > 0
+    assert r3.partitions_checked == 5 and r3.failures > 0 and not r3.passed()
 
 
 def test_monotonicity_check():
     r2 = monotonicity_check(2)
-    assert r2.topologies == 4 and r2.failures == 0
+    assert r2.topologies == 4 and r2.failures == 0 and r2.passed()
     r3 = monotonicity_check(3)
     assert r3.topologies == 29 and r3.failures == 0 and r3.comparable_pairs >= 29
     with pytest.raises(BoundExceededError):
@@ -353,4 +361,4 @@ def test_monotonicity_check_fails_on_a_wrong_cl_delta(monkeypatch):
 
     monkeypatch.setattr(finite_topology, "cl_delta", wrong)
     r3 = monotonicity_check(3)
-    assert r3.comparable_pairs == 192 and r3.failures > 0
+    assert r3.comparable_pairs == 192 and r3.failures > 0 and not r3.passed()
