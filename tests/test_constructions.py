@@ -50,6 +50,7 @@ from diagclosure.errors import (
     NotRealisableError,
     NotT1ConstructionError,
 )
+from diagclosure.finite_topology import tau_r
 from diagclosure.relations import (
     BlockClass,
     BlockRef,
@@ -61,7 +62,6 @@ from diagclosure.relations import (
     parse_spec,
     same_block,
 )
-from diagclosure.finite_topology import tau_r
 from diagclosure.symbolic_sets import RationalBall, ResidueClassSet, pair_encode
 from diagclosure.verify import _samplers, verify_construction
 import faults

@@ -74,6 +74,7 @@ def test_generate_from_subbasis_examples():
     expected = {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset({0, 1, 2})}
     assert _opens_as_sets(t) == expected
     assert _opens_as_sets(t) == _subbasis_closure_oracle(3, [{0}, {1}])
+    assert generate_from_subbasis(2, [[0, 0]]) == generate_from_subbasis(2, [{0}])  # a point listed twice
 
     with pytest.raises(ValueError, match="^subbasis set outside the ground set$"):
         generate_from_subbasis(2, [{0}, {2}])
