@@ -19,8 +19,8 @@ import sys
 from .errors import BoundExceededError, DiagClosureError, NotRealisableError, SpecSyntaxError, read_natural, read_naturals
 
 # realise's ceilings, lifted by --force: at 200,000 pairs with both bounds at
-# 10**18 the slowest acceptance specs (the pair systems) verified in 7.9-9.9 s
-# on 2 vCPUs, half of the 20 s that one command may take.
+# 10**18 the slowest acceptance specs (the pair systems) verified in 4.8-5.8 s
+# on 2 vCPUs, under a third of the 20 s that one command may take.
 MAX_PAIRS = 200_000
 MAX_BOUND = 10**18
 
@@ -120,7 +120,10 @@ def _cmd_example(args) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_partition_literal(text: str) -> FinitePartition:
+def _parse_partition_literal(text: str):
+    """The ``FinitePartition`` a literal like ``0,1;2`` names (no return
+    annotation: ``relations`` is imported only here, so the name would not
+    resolve in this module)."""
     from .relations import FinitePartition
 
     blocks = []

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -70,13 +69,15 @@ from .relations import (
 from .symbolic_sets import (
     RationalBall,
     ResidueClassSet,
+    _ball_excluding,
+    _image,
+    _image_ball,
+    _image_member,
+    _image_refine,
+    _separating_balls,
     ball_contains,
     ball_disjoint,
-    ball_member,
-    ball_refine,
-    pair_encode,
     residues_disjoint,
-    separating_radius,
 )
 
 __all__ = [
@@ -675,47 +676,36 @@ class FinTwoCase2(_Reservoir):
 # --------------------------------------------------------------------------
 # the pair system: infinitely many finite blocks on rational balls
 
-_ONE = Fraction(1)
-_NO_EXCL = frozenset()
 _OFFSETS = (0, 1, -1, 2, -2)  # centre offsets from z, in quarters
-_RADII = (Fraction(1, 2), _ONE, Fraction(3, 2))
-_HALVES = (1, 2, 3)  # the same radii, in halves
+_HALVES = (1, 2, 3)  # the radii 1/2, 1 and 3/2, in halves
 
 
-def _sample_ball(z, rng) -> RationalBall:
-    """A ball around z with up to two exclusions, in integers: with z's rational
-    ``a/b``, offset ``o/4`` and radius ``h/2``, exclusion ``centre + (k/4) * radius``
-    is ``(8a + (2o + k*h) * b) / 8b``, inside the ball as ``|k| < 4``, and z's
-    rational iff ``2o + k*h == 0``."""
-    x, qc, level = z
+def _sample_ball(z, level, rng) -> RationalBall:
+    """A ball around the image z of a block with up to two exclusions, all
+    given in eighths from z's rational: with offset ``o/4`` and radius ``h/2``
+    the centre is ``2o/8`` away, exclusion ``centre + (k/4) * radius`` is
+    ``(2o + k*h)/8`` away, inside the ball as ``|k| < 4``, and the image
+    itself iff ``2o + k*h == 0``."""
     getrandbits = rng.getrandbits
     off = _OFFSETS[draw_below(getrandbits, len(_OFFSETS))]
-    r = draw_below(getrandbits, len(_RADII))
-    half = _HALVES[r]
+    half = _HALVES[draw_below(getrandbits, len(_HALVES))]
     if abs(off) >= 2 * half:  # the ball must hold z: 1/2 against an offset of 1/2
-        r, half = 1, 2
-    a, b = qc.numerator, qc.denominator
-    excl = set()
+        half = 2
+    excl = []
     for _ in range(draw_below(getrandbits, 3)):
         step = 2 * off + (draw_below(getrandbits, 7) - 3) * half
         lev = draw_below(getrandbits, 2)
         if step or lev != level:
-            excl.add((Fraction(8 * a + step * b, 8 * b), lev))
-    return RationalBall._unchecked(x, Fraction(4 * a + off * b, 4 * b), _RADII[r], frozenset(excl))
+            excl.append((step, lev))
+    return _image_ball(z, 4 * half, 2 * off, excl)
 
 
 _XQ_CACHE_SIZE = 4096
 
-# The (natural, rational) pair of a block index.  One bounded cache shared by
-# every construction, so answering queries on ever new blocks cannot grow it.
-_xq = functools.lru_cache(maxsize=_XQ_CACHE_SIZE)(pair_encode)
-
-
-def _z(block: int, elem: int = 0):
-    """The pair-system image (natural, rational, level) of an element of a finite block."""
-    x, q = _xq(block)
-    return (x, q, elem)
-
+# The image of a block index: its (natural, rational) pair as the integers
+# (x, numerator, denominator).  One bounded cache shared by every
+# construction, so answering queries on ever new blocks cannot grow it.
+_xq = functools.lru_cache(maxsize=_XQ_CACHE_SIZE)(_image)
 
 _BALL_OPENS = (Ball, ExtPt)
 
@@ -729,10 +719,10 @@ def _dropped(o):
 
 def _ball_part(o) -> RationalBall:
     """The ball part of a pair-system open: its ball minus the image of its ``_dropped`` point."""
-    b, d = o.ball, _dropped(o)
+    d = _dropped(o)
     if d is None:
-        return b
-    return RationalBall._unchecked(b.x_index, b.center, b.radius, b.excluded | {_z(*d)[1:]})
+        return o.ball
+    return _ball_excluding(o.ball, _xq(d[0]), d[1])
 
 
 class ExtendPairs(InfOrSingleton):
@@ -772,9 +762,7 @@ class ExtendPairs(InfOrSingleton):
     def _witness_opens(self, p, q):
         if p.cls is not _F or q.cls is not _F:
             return InfOrSingleton._witness_opens(self, p, q)
-        (x1, q1), (x2, q2) = _xq(p.block), _xq(q.block)
-        d = _ONE if x1 != x2 else separating_radius(q1, q2)  # positive because the blocks differ
-        b1, b2 = RationalBall._unchecked(x1, q1, d, _NO_EXCL), RationalBall._unchecked(x2, q2, d, _NO_EXCL)
+        b1, b2 = _separating_balls(_xq(p.block), _xq(q.block))  # the blocks differ
         return self._wrap(p, b1), self._wrap(q, b2)
 
     def _member(self, o, p):
@@ -784,7 +772,7 @@ class ExtendPairs(InfOrSingleton):
             return False
         if p.elem >= 2:
             return type(o) is ExtPt and p.block == o.block and p.elem == o.elem
-        return (p.block, p.elem) != _dropped(o) and ball_member(o.ball, _z(p.block, p.elem))
+        return (p.block, p.elem) != _dropped(o) and _image_member(o.ball, _xq(p.block), p.elem)
 
     def _disjoint(self, o1, o2):
         b1, b2 = isinstance(o1, _BALL_OPENS), isinstance(o2, _BALL_OPENS)
@@ -799,12 +787,11 @@ class ExtendPairs(InfOrSingleton):
     def _basic_nbhd(self, p, avoid=None):
         if p.cls is not _F:
             return InfOrSingleton._basic_nbhd(self, p, avoid)
-        x, qc = _xq(p.block)
-        ball = RationalBall._unchecked(x, qc, _ONE, _NO_EXCL)
+        ball = _image_ball(_xq(p.block))
         o = self._wrap(p, ball)
         if isinstance(avoid, PointAddr) and avoid != p and self._member(o, avoid):
-            # the ball is still this call's own: the exclusion goes into it, not into a second open
-            ball.excluded = frozenset((_z(avoid.block, avoid.elem)[1:],))
+            # the open is still this call's own: the exclusion goes into it, not into a second open
+            _set(o, "ball", _ball_excluding(ball, _xq(avoid.block), avoid.elem))
         return o
 
     def _sample_open(self, p, rng, bounds):
@@ -812,22 +799,20 @@ class ExtendPairs(InfOrSingleton):
             return InfOrSingleton._sample_open(self, p, rng, bounds)
         size = self.spec.fin.size_of(p.block)
         if p.elem >= 2:
-            ball = _sample_ball(_z(p.block), rng)
-            return ExtPt(p.block, p.elem, ball)
+            return ExtPt(p.block, p.elem, _sample_ball(_xq(p.block), 0, rng))
         if p.elem == 1 and size >= 3 and rng.random() < 0.3:
             # an extension open of the same block also contains this point
-            x, qc = _xq(p.block)
             k = 2 + draw_below(rng.getrandbits, size - 2)
-            rad = _RADII[draw_below(rng.getrandbits, 2)]
-            return ExtPt(p.block, k, RationalBall._unchecked(x, qc, rad, _NO_EXCL))
-        return Ball(_sample_ball(_z(p.block, p.elem), rng))
+            half = _HALVES[draw_below(rng.getrandbits, 2)]
+            return ExtPt(p.block, k, _image_ball(_xq(p.block), 4 * half))
+        return Ball(_sample_ball(_xq(p.block), p.elem, rng))
 
     def _refine(self, o1, o2, p):
         if not isinstance(o1, _BALL_OPENS):
             return InfOrSingleton._refine(self, o1, o2, p)
         if p.elem >= 2:  # both opens are extension opens anchored at p
-            return ExtPt(p.block, p.elem, ball_refine(o1.ball, o2.ball, _z(p.block)))
-        return Ball(ball_refine(_ball_part(o1), _ball_part(o2), _z(p.block, p.elem)))
+            return ExtPt(p.block, p.elem, _image_refine(o1.ball, o2.ball, _xq(p.block)))
+        return Ball(_image_refine(_ball_part(o1), _ball_part(o2), _xq(p.block)))
 
     def _contains(self, outer, inner):
         b_out, b_in = isinstance(outer, _BALL_OPENS), isinstance(inner, _BALL_OPENS)

@@ -2,23 +2,39 @@
 
 Everything here is exact: residue-class subsets of the naturals, rational
 balls with finitely many excluded points, and a fixed bijection between the
-naturals and (natural, rational) pairs.  Rationals are stored as
-``fractions.Fraction`` values (unbounded integers, always reduced); the alias
-:data:`Rational` names that choice in signatures.  This module owns all ball
-arithmetic (member, disjoint, contains, refine, separating radius): one
-integer primitive, ``_excess``, decides every comparison of a distance with a
-radius by cross-multiplying numerators and denominators, so none builds a
-``Fraction``.  The ball rules know no construction: one that removes points
-from a ball passes a ball with those points among its exclusions.
-``RationalBall._unchecked`` skips the constructor's checks for
-balls whose invariants the caller has just established; it is internal to
-the package, and the public ``RationalBall(...)`` validates every input.
+naturals and (natural, rational) pairs.  The public calls take and give
+rationals as ``fractions.Fraction`` values; the alias :data:`Rational` names
+that choice in signatures.
+
+A :class:`RationalBall` stores its rationals as reduced integer pairs (lowest
+terms, positive denominator), so equality, hashing and exclusion lookup
+compare integers; its ``center``, ``radius`` and ``excluded`` are read-only
+``Fraction`` views.  This module owns all ball arithmetic (member, disjoint,
+contains, refine, separating radius): one integer primitive, ``_excess``,
+decides every comparison of a distance with a radius by cross-multiplying
+numerators and denominators.  A ``Fraction`` is built only where a public
+call takes or returns one.
+
+The pair system reaches the balls through named operations on block
+images, each image the pair of a block as integers ``(x, numerator,
+denominator)`` from ``_image``: a ball around an image (``_image_ball``,
+``_separating_balls``), a ball with one more excluded image
+(``_ball_excluding``), membership of an image at a level
+(``_image_member``) and refinement at an image (``_image_refine``).  So
+only this module knows the number format.  These operations build their
+balls without the public constructor's checks, through ``_ball``, from
+invariants they establish themselves; the public ``RationalBall(...)``
+validates every input.  The ball rules know no construction: one that
+removes points from a ball passes a ball with those points among its
+exclusions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 __all__ = [
@@ -77,6 +93,23 @@ def residues_disjoint(d1: ResidueClassSet, d2: ResidueClassSet) -> bool:
     return (d1.offset - d2.offset) % g != 0
 
 
+_NO_EXCL = frozenset()
+
+
+def _integer(field: str, value) -> int:
+    """``value`` as the int ``operator.index`` gives, or ValueError naming the field."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """``n/d`` (``d`` positive) in lowest terms."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 class RationalBall:
     """A cofinite subset of ``{x} x B_delta(center) x {0,1}``.
 
@@ -84,57 +117,62 @@ class RationalBall:
     around ``center``.  ``excluded`` is a finite set of (rational, level)
     pairs, all strictly inside the ball.  The represented set is always
     infinite.
+
+    The ball keeps its centre and radius as reduced integer pairs and each
+    exclusion as a reduced (numerator, denominator, level) triple;
+    ``center``, ``radius`` and ``excluded`` are ``Fraction`` views built on
+    each read.  The constructor takes anything ``Fraction`` accepts for the
+    rationals and integers for ``x_index`` and the levels.
     """
 
-    __slots__ = ("x_index", "center", "radius", "excluded")
+    __slots__ = ("x_index", "_cn", "_cd", "_rn", "_rd", "_excl")
 
-    @classmethod
-    def _unchecked(cls, x_index: int, center: Fraction, radius: Fraction, excluded: frozenset) -> "RationalBall":
-        """A ball built without validation (internal).
-
-        The caller guarantees what ``__init__`` would check: a natural
-        ``x_index``, ``Fraction`` centre and radius with a positive radius,
-        and a frozenset of (``Fraction``, 0 or 1) pairs strictly inside.
-        """
-        b = object.__new__(cls)
-        b.x_index = x_index
-        b.center = center
-        b.radius = radius
-        b.excluded = excluded
-        return b
-
-    def __init__(self, x_index: int, center: Fraction, radius: Fraction, excluded=()):
+    def __new__(cls, x_index: int, center: Fraction, radius: Fraction, excluded=()):
+        x_index = _integer("x_index", x_index)
         center = Fraction(center)
         radius = Fraction(radius)
         if x_index < 0:
             raise ValueError("x_index must be a natural")
         if radius <= 0:
             raise ValueError("radius must be positive")
-        excluded = frozenset((Fraction(q), int(level)) for q, level in excluded)
+        excl = set()
         for q, level in excluded:
+            q, level = Fraction(q), _integer("level", level)
             if level not in (0, 1):
                 raise ValueError(f"level must be 0 or 1: {level}")
             if abs(q - center) >= radius:
                 raise ValueError(f"excluded point outside the ball: {format_rational(q)}")
-        self.x_index = x_index
-        self.center = center
-        self.radius = radius
-        self.excluded = excluded
+            excl.add((q.numerator, q.denominator, level))
+        return _ball(x_index, center.numerator, center.denominator, radius.numerator, radius.denominator, frozenset(excl))
+
+    @property
+    def center(self) -> Fraction:
+        return Fraction(self._cn, self._cd)
+
+    @property
+    def radius(self) -> Fraction:
+        return Fraction(self._rn, self._rd)
+
+    @property
+    def excluded(self) -> frozenset:
+        return frozenset((Fraction(n, d), level) for n, d, level in self._excl)
+
+    def _key(self):
+        return self.x_index, self._cn, self._cd, self._rn, self._rd, self._excl
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RationalBall)
-            and (self.x_index, self.center, self.radius, self.excluded)
-            == (other.x_index, other.center, other.radius, other.excluded)
-        )
+        return isinstance(other, RationalBall) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.x_index, self.center, self.radius, self.excluded))
+        return hash(self._key())
+
+    def __reduce__(self):  # pickle rebuilds from the stored integers
+        return _ball, self._key()
 
     def render_args(self) -> str:
         """The fields as ``x=..,q=..,d=..,excl=[..]``, exclusions sorted."""
-        excl = ",".join(f"({format_rational(q)},{level})" for q, level in sorted(self.excluded))
-        return f"x={self.x_index},q={format_rational(self.center)},d={format_rational(self.radius)},excl=[{excl}]"
+        excl = ",".join(f"({n}/{d},{level})" for n, d, level in sorted(self._excl, key=_BY_VALUE))
+        return f"x={self.x_index},q={self._cn}/{self._cd},d={self._rn}/{self._rd},excl=[{excl}]"
 
     def render(self) -> str:
         return f"ball({self.render_args()})"
@@ -142,32 +180,60 @@ class RationalBall:
     __repr__ = render
 
 
-def _excess(a: Fraction, b: Fraction, rn: int, rd: int) -> int:
-    """``|a - b| - rn/rd`` scaled by the positive ``a.denominator * b.denominator * rd``;
+def _compare(e1: tuple[int, int, int], e2: tuple[int, int, int]) -> int:
+    """The order of two exclusions, by rational and then by level, in integers."""
+    return e1[0] * e2[1] - e2[0] * e1[1] or e1[2] - e2[2]
+
+
+_BY_VALUE = functools.cmp_to_key(_compare)
+
+
+def _ball(x: int, cn: int, cd: int, rn: int, rd: int, excl: frozenset) -> RationalBall:
+    """A ball built without validation from what ``RationalBall`` checks: a
+    natural ``x``, reduced pairs with a positive radius, and a frozenset of
+    reduced (numerator, denominator, level) exclusions strictly inside."""
+    b = object.__new__(RationalBall)
+    b.x_index = x
+    b._cn = cn
+    b._cd = cd
+    b._rn = rn
+    b._rd = rd
+    b._excl = excl
+    return b
+
+
+def _excess(an: int, ad: int, bn: int, bd: int, rn: int, rd: int) -> int:
+    """``|an/ad - bn/bd| - rn/rd`` scaled by the positive ``ad * bd * rd``;
     its sign decides every comparison of a distance with a radius."""
-    ad, bd = a.denominator, b.denominator
-    return abs(a.numerator * bd - b.numerator * ad) * rd - rn * ad * bd
+    return abs(an * bd - bn * ad) * rd - rn * ad * bd
 
 
 def in_interval(q: Fraction, center: Fraction, radius: Fraction) -> bool:
     """``|q - center| < radius``, decided in integers."""
-    return _excess(q, center, radius.numerator, radius.denominator) < 0
+    return _excess(q.numerator, q.denominator, center.numerator, center.denominator,
+                   radius.numerator, radius.denominator) < 0
+
+
+def _half_distance(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """``|an/ad - bn/bd| / 2`` as a reduced pair."""
+    return _reduced(_excess(an, ad, bn, bd, 0, 1), 2 * ad * bd)
 
 
 def separating_radius(q1: Fraction, q2: Fraction) -> Fraction:
     """``|q1 - q2| / 2``: balls of this radius around q1 and q2 are disjoint."""
-    return Fraction(_excess(q1, q2, 0, 1), 2 * q1.denominator * q2.denominator)
+    return Fraction(*_half_distance(q1.numerator, q1.denominator, q2.numerator, q2.denominator))
+
+
+def _image_member(b: RationalBall, z: tuple[int, int, int], level: int) -> bool:
+    """Whether the image ``z = (x, numerator, denominator)`` at ``level`` lies in ``b``."""
+    x, n, d = z
+    excl = b._excl
+    return x == b.x_index and _excess(n, d, b._cn, b._cd, b._rn, b._rd) < 0 and not (excl and (n, d, level) in excl)
 
 
 def ball_member(b: RationalBall, point: tuple[int, Fraction, int]) -> bool:
     x, q, level = point
-    r = b.radius
-    if x != b.x_index or _excess(q, b.center, r.numerator, r.denominator) >= 0:
-        return False
-    for e, lev in b.excluded:  # a scan of the few exclusions: hashing a Fraction costs more
-        if lev == level and e == q:
-            return False
-    return True
+    return _image_member(b, (x, q.numerator, q.denominator), level)
 
 
 def ball_disjoint(b1: RationalBall, b2: RationalBall) -> bool:
@@ -178,9 +244,8 @@ def ball_disjoint(b1: RationalBall, b2: RationalBall) -> bool:
     """
     if b1.x_index != b2.x_index:
         return True
-    r1, r2 = b1.radius, b2.radius
-    rd1, rd2 = r1.denominator, r2.denominator
-    return _excess(b1.center, b2.center, r1.numerator * rd2 + r2.numerator * rd1, rd1 * rd2) >= 0
+    rn1, rd1, rn2, rd2 = b1._rn, b1._rd, b2._rn, b2._rd
+    return _excess(b1._cn, b1._cd, b2._cn, b2._cd, rn1 * rd2 + rn2 * rd1, rd1 * rd2) >= 0
 
 
 def ball_contains(outer: RationalBall, inner: RationalBall) -> bool:
@@ -188,29 +253,59 @@ def ball_contains(outer: RationalBall, inner: RationalBall) -> bool:
     inside the inner ball is excluded there too."""
     if outer.x_index != inner.x_index:
         return False
-    ro, ri = outer.radius, inner.radius
-    rod, rid = ro.denominator, ri.denominator
-    if _excess(inner.center, outer.center, ro.numerator * rid - ri.numerator * rod, rod * rid) > 0:
+    cn, cd, rn, rd = inner._cn, inner._cd, inner._rn, inner._rd
+    ron, rod = outer._rn, outer._rd
+    if _excess(cn, cd, outer._cn, outer._cd, ron * rd - rn * rod, rod * rd) > 0:
         return False
-    return all(e in inner.excluded for e in outer.excluded if in_interval(e[0], inner.center, ri))
+    inside = inner._excl
+    return all(e in inside for e in outer._excl if _excess(e[0], e[1], cn, cd, rn, rd) < 0)
 
 
-def _room(b: RationalBall, q: Fraction) -> tuple[int, int]:
-    """``b.radius - |q - b.center|`` as an unreduced (numerator, denominator) pair."""
-    r = b.radius
-    return -_excess(q, b.center, r.numerator, r.denominator), q.denominator * b.center.denominator * r.denominator
+def _image_refine(b1: RationalBall, b2: RationalBall, z: tuple[int, int, int]) -> RationalBall:
+    """A ball around the image z inside both arguments, inheriting relevant exclusions."""
+    x, n, d = z
+    # each ball's room around z, radius - |z - centre|, as an unreduced pair
+    n1, d1 = -_excess(n, d, b1._cn, b1._cd, b1._rn, b1._rd), d * b1._cd * b1._rd
+    n2, d2 = -_excess(n, d, b2._cn, b2._cd, b2._rn, b2._rd), d * b2._cd * b2._rd
+    rn, rd = (n1, d1) if n1 * d2 <= n2 * d1 else (n2, d2)
+    if rn <= 0:
+        raise ValueError("radius must be positive")
+    rn, rd = _reduced(rn, rd)
+    excl = b1._excl | b2._excl
+    if excl:
+        excl = frozenset([e for e in excl if _excess(e[0], e[1], n, d, rn, rd) < 0])
+    return _ball(x, n, d, rn, rd, excl)
 
 
 def ball_refine(b1: RationalBall, b2: RationalBall, z) -> RationalBall:
     """A ball around z inside both arguments, inheriting relevant exclusions."""
     x, q, _ = z
-    (n1, d1), (n2, d2) = _room(b1, q), _room(b2, q)
-    num, den = (n1, d1) if n1 * d2 <= n2 * d1 else (n2, d2)
-    if num <= 0:
-        raise ValueError("radius must be positive")
-    rad = Fraction(num, den)
-    excl = frozenset(e for e in b1.excluded | b2.excluded if in_interval(e[0], q, rad))
-    return RationalBall._unchecked(x, q, rad, excl)
+    return _image_refine(b1, b2, (x, q.numerator, q.denominator))
+
+
+def _image_ball(z: tuple[int, int, int], eighths: int = 8, shift: int = 0, excluded=()) -> RationalBall:
+    """The ball of radius ``eighths/8`` around the rational of the image z
+    moved by ``shift/8``, minus each (shift, level) of ``excluded`` at that
+    shift from z's rational; the caller keeps every exclusion inside."""
+    x, n, d = z
+    g = math.gcd(eighths, 8)
+    cn, cd = _reduced(8 * n + shift * d, 8 * d) if shift else (n, d)
+    excl = frozenset([(*_reduced(8 * n + s * d, 8 * d), level) for s, level in excluded]) if excluded else _NO_EXCL
+    return _ball(x, cn, cd, eighths // g, 8 // g, excl)
+
+
+def _separating_balls(z1: tuple[int, int, int], z2: tuple[int, int, int]) -> tuple[RationalBall, RationalBall]:
+    """Disjoint balls of one radius around the images of two distinct blocks:
+    radius 1 on different naturals, else half the distance of the rationals."""
+    (x1, n1, d1), (x2, n2, d2) = z1, z2
+    rn, rd = (1, 1) if x1 != x2 else _half_distance(n1, d1, n2, d2)
+    return _ball(x1, n1, d1, rn, rd, _NO_EXCL), _ball(x2, n2, d2, rn, rd, _NO_EXCL)
+
+
+def _ball_excluding(b: RationalBall, z: tuple[int, int, int], level: int) -> RationalBall:
+    """``b`` minus the image z at ``level`` as well; z must lie strictly inside."""
+    _, n, d = z
+    return _ball(b.x_index, b._cn, b._cd, b._rn, b._rd, b._excl | {(n, d, level)})
 
 
 # --- fixed bijection between the naturals and (natural, rational) pairs ---
@@ -225,9 +320,9 @@ def cantor_unpair(n: int) -> tuple[int, int]:
     return w - b, b
 
 
-def _positive_rational_at(k: int) -> Fraction:
+def _positive_rational_at(k: int) -> tuple[int, int]:
     # Node k+1 of the Calkin-Wilf tree in heap numbering: root 1/1,
-    # left child a/(a+b), right child (a+b)/b.
+    # left child a/(a+b), right child (a+b)/b; every node is in lowest terms.
     v = k + 1
     a, b = 1, 1
     for shift in range(v.bit_length() - 2, -1, -1):
@@ -235,7 +330,7 @@ def _positive_rational_at(k: int) -> Fraction:
             a = a + b
         else:
             b = a + b
-    return Fraction(a, b)
+    return a, b
 
 
 def _positive_rational_index(q: Fraction) -> int:
@@ -256,13 +351,18 @@ def _positive_rational_index(q: Fraction) -> int:
     return v - 1
 
 
+def _rational_terms(k: int) -> tuple[int, int]:
+    """The k-th rational as a reduced (numerator, denominator) pair."""
+    if k == 0:
+        return 0, 1
+    t, sign = divmod(k - 1, 2)
+    a, b = _positive_rational_at(t)
+    return (a, b) if sign == 0 else (-a, b)
+
+
 def rational_at(k: int) -> Fraction:
     """The k-th rational: 0 first, then positives and negatives interleaved."""
-    if k == 0:
-        return Fraction(0)
-    t, sign = divmod(k - 1, 2)
-    q = _positive_rational_at(t)
-    return q if sign == 0 else -q
+    return Fraction(*_rational_terms(k))
 
 
 def rational_index(q: Fraction) -> int:
@@ -274,10 +374,16 @@ def rational_index(q: Fraction) -> int:
     return 2 * t + 1 if q > 0 else 2 * t + 2
 
 
+def _image(n: int) -> tuple[int, int, int]:
+    """The pair of n as integers: (natural, numerator, denominator), reduced."""
+    a, b = cantor_unpair(n)
+    return (a, *_rational_terms(b))
+
+
 def pair_encode(n: int) -> tuple[int, Fraction]:
     """The fixed bijection from naturals to (natural, rational) pairs."""
-    a, b = cantor_unpair(n)
-    return a, rational_at(b)
+    x, num, den = _image(n)
+    return x, Fraction(num, den)
 
 
 def pair_decode(pair: tuple[int, Fraction]) -> int:

@@ -315,6 +315,20 @@ def test_each_subcommand_loads_only_its_own_layers(argv, code, absent):
         assert not loaded & (absent - bare)
 
 
+def test_every_cli_annotation_resolves():
+    # the annotations are strings, evaluated in the module's globals, where a
+    # name imported inside a function is absent
+    import inspect
+    import typing
+
+    from diagclosure import cli
+
+    functions = [f for _, f in inspect.getmembers(cli, inspect.isfunction) if f.__module__ == cli.__name__]
+    assert len(functions) >= 5
+    for f in functions:
+        typing.get_type_hints(f)
+
+
 # --- example ---
 
 def test_example_default(capsys):

@@ -664,7 +664,8 @@ def test_pair_cache_stays_bounded():
 )
 def test_internally_built_balls_pass_the_public_checks(text):
     # the pair system builds its balls without validation; the public
-    # constructor must accept every one of them and rebuild it equal
+    # constructor must accept every one of them and rebuild it equal, with
+    # the same hash
     spec = parse_spec(text)
     c = realise_t1(spec)
     rng = random.Random(3)
@@ -694,7 +695,22 @@ def test_internally_built_balls_pass_the_public_checks(text):
         b = o.ball
         assert type(b.center) is Fraction and type(b.radius) is Fraction
         assert all(type(q) is Fraction for q, _ in b.excluded)
-        assert RationalBall(b.x_index, b.center, b.radius, b.excluded) == b
+        rebuilt = RationalBall(b.x_index, b.center, b.radius, b.excluded)
+        assert rebuilt == b and hash(rebuilt) == hash(b)  # both compare stored integers: reduced form is kept
+
+
+def test_pair_systems_verify_without_fraction_arithmetic(monkeypatch):
+    # balls keep reduced integers, so the verify loops of the three ball
+    # kinds build, hash and compare no Fraction, even at wide block bounds
+    texts = ("singletons=0;fin=cycle[2];inf=0", "singletons=0;fin=cycle[2,3];inf=0", "singletons=1;fin=cycle[2,3];inf=2")
+    built = [(realise_t1(parse_spec(t)), parse_spec(t)) for t in texts]
+    calls = []
+    for name in ("__new__", "__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        orig = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *a, _orig=orig, _name=name, **k: calls.append(_name) or _orig(*a, **k))
+    reports = [verify_construction(c, spec, 2000, (10**12, 50), 1, 300) for c, spec in built]
+    monkeypatch.undo()
+    assert calls == [] and all(r.passed() for r in reports)
 
 
 # --- argument checks: every public call rejects what it must, with its message ---

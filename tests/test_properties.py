@@ -287,6 +287,30 @@ def test_refined_radius_matches_fractions(c1, r1, c2, r2, t):
     assert b.center == q and b.excluded == frozenset()
 
 
+@settings(deadline=None)
+@given(c1=rationals, r1=radii, c2=rationals, r2=radii, t=st.fractions(min_value=0, max_value=1, max_denominator=12),
+       data=st.data())
+def test_refined_exclusions_match_fractions(c1, r1, c2, r2, t, data):
+    lo, hi = max(c1 - r1, c2 - r2), min(c1 + r1, c2 + r2)
+    assume(lo < hi)
+    q = lo + t * (hi - lo)
+    assume(lo < q < hi)
+    rad = min(r1 - abs(q - c1), r2 - abs(q - c2))
+    shares = st.lists(st.tuples(st.fractions(min_value=-1, max_value=1, max_denominator=12), st.integers(0, 1)),
+                      max_size=3)
+
+    def exclusions(c, r):
+        # inside the refined ball, or on its edge at a share of +-1; then anywhere in the ball's own interval
+        near = {(q + s * rad, level) for s, level in data.draw(shares)}
+        far = {(c + s * r, level) for s, level in data.draw(shares)}
+        return {e for e in near | far if abs(e[0] - c) < r}
+
+    e1, e2 = exclusions(c1, r1), exclusions(c2, r2)
+    b = ball_refine(RationalBall(0, c1, r1, e1), RationalBall(0, c2, r2, e2), (0, q, 0))
+    assert b.radius == rad and b.center == q
+    assert b.excluded == {e for e in e1 | e2 if abs(e[0] - q) < rad}
+
+
 # --- the command line never ends in a traceback ---
 
 _CALL_SECONDS = 20

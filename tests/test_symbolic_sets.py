@@ -87,6 +87,16 @@ def test_ball_symmetry_and_validation():
         RationalBall(0, Fraction(0), Fraction(1), excluded={(Fraction(1, 2), 7)})
     with pytest.raises(ValueError, match="^x_index must be a natural$"):
         RationalBall(-1, Fraction(0), Fraction(1))
+    for bad in (1.5, "1", None):  # refused, not stored: equality and hashing compare stored integers
+        with pytest.raises(ValueError, match="^x_index must be an integer, got "):
+            RationalBall(bad, Fraction(1, 2), 1)
+        with pytest.raises(ValueError, match="^level must be an integer, got "):
+            RationalBall(0, Fraction(0), Fraction(1), excluded={(Fraction(1, 2), bad)})
+    with pytest.raises(ValueError, match="^level must be an integer, got 0.5$"):  # not cut to 0 by int()
+        RationalBall(0, Fraction(0), Fraction(1), excluded={(Fraction(1, 2), 0.5)})
+    b = RationalBall(True, Fraction(0), Fraction(1), excluded={(Fraction(1, 2), True)})
+    assert type(b.x_index) is int and b == RationalBall(1, Fraction(0), Fraction(1), excluded={(Fraction(1, 2), 1)})
+    assert b.render() == "ball(x=1,q=0/1,d=1/1,excl=[(1/2,1)])"
 
 
 def test_ball_refine_refuses_a_point_outside_either_ball():
@@ -100,6 +110,9 @@ def test_ball_refine_refuses_a_point_outside_either_ball():
 def test_ball_render():
     b = RationalBall(0, Fraction(1, 2), Fraction(1, 4), excluded={(Fraction(3, 8), 1)})
     assert b.render() == "ball(x=0,q=1/2,d=1/4,excl=[(3/8,1)])"
+    many = {(Fraction(3, 8), 1), (Fraction(-1, 3), 0), (Fraction(3, 8), 0), (Fraction(1, 3), 1), (Fraction(-3, 8), 1)}
+    b = RationalBall(0, Fraction(0), Fraction(1), excluded=many)  # sorted by rational, then by level
+    assert b.render() == "ball(x=0,q=0/1,d=1/1,excl=[(-3/8,1),(-1/3,0),(1/3,1),(3/8,0),(3/8,1)])"
 
 
 def test_rational_render_parse():
