@@ -142,6 +142,7 @@ class _Cofinite(_Frozen):
     """
 
     __slots__ = ()
+    _defaults = {"excluded": frozenset()}
     _head = ()
     _excl_label = "excl"
 
@@ -162,9 +163,6 @@ class SingletonPt(_Named):
 
     _fields = __slots__ = ("point",)
 
-    def __init__(self, point: PointAddr):
-        _set(self, "point", point)
-
 
 class CofInBlock(_Cofinite):
     """A cofinite subset of a single (infinite) block."""
@@ -172,21 +170,12 @@ class CofInBlock(_Cofinite):
     _fields = __slots__ = ("block", "excluded")
     _head = (("block", "block"),)
 
-    def __init__(self, block: BlockRef, excluded: frozenset = frozenset()):
-        _set(self, "block", block)
-        _set(self, "excluded", excluded)
-
 
 class _FinPt(_Cofinite):
     """A finite-block point plus a cofinite subset of its reservoir."""
 
     _fields = __slots__ = ("block", "elem", "excluded")
     _head = (("block", "block"), ("elem", "elem"))
-
-    def __init__(self, block: int, elem: int, excluded: frozenset = frozenset()):
-        _set(self, "block", block)
-        _set(self, "elem", elem)
-        _set(self, "excluded", excluded)
 
 
 class FinPt1(_FinPt):
@@ -207,9 +196,6 @@ class Ball(_Frozen):
 
     _fields = __slots__ = ("ball",)
 
-    def __init__(self, ball: RationalBall):
-        _set(self, "ball", ball)
-
     def render(self) -> str:
         return f"Ball({self.ball.render_args()})"
 
@@ -221,11 +207,6 @@ class ExtPt(_Frozen):
 
     _fields = __slots__ = ("block", "elem", "ball")
 
-    def __init__(self, block: int, elem: int, ball: RationalBall):
-        _set(self, "block", block)
-        _set(self, "elem", elem)
-        _set(self, "ball", ball)
-
     def render(self) -> str:
         return f"ExtPt(block={self.block}, elem={self.elem}, ball=({self.ball.render_args()}))"
 
@@ -235,26 +216,17 @@ class SatPair(_Named):
 
     _fields = __slots__ = ("point",)
 
-    def __init__(self, point: PointAddr):
-        _set(self, "point", point)
-
 
 class BlockOpen(_Named):
     """An entire block, as a basic open of the block-saturated topology."""
 
     _fields = __slots__ = ("block",)
 
-    def __init__(self, block: BlockRef):
-        _set(self, "block", block)
-
 
 class CofOmega(_Cofinite):
     """A cofinite subset of the naturals."""
 
     _fields = __slots__ = ("excluded",)
-
-    def __init__(self, excluded: frozenset = frozenset()):
-        _set(self, "excluded", excluded)
 
 
 class CofInD(_Cofinite):
@@ -263,19 +235,11 @@ class CofInD(_Cofinite):
     _fields = __slots__ = ("index", "excluded")
     _head = (("d", "index"),)
 
-    def __init__(self, index: int, excluded: frozenset = frozenset()):
-        _set(self, "index", index)
-        _set(self, "excluded", excluded)
-
 
 class Certificate(_Frozen):
     """A disjoint pair of basic opens, the first around the first query point."""
 
     _fields = __slots__ = ("open_a", "open_b")
-
-    def __init__(self, open_a, open_b):
-        _set(self, "open_a", open_a)
-        _set(self, "open_b", open_b)
 
     def render(self) -> str:
         return f"{self.open_a.render()}\n{self.open_b.render()}"
@@ -1043,14 +1007,6 @@ class NonTransitiveReport(_Frozen):
     """Outcome of the non-transitivity demonstration."""
 
     _fields = __slots__ = ("designated", "construction", "triple", "certificate", "message")
-
-    def __init__(self, designated: tuple, construction: Optional[SubbasisExample],
-                 triple: Optional[tuple[int, int, int]], certificate: Optional[Certificate], message: str):
-        _set(self, "designated", designated)
-        _set(self, "construction", construction)
-        _set(self, "triple", triple)
-        _set(self, "certificate", certificate)
-        _set(self, "message", message)
 
     @property
     def ok(self) -> bool:

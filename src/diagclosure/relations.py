@@ -198,17 +198,32 @@ _set = object.__setattr__
 class _Frozen:
     """Value semantics of a frozen dataclass, without importing ``dataclasses``.
 
-    A subclass names its fields in ``_fields``: they are the value, and its
-    ``__init__`` takes them in that order and sets them through ``_set``.
-    Its ``__slots__`` holds the fields and may add slots for derived or
-    cached data, also set through ``_set``.  Values are equal only to values
-    of the same class with equal fields, hash as their field tuple, show as
-    ``Class(field=value, ...)``, refuse assignment and deletion, and pickle
-    and copy by calling ``__init__`` with their fields.
+    A subclass names its fields in ``_fields``: they are the value.  Unless
+    the class writes its own ``__init__``, one is generated that takes them
+    in that order, with the defaults given in ``_defaults``, and sets them
+    through ``_set``; a class that converts or checks its values first
+    writes its own.  Its ``__slots__`` holds the fields and may add slots
+    for derived or cached data, also set through ``_set``.  Values are equal
+    only to values of the same class with equal fields, hash as their field
+    tuple, show as ``Class(field=value, ...)``, refuse assignment and
+    deletion, and pickle and copy by calling ``__init__`` with their fields.
     """
 
     __slots__ = ()
     _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        # Compiled from source once per class, as dataclasses and namedtuple
+        # build theirs, so it runs the code of a hand-written __init__: a verify
+        # round builds over half a million opens and certificates.
+        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
+            params = "".join(f", {f}=_d_{f}" if f in cls._defaults else f", {f}" for f in cls._fields)
+            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+            namespace = {"_set": _set, **{f"_d_{f}": v for f, v in cls._defaults.items()}}
+            exec(f"def __init__(self{params}):{body}\n", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # named in argument errors
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

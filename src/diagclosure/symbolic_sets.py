@@ -2,9 +2,11 @@
 
 Everything here is exact: residue-class subsets of the naturals, rational
 balls with finitely many excluded points, and a fixed bijection between the
-naturals and (natural, rational) pairs.  The public calls take and give
-rationals as ``fractions.Fraction`` values; the alias :data:`Rational` names
-that choice in signatures.
+naturals and (natural, rational) pairs.  The public calls give rationals
+as ``fractions.Fraction`` values, and take them as the ``RationalBall``
+constructor does: an int or a ``Fraction`` as it is, anything else by its
+exact value (``_terms``); the alias :data:`Rational` names that choice in
+signatures.
 
 A :class:`RationalBall` stores its rationals as reduced integer pairs (lowest
 terms, positive denominator), so equality, hashing and exclusion lookup
@@ -104,6 +106,17 @@ def _integer(field: str, value) -> int:
         raise ValueError(f"{field} must be an integer, got {value!r}") from None
 
 
+def _terms(q) -> tuple[int, int]:
+    """The rational ``q`` as its reduced (numerator, denominator) pair, read
+    as the ``RationalBall`` constructor reads it: an int, a ``Fraction``, a
+    float or a ``Decimal`` by its exact ratio, anything else through
+    ``Fraction(q)``.  Ints and Fractions give their own terms unconverted."""
+    try:
+        return q.as_integer_ratio()
+    except AttributeError:
+        return Fraction(q).as_integer_ratio()
+
+
 def _reduced(n: int, d: int) -> tuple[int, int]:
     """``n/d`` (``d`` positive) in lowest terms."""
     g = math.gcd(n, d)
@@ -122,10 +135,11 @@ class RationalBall:
     exclusion as a reduced (numerator, denominator, level) triple;
     ``center``, ``radius`` and ``excluded`` are ``Fraction`` views built on
     each read.  The constructor takes anything ``Fraction`` accepts for the
-    rationals and integers for ``x_index`` and the levels.
+    rationals and integers for ``x_index`` and the levels.  ``x_index`` is
+    read-only, like the views: the ball's hash depends on it.
     """
 
-    __slots__ = ("x_index", "_cn", "_cd", "_rn", "_rd", "_excl")
+    __slots__ = ("_x", "_cn", "_cd", "_rn", "_rd", "_excl")
 
     def __new__(cls, x_index: int, center: Fraction, radius: Fraction, excluded=()):
         x_index = _integer("x_index", x_index)
@@ -146,6 +160,10 @@ class RationalBall:
         return _ball(x_index, center.numerator, center.denominator, radius.numerator, radius.denominator, frozenset(excl))
 
     @property
+    def x_index(self) -> int:
+        return self._x
+
+    @property
     def center(self) -> Fraction:
         return Fraction(self._cn, self._cd)
 
@@ -158,7 +176,7 @@ class RationalBall:
         return frozenset((Fraction(n, d), level) for n, d, level in self._excl)
 
     def _key(self):
-        return self.x_index, self._cn, self._cd, self._rn, self._rd, self._excl
+        return self._x, self._cn, self._cd, self._rn, self._rd, self._excl
 
     def __eq__(self, other):
         return isinstance(other, RationalBall) and self._key() == other._key()
@@ -172,7 +190,7 @@ class RationalBall:
     def render_args(self) -> str:
         """The fields as ``x=..,q=..,d=..,excl=[..]``, exclusions sorted."""
         excl = ",".join(f"({n}/{d},{level})" for n, d, level in sorted(self._excl, key=_BY_VALUE))
-        return f"x={self.x_index},q={self._cn}/{self._cd},d={self._rn}/{self._rd},excl=[{excl}]"
+        return f"x={self._x},q={self._cn}/{self._cd},d={self._rn}/{self._rd},excl=[{excl}]"
 
     def render(self) -> str:
         return f"ball({self.render_args()})"
@@ -193,7 +211,7 @@ def _ball(x: int, cn: int, cd: int, rn: int, rd: int, excl: frozenset) -> Ration
     natural ``x``, reduced pairs with a positive radius, and a frozenset of
     reduced (numerator, denominator, level) exclusions strictly inside."""
     b = object.__new__(RationalBall)
-    b.x_index = x
+    b._x = x
     b._cn = cn
     b._cd = cd
     b._rn = rn
@@ -210,8 +228,7 @@ def _excess(an: int, ad: int, bn: int, bd: int, rn: int, rd: int) -> int:
 
 def in_interval(q: Fraction, center: Fraction, radius: Fraction) -> bool:
     """``|q - center| < radius``, decided in integers."""
-    return _excess(q.numerator, q.denominator, center.numerator, center.denominator,
-                   radius.numerator, radius.denominator) < 0
+    return _excess(*_terms(q), *_terms(center), *_terms(radius)) < 0
 
 
 def _half_distance(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
@@ -221,19 +238,20 @@ def _half_distance(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
 
 def separating_radius(q1: Fraction, q2: Fraction) -> Fraction:
     """``|q1 - q2| / 2``: balls of this radius around q1 and q2 are disjoint."""
-    return Fraction(*_half_distance(q1.numerator, q1.denominator, q2.numerator, q2.denominator))
+    return Fraction(*_half_distance(*_terms(q1), *_terms(q2)))
 
 
 def _image_member(b: RationalBall, z: tuple[int, int, int], level: int) -> bool:
     """Whether the image ``z = (x, numerator, denominator)`` at ``level`` lies in ``b``."""
     x, n, d = z
     excl = b._excl
-    return x == b.x_index and _excess(n, d, b._cn, b._cd, b._rn, b._rd) < 0 and not (excl and (n, d, level) in excl)
+    return x == b._x and _excess(n, d, b._cn, b._cd, b._rn, b._rd) < 0 and not (excl and (n, d, level) in excl)
 
 
 def ball_member(b: RationalBall, point: tuple[int, Fraction, int]) -> bool:
     x, q, level = point
-    return _image_member(b, (x, q.numerator, q.denominator), level)
+    n, d = _terms(q)
+    return _image_member(b, (x, n, d), level)
 
 
 def ball_disjoint(b1: RationalBall, b2: RationalBall) -> bool:
@@ -242,7 +260,7 @@ def ball_disjoint(b1: RationalBall, b2: RationalBall) -> bool:
     Exclusions never matter: overlapping open rational intervals share
     infinitely many points while exclusion sets are finite.
     """
-    if b1.x_index != b2.x_index:
+    if b1._x != b2._x:
         return True
     rn1, rd1, rn2, rd2 = b1._rn, b1._rd, b2._rn, b2._rd
     return _excess(b1._cn, b1._cd, b2._cn, b2._cd, rn1 * rd2 + rn2 * rd1, rd1 * rd2) >= 0
@@ -251,7 +269,7 @@ def ball_disjoint(b1: RationalBall, b2: RationalBall) -> bool:
 def ball_contains(outer: RationalBall, inner: RationalBall) -> bool:
     """Exact containment: ``|ci - co| + ri <= ro`` and every outer exclusion
     inside the inner ball is excluded there too."""
-    if outer.x_index != inner.x_index:
+    if outer._x != inner._x:
         return False
     cn, cd, rn, rd = inner._cn, inner._cd, inner._rn, inner._rd
     ron, rod = outer._rn, outer._rd
@@ -280,7 +298,7 @@ def _image_refine(b1: RationalBall, b2: RationalBall, z: tuple[int, int, int]) -
 def ball_refine(b1: RationalBall, b2: RationalBall, z) -> RationalBall:
     """A ball around z inside both arguments, inheriting relevant exclusions."""
     x, q, _ = z
-    return _image_refine(b1, b2, (x, q.numerator, q.denominator))
+    return _image_refine(b1, b2, (x, *_terms(q)))
 
 
 def _image_ball(z: tuple[int, int, int], eighths: int = 8, shift: int = 0, excluded=()) -> RationalBall:
@@ -305,7 +323,7 @@ def _separating_balls(z1: tuple[int, int, int], z2: tuple[int, int, int]) -> tup
 def _ball_excluding(b: RationalBall, z: tuple[int, int, int], level: int) -> RationalBall:
     """``b`` minus the image z at ``level`` as well; z must lie strictly inside."""
     _, n, d = z
-    return _ball(b.x_index, b._cn, b._cd, b._rn, b._rd, b._excl | {(n, d, level)})
+    return _ball(b._x, b._cn, b._cd, b._rn, b._rd, b._excl | {(n, d, level)})
 
 
 # --- fixed bijection between the naturals and (natural, rational) pairs ---
@@ -323,32 +341,34 @@ def cantor_unpair(n: int) -> tuple[int, int]:
 def _positive_rational_at(k: int) -> tuple[int, int]:
     # Node k+1 of the Calkin-Wilf tree in heap numbering: root 1/1,
     # left child a/(a+b), right child (a+b)/b; every node is in lowest terms.
-    v = k + 1
-    a, b = 1, 1
-    for shift in range(v.bit_length() - 2, -1, -1):
-        if v >> shift & 1:
-            a = a + b
+    # The bits of k+1 below its leading one spell the path from the root.
+    a = b = 1
+    for bit in bin(k + 1)[3:]:
+        if bit == "1":
+            a += b
         else:
-            b = a + b
+            b += a
     return a, b
 
 
 def _positive_rational_index(q: Fraction) -> int:
+    # The path back to the root, one continued-fraction term at a time: a
+    # node a/b with a > b is reached from ((a-1) mod b + 1)/b by (a-1) // b
+    # right steps in a row, and a node with a < b alike by left steps.  The
+    # runs are gathered leaf first: they are the bits of k+1 after its
+    # leading one, read backwards.  Its one caller passes |q| for q != 0.
     a, b = q.numerator, q.denominator
-    if a <= 0:
-        raise ValueError("positive rational required")
-    bits = []
-    while (a, b) != (1, 1):
+    runs = []
+    while a != b:  # only the root 1/1 has a == b
         if a > b:
-            bits.append(1)
-            a -= b
+            m, a = divmod(a - 1, b)
+            runs.append("1" * m)
+            a += 1
         else:
-            bits.append(0)
-            b -= a
-    v = 1
-    for bit in reversed(bits):
-        v = v << 1 | bit
-    return v - 1
+            m, b = divmod(b - 1, a)
+            runs.append("0" * m)
+            b += 1
+    return int("1" + "".join(reversed(runs)), 2) - 1
 
 
 def _rational_terms(k: int) -> tuple[int, int]:

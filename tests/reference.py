@@ -27,6 +27,9 @@ each draw and draw through ``randint``; the verify harness's samplers, built
 once per run, must take the same draws and return the same points.
 ``pair_open_member`` reads a pair-system open as a point set, with
 ``Fraction`` arithmetic and ``pair_encode`` only.
+``positive_rational_at_by_bits`` and ``positive_rational_index_by_steps``
+walk the Calkin-Wilf tree one step per bit of the index, the rule the
+run-length walks of ``symbolic_sets`` replaced.
 ``labelled_closure_count`` and ``iso_closure_count`` count the closures on
 n points from their structure alone - blocks of top points, and for every
 other point the set of at least two blocks it lies under - by a closed form
@@ -383,6 +386,35 @@ def pair_open_member(o, p) -> bool:
 
 
 @lru_cache(maxsize=None)
+def positive_rational_at_by_bits(k: int) -> tuple[int, int]:
+    """Node k+1 of the Calkin-Wilf tree, read off one bit of k+1 at a time."""
+    v = k + 1
+    a, b = 1, 1
+    for shift in range(v.bit_length() - 2, -1, -1):
+        if v >> shift & 1:
+            a = a + b
+        else:
+            b = a + b
+    return a, b
+
+
+def positive_rational_index_by_steps(q) -> int:
+    """The index of a positive rational, one subtraction per tree step."""
+    a, b = q.numerator, q.denominator
+    bits = []
+    while (a, b) != (1, 1):
+        if a > b:
+            bits.append(1)
+            a -= b
+        else:
+            bits.append(0)
+            b -= a
+    v = 1
+    for bit in reversed(bits):
+        v = v << 1 | bit
+    return v - 1
+
+
 def stirling2(n: int, k: int) -> int:
     """The number of partitions of n points into k non-empty blocks."""
     if n == 0 or k == 0:

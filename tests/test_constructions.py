@@ -600,6 +600,32 @@ def test_value_types_take_keywords_and_defaults():
     assert rep.triple == (1, 2, 3) and rep.ok
 
 
+# Each open and report class gets its __init__ from its fields: the parameters,
+# their order and their defaults are those its hand-written __init__ had.
+GENERATED_INITS = [
+    (SingletonPt, "(self, point)"),
+    (CofInBlock, "(self, block, excluded=frozenset())"),
+    (FinPt1, "(self, block, elem, excluded=frozenset())"),
+    (FinPt2, "(self, block, elem, excluded=frozenset())"),
+    (Ball, "(self, ball)"),
+    (ExtPt, "(self, block, elem, ball)"),
+    (SatPair, "(self, point)"),
+    (BlockOpen, "(self, block)"),
+    (CofOmega, "(self, excluded=frozenset())"),
+    (CofInD, "(self, index, excluded=frozenset())"),
+    (Certificate, "(self, open_a, open_b)"),
+    (NonTransitiveReport, "(self, designated, construction, triple, certificate, message)"),
+]
+
+
+@pytest.mark.parametrize("cls, params", GENERATED_INITS, ids=[cls.__name__ for cls, _ in GENERATED_INITS])
+def test_open_and_report_inits_keep_their_parameters(cls, params):
+    import inspect  # here, not at the top: the CLI tests check which processes load it
+
+    assert cls.__init__.__code__.co_filename == "<string>"  # generated, not written in the module
+    assert str(inspect.signature(cls.__init__)) == params
+
+
 def test_meet_unions_the_exclusions_and_keeps_the_class():
     a, b, c = pt("i:0:1"), pt("i:0:2"), pt("s:4")
     ref = BlockRef(I, 0)

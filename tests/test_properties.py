@@ -12,7 +12,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import bounded_walk, count_below_by_walk, parse_point_by_regex, preorders_by_filter
+from reference import (
+    bounded_walk,
+    count_below_by_walk,
+    parse_point_by_regex,
+    positive_rational_at_by_bits,
+    positive_rational_index_by_steps,
+    preorders_by_filter,
+)
 
 from diagclosure.cli import main
 from diagclosure.enumeration import (
@@ -42,11 +49,15 @@ from diagclosure.relations import (
 )
 from diagclosure.symbolic_sets import (
     RationalBall,
+    _positive_rational_at,
+    _positive_rational_index,
     ball_contains,
     ball_disjoint,
     ball_member,
     ball_refine,
     in_interval,
+    rational_at,
+    rational_index,
     separating_radius,
 )
 
@@ -438,3 +449,22 @@ def test_read_naturals_reads_each_item_as_read_natural_does(text, count):
 def test_cli_enumerate_exits_0_1_or_2(tmp_path_factory, n, target, flags):
     out = tmp_path_factory.mktemp("enumerate") / target
     assert _exit_code(["enumerate", "--n", str(n), "--out", str(out), *flags]) in (0, 1, 2)
+
+
+# --- the rational enumeration agrees with the walk one tree step at a time ---
+
+@given(st.one_of(st.integers(0, 2**40), st.integers(0, 2**400)))
+def test_positive_rational_at_matches_the_per_bit_walk(k):
+    assert _positive_rational_at(k) == positive_rational_at_by_bits(k)
+
+
+@given(st.integers(1, 10**3), st.integers(1, 10**3))
+def test_positive_rational_index_matches_the_per_step_walk(a, b):
+    q = Fraction(a, b)
+    assert _positive_rational_index(q) == positive_rational_index_by_steps(q)
+    assert Fraction(*_positive_rational_at(_positive_rational_index(q))) == q
+
+
+@given(st.integers(0, 2**200))
+def test_rational_index_inverts_rational_at(k):
+    assert rational_index(rational_at(k)) == k

@@ -28,6 +28,8 @@ from diagclosure.relations import (
     parse_point,
     parse_spec,
     partition_of_eq,
+    _Frozen,
+    _set,
     same_block,
 )
 
@@ -291,3 +293,51 @@ def test_partition_validation():
         FinitePartition(2, [[0, 1], []])  # empty block
     with pytest.raises(ValueError, match="cover"):
         FinitePartition(10**12, [[0], [1]])  # refused before a table of n slots is built
+
+
+# --- the generated __init__ of _Frozen values ---
+
+def test_frozen_class_with_fields_gets_an_init_that_sets_them_in_order():
+    class Pair(_Frozen):
+        _fields = __slots__ = ("left", "right")
+        _defaults = {"right": 0}
+
+    assert Pair(1).left == 1 and Pair(1).right == 0 and Pair(1, 2).right == 2
+    assert Pair(right=2, left=1) == Pair(1, 2) and repr(Pair(1)).endswith("Pair(left=1, right=0)")
+    assert Pair.__init__.__qualname__.endswith("Pair.__init__")
+    with pytest.raises(TypeError):
+        Pair()
+    with pytest.raises(TypeError):
+        Pair(1, 2, 3)
+    with pytest.raises(AttributeError):
+        Pair(1).left = 2
+
+
+def test_frozen_class_keeps_the_init_it_writes():
+    def init(self, n):
+        if n < 0:
+            raise ValueError("negative")
+        _set(self, "n", n)
+
+    class Checked(_Frozen):
+        _fields = __slots__ = ("n",)
+        __init__ = init
+
+    assert Checked.__init__ is init and Checked(3).n == 3
+    with pytest.raises(ValueError, match="^negative$"):
+        Checked(-1)
+
+
+def test_generated_init_runs_the_code_of_a_hand_written_one():
+    class Open(_Frozen):
+        _fields = __slots__ = ("block", "excluded")
+        _defaults = {"excluded": frozenset()}
+
+    def by_hand(self, block, excluded=frozenset()):
+        _set(self, "block", block)
+        _set(self, "excluded", excluded)
+
+    made, written = Open.__init__.__code__, by_hand.__code__
+    for attr in ("co_code", "co_consts", "co_names", "co_varnames", "co_argcount"):
+        assert getattr(made, attr) == getattr(written, attr), attr
+    assert Open.__init__.__defaults__ == by_hand.__defaults__

@@ -14,11 +14,13 @@ from diagclosure.symbolic_sets import (
     cantor_pair,
     cantor_unpair,
     format_rational,
+    in_interval,
     pair_decode,
     pair_encode,
     rational_at,
     rational_index,
     residues_disjoint,
+    separating_radius,
 )
 
 
@@ -107,6 +109,30 @@ def test_ball_refine_refuses_a_point_outside_either_ball():
             ball_refine(b1, b2, (0, q, 0))
 
 
+def test_ball_x_index_is_read_only():
+    b = RationalBall(2, Fraction(1, 2), Fraction(1, 4))
+    h, held = hash(b), {b}
+    with pytest.raises(AttributeError):
+        b.x_index = 3
+    with pytest.raises(AttributeError):
+        del b.x_index
+    assert b.x_index == 2 and hash(b) == h and b in held
+
+
+def test_ball_calls_read_floats_as_the_constructor_does():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    b = RationalBall(0, 0.5, 0.25, excluded={(0.375, 1)})
+    assert b == RationalBall(0, half, quarter, excluded={(Fraction(3, 8), 1)})
+    for q in (0.5, 0.375, 0.75, 0.3, 1):
+        exact = Fraction(q)
+        for level in (0, 1):
+            assert ball_member(b, (0, q, level)) == ball_member(b, (0, exact, level))
+        assert in_interval(q, 0.5, 0.25) == in_interval(exact, half, quarter)
+        assert separating_radius(q, 0.25) == separating_radius(exact, quarter)
+    assert ball_refine(b, b, (0, 0.5, 0)) == ball_refine(b, b, (0, half, 0))
+    assert in_interval("1/2", "3/4", "1/3") and separating_radius(1, "1/3") == Fraction(1, 3)
+
+
 def test_ball_render():
     b = RationalBall(0, Fraction(1, 2), Fraction(1, 4), excluded={(Fraction(3, 8), 1)})
     assert b.render() == "ball(x=0,q=1/2,d=1/4,excl=[(3/8,1)])"
@@ -143,6 +169,16 @@ def test_rational_enumeration_interleaves():
     assert abs(seq[1]) == abs(seq[2]) and abs(seq[3]) == abs(seq[4])
     for k in range(4000):
         assert rational_index(rational_at(k)) == k
+
+
+def test_rational_index_closed_forms():
+    # 1/n and n lie n - 1 steps down the left and the right spine of the tree; -1/n follows 1/n
+    for n in [*range(1, 300), 10**5]:
+        assert rational_index(Fraction(1, n)) == 2**n - 1
+        assert rational_index(Fraction(n)) == 2**(n + 1) - 3
+        assert rational_index(Fraction(-1, n)) == 2**n
+    assert rational_at(2**10**5 - 1) == Fraction(1, 10**5)
+    assert rational_at(2**(10**5 + 1) - 3) == 10**5
 
 
 def test_pairing_round_trip_first_1000():
