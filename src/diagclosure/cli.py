@@ -153,8 +153,8 @@ def _cmd_finite(args) -> int:
     if args.show in ("closure", "all"):
         closure = cl_delta(topology)
         print("closure:")
-        for i in range(closure.n):
-            print("".join("1" if closure.has(i, j) else "0" for j in range(closure.n)))
+        for row in closure.rows:
+            print(format(row, f"0{closure.n}b")[::-1])  # bit j is column j
     if args.show in ("axioms", "all"):
         flags = (is_t0(topology), is_t1(topology), is_t2(topology))
         print("axioms: " + " ".join(f"T{i}={'true' if f else 'false'}" for i, f in enumerate(flags)))

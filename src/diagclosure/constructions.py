@@ -847,9 +847,8 @@ class T0Sat(Construction):
         return SatPair(p)
 
     def _sample_open(self, p, rng, bounds):
-        size = self.spec.block_size(p.block_ref)
-        if p.elem == 0 and size >= 2 and rng.random() < 0.5:
-            hi = bounds[1] if size.is_omega else size.finite() - 1
+        if p.elem == 0 and p.cls is not _S and rng.random() < 0.5:  # finite sizes are >= 2
+            hi = bounds[1] if p.cls is _I else self.spec.fin.size_of(p.block) - 1
             e = 1 + draw_below(rng.getrandbits, max(1, hi))
             return SatPair(_new(PointAddr, (p.cls, p.block, e)))
         return SatPair(p)
@@ -1032,12 +1031,12 @@ def nontransitive_demo(designated=None) -> NonTransitiveReport:
     """Exhibit a non-transitive triple of the subbasis-example closure.
 
     Looks for the smallest consecutive triple (a, a+1, a+2) with the ends
-    separable but both adjacent pairs inseparable, then falls back to a
-    bounded general search.  When both fail, the triple is built from the
-    rule every such triple obeys: b is the least undesignated point below
-    ``_SEARCH_BOUND``, and a and c are the offsets of the first two
-    designated sets.  The found certificate is re-checked before it is
-    reported; failure there would be a library defect.
+    separable but both adjacent pairs inseparable.  When there is none below
+    ``_SEARCH_BOUND``, the triple is built from the rule every such triple
+    obeys: b is the least undesignated point below ``_SEARCH_BOUND``, and a
+    and c are the offsets of the first two designated sets.  The found
+    certificate is re-checked before it is reported; failure there would be
+    a library defect.
     """
     if designated is None:
         designated = DEFAULT_DESIGNATED
@@ -1050,11 +1049,6 @@ def nontransitive_demo(designated=None) -> NonTransitiveReport:
         return (not c.separable(a, b)) and (not c.separable(b, cc)) and c.separable(a, cc)
 
     triple = next(((a, a + 1, a + 2) for a in range(_SEARCH_BOUND) if pattern(a, a + 1, a + 2)), None)
-    if triple is None:
-        small = 60
-        inseparable = ((a, b) for a in range(small) for b in range(a + 1, small) if not c.separable(a, b))
-        triple = next(((a, b, cc) for a, b in inseparable for cc in range(b + 1, small)
-                       if not c.separable(b, cc) and c.separable(a, cc)), None)
     if triple is None and len(designated) >= 2:
         b = next((x for x in range(_SEARCH_BOUND) if c._designated_index(x) is None), None)
         if b is not None:

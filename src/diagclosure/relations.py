@@ -45,19 +45,85 @@ __all__ = [
 ]
 
 
-@functools.total_ordering
-class Count:
-    """A natural number or omega (countably infinite).
+# Sets a field of a _Frozen value in its __init__: bound once, as a global,
+# because opens are built hundreds of thousands of times per verify round.
+_set = object.__setattr__
 
-    Comparisons treat omega as larger than every natural number.
+
+class _Frozen:
+    """Value semantics of a frozen dataclass, without importing ``dataclasses``.
+
+    A subclass names its fields in ``_fields``: they are the value.  Unless
+    the class writes its own ``__init__``, one is generated that takes them
+    in that order, with the defaults given in ``_defaults``, and sets them
+    through ``_set``; a class that converts or checks its values first
+    writes its own.  Its ``__slots__`` holds the fields and may add slots
+    for derived or cached data, also set through ``_set``.  Values are equal
+    only to values of the same class with equal fields, hash as their field
+    tuple, show as ``Class(field=value, ...)``, refuse assignment and
+    deletion, and pickle and copy by calling ``__init__`` with their fields.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        # Compiled from source once per class, as dataclasses and namedtuple
+        # build theirs, so it runs the code of a hand-written __init__: a verify
+        # round builds over half a million opens and certificates.
+        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
+            params = "".join(f", {f}=_d_{f}" if f in cls._defaults else f", {f}" for f in cls._fields)
+            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+            namespace = {"_set": _set, **{f"_d_{f}": v for f, v in cls._defaults.items()}}
+            exec(f"def __init__(self{params}):{body}\n", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # named in argument errors
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(*[changes.get(f, getattr(self, f)) for f in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not by setting slots
+        return type(self), self._values()
+
+
+@functools.total_ordering
+class Count(_Frozen):
+    """A natural number or omega (countably infinite).
+
+    Comparisons treat omega as larger than every natural number, and a
+    count equals the int of its value.  Counts refuse assignment, so the
+    shared ``OMEGA`` stays omega.
+    """
+
+    _fields = __slots__ = ("value",)
 
     def __init__(self, value: int | None = None):
         if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
             raise ValueError(f"count must be a natural number or None for omega: {value!r}")
-        self.value = value
+        _set(self, "value", value)
 
     @property
     def is_omega(self) -> bool:
@@ -190,70 +256,6 @@ def parse_point(text: str) -> PointAddr:
     return _new(PointAddr, (cls, block, elem))
 
 
-# Sets a field of a _Frozen value in its __init__: bound once, as a global,
-# because opens are built hundreds of thousands of times per verify round.
-_set = object.__setattr__
-
-
-class _Frozen:
-    """Value semantics of a frozen dataclass, without importing ``dataclasses``.
-
-    A subclass names its fields in ``_fields``: they are the value.  Unless
-    the class writes its own ``__init__``, one is generated that takes them
-    in that order, with the defaults given in ``_defaults``, and sets them
-    through ``_set``; a class that converts or checks its values first
-    writes its own.  Its ``__slots__`` holds the fields and may add slots
-    for derived or cached data, also set through ``_set``.  Values are equal
-    only to values of the same class with equal fields, hash as their field
-    tuple, show as ``Class(field=value, ...)``, refuse assignment and
-    deletion, and pickle and copy by calling ``__init__`` with their fields.
-    """
-
-    __slots__ = ()
-    _fields: tuple = ()
-    _defaults: dict = {}
-
-    def __init_subclass__(cls):
-        # Compiled from source once per class, as dataclasses and namedtuple
-        # build theirs, so it runs the code of a hand-written __init__: a verify
-        # round builds over half a million opens and certificates.
-        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
-            params = "".join(f", {f}=_d_{f}" if f in cls._defaults else f", {f}" for f in cls._fields)
-            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
-            namespace = {"_set": _set, **{f"_d_{f}": v for f, v in cls._defaults.items()}}
-            exec(f"def __init__(self{params}):{body}\n", namespace)
-            cls.__init__ = namespace["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # named in argument errors
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
-    def _replace(self, **changes):
-        """A copy with the named fields changed."""
-        return type(self)(*[changes.get(f, getattr(self, f)) for f in self._fields])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({shown})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, not by setting slots
-        return type(self), self._values()
-
-
 class FiniteBlocks(_Frozen):
     """The finite-block part of a spec: explicit sizes, or a cyclic family.
 
@@ -334,14 +336,6 @@ class PartitionSpec(_Frozen):
         if not self.valid_addr(a):
             raise InvalidAddressError(f"no such point for {self.render()}: {a!r}")
         return a
-
-    def block_size(self, ref: BlockRef) -> Count:
-        """Number of elements of one block."""
-        if ref.cls is BlockClass.SINGLETON:
-            return Count(1)
-        if ref.cls is BlockClass.FINITE:
-            return Count(self.fin.size_of(ref.index))
-        return OMEGA
 
     def render(self) -> str:
         return f"singletons={self.singletons};fin={self.fin.render()};inf={self.inf}"

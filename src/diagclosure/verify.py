@@ -27,7 +27,8 @@ pairs are drawn round-robin from the strata of address-class combinations
 the spec admits, so every stratum gets an equal share.  One sampler per
 address class the strata name and one per stratum are built at the start
 of each run, with the spec's limits and their bit widths fixed in them;
-finite and infinite blocks share one sampler.  Every index is drawn by
+all three classes share one point rule, and the strata two pair rules: a
+second point of p's block, or one of another block.  Every index is drawn by
 :func:`~diagclosure.constructions.draw_below` straight from the
 generator's ``getrandbits``, by the rejection rule of ``randrange``, so the
 draws are those of ``randrange`` and ``randint`` without their argument
@@ -155,6 +156,9 @@ def _point_sampler(tag, spec, getrandbits, bounds):
     per verification run; each index is one ``draw_below(getrandbits,
     limit)``, which takes the draws of ``randint(0, limit - 1)``.  A given
     ``block`` is kept, and an element equal to ``not_elem`` is drawn again.
+    The element is drawn from a table indexed by the block modulo its
+    length: one entry per finite size, one for an infinite block, and for a
+    singleton one entry, ``int``, that returns 0 and draws nothing.
     """
     block_bound, elem_bound = bounds
 
@@ -162,17 +166,12 @@ def _point_sampler(tag, spec, getrandbits, bounds):
         return _below(getrandbits, block_bound + 1 if count is None else min(block_bound, count - 1) + 1)
 
     if tag == "s":
-        draw_block = block_draw(spec.singletons.value)
-
-        def point(block=None, not_elem=None):
-            return _new(PointAddr, (_S, draw_block(), 0))
-
-        return point
-    if tag == "f":
+        cls, draw_block, elem_draws = _S, block_draw(spec.singletons.value), (int,)
+    elif tag == "f":
         cls, sizes = _F, spec.fin.sizes
         draw_block = block_draw(None if spec.fin.cyclic else len(sizes))
         elem_draws = tuple(_below(getrandbits, min(elem_bound, size - 1) + 1) for size in sizes)
-    else:  # an infinite block is a one-entry draw table with period 1
+    else:
         cls, draw_block = _I, block_draw(spec.inf.value)
         elem_draws = (_below(getrandbits, elem_bound + 1),)
     period = len(elem_draws)
@@ -190,34 +189,26 @@ def _point_sampler(tag, spec, getrandbits, bounds):
 
 
 def _pair_sampler(stratum, points):
-    """The sampler ``pair()`` of one stratum, over the class samplers ``points``."""
-    if len(stratum) == 3:
-        tag, _, mode = stratum
-        point = points[tag]
-        if mode == "same":
+    """The sampler ``pair()`` of one stratum, over the class samplers ``points``.
 
-            def pair():
-                p = point()
-                return p, point(p.block, p.elem)
-
-        else:
-
-            def pair():
-                p = point()
-                while True:
-                    q = point()
-                    if q.block != p.block:
-                        return p, q
-
-        return pair
+    A ``"same"`` stratum draws q in p's block, other than p; every other
+    stratum draws q again until it lies in another block than p.
+    """
     first, second = points[stratum[0]], points[stratum[1]]
+    if stratum[-1] == "same":
 
-    def pair():
-        p = first()
-        while True:
-            q = second()
-            if q != p:
-                return p, q
+        def pair():
+            p = first()
+            return p, first(p.block, p.elem)
+
+    else:
+
+        def pair():
+            p = first()
+            while True:
+                q = second()
+                if q.block != p.block or q.cls is not p.cls:
+                    return p, q
 
     return pair
 
@@ -256,8 +247,6 @@ def verify_construction(
     check_bounds(bounds, 1)  # with a bound of 0 the rejection sampling can never draw a second point
     rng = random.Random(seed * 1_000_003 + 17)
     points, pairs = _samplers(spec, rng, bounds)
-    if not pairs:
-        raise ValueError("spec admits no point pairs to sample")
     class_points = list(points.values())
     n_strata, n_classes = len(pairs), len(class_points)
     answer_pair, member, is_t1 = c.answer_pair, c.member, c.is_t1

@@ -354,7 +354,7 @@ def test_example_explicit_designated_matches_default(capsys):
 
 
 def test_example_builds_the_triple_when_both_scans_miss(capsys):
-    # both scans stop below the second designated set; b is the least undesignated point
+    # the consecutive scan stops below the second designated set; b is the least undesignated point
     code, out, _ = run(capsys, "example", "nontransitive", "--d", "0,1000", "--d", "500,1000")
     assert code == 0
     assert out == (
@@ -376,7 +376,7 @@ def test_example_builds_the_triple_when_both_scans_miss(capsys):
     assert "no non-transitivity witness found" in out
 
 
-def test_example_finds_the_triple_in_the_general_scan(capsys):
+def test_example_builds_the_triple_from_the_offsets_when_none_is_consecutive(capsys):
     # no consecutive triple: 0 and 5 are the only designated points below 10
     code, out, _ = run(capsys, "example", "nontransitive", "--d", "0,10", "--d", "5,10")
     assert code == 0

@@ -650,6 +650,14 @@ def test_nontransitive_demo_default():
     assert "triple: (2,3,4)" in lines
 
 
+def test_nontransitive_demo_builds_the_triple_from_the_offsets():
+    # {4n+1}, {4n+2}: no consecutive triple, so the triple is (offset 1, least undesignated b, offset 2)
+    rep = nontransitive_demo([ResidueClassSet(1, 4), ResidueClassSet(2, 4)])
+    assert rep.triple == (1, 0, 2)
+    assert rep.certificate == Certificate(CofInD(1), CofInD(2))
+    assert rep.render().splitlines()[1:4] == ["inseparable: (1,0)", "inseparable: (0,2)", "separable: (1,2)"]
+
+
 def test_nontransitive_demo_empty_and_invalid():
     rep = nontransitive_demo([])
     assert not rep.ok

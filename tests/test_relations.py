@@ -1,6 +1,7 @@
 """Relations, partitions, and partition-spec parsing."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -59,6 +60,21 @@ def test_counts_do_not_compare_with_non_numbers():
         Count(3) < "3"
     with pytest.raises(TypeError, match="^'<' not supported between instances of 'Count' and 'bool'$"):
         OMEGA < True
+
+
+def test_counts_refuse_assignment_and_omega_stays_shared_omega():
+    # a parsed "omega" is the shared OMEGA; were it assignable, one write would change every later spec
+    for count in (OMEGA, Count(3)):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'value'$"):
+            count.value = 3
+        with pytest.raises(AttributeError, match="^cannot delete field 'value'$"):
+            del count.value
+    assert OMEGA.is_omega and OMEGA.value is None
+    assert parse_spec("singletons=omega;fin=[];inf=0").singletons is OMEGA
+    assert Count(3) == 3 and hash(Count(3)) == hash(3) and repr(Count(3)) == "Count(3)"
+    for count in (OMEGA, Count(0), Count(3)):
+        back = pickle.loads(pickle.dumps(count))
+        assert type(back) is Count and back == count and back.value == count.value
 
 
 # --- spec parsing ---
