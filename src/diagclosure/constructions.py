@@ -25,6 +25,14 @@ assigned by block index modulo the number of finite blocks, and the pair
 system uses the fixed natural/rational pairing of
 :mod:`diagclosure.symbolic_sets`.
 
+Each point's canonical basic open, the one ``basic_nbhd`` gives with
+nothing to avoid, is interned: it depends only on the point's block, or on
+block and element for reservoir and pair-system points, so bounded
+module-level caches next to the block images ``_xq`` hand out one shared
+object per point (``_cofinite_home``, ``_reservoir_home``, ``_pair_home``).
+An open with an exclusion is built anew on each call.  No open changes
+after it is returned, so a shared one is safe to hand out.
+
 The T1 constructions share one base: :class:`InfOrSingleton` isolates the
 singleton points and gives every infinite block its cofinite subsets, and
 each construction adds at most one system of opens for the finite blocks -
@@ -63,7 +71,6 @@ from .relations import (
     PointAddr,
     _Frozen,
     _new,
-    _set,
     check_t1_realisable,
 )
 from .symbolic_sets import (
@@ -430,6 +437,57 @@ def _draw_excl(rng, hi: int, unit, keep) -> frozenset:
 
 
 # --------------------------------------------------------------------------
+# per-block caches: block images and the interned canonical opens
+
+_XQ_CACHE_SIZE = 4096
+# Each cache holds every canonical open a verify run at the default bounds
+# 50,50 asks for (at most 153 per family), and about 0.08 MB when full of
+# wide block indices, which never repeat.
+_HOME_CACHE_SIZE = 256
+
+# The image of a block index: its (natural, rational) pair as the integers
+# (x, numerator, denominator).  One bounded cache shared by every
+# construction, so answering queries on ever new blocks cannot grow it.
+_xq = functools.lru_cache(maxsize=_XQ_CACHE_SIZE)(_image)
+
+# The interned canonical opens (see the module docstring), one bounded cache
+# per family, shared by every construction like ``_xq``: a verify round asks
+# for some 200,000 of these opens, and they take fewer than 200 values.  The
+# caches are typed, so an index given as a bool, or a class given as a plain
+# int, gets an open of its own, as it did when every call built one.
+
+
+@functools.lru_cache(maxsize=_HOME_CACHE_SIZE, typed=True)
+def _cofinite_home(cls: BlockClass, block: int):
+    """The canonical open of a singleton or infinite-block point: the point's
+    ``SingletonPt``, or its whole block as a ``CofInBlock`` with no exclusion."""
+    if cls is _S:
+        return SingletonPt(_new(PointAddr, (cls, block, 0)))
+    return CofInBlock(_new(BlockRef, (cls, block)))
+
+
+@functools.lru_cache(maxsize=_HOME_CACHE_SIZE, typed=True)
+def _reservoir_home(open_cls: type, block: int, elem: int):
+    """The canonical reservoir open of a finite-block point: the whole reservoir."""
+    return open_cls(block, elem)
+
+
+def _pair_open(block: int, elem: int, ball: RationalBall):
+    """The pair-system open of the point (block, elem) on ``ball``: the ball
+    itself around a representative, an ``ExtPt`` anchored at any further element."""
+    if elem <= 1:
+        return Ball(ball)
+    return ExtPt(block, elem, ball)
+
+
+@functools.lru_cache(maxsize=_HOME_CACHE_SIZE, typed=True)
+def _pair_home(block: int, elem: int):
+    """The canonical pair-system open of a finite-block point: on the unit ball
+    around its block's image, with no exclusion."""
+    return _pair_open(block, elem, _image_ball(_xq(block)))
+
+
+# --------------------------------------------------------------------------
 # the cofinite/singleton family: isolated singletons, cofinite opens in blocks
 
 class InfOrSingleton(Construction):
@@ -464,12 +522,9 @@ class InfOrSingleton(Construction):
         return o1.block != o2.block
 
     def _basic_nbhd(self, p, avoid=None):
-        if p.cls is _S:
-            return SingletonPt(p)
-        excl = frozenset()
-        if isinstance(avoid, PointAddr) and avoid != p and _same_block_addr(avoid, p):
-            excl = frozenset((avoid,))
-        return CofInBlock(p.block_ref, excl)
+        if p.cls is not _S and isinstance(avoid, PointAddr) and avoid != p and _same_block_addr(avoid, p):
+            return CofInBlock(p.block_ref, frozenset((avoid,)))
+        return _cofinite_home(p.cls, p.block)
 
     def _sample_open(self, p, rng, bounds):
         if p.cls is _S:
@@ -565,10 +620,9 @@ class _Reservoir(InfOrSingleton):
     def _basic_nbhd(self, p, avoid=None):
         if p.cls is not _F:
             return InfOrSingleton._basic_nbhd(self, p, avoid)
-        excl = frozenset()
         if isinstance(avoid, PointAddr) and self._in_reservoir(p.block, avoid):
-            excl = frozenset((self._unit(avoid),))
-        return self._open(p.block, p.elem, excl)
+            return self._open(p.block, p.elem, frozenset((self._unit(avoid),)))
+        return _reservoir_home(self._open, p.block, p.elem)
 
     def _sample_excl(self, j, rng, block_bound, avoid=None):
         res, m, pool = self.block_residues[j], self.modulus, self._pool_cls
@@ -664,13 +718,6 @@ def _sample_ball(z, level, rng) -> RationalBall:
     return _image_ball(z, 4 * half, 2 * off, excl)
 
 
-_XQ_CACHE_SIZE = 4096
-
-# The image of a block index: its (natural, rational) pair as the integers
-# (x, numerator, denominator).  One bounded cache shared by every
-# construction, so answering queries on ever new blocks cannot grow it.
-_xq = functools.lru_cache(maxsize=_XQ_CACHE_SIZE)(_image)
-
 _BALL_OPENS = (Ball, ExtPt)
 
 
@@ -718,16 +765,11 @@ class ExtendPairs(InfOrSingleton):
     def covers(cls, spec):
         return spec.fin.cyclic and spec.singletons == 0 and spec.inf == 0
 
-    def _wrap(self, p, ball):
-        if p.elem <= 1:
-            return Ball(ball)
-        return ExtPt(p.block, p.elem, ball)
-
     def _witness_opens(self, p, q):
         if p.cls is not _F or q.cls is not _F:
             return InfOrSingleton._witness_opens(self, p, q)
         b1, b2 = _separating_balls(_xq(p.block), _xq(q.block))  # the blocks differ
-        return self._wrap(p, b1), self._wrap(q, b2)
+        return _pair_open(p.block, p.elem, b1), _pair_open(q.block, q.elem, b2)
 
     def _member(self, o, p):
         if not isinstance(o, _BALL_OPENS):
@@ -751,11 +793,9 @@ class ExtendPairs(InfOrSingleton):
     def _basic_nbhd(self, p, avoid=None):
         if p.cls is not _F:
             return InfOrSingleton._basic_nbhd(self, p, avoid)
-        ball = _image_ball(_xq(p.block))
-        o = self._wrap(p, ball)
+        o = _pair_home(p.block, p.elem)
         if isinstance(avoid, PointAddr) and avoid != p and self._member(o, avoid):
-            # the open is still this call's own: the exclusion goes into it, not into a second open
-            _set(o, "ball", _ball_excluding(ball, _xq(avoid.block), avoid.elem))
+            return _pair_open(p.block, p.elem, _ball_excluding(o.ball, _xq(avoid.block), avoid.elem))
         return o
 
     def _sample_open(self, p, rng, bounds):

@@ -39,6 +39,8 @@ from fractions import Fraction
 from operator import index
 from typing import NamedTuple
 
+from .errors import BoundExceededError
+
 __all__ = [
     "Rational",
     "RationalBall",
@@ -351,23 +353,37 @@ def _positive_rational_at(k: int) -> tuple[int, int]:
     return a, b
 
 
+# The most run bits ``_positive_rational_index`` builds, about the bit length
+# of the index: 4 MiB, above the ten-million-bit index of 1/10**7 that CI
+# times both ways.
+_INDEX_BITS_LIMIT = 1 << 25
+
+
 def _positive_rational_index(q: Fraction) -> int:
-    # The path back to the root, one continued-fraction term at a time: a
-    # node a/b with a > b is reached from ((a-1) mod b + 1)/b by (a-1) // b
-    # right steps in a row, and a node with a < b alike by left steps.  The
-    # runs are gathered leaf first: they are the bits of k+1 after its
-    # leading one, read backwards.  Its one caller passes |q| for q != 0.
-    a, b = q.numerator, q.denominator
-    runs = []
+    # The path back to the root from |q|, one continued-fraction term at a
+    # time: a node a/b with a > b is reached from ((a-1) mod b + 1)/b by
+    # (a-1) // b right steps in a row, and a node with a < b alike by left
+    # steps.  The runs are gathered leaf first: they are the bits of k+1
+    # after its leading one, read backwards, and their lengths are the
+    # continued-fraction terms of |q|, the last less one.  Its one caller
+    # passes q != 0.
+    a, b = abs(q.numerator), q.denominator
+    runs, bits = [], 0
     while a != b:  # only the root 1/1 has a == b
         if a > b:
             m, a = divmod(a - 1, b)
-            runs.append("1" * m)
+            bit = "1"
             a += 1
         else:
             m, b = divmod(b - 1, a)
-            runs.append("0" * m)
+            bit = "0"
             b += 1
+        bits += m
+        if bits > _INDEX_BITS_LIMIT:
+            raise BoundExceededError(
+                f"rational_index refuses {format_rational(q)}: its index would have more than {_INDEX_BITS_LIMIT} bits"
+            )
+        runs.append(bit * m)
     return int("1" + "".join(reversed(runs)), 2) - 1
 
 
@@ -386,11 +402,16 @@ def rational_at(k: int) -> Fraction:
 
 
 def rational_index(q: Fraction) -> int:
-    """Position of a rational in the fixed enumeration; inverse of rational_at."""
+    """Position of a rational in the fixed enumeration; inverse of rational_at.
+
+    The index has about as many bits as the continued-fraction terms of q
+    add up to; a rational whose index would pass ``_INDEX_BITS_LIMIT`` bits
+    is refused with ``BoundExceededError``, before the index is built.
+    """
     q = Fraction(q)
     if q == 0:
         return 0
-    t = _positive_rational_index(abs(q))
+    t = _positive_rational_index(q)
     return 2 * t + 1 if q > 0 else 2 * t + 2
 
 

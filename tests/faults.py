@@ -4,9 +4,9 @@ Each class desynchronises one side of a construction (usually the witness
 generator) from the exact membership/disjointness rules, modelling the
 documented fault modes: wrong residue class, swapped representatives, and
 off-by-one exclusion sets, plus a separability rule that ignores the
-relation, certificates dropped, invented or aimed at the wrong block, and
-refinements that are not inside both opens.  The verification harness must
-flag every one of them.
+relation, certificates dropped, invented or aimed at the wrong block, T1
+witnesses that miss their own point, and refinements that are not inside
+both opens.  The verification harness must flag every one of them.
 """
 
 from diagclosure.constructions import (
@@ -109,6 +109,21 @@ class NextBlockWitnessInfBlocks(InfBlocks):
     def _witness_opens(self, p, q):
         _, b = super()._witness_opens(p, q)
         return CofInBlock(BlockRef(p.cls, p.block + 1)), b
+
+
+class SelfExcludingT1InfBlocks(InfBlocks):
+    """Only the T1 witnesses of separable pairs are wrong: each excludes its
+    own point, so it misses both points, while the certificate holds the
+    canonical opens.  A harness that let every accepted certificate answer
+    the T1 memberships, whatever its opens, would miss it."""
+
+    def _basic_nbhd(self, p, avoid=None):
+        if isinstance(avoid, PointAddr) and avoid.block_ref != p.block_ref:
+            return CofInBlock(p.block_ref, frozenset({p}))
+        return super()._basic_nbhd(p, avoid)
+
+    def _witness_opens(self, p, q):
+        return super()._basic_nbhd(p), super()._basic_nbhd(q)
 
 
 class OffByOneTauR(TauR):

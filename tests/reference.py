@@ -27,6 +27,8 @@ each draw and draw through ``randint``; the verify harness's samplers, built
 once per run, must take the same draws and return the same points.
 ``pair_open_member`` reads a pair-system open as a point set, with
 ``Fraction`` arithmetic and ``pair_encode`` only.
+``basic_nbhd_by_old_rule`` builds a new open on every call, the rule the
+interned canonical opens of ``constructions`` replaced.
 ``positive_rational_at_by_bits`` and ``positive_rational_index_by_steps``
 walk the Calkin-Wilf tree one step per bit of the index, the rule the
 run-length walks of ``symbolic_sets`` replaced.
@@ -47,7 +49,18 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
-from diagclosure.constructions import ExtPt
+from diagclosure.constructions import (
+    Ball,
+    BlockOpen,
+    CofInBlock,
+    ExtendPairs,
+    ExtPt,
+    SatPair,
+    SingletonPt,
+    T0Sat,
+    TauR,
+    _Reservoir,
+)
 from diagclosure.enumeration import (
     Catalog,
     CatalogRecord,
@@ -63,7 +76,7 @@ from diagclosure.enumeration import (
 from diagclosure.errors import BoundExceededError, InvalidAddressError, read_natural
 from diagclosure.finite_topology import Preorder, closure_rows
 from diagclosure.relations import BlockClass, FiniteRelation, PointAddr
-from diagclosure.symbolic_sets import pair_encode
+from diagclosure.symbolic_sets import _ball_excluding, _image, _image_ball, pair_encode
 
 
 def brute_force_topology_count(n: int) -> int:
@@ -383,6 +396,36 @@ def pair_open_member(o, p) -> bool:
     x, q = _pair_of(p.block)
     b = o.ball
     return x == b.x_index and abs(q - b.center) < b.radius and (q, p.elem) not in b.excluded
+
+
+def basic_nbhd_by_old_rule(c, p, avoid=None):
+    """``c.basic_nbhd(p, avoid)`` on the nine kinds, built anew on every call
+    from the open classes, the ball of the pair system through the uncached
+    ``_image``: the rule before the canonical opens were interned.  An
+    exclusion is added exactly when the canonical open would hold ``avoid``."""
+    S, F = BlockClass.SINGLETON, BlockClass.FINITE
+    if isinstance(c, T0Sat):
+        return SatPair(p)
+    if isinstance(c, TauR):
+        return BlockOpen(p.block_ref)
+    other = isinstance(avoid, PointAddr) and avoid != p
+    if isinstance(c, ExtendPairs) and p.cls is F:
+        ball = _image_ball(_image(p.block))
+        wrap = Ball if p.elem <= 1 else lambda b: ExtPt(p.block, p.elem, b)
+        if other and avoid.cls is F and pair_open_member(wrap(ball), avoid):
+            ball = _ball_excluding(ball, _image(avoid.block), avoid.elem)
+        return wrap(ball)
+    if isinstance(c, _Reservoir) and p.cls is F:
+        excl = frozenset()
+        if other and avoid.cls is c._pool_cls and avoid.block % c.modulus == c.block_residues[p.block]:
+            excl = frozenset((avoid if avoid.cls is S else avoid.block,))
+        return c._open(p.block, p.elem, excl)
+    if p.cls is S:
+        return SingletonPt(p)
+    excl = frozenset()
+    if other and (avoid.cls, avoid.block) == (p.cls, p.block):
+        excl = frozenset((avoid,))
+    return CofInBlock(p.block_ref, excl)
 
 
 @lru_cache(maxsize=None)

@@ -65,7 +65,7 @@ from diagclosure.relations import (
 from diagclosure.symbolic_sets import RationalBall, ResidueClassSet, pair_encode
 from diagclosure.verify import _samplers, verify_construction
 import faults
-from reference import sample_point
+from reference import basic_nbhd_by_old_rule, sample_point
 
 S, F, I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 
@@ -921,22 +921,123 @@ def test_answer_pair_agrees_with_the_single_calls_on_witness_faults(fault):
 def test_the_witness_faults_cover_both_hooks():
     assert {fault.__name__ for fault in WITNESS_FAULTS} == {
         "NextBlockWitnessInfBlocks", "OffByOneInfBlocks", "OffByOneInfOrSingleton", "OffByOneSplitUnion",
-        "OffByOneTauR", "SwappedRepExtendPairs", "SwappedRepPairBlocks", "SwappedRepT0Sat",
+        "OffByOneTauR", "SelfExcludingT1InfBlocks", "SwappedRepExtendPairs", "SwappedRepPairBlocks", "SwappedRepT0Sat",
     }
 
 
 def test_the_certificate_is_the_t1_pair_on_the_cofinite_and_reservoir_kinds():
     """On a T1 kind that keeps the base witness the certificate is the two T1
-    opens themselves; the pair-system kinds build their own."""
-    shared = set()
+    opens themselves.  The pair-system kinds build their own from separating
+    balls for two finite-block points; for a pair with a point outside the
+    finite blocks SplitUnion takes the base witness, whose opens are the
+    interned canonical opens and so the T1 opens too."""
+    shared, apart = set(), set()
     for kind, realise, text in NINE_KINDS:
         spec = parse_spec(text)
         c = realise(spec)
         for p, q in _agreement_pairs(spec, random.Random(3), 40):
             _, cert, o_p, o_q = c.answer_pair(p, q)
-            if cert is not None and cert.open_a is o_p and cert.open_b is o_q:
-                shared.add(kind)
-    assert shared == {"InfBlocks", "InfOrSingleton", "FinTwoCase1", "FinTwoCase2"}
+            if cert is None:
+                continue
+            both_finite = p.cls is F and q.cls is F
+            if cert.open_a is o_p and cert.open_b is o_q:
+                shared.add((kind, both_finite))
+            else:
+                apart.add((kind, both_finite))
+    assert shared == {
+        ("InfBlocks", False), ("InfOrSingleton", False), ("FinTwoCase1", False), ("FinTwoCase1", True),
+        ("FinTwoCase2", False), ("FinTwoCase2", True), ("SplitUnion", False),
+    }
+    assert apart == {
+        ("PairBlocks", True), ("ExtendPairs", True), ("SplitUnion", True), ("T0Sat", False), ("TauR", False),
+    }
+
+
+def _excludes(o) -> bool:
+    """Whether a basic open carries an exclusion."""
+    if isinstance(o, (Ball, ExtPt)):
+        return bool(o.ball.excluded)
+    return bool(getattr(o, "excluded", ()))
+
+
+@pytest.mark.parametrize("kind, realise, text", NINE_KINDS, ids=[k for k, _, _ in NINE_KINDS])
+def test_basic_nbhd_is_the_old_rule(kind, realise, text):
+    """The interned canonical opens and the opens with an exclusion equal a
+    build of the rule from scratch, for avoid None, p itself, a point of p's
+    block and points of other blocks, and every T1 witness with them."""
+    spec = parse_spec(text)
+    c = realise(spec)
+    seen = set()
+    for p, q in _agreement_pairs(spec, random.Random(kind), 300):
+        for a, b in ((p, q), (q, p)):
+            for avoid in (None, a, b):
+                o = c.basic_nbhd(a, avoid)
+                ref = basic_nbhd_by_old_rule(c, a, avoid)
+                assert o == ref and o.render() == ref.render(), (a, avoid)
+                seen.add(_excludes(o))
+            if c.is_t1:
+                assert c.t1_witness(a, b) == basic_nbhd_by_old_rule(c, a, b)
+    assert seen == ({False, True} if c.is_t1 else {False})
+
+
+def test_interned_opens_keep_the_types_of_the_address():
+    """An address whose class is a plain int, or whose index is a bool, equals
+    an enum-and-int address but gets the open it got before interning, not the
+    one interned for its equal."""
+    odd = (
+        ("InfOrSingleton", PointAddr(S, 1, 0), PointAddr(0, 1, 0)),  # a plain 0 is read as an infinite class
+        ("InfOrSingleton", PointAddr(I, 1, 0), PointAddr(I, True, 0)),
+        ("FinTwoCase1", PointAddr(F, 1, 0), PointAddr(F, True, 0)),
+        ("ExtendPairs", PointAddr(F, 1, 2), PointAddr(F, True, 2)),
+    )
+    kinds = {kind: (realise, text) for kind, realise, text in NINE_KINDS}
+    for kind, first, second in odd:
+        realise, text = kinds[kind]
+        c = realise(parse_spec(text))
+        c.basic_nbhd(first)
+        o = c.basic_nbhd(second)
+        assert repr(o) == repr(basic_nbhd_by_old_rule(c, second))
+
+
+T1_KIND_SPECS = tuple(k for k in NINE_KINDS if k[1] is realise_t1)
+
+
+@pytest.mark.parametrize("kind, realise, text", T1_KIND_SPECS, ids=[k for k, _, _ in T1_KIND_SPECS])
+def test_an_open_returned_earlier_is_unchanged_by_later_exclusions(kind, realise, text):
+    """A canonical open is shared by every later call on its point; the calls
+    that exclude other points around that point leave it as it was."""
+    spec = parse_spec(text)
+    c = realise(spec)
+    window = [a for a in map(PointAddr._make, product((S, F, I), range(30), range(4))) if spec.valid_addr(a)]
+    for p in window[::7]:
+        o = c.basic_nbhd(p)
+        kept, shown = pickle.loads(pickle.dumps(o)), o.render()
+        excluded = 0
+        for avoid in window:
+            excluded += _excludes(c.basic_nbhd(p, avoid))
+            if avoid != p:
+                c.t1_witness(p, avoid)
+                c.answer_pair(p, avoid)
+        assert o == kept and o.render() == shown
+        assert c.basic_nbhd(p) is o
+        assert excluded or p.cls is S
+
+
+def test_the_open_caches_stay_within_their_bounds():
+    """5,000 distinct blocks through the public calls cannot grow a cache past its bound."""
+    n = 5_000
+    cofinite = realise_t1(parse_spec("singletons=omega;fin=[];inf=omega"))
+    reservoirs = realise_t1(parse_spec(f"singletons=omega;fin=[{','.join(['3'] * n)}];inf=0"))
+    pairs = realise_t1(parse_spec("singletons=0;fin=cycle[2,3];inf=0"))
+    for block in range(n):
+        for p in (PointAddr(S, block, 0), PointAddr(I, block, 1)):
+            cofinite.basic_nbhd(p)
+        reservoirs.basic_nbhd(PointAddr(F, block, block % 3))
+        for elem in range(2 + block % 2):
+            pairs.basic_nbhd(PointAddr(F, block, elem))
+    for cache in (constructions._cofinite_home, constructions._reservoir_home, constructions._pair_home, constructions._xq):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize  # filled, and no further
 
 
 def test_answer_pair_agrees_on_the_subbasis_example():

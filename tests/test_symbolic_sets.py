@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from diagclosure import symbolic_sets
+from diagclosure.errors import BoundExceededError
 from diagclosure.symbolic_sets import (
     RationalBall,
     ResidueClassSet,
@@ -22,6 +24,7 @@ from diagclosure.symbolic_sets import (
     residues_disjoint,
     separating_radius,
 )
+from reference import positive_rational_index_by_steps
 
 
 # --- residue classes ---
@@ -179,6 +182,28 @@ def test_rational_index_closed_forms():
         assert rational_index(Fraction(-1, n)) == 2**n
     assert rational_at(2**10**5 - 1) == Fraction(1, 10**5)
     assert rational_at(2**(10**5 + 1) - 3) == 10**5
+
+
+@pytest.mark.parametrize("q", [Fraction(10**30), Fraction(1, 10**19), Fraction(-10**30, 7)])
+def test_rational_index_refuses_an_index_beyond_its_bit_limit(q):
+    with pytest.raises(BoundExceededError, match=f"refuses {format_rational(q)}: .* more than 33554432 bits"):
+        rational_index(q)
+    with pytest.raises(BoundExceededError, match=format_rational(q)):
+        pair_decode((3, q))
+
+
+def test_rational_index_bit_limit_is_the_sum_of_the_terms(monkeypatch):
+    # the limit lies above the ten-million-bit index that CI times both ways
+    assert symbolic_sets._INDEX_BITS_LIMIT > 10**7
+    monkeypatch.setattr(symbolic_sets, "_INDEX_BITS_LIMIT", 100)
+    # n and 1/n take runs of n - 1 bits; 60 + 1/k takes runs of 60 and k - 1
+    assert rational_index(Fraction(101)) == 2**102 - 3
+    assert rational_index(Fraction(-1, 101)) == 2**101
+    q = Fraction(60 * 41 + 1, 41)
+    assert rational_index(q) == 2 * positive_rational_index_by_steps(q) + 1
+    for q in (Fraction(102), Fraction(1, 102), Fraction(60 * 42 + 1, 42)):
+        with pytest.raises(BoundExceededError, match="more than 100 bits"):
+            rational_index(q)
 
 
 def test_pairing_round_trip_first_1000():

@@ -15,6 +15,7 @@ from faults import (
     OffByOneInfOrSingleton,
     OffByOneSplitUnion,
     OffByOneTauR,
+    SelfExcludingT1InfBlocks,
     SharedFinTwoCase1,
     SharedFinTwoCase2,
     SwappedRepExtendPairs,
@@ -37,6 +38,8 @@ from diagclosure.relations import BlockClass, FiniteRelation, PointAddr, parse_s
 from reference import sample_pair, sample_point
 
 from diagclosure.verify import (
+    _MAX_REDRAWS,
+    _pair_sampler,
     _samplers,
     _strata_for,
     finite_cross_check,
@@ -212,6 +215,23 @@ def test_samplers_take_the_reference_draws(text, bounds):
     assert fast.getstate() == slow.getstate()
 
 
+@pytest.mark.parametrize("stratum", [("s", "s"), ("f", "f", "diff"), ("i", "i", "diff")])
+def test_pair_sampler_gives_up_when_every_draw_falls_in_p_block(stratum):
+    # stub point samplers that always return a point of p's block, as a faulty sampler might
+    cls = {"s": BlockClass.SINGLETON, "f": BlockClass.FINITE, "i": BlockClass.INFINITE}[stratum[0]]
+    draws = 0
+
+    def stuck(block=None, not_elem=None):
+        nonlocal draws
+        draws += 1
+        return PointAddr(cls, 4, 0)
+
+    pair = _pair_sampler(stratum, {stratum[0]: stuck})
+    with pytest.raises(RuntimeError, match=re.escape(f"stratum {stratum}: ")):
+        pair()
+    assert draws == 1 + _MAX_REDRAWS
+
+
 # the limits draw_below must draw below as randrange does: small ones, powers
 # of two and their neighbours, where the rejection rule shows, and a large prime
 DRAW_LIMITS = (1, 2, 3, 4, 5, 7, 8, 9, 51, *(2**k + d for k in (4, 6, 31, 32, 33, 53, 64, 100) for d in (-1, 1)), 10**9 + 7)
@@ -302,6 +322,35 @@ def test_always_separable_detected():
     assert report.certificate_failures > 0
 
 
+@pytest.mark.parametrize(
+    "text, shared",
+    (
+        ("singletons=0;fin=[];inf=3", True),
+        ("singletons=omega;fin=[3,2];inf=1", True),
+        ("singletons=0;fin=cycle[2,3];inf=0", False),
+    ),
+)
+def test_t1_check_reuses_the_memberships_of_an_accepted_certificate(text, shared):
+    """Where the accepted certificate is the pair's two T1 opens, the T1 check
+    asks only whether each open misses the other point: four memberships per
+    pair.  The pair system's separating balls are opens of their own, so each
+    certificate there costs its two memberships on top."""
+    spec = parse_spec(text)
+    c = realise_t1(spec)
+    calls = 0
+    member = c.member
+
+    def counting(o, p):
+        nonlocal calls
+        calls += 1
+        return member(o, p)
+
+    c.member = counting
+    report = verify_construction(c, spec, n_pairs=600, basis_samples=0)
+    assert report.passed() and report.certificates_checked > 0
+    assert calls == 4 * report.pairs_checked + (0 if shared else 2 * report.certificates_checked)
+
+
 FAILURE_COUNTERS = ("mismatches", "certificate_failures", "t1_failures", "basis_failures")
 
 
@@ -310,6 +359,7 @@ FAILURE_COUNTERS = ("mismatches", "certificate_failures", "t1_failures", "basis_
     (
         (NoCertificateInfBlocks, "certificate_failures"),
         (InseparableCertificateInfBlocks, "certificate_failures"),
+        (SelfExcludingT1InfBlocks, "t1_failures"),  # only member(o_p, p) sees it
         (FirstOpenRefineInfBlocks, "basis_failures"),
         (UnexcludedRefineInfBlocks, "basis_failures"),  # only the membership probes see it
     ),
