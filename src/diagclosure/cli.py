@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 only for ``result: FAIL`` from ``realise``, a
-relation that is not realisable under the requested axiom, or an
-``example`` with no non-transitive triple; 2 for usage and parse errors.
+relation that is not realisable under the requested axiom, an ``example``
+with no non-transitive triple, or an ``enumerate --out`` walk whose counts
+disagree with the arithmetic; 2 for usage and parse errors.
 Every natural number in the arguments is read by ``errors.read_natural``
 or ``errors.read_naturals``, and ``main`` alone turns a library error into
 exit 2.  Sizes that could run far past 20 s are refused with exit 2 unless
@@ -78,23 +79,31 @@ def _cmd_separable(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import SOFT_LIMIT, _catalog, _closures, _totals, render_catalog
+    from .counting import SOFT_LIMIT, summary
 
     n = read_natural(args.n, "--n")
     if n > SOFT_LIMIT and not args.force:
         raise BoundExceededError(f"n={n} is above the soft limit {SOFT_LIMIT}; pass --force to proceed")
-    # Opened before the build, so a bad path fails at once and not after it;
-    # in append mode, so a build that fails leaves an existing file as it was.
-    # The records are built only to be written: the summary reads the counts.
+    # The summary is arithmetic; only --out walks the closures, and its counts
+    # must agree with the arithmetic before the file is written.  The file is
+    # opened first, so a bad path fails at once and not after the walk; in
+    # append mode, so a walk that fails or disagrees leaves it as it was.
     with open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext() as out:
-        counts = _closures(n, args.iso)
+        lines = summary(n, args.t0, args.iso)
         if args.out:
+            from .enumeration import _catalog, _closures, _totals, render_catalog
+
+            counts = _closures(n, args.iso)
+            topologies, _, nontransitive = _totals(counts, args.t0)
+            walked = topologies, len(counts), nontransitive
+            if walked != lines:
+                print(f"error: the walk counts {walked} topologies, closures and non-transitive closures,"
+                      f" the arithmetic {lines}; {args.out} is left as it was", file=sys.stderr)
+                return 1
             out.truncate(0)
             out.write(render_catalog(_catalog(n, counts, args.t0)))
-    topologies, _, nontransitive = _totals(counts, args.t0)
-    print(f"topologies: {topologies}")
-    print(f"distinct closures: {len(counts)}")
-    print(f"non-transitive closures: {nontransitive}")
+    for name, value in zip(("topologies", "distinct closures", "non-transitive closures"), lines):
+        print(f"{name}: {value}")
     return 0
 
 

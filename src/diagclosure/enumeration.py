@@ -9,18 +9,10 @@ over the earlier rows that contain i (computed once per node), and every
 earlier row j that m contains lies inside m.  Together they make the
 finished matrix transitive.
 
-Counting needs no walk.  Call the points of the maximal classes of a
-preorder its top set T, and for every other point x let M(x) be the set of
-top classes above x.  A preorder is its top partition, M, and a preorder Q
-on the other points with x <=_Q y only if M(x) contains M(y); every such
-triple is a preorder.  One counter applies this split again and again: it
-counts the preorders on points with labels L where x <= y only if L(x)
-contains L(y).  The points of a top class share a label, every class C in
-M(x) has L(x) containing L(C), and the other points recurse with the labels
-(L(x), M(x)), compared componentwise.  Posets come from splits whose classes
-are all singletons.  The count depends only on how the labels contain each
-other, so it is memoised on the sorted labels re-encoded by containment.
-A count-only ``enumerate_preorders(n)`` is the counter on n equal labels.
+Counting needs no walk.  ``counting`` splits a preorder into its top
+classes (its maximal classes), the set M(x) of top classes above each other
+point x, and a preorder on the other points, and counts the preorders, and
+the posets, by a label recursion on that split.
 
 A catalog counts the labelled topologies per closure relation without
 visiting them one by one.  The diagonal closure relates two points iff
@@ -74,12 +66,12 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, permutations, product
+from itertools import groupby, permutations, product
 from math import comb, factorial, prod
 from typing import Callable, Iterator
 
-from .errors import InvalidSizeError, SpecSyntaxError
+from .counting import SOFT_LIMIT, _count_below, _multisets, _partitions
+from .errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
 from .finite_topology import Preorder, closure_rows
 from .relations import FiniteRelation, all_partitions
 
@@ -97,8 +89,6 @@ __all__ = [
     "relation_code",
     "render_catalog",
 ]
-
-SOFT_LIMIT = 7
 
 
 def _check_size(n: int) -> None:
@@ -183,108 +173,6 @@ def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = No
         consumer(Preorder(n, rows, validate=False))
         count += 1
     return count
-
-
-# --- counting ---
-
-def _count_below(labels: tuple[int, ...], memo: dict) -> tuple[int, int]:
-    """How many preorders, and posets, have x <= y only where ``labels[x]``
-    contains ``labels[y]``; ``labels`` is sorted.
-
-    ``memo`` maps label tuples to their counts; one dict may serve any
-    number of calls, since a tuple's counts do not depend on the call.
-    """
-    found = memo.get(labels)
-    if found is None:
-        key = _by_containment(labels)
-        found = memo.get(key)
-        if found is None:
-            found = memo[key] = _split(key, memo)
-        memo[labels] = found
-    return found
-
-
-def _by_containment(labels: tuple[int, ...]) -> tuple[int, ...]:
-    """The sorted labels with each label u re-encoded as the set of the
-    distinct labels inside u, numbered in ascending order.
-
-    Containment between labels, hence the count, is unchanged; labels that
-    contain each other alike often meet under one key.
-    """
-    distinct = list(dict.fromkeys(labels))
-    code = {u: sum(1 << j for j, v in enumerate(distinct) if not v & ~u) for u in distinct}
-    return tuple(sorted([code[u] for u in labels]))
-
-
-def _split(labels: tuple[int, ...], memo: dict) -> tuple[int, int]:
-    """``_count_below`` summed over the top splits of the preorders.
-
-    Points of one label are interchangeable, so a split is chosen per group
-    of equal labels: t of its s points are top points (comb(s, t) ways) in c
-    classes (S(t, c) ways).  Each other point of the group takes a non-empty
-    set M of the classes whose label lies inside its own; the group's points
-    take a multiset of such sets, weighted by its multinomial, and recurse
-    with the labels L | M << width.
-    """
-    if not labels:
-        return 1, 1
-    groups = [(label, len(list(same))) for label, same in groupby(labels)]
-    width = labels[-1].bit_length()
-    inside = [[i for i, (li, _) in enumerate(groups) if not li & ~lj] for lj, _ in groups]
-    tops = [
-        [(t, c, w) for t in range(size + 1) for c in range(t + 1) if (w := comb(size, t) * _stirling(t, c))]
-        for _, size in groups
-    ]
-    labelled = posets = 0
-    for split in product(*tops):
-        classes = []  # classes[i]: the bits of group i's top classes in M
-        at = 0
-        for _, c, _ in split:
-            classes.append(((1 << c) - 1) << at)
-            at += c
-        if not at:
-            continue
-        rests = []  # per group with other points: (ways, their labels) per multiset of M values
-        for (label, size), (t, _, _), groups_inside in zip(groups, split, inside):
-            if size == t:
-                continue
-            allowed = sum(classes[i] for i in groups_inside)
-            if not allowed:
-                break
-            masks = [m for m in range(1, allowed + 1) if not m & ~allowed]
-            rests.append([(ways, [label | m << width for m in ms]) for ways, ms in _multisets(masks, size - t)])
-        else:
-            rest_labelled = rest_posets = 0
-            for choice in product(*rests):
-                lab, pos = _count_below(tuple(sorted([x for _, xs in choice for x in xs])), memo)
-                ways = prod([ways for ways, _ in choice])
-                rest_labelled += ways * lab
-                rest_posets += ways * pos
-            ways = prod([w for _, _, w in split])
-            labelled += ways * rest_labelled
-            if all(t == c for t, c, _ in split):
-                posets += ways * rest_posets
-    return labelled, posets
-
-
-def _multisets(masks: list[int], r: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Each multiset of r of ``masks``, with the number of ways to hand its
-    members to r labelled points."""
-    out = []
-    for ms in combinations_with_replacement(masks, r):
-        w = factorial(r)
-        for _, same in groupby(ms):
-            w //= factorial(len(list(same)))
-        out.append((w, ms))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _stirling(t: int, c: int) -> int:
-    """The partitions of t points into c classes."""
-    if t == 0 or c == 0:
-        return int(t == c)
-    return c * _stirling(t - 1, c) + _stirling(t - 1, c - 1)
 
 
 def closure_of_preorder(p: Preorder) -> FiniteRelation:
@@ -678,7 +566,7 @@ def _types(n: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     orbit.
     """
     for k in range(n + 1):
-        for sizes in _partitions(k, k):
+        for sizes in _partitions(k):
             c = len(sizes)
             runs = [tuple(same) for _, same in groupby(range(c), key=sizes.__getitem__)]
             ways = comb(n, k) * factorial(k) // prod([factorial(s) for s in sizes] + [factorial(len(r)) for r in runs])
@@ -703,15 +591,6 @@ def _flat(sizes: tuple[int, ...], ms: tuple[int, ...]) -> list[int]:
         at += size
     flat = [1 << x | 1 << first for first, size in zip(firsts, sizes) for x in range(first, first + size)]
     return flat + [1 << x | sum(1 << f for q, f in enumerate(firsts) if m >> q & 1) for x, m in enumerate(ms, at)]
-
-
-def _partitions(k: int, most: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of k into parts of at most ``most``, parts descending."""
-    if not k:
-        yield ()
-    for first in range(min(k, most), 0, -1):
-        for rest in _partitions(k - first, first):
-            yield (first, *rest)
 
 
 def _catalog(n: int, counts: dict[int, list], t0_only: bool) -> Catalog:
@@ -742,13 +621,17 @@ def _closures(n: int, up_to_iso: bool) -> dict[int, list]:
     return (_count_types if up_to_iso else _count_structures)(n)
 
 
-def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, workers: int = 1) -> Catalog:
+def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, workers: int = 1, force: bool = False) -> Catalog:
     """One record per distinct closure relation over all topologies on n points.
 
     The counts are summed over closure structures, or over their types if
     ``up_to_iso`` (see the module docstring), in one process; ``workers`` is
-    accepted and has no effect.
+    accepted and has no effect.  Above ``SOFT_LIMIT`` points the catalog
+    holds millions of records (3,731,508 at n=8) and the build raises
+    ``BoundExceededError`` unless ``force`` is true.
     """
+    if n > SOFT_LIMIT and not force:
+        raise BoundExceededError(f"n={n} is above the soft limit {SOFT_LIMIT}; pass force=True to proceed")
     return _catalog(n, _closures(n, up_to_iso), t0_only)
 
 

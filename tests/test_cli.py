@@ -189,7 +189,7 @@ def test_enumerate_n5_count(capsys):
 
 @pytest.mark.parametrize("flags", [(), ("--t0",), ("--iso",), ("--t0", "--iso")])
 def test_enumerate_summary_is_read_off_the_catalog_records(tmp_path, capsys, flags):
-    # without --out the summary comes from the closure counts, not from records
+    # the summary, by arithmetic or with --out from the walk, is the one the records give
     from diagclosure.enumeration import build_catalog
 
     for k in range(6):
@@ -239,6 +239,31 @@ def test_enumerate_out_is_replaced_on_success_and_kept_on_failure(tmp_path, caps
     assert target.read_text() == once
 
 
+def test_enumerate_out_refuses_a_walk_that_disagrees_with_the_arithmetic(tmp_path, capsys, monkeypatch):
+    import diagclosure.enumeration as enumeration
+
+    real = enumeration._closures
+
+    def one_short(n, up_to_iso):
+        counts = real(n, up_to_iso)
+        del counts[max(counts)]  # the closure relating every point
+        return counts
+
+    target = tmp_path / "cat.tsv"
+    assert run(capsys, "enumerate", "--n", "3", "--out", str(target))[0] == 0
+    before = target.read_bytes()
+    monkeypatch.setattr(enumeration, "_closures", one_short)
+    for flags, walked, summed in (
+        ((), (13, 7, 3), (29, 8, 3)),  # the dropped closure has 16 topologies, 9 of them T0
+        (("--t0", "--iso"), (10, 3, 1), (19, 4, 1)),
+    ):
+        code, out, err = run(capsys, "enumerate", "--n", "3", *flags, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == (f"error: the walk counts {walked} topologies, closures and non-transitive closures,"
+                       f" the arithmetic {summed}; {target} is left as it was\n")
+        assert target.read_bytes() == before
+
+
 def test_enumerate_guard(capsys):
     code, _, err = run(capsys, "enumerate", "--n", str(SOFT_LIMIT + 1))
     assert code == 2
@@ -285,6 +310,8 @@ SYMBOLIC = {"diagclosure.constructions", "diagclosure.symbolic_sets", "diagclosu
 FINITE = {"diagclosure.enumeration", "diagclosure.finite_topology", "diagclosure.verify"}
 # Costly to import and needed only by the dataclasses of enumeration and verify.
 COLD = {"dataclasses", "inspect"}
+# The layers of a catalog walk; a summary is arithmetic and loads none of them.
+CATALOG = {"diagclosure.enumeration", "diagclosure.relations", "diagclosure.finite_topology"}
 
 
 def _loaded_modules(code, argv=(), returncode=0):
@@ -304,7 +331,10 @@ def _loaded_modules(code, argv=(), returncode=0):
     (["example", "nontransitive"], 0, FINITE | COLD),
     (["realise", "--spec", "singletons=0;fin=[2];inf=3"], 1, SYMBOLIC | COLD),
     (["separable", "--spec", "singletons=0;fin=[2];inf=3", "-p", "f:0:0", "-q", "f:0:1"], 1, SYMBOLIC | COLD),
-], ids=["help", "finite", "enumerate", "separable", "example", "realise-not-realisable", "separable-not-realisable"])
+    (["enumerate", "--n", "3"], 0, SYMBOLIC | CATALOG | COLD),
+    (["enumerate", "--n", "3", "--iso"], 0, SYMBOLIC | CATALOG | COLD),
+], ids=["help", "finite", "enumerate", "separable", "example", "realise-not-realisable", "separable-not-realisable",
+        "enumerate-summary", "enumerate-summary-iso"])
 def test_each_subcommand_loads_only_its_own_layers(argv, code, absent):
     loaded = _loaded_modules(MODULE_PROBE, argv, code)
     if absent is None:  # --help: the parser and the error types, nothing else of the package

@@ -535,3 +535,16 @@ def test_negative_point_count_refused():
         build_catalog(-1)
     with pytest.raises(InvalidSizeError):
         enumerate_preorders(-1)
+
+
+def test_build_catalog_refuses_above_the_soft_limit_unless_forced(monkeypatch):
+    # with the limit lowered, so that a build that does not refuse ends quickly
+    import diagclosure.enumeration as enumeration
+
+    want = {up_to_iso: build_catalog(3, up_to_iso=up_to_iso) for up_to_iso in (False, True)}
+    monkeypatch.setattr(enumeration, "SOFT_LIMIT", 2)
+    assert len(build_catalog(2).records) == 2
+    for up_to_iso, cat in want.items():
+        with pytest.raises(BoundExceededError, match=r"^n=3 is above the soft limit 2; pass force=True to proceed$"):
+            build_catalog(3, up_to_iso=up_to_iso)
+        assert build_catalog(3, up_to_iso=up_to_iso, force=True) == cat
