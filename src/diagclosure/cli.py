@@ -84,24 +84,23 @@ def _cmd_enumerate(args) -> int:
     n = read_natural(args.n, "--n")
     if n > SOFT_LIMIT and not args.force:
         raise BoundExceededError(f"n={n} is above the soft limit {SOFT_LIMIT}; pass --force to proceed")
-    # The summary is arithmetic; only --out walks the closures, and its counts
-    # must agree with the arithmetic before the file is written.  The file is
-    # opened first, so a bad path fails at once and not after the walk; in
-    # append mode, so a walk that fails or disagrees leaves it as it was.
+    # The summary is arithmetic; only --out builds the catalog, and its records
+    # and totals must agree with the arithmetic before the file is written.
+    # The file is opened first, so a bad path fails at once and not after the
+    # build; in append mode, so a build that fails or disagrees leaves it as it was.
     with open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext() as out:
         lines = summary(n, args.t0, args.iso)
         if args.out:
-            from .enumeration import _catalog, _closures, _totals, render_catalog
+            from .enumeration import build_catalog, render_catalog
 
-            counts = _closures(n, args.iso)
-            topologies, _, nontransitive = _totals(counts, args.t0)
-            walked = topologies, len(counts), nontransitive
+            catalog = build_catalog(n, args.t0, args.iso, force=True)
+            walked = catalog.total_topologies, len(catalog.records), sum([not r.transitive for r in catalog.records])
             if walked != lines:
                 print(f"error: the walk counts {walked} topologies, closures and non-transitive closures,"
                       f" the arithmetic {lines}; {args.out} is left as it was", file=sys.stderr)
                 return 1
             out.truncate(0)
-            out.write(render_catalog(_catalog(n, counts, args.t0)))
+            out.write(render_catalog(catalog))
     for name, value in zip(("topologies", "distinct closures", "non-transitive closures"), lines):
         print(f"{name}: {value}")
     return 0

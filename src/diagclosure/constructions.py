@@ -452,12 +452,10 @@ _xq = functools.lru_cache(maxsize=_XQ_CACHE_SIZE)(_image)
 
 # The interned canonical opens (see the module docstring), one bounded cache
 # per family, shared by every construction like ``_xq``: a verify round asks
-# for some 200,000 of these opens, and they take fewer than 200 values.  The
-# caches are typed, so an index given as a bool, or a class given as a plain
-# int, gets an open of its own, as it did when every call built one.
+# for some 200,000 of these opens, and they take fewer than 200 values.
 
 
-@functools.lru_cache(maxsize=_HOME_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=_HOME_CACHE_SIZE)
 def _cofinite_home(cls: BlockClass, block: int):
     """The canonical open of a singleton or infinite-block point: the point's
     ``SingletonPt``, or its whole block as a ``CofInBlock`` with no exclusion."""
@@ -466,7 +464,7 @@ def _cofinite_home(cls: BlockClass, block: int):
     return CofInBlock(_new(BlockRef, (cls, block)))
 
 
-@functools.lru_cache(maxsize=_HOME_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=_HOME_CACHE_SIZE)
 def _reservoir_home(open_cls: type, block: int, elem: int):
     """The canonical reservoir open of a finite-block point: the whole reservoir."""
     return open_cls(block, elem)
@@ -480,7 +478,7 @@ def _pair_open(block: int, elem: int, ball: RationalBall):
     return ExtPt(block, elem, ball)
 
 
-@functools.lru_cache(maxsize=_HOME_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=_HOME_CACHE_SIZE)
 def _pair_home(block: int, elem: int):
     """The canonical pair-system open of a finite-block point: on the unit ball
     around its block's image, with no exclusion."""

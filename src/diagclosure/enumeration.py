@@ -593,46 +593,28 @@ def _flat(sizes: tuple[int, ...], ms: tuple[int, ...]) -> list[int]:
     return flat + [1 << x | sum(1 << f for q, f in enumerate(firsts) if m >> q & 1) for x, m in enumerate(ms, at)]
 
 
-def _catalog(n: int, counts: dict[int, list], t0_only: bool) -> Catalog:
-    """The catalog of finished counts; with ``t0_only`` the labelled column
-    counts the T0 topologies, which every closure has.  A closure relation is
-    reflexive and symmetric by encoding, so it is an equivalence exactly when
-    it is transitive."""
-    records = []
-    for code in sorted(counts):
-        lab, t0c, example, transitive = counts[code]
-        records.append(CatalogRecord(n, f"{code:x}", t0c if t0_only else lab, t0c, transitive, transitive, f"{example:x}"))
-    total, total_t0, _ = _totals(counts, t0_only)
-    return Catalog(n, tuple(records), total, total_t0)
-
-
-def _totals(counts: dict[int, list], t0_only: bool) -> tuple[int, int, int]:
-    """The catalog's total topologies, its total T0 topologies and its number
-    of non-transitive closures, from its finished counts."""
-    values = counts.values()
-    total_t0 = sum([v[1] for v in values])
-    return total_t0 if t0_only else sum([v[0] for v in values]), total_t0, sum([not v[3] for v in values])
-
-
-def _closures(n: int, up_to_iso: bool) -> dict[int, list]:
-    """The finished counts of the catalog on n points, one entry per closure
-    (see ``_count_structures`` and ``_count_types``)."""
-    _check_size(n)
-    return (_count_types if up_to_iso else _count_structures)(n)
-
-
 def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, workers: int = 1, force: bool = False) -> Catalog:
     """One record per distinct closure relation over all topologies on n points.
 
     The counts are summed over closure structures, or over their types if
     ``up_to_iso`` (see the module docstring), in one process; ``workers`` is
-    accepted and has no effect.  Above ``SOFT_LIMIT`` points the catalog
-    holds millions of records (3,731,508 at n=8) and the build raises
-    ``BoundExceededError`` unless ``force`` is true.
+    accepted and has no effect.  With ``t0_only`` the labelled column counts
+    the T0 topologies, which every closure has.  A closure relation is
+    reflexive and symmetric by encoding, so it is an equivalence exactly when
+    it is transitive.  Above ``SOFT_LIMIT`` points the catalog holds millions
+    of records (3,731,508 at n=8) and the build raises ``BoundExceededError``
+    unless ``force`` is true.
     """
+    _check_size(n)
     if n > SOFT_LIMIT and not force:
         raise BoundExceededError(f"n={n} is above the soft limit {SOFT_LIMIT}; pass force=True to proceed")
-    return _catalog(n, _closures(n, up_to_iso), t0_only)
+    counts = (_count_types if up_to_iso else _count_structures)(n)
+    records = []
+    for code in sorted(counts):
+        lab, t0c, example, transitive = counts[code]
+        records.append(CatalogRecord(n, f"{code:x}", t0c if t0_only else lab, t0c, transitive, transitive, f"{example:x}"))
+    totals = sum([r.labeled_topology_count for r in records]), sum([r.t0_topology_count for r in records])
+    return Catalog(n, tuple(records), *totals)
 
 
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"

@@ -190,7 +190,8 @@ class BlockClass(IntEnum):
     INFINITE = 2
 
 
-_SINGLETON, _FINITE = BlockClass.SINGLETON, BlockClass.FINITE  # enum attribute lookups are slow on hot paths
+# enum attribute lookups are slow on hot paths
+_SINGLETON, _FINITE, _INFINITE = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 _CLASS_PREFIX = {BlockClass.SINGLETON: "s", BlockClass.FINITE: "f", BlockClass.INFINITE: "i"}
 _PREFIX_CLASS = {v: k for k, v in _CLASS_PREFIX.items()}
 
@@ -312,14 +313,16 @@ class PartitionSpec(_Frozen):
     def valid_addr(self, a: PointAddr) -> bool:
         """Whether ``a`` names a point of this spec.
 
-        Block indices are compared with each ``Count.value`` as plain ints
-        (``None`` is omega, above every index), not through ``Count``'s
-        comparison operators: this runs on every oracle query.
+        The addresses are exactly those ``parse_point`` builds: the class is a
+        ``BlockClass`` member, not an int equal to one, and both indices are
+        ints, not bools.  Block indices are compared with each ``Count.value``
+        as plain ints (``None`` is omega, above every index), not through
+        ``Count``'s comparison operators: this runs on every oracle query.
         """
         if type(a) is not PointAddr and not isinstance(a, PointAddr):
             return False
         cls, block, elem = a
-        if block < 0 or elem < 0:
+        if type(block) is not int or type(elem) is not int or block < 0 or elem < 0:
             return False
         if cls is _SINGLETON:
             n = self.singletons.value
@@ -330,7 +333,7 @@ class PartitionSpec(_Frozen):
                 return elem < sizes[block % len(sizes)]
             return block < len(sizes) and elem < sizes[block]
         n = self.inf.value
-        return n is None or block < n
+        return cls is _INFINITE and (n is None or block < n)
 
     def check_addr(self, a: PointAddr) -> PointAddr:
         if not self.valid_addr(a):

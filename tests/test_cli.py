@@ -205,6 +205,17 @@ def test_enumerate_summary_is_read_off_the_catalog_records(tmp_path, capsys, fla
             assert stdout.splitlines() == want, (k, flags, out)
 
 
+def test_enumerate_out_writes_the_rendered_catalog(tmp_path, capsys):
+    from diagclosure.enumeration import build_catalog, render_catalog
+
+    target = tmp_path / "cat.tsv"
+    for flags in ((), ("--t0",), ("--iso",), ("--t0", "--iso")):
+        for k in range(5):
+            assert run(capsys, "enumerate", "--n", str(k), *flags, "--out", str(target))[0] == 0
+            cat = build_catalog(k, t0_only="--t0" in flags, up_to_iso="--iso" in flags)
+            assert target.read_bytes() == render_catalog(cat).encode(), (k, flags)
+
+
 def test_enumerate_writes_catalog(tmp_path, capsys):
     target = tmp_path / "cat.tsv"
     code, out, _ = run(capsys, "enumerate", "--n", "3", "--t0", "--out", str(target))
@@ -220,7 +231,8 @@ def test_enumerate_refuses_an_unwritable_out_path_before_building(tmp_path, caps
     def no_build(*args, **kwargs):
         raise AssertionError("the catalog was built before the output was opened")
 
-    monkeypatch.setattr(enumeration, "_closures", no_build)
+    monkeypatch.setattr(enumeration, "_count_structures", no_build)
+    monkeypatch.setattr(enumeration, "_count_types", no_build)
     for target in (tmp_path / "missing" / "cat.tsv", tmp_path):
         code, out, err = run(capsys, "enumerate", "--n", "2", "--out", str(target))
         assert code == 2
@@ -242,17 +254,18 @@ def test_enumerate_out_is_replaced_on_success_and_kept_on_failure(tmp_path, caps
 def test_enumerate_out_refuses_a_walk_that_disagrees_with_the_arithmetic(tmp_path, capsys, monkeypatch):
     import diagclosure.enumeration as enumeration
 
-    real = enumeration._closures
-
-    def one_short(n, up_to_iso):
-        counts = real(n, up_to_iso)
-        del counts[max(counts)]  # the closure relating every point
-        return counts
+    def one_short(walk):
+        def short(n):
+            counts = walk(n)
+            del counts[max(counts)]  # the closure relating every point
+            return counts
+        return short
 
     target = tmp_path / "cat.tsv"
     assert run(capsys, "enumerate", "--n", "3", "--out", str(target))[0] == 0
     before = target.read_bytes()
-    monkeypatch.setattr(enumeration, "_closures", one_short)
+    for walk in ("_count_structures", "_count_types"):
+        monkeypatch.setattr(enumeration, walk, one_short(getattr(enumeration, walk)))
     for flags, walked, summed in (
         ((), (13, 7, 3), (29, 8, 3)),  # the dropped closure has 16 topologies, 9 of them T0
         (("--t0", "--iso"), (10, 3, 1), (19, 4, 1)),

@@ -3,6 +3,7 @@
 import hashlib
 import pickle
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -980,23 +981,28 @@ def test_basic_nbhd_is_the_old_rule(kind, realise, text):
     assert seen == ({False, True} if c.is_t1 else {False})
 
 
-def test_interned_opens_keep_the_types_of_the_address():
-    """An address whose class is a plain int, or whose index is a bool, equals
-    an enum-and-int address but gets the open it got before interning, not the
-    one interned for its equal."""
+def test_addresses_are_exactly_what_parse_point_builds():
+    """An address whose class is not a ``BlockClass`` member, or whose index is
+    not an int, is refused, though it may equal a valid address and would
+    share that address's interned open."""
     odd = (
-        ("InfOrSingleton", PointAddr(S, 1, 0), PointAddr(0, 1, 0)),  # a plain 0 is read as an infinite class
+        ("InfOrSingleton", PointAddr(S, 1, 0), PointAddr(0, 1, 0)),  # a plain 0 was read as an infinite class
+        ("InfOrSingleton", PointAddr(I, 0, 0), PointAddr(7, 0, 0)),
         ("InfOrSingleton", PointAddr(I, 1, 0), PointAddr(I, True, 0)),
+        ("InfOrSingleton", PointAddr(I, 1, 0), PointAddr(I, "1", 0)),
         ("FinTwoCase1", PointAddr(F, 1, 0), PointAddr(F, True, 0)),
         ("ExtendPairs", PointAddr(F, 1, 2), PointAddr(F, True, 2)),
     )
     kinds = {kind: (realise, text) for kind, realise, text in NINE_KINDS}
-    for kind, first, second in odd:
+    for kind, good, bad in odd:
         realise, text = kinds[kind]
-        c = realise(parse_spec(text))
-        c.basic_nbhd(first)
-        o = c.basic_nbhd(second)
-        assert repr(o) == repr(basic_nbhd_by_old_rule(c, second))
+        spec = parse_spec(text)
+        c = realise(spec)
+        assert spec.valid_addr(good) and not spec.valid_addr(bad), bad
+        c.basic_nbhd(good)
+        for call in (lambda: c.basic_nbhd(bad), lambda: c.separable(bad, good)):
+            with pytest.raises(InvalidAddressError, match=f"^no such point for {re.escape(text)}: "):
+                call()
 
 
 T1_KIND_SPECS = tuple(k for k in NINE_KINDS if k[1] is realise_t1)

@@ -9,12 +9,12 @@ from diagclosure import counting, enumeration
 
 @pytest.mark.parametrize("up_to_iso", [False, True], ids=["labelled", "iso"])
 def test_summary_by_arithmetic_equals_the_walk(up_to_iso):
-    # one walk per size: the T0 summary reads the same counts
+    # one walk per size: the T0 summary reads the same catalog's T0 total
     for n in range(8):
-        counts = enumeration._closures(n, up_to_iso)
-        for t0_only in (False, True):
-            topologies, _, nontransitive = enumeration._totals(counts, t0_only)
-            assert counting.summary(n, t0_only, up_to_iso) == (topologies, len(counts), nontransitive), (n, t0_only)
+        cat = enumeration.build_catalog(n, up_to_iso=up_to_iso)
+        nontransitive = sum(not r.transitive for r in cat.records)
+        for t0_only, topologies in ((False, cat.total_topologies), (True, cat.total_t0)):
+            assert counting.summary(n, t0_only, up_to_iso) == (topologies, len(cat.records), nontransitive), (n, t0_only)
 
 
 def test_closed_forms_equal_the_reference():

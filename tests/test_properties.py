@@ -286,9 +286,22 @@ def test_ball_contains_matches_fractions(balls):
     assert ball_contains(outer, inner) == expected
 
 
+@st.composite
+def overlapping_balls(draw):
+    """Centres and radii (c1, r1, c2, r2) of two balls drawn to share a point:
+    the second is around a point of the first.  Every pair of balls from
+    ``rationals`` and ``radii`` that overlap can be drawn, with the common
+    point at the middle of their overlap."""
+    c1, r1, r2 = draw(rationals), draw(radii), draw(radii)
+    shares = st.fractions(min_value=-1, max_value=1)
+    p = c1 + draw(shares) * r1
+    return c1, r1, p + draw(shares) * r2, r2
+
+
 @settings(deadline=None)
-@given(c1=rationals, r1=radii, c2=rationals, r2=radii, t=st.fractions(min_value=0, max_value=1, max_denominator=12))
-def test_refined_radius_matches_fractions(c1, r1, c2, r2, t):
+@given(balls=overlapping_balls(), t=st.fractions(min_value=0, max_value=1, max_denominator=12))
+def test_refined_radius_matches_fractions(balls, t):
+    c1, r1, c2, r2 = balls
     lo, hi = max(c1 - r1, c2 - r2), min(c1 + r1, c2 + r2)
     assume(lo < hi)
     q = lo + t * (hi - lo)
@@ -299,9 +312,9 @@ def test_refined_radius_matches_fractions(c1, r1, c2, r2, t):
 
 
 @settings(deadline=None)
-@given(c1=rationals, r1=radii, c2=rationals, r2=radii, t=st.fractions(min_value=0, max_value=1, max_denominator=12),
-       data=st.data())
-def test_refined_exclusions_match_fractions(c1, r1, c2, r2, t, data):
+@given(balls=overlapping_balls(), t=st.fractions(min_value=0, max_value=1, max_denominator=12), data=st.data())
+def test_refined_exclusions_match_fractions(balls, t, data):
+    c1, r1, c2, r2 = balls
     lo, hi = max(c1 - r1, c2 - r2), min(c1 + r1, c2 + r2)
     assume(lo < hi)
     q = lo + t * (hi - lo)
