@@ -73,7 +73,7 @@ from typing import Callable, Iterator
 from .counting import SOFT_LIMIT, _count_below, _multisets, _partitions
 from .errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
 from .finite_topology import Preorder, closure_rows
-from .relations import FiniteRelation, all_partitions
+from .relations import FiniteRelation, _new, all_partitions
 
 __all__ = [
     "Catalog",
@@ -170,7 +170,7 @@ def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = No
         warnings.warn(f"enumerating preorders on {n} points may take extremely long", stacklevel=2)
     count = 0
     for rows in _iter_rows(n):
-        consumer(Preorder(n, rows, validate=False))
+        consumer(_new(Preorder, (n, rows)))
         count += 1
     return count
 

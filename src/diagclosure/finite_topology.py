@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError, read_naturals
-from .relations import FinitePartition, FiniteRelation, _Frozen, _mask, _set
+from .relations import FinitePartition, FiniteRelation, _Frozen, _mask, _new, _set
 
 __all__ = [
     "FiniteTopology",
@@ -70,24 +70,22 @@ def _display_order(t: "FiniteTopology") -> list[int]:
 class Preorder(FiniteRelation):
     """Reflexive transitive relation; ``rows[i]`` is the up-set of point i.
 
-    ``validate=False`` skips every check, for rows known to be a preorder.
+    Like every ``FiniteRelation`` it is the tuple ``(n, rows)``; the
+    constructor checks reflexivity and transitivity as well.
     """
 
     __slots__ = ()
 
-    def __init__(self, n: int, rows: Iterable[int], validate: bool = True):
-        if not validate:
-            self.n = n
-            self.rows = tuple(rows)
-            return
-        super().__init__(n, rows)
-        rows = self.rows
+    def __new__(cls, n: int, rows: Iterable[int]):
+        self = super().__new__(cls, n, rows)
+        _, rows = self
         for i in range(n):
             if not rows[i] >> i & 1:
                 raise ValueError(f"not reflexive at {i}")
             for j in range(n):
                 if rows[i] >> j & 1 and rows[j] & ~rows[i]:
                     raise ValueError(f"not transitive through {i} <= {j}")
+        return self
 
     leq = FiniteRelation.has
 
@@ -201,7 +199,7 @@ def minimal_neighborhoods(t: FiniteTopology) -> list[int]:
 
 
 def preorder_of_topology(t: FiniteTopology) -> Preorder:
-    return Preorder(t.n, minimal_neighborhoods(t), validate=False)
+    return _new(Preorder, (t.n, tuple(minimal_neighborhoods(t))))
 
 
 def closure_rows(ups) -> tuple[int, ...]:

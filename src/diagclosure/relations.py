@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from enum import IntEnum
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -196,9 +197,11 @@ _CLASS_PREFIX = {BlockClass.SINGLETON: "s", BlockClass.FINITE: "f", BlockClass.I
 _PREFIX_CLASS = {v: k for k, v in _CLASS_PREFIX.items()}
 
 
-# Builds a BlockRef or PointAddr from the tuple of its fields, as in
-# ``_new(PointAddr, (cls, block, elem))``, with no call of NamedTuple's
-# ``__new__``, a Python function: a verify round builds some 700,000 addresses.
+# Builds a tuple value (a BlockRef, PointAddr, FiniteRelation, Preorder or
+# RationalBall) from the tuple of its fields, as in
+# ``_new(PointAddr, (cls, block, elem))``, with no call of the class's own
+# ``__new__``, a Python function: a verify round builds some 700,000
+# addresses, and the preorder walk one Preorder per preorder.
 _new = tuple.__new__
 
 
@@ -418,24 +421,56 @@ def _mask(points: Iterable[int]) -> int:
     return m
 
 
-# FiniteRelation is a plain slotted class, not a _Frozen value: the preorder
-# walk builds one Preorder, its subclass, per preorder, and the _set calls
-# made enumerate_preorders(6, consumer) 13% slower (0.458 -> 0.520 s on a
-# 2-vCPU Linux VM, Python 3.11).
-class FiniteRelation:
-    """Binary relation on ``{0..n-1}`` stored as bitmask rows."""
+class _TupleValue(tuple):
+    """A value stored as the tuple of its fields, built in hot loops by ``_new``.
 
-    __slots__ = ("n", "rows")
+    It hashes as that tuple and has no attributes to assign.  Unlike a plain
+    tuple it is equal only to a value of the same class: ``tuple``'s own
+    ``==`` and ``!=`` would call a ``Preorder`` equal to the
+    ``FiniteRelation`` with the same rows, and a value equal to the plain
+    tuple of its fields.  Other types get ``NotImplemented``.
+    """
 
-    def __init__(self, n: int, rows: Iterable[int]):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if type(other) is type(self):
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__  # defining __eq__ would otherwise leave the class unhashable
+
+    def __reduce__(self):  # pickle and copy rebuild from the fields, as _new does
+        return _new, (type(self), tuple(self))
+
+
+class FiniteRelation(_TupleValue):
+    """Binary relation on ``{0..n-1}`` stored as bitmask rows.
+
+    The value is the tuple ``(n, rows)``: it hashes as that tuple, and its
+    ``n`` and ``rows`` are read-only.  It is equal only to a relation of
+    the same class with the same rows, so a ``Preorder`` never equals the
+    ``FiniteRelation`` of its rows.
+    """
+
+    __slots__ = ()
+
+    n = property(itemgetter(0), doc="The number of points.")
+    rows = property(itemgetter(1), doc="``rows[i]`` is the bitmask of the points related to i.")
+
+    def __new__(cls, n: int, rows: Iterable[int]):
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         full = (1 << n) - 1
         if any(r & ~full for r in rows):
             raise ValueError("row bits outside the ground set")
-        self.n = n
-        self.rows = rows
+        return _new(cls, (n, rows))
 
     @classmethod
     def diagonal(cls, n: int) -> "FiniteRelation":
@@ -458,27 +493,27 @@ class FiniteRelation:
         return bool(self.rows[i] >> j & 1)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            row = self.rows[i]
-            for j in range(self.n):
+        n, rows = self
+        for i in range(n):
+            row = rows[i]
+            for j in range(n):
                 if row >> j & 1:
                     yield (i, j)
 
     def is_reflexive(self) -> bool:
-        return all(self.rows[i] >> i & 1 for i in range(self.n))
+        n, rows = self
+        return all(rows[i] >> i & 1 for i in range(n))
 
     def is_symmetric(self) -> bool:
-        return all(
-            (self.rows[i] >> j & 1) == (self.rows[j] >> i & 1)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        n, rows = self
+        return all((rows[i] >> j & 1) == (rows[j] >> i & 1) for i in range(n) for j in range(i + 1, n))
 
     def is_transitive(self) -> bool:
-        for i in range(self.n):
-            row = self.rows[i]
-            for j in range(self.n):
-                if row >> j & 1 and self.rows[j] & ~row:
+        n, rows = self
+        for i in range(n):
+            row = rows[i]
+            for j in range(n):
+                if row >> j & 1 and rows[j] & ~row:
                     return False
         return True
 
@@ -487,12 +522,6 @@ class FiniteRelation:
 
     def issubset(self, other: "FiniteRelation") -> bool:
         return self.n == other.n and all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
-    def __eq__(self, other):  # exact types: a subclass value is never equal to a FiniteRelation
-        return type(other) is type(self) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
 
     def __repr__(self):
         off = sorted((i, j) for i, j in self.pairs() if i != j)

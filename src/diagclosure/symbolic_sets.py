@@ -8,14 +8,17 @@ constructor does: an int or a ``Fraction`` as it is, anything else by its
 exact value (``_terms``); the alias :data:`Rational` names that choice in
 signatures.
 
-A :class:`RationalBall` stores its rationals as reduced integer pairs (lowest
-terms, positive denominator), so equality, hashing and exclusion lookup
-compare integers; its ``center``, ``radius`` and ``excluded`` are read-only
-``Fraction`` views.  This module owns all ball arithmetic (member, disjoint,
-contains, refine, separating radius): one integer primitive, ``_excess``,
-decides every comparison of a distance with a radius by cross-multiplying
-numerators and denominators.  A ``Fraction`` is built only where a public
-call takes or returns one.
+A :class:`RationalBall` is the tuple ``(x, cn, cd, rn, rd, excl)``: its
+natural, its centre ``cn/cd`` and radius ``rn/rd`` as reduced integer pairs
+(lowest terms, positive denominator) and a frozenset of reduced
+``(numerator, denominator, level)`` exclusions, so equality, hashing and
+exclusion lookup compare integers, and the ball rules unpack the tuple; its
+``center``, ``radius`` and ``excluded`` are read-only ``Fraction`` views.
+This module owns all ball arithmetic (member, disjoint, contains, refine,
+separating radius): one integer primitive, ``_excess``, decides every
+comparison of a distance with a radius by cross-multiplying numerators and
+denominators.  A ``Fraction`` is built only where a public call takes or
+returns one.
 
 The pair system reaches the balls through named operations on block
 images, each image the pair of a block as integers ``(x, numerator,
@@ -24,9 +27,10 @@ denominator)`` from ``_image``: a ball around an image (``_image_ball``,
 (``_ball_excluding``), membership of an image at a level
 (``_image_member``) and refinement at an image (``_image_refine``).  So
 only this module knows the number format.  These operations build their
-balls without the public constructor's checks, through ``_ball``, from
-invariants they establish themselves; the public ``RationalBall(...)``
-validates every input.  The ball rules know no construction: one that
+balls without the public constructor's checks, by ``_new`` from the six
+fields, from invariants they establish themselves: a natural ``x``, reduced
+pairs with a positive radius, and exclusions strictly inside.  The public
+``RationalBall(...)`` validates every input.  The ball rules know no construction: one that
 removes points from a ball passes a ball with those points among its
 exclusions.
 """
@@ -36,10 +40,11 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import index
+from operator import index, itemgetter
 from typing import NamedTuple
 
 from .errors import BoundExceededError
+from .relations import _new, _TupleValue
 
 __all__ = [
     "Rational",
@@ -125,7 +130,7 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-class RationalBall:
+class RationalBall(_TupleValue):
     """A cofinite subset of ``{x} x B_delta(center) x {0,1}``.
 
     ``B_delta(center)`` is the open rational interval of radius ``radius``
@@ -133,15 +138,17 @@ class RationalBall:
     pairs, all strictly inside the ball.  The represented set is always
     infinite.
 
-    The ball keeps its centre and radius as reduced integer pairs and each
-    exclusion as a reduced (numerator, denominator, level) triple;
-    ``center``, ``radius`` and ``excluded`` are ``Fraction`` views built on
-    each read.  The constructor takes anything ``Fraction`` accepts for the
-    rationals and integers for ``x_index`` and the levels.  ``x_index`` is
-    read-only, like the views: the ball's hash depends on it.
+    The value is the tuple ``(x, cn, cd, rn, rd, excl)``: the centre and
+    radius as reduced integer pairs and a frozenset of reduced (numerator,
+    denominator, level) exclusions.  It hashes as that tuple, is equal only
+    to another ball with the same six fields, and refuses assignment;
+    ``x_index`` and the ``Fraction`` views ``center``, ``radius`` and
+    ``excluded``, built on each read, are read-only.  The constructor takes
+    anything ``Fraction`` accepts for the rationals and integers for
+    ``x_index`` and the levels.
     """
 
-    __slots__ = ("_x", "_cn", "_cd", "_rn", "_rd", "_excl")
+    __slots__ = ()
 
     def __new__(cls, x_index: int, center: Fraction, radius: Fraction, excluded=()):
         x_index = _integer("x_index", x_index)
@@ -159,40 +166,27 @@ class RationalBall:
             if abs(q - center) >= radius:
                 raise ValueError(f"excluded point outside the ball: {format_rational(q)}")
             excl.add((q.numerator, q.denominator, level))
-        return _ball(x_index, center.numerator, center.denominator, radius.numerator, radius.denominator, frozenset(excl))
+        return _new(cls, (x_index, center.numerator, center.denominator, radius.numerator, radius.denominator, frozenset(excl)))
 
-    @property
-    def x_index(self) -> int:
-        return self._x
+    x_index = property(itemgetter(0))
 
     @property
     def center(self) -> Fraction:
-        return Fraction(self._cn, self._cd)
+        return Fraction(self[1], self[2])
 
     @property
     def radius(self) -> Fraction:
-        return Fraction(self._rn, self._rd)
+        return Fraction(self[3], self[4])
 
     @property
     def excluded(self) -> frozenset:
-        return frozenset((Fraction(n, d), level) for n, d, level in self._excl)
-
-    def _key(self):
-        return self._x, self._cn, self._cd, self._rn, self._rd, self._excl
-
-    def __eq__(self, other):
-        return isinstance(other, RationalBall) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):  # pickle rebuilds from the stored integers
-        return _ball, self._key()
+        return frozenset((Fraction(n, d), level) for n, d, level in self[5])
 
     def render_args(self) -> str:
         """The fields as ``x=..,q=..,d=..,excl=[..]``, exclusions sorted."""
-        excl = ",".join(f"({n}/{d},{level})" for n, d, level in sorted(self._excl, key=_BY_VALUE))
-        return f"x={self._x},q={self._cn}/{self._cd},d={self._rn}/{self._rd},excl=[{excl}]"
+        x, cn, cd, rn, rd, excl = self
+        excl = ",".join(f"({n}/{d},{level})" for n, d, level in sorted(excl, key=_BY_VALUE))
+        return f"x={x},q={cn}/{cd},d={rn}/{rd},excl=[{excl}]"
 
     def render(self) -> str:
         return f"ball({self.render_args()})"
@@ -206,20 +200,6 @@ def _compare(e1: tuple[int, int, int], e2: tuple[int, int, int]) -> int:
 
 
 _BY_VALUE = functools.cmp_to_key(_compare)
-
-
-def _ball(x: int, cn: int, cd: int, rn: int, rd: int, excl: frozenset) -> RationalBall:
-    """A ball built without validation from what ``RationalBall`` checks: a
-    natural ``x``, reduced pairs with a positive radius, and a frozenset of
-    reduced (numerator, denominator, level) exclusions strictly inside."""
-    b = object.__new__(RationalBall)
-    b._x = x
-    b._cn = cn
-    b._cd = cd
-    b._rn = rn
-    b._rd = rd
-    b._excl = excl
-    return b
 
 
 def _excess(an: int, ad: int, bn: int, bd: int, rn: int, rd: int) -> int:
@@ -246,8 +226,8 @@ def separating_radius(q1: Fraction, q2: Fraction) -> Fraction:
 def _image_member(b: RationalBall, z: tuple[int, int, int], level: int) -> bool:
     """Whether the image ``z = (x, numerator, denominator)`` at ``level`` lies in ``b``."""
     x, n, d = z
-    excl = b._excl
-    return x == b._x and _excess(n, d, b._cn, b._cd, b._rn, b._rd) < 0 and not (excl and (n, d, level) in excl)
+    bx, cn, cd, rn, rd, excl = b
+    return x == bx and _excess(n, d, cn, cd, rn, rd) < 0 and not (excl and (n, d, level) in excl)
 
 
 def ball_member(b: RationalBall, point: tuple[int, Fraction, int]) -> bool:
@@ -262,39 +242,37 @@ def ball_disjoint(b1: RationalBall, b2: RationalBall) -> bool:
     Exclusions never matter: overlapping open rational intervals share
     infinitely many points while exclusion sets are finite.
     """
-    if b1._x != b2._x:
-        return True
-    rn1, rd1, rn2, rd2 = b1._rn, b1._rd, b2._rn, b2._rd
-    return _excess(b1._cn, b1._cd, b2._cn, b2._cd, rn1 * rd2 + rn2 * rd1, rd1 * rd2) >= 0
+    x1, cn1, cd1, rn1, rd1, _ = b1
+    x2, cn2, cd2, rn2, rd2, _ = b2
+    return x1 != x2 or _excess(cn1, cd1, cn2, cd2, rn1 * rd2 + rn2 * rd1, rd1 * rd2) >= 0
 
 
 def ball_contains(outer: RationalBall, inner: RationalBall) -> bool:
     """Exact containment: ``|ci - co| + ri <= ro`` and every outer exclusion
     inside the inner ball is excluded there too."""
-    if outer._x != inner._x:
+    xo, con, cod, ron, rod, outside = outer
+    x, cn, cd, rn, rd, inside = inner
+    if xo != x or _excess(cn, cd, con, cod, ron * rd - rn * rod, rod * rd) > 0:
         return False
-    cn, cd, rn, rd = inner._cn, inner._cd, inner._rn, inner._rd
-    ron, rod = outer._rn, outer._rd
-    if _excess(cn, cd, outer._cn, outer._cd, ron * rd - rn * rod, rod * rd) > 0:
-        return False
-    inside = inner._excl
-    return all(e in inside for e in outer._excl if _excess(e[0], e[1], cn, cd, rn, rd) < 0)
+    return all(e in inside for e in outside if _excess(e[0], e[1], cn, cd, rn, rd) < 0)
 
 
 def _image_refine(b1: RationalBall, b2: RationalBall, z: tuple[int, int, int]) -> RationalBall:
     """A ball around the image z inside both arguments, inheriting relevant exclusions."""
     x, n, d = z
     # each ball's room around z, radius - |z - centre|, as an unreduced pair
-    n1, d1 = -_excess(n, d, b1._cn, b1._cd, b1._rn, b1._rd), d * b1._cd * b1._rd
-    n2, d2 = -_excess(n, d, b2._cn, b2._cd, b2._rn, b2._rd), d * b2._cd * b2._rd
+    _, cn1, cd1, rn1, rd1, excl1 = b1
+    _, cn2, cd2, rn2, rd2, excl2 = b2
+    n1, d1 = -_excess(n, d, cn1, cd1, rn1, rd1), d * cd1 * rd1
+    n2, d2 = -_excess(n, d, cn2, cd2, rn2, rd2), d * cd2 * rd2
     rn, rd = (n1, d1) if n1 * d2 <= n2 * d1 else (n2, d2)
     if rn <= 0:
         raise ValueError("radius must be positive")
     rn, rd = _reduced(rn, rd)
-    excl = b1._excl | b2._excl
+    excl = excl1 | excl2
     if excl:
         excl = frozenset([e for e in excl if _excess(e[0], e[1], n, d, rn, rd) < 0])
-    return _ball(x, n, d, rn, rd, excl)
+    return _new(RationalBall, (x, n, d, rn, rd, excl))
 
 
 def ball_refine(b1: RationalBall, b2: RationalBall, z) -> RationalBall:
@@ -311,7 +289,7 @@ def _image_ball(z: tuple[int, int, int], eighths: int = 8, shift: int = 0, exclu
     g = math.gcd(eighths, 8)
     cn, cd = _reduced(8 * n + shift * d, 8 * d) if shift else (n, d)
     excl = frozenset([(*_reduced(8 * n + s * d, 8 * d), level) for s, level in excluded]) if excluded else _NO_EXCL
-    return _ball(x, cn, cd, eighths // g, 8 // g, excl)
+    return _new(RationalBall, (x, cn, cd, eighths // g, 8 // g, excl))
 
 
 def _separating_balls(z1: tuple[int, int, int], z2: tuple[int, int, int]) -> tuple[RationalBall, RationalBall]:
@@ -319,13 +297,14 @@ def _separating_balls(z1: tuple[int, int, int], z2: tuple[int, int, int]) -> tup
     radius 1 on different naturals, else half the distance of the rationals."""
     (x1, n1, d1), (x2, n2, d2) = z1, z2
     rn, rd = (1, 1) if x1 != x2 else _half_distance(n1, d1, n2, d2)
-    return _ball(x1, n1, d1, rn, rd, _NO_EXCL), _ball(x2, n2, d2, rn, rd, _NO_EXCL)
+    return _new(RationalBall, (x1, n1, d1, rn, rd, _NO_EXCL)), _new(RationalBall, (x2, n2, d2, rn, rd, _NO_EXCL))
 
 
 def _ball_excluding(b: RationalBall, z: tuple[int, int, int], level: int) -> RationalBall:
     """``b`` minus the image z at ``level`` as well; z must lie strictly inside."""
     _, n, d = z
-    return _ball(b._x, b._cn, b._cd, b._rn, b._rd, b._excl | {(n, d, level)})
+    x, cn, cd, rn, rd, excl = b
+    return _new(RationalBall, (x, cn, cd, rn, rd, excl | {(n, d, level)}))
 
 
 # --- fixed bijection between the naturals and (natural, rational) pairs ---

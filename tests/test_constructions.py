@@ -1,5 +1,6 @@
 """Realisation constructions: dispatch, oracles, witnesses, certificates."""
 
+import copy
 import hashlib
 import pickle
 import random
@@ -51,12 +52,13 @@ from diagclosure.errors import (
     NotRealisableError,
     NotT1ConstructionError,
 )
-from diagclosure.finite_topology import tau_r
+from diagclosure.finite_topology import Preorder, tau_r
 from diagclosure.relations import (
     BlockClass,
     BlockRef,
     FiniteBlocks,
     FinitePartition,
+    FiniteRelation,
     PointAddr,
     is_t1_realisable,
     parse_point,
@@ -558,6 +560,9 @@ VALUES = [
      "NonTransitiveReport(designated=(), construction=None, triple=None, certificate=None, message='none')"),
     (lambda: FinitePartition(3, [[2], [1, 0]]), "FinitePartition(n=3, blocks=((0, 1), (2,)))"),
     (lambda: tau_r(FinitePartition(3, [[2], [1, 0]])), "FiniteTopology(n=3, opens=[(), (2,), (0, 1), (0, 1, 2)])"),
+    (lambda: FiniteRelation.from_pairs(3, [(2, 0)]), "FiniteRelation(n=3, off_diagonal=[(2, 0)])"),
+    (lambda: Preorder(3, (0b011, 0b010, 0b100)), "Preorder(n=3, up=[(0, 1), (1,), (2,)])"),
+    (lambda: RationalBall(1, Fraction(1, 2), Fraction(1, 4), [(Fraction(5, 8), 0)]), "ball(x=1,q=1/2,d=1/4,excl=[(5/8,0)])"),
 ]
 
 
@@ -577,6 +582,31 @@ def test_value_types_compare_hash_and_show_by_their_fields(build, text):
     with pytest.raises(AttributeError):
         delattr(v, field)
     assert v == w
+
+
+def test_relations_and_balls_refuse_assignment_and_keep_their_hashes():
+    r = FiniteRelation.diagonal(3)
+    p = Preorder(3, (0b011, 0b010, 0b100))
+    b = RationalBall(1, Fraction(1, 2), Fraction(1, 4), [(Fraction(5, 8), 0)])
+    held = {r, p, b}
+    with pytest.raises(AttributeError):
+        r.rows = (7, 7, 7)
+    with pytest.raises(AttributeError):
+        p.n = 2
+    for name in ("x_index", "_x", "_cn", "_cd", "_rn", "_rd", "_excl"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, 7)
+    assert r in held and p in held and b in held and len(held) == 3
+    # each value is the tuple of its fields, and hashes as that tuple
+    assert tuple(r) == (3, (1, 2, 4)) and hash(r) == hash((r.n, r.rows))
+    assert tuple(p) == (3, (0b011, 0b010, 0b100)) and hash(p) == hash(FiniteRelation(3, p.rows))
+    assert tuple(b) == (1, 1, 2, 1, 4, frozenset({(5, 8, 0)})) and hash(b) == hash(tuple(b))
+    # but equals only a value of its own class, never its fields
+    assert r != (3, (1, 2, 4)) and (3, (1, 2, 4)) != r and b != tuple(b) and not b == tuple(b)
+    assert p != FiniteRelation(3, p.rows) and FiniteRelation(3, p.rows) != p
+    for v in (r, p, b):
+        for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(twin) is type(v) and twin == v and hash(twin) == hash(v)
 
 
 def test_value_types_are_equal_only_within_one_class():
