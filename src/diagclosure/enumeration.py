@@ -73,7 +73,7 @@ from typing import Callable, Iterator
 from .counting import SOFT_LIMIT, _count_below, _multisets, _partitions
 from .errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
 from .finite_topology import Preorder, closure_rows
-from .relations import FiniteRelation, _new, all_partitions
+from .relations import FiniteRelation, _new, _partition_blocks, _slot_init
 
 __all__ = [
     "Catalog",
@@ -361,9 +361,16 @@ def decode_preorder(code: str, n: int) -> Preorder:
 
 # --- catalogs ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CatalogRecord:
-    """One realised closure relation with its realisation counts."""
+    """One realised closure relation with its realisation counts.
+
+    A slotted frozen dataclass: assignment raises ``FrozenInstanceError``, a
+    record has no ``__dict__``, and ``dataclasses.replace`` and
+    ``dataclasses.fields`` work on it.  Its ``__init__`` stores each field
+    through its slot (``relations._slot_init``), as a catalog builds one
+    record per closure.
+    """
 
     n: int
     relation_code: str
@@ -372,6 +379,9 @@ class CatalogRecord:
     transitive: bool
     equivalence: bool
     example_preorder_code: str
+
+
+CatalogRecord.__init__ = _slot_init(CatalogRecord, CatalogRecord.__slots__, {})  # the fields, in order
 
 
 @dataclass(frozen=True)
@@ -391,8 +401,8 @@ def _count_structures(n: int) -> dict[int, list]:
     other blocks each (see ``_Walk``).
     """
     walk = _Walk(n)
-    for part in all_partitions(n):
-        walk.partition(part.blocks)
+    for blocks in _partition_blocks(n):
+        walk.partition(blocks)
     return walk.counts
 
 
@@ -620,11 +630,12 @@ def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, worker
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
 # Fields exactly as render_catalog writes them: a count as str(int) writes it
 # (no sign, underscore, other digits or leading zero), a code as format(v, "x").
-# A row's codes are matched by _code_bits alone, which also bounds their width.
+# A row's codes are matched by _ROW_RE, so read_catalog checks only their widths.
 _COUNT = "0|[1-9][0-9]*"
 _COUNT_RE = re.compile(_COUNT)
-_CODE_RE = re.compile("0|[1-9a-f][0-9a-f]*")
-_ROW_RE = re.compile("\t".join(f"({field})" for field in (_COUNT, "[^\t]*", _COUNT, _COUNT, "true|false", "true|false", "[^\t]*")))
+_CODE = "0|[1-9a-f][0-9a-f]*"
+_CODE_RE = re.compile(_CODE)
+_ROW_RE = re.compile("\t".join(f"({field})" for field in (_COUNT, _CODE, _COUNT, _COUNT, "true|false", "true|false", _CODE)))
 
 
 def _flag(v: bool) -> str:
@@ -662,34 +673,65 @@ def render_catalog(cat: Catalog) -> str:
 
 
 def read_catalog(text: str) -> Catalog:
+    """The catalog of ``text``, as ``render_catalog`` writes it.
+
+    Blank lines are skipped.  After the header, every line but the last is a
+    row and the last is the totals line.  A row has a point count equal to
+    the first row's, equal transitive and equivalence flags (a reflexive
+    symmetric relation is an equivalence exactly when it is transitive), and
+    codes with no bit beyond the cells of its points; its relation code is
+    above the previous row's.  The totals are the sums of the labelled and
+    T0 columns.  Anything else raises ``SpecSyntaxError`` naming the line;
+    a missing totals line is named as the line after the last.  The rows'
+    relations are not checked to be closures: ``tests/reference.py``'s
+    ``check_catalog`` does that.
+    """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != _HEADER:
         lineno, ln = lines[0] if lines else (1, "")
         raise SpecSyntaxError(f"bad catalog header at line {lineno}: {ln!r}")
+    last_line = lines[-1][0]
     records = []
-    totals = (0, 0)
+    totals = None
+    n, n_text, cells = 0, None, 0  # a catalog with no rows has 0 points
+    previous = -1
     for lineno, ln in lines[1:]:
+        m = _ROW_RE.fullmatch(ln)
         try:
-            if ln.startswith("#"):
+            if m is None:
+                if not ln.startswith("#"):
+                    raise ValueError("not seven fields as render_catalog writes them")
+                if lineno != last_line:
+                    raise ValueError("a totals line before the last line")
                 items = [item.split("=", 1) for item in ln[1:].split()]
                 if sorted(key for key, _ in items) != ["total_t0", "total_topologies"]:
                     raise ValueError("a totals line needs exactly total_topologies and total_t0")
                 parts = dict(items)
                 totals = (_count(parts["total_topologies"]), _count(parts["total_t0"]))
                 continue
-            m = _ROW_RE.fullmatch(ln)
-            if m is None:
-                raise ValueError("not seven fields as render_catalog writes them")
             n_s, rel, lab, t0c, trans, equiv, example = m.groups()
-            n = int(n_s)
-            if records and n != records[0].n:
-                raise ValueError("a point count unlike the first row's")
+            if n_s != n_text:  # both as str(int) writes them
+                if records:
+                    raise ValueError("a point count unlike the first row's")
+                n, n_text = int(n_s), n_s
+                cells = n * (n - 1) // 2
             if trans != equiv:
                 raise ValueError("a reflexive symmetric relation is an equivalence exactly when it is transitive")
-            _code_bits(rel, n * (n - 1) // 2)
-            _code_bits(example, n * (n - 1))
+            code = int(rel, 16)
+            # a bit length, not 1 << cells: a catalog row may claim any number of points
+            if code.bit_length() > cells or int(example, 16).bit_length() > 2 * cells:
+                raise ValueError("a code with bits beyond the cells of its points")
+            if code <= previous:
+                raise ValueError("a relation code not above the previous row's")
+            previous = code
             records.append(CatalogRecord(n, rel, int(lab), int(t0c), trans == "true", trans == "true", example))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise SpecSyntaxError(f"bad catalog line {lineno}: {ln!r}") from exc
-    n = records[0].n if records else 0
-    return Catalog(n, tuple(records), totals[0], totals[1])
+    if totals is None:
+        raise SpecSyntaxError(f"bad catalog line {last_line + 1}: no totals line after the last row")
+    sums = sum([r.labeled_topology_count for r in records]), sum([r.t0_topology_count for r in records])
+    if totals != sums:
+        raise SpecSyntaxError(f"bad catalog line {last_line}: {lines[-1][1]!r}") from ValueError(
+            f"totals {totals[0]} and {totals[1]}, but the columns sum to {sums[0]} and {sums[1]}"
+        )
+    return Catalog(n, tuple(records), *totals)

@@ -46,22 +46,42 @@ __all__ = [
 ]
 
 
-# Sets a field of a _Frozen value in its __init__: bound once, as a global,
-# because opens are built hundreds of thousands of times per verify round.
+# Sets a field of a _Frozen value in a hand-written __init__: bound once, as a
+# global, for the classes that convert or check their values first.
 _set = object.__setattr__
+
+
+def _slot_init(cls, fields, defaults: dict):
+    """An ``__init__`` for the slotted class ``cls`` that takes ``fields`` in
+    order, with ``defaults``, and stores each through its slot's own
+    descriptor.
+
+    Compiled from source once per class, as dataclasses and namedtuple build
+    theirs, so it runs the code of a hand-written ``__init__``.  Each slot's
+    ``__set__`` is bound once, so a store is one C call past any
+    ``__setattr__`` that refuses assignment: a verify round builds over half
+    a million opens and certificates, and a catalog one record per closure.
+    """
+    params = "".join(f", {f}=_d_{f}" if f in defaults else f", {f}" for f in fields)
+    body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+    namespace = {**{f"_set_{f}": getattr(cls, f).__set__ for f in fields}, **{f"_d_{f}": v for f, v in defaults.items()}}
+    exec(f"def __init__(self{params}):{body}\n", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"  # named in argument errors
+    return init
 
 
 class _Frozen:
     """Value semantics of a frozen dataclass, without importing ``dataclasses``.
 
     A subclass names its fields in ``_fields``: they are the value.  Unless
-    the class writes its own ``__init__``, one is generated that takes them
-    in that order, with the defaults given in ``_defaults``, and sets them
-    through ``_set``; a class that converts or checks its values first
-    writes its own.  Its ``__slots__`` holds the fields and may add slots
-    for derived or cached data, also set through ``_set``.  Values are equal
-    only to values of the same class with equal fields, hash as their field
-    tuple, show as ``Class(field=value, ...)``, refuse assignment and
+    the class writes its own ``__init__``, ``_slot_init`` makes one that
+    takes them in that order, with the defaults given in ``_defaults``; a
+    class that converts or checks its values first writes its own and sets
+    them through ``_set``.  Its ``__slots__`` holds the fields and may add
+    slots for derived or cached data, also set through ``_set``.  Values are
+    equal only to values of the same class with equal fields, hash as their
+    field tuple, show as ``Class(field=value, ...)``, refuse assignment and
     deletion, and pickle and copy by calling ``__init__`` with their fields.
     """
 
@@ -70,16 +90,8 @@ class _Frozen:
     _defaults: dict = {}
 
     def __init_subclass__(cls):
-        # Compiled from source once per class, as dataclasses and namedtuple
-        # build theirs, so it runs the code of a hand-written __init__: a verify
-        # round builds over half a million opens and certificates.
         if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
-            params = "".join(f", {f}=_d_{f}" if f in cls._defaults else f", {f}" for f in cls._fields)
-            body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
-            namespace = {"_set": _set, **{f"_d_{f}": v for f, v in cls._defaults.items()}}
-            exec(f"def __init__(self{params}):{body}\n", namespace)
-            cls.__init__ = namespace["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # named in argument errors
+            cls.__init__ = _slot_init(cls, cls._fields, cls._defaults)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -576,19 +588,27 @@ def partition_of_eq(r: FiniteRelation) -> FinitePartition:
 
 def all_partitions(n: int) -> Iterator[FinitePartition]:
     """All set partitions of ``{0..n-1}``, in restricted-growth order."""
+    for blocks in _partition_blocks(n):
+        yield FinitePartition(n, blocks)
+
+
+def _partition_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The blocks of each set partition of ``{0..n-1}``, in restricted-growth
+    order: each block ascending and the blocks by least point, as
+    ``FinitePartition`` keeps them."""
     if n == 0:
-        yield FinitePartition(0, [])
+        yield ()
         return
     yield from _place(0, n, [])
 
 
-# Module-level, not nested in all_partitions: a nested generator that calls
-# itself would hold itself through its closure cell, a cycle left to the
-# cyclic garbage collector.
-def _place(i: int, n: int, blocks: list[list[int]]) -> Iterator[FinitePartition]:
+# Module-level, not nested in _partition_blocks: a nested generator that
+# calls itself would hold itself through its closure cell, a cycle left to
+# the cyclic garbage collector.
+def _place(i: int, n: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
     # point i joins each open block in turn, then a new block of its own
     if i == n:
-        yield FinitePartition(n, [list(b) for b in blocks])
+        yield tuple(map(tuple, blocks))
         return
     for b in blocks:
         b.append(i)

@@ -1,6 +1,7 @@
 """Realisation constructions: dispatch, oracles, witnesses, certificates."""
 
 import copy
+import dataclasses
 import hashlib
 import pickle
 import random
@@ -43,6 +44,7 @@ from diagclosure.constructions import (
     realise_tau_r,
     _FinPt,
 )
+from diagclosure.enumeration import Catalog, CatalogRecord
 from diagclosure.errors import (
     ForeignVariantError,
     GroundSetFiniteError,
@@ -563,6 +565,12 @@ VALUES = [
     (lambda: FiniteRelation.from_pairs(3, [(2, 0)]), "FiniteRelation(n=3, off_diagonal=[(2, 0)])"),
     (lambda: Preorder(3, (0b011, 0b010, 0b100)), "Preorder(n=3, up=[(0, 1), (1,), (2,)])"),
     (lambda: RationalBall(1, Fraction(1, 2), Fraction(1, 4), [(Fraction(5, 8), 0)]), "ball(x=1,q=1/2,d=1/4,excl=[(5/8,0)])"),
+    (lambda: CatalogRecord(2, "1", 3, 2, True, True, "2"),
+     "CatalogRecord(n=2, relation_code='1', labeled_topology_count=3, t0_topology_count=2, transitive=True, "
+     "equivalence=True, example_preorder_code='2')"),
+    (lambda: Catalog(1, (CatalogRecord(1, "0", 1, 1, True, True, "0"),), 1, 1),
+     "Catalog(n=1, records=(CatalogRecord(n=1, relation_code='0', labeled_topology_count=1, t0_topology_count=1, "
+     "transitive=True, equivalence=True, example_preorder_code='0'),), total_topologies=1, total_t0=1)"),
 ]
 
 
@@ -582,6 +590,21 @@ def test_value_types_compare_hash_and_show_by_their_fields(build, text):
     with pytest.raises(AttributeError):
         delattr(v, field)
     assert v == w
+
+
+def test_catalog_records_are_slotted_frozen_dataclasses():
+    # perfbench/faults.py and tests/test_enumeration.py copy records with dataclasses.replace
+    rec = CatalogRecord(2, "1", 3, 2, True, True, "2")
+    assert [f.name for f in dataclasses.fields(rec)] == [
+        "n", "relation_code", "labeled_topology_count", "t0_topology_count", "transitive", "equivalence",
+        "example_preorder_code",
+    ]
+    assert dataclasses.replace(rec, labeled_topology_count=4) == CatalogRecord(2, "1", 4, 2, True, True, "2")
+    assert rec.labeled_topology_count == 3 and not hasattr(rec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.n = 3
+    with pytest.raises(TypeError, match=r"^CatalogRecord\.__init__\(\) missing 1 required positional argument"):
+        CatalogRecord(2, "1", 3, 2, True, True)
 
 
 def test_relations_and_balls_refuse_assignment_and_keep_their_hashes():

@@ -390,7 +390,7 @@ def test_check_catalog_accepts_the_golden_and_built_catalogs():
 
 
 def test_check_catalog_rejects_each_broken_row():
-    # read_catalog checks the syntax only, so it loads the 4-cycle, which no topology has
+    # read_catalog checks no row's closure, so it loads the 4-cycle, which no topology has
     four_cycle = read_catalog(render_catalog(Catalog(4, (CatalogRecord(4, "2d", 1, 1, False, False, "0"),), 1, 1)))
     with pytest.raises(AssertionError, match="row 2d: not the closure"):
         check_catalog(four_cycle)
@@ -520,10 +520,18 @@ def test_read_catalog_names_the_malformed_line():
         (3, "2\tff\t3\t2\ttrue\ttrue\t2"),  # a relation code far beyond it
         (3, "2\t1\t3\t2\ttrue\ttrue\t4"),  # an example code beyond the two cells
         (3, "2\t1\t3\t2\ttrue\ttrue\tfff"),  # an example code far beyond them
+        (3, good[1]),  # a row repeated
+        (4, good[3] + "\n# total_topologies=99 total_t0=3"),  # a second totals line
+        (4, ""),  # no totals line, blamed on the line after the last
+        (4, "# total_topologies=5 total_t0=3"),  # a total that is not its column's sum
+        (4, "# total_topologies=4 total_t0=2"),  # a T0 total that is not its column's sum
     )
-    for lineno, row in bad_rows:
-        lines = list(good)
-        lines[lineno - 1] = row
+    header, first, second, totals = good
+    bad_texts = [(lineno, good[:lineno - 1] + [row] + good[lineno:]) for lineno, row in bad_rows] + [
+        (3, [header, second, first, totals]),  # rows in descending code order
+        (3, [header, first, totals, second]),  # a totals line before the last row
+    ]
+    for lineno, lines in bad_texts:
         with pytest.raises(SpecSyntaxError, match=f"line {lineno}:"):
             read_catalog("\n".join(lines))
     with pytest.raises(SpecSyntaxError, match="line 1:"):

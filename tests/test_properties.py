@@ -1,6 +1,7 @@
 """Property tests: code, catalog, spec, point and topology round trips, the point reader against its regex reference, canonical-code invariance, integer ball arithmetic, and CLI exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import signal
 import sys
@@ -80,18 +81,19 @@ def relations(draw, max_n=6):
 
 @st.composite
 def catalogs(draw):
+    """Catalogs as ``render_catalog`` writes them: rows in ascending relation
+    code, one per code, codes that fit the cells of n points, and totals that
+    are the column sums."""
     n = draw(st.integers(0, 6))
-
-    def hex_codes(cells):  # codes that fit the cells of n points, as read_catalog requires
-        return st.integers(0, 2**cells - 1).map(lambda v: format(v, "x"))
-
+    cells = n * (n - 1) // 2
     counts = st.integers(0, 10**6)
-    record = st.builds(
-        lambda rel, lab, t0c, transitive, example: CatalogRecord(n, rel, lab, t0c, transitive, transitive, example),
-        hex_codes(n * (n - 1) // 2), counts, counts, st.booleans(), hex_codes(n * (n - 1)),
-    )
-    records = draw(st.lists(record, min_size=1, max_size=8))
-    return Catalog(n, tuple(records), draw(counts), draw(counts))
+    codes = draw(st.lists(st.integers(0, 2**cells - 1), min_size=1, max_size=8, unique=True))
+    records = []
+    for code in sorted(codes):
+        lab, t0c, transitive, example = draw(st.tuples(counts, counts, st.booleans(), st.integers(0, 2 ** (2 * cells) - 1)))
+        records.append(CatalogRecord(n, format(code, "x"), lab, t0c, transitive, transitive, format(example, "x")))
+    totals = sum(r.labeled_topology_count for r in records), sum(r.t0_topology_count for r in records)
+    return Catalog(n, tuple(records), *totals)
 
 
 @given(preorders)
@@ -107,6 +109,14 @@ def test_relation_code_round_trip(r):
 @given(catalogs())
 def test_catalog_text_round_trip(cat):
     assert read_catalog(render_catalog(cat)) == cat
+
+
+@given(catalogs(), st.sampled_from(["total_topologies", "total_t0"]), st.data())
+def test_catalog_with_one_total_changed_is_refused(cat, total, data):
+    wrong = data.draw(st.integers(0, 10**7).filter(lambda v: v != getattr(cat, total)))
+    text = render_catalog(dataclasses.replace(cat, **{total: wrong}))
+    with pytest.raises(SpecSyntaxError, match=f"^bad catalog line {len(cat.records) + 2}: '# total_topologies="):
+        read_catalog(text)
 
 
 @settings(max_examples=50, deadline=None)

@@ -344,16 +344,26 @@ def test_frozen_class_keeps_the_init_it_writes():
         Checked(-1)
 
 
+class _Open(_Frozen):
+    _fields = __slots__ = ("block", "excluded")
+    _defaults = {"excluded": frozenset()}
+
+
+# the hand-written twin of _Open's generated __init__: each slot's __set__,
+# bound once as a global, stores its field
+_set_block, _set_excluded = _Open.block.__set__, _Open.excluded.__set__
+
+
+def _open_init_by_hand(self, block, excluded=frozenset()):
+    _set_block(self, block)
+    _set_excluded(self, excluded)
+
+
 def test_generated_init_runs_the_code_of_a_hand_written_one():
-    class Open(_Frozen):
-        _fields = __slots__ = ("block", "excluded")
-        _defaults = {"excluded": frozenset()}
-
-    def by_hand(self, block, excluded=frozenset()):
-        _set(self, "block", block)
-        _set(self, "excluded", excluded)
-
-    made, written = Open.__init__.__code__, by_hand.__code__
+    made, written = _Open.__init__.__code__, _open_init_by_hand.__code__
     for attr in ("co_code", "co_consts", "co_names", "co_varnames", "co_argcount"):
         assert getattr(made, attr) == getattr(written, attr), attr
-    assert Open.__init__.__defaults__ == by_hand.__defaults__
+    assert _Open.__init__.__defaults__ == _open_init_by_hand.__defaults__
+    twin = _Open.__new__(_Open)
+    _open_init_by_hand(twin, 3)
+    assert twin == _Open(3) and twin.excluded == frozenset()
