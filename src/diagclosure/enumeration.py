@@ -68,12 +68,13 @@ import warnings
 from dataclasses import dataclass
 from itertools import groupby, permutations, product
 from math import comb, factorial, prod
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .counting import SOFT_LIMIT, _count_below, _multisets, _partitions
-from .errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
+from .errors import BoundExceededError, InvalidCatalogError, InvalidSizeError, SpecSyntaxError
 from .finite_topology import Preorder, closure_rows
-from .relations import FiniteRelation, _new, _partition_blocks, _slot_init
+from .relations import FiniteRelation, _new, _partition_blocks, _TupleValue
 
 __all__ = [
     "Catalog",
@@ -361,16 +362,20 @@ def decode_preorder(code: str, n: int) -> Preorder:
 
 # --- catalogs ---
 
-@dataclass(frozen=True, slots=True, init=False)
-class CatalogRecord:
+@dataclass(frozen=True, init=False, eq=False)
+class CatalogRecord(_TupleValue):
     """One realised closure relation with its realisation counts.
 
-    A slotted frozen dataclass: assignment raises ``FrozenInstanceError``, a
-    record has no ``__dict__``, and ``dataclasses.replace`` and
-    ``dataclasses.fields`` work on it.  Its ``__init__`` stores each field
-    through its slot (``relations._slot_init``), as a catalog builds one
-    record per closure.
+    The 7-tuple of its fields, in the order below, that is also a frozen
+    dataclass: assignment and deletion raise ``FrozenInstanceError``, a
+    record has no ``__dict__``, and ``dataclasses.fields`` and
+    ``dataclasses.replace`` work on it.  It hashes, indexes, unpacks and
+    orders as that tuple, and equals only a record with the same fields.
+    A catalog builds and reads one record per closure with ``_new``, past
+    ``__new__``.
     """
+
+    __slots__ = ()
 
     n: int
     relation_code: str
@@ -380,8 +385,17 @@ class CatalogRecord:
     equivalence: bool
     example_preorder_code: str
 
+    def __new__(cls, n, relation_code, labeled_topology_count, t0_topology_count, transitive, equivalence,
+                example_preorder_code):
+        return _new(cls, (n, relation_code, labeled_topology_count, t0_topology_count, transitive, equivalence,
+                          example_preorder_code))
 
-CatalogRecord.__init__ = _slot_init(CatalogRecord, CatalogRecord.__slots__, {})  # the fields, in order
+
+# Each field reads its item of the tuple.  The properties are set after
+# @dataclass has read the fields, so that no field takes one as its default.
+for _i, _name in enumerate(CatalogRecord.__dataclass_fields__):
+    setattr(CatalogRecord, _name, property(itemgetter(_i)))
+del _i, _name
 
 
 @dataclass(frozen=True)
@@ -620,11 +634,16 @@ def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, worker
         raise BoundExceededError(f"n={n} is above the soft limit {SOFT_LIMIT}; pass force=True to proceed")
     counts = (_count_types if up_to_iso else _count_structures)(n)
     records = []
+    append = records.append
+    labs = t0s = 0
     for code in sorted(counts):
         lab, t0c, example, transitive = counts[code]
-        records.append(CatalogRecord(n, f"{code:x}", t0c if t0_only else lab, t0c, transitive, transitive, f"{example:x}"))
-    totals = sum([r.labeled_topology_count for r in records]), sum([r.t0_topology_count for r in records])
-    return Catalog(n, tuple(records), *totals)
+        if t0_only:
+            lab = t0c
+        labs += lab
+        t0s += t0c
+        append(_new(CatalogRecord, (n, f"{code:x}", lab, t0c, transitive, transitive, f"{example:x}")))
+    return Catalog(n, tuple(records), labs, t0s)
 
 
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
@@ -636,10 +655,6 @@ _COUNT_RE = re.compile(_COUNT)
 _CODE = "0|[1-9a-f][0-9a-f]*"
 _CODE_RE = re.compile(_CODE)
 _ROW_RE = re.compile("\t".join(f"({field})" for field in (_COUNT, _CODE, _COUNT, _COUNT, "true|false", "true|false", _CODE)))
-
-
-def _flag(v: bool) -> str:
-    return "true" if v else "false"
 
 
 def _count(s: str) -> int:
@@ -661,14 +676,42 @@ def _code_bits(code: str, width: int) -> int:
 
 
 def render_catalog(cat: Catalog) -> str:
+    """The text of ``cat``: a header, one tab-separated row per record, and a
+    totals line, which ``read_catalog`` reads back as ``cat``.
+
+    A catalog whose text ``read_catalog`` would refuse, or read as another
+    catalog, raises ``InvalidCatalogError`` naming the first bad record by
+    its index: one whose relation code is not above the previous record's
+    (so no code repeats), whose ``n`` is not ``cat.n``, or whose transitive
+    and equivalence flags differ.  Totals other than the column sums raise
+    it too.  The checks leave out what no ``build_catalog`` catalog can get
+    wrong: the spelling and widths of the codes, the counts' types, and a
+    catalog with no record, which reads back on 0 points.
+    """
+    n = cat.n
     lines = [_HEADER]
-    for rec in cat.records:
-        lines.append(
-            f"{rec.n}\t{rec.relation_code}\t{rec.labeled_topology_count}\t"
-            f"{rec.t0_topology_count}\t{_flag(rec.transitive)}\t"
-            f"{_flag(rec.equivalence)}\t{rec.example_preorder_code}"
+    append = lines.append
+    previous = -1
+    labs = t0s = 0
+    for rn, rel, lab, t0c, tr, eq, ex in cat.records:
+        code = int(rel, 16)
+        if code <= previous or rn != n or tr != eq:
+            why = (
+                f"relation code {rel!r} not above the previous record's" if code <= previous
+                else f"n={rn!r} in a catalog on {n!r} points" if rn != n
+                else f"transitive={tr!r} but equivalence={eq!r}"
+            )
+            raise InvalidCatalogError(f"record {len(lines) - 1}: {why}")  # lines holds the header and each row before it
+        previous = code
+        labs += lab
+        t0s += t0c
+        flag = "true" if tr else "false"
+        append(f"{rn}\t{rel}\t{lab}\t{t0c}\t{flag}\t{flag}\t{ex}")
+    if labs != cat.total_topologies or t0s != cat.total_t0:
+        raise InvalidCatalogError(
+            f"totals {cat.total_topologies} and {cat.total_t0}, but the columns sum to {labs} and {t0s}"
         )
-    lines.append(f"# total_topologies={cat.total_topologies} total_t0={cat.total_t0}")
+    append(f"# total_topologies={cat.total_topologies} total_t0={cat.total_t0}")
     return "\n".join(lines) + "\n"
 
 
@@ -692,9 +735,11 @@ def read_catalog(text: str) -> Catalog:
         raise SpecSyntaxError(f"bad catalog header at line {lineno}: {ln!r}")
     last_line = lines[-1][0]
     records = []
+    append = records.append
     totals = None
     n, n_text, cells = 0, None, 0  # a catalog with no rows has 0 points
     previous = -1
+    labs = t0s = 0
     for lineno, ln in lines[1:]:
         m = _ROW_RE.fullmatch(ln)
         try:
@@ -724,12 +769,15 @@ def read_catalog(text: str) -> Catalog:
             if code <= previous:
                 raise ValueError("a relation code not above the previous row's")
             previous = code
-            records.append(CatalogRecord(n, rel, int(lab), int(t0c), trans == "true", trans == "true", example))
+            lab, t0c, flag = int(lab), int(t0c), trans == "true"
+            labs += lab
+            t0s += t0c
+            append(_new(CatalogRecord, (n, rel, lab, t0c, flag, flag, example)))
         except ValueError as exc:
             raise SpecSyntaxError(f"bad catalog line {lineno}: {ln!r}") from exc
     if totals is None:
         raise SpecSyntaxError(f"bad catalog line {last_line + 1}: no totals line after the last row")
-    sums = sum([r.labeled_topology_count for r in records]), sum([r.t0_topology_count for r in records])
+    sums = labs, t0s
     if totals != sums:
         raise SpecSyntaxError(f"bad catalog line {last_line}: {lines[-1][1]!r}") from ValueError(
             f"totals {totals[0]} and {totals[1]}, but the columns sum to {sums[0]} and {sums[1]}"

@@ -77,6 +77,12 @@ class NotATopologyError(DiagClosureError, ValueError):
         self.witness = witness
 
 
+class InvalidCatalogError(DiagClosureError, ValueError):
+    """A catalog that its reader would refuse: relation codes out of order or
+    repeated, a record of another point count, a record whose transitive and
+    equivalence flags differ, or totals other than the column sums."""
+
+
 class NotDisjointError(DiagClosureError, ValueError):
     """Designated sets that were required to be pairwise disjoint overlap."""
 

@@ -60,7 +60,7 @@ def _slot_init(cls, fields, defaults: dict):
     theirs, so it runs the code of a hand-written ``__init__``.  Each slot's
     ``__set__`` is bound once, so a store is one C call past any
     ``__setattr__`` that refuses assignment: a verify round builds over half
-    a million opens and certificates, and a catalog one record per closure.
+    a million opens and certificates.
     """
     params = "".join(f", {f}=_d_{f}" if f in defaults else f", {f}" for f in fields)
     body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)

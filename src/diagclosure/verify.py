@@ -34,11 +34,11 @@ address class the strata name and one per stratum are built at the start
 of each run, with the spec's limits and their bit widths fixed in them;
 all three classes share one point rule, and the strata two pair rules: a
 second point of p's block, or one of another block, drawn again at most
-``_MAX_REDRAWS`` times.  Every index is drawn by
-:func:`~diagclosure.constructions.draw_below` straight from the
-generator's ``getrandbits``, by the rejection rule of ``randrange``, so the
-draws are those of ``randrange`` and ``randint`` without their argument
-checks.  ``tests/reference.py`` keeps the plain sampling functions, drawing
+``_MAX_REDRAWS`` times.  Every index is drawn straight from the
+generator's ``getrandbits``, by the rejection rule of ``randrange`` that
+:func:`~diagclosure.constructions.draw_below` follows (written out inline
+in the point samplers), so the draws are those of ``randrange`` and
+``randint`` without their argument checks.  ``tests/reference.py`` keeps the plain sampling functions, drawing
 through ``randint``, that they must match draw for draw.  Bounds and
 sample counts must be integers; others are refused before any draw.
 
@@ -159,35 +159,43 @@ def _point_sampler(tag, spec, getrandbits, bounds):
     """The sampler ``point(block=None, not_elem=None)`` of one address class.
 
     The block and element limits, and their bit widths, are fixed here, once
-    per verification run; each index is one ``draw_below(getrandbits,
-    limit)``, which takes the draws of ``randint(0, limit - 1)``.  A given
-    ``block`` is kept, and an element equal to ``not_elem`` is drawn again.
-    The element is drawn from a table indexed by the block modulo its
-    length: one entry per finite size, one for an infinite block, and for a
-    singleton one entry, ``int``, that returns 0 and draws nothing.
+    per verification run; each index is drawn below its limit as
+    ``draw_below(getrandbits, limit)`` draws it, inline, which takes the
+    draws of ``randint(0, limit - 1)``.  A given ``block`` is kept, and an
+    element equal to ``not_elem`` is drawn again.  The element's limit and
+    width come from a table indexed by the block modulo its length: one
+    entry per finite size, one for an infinite block, and for a singleton
+    one entry of width 0, since ``getrandbits(0)`` is 0 and draws nothing.
     """
     block_bound, elem_bound = bounds
 
-    def block_draw(count):  # the draw of a block index; a count of None is omega
-        return _below(getrandbits, block_bound + 1 if count is None else min(block_bound, count - 1) + 1)
+    def below(limit):  # a limit and its bit width
+        return limit, limit.bit_length()
+
+    def block_limit(count):  # the limit of a block index; a count of None is omega
+        return below(block_bound + 1 if count is None else min(block_bound, count - 1) + 1)
 
     if tag == "s":
-        cls, draw_block, elem_draws = _S, block_draw(spec.singletons.value), (int,)
+        cls, (blocks, block_bits), elems = _S, block_limit(spec.singletons.value), ((1, 0),)
     elif tag == "f":
         cls, sizes = _F, spec.fin.sizes
-        draw_block = block_draw(None if spec.fin.cyclic else len(sizes))
-        elem_draws = tuple(_below(getrandbits, min(elem_bound, size - 1) + 1) for size in sizes)
+        blocks, block_bits = block_limit(None if spec.fin.cyclic else len(sizes))
+        elems = tuple(below(min(elem_bound, size - 1) + 1) for size in sizes)
     else:
-        cls, draw_block = _I, block_draw(spec.inf.value)
-        elem_draws = (_below(getrandbits, elem_bound + 1),)
-    period = len(elem_draws)
+        cls, (blocks, block_bits) = _I, block_limit(spec.inf.value)
+        elems = (below(elem_bound + 1),)
+    period = len(elems)
 
     def point(block=None, not_elem=None):
         if block is None:
-            block = draw_block()
-        draw_elem = elem_draws[block % period]
+            block = getrandbits(block_bits)
+            while block >= blocks:
+                block = getrandbits(block_bits)
+        limit, bits = elems[block % period]
         while True:
-            e = draw_elem()
+            e = getrandbits(bits)
+            while e >= limit:
+                e = getrandbits(bits)
             if e != not_elem:
                 return _new(PointAddr, (cls, block, e))
 

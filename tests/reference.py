@@ -20,6 +20,8 @@ visits most preorders; ``reference_catalogs`` visits every preorder the DFS
 delivers, takes its closure, keeps the first example met and folds the
 codes by ``relabelled_codes``, so it checks the counting argument, the T0
 rule, the example rule and the types independently.
+``unchecked_catalog_text`` writes any catalog in the layout of
+``render_catalog``, with none of its refusals.
 ``parse_point_by_regex`` reads a point address by the grammar's regular
 expression and ``read_natural``, the rule ``parse_point`` replaced.
 ``sample_point`` and ``sample_pair`` re-derive every limit from the spec on
@@ -291,6 +293,19 @@ def catalog_of(n: int, counts) -> Catalog:
         for code, (lab, t0, example, tr) in sorted(counts.items())
     )
     return Catalog(n, records, sum(r.labeled_topology_count for r in records), sum(r.t0_topology_count for r in records))
+
+
+def unchecked_catalog_text(cat) -> str:
+    """The text of ``cat`` as ``render_catalog`` lays it out, written with no
+    check: the rows in the records' order, each flag as its own field, and
+    the totals as given."""
+    rows = [
+        "\t".join([str(r.n), r.relation_code, str(r.labeled_topology_count), str(r.t0_topology_count),
+                   "true" if r.transitive else "false", "true" if r.equivalence else "false", r.example_preorder_code])
+        for r in cat.records
+    ]
+    header = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
+    return "\n".join([header, *rows, f"# total_topologies={cat.total_topologies} total_t0={cat.total_t0}"]) + "\n"
 
 
 def reference_catalogs(n: int, t0_only: bool):

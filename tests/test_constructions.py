@@ -44,7 +44,7 @@ from diagclosure.constructions import (
     realise_tau_r,
     _FinPt,
 )
-from diagclosure.enumeration import Catalog, CatalogRecord
+from diagclosure.enumeration import Catalog, CatalogRecord, build_catalog, read_catalog, render_catalog
 from diagclosure.errors import (
     ForeignVariantError,
     GroundSetFiniteError,
@@ -592,9 +592,10 @@ def test_value_types_compare_hash_and_show_by_their_fields(build, text):
     assert v == w
 
 
-def test_catalog_records_are_slotted_frozen_dataclasses():
+def test_catalog_records_are_frozen_dataclass_tuple_values():
     # perfbench/faults.py and tests/test_enumeration.py copy records with dataclasses.replace
     rec = CatalogRecord(2, "1", 3, 2, True, True, "2")
+    assert dataclasses.is_dataclass(rec)
     assert [f.name for f in dataclasses.fields(rec)] == [
         "n", "relation_code", "labeled_topology_count", "t0_topology_count", "transitive", "equivalence",
         "example_preorder_code",
@@ -603,8 +604,25 @@ def test_catalog_records_are_slotted_frozen_dataclasses():
     assert rec.labeled_topology_count == 3 and not hasattr(rec, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.n = 3
-    with pytest.raises(TypeError, match=r"^CatalogRecord\.__init__\(\) missing 1 required positional argument"):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rec.relation_code
+    with pytest.raises(TypeError, match=r"^CatalogRecord\.__new__\(\) missing 1 required positional argument"):
         CatalogRecord(2, "1", 3, 2, True, True)
+    # the hash of the field tuple, as the frozen dataclass had; but never equal to that tuple
+    assert hash(rec) == hash((2, "1", 3, 2, True, True, "2"))
+    assert rec != tuple(rec) and not rec == tuple(rec)
+    assert len(rec) == 7 and rec[1] == "1" and tuple(rec) == (2, "1", 3, 2, True, True, "2")
+
+
+def test_catalog_records_built_and_read_past_their_constructor_are_records():
+    cat = build_catalog(3)
+    back = read_catalog(render_catalog(cat))
+    for rec in (cat.records[1], back.records[1]):
+        assert type(rec) is CatalogRecord
+        bumped = dataclasses.replace(rec, labeled_topology_count=rec.labeled_topology_count + 1)
+        assert type(bumped) is CatalogRecord and bumped != rec
+        assert tuple(bumped) == (*rec[:2], rec[2] + 1, *rec[3:])
+    assert all(type(r) is CatalogRecord for r in cat.records + back.records)
 
 
 def test_relations_and_balls_refuse_assignment_and_keep_their_hashes():

@@ -27,6 +27,7 @@ from reference import (
     labelled_closure_count,
     reference_catalogs,
     relabelled_codes,
+    unchecked_catalog_text,
 )
 
 from diagclosure.enumeration import (
@@ -46,7 +47,7 @@ from diagclosure.enumeration import (
     relation_code,
     render_catalog,
 )
-from diagclosure.errors import BoundExceededError, InvalidSizeError, SpecSyntaxError
+from diagclosure.errors import BoundExceededError, InvalidCatalogError, InvalidSizeError, SpecSyntaxError
 from diagclosure.finite_topology import Preorder, cl_delta, topology_of_preorder
 from diagclosure.relations import FiniteRelation, all_partitions, eq_of_partition
 
@@ -536,6 +537,54 @@ def test_read_catalog_names_the_malformed_line():
             read_catalog("\n".join(lines))
     with pytest.raises(SpecSyntaxError, match="line 1:"):
         read_catalog("")
+
+
+def _with_records(cat, records):
+    """``cat`` with these records, and totals that are their column sums."""
+    return Catalog(cat.n, tuple(records), sum(r.labeled_topology_count for r in records),
+                   sum(r.t0_topology_count for r in records))
+
+
+# each case: (the catalog made from build_catalog(3)'s, the line at which read_catalog refuses its unchecked text,
+# render_catalog's refusal)
+RENDER_REFUSALS = {
+    "codes out of order": (
+        lambda cat: _with_records(cat, cat.records[:2] + cat.records[3:4] + cat.records[2:3] + cat.records[4:]),
+        "line 5:", "^record 3: relation code '2' not above the previous record's$",
+    ),
+    "a code repeated": (
+        lambda cat: _with_records(cat, cat.records[:3] + cat.records[2:]),
+        "line 5:", "^record 3: relation code '2' not above the previous record's$",
+    ),
+    "another point count": (
+        lambda cat: _with_records(cat, cat.records[:1] + (dataclasses.replace(cat.records[1], n=4),) + cat.records[2:]),
+        "line 3:", "^record 1: n=4 in a catalog on 3 points$",
+    ),
+    "transitive but no equivalence": (
+        lambda cat: dataclasses.replace(cat, records=cat.records[:5] + (
+            dataclasses.replace(cat.records[5], transitive=True),) + cat.records[6:]),
+        "line 7:", "^record 5: transitive=True but equivalence=False$",
+    ),
+    "a labelled total off": (
+        lambda cat: dataclasses.replace(cat, total_topologies=cat.total_topologies + 1),
+        "line 10:", "^totals 30 and 19, but the columns sum to 29 and 19$",
+    ),
+    "a T0 total off": (
+        lambda cat: dataclasses.replace(cat, total_t0=cat.total_t0 - 1),
+        "line 10:", "^totals 29 and 18, but the columns sum to 29 and 19$",
+    ),
+}
+
+
+@pytest.mark.parametrize("what", RENDER_REFUSALS)
+def test_render_catalog_refuses_what_read_catalog_refuses(what):
+    change, line, refusal = RENDER_REFUSALS[what]
+    cat = change(build_catalog(3))
+    with pytest.raises(SpecSyntaxError, match=line):
+        read_catalog(unchecked_catalog_text(cat))
+    with pytest.raises(InvalidCatalogError, match=refusal) as caught:
+        render_catalog(cat)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_negative_point_count_refused():

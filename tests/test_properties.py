@@ -1,7 +1,6 @@
 """Property tests: code, catalog, spec, point and topology round trips, the point reader against its regex reference, canonical-code invariance, integer ball arithmetic, and CLI exit codes."""
 
 import contextlib
-import dataclasses
 import io
 import signal
 import sys
@@ -20,6 +19,7 @@ from reference import (
     positive_rational_at_by_bits,
     positive_rational_index_by_steps,
     preorders_by_filter,
+    unchecked_catalog_text,
 )
 
 from diagclosure.cli import main
@@ -36,7 +36,14 @@ from diagclosure.enumeration import (
     relation_code,
     render_catalog,
 )
-from diagclosure.errors import DiagClosureError, GroundSetFiniteError, SpecSyntaxError, read_natural, read_naturals
+from diagclosure.errors import (
+    DiagClosureError,
+    GroundSetFiniteError,
+    InvalidCatalogError,
+    SpecSyntaxError,
+    read_natural,
+    read_naturals,
+)
 from diagclosure.finite_topology import generate_from_subbasis, parse_topology, render_topology
 from diagclosure.relations import (
     BlockClass,
@@ -114,9 +121,53 @@ def test_catalog_text_round_trip(cat):
 @given(catalogs(), st.sampled_from(["total_topologies", "total_t0"]), st.data())
 def test_catalog_with_one_total_changed_is_refused(cat, total, data):
     wrong = data.draw(st.integers(0, 10**7).filter(lambda v: v != getattr(cat, total)))
-    text = render_catalog(dataclasses.replace(cat, **{total: wrong}))
+    totals = {"total_topologies": cat.total_topologies, "total_t0": cat.total_t0, total: wrong}
+    lines = render_catalog(cat).splitlines()
+    lines[-1] = f"# total_topologies={totals['total_topologies']} total_t0={totals['total_t0']}"
     with pytest.raises(SpecSyntaxError, match=f"^bad catalog line {len(cat.records) + 2}: '# total_topologies="):
-        read_catalog(text)
+        read_catalog("\n".join(lines) + "\n")
+
+
+@st.composite
+def loose_catalogs(draw):
+    """Catalogs that ``render_catalog`` may have to refuse: codes out of order
+    or repeated, records of another point count, transitive and equivalence
+    flags that differ, and totals off the column sums.  Codes fit the cells
+    of n points and counts are naturals, as a built catalog's are; a catalog
+    has a record, since one with none reads back on 0 points."""
+    n = draw(st.integers(0, 6))
+    cells = n * (n - 1) // 2
+    counts = st.integers(0, 10**6)
+    codes = draw(st.lists(st.integers(0, 2**cells - 1), min_size=1, max_size=8, unique=True))
+    if draw(st.integers(0, 3)) == 0:
+        codes.append(draw(st.sampled_from(codes)))
+    if draw(st.integers(0, 3)):
+        codes.sort()
+    seldom = st.integers(0, 3 * len(codes)).map(lambda v: v == 0)  # true for one record in about three catalogs
+    records = []
+    for code in codes:
+        rn = n + 1 if draw(seldom) else n
+        lab, t0c, tr, example = draw(st.tuples(counts, counts, st.booleans(), st.integers(0, 2 ** (2 * cells) - 1)))
+        eq = not tr if draw(seldom) else tr
+        records.append(CatalogRecord(rn, format(code, "x"), lab, t0c, tr, eq, format(example, "x")))
+    sums = sum(r.labeled_topology_count for r in records), sum(r.t0_topology_count for r in records)
+    wrong = st.tuples(st.integers(0, 10**7), st.integers(0, 10**7)) | st.just((sums[0], sums[1] + 1))
+    totals = sums if draw(st.integers(0, 3)) else draw(wrong)
+    return Catalog(n, tuple(records), *totals)
+
+
+@given(loose_catalogs())
+def test_render_catalog_refuses_exactly_what_does_not_read_back(cat):
+    text = unchecked_catalog_text(cat)
+    try:
+        back = read_catalog(text)
+    except SpecSyntaxError:
+        back = None
+    if back == cat:
+        assert render_catalog(cat) == text
+    else:
+        with pytest.raises(InvalidCatalogError):
+            render_catalog(cat)
 
 
 @settings(max_examples=50, deadline=None)
