@@ -400,12 +400,27 @@ del _i, _name
 
 @dataclass(frozen=True)
 class Catalog:
-    """Classification of diagonal closures for one ground-set size."""
+    """Classification of diagonal closures for one ground-set size.
+
+    ``build_catalog`` and ``read_catalog`` mark the catalogs they return as
+    ones whose text reads back as themselves: ``_trusted``, set once by
+    ``_trust`` and not a field, so equality, hash, repr and
+    ``dataclasses.replace`` ignore it.  ``render_catalog`` writes a marked
+    catalog with no check.  A ``replace`` copy is a new, unmarked catalog;
+    ``copy`` and ``pickle`` keep the mark with the value they copy.
+    """
 
     n: int
     records: tuple[CatalogRecord, ...]
     total_topologies: int
     total_t0: int
+
+    _trusted = False
+
+
+def _trust(cat: Catalog) -> Catalog:
+    object.__setattr__(cat, "_trusted", True)
+    return cat
 
 
 def _count_structures(n: int) -> dict[int, list]:
@@ -643,7 +658,7 @@ def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, worker
         labs += lab
         t0s += t0c
         append(_new(CatalogRecord, (n, f"{code:x}", lab, t0c, transitive, transitive, f"{example:x}")))
-    return Catalog(n, tuple(records), labs, t0s)
+    return _trust(Catalog(n, tuple(records), labs, t0s))
 
 
 _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
@@ -651,16 +666,10 @@ _HEADER = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
 # (no sign, underscore, other digits or leading zero), a code as format(v, "x").
 # A row's codes are matched by _ROW_RE, so read_catalog checks only their widths.
 _COUNT = "0|[1-9][0-9]*"
-_COUNT_RE = re.compile(_COUNT)
 _CODE = "0|[1-9a-f][0-9a-f]*"
 _CODE_RE = re.compile(_CODE)
 _ROW_RE = re.compile("\t".join(f"({field})" for field in (_COUNT, _CODE, _COUNT, _COUNT, "true|false", "true|false", _CODE)))
-
-
-def _count(s: str) -> int:
-    if not _COUNT_RE.fullmatch(s):
-        raise ValueError(f"not a count as the catalog writes it: {s!r}")
-    return int(s)
+_TOTALS_RE = re.compile(f"# total_topologies=({_COUNT}) total_t0=({_COUNT})")
 
 
 def _code_bits(code: str, width: int) -> int:
@@ -679,81 +688,61 @@ def render_catalog(cat: Catalog) -> str:
     """The text of ``cat``: a header, one tab-separated row per record, and a
     totals line, which ``read_catalog`` reads back as ``cat``.
 
-    A catalog whose text ``read_catalog`` would refuse, or read as another
-    catalog, raises ``InvalidCatalogError`` naming the first bad record by
-    its index: one whose relation code is not above the previous record's
-    (so no code repeats), whose ``n`` is not ``cat.n``, or whose transitive
-    and equivalence flags differ.  Totals other than the column sums raise
-    it too.  The checks leave out what no ``build_catalog`` catalog can get
-    wrong: the spelling and widths of the codes, the counts' types, and a
-    catalog with no record, which reads back on 0 points.
+    ``read_catalog`` is the rule for what a catalog may hold.  A catalog
+    that ``build_catalog`` or ``read_catalog`` made is written with no
+    check (see ``Catalog``); any other is read back from its text first.
+    If the reader refuses the text, this raises ``InvalidCatalogError``
+    with the reader's ``SpecSyntaxError`` as its cause, which names record
+    i's row as line i + 2; if the text reads back as another catalog, it
+    raises ``InvalidCatalogError`` too.
     """
-    n = cat.n
     lines = [_HEADER]
     append = lines.append
-    previous = -1
-    labs = t0s = 0
     for rn, rel, lab, t0c, tr, eq, ex in cat.records:
-        code = int(rel, 16)
-        if code <= previous or rn != n or tr != eq:
-            why = (
-                f"relation code {rel!r} not above the previous record's" if code <= previous
-                else f"n={rn!r} in a catalog on {n!r} points" if rn != n
-                else f"transitive={tr!r} but equivalence={eq!r}"
-            )
-            raise InvalidCatalogError(f"record {len(lines) - 1}: {why}")  # lines holds the header and each row before it
-        previous = code
-        labs += lab
-        t0s += t0c
-        flag = "true" if tr else "false"
-        append(f"{rn}\t{rel}\t{lab}\t{t0c}\t{flag}\t{flag}\t{ex}")
-    if labs != cat.total_topologies or t0s != cat.total_t0:
-        raise InvalidCatalogError(
-            f"totals {cat.total_topologies} and {cat.total_t0}, but the columns sum to {labs} and {t0s}"
-        )
+        append(f"{rn}\t{rel}\t{lab}\t{t0c}\t{'true' if tr else 'false'}\t{'true' if eq else 'false'}\t{ex}")
     append(f"# total_topologies={cat.total_topologies} total_t0={cat.total_t0}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if not cat._trusted:
+        try:
+            back = read_catalog(text)
+        except SpecSyntaxError as exc:
+            raise InvalidCatalogError(f"the catalog's text does not read back: {exc}") from exc
+        if back != cat:
+            raise InvalidCatalogError("the catalog's text reads back as another catalog")
+    return text
 
 
 def read_catalog(text: str) -> Catalog:
-    """The catalog of ``text``, as ``render_catalog`` writes it.
+    """The catalog of ``text``, which must be exactly as ``render_catalog``
+    writes it, blank lines aside.
 
-    Blank lines are skipped.  After the header, every line but the last is a
-    row and the last is the totals line.  A row has a point count equal to
-    the first row's, equal transitive and equivalence flags (a reflexive
-    symmetric relation is an equivalence exactly when it is transitive), and
-    codes with no bit beyond the cells of its points; its relation code is
-    above the previous row's.  The totals are the sums of the labelled and
-    T0 columns.  Anything else raises ``SpecSyntaxError`` naming the line;
-    a missing totals line is named as the line after the last.  The rows'
-    relations are not checked to be closures: ``tests/reference.py``'s
-    ``check_catalog`` does that.
+    After the header, every line but the last is a row and the last is the
+    totals line, ``# total_topologies=T total_t0=U`` with single spaces.  A
+    row has a point count equal to the first row's, equal transitive and
+    equivalence flags (a reflexive symmetric relation is an equivalence
+    exactly when it is transitive), and codes with no bit beyond the cells
+    of its points; its relation code is above the previous row's.  The
+    totals are the sums of the labelled and T0 columns.  Anything else
+    raises ``SpecSyntaxError`` naming the line; a missing totals line is
+    named as the line after the last.  The rows' relations are not checked
+    to be closures: ``tests/reference.py``'s ``check_catalog`` does that.
     """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != _HEADER:
         lineno, ln = lines[0] if lines else (1, "")
         raise SpecSyntaxError(f"bad catalog header at line {lineno}: {ln!r}")
-    last_line = lines[-1][0]
+    last_line, last = lines[-1]
+    totals = _TOTALS_RE.fullmatch(last)
     records = []
     append = records.append
-    totals = None
     n, n_text, cells = 0, None, 0  # a catalog with no rows has 0 points
     previous = -1
     labs = t0s = 0
-    for lineno, ln in lines[1:]:
+    for lineno, ln in lines[1:-1] if totals else lines[1:]:
         m = _ROW_RE.fullmatch(ln)
         try:
             if m is None:
-                if not ln.startswith("#"):
-                    raise ValueError("not seven fields as render_catalog writes them")
-                if lineno != last_line:
-                    raise ValueError("a totals line before the last line")
-                items = [item.split("=", 1) for item in ln[1:].split()]
-                if sorted(key for key, _ in items) != ["total_t0", "total_topologies"]:
-                    raise ValueError("a totals line needs exactly total_topologies and total_t0")
-                parts = dict(items)
-                totals = (_count(parts["total_topologies"]), _count(parts["total_t0"]))
-                continue
+                raise ValueError("not seven fields as render_catalog writes them")
             n_s, rel, lab, t0c, trans, equiv, example = m.groups()
             if n_s != n_text:  # both as str(int) writes them
                 if records:
@@ -777,9 +766,8 @@ def read_catalog(text: str) -> Catalog:
             raise SpecSyntaxError(f"bad catalog line {lineno}: {ln!r}") from exc
     if totals is None:
         raise SpecSyntaxError(f"bad catalog line {last_line + 1}: no totals line after the last row")
-    sums = labs, t0s
-    if totals != sums:
-        raise SpecSyntaxError(f"bad catalog line {last_line}: {lines[-1][1]!r}") from ValueError(
-            f"totals {totals[0]} and {totals[1]}, but the columns sum to {sums[0]} and {sums[1]}"
+    if (int(totals[1]), int(totals[2])) != (labs, t0s):
+        raise SpecSyntaxError(f"bad catalog line {last_line}: {last!r}") from ValueError(
+            f"totals {totals[1]} and {totals[2]}, but the columns sum to {labs} and {t0s}"
         )
-    return Catalog(n, tuple(records), *totals)
+    return _trust(Catalog(n, tuple(records), labs, t0s))

@@ -78,9 +78,8 @@ class NotATopologyError(DiagClosureError, ValueError):
 
 
 class InvalidCatalogError(DiagClosureError, ValueError):
-    """A catalog that its reader would refuse: relation codes out of order or
-    repeated, a record of another point count, a record whose transitive and
-    equivalence flags differ, or totals other than the column sums."""
+    """A catalog whose text ``read_catalog`` refuses, or reads back as
+    another catalog."""
 
 
 class NotDisjointError(DiagClosureError, ValueError):

@@ -299,8 +299,7 @@ def parse_topology(text: str) -> FiniteTopology:
             top = max(points)
             if top >= MAX_POINTS:
                 raise BoundExceededError(f"line {lineno}: point {top} is beyond the limit of {MAX_POINTS} points")
-            for x in points:
-                m |= 1 << x
+            m = _mask(points)
             max_point = max(max_point, top)
         masks.add(m)
         if len(masks) > _MAX_OPENS:

@@ -57,7 +57,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, fields
-from functools import partial
 
 from .constructions import Construction, check_certificate, draw_below
 from .errors import BoundExceededError, InvalidSizeError, SpecMismatchError, check_bounds, require_integers
@@ -147,12 +146,6 @@ def _strata_for(spec: PartitionSpec) -> list[tuple]:
     if spec.inf >= 2:
         out.append(("i", "i", "diff"))
     return out
-
-
-def _below(getrandbits, n):
-    """The draw ``randrange(n)`` as a function of no arguments, with the bit
-    width of n fixed once."""
-    return partial(draw_below, getrandbits, n, n.bit_length())
 
 
 def _point_sampler(tag, spec, getrandbits, bounds):
@@ -298,7 +291,7 @@ def verify_construction(
             if not ((held or member(o_q, q)) and not member(o_q, p)):
                 t1_fail += 1
 
-    draw_class = _below(rng.getrandbits, n_classes)
+    getrandbits, class_bits = rng.getrandbits, n_classes.bit_length()
     check_point, sample_open = c._check_point, c._sample_open
     refine, contains = c.refine, c.contains
     basis_checks = basis_fail = 0
@@ -312,7 +305,7 @@ def verify_construction(
         ok = member(o3, p) and contains(o1, o3) and contains(o2, o3)
         if ok:
             for _ in range(4):
-                probe = class_points[draw_class()]()
+                probe = class_points[draw_below(getrandbits, n_classes, class_bits)]()
                 if member(o3, probe) and not (member(o1, probe) and member(o2, probe)):
                     ok = False
                     break

@@ -300,9 +300,8 @@ def unchecked_catalog_text(cat) -> str:
     check: the rows in the records' order, each flag as its own field, and
     the totals as given."""
     rows = [
-        "\t".join([str(r.n), r.relation_code, str(r.labeled_topology_count), str(r.t0_topology_count),
-                   "true" if r.transitive else "false", "true" if r.equivalence else "false", r.example_preorder_code])
-        for r in cat.records
+        "\t".join([str(rn), rel, str(lab), str(t0c), "true" if tr else "false", "true" if eq else "false", ex])
+        for rn, rel, lab, t0c, tr, eq, ex in cat.records
     ]
     header = "n\trelation\tlabeled\tt0\ttransitive\tequivalence\texample"
     return "\n".join([header, *rows, f"# total_topologies={cat.total_topologies} total_t0={cat.total_t0}"]) + "\n"

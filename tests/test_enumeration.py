@@ -1,8 +1,10 @@
 """Preorder enumeration, relation codes, and catalogs."""
 
+import copy
 import dataclasses
 import gc
 import os
+import pickle
 import random
 import re
 import warnings
@@ -545,46 +547,73 @@ def _with_records(cat, records):
                    sum(r.t0_topology_count for r in records))
 
 
-# each case: (the catalog made from build_catalog(3)'s, the line at which read_catalog refuses its unchecked text,
-# render_catalog's refusal)
+def _record_changed(cat, index, **changes):
+    """``cat`` with record ``index`` changed, and totals that are the column sums."""
+    records = list(cat.records)
+    records[index] = dataclasses.replace(records[index], **changes)
+    return _with_records(cat, records)
+
+
+# each case: (the catalog made from build_catalog(3)'s, the line at which read_catalog refuses its unchecked
+# text, or None where it reads that text back as another catalog)
 RENDER_REFUSALS = {
     "codes out of order": (
-        lambda cat: _with_records(cat, cat.records[:2] + cat.records[3:4] + cat.records[2:3] + cat.records[4:]),
-        "line 5:", "^record 3: relation code '2' not above the previous record's$",
+        lambda cat: _with_records(cat, cat.records[:2] + cat.records[3:4] + cat.records[2:3] + cat.records[4:]), 5,
     ),
-    "a code repeated": (
-        lambda cat: _with_records(cat, cat.records[:3] + cat.records[2:]),
-        "line 5:", "^record 3: relation code '2' not above the previous record's$",
-    ),
-    "another point count": (
-        lambda cat: _with_records(cat, cat.records[:1] + (dataclasses.replace(cat.records[1], n=4),) + cat.records[2:]),
-        "line 3:", "^record 1: n=4 in a catalog on 3 points$",
-    ),
-    "transitive but no equivalence": (
-        lambda cat: dataclasses.replace(cat, records=cat.records[:5] + (
-            dataclasses.replace(cat.records[5], transitive=True),) + cat.records[6:]),
-        "line 7:", "^record 5: transitive=True but equivalence=False$",
-    ),
-    "a labelled total off": (
-        lambda cat: dataclasses.replace(cat, total_topologies=cat.total_topologies + 1),
-        "line 10:", "^totals 30 and 19, but the columns sum to 29 and 19$",
-    ),
-    "a T0 total off": (
-        lambda cat: dataclasses.replace(cat, total_t0=cat.total_t0 - 1),
-        "line 10:", "^totals 29 and 18, but the columns sum to 29 and 19$",
-    ),
+    "a code repeated": (lambda cat: _with_records(cat, cat.records[:3] + cat.records[2:]), 5),
+    "another point count": (lambda cat: _record_changed(cat, 1, n=4), 3),
+    "transitive but no equivalence": (lambda cat: _record_changed(cat, 5, transitive=True), 7),
+    "a labelled total off": (lambda cat: dataclasses.replace(cat, total_topologies=cat.total_topologies + 1), 10),
+    "a T0 total off": (lambda cat: dataclasses.replace(cat, total_t0=cat.total_t0 - 1), 10),
+    "a code with a leading zero": (lambda cat: _record_changed(cat, 0, relation_code="00"), 2),
+    "a code in upper case": (lambda cat: _record_changed(cat, 7, relation_code="A"), 9),
+    "a code beyond the one cell of 2 points": (lambda cat: _record_changed(build_catalog(2), 1, relation_code="2"), 3),
+    "a count that is a bool": (lambda cat: _record_changed(cat, 0, labeled_topology_count=True), 2),
+    "a negative count": (lambda cat: _record_changed(cat, 1, t0_topology_count=-1), 3),
+    "a count that is a float": (lambda cat: _record_changed(cat, 0, labeled_topology_count=1.0), 2),
+    "flags that are 2": (lambda cat: _record_changed(cat, 7, transitive=2, equivalence=2), None),
+    "no records on 3 points": (lambda cat: Catalog(3, (), 0, 0), None),
+    "records that are plain tuples": (lambda cat: dataclasses.replace(cat, records=tuple(map(tuple, cat.records))), None),
 }
 
 
 @pytest.mark.parametrize("what", RENDER_REFUSALS)
 def test_render_catalog_refuses_what_read_catalog_refuses(what):
-    change, line, refusal = RENDER_REFUSALS[what]
+    change, line = RENDER_REFUSALS[what]
     cat = change(build_catalog(3))
-    with pytest.raises(SpecSyntaxError, match=line):
-        read_catalog(unchecked_catalog_text(cat))
+    if line is None:
+        assert read_catalog(unchecked_catalog_text(cat)) != cat
+        refusal = "^the catalog's text reads back as another catalog$"
+    else:
+        with pytest.raises(SpecSyntaxError, match=f"^bad catalog line {line}:"):
+            read_catalog(unchecked_catalog_text(cat))
+        refusal = f"^the catalog's text does not read back: bad catalog line {line}:"
     with pytest.raises(InvalidCatalogError, match=refusal) as caught:
         render_catalog(cat)
     assert isinstance(caught.value, ValueError)
+    assert isinstance(caught.value.__cause__, SpecSyntaxError) == (line is not None)
+
+
+def test_package_catalogs_render_without_a_read_back(monkeypatch):
+    import diagclosure.enumeration as enumeration
+
+    built = build_catalog(3)
+    text = render_catalog(built)
+    read = read_catalog(text)
+    read_backs = []
+    monkeypatch.setattr(enumeration, "read_catalog", lambda t: read_backs.append(t) or read_catalog(t))
+    for cat in (built, read, copy.copy(built), copy.deepcopy(read), pickle.loads(pickle.dumps(built))):
+        assert render_catalog(cat) == text
+    render_catalog(build_catalog(3, t0_only=True, up_to_iso=True))
+    assert read_backs == []
+    # a replace copy is a new catalog: read back once, and refused if one count is bumped
+    assert render_catalog(dataclasses.replace(built)) == text
+    assert read_backs == [text]
+    bumped = dataclasses.replace(built, records=(
+        dataclasses.replace(built.records[0], labeled_topology_count=2),) + built.records[1:])
+    with pytest.raises(InvalidCatalogError, match="^the catalog's text does not read back: bad catalog line 10:"):
+        render_catalog(bumped)
+    assert len(read_backs) == 2
 
 
 def test_negative_point_count_refused():

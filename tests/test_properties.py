@@ -130,27 +130,37 @@ def test_catalog_with_one_total_changed_is_refused(cat, total, data):
 
 @st.composite
 def loose_catalogs(draw):
-    """Catalogs that ``render_catalog`` may have to refuse: codes out of order
-    or repeated, records of another point count, transitive and equivalence
-    flags that differ, and totals off the column sums.  Codes fit the cells
-    of n points and counts are naturals, as a built catalog's are; a catalog
-    has a record, since one with none reads back on 0 points."""
+    """Catalogs that ``render_catalog`` may have to refuse: codes out of order,
+    repeated, spelled with a leading zero or in upper case, or beyond the cells
+    of n points; counts that are negative, bools or floats; records of another
+    point count, flags that differ or are ints, records that are plain
+    tuples; no records; and totals off the column sums."""
     n = draw(st.integers(0, 6))
     cells = n * (n - 1) // 2
-    counts = st.integers(0, 10**6)
-    codes = draw(st.lists(st.integers(0, 2**cells - 1), min_size=1, max_size=8, unique=True))
-    if draw(st.integers(0, 3)) == 0:
+    codes = draw(st.lists(st.integers(0, 2**cells - 1), max_size=8, unique=True))
+    if codes and draw(st.integers(0, 3)) == 0:
         codes.append(draw(st.sampled_from(codes)))
     if draw(st.integers(0, 3)):
         codes.sort()
-    seldom = st.integers(0, 3 * len(codes)).map(lambda v: v == 0)  # true for one record in about three catalogs
+    # at most two faults, each (record index, what goes wrong)
+    faults = draw(st.sets(st.tuples(st.integers(0, max(len(codes) - 1, 0)), st.integers(0, 9)), max_size=2))
+    odd_counts = st.integers(-3, -1) | st.sampled_from([True, False, 1.0])
+    odd_spelling = st.sampled_from(["0{:x}", "{:X}"])
+
+    def odd(fault, usual, strategy):
+        return draw(strategy) if fault in faults else usual
+
     records = []
-    for code in codes:
-        rn = n + 1 if draw(seldom) else n
-        lab, t0c, tr, example = draw(st.tuples(counts, counts, st.booleans(), st.integers(0, 2 ** (2 * cells) - 1)))
-        eq = not tr if draw(seldom) else tr
-        records.append(CatalogRecord(rn, format(code, "x"), lab, t0c, tr, eq, format(example, "x")))
-    sums = sum(r.labeled_topology_count for r in records), sum(r.t0_topology_count for r in records)
+    for i, code in enumerate(codes):
+        lab, t0c, tr, example = draw(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.booleans(),
+                                               st.integers(0, 2 ** (2 * cells) - 1)))
+        code = odd((i, 0), code, st.just(code | 1 << cells))
+        example = odd((i, 1), example, st.just(example | 1 << 2 * cells))
+        fields = (odd((i, 2), n, st.just(n + 1)), odd((i, 3), "{:x}", odd_spelling).format(code),
+                  odd((i, 4), lab, odd_counts), odd((i, 5), t0c, odd_counts), odd((i, 6), tr, st.integers(0, 2)),
+                  odd((i, 7), tr, st.integers(0, 2)), odd((i, 8), "{:x}", odd_spelling).format(example))
+        records.append(odd((i, 9), CatalogRecord(*fields), st.just(fields)))
+    sums = sum(r[2] for r in records), sum(r[3] for r in records)
     wrong = st.tuples(st.integers(0, 10**7), st.integers(0, 10**7)) | st.just((sums[0], sums[1] + 1))
     totals = sums if draw(st.integers(0, 3)) else draw(wrong)
     return Catalog(n, tuple(records), *totals)
@@ -168,6 +178,39 @@ def test_render_catalog_refuses_exactly_what_does_not_read_back(cat):
     else:
         with pytest.raises(InvalidCatalogError):
             render_catalog(cat)
+
+
+@st.composite
+def edited_catalog_texts(draw):
+    """The text of a catalog with one edit: its totals reordered or respaced,
+    two lines swapped, one character changed, or a blank line inserted."""
+    lines = render_catalog(draw(catalogs())).splitlines()
+    edit = draw(st.sampled_from(["reorder totals", "respace totals", "swap lines", "change a character", "insert a blank"]))
+    if edit == "reorder totals":
+        lines[-1] = "# " + " ".join(reversed(lines[-1][2:].split(" ")))
+    elif edit == "respace totals":
+        at = draw(st.integers(1, len(lines[-1])))
+        lines[-1] = lines[-1][:at] + draw(st.sampled_from([" ", "  ", "\t"])) + lines[-1][at:]
+    elif edit == "swap lines":
+        i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "change a character":
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[i]) - 1))
+        char = draw(st.sampled_from("0123456789abcdefABCDEF-+_.=# \tTrueFalsn\n") | st.characters())
+        lines[i] = lines[i][:at] + char + lines[i][at + 1:]
+    else:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    return "\n".join(lines) + "\n"
+
+
+@given(edited_catalog_texts())
+def test_read_catalog_reads_only_what_render_catalog_writes(text):
+    try:
+        cat = read_catalog(text)
+    except SpecSyntaxError:
+        return
+    assert render_catalog(cat) == "\n".join(ln for ln in text.splitlines() if ln.strip()) + "\n"
 
 
 @settings(max_examples=50, deadline=None)

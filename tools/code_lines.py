@@ -7,7 +7,8 @@ four columns add up to the file's line count.  Standard library only.
 
 Usage: python tools/code_lines.py [PATH ...]   (default: src/diagclosure)
 Each PATH is a file or a directory searched for ``*.py``; prints one row per
-file and a total.
+file and a total.  An argument that is no file or directory, ``--help``
+among them, prints the usage line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ def _files(paths):
 
 def main(argv=None) -> int:
     paths = (sys.argv[1:] if argv is None else argv) or [os.path.join("src", "diagclosure")]
+    missing = [path for path in paths if not os.path.exists(path)]
+    if missing:
+        print(f"usage: python tools/code_lines.py [PATH ...]  (no file or directory: {missing[0]})", file=sys.stderr)
+        return 2
     keys = ("lines", "code", "docstring", "comment", "blank")
     total = dict.fromkeys(keys, 0)
     print("\t".join(keys + ("file",)))
