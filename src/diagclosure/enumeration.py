@@ -50,8 +50,9 @@ one representative's closure, and the relabelling of its flat preorder (one
 top per block, the block's other points under it) delivered first, which is
 the first example among all the type's closures.  Both relabellings come
 from one ordered search (``_least_order``) that fixes the positions one at
-a time, keeps every branch that ties the best prefix and branches once per
-class of twins, so no search walks the n! permutations.
+a time and keeps every branch that ties the best prefix, but leaves the
+order of points open while no key tells them apart: points that may come
+in any order cost one branch, not one per order.
 
 Relation codes render the strict upper triangle as lowercase hex: pairs
 (i, j) with i < j in lexicographic order, first pair in the least
@@ -66,7 +67,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import groupby, permutations, product
+from itertools import groupby, product
 from math import comb, factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -230,99 +231,114 @@ def canonical_code(r: FiniteRelation) -> str:
     The code's most significant bit is the pair (n-2, n-1), then (n-3, n-1),
     (n-3, n-2), and so on: filling positions from n-1 downward, each new
     point's bits against the points already placed, first placed first, are
-    the next most significant bits.  Those bits are the signature of the
-    point's group (see ``_least_order``), so the group comes first and the
-    key is the signature.  The search runs on the symmetric relation that
-    the upper triangle describes, which is all the code reads.
+    the next most significant bits, which ``_least_order`` makes least step
+    by step.  The search runs on the symmetric relation that the upper
+    triangle describes, which is all the code reads.
     """
     rows = [1 << i | ri >> i + 1 << i + 1 for i, ri in enumerate(r.rows)]
     for i, ri in enumerate(rows):
         for j in range(i + 1, r.n):
             rows[j] |= (ri >> j & 1) << i
-
-    def key(order, groups, p):
-        return sum([1 << j for j, x in enumerate(reversed(order)) if rows[p] >> x & 1])
-
-    return format(_relation_bits(_relabel(rows, _least_order(rows, key)[::-1]), r.n), "x")
+    return format(_relation_bits(_relabel(rows, _least_order(rows, False)[::-1]), r.n), "x")
 
 
 def _delivery_least(rows) -> int:
     """The preorder bits of the relabelling of the preorder ``rows`` that
-    ``enumerate_preorders`` delivers first.
+    ``enumerate_preorders`` delivers first: delivery reads row 0 first, so
+    each new point's whole row is the next key.  The cuts of the ordered
+    search rely on ``rows`` being transitive."""
+    return _preorder_bits(_relabel(rows, _least_order(rows, True)), len(rows))
 
-    Delivery reads row 0 first, and row i is fixed once position i takes a
-    point p: its bits against the placed points, then, group by group, the
-    group's points outside p's up-set (0) before those inside it (1).  The
-    placed rows are equal across the orders that tie, so their groups have
-    the same signatures, and the row alone is the key.
+
+def _least_order(rows, ordered: bool) -> tuple[int, ...]:
+    """An order of the points of ``rows`` whose keys are least, step by step:
+    the key of the point p placed next is its row against the placed points,
+    first placed most significant, then, if ``ordered``, against the others.
+
+    A state holds the placed points in cells, runs of positions whose order
+    is still open, and the others in groups of one signature (bits in the
+    placed rows).  Placing p splits each cell and group into the points
+    outside p's row, then those inside, so p's key has its row's points last
+    in each.  An ordered step takes p from the first group, whose place the
+    earlier keys fixed; a canonical step takes any point, one key per group.
+    Each step keeps the states whose least key ties the best, extended by
+    each point with that key, and a state reached twice once.  Exact cuts:
+    p joins the last cell if it has the row (within the placed points, or
+    everywhere if ``ordered``) and the column in the placed rows of each
+    point there, and then every tied point does; tied points with one row
+    outside themselves (and that cell if they join it), related to none of
+    each other or, unless ``ordered``, to all, fill the next steps in any
+    order, so one is tried, or a lone state places them all at once; else
+    one is tried per class of twins (equal rows or, unless ``ordered``,
+    equal open neighbourhoods), which give the same keys.
     """
     n = len(rows)
-
-    def key(order, groups, p):
-        row = 0
-        for x in order:
-            row = row << 1 | rows[p] >> x & 1
-        for group in groups:
-            inside = sum([rows[p] >> x & 1 for x in group if x != p])
-            row = row << (len(group) - (p in group)) | (1 << inside) - 1
-        return row
-
-    return _preorder_bits(_relabel(rows, _least_order(rows, key)), n)
-
-
-def _least_order(rows, key) -> tuple[int, ...]:
-    """An order of the points of ``rows`` whose keys are least, step by step.
-
-    The unplaced points fall into groups of equal signature: their bits in
-    the rows of the placed points, first placed most significant, 0 first.
-    Each step extends every order that ties the best so far by each point p
-    of its first group and keeps the extensions with the least
-    ``key(order, groups, p)``; placing p splits every group into the points
-    outside p's row and those inside it.  Two points that a transposition
-    swaps without changing ``rows`` (twins) give the same keys from then on,
-    so one point per twin class is tried.
-    """
-    twin = _twin_classes(rows)
-    states = [((), [list(range(len(rows)))])]
-    for _ in rows:
-        best, ties = None, []
-        for order, groups in states:
-            tried = set()
-            for p in groups[0]:
-                if twin[p] in tried:
+    full = (1 << n) - 1
+    twin = [next(q for q in range(n) if rows[q] == r or not ordered and rows[q] == r ^ 1 << p ^ 1 << q) for p, r in enumerate(rows)]
+    cols = [sum([1 << y for y, r in enumerate(rows) if r >> x & 1]) for x in range(n)] if ordered else rows
+    states = {((), (full,) if n else ()): 0}
+    while next(iter(states))[1]:
+        best, ties = None, {}
+        for cells, groups in states:
+            placed = full & ~sum(groups)
+            # with one state, a lone candidate needs no key
+            if len(states) == 1 and (not groups[0] & groups[0] - 1 if ordered else len(groups) == 1):
+                tied = groups[0]
+            else:
+                keys = {}
+                for p, mask in [(p, 1 << p) for p in _bits(groups[0])] if ordered else [((g & -g).bit_length() - 1, g) for g in groups]:
+                    r, k = rows[p], 0
+                    for c in (*cells, *[g & ~mask for g in groups]) if ordered else cells:
+                        k = k << c.bit_count() | (1 << (c & r).bit_count()) - 1
+                    keys[k] = keys.get(k, 0) | mask
+                low = min(keys)
+                if best is not None and low > best:
                     continue
-                tried.add(twin[p])
-                k = key(order, groups, p)
-                if best is None or k < best:
-                    best, ties = k, []
-                if k == best:
-                    split = [[x for x in g if x != p and rows[p] >> x & 1 == bit] for g in groups for bit in (0, 1)]
-                    ties.append((order + (p,), [g for g in split if g]))
+                if best is None or low < best:
+                    best, ties = low, {}
+                tied = keys[low]
+            last = cells[-1] if cells else 0
+            t = (tied & -tied).bit_length() - 1
+            joins = last and _joins(rows, cols, t, last, full if ordered else placed, placed)
+            if not tied & tied - 1 or _uniform(rows, tied | last if joins else tied, full if ordered else placed | tied, ordered):
+                branch = [tied if len(states) == 1 else 1 << t]
+            else:
+                classes = {}
+                branch = [classes.setdefault(twin[p], 1 << p) for p in _bits(tied) if twin[p] not in classes]
+            for bit in branch:
+                r = rows[(bit & -bit).bit_length() - 1]
+                if joins:
+                    new = cells[:-1] + (last | bit,)
+                else:
+                    new = tuple([x for c in cells for x in (c & ~r, c & r) if x]) + (bit,)
+                split = [g & ~bit for g in groups if g & ~bit]
+                for p in _bits(bit):
+                    split = [x for g in split for x in (g & ~rows[p], g & rows[p]) if x]
+                ties[new, tuple(split if ordered else sorted(split))] = 0
         states = ties
-    return states[0][0]
+    cells, _ = next(iter(states))
+    return tuple([p for c in cells for p in _bits(c)])
 
 
-def _twin_classes(rows) -> list[int]:
-    """``twin[p]``: the least point q whose exchange with p keeps ``rows``.
-
-    Such transpositions generate a group, so being twins is an equivalence.
-    In a symmetric reflexive relation twins are the points with equal open
-    or equal closed neighbourhoods.
-    """
-    twin = list(range(len(rows)))
-    for q in range(len(rows)):
-        twin[q] = next((p for p in range(q) if twin[p] == p and _swaps(rows, p, q)), q)
-    return twin
-
-
-def _swaps(rows, p: int, q: int) -> bool:
-    """Whether exchanging the points p and q maps ``rows`` to itself."""
-    both = 1 << p | 1 << q
-    for x, r in enumerate(rows):
-        image = r ^ both if (r >> p ^ r >> q) & 1 else r
-        if image != rows[q if x == p else p if x == q else x]:
+def _joins(rows, cols, t: int, cell: int, within: int, placed: int) -> bool:
+    """Whether t has the row within ``within`` and the column in the ``placed``
+    rows of each point of ``cell``; its first and last point stand for all."""
+    for m in (cell & -cell).bit_length() - 1, cell.bit_length() - 1:
+        both = 1 << t | 1 << m
+        if (rows[t] ^ rows[m]) & within & ~both or (cols[t] ^ cols[m]) & placed & ~both or (rows[t] >> m ^ rows[m] >> t) & 1:
             return False
     return True
+
+
+def _uniform(rows, points: int, within: int, ordered: bool) -> bool:
+    """Whether the ``points`` have one row within ``within``, apart from each
+    other, and are related to none of the others or, unless ``ordered``, to all."""
+    ps = _bits(points)
+    return len({(rows[p] ^ 1 << p) & within for p in ps}) == 1 or not ordered and len({rows[p] & within for p in ps}) == 1
+
+
+def _bits(m: int) -> list[int]:
+    return [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 def _relabel(rows, order) -> list[int]:
@@ -602,20 +618,23 @@ def _types(n: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     the blocks numbered in that order, up to permuting blocks of equal size.
     Its structures choose the simplicial points, split them into blocks of
     these sizes, and hand the other points one multiset of M values of the
-    orbit.
+    orbit.  Exchanges of neighbouring blocks of one size generate those
+    permutations, so each orbit is closed under them alone, by a table of
+    mask images per exchange: work in the orbit's size, not theirs.
     """
     for k in range(n + 1):
         for sizes in _partitions(k):
             c = len(sizes)
-            runs = [tuple(same) for _, same in groupby(range(c), key=sizes.__getitem__)]
-            ways = comb(n, k) * factorial(k) // prod([factorial(s) for s in sizes] + [factorial(len(r)) for r in runs])
-            # the block permutations, needed only when some point is not simplicial
-            perms = [sum(g, ()) for g in product(*map(permutations, runs))] if k < n else [()]
+            runs = [len(list(same)) for _, same in groupby(sizes)]
+            ways = comb(n, k) * factorial(k) // prod([factorial(s) for s in sizes] + [factorial(r) for r in runs])
+            swaps = [[m ^ ((m >> b ^ m >> b + 1) & 1) * (3 << b) for m in range(1 << c)] for b in range(c - 1) if sizes[b] == sizes[b + 1]]
             seen: set[tuple[int, ...]] = set()
             for w, ms in _multisets([m for m in range(1 << c) if m & (m - 1)], n - k):
                 if ms not in seen:
-                    orbit = {tuple(sorted([sum(1 << g[i] for i in range(c) if m >> i & 1) for m in ms])) for g in perms}
-                    seen |= orbit
+                    seen.add(ms)
+                    orbit = [ms]
+                    for x in orbit:
+                        orbit += [y for y in {tuple(sorted([swap[m] for m in x])) for swap in swaps} - seen if not seen.add(y)]
                     yield ways * w * len(orbit), sizes, ms
 
 
@@ -694,12 +713,16 @@ def render_catalog(cat: Catalog) -> str:
     If the reader refuses the text, this raises ``InvalidCatalogError``
     with the reader's ``SpecSyntaxError`` as its cause, which names record
     i's row as line i + 2; if the text reads back as another catalog, it
-    raises ``InvalidCatalogError`` too.
+    raises ``InvalidCatalogError`` too, as it does, from the ``TypeError`` or
+    ``ValueError``, on records that do not unpack into seven fields.
     """
     lines = [_HEADER]
     append = lines.append
-    for rn, rel, lab, t0c, tr, eq, ex in cat.records:
-        append(f"{rn}\t{rel}\t{lab}\t{t0c}\t{'true' if tr else 'false'}\t{'true' if eq else 'false'}\t{ex}")
+    try:
+        for rn, rel, lab, t0c, tr, eq, ex in cat.records:
+            append(f"{rn}\t{rel}\t{lab}\t{t0c}\t{'true' if tr else 'false'}\t{'true' if eq else 'false'}\t{ex}")
+    except (TypeError, ValueError) as exc:
+        raise InvalidCatalogError(f"the catalog's records are not rows of seven fields: {exc}") from exc
     append(f"# total_topologies={cat.total_topologies} total_t0={cat.total_t0}")
     text = "\n".join(lines) + "\n"
     if not cat._trusted:

@@ -79,7 +79,7 @@ class NotATopologyError(DiagClosureError, ValueError):
 
 class InvalidCatalogError(DiagClosureError, ValueError):
     """A catalog whose text ``read_catalog`` refuses, or reads back as
-    another catalog."""
+    another catalog, or whose records are not rows of seven fields."""
 
 
 class NotDisjointError(DiagClosureError, ValueError):

@@ -15,6 +15,11 @@ invert.
 a time, and ``first_delivered_relabelling`` tries every permutation of a
 preorder's points: the oracles for the ordered searches behind
 ``canonical_code`` and the iso catalog's examples.
+``canonical_code_by_twins`` and ``delivery_least_by_twins`` run
+``least_order_by_twins``, the search that fixed one point per step and cut
+only twins, which ``_least_order``'s cells replaced; ``types_by_permutations``
+applies every permutation of equal-size blocks (``block_orbit``), the rule
+that ``_types``' orbits by exchanges replaced.
 ``build_catalog`` walks closure structures, or their types, and never
 visits most preorders; ``reference_catalogs`` visits every preorder the DFS
 delivers, takes its closure, keeps the first example met and folds the
@@ -48,7 +53,7 @@ rows against these facts, whatever built or read it.
 import re
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
 from math import comb, factorial, prod
 
 from diagclosure.constructions import (
@@ -63,6 +68,7 @@ from diagclosure.constructions import (
     TauR,
     _Reservoir,
 )
+from diagclosure.counting import _multisets, _partitions
 from diagclosure.enumeration import (
     Catalog,
     CatalogRecord,
@@ -70,6 +76,7 @@ from diagclosure.enumeration import (
     _extend,
     _iter_rows,
     _preorder_bits,
+    _relabel,
     _relation_bits,
     _row_candidates,
     decode_preorder,
@@ -261,6 +268,118 @@ def first_delivered_relabelling(rows) -> int:
         if best is None or cells < best[0]:
             best = cells, relabelled
     return _preorder_bits(best[1], n)
+
+
+def canonical_code_by_twins(r: FiniteRelation) -> str:
+    """``canonical_code`` by ``least_order_by_twins``: each new point's key is
+    its bits against the placed points, first placed most significant."""
+    rows = [1 << i | ri >> i + 1 << i + 1 for i, ri in enumerate(r.rows)]
+    for i, ri in enumerate(rows):
+        for j in range(i + 1, r.n):
+            rows[j] |= (ri >> j & 1) << i
+
+    def key(order, groups, p):
+        return sum([1 << j for j, x in enumerate(reversed(order)) if rows[p] >> x & 1])
+
+    return format(_relation_bits(_relabel(rows, least_order_by_twins(rows, key)[::-1]), r.n), "x")
+
+
+def delivery_least_by_twins(rows) -> int:
+    """``_delivery_least`` by ``least_order_by_twins``: row i is fixed once
+    position i takes a point p, its bits against the placed points, then,
+    group by group, the group's points outside p's up-set before those
+    inside it."""
+
+    def key(order, groups, p):
+        row = 0
+        for x in order:
+            row = row << 1 | rows[p] >> x & 1
+        for group in groups:
+            inside = sum([rows[p] >> x & 1 for x in group if x != p])
+            row = row << (len(group) - (p in group)) | (1 << inside) - 1
+        return row
+
+    return _preorder_bits(_relabel(rows, least_order_by_twins(rows, key)), len(rows))
+
+
+def least_order_by_twins(rows, key) -> tuple[int, ...]:
+    """An order of the points of ``rows`` whose keys are least, step by step,
+    one point at a time: the search that ``_least_order``'s cells replaced.
+
+    The unplaced points fall into groups of equal signature: their bits in
+    the rows of the placed points, first placed most significant, 0 first.
+    Each step extends every order that ties the best so far by each point p
+    of its first group and keeps the extensions with the least
+    ``key(order, groups, p)``; placing p splits every group into the points
+    outside p's row and those inside it.  Two points that a transposition
+    swaps without changing ``rows`` (twins) give the same keys from then on,
+    so one point per twin class is tried.
+    """
+    twin = twin_classes(rows)
+    states = [((), [list(range(len(rows)))])]
+    for _ in rows:
+        best, ties = None, []
+        for order, groups in states:
+            tried = set()
+            for p in groups[0]:
+                if twin[p] in tried:
+                    continue
+                tried.add(twin[p])
+                k = key(order, groups, p)
+                if best is None or k < best:
+                    best, ties = k, []
+                if k == best:
+                    split = [[x for x in g if x != p and rows[p] >> x & 1 == bit] for g in groups for bit in (0, 1)]
+                    ties.append((order + (p,), [g for g in split if g]))
+        states = ties
+    return states[0][0]
+
+
+def twin_classes(rows) -> list[int]:
+    """``twin[p]``: the least point q whose exchange with p keeps ``rows``."""
+    twin = list(range(len(rows)))
+    for q in range(len(rows)):
+        twin[q] = next((p for p in range(q) if twin[p] == p and _swaps(rows, p, q)), q)
+    return twin
+
+
+def _swaps(rows, p: int, q: int) -> bool:
+    """Whether exchanging the points p and q maps ``rows`` to itself."""
+    both = 1 << p | 1 << q
+    for x, r in enumerate(rows):
+        image = r ^ both if (r >> p ^ r >> q) & 1 else r
+        if image != rows[q if x == p else p if x == q else x]:
+            return False
+    return True
+
+
+def block_orbit(sizes, ms) -> set[tuple[int, ...]]:
+    """The sorted M values ``ms`` under every permutation of equal-size blocks."""
+    runs = [tuple(same) for _, same in groupby(range(len(sizes)), key=sizes.__getitem__)]
+    perms = [sum(g, ()) for g in product(*map(permutations, runs))]
+    return {tuple(sorted([sum(1 << g[i] for i in range(len(sizes)) if m >> i & 1) for m in ms])) for g in perms}
+
+
+def automorphism_count(rows) -> int:
+    """The permutations g of the points with row g(x) the image of row x, by trying all."""
+    n = len(rows)
+    return sum(all(rows[g[x]] == sum(1 << g[y] for y in range(n) if r >> y & 1) for x, r in enumerate(rows))
+               for g in permutations(range(n)))
+
+
+def types_by_permutations(n: int):
+    """``_types`` by applying every permutation of equal-size blocks to the
+    first multiset of each orbit: ``(structures, block sizes, M values)``."""
+    for k in range(n + 1):
+        for sizes in _partitions(k):
+            runs = [len(list(same)) for _, same in groupby(sizes)]
+            ways = comb(n, k) * factorial(k) // prod([factorial(s) for s in sizes] + [factorial(r) for r in runs])
+            seen: set[tuple[int, ...]] = set()
+            for w, ms in _multisets([m for m in range(1 << len(sizes)) if m & (m - 1)], n - k):
+                if ms not in seen:
+                    orbit = block_orbit(sizes, ms)
+                    seen |= orbit
+                    yield ways * w * len(orbit), sizes, ms
 
 
 def accumulate(n: int, t0_only: bool):

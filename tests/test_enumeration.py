@@ -8,20 +8,26 @@ import pickle
 import random
 import re
 import warnings
-from math import comb
+from collections import Counter
+from itertools import groupby
+from math import comb, factorial, prod
 
 import pytest
 
 from reference import (
+    automorphism_count,
     bell,
+    block_orbit,
     bounded_walk,
     brute_force_topology_count,
+    canonical_code_by_twins,
     catalog_of,
     check_catalog,
     closure_structures,
     count_preorders_by_extension,
     decode_preorder_by_cells,
     decode_relation_by_cells,
+    delivery_least_by_twins,
     preorders_by_filter,
     first_delivered_relabelling,
     is_diagonal_closure,
@@ -29,6 +35,7 @@ from reference import (
     labelled_closure_count,
     reference_catalogs,
     relabelled_codes,
+    types_by_permutations,
     unchecked_catalog_text,
 )
 
@@ -50,7 +57,7 @@ from diagclosure.enumeration import (
     render_catalog,
 )
 from diagclosure.errors import BoundExceededError, InvalidCatalogError, InvalidSizeError, SpecSyntaxError
-from diagclosure.finite_topology import Preorder, cl_delta, topology_of_preorder
+from diagclosure.finite_topology import Preorder, cl_delta, closure_rows, topology_of_preorder
 from diagclosure.relations import FiniteRelation, all_partitions, eq_of_partition
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}
@@ -196,6 +203,37 @@ def test_structure_types_and_their_weights():
     # and their weights count the closures on labelled points
     assert [len(list(_types(n))) for n in range(9)] == [iso_closure_count(n)[0] for n in range(9)]
     assert [sum(w for w, _, _ in _types(n)) for n in range(8)] == [labelled_closure_count(n) for n in range(8)]
+
+
+def test_searches_match_the_point_by_point_search_on_every_type():
+    # the cell search against the search it replaced, which placed one point per step and cut only twins
+    for n in range(8):
+        for _, sizes, ms in _types(n):
+            flat = _flat(sizes, ms)
+            closure = FiniteRelation(n, closure_rows(flat))
+            assert canonical_code(closure) == canonical_code_by_twins(closure), (sizes, ms)
+            assert _delivery_least(flat) == delivery_least_by_twins(flat), (sizes, ms)
+
+
+def test_types_are_the_orbits_of_every_block_permutation():
+    for n in range(8):
+        new, old = list(_types(n)), list(types_by_permutations(n))
+        assert Counter((w, sizes) for w, sizes, _ in new) == Counter((w, sizes) for w, sizes, _ in old), n
+        orbits = [{(sizes, frozenset(block_orbit(sizes, ms))) for _, sizes, ms in types} for types in (new, old)]
+        assert orbits[0] == orbits[1] and len(orbits[0]) == len(new), n
+
+
+def test_type_automorphisms_are_three_groups():
+    # closures and structures are one to one, so the automorphisms of a type's closure are the permutations
+    # inside each block, those of the other points with one M value, and the permutations of equal-size
+    # blocks that keep the multiset of M values; n!/|Aut| structures have the type
+    for n in range(8):
+        for weight, sizes, ms in _types(n):
+            blocks = prod(factorial(len(list(same))) for _, same in groupby(sizes)) // len(block_orbit(sizes, ms))
+            aut = prod(map(factorial, sizes)) * prod(factorial(len(list(same))) for _, same in groupby(ms)) * blocks
+            assert factorial(n) == weight * aut, (sizes, ms)
+            if n <= 6:
+                assert automorphism_count(closure_rows(_flat(sizes, ms))) == aut, (sizes, ms)
 
 
 def test_relation_code_round_trip():
@@ -592,6 +630,23 @@ def test_render_catalog_refuses_what_read_catalog_refuses(what):
         render_catalog(cat)
     assert isinstance(caught.value, ValueError)
     assert isinstance(caught.value.__cause__, SpecSyntaxError) == (line is not None)
+
+
+# each case: the records of a catalog made from build_catalog(3)'s, and the exception unpacking them raises
+UNWRITABLE_RECORDS = {
+    "a record of six fields": (lambda cat: cat.records[:1] + (tuple(cat.records[1])[:6],) + cat.records[2:], ValueError),
+    "a record that is an int": (lambda cat: cat.records[:2] + (7,), TypeError),
+    "records that are None": (lambda cat: None, TypeError),
+}
+
+
+@pytest.mark.parametrize("what", UNWRITABLE_RECORDS)
+def test_render_catalog_refuses_records_that_are_not_rows(what):
+    change, cause = UNWRITABLE_RECORDS[what]
+    cat = build_catalog(3)
+    with pytest.raises(InvalidCatalogError, match="^the catalog's records are not rows of seven fields: ") as caught:
+        render_catalog(dataclasses.replace(cat, records=change(cat)))
+    assert type(caught.value.__cause__) is cause
 
 
 def test_package_catalogs_render_without_a_read_back(monkeypatch):
