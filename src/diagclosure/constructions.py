@@ -69,8 +69,8 @@ from .relations import (
     BlockRef,
     PartitionSpec,
     PointAddr,
-    _Frozen,
     _new,
+    _TupleValue,
     check_t1_realisable,
 )
 from .symbolic_sets import (
@@ -125,42 +125,40 @@ _S, _F, _I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 # --------------------------------------------------------------------------
 # basic opens
 
+_NOTHING = frozenset()  # the exclusions of an open that excludes nothing
+
+
 def _render_item(x) -> str:
     return str(x) if isinstance(x, int) else x.render()
 
 
-class _Named(_Frozen):
+class _Named(_TupleValue):
     """Shared render of the opens named by one point or block (``SingletonPt``,
     ``SatPair``, ``BlockOpen``): the class name around the render of that field."""
 
-    __slots__ = ()
-
     def render(self) -> str:
-        return f"{type(self).__name__}({getattr(self, self._fields[0]).render()})"
+        return f"{type(self).__name__}({self[0].render()})"
 
 
-class _Cofinite(_Frozen):
+class _Cofinite(_TupleValue):
     """A base set minus the finite set ``excluded``; the other fields fix the base.
 
     Shared by every cofinite open: two opens on one base meet in that base
     minus both exclusion sets, and all of them render as their base - the
-    fields ``_head`` lists as (label, attribute) pairs - followed by the
+    fields before ``excluded``, labelled by ``_head`` - followed by the
     sorted exclusions.
     """
 
-    __slots__ = ()
-    _defaults = {"excluded": frozenset()}
+    _defaults = {"excluded": _NOTHING}
     _head = ()
     _excl_label = "excl"
 
     def meet(self, other):
         """The intersection with an open on the same base."""
-        return self._replace(excluded=self.excluded | other.excluded)
+        return _new(type(self), (*self[:-1], self.excluded | other.excluded))
 
     def render(self) -> str:
-        head = ""
-        for label, name in self._head:
-            head += f"{label}={_render_item(getattr(self, name))}, "
+        head = "".join(f"{label}={_render_item(item)}, " for label, item in zip(self._head, self))
         excl = ",".join(map(_render_item, sorted(self.excluded)))
         return f"{type(self).__name__}({head}{self._excl_label}=[{excl}])"
 
@@ -168,51 +166,48 @@ class _Cofinite(_Frozen):
 class SingletonPt(_Named):
     """The one-point open {x} of an isolated (singleton-block) point."""
 
-    _fields = __slots__ = ("point",)
+    _fields = ("point",)
 
 
 class CofInBlock(_Cofinite):
     """A cofinite subset of a single (infinite) block."""
 
-    _fields = __slots__ = ("block", "excluded")
-    _head = (("block", "block"),)
+    _fields = ("block", "excluded")
+    _head = ("block",)
 
 
 class _FinPt(_Cofinite):
     """A finite-block point plus a cofinite subset of its reservoir."""
 
-    _fields = __slots__ = ("block", "elem", "excluded")
-    _head = (("block", "block"), ("elem", "elem"))
+    _fields = ("block", "elem", "excluded")
+    _head = ("block", "elem")
 
 
 class FinPt1(_FinPt):
     """A finite-block point plus a cofinite subset of its singleton reservoir."""
 
-    __slots__ = ()
-
 
 class FinPt2(_FinPt):
     """A finite-block point plus all but finitely many blocks of its infinite-block pool."""
 
-    __slots__ = ()
     _excl_label = "excl_blocks"  # the exclusions are block indices
 
 
-class Ball(_Frozen):
+class Ball(_TupleValue):
     """A cofinite subset of a rational ball in the pair system."""
 
-    _fields = __slots__ = ("ball",)
+    _fields = ("ball",)
 
     def render(self) -> str:
         return f"Ball({self.ball.render_args()})"
 
 
-class ExtPt(_Frozen):
+class ExtPt(_TupleValue):
     """A non-representative point (the anchor) plus a ball around its block,
     minus the block's level-0 representative image; the ball must contain
     that image.  ``_dropped`` names the point of that image."""
 
-    _fields = __slots__ = ("block", "elem", "ball")
+    _fields = ("block", "elem", "ball")
 
     def render(self) -> str:
         return f"ExtPt(block={self.block}, elem={self.elem}, ball=({self.ball.render_args()}))"
@@ -221,32 +216,32 @@ class ExtPt(_Frozen):
 class SatPair(_Named):
     """The open {x, rep(block(x))} of the representative-saturated topology."""
 
-    _fields = __slots__ = ("point",)
+    _fields = ("point",)
 
 
 class BlockOpen(_Named):
     """An entire block, as a basic open of the block-saturated topology."""
 
-    _fields = __slots__ = ("block",)
+    _fields = ("block",)
 
 
 class CofOmega(_Cofinite):
     """A cofinite subset of the naturals."""
 
-    _fields = __slots__ = ("excluded",)
+    _fields = ("excluded",)
 
 
 class CofInD(_Cofinite):
     """A cofinite subset of one designated residue-class set (1-based index)."""
 
-    _fields = __slots__ = ("index", "excluded")
-    _head = (("d", "index"),)
+    _fields = ("index", "excluded")
+    _head = ("d",)
 
 
-class Certificate(_Frozen):
+class Certificate(_TupleValue):
     """A disjoint pair of basic opens, the first around the first query point."""
 
-    _fields = __slots__ = ("open_a", "open_b")
+    _fields = ("open_a", "open_b")
 
     def render(self) -> str:
         return f"{self.open_a.render()}\n{self.open_b.render()}"
@@ -258,11 +253,8 @@ def check_certificate(c: "Construction", p, q, cert: Certificate) -> bool:
     Pure re-checking through the construction's exact membership and
     disjointness rules; independent of how the certificate was produced.
     """
-    return (
-        c.member(cert.open_a, p)
-        and c.member(cert.open_b, q)
-        and c.disjoint(cert.open_a, cert.open_b)
-    )
+    open_a, open_b = cert
+    return c.member(open_a, p) and c.member(open_b, q) and c.disjoint(open_a, open_b)
 
 
 # --------------------------------------------------------------------------
@@ -277,6 +269,9 @@ class Construction:
 
     Each kind defines the hooks ``_member``, ``_disjoint``, ``_basic_nbhd``,
     ``_refine`` and ``_contains``; the public calls check their arguments.
+    The hooks tell opens apart by exact type, as ``_variants`` admits them:
+    ``isinstance`` against a value class, whose class is
+    ``relations._ValueClass``, takes CPython's slow path when it fails.
     """
 
     kind: str = ""
@@ -330,8 +325,7 @@ class Construction:
         self._check_pair(p, q)
         if not self._separable(p, q):
             return None
-        a, b = self._witness_opens(p, q)
-        return Certificate(a, b)
+        return _new(Certificate, self._witness_opens(p, q))
 
     def t1_witness(self, p, q):
         """A basic open containing p but not q."""
@@ -354,8 +348,8 @@ class Construction:
         sep = self._separable(p, q)
         if self._t1_certificate:
             o_p, o_q = self._basic_nbhd(p, q), self._basic_nbhd(q, p)
-            return sep, Certificate(o_p, o_q) if sep else None, o_p, o_q
-        cert = Certificate(*self._witness_opens(p, q)) if sep else None
+            return sep, _new(Certificate, (o_p, o_q)) if sep else None, o_p, o_q
+        cert = _new(Certificate, self._witness_opens(p, q)) if sep else None
         if not self.is_t1:
             return sep, cert, None, None
         return sep, cert, self._basic_nbhd(p, q), self._basic_nbhd(q, p)
@@ -460,22 +454,22 @@ def _cofinite_home(cls: BlockClass, block: int):
     """The canonical open of a singleton or infinite-block point: the point's
     ``SingletonPt``, or its whole block as a ``CofInBlock`` with no exclusion."""
     if cls is _S:
-        return SingletonPt(_new(PointAddr, (cls, block, 0)))
-    return CofInBlock(_new(BlockRef, (cls, block)))
+        return _new(SingletonPt, (_new(PointAddr, (cls, block, 0)),))
+    return _new(CofInBlock, (_new(BlockRef, (cls, block)), _NOTHING))
 
 
 @functools.lru_cache(maxsize=_HOME_CACHE_SIZE)
 def _reservoir_home(open_cls: type, block: int, elem: int):
     """The canonical reservoir open of a finite-block point: the whole reservoir."""
-    return open_cls(block, elem)
+    return _new(open_cls, (block, elem, _NOTHING))
 
 
 def _pair_open(block: int, elem: int, ball: RationalBall):
     """The pair-system open of the point (block, elem) on ``ball``: the ball
     itself around a representative, an ``ExtPt`` anchored at any further element."""
     if elem <= 1:
-        return Ball(ball)
-    return ExtPt(block, elem, ball)
+        return _new(Ball, (ball,))
+    return _new(ExtPt, (block, elem, ball))
 
 
 @functools.lru_cache(maxsize=_HOME_CACHE_SIZE)
@@ -507,39 +501,39 @@ class InfOrSingleton(Construction):
         return spec.fin.is_empty
 
     def _member(self, o, p):
-        if isinstance(o, SingletonPt):
+        if type(o) is SingletonPt:
             return o.point == p
         cls, index = o.block
         return p.cls == cls and p.block == index and p not in o.excluded
 
     def _disjoint(self, o1, o2):
-        if isinstance(o1, SingletonPt):
+        if type(o1) is SingletonPt:
             return not self._member(o2, o1.point)
-        if isinstance(o2, SingletonPt):
+        if type(o2) is SingletonPt:
             return not self._member(o1, o2.point)
         return o1.block != o2.block
 
     def _basic_nbhd(self, p, avoid=None):
         if p.cls is not _S and isinstance(avoid, PointAddr) and avoid != p and _same_block_addr(avoid, p):
-            return CofInBlock(p.block_ref, frozenset((avoid,)))
+            return _new(CofInBlock, (p.block_ref, frozenset((avoid,))))
         return _cofinite_home(p.cls, p.block)
 
     def _sample_open(self, p, rng, bounds):
         if p.cls is _S:
-            return SingletonPt(p)
+            return _new(SingletonPt, (p,))
         cls, block, _ = p
         excl = _draw_excl(rng, bounds[1], lambda e: _new(PointAddr, (cls, block, e)), p)
-        return CofInBlock(p.block_ref, excl)
+        return _new(CofInBlock, (p.block_ref, excl))
 
     def _refine(self, o1, o2, p):
-        if isinstance(o1, SingletonPt) or isinstance(o2, SingletonPt):
+        if type(o1) is SingletonPt or type(o2) is SingletonPt:
             return SingletonPt(p)
         return o1.meet(o2)
 
     def _contains(self, outer, inner):
-        if isinstance(inner, SingletonPt):
+        if type(inner) is SingletonPt:
             return self._member(outer, inner.point)
-        if isinstance(outer, SingletonPt):
+        if type(outer) is SingletonPt:
             return False
         return inner.block == outer.block and outer.excluded <= inner.excluded
 
@@ -619,7 +613,7 @@ class _Reservoir(InfOrSingleton):
         if p.cls is not _F:
             return InfOrSingleton._basic_nbhd(self, p, avoid)
         if isinstance(avoid, PointAddr) and self._in_reservoir(p.block, avoid):
-            return self._open(p.block, p.elem, frozenset((self._unit(avoid),)))
+            return _new(self._open, (p.block, p.elem, frozenset((self._unit(avoid),))))
         return _reservoir_home(self._open, p.block, p.elem)
 
     def _sample_excl(self, j, rng, block_bound, avoid=None):
@@ -628,13 +622,13 @@ class _Reservoir(InfOrSingleton):
 
     def _sample_open(self, p, rng, bounds):
         if p.cls is _F:
-            return self._open(p.block, p.elem, self._sample_excl(p.block, rng, bounds[0]))
+            return _new(self._open, (p.block, p.elem, self._sample_excl(p.block, rng, bounds[0])))
         if p.cls is self._pool_cls:
             owners = [j for j in range(self.modulus) if self._in_reservoir(j, p)]
             if owners and rng.random() < 0.5:
                 j = owners[draw_below(rng.getrandbits, len(owners))]
                 k = draw_below(rng.getrandbits, self.spec.fin.size_of(j))
-                return self._open(j, k, self._sample_excl(j, rng, bounds[0], avoid=self._unit(p)))
+                return _new(self._open, (j, k, self._sample_excl(j, rng, bounds[0], avoid=self._unit(p))))
         return InfOrSingleton._sample_open(self, p, rng, bounds)
 
     def _refine(self, o1, o2, p):
@@ -770,7 +764,7 @@ class ExtendPairs(InfOrSingleton):
         return _pair_open(p.block, p.elem, b1), _pair_open(q.block, q.elem, b2)
 
     def _member(self, o, p):
-        if not isinstance(o, _BALL_OPENS):
+        if type(o) not in _BALL_OPENS:
             return InfOrSingleton._member(self, o, p)
         if p.cls is not _F:
             return False
@@ -779,12 +773,12 @@ class ExtendPairs(InfOrSingleton):
         return (p.block, p.elem) != _dropped(o) and _image_member(o.ball, _xq(p.block), p.elem)
 
     def _disjoint(self, o1, o2):
-        b1, b2 = isinstance(o1, _BALL_OPENS), isinstance(o2, _BALL_OPENS)
+        b1, b2 = type(o1) in _BALL_OPENS, type(o2) in _BALL_OPENS
         if b1 != b2:
             return True  # balls never meet the other part
         if not b1:
             return InfOrSingleton._disjoint(self, o1, o2)
-        if isinstance(o1, ExtPt) and isinstance(o2, ExtPt) and (o1.block, o1.elem) == (o2.block, o2.elem):
+        if type(o1) is ExtPt and type(o2) is ExtPt and (o1.block, o1.elem) == (o2.block, o2.elem):
             return False  # both contain their anchor point
         return ball_disjoint(o1.ball, o2.ball)
 
@@ -801,23 +795,23 @@ class ExtendPairs(InfOrSingleton):
             return InfOrSingleton._sample_open(self, p, rng, bounds)
         size = self.spec.fin.size_of(p.block)
         if p.elem >= 2:
-            return ExtPt(p.block, p.elem, _sample_ball(_xq(p.block), 0, rng))
+            return _new(ExtPt, (p.block, p.elem, _sample_ball(_xq(p.block), 0, rng)))
         if p.elem == 1 and size >= 3 and rng.random() < 0.3:
             # an extension open of the same block also contains this point
             k = 2 + draw_below(rng.getrandbits, size - 2)
             half = _HALVES[draw_below(rng.getrandbits, 2)]
-            return ExtPt(p.block, k, _image_ball(_xq(p.block), 4 * half))
-        return Ball(_sample_ball(_xq(p.block), p.elem, rng))
+            return _new(ExtPt, (p.block, k, _image_ball(_xq(p.block), 4 * half)))
+        return _new(Ball, (_sample_ball(_xq(p.block), p.elem, rng),))
 
     def _refine(self, o1, o2, p):
-        if not isinstance(o1, _BALL_OPENS):
+        if type(o1) not in _BALL_OPENS:
             return InfOrSingleton._refine(self, o1, o2, p)
         if p.elem >= 2:  # both opens are extension opens anchored at p
             return ExtPt(p.block, p.elem, _image_refine(o1.ball, o2.ball, _xq(p.block)))
         return Ball(_image_refine(_ball_part(o1), _ball_part(o2), _xq(p.block)))
 
     def _contains(self, outer, inner):
-        b_out, b_in = isinstance(outer, _BALL_OPENS), isinstance(inner, _BALL_OPENS)
+        b_out, b_in = type(outer) in _BALL_OPENS, type(inner) in _BALL_OPENS
         if b_out != b_in:
             return False
         if not b_in:
@@ -882,14 +876,14 @@ class T0Sat(Construction):
         return not _same_block_addr(o1.point, o2.point)
 
     def _basic_nbhd(self, p, avoid=None):
-        return SatPair(p)
+        return _new(SatPair, (p,))
 
     def _sample_open(self, p, rng, bounds):
         if p.elem == 0 and p.cls is not _S and rng.random() < 0.5:  # finite sizes are >= 2
             hi = bounds[1] if p.cls is _I else self.spec.fin.size_of(p.block) - 1
             e = 1 + draw_below(rng.getrandbits, max(1, hi))
-            return SatPair(_new(PointAddr, (p.cls, p.block, e)))
-        return SatPair(p)
+            return _new(SatPair, (_new(PointAddr, (p.cls, p.block, e)),))
+        return _new(SatPair, (p,))
 
     def _refine(self, o1, o2, p):
         if o1.point == o2.point:
@@ -919,7 +913,7 @@ class TauR(Construction):
         return o1.block != o2.block
 
     def _basic_nbhd(self, p, avoid=None):
-        return BlockOpen(p.block_ref)
+        return _new(BlockOpen, (p.block_ref,))
 
     def _refine(self, o1, o2, p):
         return BlockOpen(o1.block)
@@ -977,34 +971,34 @@ class SubbasisExample(Construction):
         return CofInD(self._designated_index(p)), CofInD(self._designated_index(q))
 
     def _member(self, o, p):
-        if isinstance(o, CofOmega):
+        if type(o) is CofOmega:
             return p not in o.excluded
         return self.designated[o.index - 1].contains(p) and p not in o.excluded
 
     def _disjoint(self, o1, o2):
-        if isinstance(o1, CofInD) and isinstance(o2, CofInD):
+        if type(o1) is CofInD and type(o2) is CofInD:
             return o1.index != o2.index
         return False  # a cofinite set meets every infinite set
 
     def _basic_nbhd(self, p, avoid=None):
-        excl = frozenset((avoid,)) if isinstance(avoid, int) and avoid != p else frozenset()
-        return CofOmega(excl)
+        excl = frozenset((avoid,)) if isinstance(avoid, int) and avoid != p else _NOTHING
+        return _new(CofOmega, (excl,))
 
     def _sample_open(self, p, rng, bounds):
         excl = _draw_excl(rng, 3 * (bounds[0] + 1), int, p)
         i = self._designated_index(p)
         if i is not None and rng.random() < 0.5:
-            return CofInD(i, excl)
-        return CofOmega(excl)
+            return _new(CofInD, (i, excl))
+        return _new(CofOmega, (excl,))
 
     def _refine(self, o1, o2, p):
         # the overlap lies in a designated set if either open does
-        return o2.meet(o1) if isinstance(o2, CofInD) and not isinstance(o1, CofInD) else o1.meet(o2)
+        return o2.meet(o1) if type(o2) is CofInD and type(o1) is not CofInD else o1.meet(o2)
 
     def _contains(self, outer, inner):
-        if isinstance(inner, CofOmega):
-            return isinstance(outer, CofOmega) and outer.excluded <= inner.excluded
-        if isinstance(outer, CofInD) and outer.index != inner.index:
+        if type(inner) is CofOmega:
+            return type(outer) is CofOmega and outer.excluded <= inner.excluded
+        if type(outer) is CofInD and outer.index != inner.index:
             return False
         dset = self.designated[inner.index - 1]
         return all(e in inner.excluded or not dset.contains(e) for e in outer.excluded)
@@ -1040,10 +1034,10 @@ DEFAULT_DESIGNATED = (ResidueClassSet(1, 3), ResidueClassSet(2, 3))
 _SEARCH_BOUND = 400
 
 
-class NonTransitiveReport(_Frozen):
+class NonTransitiveReport(_TupleValue):
     """Outcome of the non-transitivity demonstration."""
 
-    _fields = __slots__ = ("designated", "construction", "triple", "certificate", "message")
+    _fields = ("designated", "construction", "triple", "certificate", "message")
 
     @property
     def ok(self) -> bool:

@@ -66,10 +66,10 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import _tuplegetter
 from dataclasses import dataclass
 from itertools import groupby, product
 from math import comb, factorial, prod
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from .counting import SOFT_LIMIT, _count_below, _multisets, _partitions
@@ -391,8 +391,6 @@ class CatalogRecord(_TupleValue):
     ``__new__``.
     """
 
-    __slots__ = ()
-
     n: int
     relation_code: str
     labeled_topology_count: int
@@ -407,10 +405,11 @@ class CatalogRecord(_TupleValue):
                           example_preorder_code))
 
 
-# Each field reads its item of the tuple.  The properties are set after
-# @dataclass has read the fields, so that no field takes one as its default.
+# Each field reads its item of the tuple, by the getter relations._ValueClass
+# gives the fields it is told of.  The getters are set after @dataclass has
+# read the fields, so that no field takes one as its default.
 for _i, _name in enumerate(CatalogRecord.__dataclass_fields__):
-    setattr(CatalogRecord, _name, property(itemgetter(_i)))
+    setattr(CatalogRecord, _name, _tuplegetter(_i, None))
 del _i, _name
 
 

@@ -11,10 +11,11 @@ opens x points.  Subsets of the ground set are bitmasks throughout.
 
 from __future__ import annotations
 
+from collections import _tuplegetter
 from typing import Iterable
 
 from .errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError, read_naturals
-from .relations import FinitePartition, FiniteRelation, _Frozen, _mask, _new, _set
+from .relations import FinitePartition, FiniteRelation, _mask, _new, _TupleValue
 
 __all__ = [
     "FiniteTopology",
@@ -74,8 +75,6 @@ class Preorder(FiniteRelation):
     constructor checks reflexivity and transitivity as well.
     """
 
-    __slots__ = ()
-
     def __new__(cls, n: int, rows: Iterable[int]):
         self = super().__new__(cls, n, rows)
         _, rows = self
@@ -93,75 +92,84 @@ class Preorder(FiniteRelation):
         return f"Preorder(n={self.n}, up={[ _mask_points(r) for r in self.rows ]})"
 
 
-class FiniteTopology(_Frozen):
+class FiniteTopology(_TupleValue):
     """Family of open sets on ``{0..n-1}``, stored as a frozenset of bitmasks.
 
-    The family never changes, so its minimal neighborhoods are computed once,
-    by ``validate`` or by the first :func:`minimal_neighborhoods` call.
+    The family never changes, so its minimal neighborhoods are found once,
+    when it is built, and kept: the value is the tuple ``(n, opens, mins)``,
+    ``mins[x]`` the minimal neighborhood of x.  ``validate`` finds them as
+    it checks the family; the builders below are given them.
     """
 
     _fields = ("n", "opens")
-    __slots__ = ("n", "opens", "_mins")
+    _mins = _tuplegetter(2, None)
 
-    def __init__(self, n: int, opens: Iterable[int], validate: bool = True):
-        _set(self, "n", n)
-        _set(self, "opens", frozenset(opens))
-        _set(self, "_mins", None)
-        if validate:
-            self.validate()
+    def __new__(cls, n: int, opens: Iterable[int], validate: bool = True):
+        opens = frozenset(opens)
+        mins = _checked_neighborhoods(n, opens) if validate else _neighborhoods(n, opens)
+        return _new(cls, (n, opens, tuple(mins)))
 
     def validate(self) -> None:
-        full = (1 << self.n) - 1
-        if any(o & ~full for o in self.opens):
-            raise NotATopologyError("open set outside the ground set")
-        if 0 not in self.opens:
-            raise NotATopologyError("the empty set is not in the family")
-        if full not in self.opens:
-            raise NotATopologyError("the full set is not in the family")
-        # Each running intersection is a member, so the last one is the
-        # minimal neighborhood N(x).  A family holding every N(x) and every
-        # U | N(x) holds every union of neighborhoods; each member is the
-        # union of the N(x) of its points, so the family is then exactly
-        # those unions, which are closed under union and intersection.
-        opens = sorted(self.opens)
-        mins = []
-        for x in range(self.n):
-            running = full
-            for o in opens:
-                if o >> x & 1:
-                    self._require(running, o, "intersection", running & o)
-                    running &= o
-            mins.append(running)
-        # Equal neighborhoods give equal checks, so each is tried once, in
-        # first-seen order; the first failure found stays the same.
-        distinct = list(dict.fromkeys(mins))
-        for u in opens:
-            for m in distinct:
-                self._require(u, m, "union", u | m)
-        _set(self, "_mins", tuple(mins))
-
-    def _require(self, a: int, b: int, op: str, res: int) -> None:
-        if res not in self.opens:
-            raise NotATopologyError(
-                f"family not closed under {op}: "
-                f"{{{_render_mask(a)}}} and {{{_render_mask(b)}}} "
-                f"give {{{_render_mask(res)}}}",
-                witness=(_mask_points(a), _mask_points(b), op),
-            )
+        """Raise NotATopologyError unless the family is a topology."""
+        _checked_neighborhoods(self.n, self.opens)
 
     def __repr__(self):
         return f"FiniteTopology(n={self.n}, opens={[_mask_points(m) for m in _display_order(self)]})"
 
 
-def _unions(n: int, neighborhoods: Iterable[int]) -> FiniteTopology:
-    """The topology whose opens are all unions of the given minimal neighborhoods.
+def _checked_neighborhoods(n: int, opens: frozenset) -> list[int]:
+    """The minimal neighborhood of each point of a family that is a topology;
+    NotATopologyError, with the first failing pair as its witness, for any other."""
+    full = (1 << n) - 1
+    if any(o & ~full for o in opens):
+        raise NotATopologyError("open set outside the ground set")
+    if 0 not in opens:
+        raise NotATopologyError("the empty set is not in the family")
+    if full not in opens:
+        raise NotATopologyError("the full set is not in the family")
+    # Each running intersection is a member, so the last one is the
+    # minimal neighborhood N(x).  A family holding every N(x) and every
+    # U | N(x) holds every union of neighborhoods; each member is the
+    # union of the N(x) of its points, so the family is then exactly
+    # those unions, which are closed under union and intersection.
+    ordered = sorted(opens)
+    mins = []
+    for x in range(n):
+        running = full
+        for o in ordered:
+            if o >> x & 1:
+                if (running & o) not in opens:
+                    _not_closed(running, o, "intersection", running & o)
+                running &= o
+        mins.append(running)
+    # Equal neighborhoods give equal checks, so each is tried once, in
+    # first-seen order; the first failure found stays the same.
+    distinct = list(dict.fromkeys(mins))
+    for u in ordered:
+        for m in distinct:
+            if (u | m) not in opens:
+                _not_closed(u, m, "union", u | m)
+    return mins
+
+
+def _not_closed(a: int, b: int, op: str, res: int):
+    raise NotATopologyError(
+        f"family not closed under {op}: {{{_render_mask(a)}}} and {{{_render_mask(b)}}} give {{{_render_mask(res)}}}",
+        witness=(_mask_points(a), _mask_points(b), op),
+    )
+
+
+def _unions(n: int, mins: Iterable[int]) -> FiniteTopology:
+    """The topology whose minimal neighborhoods are ``mins``, one per point:
+    its opens are all unions of them.
 
     Work grows with the number of opens produced, not with 2**n.
     """
+    mins = tuple(mins)
     opens = {0}
-    for u in set(neighborhoods):
+    for u in set(mins):
         opens |= {o | u for o in opens}
-    return FiniteTopology(n, opens, validate=False)
+    return _new(FiniteTopology, (n, frozenset(opens), mins))
 
 
 def _neighborhoods(n: int, masks: Iterable[int]) -> list[int]:
@@ -193,13 +201,11 @@ def topology_of_preorder(p: Preorder) -> FiniteTopology:
 
 def minimal_neighborhoods(t: FiniteTopology) -> list[int]:
     """Intersection of all opens containing each point (open on finite sets)."""
-    if t._mins is None:
-        _set(t, "_mins", tuple(_neighborhoods(t.n, t.opens)))
     return list(t._mins)
 
 
 def preorder_of_topology(t: FiniteTopology) -> Preorder:
-    return _new(Preorder, (t.n, tuple(minimal_neighborhoods(t))))
+    return _new(Preorder, (t.n, t._mins))
 
 
 def closure_rows(ups) -> tuple[int, ...]:
@@ -218,7 +224,7 @@ def closure_rows(ups) -> tuple[int, ...]:
 
 def cl_delta(t: FiniteTopology) -> FiniteRelation:
     """Diagonal closure: (x, y) related iff their minimal neighborhoods meet."""
-    return FiniteRelation(t.n, closure_rows(minimal_neighborhoods(t)))
+    return FiniteRelation(t.n, closure_rows(t._mins))
 
 
 def cl_delta_open_family(t: FiniteTopology) -> FiniteRelation:
@@ -251,14 +257,14 @@ def is_t1(t: FiniteTopology) -> bool:
 
 def is_t0(t: FiniteTopology) -> bool:
     """Distinct points have distinct minimal neighborhoods."""
-    mins = minimal_neighborhoods(t)
-    return len(set(mins)) == t.n
+    return len(set(t._mins)) == t.n
 
 
 def tau_r(p: FinitePartition) -> FiniteTopology:
     """The block-saturated topology: opens are exactly unions of blocks."""
     _check_scan(len(p.blocks), "blocks")
-    return _unions(p.n, map(_mask, p.blocks))
+    masks = [_mask(block) for block in p.blocks]
+    return _unions(p.n, (masks[b] for b in p.block_of))
 
 
 def t0_saturation(p: FinitePartition, rep=None) -> FiniteTopology:

@@ -11,9 +11,9 @@ and ``omega`` stands for countable infinity throughout.
 
 from __future__ import annotations
 
-import functools
+import operator
+from collections import _tuplegetter
 from enum import IntEnum
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -46,70 +46,77 @@ __all__ = [
 ]
 
 
-# Sets a field of a _Frozen value in a hand-written __init__: bound once, as a
-# global, for the classes that convert or check their values first.
-_set = object.__setattr__
+# Builds a tuple value (a _TupleValue, a BlockRef or a PointAddr) from the
+# tuple of its items, as in ``_new(PointAddr, (cls, block, elem))``, with no
+# call of the class's own ``__new__``, a Python function: a verify round
+# builds some 700,000 addresses and 350,000 opens and certificates, and the
+# preorder walk one Preorder per preorder.
+_new = tuple.__new__
 
 
-def _slot_init(cls, fields, defaults: dict):
-    """An ``__init__`` for the slotted class ``cls`` that takes ``fields`` in
-    order, with ``defaults``, and stores each through its slot's own
-    descriptor.
-
-    Compiled from source once per class, as dataclasses and namedtuple build
-    theirs, so it runs the code of a hand-written ``__init__``.  Each slot's
-    ``__set__`` is bound once, so a store is one C call past any
-    ``__setattr__`` that refuses assignment: a verify round builds over half
-    a million opens and certificates.
-    """
-    params = "".join(f", {f}=_d_{f}" if f in defaults else f", {f}" for f in fields)
-    body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
-    namespace = {**{f"_set_{f}": getattr(cls, f).__set__ for f in fields}, **{f"_d_{f}": v for f, v in defaults.items()}}
-    exec(f"def __init__(self{params}):{body}\n", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"  # named in argument errors
-    return init
+def _refuse(self, other):
+    """An operation a value does not take: Python tries the other operand, then raises TypeError."""
+    return NotImplemented
 
 
-class _Frozen:
-    """Value semantics of a frozen dataclass, without importing ``dataclasses``.
+class _ValueClass(type):
+    """The class of every tuple value class.
 
-    A subclass names its fields in ``_fields``: they are the value.  Unless
-    the class writes its own ``__init__``, ``_slot_init`` makes one that
-    takes them in that order, with the defaults given in ``_defaults``; a
-    class that converts or checks its values first writes its own and sets
-    them through ``_set``.  Its ``__slots__`` holds the fields and may add
-    slots for derived or cached data, also set through ``_set``.  Values are
-    equal only to values of the same class with equal fields, hash as their
-    field tuple, show as ``Class(field=value, ...)``, refuse assignment and
-    deletion, and pickle and copy by calling ``__init__`` with their fields.
+    It gives each one an empty ``__slots__``, so that its values have no
+    ``__dict__``, and each field named in its ``_fields`` a read-only getter
+    of its item: the C getter ``collections.namedtuple`` gives its own
+    fields, quicker to read than ``property(itemgetter(i))``.
     """
 
-    __slots__ = ()
+    def __new__(mcls, name, bases, namespace):
+        namespace.setdefault("__slots__", ())
+        cls = super().__new__(mcls, name, bases, namespace)
+        for i, field in enumerate(namespace.get("_fields", ())):
+            setattr(cls, field, _tuplegetter(i, None))
+        return cls
+
+
+class _TupleValue(tuple, metaclass=_ValueClass):
+    """A value stored as the tuple of its fields, built in hot loops by ``_new``.
+
+    A subclass names its fields once, in ``_fields``: each reads its item
+    (see ``_ValueClass``), and the value shows as ``Class(field=value,
+    ...)``.  Items after the named fields hold data derived from them, read
+    by getters the class sets itself (``FinitePartition.block_of``).  A
+    class that writes no ``__new__`` takes its fields in order, by position
+    or keyword, with the defaults in ``_defaults``.
+
+    A value hashes, indexes, unpacks and orders as its tuple, but neither
+    joins nor repeats, and has no attributes to assign.  Unlike a
+    plain tuple it is equal only to a value of the same class: ``tuple``'s
+    own ``==`` and ``!=`` would call a ``Preorder`` equal to the
+    ``FiniteRelation`` with the same rows, and a value equal to the plain
+    tuple of its fields.  Other tuples are unequal; other types get
+    ``NotImplemented``.
+    """
+
     _fields: tuple = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls):
-        if "_fields" in cls.__dict__ and "__init__" not in cls.__dict__:
-            cls.__init__ = _slot_init(cls, cls._fields, cls._defaults)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
-    def _replace(self, **changes):
-        """A copy with the named fields changed."""
-        return type(self)(*[changes.get(f, getattr(self, f)) for f in self._fields])
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = _bind(cls, args, kwargs)
+        return _new(cls, args)
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self):
-        return hash(self._values())
+    def __ne__(self, other):
+        if type(other) is type(self):
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__  # defining __eq__ would otherwise leave the class unhashable
 
     def __repr__(self):
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):
@@ -118,25 +125,63 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):  # pickle and copy rebuild through __init__, not by setting slots
-        return type(self), self._values()
+    __add__ = __mul__ = __rmul__ = _refuse  # a value is no sequence to join or repeat
+
+    def __reduce__(self):  # pickle and copy rebuild from the items, as _new does
+        return _new, (type(self), tuple(self))
 
 
-@functools.total_ordering
-class Count(_Frozen):
+def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+    """The fields of ``cls`` from the arguments of a call, with its defaults.
+
+    Refuses, with a ``TypeError`` that names ``cls.__new__``, the calls that
+    a function with the fields as its parameters would refuse.
+    """
+    fields, name = cls._fields, f"{cls.__qualname__}.__new__()"
+    given = dict(zip(fields, args))
+    if len(args) > len(fields) or not kwargs.keys() <= set(fields) - given.keys():
+        raise TypeError(f"{name} takes its fields {', '.join(fields)}, each once, by position or keyword")
+    values = {**cls._defaults, **given, **kwargs}
+    missing = [repr(f) for f in fields if f not in values]
+    if missing:
+        plural = "s" if len(missing) > 1 else ""
+        raise TypeError(f"{name} missing {len(missing)} required positional argument{plural}: {', '.join(missing)}")
+    return tuple([values[f] for f in fields])
+
+
+_INFINITY = float("inf")  # omega's place in the order: above every int, which compares with it exactly
+
+
+def _by_value(op, otherwise):
+    """A comparison of a count with a count or an int by ``op`` on their values,
+    omega above every natural; any other operand gets ``otherwise(self, other)``."""
+
+    def compare(self, other):
+        if isinstance(other, Count):
+            other = other.value
+        elif not isinstance(other, int) or isinstance(other, bool):
+            return otherwise(self, other)
+        value = self.value
+        return op(_INFINITY if value is None else value, _INFINITY if other is None else other)
+
+    return compare
+
+
+class Count(_TupleValue):
     """A natural number or omega (countably infinite).
 
     Comparisons treat omega as larger than every natural number, and a
-    count equals the int of its value.  Counts refuse assignment, so the
-    shared ``OMEGA`` stays omega.
+    count equals the int of its value, but no other tuple.  Counts refuse
+    assignment, so the shared ``OMEGA`` stays omega.  ``tuple`` orders its
+    subclasses by their items, so each comparison is written here.
     """
 
-    _fields = __slots__ = ("value",)
+    _fields = ("value",)
 
-    def __init__(self, value: int | None = None):
+    def __new__(cls, value: int | None = None):
         if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
             raise ValueError(f"count must be a natural number or None for omega: {value!r}")
-        _set(self, "value", value)
+        return _new(cls, (value,))
 
     @property
     def is_omega(self) -> bool:
@@ -158,32 +203,15 @@ class Count(_Frozen):
             return OMEGA
         return Count(read_natural(text, "count (expected a natural number or 'omega')"))
 
-    @staticmethod
-    def _value_of(other) -> "int | None | type(NotImplemented)":
-        if isinstance(other, Count):
-            return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return other
-        return NotImplemented
-
-    def __eq__(self, other):
-        v = self._value_of(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self.value == v
-
-    def __lt__(self, other):
-        v = self._value_of(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if self.value is None:
-            return False
-        if v is None:
-            return True
-        return self.value < v
+    __eq__ = _by_value(operator.eq, _TupleValue.__eq__)
+    __ne__ = _by_value(operator.ne, _TupleValue.__ne__)
+    __lt__ = _by_value(operator.lt, _refuse)
+    __le__ = _by_value(operator.le, _refuse)
+    __gt__ = _by_value(operator.gt, _refuse)
+    __ge__ = _by_value(operator.ge, _refuse)
 
     def __hash__(self):
-        return hash(self.value)
+        return hash(self.value)  # the hash of the int it equals
 
     def __str__(self):
         return "omega" if self.value is None else str(self.value)
@@ -207,14 +235,6 @@ class BlockClass(IntEnum):
 _SINGLETON, _FINITE, _INFINITE = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 _CLASS_PREFIX = {BlockClass.SINGLETON: "s", BlockClass.FINITE: "f", BlockClass.INFINITE: "i"}
 _PREFIX_CLASS = {v: k for k, v in _CLASS_PREFIX.items()}
-
-
-# Builds a tuple value (a BlockRef, PointAddr, FiniteRelation, Preorder or
-# RationalBall) from the tuple of its fields, as in
-# ``_new(PointAddr, (cls, block, elem))``, with no call of the class's own
-# ``__new__``, a Python function: a verify round builds some 700,000
-# addresses, and the preorder walk one Preorder per preorder.
-_new = tuple.__new__
 
 
 class BlockRef(NamedTuple):
@@ -272,24 +292,23 @@ def parse_point(text: str) -> PointAddr:
     return _new(PointAddr, (cls, block, elem))
 
 
-class FiniteBlocks(_Frozen):
+class FiniteBlocks(_TupleValue):
     """The finite-block part of a spec: explicit sizes, or a cyclic family.
 
     ``cyclic=True`` means countably many finite blocks whose sizes repeat
     the given list cyclically; block ``j`` then has size ``sizes[j % len]``.
     """
 
-    _fields = __slots__ = ("sizes", "cyclic")
+    _fields = ("sizes", "cyclic")
 
-    def __init__(self, sizes: Iterable[int] = (), cyclic: bool = False):
+    def __new__(cls, sizes: Iterable[int] = (), cyclic: bool = False):
         sizes = tuple(sizes)
         for s in sizes:
             if not isinstance(s, int) or s < 2:
                 raise SpecSyntaxError(f"finite block sizes must be naturals >= 2: {s!r}")
         if cyclic and not sizes:
             raise SpecSyntaxError("a cyclic finite-block family needs at least one size")
-        _set(self, "sizes", sizes)
-        _set(self, "cyclic", cyclic)
+        return _new(cls, (sizes, cyclic))
 
     @property
     def is_empty(self) -> bool:
@@ -309,21 +328,20 @@ class FiniteBlocks(_Frozen):
         return f"cycle[{body}]" if self.cyclic else f"[{body}]"
 
 
-class PartitionSpec(_Frozen):
+class PartitionSpec(_TupleValue):
     """Symbolic block profile of an equivalence relation on a countable set.
 
     Rejected at construction when the described ground set is finite (in
     particular when there are no blocks at all).
     """
 
-    _fields = __slots__ = ("singletons", "fin", "inf")
+    _fields = ("singletons", "fin", "inf")
 
-    def __init__(self, singletons: Count, fin: FiniteBlocks, inf: Count):
-        _set(self, "singletons", singletons)
-        _set(self, "fin", fin)
-        _set(self, "inf", inf)
+    def __new__(cls, singletons: Count, fin: FiniteBlocks, inf: Count):
+        self = _new(cls, (singletons, fin, inf))
         if not (singletons.is_omega or fin.cyclic or inf >= 1):
             raise GroundSetFiniteError(f"spec describes a finite ground set: {self.render()}")
+        return self
 
     def valid_addr(self, a: PointAddr) -> bool:
         """Whether ``a`` names a point of this spec.
@@ -343,8 +361,8 @@ class PartitionSpec(_Frozen):
             n = self.singletons.value
             return elem == 0 and (n is None or block < n)
         if cls is _FINITE:
-            sizes = self.fin.sizes
-            if self.fin.cyclic:
+            sizes, cyclic = self.fin
+            if cyclic:
                 return elem < sizes[block % len(sizes)]
             return block < len(sizes) and elem < sizes[block]
         n = self.inf.value
@@ -433,47 +451,17 @@ def _mask(points: Iterable[int]) -> int:
     return m
 
 
-class _TupleValue(tuple):
-    """A value stored as the tuple of its fields, built in hot loops by ``_new``.
-
-    It hashes as that tuple and has no attributes to assign.  Unlike a plain
-    tuple it is equal only to a value of the same class: ``tuple``'s own
-    ``==`` and ``!=`` would call a ``Preorder`` equal to the
-    ``FiniteRelation`` with the same rows, and a value equal to the plain
-    tuple of its fields.  Other types get ``NotImplemented``.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other):
-        if type(other) is type(self):
-            return tuple.__ne__(self, other)
-        return True if isinstance(other, tuple) else NotImplemented
-
-    __hash__ = tuple.__hash__  # defining __eq__ would otherwise leave the class unhashable
-
-    def __reduce__(self):  # pickle and copy rebuild from the fields, as _new does
-        return _new, (type(self), tuple(self))
-
-
 class FiniteRelation(_TupleValue):
     """Binary relation on ``{0..n-1}`` stored as bitmask rows.
 
     The value is the tuple ``(n, rows)``: it hashes as that tuple, and its
     ``n`` and ``rows`` are read-only.  It is equal only to a relation of
     the same class with the same rows, so a ``Preorder`` never equals the
-    ``FiniteRelation`` of its rows.
+    ``FiniteRelation`` of its rows.  ``rows[i]`` is the bitmask of the
+    points related to i.
     """
 
-    __slots__ = ()
-
-    n = property(itemgetter(0), doc="The number of points.")
-    rows = property(itemgetter(1), doc="``rows[i]`` is the bitmask of the points related to i.")
+    _fields = ("n", "rows")
 
     def __new__(cls, n: int, rows: Iterable[int]):
         rows = tuple(rows)
@@ -540,18 +528,19 @@ class FiniteRelation(_TupleValue):
         return f"FiniteRelation(n={self.n}, off_diagonal={off})"
 
 
-class FinitePartition(_Frozen):
+class FinitePartition(_TupleValue):
     """Partition of ``{0..n-1}`` into disjoint nonempty blocks.
 
     Blocks are normalised to sorted tuples ordered by least element, so two
     partitions are equal exactly when they have the same blocks.
-    ``block_of[x]`` is the index of the block holding ``x``.
+    ``block_of[x]`` is the index of the block holding ``x``: the value is
+    the tuple ``(n, blocks, block_of)``, the last derived from the others.
     """
 
     _fields = ("n", "blocks")
-    __slots__ = ("n", "blocks", "block_of")
+    block_of = _tuplegetter(2, None)
 
-    def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
+    def __new__(cls, n: int, blocks: Iterable[Iterable[int]]):
         canon = sorted(tuple(sorted(b)) for b in blocks)
         # With n entries or more, none out of range or repeated (the loop
         # below), n distinct points of 0..n-1 are placed: all are covered.
@@ -565,9 +554,7 @@ class FinitePartition(_Frozen):
                 if not 0 <= x < n or block_of[x] != -1:
                     raise ValueError(f"blocks must partition 0..{n - 1}")
                 block_of[x] = bi
-        _set(self, "n", n)
-        _set(self, "blocks", tuple(canon))
-        _set(self, "block_of", tuple(block_of))
+        return _new(cls, (n, tuple(canon), tuple(block_of)))
 
 
 def eq_of_partition(p: FinitePartition) -> FiniteRelation:

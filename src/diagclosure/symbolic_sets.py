@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import index, itemgetter
+from operator import index
 from typing import NamedTuple
 
 from .errors import BoundExceededError
@@ -148,7 +148,7 @@ class RationalBall(_TupleValue):
     ``x_index`` and the levels.
     """
 
-    __slots__ = ()
+    _fields = ("x_index",)  # the items after it are read by the views below
 
     def __new__(cls, x_index: int, center: Fraction, radius: Fraction, excluded=()):
         x_index = _integer("x_index", x_index)
@@ -167,8 +167,6 @@ class RationalBall(_TupleValue):
                 raise ValueError(f"excluded point outside the ball: {format_rational(q)}")
             excl.add((q.numerator, q.denominator, level))
         return _new(cls, (x_index, center.numerator, center.denominator, radius.numerator, radius.denominator, frozenset(excl)))
-
-    x_index = property(itemgetter(0))
 
     @property
     def center(self) -> Fraction:

@@ -1,5 +1,7 @@
 """Finite topologies, the preorder correspondence, and diagonal closures."""
 
+import functools
+import operator
 import pickle
 
 import pytest
@@ -124,9 +126,9 @@ def test_a_preorder_is_a_finite_relation_of_its_own_type():
     assert p == Preorder(3, list(rows)) and hash(p) == hash(Preorder(3, rows)) == hash((3, rows))
     assert repr(p) == "Preorder(n=3, up=[(0, 1), (1,), (0, 1, 2)])"
     assert repr(r) == "FiniteRelation(n=3, off_diagonal=[(0, 1), (2, 0), (2, 1)])"
-    # a topology is pickled by its opens, and its minimal neighborhoods are found again
+    # a topology keeps the minimal neighborhoods it is built with, and pickles with them
     t = topology_of_preorder(p)
-    assert t._mins is None
+    assert t._mins == rows and tuple(t) == (3, t.opens, rows)
     copy = pickle.loads(pickle.dumps(t))
     assert copy == t and copy.opens == t.opens and copy._mins == rows
 
@@ -359,17 +361,27 @@ def test_validate_accepts_exactly_the_topologies_on_up_to_3_points():
     assert checked - rejected == 1 + 1 + 4 + 29
 
 
+def _mins_by_intersection(t):
+    """Each point's minimal neighborhood, as the intersection of every open that holds it."""
+    full = (1 << t.n) - 1
+    return tuple(functools.reduce(operator.and_, (o for o in t.opens if o >> x & 1), full) for x in range(t.n))
+
+
 def test_minimal_neighborhoods_are_computed_once():
+    # each topology keeps, from when it is built, the neighborhoods its opens give
     for p in _all_preorders(3):
         built = topology_of_preorder(p)
-        assert built._mins is None
-        assert minimal_neighborhoods(built) == list(p.rows)
-        assert built._mins == p.rows
+        assert built._mins == p.rows == _mins_by_intersection(built)
         checked = FiniteTopology(3, built.opens)
         assert checked._mins == p.rows  # kept from validate
+        assert FiniteTopology(3, built.opens, validate=False)._mins == p.rows
         got = minimal_neighborhoods(checked)
         got[0] = 0  # the caller's copy, not the kept one
         assert minimal_neighborhoods(checked) == list(p.rows)
+    for n in range(5):
+        for part in all_partitions(n):
+            for t in (tau_r(part), t0_saturation(part), generate_from_subbasis(n, part.blocks[1:])):
+                assert t._mins == _mins_by_intersection(t) and t == FiniteTopology(n, t.opens)
 
 
 # --- text format ---

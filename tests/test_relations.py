@@ -1,8 +1,13 @@
 """Relations, partitions, and partition-spec parsing."""
 
+import collections
+import copy
 import itertools
+import math
+import operator
 import pickle
 import random
+from collections import _tuplegetter
 
 import pytest
 
@@ -29,9 +34,9 @@ from diagclosure.relations import (
     parse_point,
     parse_spec,
     partition_of_eq,
-    _Frozen,
-    _set,
     same_block,
+    _new,
+    _TupleValue,
 )
 
 S, F, I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
@@ -60,6 +65,25 @@ def test_counts_do_not_compare_with_non_numbers():
         Count(3) < "3"
     with pytest.raises(TypeError, match="^'<' not supported between instances of 'Count' and 'bool'$"):
         OMEGA < True
+
+
+def test_counts_write_all_six_comparisons():
+    # tuple orders its subclasses by their items, so functools.total_ordering
+    # would fill in none of these: each is Count's own
+    ops = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+    values = (0, 1, 3, 10**400, None)  # None is omega, above every natural
+    rank = {v: math.inf if v is None else v for v in values}
+    for a, b, op in itertools.product(values, values, ops):
+        want = op(rank[a], rank[b])
+        assert op(Count(a), Count(b)) is want, (a, b, op)
+        if b is not None:
+            assert op(Count(a), b) is want, (a, b, op)
+        if a is not None:
+            assert op(a, Count(b)) is want, (a, b, op)
+    assert OMEGA >= 10**400 and Count(3) >= 3 and not 3 >= OMEGA and OMEGA >= OMEGA
+    # a count equals the int of its value, but not the tuple of its fields
+    for count, items in ((Count(3), (3,)), (OMEGA, (None,))):
+        assert count != items and items != count and not count == items and not items == count
 
 
 def test_counts_refuse_assignment_and_omega_stays_shared_omega():
@@ -311,59 +335,64 @@ def test_partition_validation():
         FinitePartition(10**12, [[0], [1]])  # refused before a table of n slots is built
 
 
-# --- the generated __init__ of _Frozen values ---
+# --- tuple values: the fields declared once, in _fields ---
 
-def test_frozen_class_with_fields_gets_an_init_that_sets_them_in_order():
-    class Pair(_Frozen):
-        _fields = __slots__ = ("left", "right")
-        _defaults = {"right": 0}
-
-    assert Pair(1).left == 1 and Pair(1).right == 0 and Pair(1, 2).right == 2
-    assert Pair(right=2, left=1) == Pair(1, 2) and repr(Pair(1)).endswith("Pair(left=1, right=0)")
-    assert Pair.__init__.__qualname__.endswith("Pair.__init__")
-    with pytest.raises(TypeError):
-        Pair()
-    with pytest.raises(TypeError):
-        Pair(1, 2, 3)
-    with pytest.raises(AttributeError):
-        Pair(1).left = 2
+class _Pair(_TupleValue):
+    _fields = ("left", "right")
+    _defaults = {"right": 0}
 
 
-def test_frozen_class_keeps_the_init_it_writes():
-    def init(self, n):
+class _Checked(_TupleValue):
+    """A class that writes its own __new__, keeping a derived item after its field."""
+
+    _fields = ("n",)
+    double = _tuplegetter(1, None)
+
+    def __new__(cls, n):
         if n < 0:
             raise ValueError("negative")
-        _set(self, "n", n)
+        return _new(cls, (n, 2 * n))
 
-    class Checked(_Frozen):
-        _fields = __slots__ = ("n",)
-        __init__ = init
 
-    assert Checked.__init__ is init and Checked(3).n == 3
+def test_tuple_value_fields_are_read_only_getters_of_their_items():
+    pair = _Pair(1, 2)
+    assert (pair.left, pair.right) == (1, 2) and tuple(pair) == (1, 2) and pair[1] == 2 and len(pair) == 2
+    assert type(_Pair.left) is type(collections.namedtuple("Named", "x").x)  # a namedtuple field's C getter
+    for name in ("left", "right", "other"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(pair, name, 3)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(pair, name)
+    assert pair == _Pair(1, 2) and not hasattr(pair, "__dict__")
+    # a value orders as its tuple, but does not join or repeat like one
+    assert _Pair(1, 2) < _Pair(1, 3) and sorted([_Pair(2, 0), _Pair(1, 5)]) == [_Pair(1, 5), _Pair(2, 0)]
+    for op in (lambda: pair + pair, lambda: pair + (3,), lambda: pair * 2, lambda: 2 * pair):
+        with pytest.raises(TypeError, match="^unsupported operand"):
+            op()
+
+
+def test_tuple_value_new_takes_the_fields_by_position_or_keyword_with_defaults():
+    assert _Pair.__new__ is _TupleValue.__new__
+    assert _Pair(1) == _Pair(1, 0) == _Pair(left=1) == _Pair(right=0, left=1) and _Pair(1, right=2) == _Pair(1, 2)
+    assert type(_Pair(1)) is _Pair and _Pair(1).right == 0
+    refused = "takes its fields left, right, each once, by position or keyword"
+    for args, kwargs, message in [
+        ((), {}, "missing 1 required positional argument: 'left'"),
+        ((), {"right": 2}, "missing 1 required positional argument: 'left'"),
+        ((1, 2, 3), {}, refused),
+        ((1,), {"left": 1}, refused),
+        ((1,), {"middle": 1}, refused),
+    ]:
+        with pytest.raises(TypeError, match=rf"^_Pair\.__new__\(\) {message}$"):
+            _Pair(*args, **kwargs)
+
+
+def test_tuple_value_shows_its_fields_and_keeps_the_new_it_writes():
+    assert repr(_Pair(1, "a")) == "_Pair(left=1, right='a')"
+    checked = _Checked(3)
+    assert checked.n == 3 and checked.double == 6 and tuple(checked) == (3, 6)
+    assert repr(checked) == "_Checked(n=3)"  # the derived item is not a field
     with pytest.raises(ValueError, match="^negative$"):
-        Checked(-1)
-
-
-class _Open(_Frozen):
-    _fields = __slots__ = ("block", "excluded")
-    _defaults = {"excluded": frozenset()}
-
-
-# the hand-written twin of _Open's generated __init__: each slot's __set__,
-# bound once as a global, stores its field
-_set_block, _set_excluded = _Open.block.__set__, _Open.excluded.__set__
-
-
-def _open_init_by_hand(self, block, excluded=frozenset()):
-    _set_block(self, block)
-    _set_excluded(self, excluded)
-
-
-def test_generated_init_runs_the_code_of_a_hand_written_one():
-    made, written = _Open.__init__.__code__, _open_init_by_hand.__code__
-    for attr in ("co_code", "co_consts", "co_names", "co_varnames", "co_argcount"):
-        assert getattr(made, attr) == getattr(written, attr), attr
-    assert _Open.__init__.__defaults__ == _open_init_by_hand.__defaults__
-    twin = _Open.__new__(_Open)
-    _open_init_by_hand(twin, 3)
-    assert twin == _Open(3) and twin.excluded == frozenset()
+        _Checked(-1)
+    for twin in (pickle.loads(pickle.dumps(checked)), copy.deepcopy(checked)):
+        assert type(twin) is _Checked and twin == checked and twin.double == 6
