@@ -158,9 +158,11 @@ class _Cofinite(_TupleValue):
         return _new(type(self), (*self[:-1], self.excluded | other.excluded))
 
     def render(self) -> str:
-        head = "".join(f"{label}={_render_item(item)}, " for label, item in zip(self._head, self))
-        excl = ",".join(map(_render_item, sorted(self.excluded)))
-        return f"{type(self).__name__}({head}{self._excl_label}=[{excl}])"
+        shown = f"{type(self).__name__}("
+        for label, item in zip(self._head, self):  # a loop, not a generator: no frame per field
+            shown += f"{label}={item!s}, " if isinstance(item, int) else f"{label}={item.render()}, "
+        excl = ",".join(map(_render_item, sorted(self.excluded))) if self.excluded else ""
+        return f"{shown}{self._excl_label}=[{excl}])"
 
 
 class SingletonPt(_Named):
@@ -968,7 +970,7 @@ class SubbasisExample(Construction):
         return ip is not None and iq is not None and ip != iq
 
     def _witness_opens(self, p, q):
-        return CofInD(self._designated_index(p)), CofInD(self._designated_index(q))
+        return _new(CofInD, (self._designated_index(p), _NOTHING)), _new(CofInD, (self._designated_index(q), _NOTHING))
 
     def _member(self, o, p):
         if type(o) is CofOmega:

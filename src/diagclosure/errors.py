@@ -108,7 +108,10 @@ def read_natural(text: str, what: str) -> int:
     scripts; ``str.isdigit`` alone would also take ``²``, which ``int()``
     refuses.
     """
-    item = text.strip()
+    try:
+        item = str.strip(text)  # str's own strip: bytes have a strip, isdigit and int() of their own
+    except TypeError:
+        raise SpecSyntaxError(f"bad {what}: expected a str, got {type(text).__name__}") from None
     if item.isascii() and item.isdigit():
         try:
             return int(item)

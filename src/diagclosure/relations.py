@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from collections import _tuplegetter
 from enum import IntEnum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import (
     GroundSetFiniteError,
@@ -244,7 +244,8 @@ class BlockRef(NamedTuple):
     index: int
 
     def render(self) -> str:
-        return f"{_CLASS_PREFIX[self.cls]}:{self.index}"
+        cls, index = self
+        return f"{_CLASS_PREFIX[cls]}:{index}"
 
 
 class PointAddr(NamedTuple):
@@ -263,33 +264,51 @@ class PointAddr(NamedTuple):
         return _new(BlockRef, self[:2])
 
     def render(self) -> str:
-        if self.cls is BlockClass.SINGLETON:
-            return f"s:{self.block}"
-        return f"{_CLASS_PREFIX[self.cls]}:{self.block}:{self.elem}"
+        cls, block, elem = self
+        if cls is _SINGLETON:  # by identity: a plain int 0 renders with its element, as f:/i: do
+            return f"s:{block}"
+        return f"{_CLASS_PREFIX[cls]}:{block}:{elem}"
 
 
 def parse_point(text: str) -> PointAddr:
     """Parse ``s:<i>``, ``f:<j>:<k>``, or ``i:<j>:<k>`` into a PointAddr.
 
     Surrounding whitespace is ignored, and every index is ASCII digits, as
-    :func:`~diagclosure.errors.read_natural` reads them.
+    :func:`~diagclosure.errors.read_natural` reads them.  One ``split``
+    gives the fields, and each index takes ``isdigit``, ``isascii`` and
+    ``int()``; :func:`_refuse_point` names the fault of any other text.
     """
-    item = text.strip()
-    prefix, *indices = item.split(":")
-    cls = _PREFIX_CLASS.get(prefix)
-    if cls is None or not 0 < len(indices) < 3 or not item.isascii() or not all(map(str.isdigit, indices)):
-        raise InvalidAddressError(f"bad point address: {text!r}")
-    if cls is _SINGLETON:
-        if len(indices) == 2:
-            raise InvalidAddressError(f"singleton addresses take one index: {text!r}")
-        indices.append("0")
-    elif len(indices) == 1:
-        raise InvalidAddressError(f"{prefix}-addresses take two indices: {text!r}")
     try:
-        block, elem = map(int, indices)
-    except ValueError:  # more digits than int() converts: read_natural names the limit
-        block, elem = (read_natural(index, "point address") for index in indices)
-    return _new(PointAddr, (cls, block, elem))
+        fields = text.strip().split(":")
+    except (AttributeError, TypeError):  # None and ints have no strip, and bytes split on no str
+        raise InvalidAddressError(f"bad point address: expected a str, got {type(text).__name__}") from None
+    try:
+        if len(fields) == 2:
+            prefix, block = fields
+            if prefix == "s" and block.isdigit() and block.isascii():
+                return _new(PointAddr, (_SINGLETON, int(block), 0))
+        elif len(fields) == 3:
+            prefix, block, elem = fields
+            cls = _PREFIX_CLASS.get(prefix, _SINGLETON)  # f and i take two indices, s and any other prefix do not
+            if cls is not _SINGLETON and block.isdigit() and elem.isdigit() and block.isascii() and elem.isascii():
+                return _new(PointAddr, (cls, int(block), int(elem)))
+    except ValueError:  # more digits than int() converts
+        pass
+    _refuse_point(text)
+
+
+def _refuse_point(text: str) -> NoReturn:
+    """Raise the error that says why :func:`parse_point` refused the str ``text``."""
+    prefix, *indices = text.strip().split(":")
+    if prefix not in _PREFIX_CLASS or not 0 < len(indices) < 3 or not all(i.isascii() and i.isdigit() for i in indices):
+        raise InvalidAddressError(f"bad point address: {text!r}")
+    if prefix == "s" and len(indices) == 2:
+        raise InvalidAddressError(f"singleton addresses take one index: {text!r}")
+    if prefix != "s" and len(indices) == 1:
+        raise InvalidAddressError(f"{prefix}-addresses take two indices: {text!r}")
+    for index in indices:  # one has more digits than int() converts: read_natural names the limit
+        read_natural(index, "point address")
+    raise InvalidAddressError(f"bad point address: {text!r}")  # not reached by a plain str
 
 
 class FiniteBlocks(_TupleValue):
@@ -370,11 +389,21 @@ class PartitionSpec(_TupleValue):
 
     def check_addr(self, a: PointAddr) -> PointAddr:
         if not self.valid_addr(a):
-            raise InvalidAddressError(f"no such point for {self.render()}: {a!r}")
+            raise InvalidAddressError(f"no such point for {self.render()}: {_as_typed(a)}")
         return a
 
     def render(self) -> str:
         return f"singletons={self.singletons};fin={self.fin.render()};inf={self.inf}"
+
+
+def _as_typed(a) -> str:
+    """An address as it is typed (``s:3``) where :func:`parse_point` reads that
+    text back as ``a``, and the ``repr`` of anything else: a singleton with
+    a nonzero element or a negative index has no text of its own."""
+    if type(a) is PointAddr and type(a.cls) is BlockClass and type(a.block) is int is type(a.elem):
+        if min(a.block, a.elem) >= 0 and (a.cls is not _SINGLETON or a.elem == 0):
+            return a.render()
+    return repr(a)
 
 
 def _parse_finspec(text: str) -> FiniteBlocks:
@@ -396,7 +425,10 @@ def _parse_finspec(text: str) -> FiniteBlocks:
 
 def parse_spec(text: str) -> PartitionSpec:
     """Parse ``singletons=<count>;fin=<finspec>;inf=<count>`` (any clause order)."""
-    parts = text.split(";")
+    try:
+        parts = text.split(";")
+    except (AttributeError, TypeError):  # None and ints have no split, and bytes split on no str
+        raise SpecSyntaxError(f"bad partition spec: expected a str, got {type(text).__name__}") from None
     if len(parts) != 3:
         raise SpecSyntaxError(f"expected exactly three ';'-separated clauses: {text!r}")
     seen: dict[str, str] = {}

@@ -183,7 +183,7 @@ class RationalBall(_TupleValue):
     def render_args(self) -> str:
         """The fields as ``x=..,q=..,d=..,excl=[..]``, exclusions sorted."""
         x, cn, cd, rn, rd, excl = self
-        excl = ",".join(f"({n}/{d},{level})" for n, d, level in sorted(excl, key=_BY_VALUE))
+        excl = ",".join(f"({n}/{d},{level})" for n, d, level in sorted(excl, key=_BY_VALUE)) if excl else ""
         return f"x={x},q={cn}/{cd},d={rn}/{rd},excl=[{excl}]"
 
     def render(self) -> str:

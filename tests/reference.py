@@ -28,7 +28,10 @@ rule, the example rule and the types independently.
 ``unchecked_catalog_text`` writes any catalog in the layout of
 ``render_catalog``, with none of its refusals.
 ``parse_point_by_regex`` reads a point address by the grammar's regular
-expression and ``read_natural``, the rule ``parse_point`` replaced.
+expression and ``read_natural``, the rule ``parse_point`` replaced; the
+tests compare it with the one-pass reader, a single ``split`` with a digit
+test and ``int()`` per index, and its refusal function, on fixed edge texts
+and on drawn texts that mix Unicode whitespace and digits.
 ``sample_point`` and ``sample_pair`` re-derive every limit from the spec on
 each draw and draw through ``randint``; the verify harness's samplers, built
 once per run, must take the same draws and return the same points.

@@ -168,6 +168,7 @@ def test_separable_bad_address(capsys):
         capsys, "separable", "--spec", "singletons=0;fin=[];inf=3", "-p", "i:9:0", "-q", "i:0:0"
     )
     assert code == 2
+    assert err == "error: no such point for singletons=0;fin=[];inf=3: i:9:0\n"
 
 
 # --- enumerate ---

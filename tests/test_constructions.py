@@ -883,7 +883,9 @@ def test_public_calls_reject_bad_addresses(kind, realise, text):
     spec, c, p0, p1, bad = _guard_setup(realise, text)
     assert c.kind == kind
     for label, a in bad.items():
-        message = f"no such point for {spec.render()}: {a!r}"
+        # a point that parse_point could have read is named as typed, anything else by its repr
+        typed = label in ("element beyond the block", "finite block beyond the list", "block beyond the count")
+        message = f"no such point for {spec.render()}: {a.render() if typed else repr(a)}"
         calls = [
             lambda: c.basic_nbhd(a),
             lambda: c.basic_nbhd(a, p0),

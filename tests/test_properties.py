@@ -306,6 +306,8 @@ POINT_EDGE_TEXTS = (
     "", ":", "s", "s:", "f::0", "f:0:", "s::", "f:1:2:3", "s:1:0", "f:1", "i:0",
     "i:" + "9" * 4301 + ":0", "i:0:" + "9" * 4301, "s:" + "9" * 4301, "s:" + "9" * 4301 + ":0",
     "i:" + "9" * 4300 + ":1", "f:" + "9" * 4301 + ":" + "9" * 4302,
+    "\x1cs:1\x1c", "F:1:0", "f:1:\u00b2", "i:\u0661:\u0661", "s:1\u3000", "s:1:", "i:0:0:",
+    "s:\u0661", "i:0:\u0661", "f:\u0661\u0662:1",
 )
 
 
@@ -315,7 +317,7 @@ def test_parse_point_matches_the_regex_reader(text):
 
 
 @settings(deadline=None)
-@given(st.text(alphabet="sfi:0123456789 +_", max_size=12))
+@given(st.text(alphabet="sfi:0123456789 +_\t\n\x1c\u3000\u0661\u00b2F", max_size=16))
 def test_parse_point_matches_the_regex_reader_on_drawn_texts(text):
     assert point_outcome(parse_point, text) == point_outcome(parse_point_by_regex, text)
 

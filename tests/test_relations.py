@@ -22,6 +22,7 @@ from diagclosure.errors import (
 from diagclosure.relations import (
     OMEGA,
     BlockClass,
+    BlockRef,
     Count,
     FiniteBlocks,
     FinitePartition,
@@ -143,6 +144,22 @@ def test_parse_spec_rejects(text):
         parse_spec(text)
 
 
+NON_TEXT = (None, 5, b"s:3")
+
+
+def test_parse_spec_refuses_non_text():
+    for value in NON_TEXT:
+        with pytest.raises(SpecSyntaxError, match=f"^bad partition spec: expected a str, got {type(value).__name__}$"):
+            parse_spec(value)
+
+
+def test_count_parse_refuses_non_text():
+    what = r"bad count \(expected a natural number or 'omega'\)"
+    for value in NON_TEXT + (b"3",):  # read_natural reads str only: int(b"3") alone would give 3
+        with pytest.raises(SpecSyntaxError, match=f"^{what}: expected a str, got {type(value).__name__}$"):
+            Count.parse(value)
+
+
 def test_ground_set_must_be_infinite():
     with pytest.raises(GroundSetFiniteError):
         PartitionSpec(Count(0), FiniteBlocks(), Count(0))  # no blocks at all
@@ -174,6 +191,37 @@ def test_parse_point_grammar():
     for bad in ("x:1", "s:1:1", "f:0", "i:", "f:a:b", "s:-1"):
         with pytest.raises(InvalidAddressError):
             parse_point(bad)
+
+
+def test_parse_point_refuses_non_text():
+    for value in NON_TEXT:
+        with pytest.raises(InvalidAddressError, match=f"^bad point address: expected a str, got {type(value).__name__}$"):
+            parse_point(value)
+
+
+def test_addresses_render_by_their_class_member():
+    # a plain int class is no BlockClass member: it renders with its element, by the member it equals
+    assert PointAddr(S, 3, 0).render() == "s:3" and PointAddr(0, 3, 0).render() == "s:3:0"
+    assert PointAddr(F, 10**300, 1).render() == f"f:{10**300}:1" and PointAddr(2, 4, 5).render() == "i:4:5"
+    assert BlockRef(S, 3).render() == "s:3" and BlockRef(1, 10**300).render() == f"f:{10**300}"
+
+
+def test_no_such_point_names_the_point_as_typed():
+    spec = parse_spec("singletons=2;fin=[2];inf=1")
+    for a, shown in [
+        (PointAddr(S, 3, 0), "s:3"),
+        (PointAddr(F, 0, 2), "f:0:2"),
+        (PointAddr(I, 10**300, 0), f"i:{10**300}:0"),
+        # no text reads back as these: their repr
+        (PointAddr(S, 0, 1), "PointAddr(cls=<BlockClass.SINGLETON: 0>, block=0, elem=1)"),
+        (PointAddr(I, -1, 0), "PointAddr(cls=<BlockClass.INFINITE: 2>, block=-1, elem=0)"),
+        (PointAddr(2, 1, 0), "PointAddr(cls=2, block=1, elem=0)"),
+        (PointAddr(I, True, 0), "PointAddr(cls=<BlockClass.INFINITE: 2>, block=True, elem=0)"),
+        ((2, 1, 0), "(2, 1, 0)"),
+    ]:
+        with pytest.raises(InvalidAddressError) as info:
+            spec.check_addr(a)
+        assert str(info.value) == f"no such point for {spec.render()}: {shown}"
 
 
 def test_addr_validation():
