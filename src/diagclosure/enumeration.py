@@ -70,6 +70,7 @@ from collections import _tuplegetter
 from dataclasses import dataclass
 from itertools import groupby, product
 from math import comb, factorial, prod
+from operator import index
 from typing import Callable, Iterator
 
 from .counting import SOFT_LIMIT, _count_below, _multisets, _partitions
@@ -93,15 +94,22 @@ __all__ = [
 ]
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int) -> int:
+    """n as an int (``True`` counts as 1); InvalidSizeError if ``operator.index``
+    refuses it or it is negative."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise InvalidSizeError(f"number of points must be an integer, got {n!r}") from None
     if n < 0:
         raise InvalidSizeError(f"number of points must be >= 0, got {n}")
+    return n
 
 
 def _row_candidates(n: int) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
     """Per-row candidate up-set masks, sorted by column-order bit string,
     each with its set bits below the row."""
-    _check_size(n)
+    n = _check_size(n)
     out = []
     for i in range(n):
         masks = [m for m in range(1 << n) if m >> i & 1]
@@ -165,7 +173,7 @@ def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = No
     A consumer above the soft limit only warns: the walk visits every
     preorder, while the count alone stays fast.
     """
-    _check_size(n)
+    n = _check_size(n)
     if consumer is None:
         return _count_below((0,) * n, {})[0]
     if n > SOFT_LIMIT:
@@ -438,8 +446,8 @@ def _trust(cat: Catalog) -> Catalog:
     return cat
 
 
-def _count_structures(n: int) -> dict[int, list]:
-    """``{closure bits: [labelled, t0, example bits, transitive]}``, one entry
+def _count_structures(n: int) -> dict[int, tuple]:
+    """``{closure bits: (labelled, t0, example bits, transitive)}``, one entry
     per closure structure: a set partition of the n points with at most one
     block marked as the rest, whose points take a set of at least two of the
     other blocks each (see ``_Walk``).
@@ -463,22 +471,23 @@ class _Walk:
     x's example row hangs under the least points of the blocks in M(x)
     outside h and the greatest of those in h, and the block points' rows are
     one lookup by h at the leaf.
-    Per set partition, tables indexed by block bitmask hold the blocks'
-    points, least points, greatest points and those rows, built once over
-    all its blocks.  The partition's transitive closure (no rest) is read
-    off them.  With three or more blocks, each block q then serves in turn
-    as the rest: M ranges over the masks without bit q, q's pair bits leave
-    the code and its rows leave the example by XOR, and bit q is squeezed
-    out of the M values that ``_structure_counts`` sees.  x's relation bits
-    against a point set, and its preorder row under one, are a table per x
-    for the whole build.
+    Per build: x's relation bits against a point set, and its preorder row
+    under one, are a table per x; and for k blocks and each block q, the
+    masks of at least two blocks without bit q, each with bit q squeezed
+    out, which is how ``_structure_counts`` sees M.  Per set partition:
+    tables indexed by block bitmask hold the blocks' points, least points,
+    greatest points and those rows, built once over all its blocks, and the
+    transitive closure (no rest) is read off them.  Per rest block: with
+    three or more blocks, each block q serves in turn as the rest, q's pair
+    bits leave the code and its rows leave the example by XOR, and each rest
+    point gets the mask of the blocks whose least points lie above it.
     M is assigned one rest point at a time, depth first in the order of
     ``product(masks, repeat=len(rest))``, so each prefix's bits are summed
     once, and a leaf costs a few table lookups.
     """
 
     def __init__(self, n: int):
-        self.counts: dict[int, list] = {}
+        self.counts: dict[int, tuple] = {}
         self.memo: dict = {}  # _structure_counts', for the whole build
         self.leaves: dict[tuple, dict] = {}
         self.pair = _pair_bits(n)
@@ -488,6 +497,9 @@ class _Walk:
         self.against = [_table([(0, b) for b in self.pair[x]]) for x in range(n)]
         self.row = [_table([(0, _preorder_row(x, 1 << y, n)) for y in range(n)]) for x in range(n)]
         self.below = [_table([(0, _preorder_row(y, 1 << t, n)) for y in range(n)]) for t in range(n)]
+        # rest_masks[k][q]: each mask of at least two of k blocks without bit q, with its copy over the other blocks
+        self.rest_masks = [[[(m, m & (1 << q) - 1 | m >> q + 1 << q) for m in range(1 << k) if m & (m - 1) and not m >> q & 1]
+                            for q in range(k)] for k in range(n + 1)]
 
     def partition(self, blocks: tuple[tuple[int, ...], ...]) -> None:
         """Add every structure whose blocks, with at most one as the rest, are ``blocks``."""
@@ -508,16 +520,19 @@ class _Walk:
         self.hung = _table([(self.below[a][s], self.below[b][s]) for a, b, s in zip(lo, hi, points)])
         self.sizes = tuple(map(len, blocks))
         code = sum(cliques)
-        self.counts[code] = [*_structure_counts(self.sizes, (), self.memo), self.hung[0], True]
+        # the count with no rest is a product over the blocks, so it ignores their order
+        self.counts[code] = _structure_counts(tuple(sorted(self.sizes)), (), self.memo) + (self.hung[0], True)
         if len(blocks) < 3:
             return
-        masks = [m for m in range(1 << len(blocks)) if m & (m - 1)]
         for q, rest in enumerate(blocks):
-            low = (1 << q) - 1
             self.rest, self.others = rest, self.sizes[:q] + self.sizes[q + 1:]
-            # each mask without bit q, and the same mask over the other blocks
-            self.masks = [(m, m & low | m >> 1 & ~low) for m in masks if not m >> q & 1]
-            self.under = [sum(1 << i for i, t in enumerate(lo) if t > x) for x in rest]  # blocks above each rest point
+            self.masks = self.rest_masks[len(blocks)][q]
+            # the blocks above each rest point: lo ascends, so they run from the first block with a greater least point
+            self.under, c = [], q + 1
+            for x in rest:
+                while c < len(lo) and lo[c] < x:
+                    c += 1
+                self.under.append(-1 << c)
             # the rows of q's points under its least point, in every hung[g]: g never has bit q
             self.off = self.below[lo[q]][points[q]]
             self._assign(0, code ^ cliques[q], 0, 0, [])
@@ -540,7 +555,7 @@ class _Walk:
             g = h | m & under
             e = example | row[least[m & ~g] | greatest[m & g]]
             if leaf:
-                counts[c] = [*entries[r], e | (hung[g] ^ off), False]
+                counts[c] = entries[r] + (e | (hung[g] ^ off), False)
             else:
                 ms.append(r)
                 self._assign(k + 1, c, e, g, ms)
@@ -561,7 +576,10 @@ def _table(parts: list[tuple[int, int]]) -> list[int]:
     and of ``parts[i][0]`` where it has not."""
     table = [0]
     for off, on in parts:
-        table = [u | off for u in table] + [u | on for u in table]
+        if off:
+            table = [u | off for u in table] + [u | on for u in table]
+        else:
+            table += [u | on for u in table]
     return table
 
 
@@ -589,9 +607,9 @@ def _structure_counts(sizes: tuple[int, ...], ms: tuple[int, ...], memo: dict) -
     return found
 
 
-def _count_types(n: int) -> dict[int, list]:
-    """``{canonical closure bits: [labelled, t0, first example's bits,
-    transitive]}``, one entry per structure type.
+def _count_types(n: int) -> dict[int, tuple]:
+    """``{canonical closure bits: (labelled, t0, first example's bits,
+    transitive)}``, one entry per structure type.
 
     Relabelling is a bijection of structures, so the structures of one type
     share their counts and have isomorphic closures, and different types have
@@ -599,13 +617,13 @@ def _count_types(n: int) -> dict[int, list]:
     canonicalised, and the flat preorder relabelled to the one delivered
     first, which is the first example of every closure of the type.
     """
-    counts: dict[int, list] = {}
+    counts: dict[int, tuple] = {}
     memo: dict = {}
     for weight, sizes, ms in _types(n):
         labelled, t0 = _structure_counts(sizes, ms, memo)
         flat = _flat(sizes, ms)
         code = int(canonical_code(FiniteRelation(n, closure_rows(flat))), 16)
-        counts[code] = [weight * labelled, weight * t0, _delivery_least(flat), not ms]
+        counts[code] = (weight * labelled, weight * t0, _delivery_least(flat), not ms)
     return counts
 
 
@@ -662,7 +680,7 @@ def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, worker
     of records (3,731,508 at n=8) and the build raises ``BoundExceededError``
     unless ``force`` is true.
     """
-    _check_size(n)
+    n = _check_size(n)
     if n > SOFT_LIMIT and not force:
         raise BoundExceededError(f"n={n} is above the soft limit {SOFT_LIMIT}; pass force=True to proceed")
     counts = (_count_types if up_to_iso else _count_structures)(n)

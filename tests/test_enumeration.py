@@ -9,7 +9,7 @@ import random
 import re
 import warnings
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, permutations
 from math import comb, factorial, prod
 
 import pytest
@@ -44,6 +44,8 @@ from diagclosure.enumeration import (
     CatalogRecord,
     _delivery_least,
     _flat,
+    _structure_counts,
+    _table,
     _types,
     build_catalog,
     canonical_code,
@@ -676,6 +678,54 @@ def test_negative_point_count_refused():
         build_catalog(-1)
     with pytest.raises(InvalidSizeError):
         enumerate_preorders(-1)
+
+
+def test_build_catalog_reads_true_as_one_point():
+    # operator.index takes a bool as 0 or 1, and the catalog's rows say 1, so its text reads back as itself
+    cat = build_catalog(True)
+    assert type(cat.n) is int and all(type(r.n) is int for r in cat.records)
+    assert cat == build_catalog(1)
+    text = render_catalog(cat)
+    assert text == render_catalog(build_catalog(1)) and read_catalog(text) == cat
+
+
+@pytest.mark.parametrize("build, bad", [
+    (build_catalog, 2.0),
+    (build_catalog, "3"),
+    (build_catalog, None),
+    (enumerate_preorders, 2.0),
+], ids=["build_catalog-float", "build_catalog-str", "build_catalog-None", "enumerate_preorders-float"])
+def test_a_size_that_is_not_an_integer_is_refused(build, bad):
+    with pytest.raises(InvalidSizeError, match=f"^number of points must be an integer, got {re.escape(repr(bad))}$"):
+        build(bad)
+
+
+def test_structure_counts_ignore_the_order_of_the_blocks():
+    # the walk keys the count of a structure with no rest on its sorted block sizes; every count is a
+    # function of the structure up to relabelling, so permuting the blocks, and the bits of each M
+    # value with them, leaves it unchanged
+    for n in range(6):
+        for _, sizes, ms in _types(n):
+            want = _structure_counts(sizes, ms, {})
+            for perm in permutations(range(len(sizes))):
+                moved = tuple(sum(1 << i for i, q in enumerate(perm) if m >> q & 1) for m in ms)
+                assert _structure_counts(tuple(sizes[q] for q in perm), tuple(sorted(moved)), {}) == want, (sizes, ms, perm)
+
+
+def test_table_is_the_union_of_each_parts_on_or_off_bits():
+    rng = random.Random(41)
+    for width in range(6):
+        for _ in range(20):
+            parts = [(rng.choice([0, rng.randrange(1 << 12)]), rng.randrange(1 << 12)) for _ in range(width)]
+            want = []
+            for m in range(1 << width):
+                u = 0
+                for i, (off, on) in enumerate(parts):
+                    u |= on if m >> i & 1 else off
+                want.append(u)
+            assert _table(parts) == want, parts
+    # both kinds of part together: off == 0 extends the table, off != 0 copies it with off set
+    assert _table([(0, 1), (4, 2), (0, 8)]) == [4, 5, 2, 3, 12, 13, 10, 11]
 
 
 def test_build_catalog_refuses_above_the_soft_limit_unless_forced(monkeypatch):
