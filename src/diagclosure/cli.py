@@ -69,12 +69,12 @@ def _cmd_separable(args) -> int:
     spec = parse_spec(args.spec)
     p = parse_point(args.p)
     q = parse_point(args.q)
-    c = _construction(spec, args.axiom)
-    if c.separable(p, q):
-        print("separable")
-        print(c.witness(p, q).render())
-    else:
+    cert = _construction(spec, args.axiom).witness(p, q)  # None exactly when the pair is inseparable
+    if cert is None:
         print("inseparable")
+    else:
+        print("separable")
+        print(cert.render())
     return 0
 
 

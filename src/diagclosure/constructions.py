@@ -62,6 +62,7 @@ from .errors import (
     InvalidSizeError,
     NotDisjointError,
     NotT1ConstructionError,
+    SpecMismatchError,
     check_bounds,
 )
 from .relations import (
@@ -144,8 +145,9 @@ class _Cofinite(_TupleValue):
     """A base set minus the finite set ``excluded``; the other fields fix the base.
 
     Shared by every cofinite open: two opens on one base meet in that base
-    minus both exclusion sets, and all of them render as their base - the
-    fields before ``excluded``, labelled by ``_head`` - followed by the
+    minus both exclusion sets, one lies inside another on its base when it
+    excludes all the other excludes, and all of them render as their base -
+    the fields before ``excluded``, labelled by ``_head`` - followed by the
     sorted exclusions.
     """
 
@@ -156,6 +158,11 @@ class _Cofinite(_TupleValue):
     def meet(self, other):
         """The intersection with an open on the same base."""
         return _new(type(self), (*self[:-1], self.excluded | other.excluded))
+
+    def within(self, outer) -> bool:
+        """Whether this open lies inside ``outer``, an open of the same class:
+        the same base, and ``outer`` excludes none that this open keeps."""
+        return self[:-1] == outer[:-1] and outer.excluded <= self.excluded
 
     def render(self) -> str:
         shown = f"{type(self).__name__}("
@@ -288,7 +295,7 @@ class Construction:
         if spec is not None:
             self._valid = spec.valid_addr  # bound once: every query checks its points
             if not self.covers(spec):
-                raise ValueError(f"{self.kind} does not cover {spec.render()}")
+                raise SpecMismatchError(f"{self.kind} does not cover {spec.render()}")
 
     @classmethod
     def covers(cls, spec: PartitionSpec) -> bool:
@@ -537,7 +544,7 @@ class InfOrSingleton(Construction):
             return self._member(outer, inner.point)
         if type(outer) is SingletonPt:
             return False
-        return inner.block == outer.block and outer.excluded <= inner.excluded
+        return inner.within(outer)
 
 
 class InfBlocks(InfOrSingleton):
@@ -636,7 +643,7 @@ class _Reservoir(InfOrSingleton):
     def _refine(self, o1, o2, p):
         f1, f2 = type(o1) is self._open, type(o2) is self._open
         if f1 and f2:
-            if (o1.block, o1.elem) == (o2.block, o2.elem):
+            if o1[:-1] == o2[:-1]:  # one base, as ``within`` compares them: the same point
                 return o1.meet(o2)
             return self._basic_nbhd(p)  # the overlap lies in the shared reservoir
         if f1 or f2:
@@ -645,11 +652,7 @@ class _Reservoir(InfOrSingleton):
 
     def _contains(self, outer, inner):
         if type(inner) is self._open:
-            return (
-                type(outer) is self._open
-                and (inner.block, inner.elem) == (outer.block, outer.elem)
-                and outer.excluded <= inner.excluded
-            )
+            return type(outer) is self._open and inner.within(outer)
         if type(outer) is self._open and type(inner) is CofInBlock:
             return self._holds_block(outer, inner.block)
         return InfOrSingleton._contains(self, outer, inner)
@@ -999,7 +1002,7 @@ class SubbasisExample(Construction):
 
     def _contains(self, outer, inner):
         if type(inner) is CofOmega:
-            return type(outer) is CofOmega and outer.excluded <= inner.excluded
+            return type(outer) is CofOmega and inner.within(outer)
         if type(outer) is CofInD and outer.index != inner.index:
             return False
         dset = self.designated[inner.index - 1]

@@ -66,15 +66,13 @@ from __future__ import annotations
 
 import re
 import warnings
-from collections import _tuplegetter
 from dataclasses import dataclass
 from itertools import groupby, product
 from math import comb, factorial, prod
-from operator import index
 from typing import Callable, Iterator
 
 from .counting import SOFT_LIMIT, _count_below, _multisets, _partitions
-from .errors import BoundExceededError, InvalidCatalogError, InvalidSizeError, SpecSyntaxError
+from .errors import BoundExceededError, InvalidCatalogError, SpecSyntaxError, check_size
 from .finite_topology import Preorder, closure_rows
 from .relations import FiniteRelation, _new, _partition_blocks, _TupleValue
 
@@ -94,22 +92,9 @@ __all__ = [
 ]
 
 
-def _check_size(n: int) -> int:
-    """n as an int (``True`` counts as 1); InvalidSizeError if ``operator.index``
-    refuses it or it is negative."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise InvalidSizeError(f"number of points must be an integer, got {n!r}") from None
-    if n < 0:
-        raise InvalidSizeError(f"number of points must be >= 0, got {n}")
-    return n
-
-
 def _row_candidates(n: int) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
     """Per-row candidate up-set masks, sorted by column-order bit string,
     each with its set bits below the row."""
-    n = _check_size(n)
     out = []
     for i in range(n):
         masks = [m for m in range(1 << n) if m >> i & 1]
@@ -173,7 +158,7 @@ def enumerate_preorders(n: int, consumer: Callable[[Preorder], None] | None = No
     A consumer above the soft limit only warns: the walk visits every
     preorder, while the count alone stays fast.
     """
-    n = _check_size(n)
+    n = check_size(n)
     if consumer is None:
         return _count_below((0,) * n, {})[0]
     if n > SOFT_LIMIT:
@@ -395,8 +380,10 @@ class CatalogRecord(_TupleValue):
     record has no ``__dict__``, and ``dataclasses.fields`` and
     ``dataclasses.replace`` work on it.  It hashes, indexes, unpacks and
     orders as that tuple, and equals only a record with the same fields.
-    A catalog builds and reads one record per closure with ``_new``, past
-    ``__new__``.
+    The fields are named once, as annotations: ``_fields`` lists them, so
+    each reads its item and the value's generic constructor takes them by
+    position or keyword, as ``dataclasses.replace`` passes them.  A catalog
+    builds and reads one record per closure with ``_new``, past ``__new__``.
     """
 
     n: int
@@ -407,18 +394,7 @@ class CatalogRecord(_TupleValue):
     equivalence: bool
     example_preorder_code: str
 
-    def __new__(cls, n, relation_code, labeled_topology_count, t0_topology_count, transitive, equivalence,
-                example_preorder_code):
-        return _new(cls, (n, relation_code, labeled_topology_count, t0_topology_count, transitive, equivalence,
-                          example_preorder_code))
-
-
-# Each field reads its item of the tuple, by the getter relations._ValueClass
-# gives the fields it is told of.  The getters are set after @dataclass has
-# read the fields, so that no field takes one as its default.
-for _i, _name in enumerate(CatalogRecord.__dataclass_fields__):
-    setattr(CatalogRecord, _name, _tuplegetter(_i, None))
-del _i, _name
+    _fields = tuple(__annotations__)
 
 
 @dataclass(frozen=True)
@@ -680,7 +656,7 @@ def build_catalog(n: int, t0_only: bool = False, up_to_iso: bool = False, worker
     of records (3,731,508 at n=8) and the build raises ``BoundExceededError``
     unless ``force`` is true.
     """
-    n = _check_size(n)
+    n = check_size(n)
     if n > SOFT_LIMIT and not force:
         raise BoundExceededError(f"n={n} is above the soft limit {SOFT_LIMIT}; pass force=True to proceed")
     counts = (_count_types if up_to_iso else _count_structures)(n)

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the size checks that raise
-them, and the one reader of natural numbers written as text.
+them (a number of points, sampling bounds, counts that must be integers),
+and the one reader of natural numbers written as text.
 
 Every natural number the command line reads (spec counts and block sizes,
 point indices, ``--bounds``, ``--pairs``, ``--n``, designated sets,
@@ -62,7 +63,8 @@ class InvalidRepresentativeError(DiagClosureError, ValueError):
 
 
 class SpecMismatchError(DiagClosureError, ValueError):
-    """A construction paired with a spec it was not built from."""
+    """A construction paired with a spec it was not built from, or built
+    from a spec its kind does not cover."""
 
 
 class NotATopologyError(DiagClosureError, ValueError):
@@ -140,6 +142,18 @@ def read_naturals(text: str, what: str, count=None) -> list[int]:
             pass
     # some item is bad: read_natural names it
     return [read_natural(item, what) for item in items]
+
+
+def check_size(n) -> int:
+    """n as an int (``True`` counts as 1); InvalidSizeError if ``operator.index``
+    refuses it or it is negative."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise InvalidSizeError(f"number of points must be an integer, got {n!r}") from None
+    if n < 0:
+        raise InvalidSizeError(f"number of points must be >= 0, got {n}")
+    return n
 
 
 def check_bounds(bounds, least: int) -> None:

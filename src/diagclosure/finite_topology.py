@@ -15,7 +15,7 @@ from collections import _tuplegetter
 from typing import Iterable
 
 from .errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError, read_naturals
-from .relations import FinitePartition, FiniteRelation, _mask, _new, _TupleValue
+from .relations import FinitePartition, FiniteRelation, _mask, _new, _TupleValue, eq_of_partition
 
 __all__ = [
     "FiniteTopology",
@@ -97,20 +97,21 @@ class FiniteTopology(_TupleValue):
 
     The family never changes, so its minimal neighborhoods are found once,
     when it is built, and kept: the value is the tuple ``(n, opens, mins)``,
-    ``mins[x]`` the minimal neighborhood of x.  ``validate`` finds them as
-    it checks the family; the builders below are given them.
+    ``mins[x]`` the minimal neighborhood of x.  The constructor finds them
+    as it checks the family, and refuses a family that is not a topology;
+    the builders below make valid families and are given them.
     """
 
     _fields = ("n", "opens")
     _mins = _tuplegetter(2, None)
 
-    def __new__(cls, n: int, opens: Iterable[int], validate: bool = True):
+    def __new__(cls, n: int, opens: Iterable[int]):
         opens = frozenset(opens)
-        mins = _checked_neighborhoods(n, opens) if validate else _neighborhoods(n, opens)
-        return _new(cls, (n, opens, tuple(mins)))
+        return _new(cls, (n, opens, tuple(_checked_neighborhoods(n, opens))))
 
     def validate(self) -> None:
-        """Raise NotATopologyError unless the family is a topology."""
+        """Raise NotATopologyError unless the family is a topology: the
+        constructor's check, run again on a value a builder made past it."""
         _checked_neighborhoods(self.n, self.opens)
 
     def __repr__(self):
@@ -263,8 +264,7 @@ def is_t0(t: FiniteTopology) -> bool:
 def tau_r(p: FinitePartition) -> FiniteTopology:
     """The block-saturated topology: opens are exactly unions of blocks."""
     _check_scan(len(p.blocks), "blocks")
-    masks = [_mask(block) for block in p.blocks]
-    return _unions(p.n, (masks[b] for b in p.block_of))
+    return _unions(p.n, eq_of_partition(p).rows)
 
 
 def t0_saturation(p: FinitePartition, rep=None) -> FiniteTopology:
@@ -311,4 +311,4 @@ def parse_topology(text: str) -> FiniteTopology:
         if len(masks) > _MAX_OPENS:
             raise BoundExceededError(f"line {lineno}: more than {_MAX_OPENS} opens")
     n = max_point + 1
-    return FiniteTopology(n, masks, validate=True)
+    return FiniteTopology(n, masks)

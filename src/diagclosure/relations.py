@@ -22,6 +22,7 @@ from .errors import (
     NotEquivalenceError,
     NotRealisableError,
     SpecSyntaxError,
+    check_size,
     read_natural,
     read_naturals,
 )
@@ -573,6 +574,7 @@ class FinitePartition(_TupleValue):
     block_of = _tuplegetter(2, None)
 
     def __new__(cls, n: int, blocks: Iterable[Iterable[int]]):
+        n = check_size(n)
         canon = sorted(tuple(sorted(b)) for b in blocks)
         # With n entries or more, none out of range or repeated (the loop
         # below), n distinct points of 0..n-1 are placed: all are covered.
@@ -607,6 +609,7 @@ def partition_of_eq(r: FiniteRelation) -> FinitePartition:
 
 def all_partitions(n: int) -> Iterator[FinitePartition]:
     """All set partitions of ``{0..n-1}``, in restricted-growth order."""
+    n = check_size(n)
     for blocks in _partition_blocks(n):
         yield FinitePartition(n, blocks)
 

@@ -65,6 +65,7 @@ from .relations import (
     PartitionSpec,
     PointAddr,
     _new,
+    _TupleValue,
     all_partitions,
     eq_of_partition,
 )
@@ -328,13 +329,10 @@ def verify_construction(
     )
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(_TupleValue):
     """Exhaustive finite check of the two saturation topologies."""
 
-    n: int
-    partitions_checked: int
-    failures: int
+    _fields = ("n", "partitions_checked", "failures")
 
     def passed(self) -> bool:
         return self.failures == 0
@@ -363,14 +361,10 @@ def finite_cross_check(n: int) -> CrossCheckReport:
     return CrossCheckReport(n, checked, failures)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(_TupleValue):
     """Closure containment over all comparable topology pairs."""
 
-    n: int
-    topologies: int
-    comparable_pairs: int
-    failures: int
+    _fields = ("n", "topologies", "comparable_pairs", "failures")
 
     def passed(self) -> bool:
         return self.failures == 0

@@ -53,6 +53,7 @@ from diagclosure.errors import (
     NotDisjointError,
     NotRealisableError,
     NotT1ConstructionError,
+    SpecMismatchError,
 )
 from diagclosure.finite_topology import FiniteTopology, Preorder, tau_r
 from diagclosure.relations import (
@@ -70,7 +71,7 @@ from diagclosure.relations import (
     _TupleValue,
 )
 from diagclosure.symbolic_sets import RationalBall, ResidueClassSet, pair_encode
-from diagclosure.verify import _samplers, verify_construction
+from diagclosure.verify import CrossCheckReport, MonotonicityReport, _samplers, verify_construction
 import faults
 from reference import basic_nbhd_by_old_rule, sample_point
 
@@ -199,7 +200,7 @@ def test_dispatch_agrees_with_the_theorem():
             if kind.covers(spec):
                 assert kind(spec).spec == spec
             else:
-                with pytest.raises(ValueError):
+                with pytest.raises(SpecMismatchError, match=f"^{kind.kind} does not cover "):
                     kind(spec)
         for pair in combinations(covering, 2):
             assert frozenset(pair) in NARROWED, spec.render()
@@ -208,6 +209,13 @@ def test_dispatch_agrees_with_the_theorem():
         else:
             with pytest.raises(NotRealisableError):
                 realise_t1(spec)
+
+
+def test_a_kind_refuses_a_spec_it_does_not_cover_as_a_mismatch():
+    spec = parse_spec("singletons=1;fin=[];inf=2")  # InfOrSingleton's, with a singleton InfBlocks has no open for
+    with pytest.raises(SpecMismatchError, match=r"^InfBlocks does not cover singletons=1;fin=\[\];inf=2$") as err:
+        InfBlocks(spec)
+    assert isinstance(err.value, ValueError)  # callers that catch ValueError still catch it
 
 
 def test_realise_t0_examples():
@@ -474,6 +482,26 @@ def test_contains_refuses_across_families():
     assert not c3.contains(CofInD(1), CofInD(2))
 
 
+def test_contains_of_cofinite_opens_agrees_with_member():
+    # containment on one base, checked apart from ``contains`` by member on points that decide it: each open
+    # keeps a probed point of its base, and every exclusion is a probed point
+    inf = [pt(f"i:{b}:{e}") for b in range(2) for e in range(3)]
+    fin = [pt(f"f:{j}:{e}") for j, e in ((0, 0), (0, 1), (1, 0))] + [pt(f"s:{k}") for k in range(6)]
+    cases = (
+        (InfBlocks(parse_spec("singletons=0;fin=[];inf=2")), inf,
+         [CofInBlock(BlockRef(I, b), frozenset(pt(f"i:{b}:{e}") for e in ex))
+          for b in range(2) for ex in ((), (0,), (1,), (0, 1))]),
+        (FinTwoCase1(parse_spec("singletons=omega;fin=[2,3];inf=0")), fin,  # reservoir j: the s:k with k % 2 == j
+         [FinPt1(j, e, frozenset(pt(f"s:{k}") for k in ex))
+          for j, e in ((0, 0), (0, 1), (1, 0)) for ex in ((), (j,), (j + 2,), (j, j + 2))]),
+        (SubbasisExample(DEFAULT_DESIGNATED), list(range(3)), [CofOmega(frozenset(ex)) for ex in ((), (0,), (1,), (0, 1))]),
+    )
+    for c, points, opens in cases:
+        for outer, inner in product(opens, repeat=2):
+            held = all(c.member(outer, x) for x in points if c.member(inner, x))
+            assert c.contains(outer, inner) == held, (c.kind, outer, inner)
+
+
 # --- split union ---
 
 def test_split_union_cross_part():
@@ -561,6 +589,8 @@ VALUES = [
     (lambda: CofInD(2, frozenset({7})), "CofInD(index=2, excluded=frozenset({7}))"),
     (lambda: Certificate(CofInD(2), CofInD(1)),
      "Certificate(open_a=CofInD(index=2, excluded=frozenset()), open_b=CofInD(index=1, excluded=frozenset()))"),
+    (lambda: CrossCheckReport(3, 5, 0), "CrossCheckReport(n=3, partitions_checked=5, failures=0)"),
+    (lambda: MonotonicityReport(2, 3, 7, 0), "MonotonicityReport(n=2, topologies=3, comparable_pairs=7, failures=0)"),
     (lambda: NonTransitiveReport((), None, None, None, "none"),
      "NonTransitiveReport(designated=(), construction=None, triple=None, certificate=None, message='none')"),
     (lambda: FinitePartition(3, [[2], [1, 0]]), "FinitePartition(n=3, blocks=((0, 1), (2,)))"),
@@ -625,6 +655,21 @@ def test_catalog_records_are_frozen_dataclass_tuple_values():
     assert hash(rec) == hash((2, "1", 3, 2, True, True, "2"))
     assert rec != tuple(rec) and not rec == tuple(rec)
     assert len(rec) == 7 and rec[1] == "1" and tuple(rec) == (2, "1", 3, 2, True, True, "2")
+
+
+def test_replace_on_a_catalog_record_changes_the_named_field_alone():
+    rec = CatalogRecord(2, "1", 3, 2, True, True, "2")
+    names = [f.name for f in dataclasses.fields(rec)]
+    assert CatalogRecord._fields == tuple(names)  # the value's fields are the dataclass's
+    for i, name in enumerate(names):
+        changed = dataclasses.replace(rec, **{name: "x"})
+        assert type(changed) is CatalogRecord and changed[i] == "x"
+        assert changed[:i] + changed[i + 1:] == rec[:i] + rec[i + 1:]
+    given = dict(zip(names, rec))
+    del given["t0_topology_count"]
+    with pytest.raises(TypeError, match=r"^CatalogRecord\.__new__\(\) missing 1 required positional argument: "
+                                        r"'t0_topology_count'$"):
+        CatalogRecord(**given)
 
 
 def test_catalog_records_built_and_read_past_their_constructor_are_records():

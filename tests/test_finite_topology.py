@@ -374,7 +374,9 @@ def test_minimal_neighborhoods_are_computed_once():
         assert built._mins == p.rows == _mins_by_intersection(built)
         checked = FiniteTopology(3, built.opens)
         assert checked._mins == p.rows  # kept from validate
-        assert FiniteTopology(3, built.opens, validate=False)._mins == p.rows
+        # no keyword skips the check: every family built from outside is checked
+        with pytest.raises(TypeError, match="validate"):
+            FiniteTopology(3, built.opens, validate=False)
         got = minimal_neighborhoods(checked)
         got[0] = 0  # the caller's copy, not the kept one
         assert minimal_neighborhoods(checked) == list(p.rows)

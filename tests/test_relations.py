@@ -12,9 +12,11 @@ from collections import _tuplegetter
 import pytest
 
 from diagclosure.constructions import realise_t1
+from diagclosure.verify import finite_cross_check
 from diagclosure.errors import (
     GroundSetFiniteError,
     InvalidAddressError,
+    InvalidSizeError,
     NotEquivalenceError,
     NotRealisableError,
     SpecSyntaxError,
@@ -381,6 +383,19 @@ def test_partition_validation():
         FinitePartition(2, [[0, 1], []])  # empty block
     with pytest.raises(ValueError, match="cover"):
         FinitePartition(10**12, [[0], [1]])  # refused before a table of n slots is built
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(all_partitions(-1)), "must be >= 0, got -1"),
+    (lambda: list(all_partitions(2.0)), "must be an integer, got 2.0"),
+    (lambda: FinitePartition(-2, []), "must be >= 0, got -2"),
+    (lambda: finite_cross_check(-1), "must be >= 0, got -1"),  # through all_partitions
+    (lambda: finite_cross_check(2.5), "must be an integer, got 2.5"),
+], ids=["all_partitions-negative", "all_partitions-float", "FinitePartition-negative", "finite_cross_check-negative",
+        "finite_cross_check-float"])
+def test_a_number_of_points_below_0_or_not_an_integer_is_refused(call, message):
+    with pytest.raises(InvalidSizeError, match=f"^number of points {message}$"):
+        call()
 
 
 # --- tuple values: the fields declared once, in _fields ---
