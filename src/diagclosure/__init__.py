@@ -38,13 +38,18 @@ _EXPORTS = {
             "relation_code",
         )),
         ("finite_topology", (
+            "FinitePartition",
+            "FiniteRelation",
             "FiniteTopology",
             "Preorder",
+            "all_partitions",
             "cl_delta",
+            "eq_of_partition",
             "generate_from_subbasis",
             "is_t0",
             "is_t1",
             "is_t2",
+            "partition_of_eq",
             "preorder_of_topology",
             "t0_saturation",
             "tau_r",
@@ -54,16 +59,11 @@ _EXPORTS = {
             "OMEGA",
             "BlockClass",
             "Count",
-            "FinitePartition",
-            "FiniteRelation",
             "PartitionSpec",
             "PointAddr",
-            "all_partitions",
-            "eq_of_partition",
             "is_t1_realisable",
             "parse_point",
             "parse_spec",
-            "partition_of_eq",
             "same_block",
         )),
         ("symbolic_sets", (

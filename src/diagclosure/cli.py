@@ -121,7 +121,7 @@ def _parse_designated(items):
 
 
 def _cmd_example(args) -> int:
-    from .constructions import nontransitive_demo
+    from .subbasis import nontransitive_demo
 
     report = nontransitive_demo(_parse_designated(args.d))
     print(report.render())
@@ -130,9 +130,9 @@ def _cmd_example(args) -> int:
 
 def _parse_partition_literal(text: str):
     """The ``FinitePartition`` a literal like ``0,1;2`` names (no return
-    annotation: ``relations`` is imported only here, so the name would not
-    resolve in this module)."""
-    from .relations import FinitePartition
+    annotation: ``finite_topology`` is imported only here, so the name would
+    not resolve in this module)."""
+    from .finite_topology import FinitePartition
 
     blocks = []
     points = []

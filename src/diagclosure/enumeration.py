@@ -73,8 +73,8 @@ from typing import Callable, Iterator
 
 from .counting import SOFT_LIMIT, _count_below, _multisets, _partitions
 from .errors import BoundExceededError, InvalidCatalogError, SpecSyntaxError, check_size
-from .finite_topology import Preorder, closure_rows
-from .relations import FiniteRelation, _new, _partition_blocks, _TupleValue
+from .finite_topology import FiniteRelation, Preorder, _partition_blocks, closure_rows
+from .values import _new, _TupleValue
 
 __all__ = [
     "Catalog",

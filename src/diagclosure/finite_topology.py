@@ -1,4 +1,14 @@
-"""Topologies on n labeled points and their diagonal closures.
+"""Finite relations, partitions and topologies on n labeled points.
+
+The finite layer: relations on ``{0..n-1}`` stored as bitmask rows
+(``FiniteRelation``), explicit partitions (``FinitePartition``) with their
+equivalence relations both ways (``eq_of_partition``,
+``partition_of_eq``) and all set partitions in restricted-growth order
+(``all_partitions``), then the topologies on those points and their
+diagonal closures.  It imports nothing of the symbolic spec side
+(:mod:`diagclosure.relations`, which still names the relation and
+partition classes and functions of this module, looked up here on first
+use).
 
 Finite topologies correspond exactly to preorders: open sets are the
 up-sets of the specialization preorder (an orientation fixed here and
@@ -12,25 +22,37 @@ opens x points.  Subsets of the ground set are bitmasks throughout.
 from __future__ import annotations
 
 from collections import _tuplegetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .errors import BoundExceededError, InvalidRepresentativeError, NotATopologyError, read_naturals
-from .relations import FinitePartition, FiniteRelation, _mask, _new, _TupleValue, eq_of_partition
+from .errors import (
+    BoundExceededError,
+    InvalidRepresentativeError,
+    NotATopologyError,
+    NotEquivalenceError,
+    check_size,
+    read_naturals,
+)
+from .values import _new, _TupleValue
 
 __all__ = [
+    "FinitePartition",
+    "FiniteRelation",
     "FiniteTopology",
     "MAX_POINTS",
     "MAX_SCAN",
     "Preorder",
+    "all_partitions",
     "cl_delta",
     "cl_delta_open_family",
     "closure_rows",
+    "eq_of_partition",
     "generate_from_subbasis",
     "is_t0",
     "is_t1",
     "is_t2",
     "minimal_neighborhoods",
     "parse_topology",
+    "partition_of_eq",
     "preorder_of_topology",
     "render_topology",
     "t0_saturation",
@@ -38,6 +60,177 @@ __all__ = [
     "topology_of_preorder",
 ]
 
+
+# --------------------------------------------------------------------------
+# relations and partitions
+
+def _mask(points: Iterable[int]) -> int:
+    """The bitmask of a set of points of ``{0..n-1}``."""
+    m = 0
+    for x in points:
+        m |= 1 << x
+    return m
+
+
+class FiniteRelation(_TupleValue):
+    """Binary relation on ``{0..n-1}`` stored as bitmask rows.
+
+    The value is the tuple ``(n, rows)``: it hashes as that tuple, and its
+    ``n`` and ``rows`` are read-only.  It is equal only to a relation of
+    the same class with the same rows, so a ``Preorder`` never equals the
+    ``FiniteRelation`` of its rows.  ``rows[i]`` is the bitmask of the
+    points related to i.
+    """
+
+    _fields = ("n", "rows")
+
+    def __new__(cls, n: int, rows: Iterable[int]):
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        full = (1 << n) - 1
+        if any(r & ~full for r in rows):
+            raise ValueError("row bits outside the ground set")
+        return _new(cls, (n, rows))
+
+    @classmethod
+    def diagonal(cls, n: int) -> "FiniteRelation":
+        return cls(n, (1 << i for i in range(n)))
+
+    @classmethod
+    def full(cls, n: int) -> "FiniteRelation":
+        mask = (1 << n) - 1
+        return cls(n, (mask for _ in range(n)))
+
+    @classmethod
+    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "FiniteRelation":
+        """The diagonal together with ``pairs``."""
+        rows = [1 << i for i in range(n)]
+        for i, j in pairs:
+            rows[i] |= 1 << j
+        return cls(n, rows)
+
+    def has(self, i: int, j: int) -> bool:
+        return bool(self.rows[i] >> j & 1)
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        n, rows = self
+        for i in range(n):
+            row = rows[i]
+            for j in range(n):
+                if row >> j & 1:
+                    yield (i, j)
+
+    def is_reflexive(self) -> bool:
+        n, rows = self
+        return all(rows[i] >> i & 1 for i in range(n))
+
+    def is_symmetric(self) -> bool:
+        n, rows = self
+        return all((rows[i] >> j & 1) == (rows[j] >> i & 1) for i in range(n) for j in range(i + 1, n))
+
+    def is_transitive(self) -> bool:
+        n, rows = self
+        for i in range(n):
+            row = rows[i]
+            for j in range(n):
+                if row >> j & 1 and rows[j] & ~row:
+                    return False
+        return True
+
+    def is_equivalence(self) -> bool:
+        return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
+
+    def issubset(self, other: "FiniteRelation") -> bool:
+        return self.n == other.n and all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
+
+    def __repr__(self):
+        off = sorted((i, j) for i, j in self.pairs() if i != j)
+        return f"FiniteRelation(n={self.n}, off_diagonal={off})"
+
+
+class FinitePartition(_TupleValue):
+    """Partition of ``{0..n-1}`` into disjoint nonempty blocks.
+
+    Blocks are normalised to sorted tuples ordered by least element, so two
+    partitions are equal exactly when they have the same blocks.
+    ``block_of[x]`` is the index of the block holding ``x``: the value is
+    the tuple ``(n, blocks, block_of)``, the last derived from the others.
+    """
+
+    _fields = ("n", "blocks")
+    block_of = _tuplegetter(2, None)
+
+    def __new__(cls, n: int, blocks: Iterable[Iterable[int]]):
+        n = check_size(n)
+        canon = sorted(tuple(sorted(b)) for b in blocks)
+        # With n entries or more, none out of range or repeated (the loop
+        # below), n distinct points of 0..n-1 are placed: all are covered.
+        if sum(map(len, canon)) < n:  # before the n-slot table is allocated
+            raise ValueError("blocks must cover the ground set")
+        block_of = [-1] * n
+        for bi, block in enumerate(canon):
+            if not block:
+                raise ValueError("empty block")
+            for x in block:
+                if not 0 <= x < n or block_of[x] != -1:
+                    raise ValueError(f"blocks must partition 0..{n - 1}")
+                block_of[x] = bi
+        return _new(cls, (n, tuple(canon), tuple(block_of)))
+
+
+def eq_of_partition(p: FinitePartition) -> FiniteRelation:
+    """The equivalence relation whose classes are the blocks of ``p``."""
+    masks = [_mask(block) for block in p.blocks]
+    return FiniteRelation(p.n, (masks[b] for b in p.block_of))
+
+
+def partition_of_eq(r: FiniteRelation) -> FinitePartition:
+    """Blocks of an equivalence relation; inverse of :func:`eq_of_partition`."""
+    if not r.is_equivalence():
+        raise NotEquivalenceError("relation is not an equivalence (reflexive, symmetric, transitive)")
+    seen: dict[int, list[int]] = {}
+    for i in range(r.n):
+        seen.setdefault(r.rows[i], []).append(i)
+    return FinitePartition(r.n, seen.values())
+
+
+def all_partitions(n: int) -> Iterator[FinitePartition]:
+    """All set partitions of ``{0..n-1}``, in restricted-growth order."""
+    n = check_size(n)
+    for blocks in _partition_blocks(n):
+        yield FinitePartition(n, blocks)
+
+
+def _partition_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The blocks of each set partition of ``{0..n-1}``, in restricted-growth
+    order: each block ascending and the blocks by least point, as
+    ``FinitePartition`` keeps them."""
+    if n == 0:
+        yield ()
+        return
+    yield from _place(0, n, [])
+
+
+# Module-level, not nested in _partition_blocks: a nested generator that
+# calls itself would hold itself through its closure cell, a cycle left to
+# the cyclic garbage collector.
+def _place(i: int, n: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    # point i joins each open block in turn, then a new block of its own
+    if i == n:
+        yield tuple(map(tuple, blocks))
+        return
+    for b in blocks:
+        b.append(i)
+        yield from _place(i + 1, n, blocks)
+        b.pop()
+    blocks.append([i])
+    yield from _place(i + 1, n, blocks)
+    blocks.pop()
+
+
+# --------------------------------------------------------------------------
+# topologies
 
 # Builders refuse more than MAX_SCAN points or blocks, since k of them can
 # give 2**k opens; parse_topology refuses point labels from MAX_POINTS on,

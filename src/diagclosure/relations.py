@@ -1,31 +1,39 @@
-"""Relations, partitions, and symbolic partition specifications.
+"""Symbolic partition specifications: the spec side of the relations.
 
-The finite side works with bit-matrix relations and explicit partitions of
-``{0..n-1}``.  The symbolic side describes an equivalence relation on a
-countably infinite ground set by its block profile: how many singleton
-blocks, which finite block sizes (an explicit list, or an infinite family
-whose sizes repeat cyclically), and how many infinite blocks.  Points of
-the symbolic ground set are addressed by (class, block, element) triples,
-and ``omega`` stands for countable infinity throughout.
+A spec describes an equivalence relation on a countably infinite ground
+set by its block profile: how many singleton blocks, which finite block
+sizes (an explicit list, or an infinite family whose sizes repeat
+cyclically), and how many infinite blocks.  Points of the symbolic ground
+set are addressed by (class, block, element) triples, and ``omega`` stands
+for countable infinity throughout.  The module holds the counts, the
+profile, the spec and address parsers, the block test and the
+T1-realisability decision.
+
+The finite side, bit-matrix relations and explicit partitions of
+``{0..n-1}`` (``FiniteRelation``, ``FinitePartition``, ``all_partitions``
+and the rest), lives in :mod:`diagclosure.finite_topology`, and the tuple
+value protocol every value class shares in :mod:`diagclosure.values`.
+Their names stay importable from here, each resolved from its module on
+first use (PEP 562), so the finite layer loads none of the spec side and
+the spec side none of the finite layer.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import _tuplegetter
 from enum import IntEnum
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from importlib import import_module
+from typing import Iterable, NamedTuple, NoReturn
 
 from .errors import (
     GroundSetFiniteError,
     InvalidAddressError,
-    NotEquivalenceError,
     NotRealisableError,
     SpecSyntaxError,
-    check_size,
     read_natural,
     read_naturals,
 )
+from .values import _new, _refuse, _TupleValue
 
 __all__ = [
     "OMEGA",
@@ -46,108 +54,31 @@ __all__ = [
     "same_block",
 ]
 
-
-# Builds a tuple value (a _TupleValue, a BlockRef or a PointAddr) from the
-# tuple of its items, as in ``_new(PointAddr, (cls, block, elem))``, with no
-# call of the class's own ``__new__``, a Python function: a verify round
-# builds some 700,000 addresses and 350,000 opens and certificates, and the
-# preorder walk one Preorder per preorder.
-_new = tuple.__new__
-
-
-def _refuse(self, other):
-    """An operation a value does not take: Python tries the other operand, then raises TypeError."""
-    return NotImplemented
-
-
-class _ValueClass(type):
-    """The class of every tuple value class.
-
-    It gives each one an empty ``__slots__``, so that its values have no
-    ``__dict__``, and each field named in its ``_fields`` a read-only getter
-    of its item: the C getter ``collections.namedtuple`` gives its own
-    fields, quicker to read than ``property(itemgetter(i))``.
-    """
-
-    def __new__(mcls, name, bases, namespace):
-        namespace.setdefault("__slots__", ())
-        cls = super().__new__(mcls, name, bases, namespace)
-        for i, field in enumerate(namespace.get("_fields", ())):
-            setattr(cls, field, _tuplegetter(i, None))
-        return cls
+# The names that moved to other modules, each looked up there on first use.
+_MOVED = {
+    name: module
+    for module, names in (
+        ("finite_topology", (
+            "FinitePartition",
+            "FiniteRelation",
+            "_mask",
+            "_partition_blocks",
+            "_place",
+            "all_partitions",
+            "eq_of_partition",
+            "partition_of_eq",
+        )),
+        ("values", ("_ValueClass", "_bind")),
+    )
+    for name in names
+}
 
 
-class _TupleValue(tuple, metaclass=_ValueClass):
-    """A value stored as the tuple of its fields, built in hot loops by ``_new``.
-
-    A subclass names its fields once, in ``_fields``: each reads its item
-    (see ``_ValueClass``), and the value shows as ``Class(field=value,
-    ...)``.  Items after the named fields hold data derived from them, read
-    by getters the class sets itself (``FinitePartition.block_of``).  A
-    class that writes no ``__new__`` takes its fields in order, by position
-    or keyword, with the defaults in ``_defaults``.
-
-    A value hashes, indexes, unpacks and orders as its tuple, but neither
-    joins nor repeats, and has no attributes to assign.  Unlike a
-    plain tuple it is equal only to a value of the same class: ``tuple``'s
-    own ``==`` and ``!=`` would call a ``Preorder`` equal to the
-    ``FiniteRelation`` with the same rows, and a value equal to the plain
-    tuple of its fields.  Other tuples are unequal; other types get
-    ``NotImplemented``.
-    """
-
-    _fields: tuple = ()
-    _defaults: dict = {}
-
-    def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) != len(cls._fields):
-            args = _bind(cls, args, kwargs)
-        return _new(cls, args)
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other):
-        if type(other) is type(self):
-            return tuple.__ne__(self, other)
-        return True if isinstance(other, tuple) else NotImplemented
-
-    __hash__ = tuple.__hash__  # defining __eq__ would otherwise leave the class unhashable
-
-    def __repr__(self):
-        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
-        return f"{type(self).__qualname__}({shown})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    __add__ = __mul__ = __rmul__ = _refuse  # a value is no sequence to join or repeat
-
-    def __reduce__(self):  # pickle and copy rebuild from the items, as _new does
-        return _new, (type(self), tuple(self))
-
-
-def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-    """The fields of ``cls`` from the arguments of a call, with its defaults.
-
-    Refuses, with a ``TypeError`` that names ``cls.__new__``, the calls that
-    a function with the fields as its parameters would refuse.
-    """
-    fields, name = cls._fields, f"{cls.__qualname__}.__new__()"
-    given = dict(zip(fields, args))
-    if len(args) > len(fields) or not kwargs.keys() <= set(fields) - given.keys():
-        raise TypeError(f"{name} takes its fields {', '.join(fields)}, each once, by position or keyword")
-    values = {**cls._defaults, **given, **kwargs}
-    missing = [repr(f) for f in fields if f not in values]
-    if missing:
-        plural = "s" if len(missing) > 1 else ""
-        raise TypeError(f"{name} missing {len(missing)} required positional argument{plural}: {', '.join(missing)}")
-    return tuple([values[f] for f in fields])
+def __getattr__(name):
+    module = _MOVED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 _INFINITY = float("inf")  # omega's place in the order: above every int, which compares with it exactly
@@ -475,167 +406,3 @@ def check_t1_realisable(spec: PartitionSpec) -> None:
     if not is_t1_realisable(spec):
         raise NotRealisableError("not T1-realisable: Part(R) finite with a finite block of size ≥ 2")
 
-
-def _mask(points: Iterable[int]) -> int:
-    """The bitmask of a set of points of ``{0..n-1}``."""
-    m = 0
-    for x in points:
-        m |= 1 << x
-    return m
-
-
-class FiniteRelation(_TupleValue):
-    """Binary relation on ``{0..n-1}`` stored as bitmask rows.
-
-    The value is the tuple ``(n, rows)``: it hashes as that tuple, and its
-    ``n`` and ``rows`` are read-only.  It is equal only to a relation of
-    the same class with the same rows, so a ``Preorder`` never equals the
-    ``FiniteRelation`` of its rows.  ``rows[i]`` is the bitmask of the
-    points related to i.
-    """
-
-    _fields = ("n", "rows")
-
-    def __new__(cls, n: int, rows: Iterable[int]):
-        rows = tuple(rows)
-        if len(rows) != n:
-            raise ValueError(f"expected {n} rows, got {len(rows)}")
-        full = (1 << n) - 1
-        if any(r & ~full for r in rows):
-            raise ValueError("row bits outside the ground set")
-        return _new(cls, (n, rows))
-
-    @classmethod
-    def diagonal(cls, n: int) -> "FiniteRelation":
-        return cls(n, (1 << i for i in range(n)))
-
-    @classmethod
-    def full(cls, n: int) -> "FiniteRelation":
-        mask = (1 << n) - 1
-        return cls(n, (mask for _ in range(n)))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "FiniteRelation":
-        """The diagonal together with ``pairs``."""
-        rows = [1 << i for i in range(n)]
-        for i, j in pairs:
-            rows[i] |= 1 << j
-        return cls(n, rows)
-
-    def has(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        n, rows = self
-        for i in range(n):
-            row = rows[i]
-            for j in range(n):
-                if row >> j & 1:
-                    yield (i, j)
-
-    def is_reflexive(self) -> bool:
-        n, rows = self
-        return all(rows[i] >> i & 1 for i in range(n))
-
-    def is_symmetric(self) -> bool:
-        n, rows = self
-        return all((rows[i] >> j & 1) == (rows[j] >> i & 1) for i in range(n) for j in range(i + 1, n))
-
-    def is_transitive(self) -> bool:
-        n, rows = self
-        for i in range(n):
-            row = rows[i]
-            for j in range(n):
-                if row >> j & 1 and rows[j] & ~row:
-                    return False
-        return True
-
-    def is_equivalence(self) -> bool:
-        return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
-
-    def issubset(self, other: "FiniteRelation") -> bool:
-        return self.n == other.n and all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
-    def __repr__(self):
-        off = sorted((i, j) for i, j in self.pairs() if i != j)
-        return f"FiniteRelation(n={self.n}, off_diagonal={off})"
-
-
-class FinitePartition(_TupleValue):
-    """Partition of ``{0..n-1}`` into disjoint nonempty blocks.
-
-    Blocks are normalised to sorted tuples ordered by least element, so two
-    partitions are equal exactly when they have the same blocks.
-    ``block_of[x]`` is the index of the block holding ``x``: the value is
-    the tuple ``(n, blocks, block_of)``, the last derived from the others.
-    """
-
-    _fields = ("n", "blocks")
-    block_of = _tuplegetter(2, None)
-
-    def __new__(cls, n: int, blocks: Iterable[Iterable[int]]):
-        n = check_size(n)
-        canon = sorted(tuple(sorted(b)) for b in blocks)
-        # With n entries or more, none out of range or repeated (the loop
-        # below), n distinct points of 0..n-1 are placed: all are covered.
-        if sum(map(len, canon)) < n:  # before the n-slot table is allocated
-            raise ValueError("blocks must cover the ground set")
-        block_of = [-1] * n
-        for bi, block in enumerate(canon):
-            if not block:
-                raise ValueError("empty block")
-            for x in block:
-                if not 0 <= x < n or block_of[x] != -1:
-                    raise ValueError(f"blocks must partition 0..{n - 1}")
-                block_of[x] = bi
-        return _new(cls, (n, tuple(canon), tuple(block_of)))
-
-
-def eq_of_partition(p: FinitePartition) -> FiniteRelation:
-    """The equivalence relation whose classes are the blocks of ``p``."""
-    masks = [_mask(block) for block in p.blocks]
-    return FiniteRelation(p.n, (masks[b] for b in p.block_of))
-
-
-def partition_of_eq(r: FiniteRelation) -> FinitePartition:
-    """Blocks of an equivalence relation; inverse of :func:`eq_of_partition`."""
-    if not r.is_equivalence():
-        raise NotEquivalenceError("relation is not an equivalence (reflexive, symmetric, transitive)")
-    seen: dict[int, list[int]] = {}
-    for i in range(r.n):
-        seen.setdefault(r.rows[i], []).append(i)
-    return FinitePartition(r.n, seen.values())
-
-
-def all_partitions(n: int) -> Iterator[FinitePartition]:
-    """All set partitions of ``{0..n-1}``, in restricted-growth order."""
-    n = check_size(n)
-    for blocks in _partition_blocks(n):
-        yield FinitePartition(n, blocks)
-
-
-def _partition_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The blocks of each set partition of ``{0..n-1}``, in restricted-growth
-    order: each block ascending and the blocks by least point, as
-    ``FinitePartition`` keeps them."""
-    if n == 0:
-        yield ()
-        return
-    yield from _place(0, n, [])
-
-
-# Module-level, not nested in _partition_blocks: a nested generator that
-# calls itself would hold itself through its closure cell, a cycle left to
-# the cyclic garbage collector.
-def _place(i: int, n: int, blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # point i joins each open block in turn, then a new block of its own
-    if i == n:
-        yield tuple(map(tuple, blocks))
-        return
-    for b in blocks:
-        b.append(i)
-        yield from _place(i + 1, n, blocks)
-        b.pop()
-    blocks.append([i])
-    yield from _place(i + 1, n, blocks)
-    blocks.pop()

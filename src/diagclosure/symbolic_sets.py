@@ -18,7 +18,9 @@ This module owns all ball arithmetic (member, disjoint, contains, refine,
 separating radius): one integer primitive, ``_excess``, decides every
 comparison of a distance with a radius by cross-multiplying numerators and
 denominators.  A ``Fraction`` is built only where a public call takes or
-returns one.
+returns one, and ``fractions`` is imported only there, inside those calls:
+the pair system's own rules, which the command line runs, work in integers
+and never load it.  ``Rational`` resolves on first use.
 
 The pair system reaches the balls through named operations on block
 images, each image the pair of a block as integers ``(x, numerator,
@@ -39,12 +41,11 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from operator import index
 from typing import NamedTuple
 
 from .errors import BoundExceededError
-from .relations import _new, _TupleValue
+from .values import _new, _TupleValue
 
 __all__ = [
     "Rational",
@@ -66,7 +67,12 @@ __all__ = [
     "separating_radius",
 ]
 
-Rational = Fraction
+def __getattr__(name):
+    if name == "Rational":  # the type every public call gives its rationals as
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -121,6 +127,8 @@ def _terms(q) -> tuple[int, int]:
     try:
         return q.as_integer_ratio()
     except AttributeError:
+        from fractions import Fraction
+
         return Fraction(q).as_integer_ratio()
 
 
@@ -151,6 +159,8 @@ class RationalBall(_TupleValue):
     _fields = ("x_index",)  # the items after it are read by the views below
 
     def __new__(cls, x_index: int, center: Fraction, radius: Fraction, excluded=()):
+        from fractions import Fraction
+
         x_index = _integer("x_index", x_index)
         center = Fraction(center)
         radius = Fraction(radius)
@@ -170,14 +180,20 @@ class RationalBall(_TupleValue):
 
     @property
     def center(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self[1], self[2])
 
     @property
     def radius(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self[3], self[4])
 
     @property
     def excluded(self) -> frozenset:
+        from fractions import Fraction
+
         return frozenset((Fraction(n, d), level) for n, d, level in self[5])
 
     def render_args(self) -> str:
@@ -218,6 +234,8 @@ def _half_distance(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
 
 def separating_radius(q1: Fraction, q2: Fraction) -> Fraction:
     """``|q1 - q2| / 2``: balls of this radius around q1 and q2 are disjoint."""
+    from fractions import Fraction
+
     return Fraction(*_half_distance(*_terms(q1), *_terms(q2)))
 
 
@@ -375,6 +393,8 @@ def _rational_terms(k: int) -> tuple[int, int]:
 
 def rational_at(k: int) -> Fraction:
     """The k-th rational: 0 first, then positives and negatives interleaved."""
+    from fractions import Fraction
+
     return Fraction(*_rational_terms(k))
 
 
@@ -385,6 +405,8 @@ def rational_index(q: Fraction) -> int:
     add up to; a rational whose index would pass ``_INDEX_BITS_LIMIT`` bits
     is refused with ``BoundExceededError``, before the index is built.
     """
+    from fractions import Fraction
+
     q = Fraction(q)
     if q == 0:
         return 0
@@ -400,6 +422,8 @@ def _image(n: int) -> tuple[int, int, int]:
 
 def pair_encode(n: int) -> tuple[int, Fraction]:
     """The fixed bijection from naturals to (natural, rational) pairs."""
+    from fractions import Fraction
+
     x, num, den = _image(n)
     return x, Fraction(num, den)
 

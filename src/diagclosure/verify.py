@@ -54,21 +54,13 @@ that miss their own point, and refinements that are not inside both opens.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, fields
 
 from .constructions import Construction, check_certificate, draw_below
-from .errors import BoundExceededError, InvalidSizeError, SpecMismatchError, check_bounds, require_integers
-from .relations import (
-    BlockClass,
-    PartitionSpec,
-    PointAddr,
-    _new,
-    _TupleValue,
-    all_partitions,
-    eq_of_partition,
-)
+from .errors import BoundExceededError, InvalidSizeError, SpecMismatchError, check_bounds, check_size, require_integers
+from .relations import BlockClass, PartitionSpec, PointAddr
+from .values import _new, _TupleValue
 
 __all__ = [
     "CrossCheckReport",
@@ -124,6 +116,8 @@ class VerifyReport:
         return "\n".join(f"{name:<{width}}{value}" for name, value in items)
 
     def render_json_line(self) -> str:
+        import json
+
         return json.dumps(dict(self._items()))
 
 
@@ -343,8 +337,9 @@ def finite_cross_check(n: int) -> CrossCheckReport:
     diagonal to exactly the partition's relation, the representative-based
     one is T0, and the block-based one is not T0 once a block has >= 2
     elements."""
-    from .finite_topology import cl_delta, is_t0, t0_saturation, tau_r
+    from .finite_topology import all_partitions, cl_delta, eq_of_partition, is_t0, t0_saturation, tau_r
 
+    n = check_size(n)
     if n > 5:
         raise BoundExceededError(f"finite cross-check is exhaustive and limited to n <= 5, got {n}")
     checked = failures = 0
@@ -375,6 +370,7 @@ def monotonicity_check(n: int) -> MonotonicityReport:
     from .enumeration import enumerate_preorders
     from .finite_topology import cl_delta, topology_of_preorder
 
+    n = check_size(n)
     if n > 3:
         raise BoundExceededError(f"monotonicity check is exhaustive and limited to n <= 3, got {n}")
     topologies = []

@@ -320,12 +320,20 @@ MODULE_PROBE = (
     "import diagclosure.cli\n"
     "sys.exit(diagclosure.cli.main(sys.argv[1:]))\n"
 )
-SYMBOLIC = {"diagclosure.constructions", "diagclosure.symbolic_sets", "diagclosure.verify", "fractions"}
+# The construction families, one module each; a symbolic command loads the one it runs.
+FAMILIES = {f"diagclosure.{m}" for m in ("cofinite", "reservoirs", "pair_system", "saturation", "subbasis")}
+SYMBOLIC = {"diagclosure.constructions", "diagclosure.symbolic_sets", "diagclosure.verify", "fractions"} | FAMILIES
+# The ball rules, which only the pair system uses, and the Fraction type, which no command builds.
+BALLS = {"diagclosure.symbolic_sets", "fractions"}
 FINITE = {"diagclosure.enumeration", "diagclosure.finite_topology", "diagclosure.verify"}
 # Costly to import and needed only by the dataclasses of enumeration and verify.
 COLD = {"dataclasses", "inspect"}
 # The layers of a catalog walk; a summary is arithmetic and loads none of them.
 CATALOG = {"diagclosure.enumeration", "diagclosure.relations", "diagclosure.finite_topology"}
+
+
+def _families_but(*kept):
+    return FAMILIES - {f"diagclosure.{m}" for m in kept}
 
 
 def _loaded_modules(code, argv=(), returncode=0):
@@ -339,16 +347,23 @@ def _loaded_modules(code, argv=(), returncode=0):
 
 @pytest.mark.parametrize("argv, code, absent", [
     (["--help"], 0, None),
-    (["finite", "--partition", "0,1;2"], 0, SYMBOLIC | COLD),
+    (["finite", "--partition", "0,1;2"], 0, SYMBOLIC | COLD | {"diagclosure.relations"}),
     (["enumerate", "--n", "3"], 0, SYMBOLIC),
-    (["separable", "--spec", "singletons=omega;fin=[];inf=2", "-p", "i:0:1", "-q", "i:1:1"], 0, FINITE | COLD),
-    (["example", "nontransitive"], 0, FINITE | COLD),
+    (["separable", "--spec", "singletons=omega;fin=[];inf=2", "-p", "i:0:1", "-q", "i:1:1"], 0,
+     FINITE | COLD | BALLS | _families_but("cofinite")),
+    (["example", "nontransitive"], 0, FINITE | COLD | {"diagclosure.relations", "fractions"} | _families_but("subbasis")),
     (["realise", "--spec", "singletons=0;fin=[2];inf=3"], 1, SYMBOLIC | COLD),
     (["separable", "--spec", "singletons=0;fin=[2];inf=3", "-p", "f:0:0", "-q", "f:0:1"], 1, SYMBOLIC | COLD),
     (["enumerate", "--n", "3"], 0, SYMBOLIC | CATALOG | COLD),
     (["enumerate", "--n", "3", "--iso"], 0, SYMBOLIC | CATALOG | COLD),
+    (["separable", "--spec", "singletons=omega;fin=[3,2];inf=1", "-p", "f:0:0", "-q", "s:5"], 0,
+     FINITE | COLD | BALLS | _families_but("cofinite", "reservoirs")),
+    (["separable", "--spec", "singletons=0;fin=cycle[2,3];inf=0", "-p", "f:0:0", "-q", "f:1:1"], 0,
+     FINITE | COLD | {"fractions"} | _families_but("cofinite", "pair_system")),
+    (["separable", "--spec", "singletons=1;fin=[2];inf=1", "--axiom", "t0", "-p", "i:0:3", "-q", "f:0:1"], 0,
+     FINITE | COLD | BALLS | _families_but("saturation")),
 ], ids=["help", "finite", "enumerate", "separable", "example", "realise-not-realisable", "separable-not-realisable",
-        "enumerate-summary", "enumerate-summary-iso"])
+        "enumerate-summary", "enumerate-summary-iso", "separable-reservoirs", "separable-pair-system", "separable-t0"])
 def test_each_subcommand_loads_only_its_own_layers(argv, code, absent):
     loaded = _loaded_modules(MODULE_PROBE, argv, code)
     if absent is None:  # --help: the parser and the error types, nothing else of the package

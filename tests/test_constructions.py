@@ -11,7 +11,7 @@ from itertools import combinations, product
 
 import pytest
 
-from diagclosure import constructions
+from diagclosure import constructions, relations, subbasis
 from diagclosure.constructions import (
     Ball,
     BlockOpen,
@@ -623,6 +623,27 @@ def test_value_types_compare_hash_and_show_by_their_fields(build, text):
     assert v == w
 
 
+def _moved_from(cls):
+    """The module that defined ``cls`` before it moved to a module of its own and still names it, or None."""
+    for old in (constructions, relations):
+        if cls.__name__ not in vars(old) and getattr(old, cls.__name__, None) is cls:
+            return old.__name__
+    return None
+
+
+MOVED = [(build, text) for build, text in VALUES if _moved_from(type(build()))]
+
+
+@pytest.mark.parametrize("build, text", MOVED, ids=[text.partition("(")[0] for _, text in MOVED])
+def test_a_pickle_that_names_the_module_a_class_moved_from_still_loads(build, text):
+    # a pickle names a value's class by module and name: one written before the move names the old module
+    v = build()
+    cls = type(v)
+    kept = pickle.dumps(v, protocol=0)  # protocol 0 names each module as a line of text
+    old = kept.replace(f"c{cls.__module__}\n".encode(), f"c{_moved_from(cls)}\n".encode())
+    assert old != kept and pickle.loads(old) == v
+
+
 def test_every_tuple_value_class_has_a_row_in_values():
     def subclasses(cls):
         for sub in cls.__subclasses__():
@@ -811,7 +832,8 @@ def test_nontransitive_demo_transitive_closure_case():
 
 
 def test_nontransitive_demo_rechecks_its_certificate(monkeypatch):
-    monkeypatch.setattr(constructions, "check_certificate", lambda c, a, b, cert: False)
+    # the demo lives in subbasis and calls check_certificate by its name there
+    monkeypatch.setattr(subbasis, "check_certificate", lambda c, a, b, cert: False)
     with pytest.raises(AssertionError, match="^separation certificate failed re-checking$"):
         nontransitive_demo()
 

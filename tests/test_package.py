@@ -1,9 +1,12 @@
 """The package namespace: lazy exports that resolve to their submodules' objects."""
 
+import ast
 import importlib
 import os
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +80,37 @@ def test_the_package_import_loads_submodules_on_first_use():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\nTrue True\nTrue\n"
+
+
+def _perfbench_imports():
+    """(module, name) of each ``from diagclosure... import name`` in perfbench/*.py, in its code and
+    in the lines of its strings that a child process runs as code."""
+    found = set()
+    for path in sorted((Path(SRC).parent / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        lines = [line for text in strings for line in text.splitlines() if line.startswith("from diagclosure")]
+        for node in [n for t in [tree, *map(ast.parse, lines)] for n in ast.walk(t)]:
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "diagclosure":
+                found.update((node.module, alias.name) for alias in node.names)
+    return sorted(found)
+
+
+PERFBENCH_IMPORTS = _perfbench_imports()
+
+
+def test_the_perfbench_imports_are_all_found():
+    constructions = {name for module, name in PERFBENCH_IMPORTS if module == "diagclosure.constructions"}
+    assert len(constructions) >= 10
+    assert ("diagclosure.relations", "FinitePartition") in PERFBENCH_IMPORTS
+
+
+@pytest.mark.parametrize("module, name", PERFBENCH_IMPORTS)
+def test_each_perfbench_import_is_its_defining_modules_object(module, name):
+    # perfbench may not change with the package, so every name it imports must stay where it is imported from
+    value = getattr(__import__(module, fromlist=[name]), name)  # as ``from module import name`` finds it
+    if isinstance(value, types.ModuleType):
+        assert value is sys.modules[f"{module}.{name}"]
+    else:
+        assert value.__module__.startswith("diagclosure.")
+        assert vars(importlib.import_module(value.__module__))[name] is value

@@ -384,6 +384,23 @@ def test_finite_cross_check():
         finite_cross_check(6)
 
 
+@pytest.mark.parametrize("check, n", [
+    (finite_cross_check, "3"),
+    (monotonicity_check, None),
+    (finite_cross_check, True),
+    (monotonicity_check, True),
+], ids=["cross-check-str", "monotonicity-none", "cross-check-true", "monotonicity-true"])
+def test_the_finite_checks_read_the_size_before_comparing_it(check, n):
+    # errors.check_size reads the size first: no bare TypeError from the size limit's comparison,
+    # and True counts as 1, as every number of points does
+    if n is True:
+        report = check(n)
+        assert type(report.n) is int and report.n == 1 and report == check(1)
+    else:
+        with pytest.raises(InvalidSizeError, match="^number of points must be an integer"):
+            check(n)
+
+
 def test_finite_cross_check_fails_on_a_wrong_tau_r(monkeypatch):
     # the representative-saturated topology is T0 where the block-saturated one must not be
     monkeypatch.setattr(finite_topology, "tau_r", finite_topology.t0_saturation)
