@@ -67,6 +67,7 @@ __all__ = [
     "separating_radius",
 ]
 
+
 def __getattr__(name):
     if name == "Rational":  # the type every public call gives its rationals as
         from fractions import Fraction
