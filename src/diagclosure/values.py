@@ -3,8 +3,8 @@
 Every module that defines a value class, or builds values in hot loops,
 imports its protocol from here: ``_TupleValue``, the base of every such
 class, its metaclass ``_ValueClass``, the argument binder ``_bind`` of the
-shared constructor, the refusal ``_refuse`` and the raw builder ``_new``.
-This module imports nothing else of the package, so each layer that builds
+shared constructor, the refusal ``_refuse`` and ``_new``, which builds a
+value past its ``__new__``.  This module imports nothing else of the package, so each layer that builds
 values loads it alone and not the layers around it.
 """
 
