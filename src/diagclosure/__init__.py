@@ -11,17 +11,13 @@ on first access (PEP 562), so ``import diagclosure`` loads no submodule
 and a process pays only for the layers it uses.
 """
 
-from importlib import import_module
-
 _EXPORTS = {
     name: module
     for module, names in (
         ("constructions", (
             "Certificate",
             "Construction",
-            "SubbasisExample",
             "check_certificate",
-            "nontransitive_demo",
             "realise_t0",
             "realise_t1",
             "realise_tau_r",
@@ -66,6 +62,7 @@ _EXPORTS = {
             "parse_spec",
             "same_block",
         )),
+        ("subbasis", ("SubbasisExample", "nontransitive_demo")),
         ("symbolic_sets", (
             "Rational",
             "RationalBall",
@@ -95,7 +92,7 @@ def __getattr__(name):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     globals()[name] = value
     return value
 

@@ -94,7 +94,7 @@ class InfOrSingleton(Construction):
             return self._member(outer, inner.point)
         if type(outer) is SingletonPt:
             return False
-        return inner.within(outer)
+        return inner.within(outer, lambda u: type(u) is PointAddr and u[:2] != outer.block)
 
 
 class InfBlocks(InfOrSingleton):

@@ -38,10 +38,13 @@ module of its own, which a command loads only when it runs that family:
 * :mod:`~diagclosure.subbasis` - ``SubbasisExample`` on the naturals,
   with ``CofOmega`` and ``CofInD``, and ``nontransitive_demo``.
 
-Every name of those modules that was defined here stays importable from
-here, looked up in its module on first use (PEP 562).  This module itself
-imports neither :mod:`diagclosure.relations` nor
-:mod:`diagclosure.symbolic_sets`.
+Each name is imported from the module that defines it.  Five family
+names alone, ``CofInBlock``, ``InfBlocks``, ``ExtendPairs``,
+``SubbasisExample`` and ``nontransitive_demo``, also resolve here, each
+looked up in its module on first use (PEP 562): the benchmark under
+``perfbench/`` imports them from here, and it does not change with the
+package.  This module itself imports neither
+:mod:`diagclosure.relations` nor :mod:`diagclosure.symbolic_sets`.
 
 Canonical choices are fixed once so that every answer is deterministic:
 elements 0 and 1 of a block are its two representatives, reservoirs are
@@ -79,7 +82,6 @@ are the certificate re-check and the T1 witness check.
 
 from __future__ import annotations
 
-from importlib import import_module
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (
@@ -95,59 +97,24 @@ if TYPE_CHECKING:  # annotations only: the module loads no spec code
     from .relations import PartitionSpec, PointAddr
 
 __all__ = [
-    "Ball",
-    "BlockOpen",
     "Certificate",
-    "CofInBlock",
-    "CofInD",
-    "CofOmega",
     "Construction",
-    "DEFAULT_DESIGNATED",
-    "ExtPt",
-    "ExtendPairs",
-    "FinPt1",
-    "FinPt2",
-    "FinTwoCase1",
-    "FinTwoCase2",
-    "InfBlocks",
-    "InfOrSingleton",
-    "NonTransitiveReport",
-    "PairBlocks",
-    "SatPair",
-    "SingletonPt",
-    "SplitUnion",
-    "SubbasisExample",
-    "T0Sat",
-    "TauR",
     "check_certificate",
-    "nontransitive_demo",
     "realise_t0",
     "realise_t1",
     "realise_tau_r",
 ]
 
-# The names each family module holds, each looked up there on first use.
-_FAMILIES = {
-    "cofinite": ("SingletonPt", "CofInBlock", "_cofinite_home", "InfOrSingleton", "InfBlocks"),
-    "reservoirs": ("_FinPt", "FinPt1", "FinPt2", "_reservoir_home", "_Reservoir", "FinTwoCase1", "FinTwoCase2"),
-    "pair_system": (
-        "Ball", "ExtPt", "_xq", "_pair_open", "_pair_home", "_OFFSETS", "_HALVES", "_sample_ball",
-        "_BALL_OPENS", "_dropped", "_ball_part", "ExtendPairs", "PairBlocks", "SplitUnion",
-    ),
-    "saturation": ("SatPair", "BlockOpen", "T0Sat", "TauR"),
-    "subbasis": (
-        "CofOmega", "CofInD", "SubbasisExample", "DEFAULT_DESIGNATED", "_SEARCH_BOUND", "NonTransitiveReport",
-        "nontransitive_demo",
-    ),
-}
-_HOMES = {name: module for module, names in _FAMILIES.items() for name in names}
+# perfbench, which does not change with the package, imports these five family names from here
+_PERFBENCH_ALIASES = {"CofInBlock": "cofinite", "InfBlocks": "cofinite", "ExtendPairs": "pair_system",
+                      "SubbasisExample": "subbasis", "nontransitive_demo": "subbasis"}
 
 
 def __getattr__(name):
-    module = _HOMES.get(name)
+    module = _PERFBENCH_ALIASES.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __package__), name)
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
 
 
 # --------------------------------------------------------------------------
@@ -186,10 +153,15 @@ class _Cofinite(_TupleValue):
         """The intersection with an open on the same base."""
         return _new(type(self), (*self[:-1], self.excluded | other.excluded))
 
-    def within(self, outer) -> bool:
+    def within(self, outer, outside) -> bool:
         """Whether this open lies inside ``outer``, an open of the same class:
-        the same base, and ``outer`` excludes none that this open keeps."""
-        return self[:-1] == outer[:-1] and outer.excluded <= self.excluded
+        the same base, and ``outer`` excludes nothing this open keeps, apart
+        from the exclusions ``outside(u)`` finds outside the base, which take
+        nothing away."""
+        if self[:-1] != outer[:-1]:
+            return False
+        kept = self.excluded
+        return outer.excluded <= kept or all(u in kept or outside(u) for u in outer.excluded)
 
     def render(self) -> str:
         shown = f"{type(self).__name__}("

@@ -73,7 +73,7 @@ from typing import Callable, Iterator
 
 from .counting import SOFT_LIMIT, _count_below, _multisets, _partitions
 from .errors import BoundExceededError, InvalidCatalogError, SpecSyntaxError, check_size
-from .finite_topology import FiniteRelation, Preorder, _partition_blocks, closure_rows
+from .finite_topology import FiniteRelation, Preorder, _mask_points, _partition_blocks, closure_rows
 from .values import _new, _TupleValue
 
 __all__ = [
@@ -279,7 +279,7 @@ def _least_order(rows, ordered: bool) -> tuple[int, ...]:
                 tied = groups[0]
             else:
                 keys = {}
-                for p, mask in [(p, 1 << p) for p in _bits(groups[0])] if ordered else [((g & -g).bit_length() - 1, g) for g in groups]:
+                for p, mask in [(p, 1 << p) for p in _mask_points(groups[0])] if ordered else [((g & -g).bit_length() - 1, g) for g in groups]:
                     r, k = rows[p], 0
                     for c in (*cells, *[g & ~mask for g in groups]) if ordered else cells:
                         k = k << c.bit_count() | (1 << (c & r).bit_count()) - 1
@@ -297,7 +297,7 @@ def _least_order(rows, ordered: bool) -> tuple[int, ...]:
                 branch = [tied if len(states) == 1 else 1 << t]
             else:
                 classes = {}
-                branch = [classes.setdefault(twin[p], 1 << p) for p in _bits(tied) if twin[p] not in classes]
+                branch = [classes.setdefault(twin[p], 1 << p) for p in _mask_points(tied) if twin[p] not in classes]
             for bit in branch:
                 r = rows[(bit & -bit).bit_length() - 1]
                 if joins:
@@ -305,12 +305,12 @@ def _least_order(rows, ordered: bool) -> tuple[int, ...]:
                 else:
                     new = tuple([x for c in cells for x in (c & ~r, c & r) if x]) + (bit,)
                 split = [g & ~bit for g in groups if g & ~bit]
-                for p in _bits(bit):
+                for p in _mask_points(bit):
                     split = [x for g in split for x in (g & ~rows[p], g & rows[p]) if x]
                 ties[new, tuple(split if ordered else sorted(split))] = 0
         states = ties
     cells, _ = next(iter(states))
-    return tuple([p for c in cells for p in _bits(c)])
+    return tuple([p for c in cells for p in _mask_points(c)])
 
 
 def _joins(rows, cols, t: int, cell: int, within: int, placed: int) -> bool:
@@ -326,12 +326,8 @@ def _joins(rows, cols, t: int, cell: int, within: int, placed: int) -> bool:
 def _uniform(rows, points: int, within: int, ordered: bool) -> bool:
     """Whether the ``points`` have one row within ``within``, apart from each
     other, and are related to none of the others or, unless ``ordered``, to all."""
-    ps = _bits(points)
+    ps = _mask_points(points)
     return len({(rows[p] ^ 1 << p) & within for p in ps}) == 1 or not ordered and len({rows[p] & within for p in ps}) == 1
-
-
-def _bits(m: int) -> list[int]:
-    return [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 def _relabel(rows, order) -> list[int]:

@@ -6,9 +6,11 @@ equivalence relations both ways (``eq_of_partition``,
 ``partition_of_eq``) and all set partitions in restricted-growth order
 (``all_partitions``), then the topologies on those points and their
 diagonal closures.  It imports nothing of the symbolic spec side
-(:mod:`diagclosure.relations`, which still names the relation and
-partition classes and functions of this module, looked up here on first
-use).
+(:mod:`diagclosure.relations`).  Each of these names is imported from
+here; ``FinitePartition`` alone also resolves in
+:mod:`diagclosure.relations`, looked up here on first use, since the
+benchmark under ``perfbench/`` imports it from there and does not change
+with the package.
 
 Finite topologies correspond exactly to preorders: open sets are the
 up-sets of the specialization preorder (an orientation fixed here and
@@ -246,8 +248,8 @@ def _check_scan(k: int, what: str) -> None:
         raise BoundExceededError(f"scanning every subset of {k} {what} is limited to {MAX_SCAN}")
 
 
-def _mask_points(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+def _mask_points(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _render_mask(mask: int) -> str:
@@ -282,7 +284,7 @@ class Preorder(FiniteRelation):
     leq = FiniteRelation.has
 
     def __repr__(self):
-        return f"Preorder(n={self.n}, up={[ _mask_points(r) for r in self.rows ]})"
+        return f"Preorder(n={self.n}, up={[tuple(_mask_points(r)) for r in self.rows]})"
 
 
 class FiniteTopology(_TupleValue):
@@ -308,7 +310,7 @@ class FiniteTopology(_TupleValue):
         _checked_neighborhoods(self.n, self.opens)
 
     def __repr__(self):
-        return f"FiniteTopology(n={self.n}, opens={[_mask_points(m) for m in _display_order(self)]})"
+        return f"FiniteTopology(n={self.n}, opens={[tuple(_mask_points(m)) for m in _display_order(self)]})"
 
 
 def _checked_neighborhoods(n: int, opens: frozenset) -> list[int]:
@@ -349,7 +351,7 @@ def _checked_neighborhoods(n: int, opens: frozenset) -> list[int]:
 def _not_closed(a: int, b: int, op: str, res: int):
     raise NotATopologyError(
         f"family not closed under {op}: {{{_render_mask(a)}}} and {{{_render_mask(b)}}} give {{{_render_mask(res)}}}",
-        witness=(_mask_points(a), _mask_points(b), op),
+        witness=(tuple(_mask_points(a)), tuple(_mask_points(b)), op),
     )
 
 

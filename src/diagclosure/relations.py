@@ -13,16 +13,18 @@ The finite side, bit-matrix relations and explicit partitions of
 ``{0..n-1}`` (``FiniteRelation``, ``FinitePartition``, ``all_partitions``
 and the rest), lives in :mod:`diagclosure.finite_topology`, and the tuple
 value protocol every value class shares in :mod:`diagclosure.values`.
-Their names stay importable from here, each resolved from its module on
-first use (PEP 562), so the finite layer loads none of the spec side and
-the spec side none of the finite layer.
+Their names are imported from those modules, so the finite layer loads
+none of the spec side and the spec side none of the finite layer.  Only
+``FinitePartition`` also resolves here, looked up in
+:mod:`diagclosure.finite_topology` on first use (PEP 562): the benchmark
+under ``perfbench/`` imports it from here, and it does not change with
+the package.
 """
 
 from __future__ import annotations
 
 import operator
 from enum import IntEnum
-from importlib import import_module
 from typing import Iterable, NamedTuple, NoReturn
 
 from .errors import (
@@ -41,44 +43,22 @@ __all__ = [
     "BlockRef",
     "Count",
     "FiniteBlocks",
-    "FinitePartition",
-    "FiniteRelation",
     "PartitionSpec",
     "PointAddr",
-    "all_partitions",
-    "eq_of_partition",
     "is_t1_realisable",
     "parse_point",
     "parse_spec",
-    "partition_of_eq",
     "same_block",
 ]
 
-# The names that moved to other modules, each looked up there on first use.
-_MOVED = {
-    name: module
-    for module, names in (
-        ("finite_topology", (
-            "FinitePartition",
-            "FiniteRelation",
-            "_mask",
-            "_partition_blocks",
-            "_place",
-            "all_partitions",
-            "eq_of_partition",
-            "partition_of_eq",
-        )),
-        ("values", ("_ValueClass", "_bind")),
-    )
-    for name in names
-}
-
 
 def __getattr__(name):
-    module = _MOVED.get(name)
-    if module is None:
+    # perfbench, which does not change with the package, imports FinitePartition from here
+    if name != "FinitePartition":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __package__), name)
+    from .finite_topology import FinitePartition
+
+    return FinitePartition
 
 
 _INFINITY = float("inf")  # omega's place in the order: above every int, which compares with it exactly

@@ -68,6 +68,12 @@ class _Reservoir(InfOrSingleton):
     def _in_reservoir(self, j: int, p: PointAddr) -> bool:
         return p.cls is self._pool_cls and p.block % self.modulus == self.block_residues[j]
 
+    def _outside_reservoir(self, j: int, u) -> bool:
+        """Whether u is a unit, as ``_unit`` gives it, outside reservoir j."""
+        if self._pool_cls is _S:
+            return type(u) is PointAddr and not self._in_reservoir(j, u)
+        return type(u) is int and u % self.modulus != self.block_residues[j]
+
     def _holds_block(self, o, ref: BlockRef) -> bool:
         """Whether the reservoir open o contains the whole infinite block ref."""
         return (
@@ -133,7 +139,7 @@ class _Reservoir(InfOrSingleton):
 
     def _contains(self, outer, inner):
         if type(inner) is self._open:
-            return type(outer) is self._open and inner.within(outer)
+            return type(outer) is self._open and inner.within(outer, lambda u: self._outside_reservoir(inner.block, u))
         if type(outer) is self._open and type(inner) is CofInBlock:
             return self._holds_block(outer, inner.block)
         return InfOrSingleton._contains(self, outer, inner)

@@ -107,7 +107,7 @@ class SubbasisExample(Construction):
 
     def _contains(self, outer, inner):
         if type(inner) is CofOmega:
-            return type(outer) is CofOmega and inner.within(outer)
+            return type(outer) is CofOmega and inner.within(outer, lambda u: type(u) is int and u < 0)  # no natural
         if type(outer) is CofInD and outer.index != inner.index:
             return False
         dset = self.designated[inner.index - 1]

@@ -9,23 +9,12 @@ witnesses that miss their own point, and refinements that are not inside
 both opens.  The verification harness must flag every one of them.
 """
 
-from diagclosure.constructions import (
-    Ball,
-    BlockOpen,
-    Certificate,
-    CofInBlock,
-    ExtendPairs,
-    FinTwoCase1,
-    FinTwoCase2,
-    InfBlocks,
-    InfOrSingleton,
-    PairBlocks,
-    SatPair,
-    SplitUnion,
-    T0Sat,
-    TauR,
-)
+from diagclosure.cofinite import CofInBlock, InfBlocks, InfOrSingleton
+from diagclosure.constructions import Certificate
+from diagclosure.pair_system import Ball, ExtendPairs, PairBlocks, SplitUnion
 from diagclosure.relations import BlockRef, PointAddr
+from diagclosure.reservoirs import FinTwoCase1, FinTwoCase2
+from diagclosure.saturation import BlockOpen, SatPair, T0Sat, TauR
 from diagclosure.symbolic_sets import RationalBall
 
 

@@ -59,23 +59,11 @@ from functools import lru_cache
 from itertools import combinations, groupby, permutations, product
 from math import comb, factorial, prod
 
-from diagclosure.constructions import (
-    Ball,
-    BlockOpen,
-    CofInBlock,
-    ExtendPairs,
-    ExtPt,
-    SatPair,
-    SingletonPt,
-    T0Sat,
-    TauR,
-    _Reservoir,
-)
-from diagclosure.counting import _multisets, _partitions
+from diagclosure.cofinite import CofInBlock, SingletonPt
+from diagclosure.counting import _count_below, _multisets, _partitions
 from diagclosure.enumeration import (
     Catalog,
     CatalogRecord,
-    _count_below,
     _extend,
     _iter_rows,
     _preorder_bits,
@@ -86,8 +74,11 @@ from diagclosure.enumeration import (
     decode_relation,
 )
 from diagclosure.errors import BoundExceededError, InvalidAddressError, read_natural
-from diagclosure.finite_topology import Preorder, closure_rows
-from diagclosure.relations import BlockClass, FiniteRelation, PointAddr
+from diagclosure.finite_topology import FiniteRelation, Preorder, closure_rows
+from diagclosure.pair_system import Ball, ExtendPairs, ExtPt
+from diagclosure.relations import BlockClass, PointAddr
+from diagclosure.reservoirs import _Reservoir
+from diagclosure.saturation import BlockOpen, SatPair, T0Sat, TauR
 from diagclosure.symbolic_sets import _ball_excluding, _image, _image_ball, pair_encode
 
 

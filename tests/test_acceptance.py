@@ -20,15 +20,7 @@ from faults import (
 )
 from reference import brute_force_topology_count
 
-from diagclosure.constructions import (
-    Certificate,
-    CofInD,
-    check_certificate,
-    nontransitive_demo,
-    realise_t0,
-    realise_t1,
-    realise_tau_r,
-)
+from diagclosure.constructions import Certificate, check_certificate, realise_t0, realise_t1, realise_tau_r
 from diagclosure.enumeration import (
     build_catalog,
     closure_of_preorder,
@@ -37,14 +29,16 @@ from diagclosure.enumeration import (
     enumerate_preorders,
     relation_code,
 )
-from diagclosure.finite_topology import cl_delta, is_t2, topology_of_preorder
-from diagclosure.relations import (
+from diagclosure.finite_topology import (
     FiniteRelation,
     all_partitions,
+    cl_delta,
     eq_of_partition,
-    is_t1_realisable,
-    parse_spec,
+    is_t2,
+    topology_of_preorder,
 )
+from diagclosure.relations import is_t1_realisable, parse_spec
+from diagclosure.subbasis import CofInD, nontransitive_demo
 from diagclosure.symbolic_sets import ResidueClassSet
 from diagclosure.verify import finite_cross_check, monotonicity_check, verify_construction
 

@@ -11,38 +11,15 @@ from itertools import combinations, product
 
 import pytest
 
-from diagclosure import constructions, relations, subbasis
+from diagclosure import cofinite, constructions, pair_system, relations, reservoirs, subbasis
+from diagclosure.cofinite import CofInBlock, InfBlocks, InfOrSingleton, SingletonPt
 from diagclosure.constructions import (
-    Ball,
-    BlockOpen,
     Certificate,
-    CofInBlock,
-    CofInD,
-    CofOmega,
     Construction,
-    DEFAULT_DESIGNATED,
-    ExtendPairs,
-    ExtPt,
-    FinPt1,
-    FinPt2,
-    FinTwoCase1,
-    FinTwoCase2,
-    InfBlocks,
-    InfOrSingleton,
-    NonTransitiveReport,
-    PairBlocks,
-    SatPair,
-    SingletonPt,
-    SplitUnion,
-    SubbasisExample,
-    T0Sat,
-    TauR,
     check_certificate,
-    nontransitive_demo,
     realise_t0,
     realise_t1,
     realise_tau_r,
-    _FinPt,
 )
 from diagclosure.enumeration import Catalog, CatalogRecord, build_catalog, read_catalog, render_catalog
 from diagclosure.errors import (
@@ -55,22 +32,31 @@ from diagclosure.errors import (
     NotT1ConstructionError,
     SpecMismatchError,
 )
-from diagclosure.finite_topology import FiniteTopology, Preorder, tau_r
+from diagclosure.finite_topology import FinitePartition, FiniteRelation, FiniteTopology, Preorder, tau_r
+from diagclosure.pair_system import Ball, ExtendPairs, ExtPt, PairBlocks, SplitUnion
 from diagclosure.relations import (
     BlockClass,
     BlockRef,
     Count,
     FiniteBlocks,
-    FinitePartition,
-    FiniteRelation,
     PointAddr,
     is_t1_realisable,
     parse_point,
     parse_spec,
     same_block,
-    _TupleValue,
+)
+from diagclosure.reservoirs import _FinPt, FinPt1, FinPt2, FinTwoCase1, FinTwoCase2
+from diagclosure.saturation import BlockOpen, SatPair, T0Sat, TauR
+from diagclosure.subbasis import (
+    DEFAULT_DESIGNATED,
+    CofInD,
+    CofOmega,
+    NonTransitiveReport,
+    SubbasisExample,
+    nontransitive_demo,
 )
 from diagclosure.symbolic_sets import RationalBall, ResidueClassSet, pair_encode
+from diagclosure.values import _TupleValue
 from diagclosure.verify import CrossCheckReport, MonotonicityReport, _samplers, verify_construction
 import faults
 from reference import basic_nbhd_by_old_rule, sample_point
@@ -484,17 +470,29 @@ def test_contains_refuses_across_families():
 
 def test_contains_of_cofinite_opens_agrees_with_member():
     # containment on one base, checked apart from ``contains`` by member on points that decide it: each open
-    # keeps a probed point of its base, and every exclusion is a probed point
+    # keeps a probed point of its base, and every exclusion in its base is a probed point.  Some exclusions lie
+    # outside the open's base (another block, another reservoir, no natural), where they take nothing away
     inf = [pt(f"i:{b}:{e}") for b in range(2) for e in range(3)]
-    fin = [pt(f"f:{j}:{e}") for j, e in ((0, 0), (0, 1), (1, 0))] + [pt(f"s:{k}") for k in range(6)]
+    finite_points = ((0, 0), (0, 1), (1, 0))
+    fin = [pt(f"f:{j}:{e}") for j, e in finite_points]
+
+    def units(j):
+        """The reservoir units the opens of finite block j exclude: j and j + 2 lie in its reservoir, 1 - j and
+        3 - j in the other."""
+        return (), (j,), (j + 2,), (j, j + 2), (1 - j,), (j, 3 - j)
+
     cases = (
         (InfBlocks(parse_spec("singletons=0;fin=[];inf=2")), inf,
-         [CofInBlock(BlockRef(I, b), frozenset(pt(f"i:{b}:{e}") for e in ex))
-          for b in range(2) for ex in ((), (0,), (1,), (0, 1))]),
-        (FinTwoCase1(parse_spec("singletons=omega;fin=[2,3];inf=0")), fin,  # reservoir j: the s:k with k % 2 == j
-         [FinPt1(j, e, frozenset(pt(f"s:{k}") for k in ex))
-          for j, e in ((0, 0), (0, 1), (1, 0)) for ex in ((), (j,), (j + 2,), (j, j + 2))]),
-        (SubbasisExample(DEFAULT_DESIGNATED), list(range(3)), [CofOmega(frozenset(ex)) for ex in ((), (0,), (1,), (0, 1))]),
+         [CofInBlock(BlockRef(I, b), frozenset(pt(f"i:{b}:{e}") for e in ex) | frozenset(map(pt, out)))
+          for b in range(2) for ex in ((), (0,), (1,), (0, 1)) for out in ((), (f"i:{1 - b}:2",))]),
+        (FinTwoCase1(parse_spec("singletons=omega;fin=[2,3];inf=0")),  # reservoir j: the s:k with k % 2 == j
+         fin + [pt(f"s:{k}") for k in range(6)],
+         [FinPt1(j, e, frozenset(pt(f"s:{k}") for k in ex)) for j, e in finite_points for ex in units(j)]),
+        (FinTwoCase2(parse_spec("singletons=1;fin=[2,3];inf=omega")),  # reservoir j: the i:k with k % 2 == j
+         fin + [pt("s:0")] + [pt(f"i:{k}:{e}") for k in range(6) for e in range(2)],
+         [FinPt2(j, e, frozenset(ex)) for j, e in finite_points for ex in units(j)]),
+        (SubbasisExample(DEFAULT_DESIGNATED), list(range(3)),  # -1 is no natural; 1.0 excludes 1, as it equals 1
+         [CofOmega(frozenset(ex)) for ex in ((), (0,), (1,), (0, 1), (-1,), (0, -1), (1.0,))]),
     )
     for c, points, opens in cases:
         for outer, inner in product(opens, repeat=2):
@@ -839,13 +837,11 @@ def test_nontransitive_demo_rechecks_its_certificate(monkeypatch):
 
 
 def test_pair_cache_stays_bounded():
-    from diagclosure import constructions
-
     c = realise_t1(parse_spec("singletons=0;fin=cycle[2,3];inf=0"))
     base = 10**9
     for j in range(20_000):
         c.basic_nbhd(PointAddr(F, base + j, 0))
-    info = constructions._xq.cache_info()
+    info = pair_system._xq.cache_info()
     assert info.maxsize == constructions._XQ_CACHE_SIZE
     assert info.currsize <= constructions._XQ_CACHE_SIZE
 
@@ -1056,6 +1052,11 @@ def test_answer_pair_agrees_with_the_single_calls(kind, realise, text):
     assert any(answers) and not all(answers)
 
 
+def _package_base(fault):
+    """The first class of the package among the bases of a fault construction: the kind it alters."""
+    return next(cls for cls in fault.__mro__[1:] if cls.__module__.startswith("diagclosure."))
+
+
 # The faults that change a witness or a T1 open and answer through the base
 # answer_pair: sharing opens between the certificate and the T1 answers must
 # not show a different witness than ``witness`` does.
@@ -1063,8 +1064,7 @@ WITNESS_FAULTS = [
     fault for fault in vars(faults).values()
     if isinstance(fault, type) and fault.__module__ == faults.__name__ and issubclass(fault, Construction)
     and fault.answer_pair is Construction.answer_pair
-    and any(getattr(fault, hook) is not getattr(getattr(constructions, fault.kind), hook)
-            for hook in ("_witness_opens", "_basic_nbhd"))
+    and any(getattr(fault, hook) is not getattr(_package_base(fault), hook) for hook in ("_witness_opens", "_basic_nbhd"))
 ]
 KIND_SPECS = {kind: text for kind, _, text in NINE_KINDS}
 
@@ -1191,16 +1191,16 @@ def test_an_open_returned_earlier_is_unchanged_by_later_exclusions(kind, realise
 def test_the_open_caches_stay_within_their_bounds():
     """5,000 distinct blocks through the public calls cannot grow a cache past its bound."""
     n = 5_000
-    cofinite = realise_t1(parse_spec("singletons=omega;fin=[];inf=omega"))
-    reservoirs = realise_t1(parse_spec(f"singletons=omega;fin=[{','.join(['3'] * n)}];inf=0"))
+    no_finite = realise_t1(parse_spec("singletons=omega;fin=[];inf=omega"))
+    finite_list = realise_t1(parse_spec(f"singletons=omega;fin=[{','.join(['3'] * n)}];inf=0"))
     pairs = realise_t1(parse_spec("singletons=0;fin=cycle[2,3];inf=0"))
     for block in range(n):
         for p in (PointAddr(S, block, 0), PointAddr(I, block, 1)):
-            cofinite.basic_nbhd(p)
-        reservoirs.basic_nbhd(PointAddr(F, block, block % 3))
+            no_finite.basic_nbhd(p)
+        finite_list.basic_nbhd(PointAddr(F, block, block % 3))
         for elem in range(2 + block % 2):
             pairs.basic_nbhd(PointAddr(F, block, elem))
-    for cache in (constructions._cofinite_home, constructions._reservoir_home, constructions._pair_home, constructions._xq):
+    for cache in (cofinite._cofinite_home, reservoirs._reservoir_home, pair_system._pair_home, pair_system._xq):
         info = cache.cache_info()
         assert info.currsize == info.maxsize  # filled, and no further
 

@@ -59,8 +59,15 @@ from diagclosure.enumeration import (
     render_catalog,
 )
 from diagclosure.errors import BoundExceededError, InvalidCatalogError, InvalidSizeError, SpecSyntaxError
-from diagclosure.finite_topology import Preorder, cl_delta, closure_rows, topology_of_preorder
-from diagclosure.relations import FiniteRelation, all_partitions, eq_of_partition
+from diagclosure.finite_topology import (
+    FiniteRelation,
+    Preorder,
+    all_partitions,
+    cl_delta,
+    closure_rows,
+    eq_of_partition,
+    topology_of_preorder,
+)
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355, 5: 6942, 6: 209527}
 

@@ -14,10 +14,14 @@ from diagclosure.finite_topology import (
     _MAX_OPENS,
     MAX_POINTS,
     MAX_SCAN,
+    FinitePartition,
+    FiniteRelation,
     FiniteTopology,
     Preorder,
+    all_partitions,
     cl_delta,
     cl_delta_open_family,
+    eq_of_partition,
     generate_from_subbasis,
     is_t0,
     is_t1,
@@ -30,7 +34,6 @@ from diagclosure.finite_topology import (
     tau_r,
     topology_of_preorder,
 )
-from diagclosure.relations import FinitePartition, FiniteRelation, all_partitions, eq_of_partition
 
 
 def _opens_as_sets(t):

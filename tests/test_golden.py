@@ -14,15 +14,9 @@ import random
 
 from faults import SharedFinTwoCase1, SharedFinTwoCase2
 
-from diagclosure.constructions import (
-    DEFAULT_DESIGNATED,
-    SubbasisExample,
-    nontransitive_demo,
-    realise_t0,
-    realise_t1,
-    realise_tau_r,
-)
+from diagclosure.constructions import realise_t0, realise_t1, realise_tau_r
 from diagclosure.relations import BlockClass, PointAddr, parse_spec
+from diagclosure.subbasis import DEFAULT_DESIGNATED, SubbasisExample, nontransitive_demo
 from diagclosure.verify import verify_construction
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "constructions.txt")

@@ -11,7 +11,8 @@ import random
 
 from reference import pair_open_member
 
-from diagclosure.constructions import Ball, ExtPt, realise_t1
+from diagclosure.constructions import realise_t1
+from diagclosure.pair_system import Ball, ExtPt
 from diagclosure.relations import BlockClass, PointAddr, parse_spec
 from diagclosure.symbolic_sets import pair_decode
 

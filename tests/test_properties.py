@@ -23,10 +23,10 @@ from reference import (
 )
 
 from diagclosure.cli import main
+from diagclosure.counting import _count_below
 from diagclosure.enumeration import (
     Catalog,
     CatalogRecord,
-    _count_below,
     canonical_code,
     decode_preorder,
     decode_relation,
@@ -44,17 +44,8 @@ from diagclosure.errors import (
     read_natural,
     read_naturals,
 )
-from diagclosure.finite_topology import generate_from_subbasis, parse_topology, render_topology
-from diagclosure.relations import (
-    BlockClass,
-    Count,
-    FiniteBlocks,
-    FiniteRelation,
-    PartitionSpec,
-    PointAddr,
-    parse_point,
-    parse_spec,
-)
+from diagclosure.finite_topology import FiniteRelation, generate_from_subbasis, parse_topology, render_topology
+from diagclosure.relations import BlockClass, Count, FiniteBlocks, PartitionSpec, PointAddr, parse_point, parse_spec
 from diagclosure.symbolic_sets import (
     RationalBall,
     _positive_rational_at,

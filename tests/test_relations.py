@@ -21,26 +21,27 @@ from diagclosure.errors import (
     NotRealisableError,
     SpecSyntaxError,
 )
+from diagclosure.finite_topology import (
+    FinitePartition,
+    FiniteRelation,
+    all_partitions,
+    eq_of_partition,
+    partition_of_eq,
+)
 from diagclosure.relations import (
     OMEGA,
     BlockClass,
     BlockRef,
     Count,
     FiniteBlocks,
-    FinitePartition,
-    FiniteRelation,
     PartitionSpec,
     PointAddr,
-    all_partitions,
-    eq_of_partition,
     is_t1_realisable,
     parse_point,
     parse_spec,
-    partition_of_eq,
     same_block,
-    _new,
-    _TupleValue,
 )
+from diagclosure.values import _TupleValue, _new
 
 S, F, I = BlockClass.SINGLETON, BlockClass.FINITE, BlockClass.INFINITE
 

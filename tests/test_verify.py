@@ -25,16 +25,11 @@ from faults import (
 )
 
 from diagclosure import finite_topology
-from diagclosure.constructions import (
-    DEFAULT_DESIGNATED,
-    SubbasisExample,
-    draw_below,
-    realise_t0,
-    realise_t1,
-    realise_tau_r,
-)
+from diagclosure.constructions import draw_below, realise_t0, realise_t1, realise_tau_r
 from diagclosure.errors import BoundExceededError, InvalidSizeError, SpecMismatchError
-from diagclosure.relations import BlockClass, FiniteRelation, PointAddr, parse_spec, same_block
+from diagclosure.finite_topology import FiniteRelation
+from diagclosure.relations import BlockClass, PointAddr, parse_spec, same_block
+from diagclosure.subbasis import DEFAULT_DESIGNATED, SubbasisExample
 from reference import sample_pair, sample_point
 
 from diagclosure.verify import (
