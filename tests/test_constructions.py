@@ -642,6 +642,38 @@ def test_a_pickle_that_names_the_module_a_class_moved_from_still_loads(build, te
     assert old != kept and pickle.loads(old) == v
 
 
+FAMILY_MODULES = ("cofinite", "pair_system", "reservoirs", "saturation", "subbasis")  # split out of constructions
+
+
+def _former_home(cls):
+    """The module that defined ``cls`` before the construction families and the finite relations moved out, or None."""
+    if cls.__module__.rpartition(".")[2] in FAMILY_MODULES:
+        return constructions.__name__
+    return relations.__name__ if cls.__name__ in ("FinitePartition", "FiniteRelation") else None
+
+
+LEFT = [(build, text) for build, text in VALUES if _former_home(type(build())) and not _moved_from(type(build()))]
+
+
+@pytest.mark.parametrize("build, text", LEFT, ids=[text.partition("(")[0] for _, text in LEFT])
+def test_a_pickle_that_names_a_former_home_no_longer_holding_the_class_is_refused(build, text):
+    # only the names perfbench imports still resolve in constructions and relations: a pickle that names the old
+    # module for any other class fails, and one that names the class's own module loads
+    v = build()
+    cls = type(v)
+    kept = pickle.dumps(v, protocol=0)
+    old = kept.replace(f"c{cls.__module__}\n".encode(), f"c{_former_home(cls)}\n".encode())
+    assert old != kept and pickle.loads(kept) == v
+    with pytest.raises(AttributeError, match=f"Can't get attribute '{cls.__name__}' on <module '{_former_home(cls)}'"):
+        pickle.loads(old)
+
+
+def test_every_value_class_that_left_constructions_or_relations_has_one_pickle_case():
+    # the 14 value classes moved out: 2 still load under their old module, 12 are refused there
+    assert len(MOVED) == 2 and len(LEFT) == 12
+    assert all(_former_home(type(build())) for build, _ in MOVED)
+
+
 def test_every_tuple_value_class_has_a_row_in_values():
     def subclasses(cls):
         for sub in cls.__subclasses__():
